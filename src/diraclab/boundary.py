@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_ops import d0, nabla
-from .fields import PolyField, make_field
+from .fields import PolyField, _canonical, _partial, make_field
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,9 @@ class SpinorFactor:
     def apply(self, f):
         mat = self.plus if f.chirality > 0 else self.minus
         target = "S-" if f.chirality > 0 else "S+"
-        terms = {e: np.einsum("st,...t->...s", mat, v) for e, v in f.terms.items()}
-        return make_field(f.k, f.n, target, terms, validate=False)
+        if not len(f):
+            return PolyField(f.k, f.n, target)
+        return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
 
 
 def nabla_phi_factor(chart, rep, A):
@@ -108,15 +109,7 @@ def inv_nabla0_phi_factor(chart, rep):
 
 def dx(A, j, f):
     """Scalar partial derivative with respect to x_{A, j+1} (0-based j)."""
-    idx = A * f.n + j
-    terms = {}
-    for e, v in f.terms.items():
-        if e[idx] == 0:
-            continue
-        e2 = list(e)
-        e2[idx] -= 1
-        terms[tuple(e2)] = terms.get(tuple(e2), 0) + e[idx] * v
-    return make_field(f.k, f.n, f.space, terms, validate=False)
+    return PolyField(f.k, f.n, f.space, *_partial(f.expo, f.vals, A * f.n + j))
 
 
 def apply_t(chart, rep, f):
@@ -196,9 +189,8 @@ def defining_polynomial(chart, rep, spinor=None):
 
 
 def _require_surface_function(f):
-    for e in f.terms:
-        if e[0] != 0:
-            raise ValueError("field must not depend on the defining variable x_{01}")
+    if f.expo[:, 0].any():
+        raise ValueError("field must not depend on the defining variable x_{01}")
 
 
 def script_d0(chart, rep, fhat):
@@ -210,7 +202,7 @@ def script_d0(chart, rep, fhat):
     if fhat.space not in ("V0", "S+"):
         raise ValueError(f"boundary data must be S+ valued, got {fhat.space}")
     _require_surface_function(fhat)
-    f = PolyField(fhat.k, fhat.n, "S+", dict(fhat.terms))
+    f = PolyField(fhat.k, fhat.n, "S+", fhat.expo, fhat.vals)
     tf = apply_t(chart, rep, f)
     first = tuple(apply_z(chart, rep, mu, f) for mu in range(1, chart.k))
     second = tuple(
@@ -244,41 +236,31 @@ def pi1_kernel_check(chart, rep, F, Fprime):
     return worst
 
 
-def _rho_power(chart, power):
-    """Sparse expansion of rho**power over the full exponent lattice."""
-    k, n = chart.k, chart.n
-    acc = {tuple([0] * (k * n)): 1.0}
-    lin = {}
-    for A in range(k):
-        for j in range(n):
-            c = chart.rho_coeffs[A, j]
-            if c != 0.0:
-                lin[A * n + j] = c
-    for _ in range(power):
-        nxt = {}
-        for e, c in acc.items():
-            for idx, w in lin.items():
-                e2 = list(e)
-                e2[idx] += 1
-                key = tuple(e2)
-                nxt[key] = nxt.get(key, 0.0) + c * w
-        acc = nxt
-        if not acc:
-            break
-    return acc
-
-
 def restrict_to_chart(f, chart):
     """Substitute x_{01} = rho(rest), yielding a surface field."""
-    terms = {}
-    for e, v in f.terms.items():
-        p = e[0]
-        base = (0,) + e[1:]
-        for mono, coef in _rho_power(chart, p).items():
-            key = tuple(a + b for a, b in zip(base, mono))
-            terms[key] = terms.get(key, 0) + coef * v
-    return make_field(f.k, f.n, f.space if f.space != "V0" else "S+", terms,
-                      validate=False)
+    space = f.space if f.space != "V0" else "S+"
+    if not len(f):
+        return PolyField(f.k, f.n, space)
+    kn = f.k * f.n
+    lin = np.flatnonzero(chart.rho_coeffs.reshape(-1))
+    rho_e = np.eye(kn, dtype=np.int64)[lin]
+    rho_c = chart.rho_coeffs.reshape(-1)[lin]
+    base = f.expo.copy()
+    base[:, 0] = 0
+    # power_e, power_c: exponents and coefficients of rho**p, p = 0, 1, ...
+    power_e, power_c = np.zeros((1, kn), dtype=np.int64), np.ones(1)
+    expo, vals = [], []
+    for p in range(int(f.expo[:, 0].max()) + 1):
+        if p:
+            power_e, power_c = _canonical(
+                (power_e[:, None] + rho_e[None]).reshape(-1, kn),
+                (power_c[:, None] * rho_c[None]).reshape(-1),
+            )
+        rows = f.expo[:, 0] == p
+        expo.append((base[rows][:, None] + power_e[None]).reshape(-1, kn))
+        vals.append(np.einsum("m,t...->tm...", power_c, f.vals[rows])
+                    .reshape((-1,) + f.vals.shape[1:]))
+    return PolyField(f.k, f.n, space, np.concatenate(expo), np.concatenate(vals))
 
 
 def restrict_and_test(f, chart, rep, tol=1e-10):

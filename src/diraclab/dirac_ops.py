@@ -1,9 +1,11 @@
 """The operators D0, D1, D2', D2'' and the formal adjoints D0*, D1*.
 
-All operators act on :class:`~diraclab.fields.PolyField` instances by exact
-term-by-term differentiation followed by gamma contraction.  The first-slot
-operator stacks the k Dirac derivatives; the higher operators are built from
-raw derivative tensors in two independent ways:
+All operators act on the exponent matrix and value tensor of a
+:class:`~diraclab.fields.PolyField`.  Every derivative goes through one
+routine, the partial derivative ``d/dx_{Aj}`` of :mod:`~diraclab.fields`,
+followed by gamma contraction.  The first-slot operator stacks the k Dirac
+derivatives; the higher operators are built from raw derivative stacks in two
+independent ways:
 
 * a "direct" route transcribing the componentwise displays (the default for
   the public entry points), and
@@ -11,7 +13,9 @@ raw derivative tensors in two independent ways:
   projector matrix with the appropriate prefactor (3/2, 6 or 10/3).
 
 The two routes agreeing to roundoff on random fields is one of the package's
-standing checks.
+standing checks.  A stack is an (exponents, values) pair whose values carry
+extra leading tensor axes; a sum of stacks is their concatenation, which the
+field constructor brings back to canonical form.
 
 Index conventions for the stacked derivative tensors: new derivative axes are
 prepended, so ``grad2[A, B, C, s]`` means (first apply the C-component
@@ -21,7 +25,7 @@ selection of the input, then the B derivative, then the A derivative).
 import numpy as np
 
 from . import weyl
-from .fields import make_field, zero_field
+from .fields import PolyField, _canonical, _partial, zero_field
 
 
 def _require_space(f, space, op_name):
@@ -29,31 +33,67 @@ def _require_space(f, space, op_name):
         raise ValueError(f"{op_name} expects a {space} field, got {f.space}")
 
 
-def _as_arrays(f):
-    if not f.terms:
-        return np.zeros((0, f.k * f.n), dtype=np.int64), None
-    expo = np.array(sorted(f.terms.keys()), dtype=np.int64)
-    vals = np.stack([f.terms[tuple(e)] for e in expo])
+def _gamma_block(rep, chirality):
+    return rep.gamma_plus if chirality > 0 else rep.gamma_minus
+
+
+def _cat(pieces):
+    """Concatenate (exponents, values) pieces into one un-summed pair."""
+    expo, vals = zip(*pieces)
+    return np.concatenate(expo), np.concatenate(vals)
+
+
+def _nabla_pieces(expo, vals, gam, A, n):
+    """The n summands gamma_j d_{Aj} of nabla_A, one piece per direction j."""
+    for j in range(n):
+        e, v = _partial(expo, vals, A * n + j)
+        yield e, np.einsum("st,...t->...s", gam[j], v)
+
+
+def _delta_pieces(expo, vals, B, C, n):
+    """The n summands -2 d_{Bj} d_{Cj} of Delta_BC."""
+    for j in range(n):
+        e, v = _partial(*_partial(expo, vals, B * n + j), C * n + j)
+        yield e, -2.0 * v
+
+
+def _stack(slotted, lead):
+    """Canonical stack whose leading axes ``lead`` hold the pieces at their slots."""
+    expo = np.concatenate([e for _, e, _ in slotted])
+    vals = np.zeros((len(expo),) + lead + slotted[0][2].shape[1:], dtype=complex)
+    row = 0
+    for slot, e, v in slotted:
+        vals[(slice(row, row + len(e)),) + slot] = v
+        row += len(e)
+    return _canonical(expo, vals)
+
+
+def _grad(f, rep, times=1):
+    """Prepend derivative axes: out[A, ...] = (nabla_A input)[...], repeated."""
+    expo, vals, chirality = f.expo, f.vals, f.chirality
+    for _ in range(times):
+        gam = _gamma_block(rep, chirality)
+        expo, vals = _stack(
+            [((A,), e, v) for A in range(f.k)
+             for e, v in _nabla_pieces(expo, vals, gam, A, f.n)],
+            (f.k,),
+        )
+        chirality = -chirality
     return expo, vals
 
 
-def _combine(expo, vals):
-    uniq, inv = np.unique(expo, axis=0, return_inverse=True)
-    acc = np.zeros((len(uniq),) + vals.shape[1:], dtype=complex)
-    np.add.at(acc, inv, vals)
-    return uniq, acc
+def _delta_stack(f):
+    """Prepend two axes: out[B, C, ...] = -2 sum_j d_{Bj} d_{Cj} input."""
+    return _stack(
+        [((B, C), e, v) for B in range(f.k) for C in range(f.k)
+         for e, v in _delta_pieces(f.expo, f.vals, B, C, f.n)],
+        (f.k, f.k),
+    )
 
 
-def _to_terms(expo, vals):
-    out = {}
-    for e, v in zip(expo, vals):
-        if np.any(v != 0):
-            out[tuple(int(x) for x in e)] = v
-    return out
-
-
-def _gamma_block(rep, chirality):
-    return rep.gamma_plus if chirality > 0 else rep.gamma_minus
+def _result(f, space, expo, vals):
+    """The output field; V2/V3 outputs are checked against their module."""
+    return PolyField(f.k, f.n, space, expo, vals).validate()
 
 
 def nabla(A, f, rep):
@@ -64,27 +104,11 @@ def nabla(A, f, rep):
     """
     if not 0 <= A < f.k:
         raise ValueError(f"variable index {A} out of range for k={f.k}")
-    gam = _gamma_block(rep, f.chirality)
-    expo, vals = _as_arrays(f)
     target = _flip_scalar_space(f)
-    if vals is None:
+    if not len(f):
         return zero_field(f.k, f.n, target)
-    pieces_e, pieces_v = [], []
-    for j in range(f.n):
-        idx = A * f.n + j
-        mask = expo[:, idx] > 0
-        if not mask.any():
-            continue
-        e2 = expo[mask].copy()
-        w = e2[:, idx].astype(float)
-        e2[:, idx] -= 1
-        v2 = vals[mask] * w.reshape((-1,) + (1,) * (vals.ndim - 1))
-        pieces_e.append(e2)
-        pieces_v.append(np.einsum("st,...t->...s", gam[j], v2))
-    if not pieces_e:
-        return zero_field(f.k, f.n, target)
-    expo, vals = _combine(np.concatenate(pieces_e), np.concatenate(pieces_v))
-    return make_field(f.k, f.n, target, _to_terms(expo, vals), validate=False)
+    gam = _gamma_block(rep, f.chirality)
+    return PolyField(f.k, f.n, target, *_cat(_nabla_pieces(f.expo, f.vals, gam, A, f.n)))
 
 
 def _flip_scalar_space(f):
@@ -96,138 +120,29 @@ def _flip_scalar_space(f):
     raise ValueError("nabla on tensor-valued fields goes through the stacks")
 
 
-class _Stacked:
-    """Exponent/coefficient arrays of a tensor-stacked intermediate."""
-
-    def __init__(self, k, n, chirality, expo, vals):
-        self.k, self.n, self.chirality = k, n, chirality
-        self.expo, self.vals = expo, vals
-
-    @classmethod
-    def from_field(cls, f):
-        expo, vals = _as_arrays(f)
-        if vals is None:
-            raise ValueError("cannot stack an empty field")
-        return cls(f.k, f.n, f.chirality, expo, vals)
-
-
-def _grad_stack(st, rep):
-    """Prepend one derivative axis: out[A, ...] = (nabla_A input)[...]."""
-    k, n = st.k, st.n
-    gam = _gamma_block(rep, st.chirality)
-    pieces_e, pieces_v = [], []
-    for A in range(k):
-        for j in range(n):
-            idx = A * n + j
-            mask = st.expo[:, idx] > 0
-            if not mask.any():
-                continue
-            e2 = st.expo[mask].copy()
-            w = e2[:, idx].astype(float)
-            e2[:, idx] -= 1
-            v2 = st.vals[mask] * w.reshape((-1,) + (1,) * (st.vals.ndim - 1))
-            v2 = np.einsum("st,...t->...s", gam[j], v2)
-            out = np.zeros((v2.shape[0], k) + v2.shape[1:], dtype=complex)
-            out[:, A] = v2
-            pieces_e.append(e2)
-            pieces_v.append(out)
-    if not pieces_e:
-        shape = (0, k) + st.vals.shape[1:]
-        return _Stacked(k, n, -st.chirality, np.zeros((0, k * n), np.int64), np.zeros(shape, complex))
-    expo, vals = _combine(np.concatenate(pieces_e), np.concatenate(pieces_v))
-    return _Stacked(k, n, -st.chirality, expo, vals)
-
-
-def _delta_stack(st):
-    """Prepend two axes: out[B, C, ...] = -2 sum_j d_{Bj} d_{Cj} input."""
-    k, n = st.k, st.n
-    pieces_e, pieces_v = [], []
-    for B in range(k):
-        for C in range(k):
-            for j in range(n):
-                iB, iC = B * n + j, C * n + j
-                mask = st.expo[:, iB] > 0
-                if not mask.any():
-                    continue
-                expo = st.expo[mask].copy()
-                w = expo[:, iB].astype(float)
-                expo[:, iB] -= 1
-                vals = st.vals[mask]
-                mask2 = expo[:, iC] > 0
-                if not mask2.any():
-                    continue
-                expo = expo[mask2]
-                w = w[mask2] * expo[:, iC]
-                expo = expo.copy()
-                expo[:, iC] -= 1
-                vals = vals[mask2] * (-2.0 * w).reshape((-1,) + (1,) * (vals.ndim - 1))
-                out = np.zeros((vals.shape[0], k, k) + vals.shape[1:], dtype=complex)
-                out[:, B, C] = vals
-                pieces_e.append(expo)
-                pieces_v.append(out)
-    if not pieces_e:
-        shape = (0, k, k) + st.vals.shape[1:]
-        return _Stacked(k, n, st.chirality, np.zeros((0, k * n), np.int64), np.zeros(shape, complex))
-    expo, vals = _combine(np.concatenate(pieces_e), np.concatenate(pieces_v))
-    return _Stacked(k, n, st.chirality, expo, vals)
-
-
-def _stacked_to_field(st, space, validate=True):
-    return make_field(st.k, st.n, space, _to_terms(st.expo, st.vals), validate=validate)
-
-
-def _align(stacks):
-    """Union the exponent sets of several stacks, zero-padding the values."""
-    all_expo = np.unique(np.concatenate([s.expo for s in stacks]), axis=0)
-    out = []
-    for s in stacks:
-        vals = np.zeros((len(all_expo),) + s.vals.shape[1:], dtype=complex)
-        if len(s.expo):
-            uniq, inv = np.unique(
-                np.concatenate([all_expo, s.expo]), axis=0, return_inverse=True
-            )
-            # uniq == all_expo since s.expo is a subset of all_expo
-            vals[inv[len(all_expo):]] += s.vals
-        out.append(vals)
-    return all_expo, out
-
-
 def delta_op(B, C, f, rep):
     """The scalar anticommutator operator applied to a field."""
     del rep
-    if not f.terms:
+    if not len(f):
         return zero_field(f.k, f.n, f.space)
-    st = _Stacked.from_field(f)
-    d = _delta_stack(st)
-    vals = d.vals[:, B, C]
-    return make_field(f.k, f.n, f.space, _to_terms(d.expo, vals), validate=False)
+    return PolyField(f.k, f.n, f.space, *_cat(_delta_pieces(f.expo, f.vals, B, C, f.n)))
 
 
 def d0(f, rep):
     """First operator of the complex: stack the k Dirac derivatives."""
     _require_space(f, "V0", "d0")
-    if not f.terms:
+    if not len(f):
         return zero_field(f.k, f.n, "V1")
-    st = _grad_stack(_Stacked.from_field(f), rep)
-    return _stacked_to_field(st, "V1")
+    return PolyField(f.k, f.n, "V1", *_grad(f, rep))
 
 
 def d0_star(G, rep):
     """Formal adjoint of d0: the contracted sum of Dirac derivatives."""
     _require_space(G, "V1", "d0_star")
-    if not G.terms:
+    if not len(G):
         return zero_field(G.k, G.n, "V0")
-    st = _grad_stack(_Stacked.from_field(G), rep)  # axes (A, component, s)
-    vals = np.einsum("taas->ts", st.vals)
-    return make_field(G.k, G.n, "V0", _to_terms(st.expo, vals), validate=False)
-
-
-def _d1_raw(F, rep):
-    """Raw second-derivative tensor grad2[A,B,C] and the Delta stack of F."""
-    st = _Stacked.from_field(F)
-    grad2 = _grad_stack(_grad_stack(st, rep), rep)  # (A, B, C, s)
-    dst = _delta_stack(st)  # (B, C, Ccomp, s)
-    return grad2, dst
+    expo, vals = _grad(G, rep)  # axes (A, component, s)
+    return PolyField(G.k, G.n, "V0", expo, np.einsum("taas->ts", vals))
 
 
 def d1(F, rep):
@@ -236,25 +151,23 @@ def d1(F, rep):
     ``(d1 F)[A,B,C] = sym_{BC}(grad2[A,B,C]) - 1/2 Delta_{BC} F[A]``.
     """
     _require_space(F, "V1", "d1")
-    if not F.terms:
+    if not len(F):
         return zero_field(F.k, F.n, "V2")
-    grad2, dst = _d1_raw(F, rep)
-    expo, (t, d) = _align([grad2, dst])
-    out = 0.5 * (t + np.einsum("tacbs->tabcs", t)) - 0.5 * np.einsum(
-        "tbcas->tabcs", d
-    )
-    return make_field(F.k, F.n, "V2", _to_terms(expo, out))
+    ge, t = _grad(F, rep, 2)  # (A, B, C, s)
+    de, d = _delta_stack(F)  # (B, C, Ccomp, s)
+    sym = 0.5 * (t + np.einsum("tacbs->tabcs", t))
+    lap = -0.5 * np.einsum("tbcas->tabcs", d)
+    return _result(F, "V2", *_cat([(ge, sym), (de, lap)]))
 
 
 def d1_projector(F, rep):
     """Second operator through the (2,1) projector: 3/2 C21(grad2)."""
     _require_space(F, "V1", "d1_projector")
-    if not F.terms:
+    if not len(F):
         return zero_field(F.k, F.n, "V2")
-    grad2 = _grad_stack(_grad_stack(_Stacked.from_field(F), rep), rep)
+    expo, grad2 = _grad(F, rep, 2)
     ws = weyl.weyl_space(F.k, "21")
-    out = _apply_projector(grad2.vals, ws, 1.5)
-    return make_field(F.k, F.n, "V2", _to_terms(grad2.expo, out))
+    return _result(F, "V2", expo, _apply_projector(grad2, ws, 1.5))
 
 
 def _apply_projector(vals, ws, prefactor):
@@ -266,15 +179,18 @@ def _apply_projector(vals, ws, prefactor):
     return out.reshape(vals.shape)
 
 
+def _require_order5(h):
+    if h.k < 3:
+        raise ValueError("the order-5 branch of the complex needs k >= 3")
+
+
 def d2p(h, rep):
     """Third operator, first-order branch, direct componentwise form."""
     _require_space(h, "V2", "d2p")
-    if h.k < 3:
-        raise ValueError("the order-5 branch of the complex needs k >= 3")
-    if not h.terms:
+    _require_order5(h)
+    if not len(h):
         return zero_field(h.k, h.n, "V3p")
-    grad = _grad_stack(_Stacked.from_field(h), rep)  # U[D, A, B, C, s]
-    u = grad.vals
+    expo, u = _grad(h, rep)  # U[D, A, B, C, s]
     # sum over swaps of (A,D) and of (B,C) of
     #   1/2 (U[DABC] - U[DCBA]) + 1/2 (U[BCDA] - U[BADC])
     base = 0.5 * (u - np.einsum("tdcbas->tdabcs", u)) + 0.5 * (
@@ -286,20 +202,18 @@ def d2p(h, rep):
         + np.einsum("tdacbs->tdabcs", base)
         + np.einsum("tadcbs->tdabcs", base)
     )
-    return make_field(h.k, h.n, "V3p", _to_terms(grad.expo, out))
+    return _result(h, "V3p", expo, out)
 
 
 def d2p_projector(h, rep):
     """Third operator, first-order branch, as 6 C22(grad h)."""
     _require_space(h, "V2", "d2p_projector")
-    if h.k < 3:
-        raise ValueError("the order-5 branch of the complex needs k >= 3")
-    if not h.terms:
+    _require_order5(h)
+    if not len(h):
         return zero_field(h.k, h.n, "V3p")
-    grad = _grad_stack(_Stacked.from_field(h), rep)
+    expo, grad = _grad(h, rep)
     ws = weyl.weyl_space(h.k, "22")
-    out = _apply_projector(grad.vals, ws, 6.0)
-    return make_field(h.k, h.n, "V3p", _to_terms(grad.expo, out))
+    return _result(h, "V3p", expo, _apply_projector(grad, ws, 6.0))
 
 
 def d2pp(h, rep):
@@ -310,14 +224,11 @@ def d2pp(h, rep):
     + Delta_BC h_[E D_ A] )`` with the bracket skew over E and A only.
     """
     _require_space(h, "V2", "d2pp")
-    if h.k < 3:
-        raise ValueError("the order-5 branch of the complex needs k >= 3")
-    if not h.terms:
+    _require_order5(h)
+    if not len(h):
         return zero_field(h.k, h.n, "V3pp")
-    st = _Stacked.from_field(h)
-    grad2 = _grad_stack(_grad_stack(st, rep), rep)  # W2[E, D, A, B, C, s]
-    dst = _delta_stack(st)  # D[B', C', A, B, C, s]
-    expo, (w2, dh) = _align([grad2, dst])
+    we, w2 = _grad(h, rep, 2)  # W2[E, D, A, B, C, s]
+    de, dh = _delta_stack(h)  # D[B', C', A, B, C, s]
     # 2 grad_[E grad_D_ h_A]BC  = grad_E grad_D h_ABC - grad_A grad_D h_EBC
     t1 = w2 - np.einsum("tadebcs->tedabcs", w2)
     # grad_D grad_[E h_A]BC = 1/2 (grad_D grad_E h_ABC - grad_D grad_A h_EBC)
@@ -326,13 +237,13 @@ def d2pp(h, rep):
     # Delta_BC h_[E D_ A] = 1/2 Delta_BC (h_EDA - h_ADE)
     x = np.einsum("tbcedas->tedabcs", dh)
     t3 = 0.5 * (x - np.einsum("tadebcs->tedabcs", x))
-    core = t1 + t2 + t3
+    expo, core = _canonical(*_cat([(we, t1 + t2), (de, t3)]))
     # 1/2 times the sum over the six relabelings of (D, B, C)
     out = np.zeros_like(core)
     for sub in ("edabcs", "ebadcs", "ecabds", "edacbs", "ebacds", "ecadbs"):
         out += np.einsum(f"t{sub}->tedabcs", core)
     out *= 0.5
-    return make_field(h.k, h.n, "V3pp", _to_terms(expo, out))
+    return _result(h, "V3pp", expo, out)
 
 
 def d2pp_projector(h, rep):
@@ -341,16 +252,13 @@ def d2pp_projector(h, rep):
     Combination form: ``10/3 C311( 2 grad_E grad_D h + grad_D grad_E h )``.
     """
     _require_space(h, "V2", "d2pp_projector")
-    if h.k < 3:
-        raise ValueError("the order-5 branch of the complex needs k >= 3")
-    if not h.terms:
+    _require_order5(h)
+    if not len(h):
         return zero_field(h.k, h.n, "V3pp")
-    grad2 = _grad_stack(_grad_stack(_Stacked.from_field(h), rep), rep)
-    w2 = grad2.vals
+    expo, w2 = _grad(h, rep, 2)
     mixed = 2.0 * w2 + np.einsum("tdeabcs->tedabcs", w2)
     ws = weyl.weyl_space(h.k, "311")
-    out = _apply_projector(mixed, ws, 10.0 / 3.0)
-    return make_field(h.k, h.n, "V3pp", _to_terms(grad2.expo, out))
+    return _result(h, "V3pp", expo, _apply_projector(mixed, ws, 10.0 / 3.0))
 
 
 def d1_star(h, rep):
@@ -359,28 +267,24 @@ def d1_star(h, rep):
     ``(d1* h)[C] = sum_{A,B} ( grad_B grad_A h[A,(B,C)] - 1/2 Delta_AB h[C,A,B] )``.
     """
     _require_space(h, "V2", "d1_star")
-    if not h.terms:
+    if not len(h):
         return zero_field(h.k, h.n, "V1")
-    st = _Stacked.from_field(h)
-    grad2 = _grad_stack(_grad_stack(st, rep), rep)  # W[b, a, i, j, l, s]
-    dst = _delta_stack(st)  # D[p, q, i, j, l, s]
-    expo, (w, d) = _align([grad2, dst])
+    we, w = _grad(h, rep, 2)  # W[b, a, i, j, l, s]
+    de, d = _delta_stack(h)  # D[p, q, i, j, l, s]
     term1 = 0.5 * (
         np.einsum("tbaabcs->tcs", w) + np.einsum("tbaacbs->tcs", w)
     )
     term2 = -0.5 * np.einsum("tabcabs->tcs", d)
-    return make_field(h.k, h.n, "V1", _to_terms(expo, term1 + term2), validate=False)
+    return PolyField(h.k, h.n, "V1", *_cat([(we, term1), (de, term2)]))
 
 
 def laplacian(f, rep):
     """Scalar Laplacian -sum d^2 (for cross-checking d0* d0)."""
     del rep
-    if not f.terms:
+    if not len(f):
         return zero_field(f.k, f.n, f.space)
-    st = _Stacked.from_field(f)
-    d = _delta_stack(st)
-    vals = 0.5 * np.einsum("taa...->t...", d.vals)
-    return make_field(f.k, f.n, f.space, _to_terms(d.expo, vals), validate=False)
+    expo, vals = _cat(p for B in range(f.k) for p in _delta_pieces(f.expo, f.vals, B, B, f.n))
+    return PolyField(f.k, f.n, f.space, expo, 0.5 * vals)
 
 
 def monogenic_basis(rep, k, n, degree):
@@ -390,45 +294,33 @@ def monogenic_basis(rep, k, n, degree):
     extracts an orthonormal nullspace basis by SVD, returning the basis as a
     list of V0 fields.  Used as the generator of monogenic test data.
     """
-    monos = [e for d in range(degree + 1) for e in _monomials(k * n, d)]
-    s = rep.s_dim
-    cols = []
-    index = {}
-    for e in monos:
-        for t in range(s):
-            index[(e, t)] = len(cols)
-            cols.append((e, t))
-    out_monos = [e for d in range(degree) for e in _monomials(k * n, d)]
-    out_index = {}
-    rows = 0
-    for e in out_monos:
-        for A in range(k):
-            for t in range(s):
-                out_index[(e, A, t)] = rows
-                rows += 1
-    mat = np.zeros((rows, len(cols)), dtype=complex)
-    for (e, t), c in index.items():
-        unit = np.zeros(s, dtype=complex)
-        unit[t] = 1.0
-        f = make_field(k, n, "V0", {e: unit}, validate=False)
-        g = d0(f, rep)
-        for e2, v in g.terms.items():
-            for A in range(k):
-                for t2 in range(s):
-                    if v[A, t2] != 0:
-                        mat[out_index[(e2, A, t2)], c] = v[A, t2]
+    kn, s = k * n, rep.s_dim
+    # columns (monomial, spinor) up to `degree`; rows (monomial, A, spinor)
+    # below it, both ordered by degree first, so the rows' monomials are a
+    # prefix of the columns'
+    monos = np.array([e for d in range(degree + 1) for e in _monomials(kn, d)],
+                     dtype=np.int64).reshape(-1, kn)
+    n_out = int((monos.sum(axis=1) < degree).sum())
+    # d0 (x^e u_t) = sum_{A,j} e[Aj] x^(e - 1_Aj) (gamma_j u_t) in slot A:
+    # one matrix block per (monomial, variable) with a positive exponent
+    src, var = np.nonzero(monos)
+    dst = monos[src] - np.eye(kn, dtype=np.int64)[var]
+    # every dst is a row monomial, so the distinct rows below are exactly those
+    _, uid = np.unique(np.concatenate((monos[:n_out], dst)), axis=0, return_inverse=True)
+    uid = uid.reshape(-1)
+    pos = np.empty(n_out, dtype=np.int64)
+    pos[uid[:n_out]] = np.arange(n_out)
+    rows = pos[uid[n_out:]]
+    A, j = np.divmod(var, n)
+    mat = np.zeros((n_out, k, s, len(monos), s), dtype=complex)
+    mat[rows, A, :, src, :] = monos[src, var][:, None, None] * rep.gamma_plus[j]
+    mat = mat.reshape(n_out * k * s, len(monos) * s)
     _, sv, vh = np.linalg.svd(mat)
     tol = 1e-9 * (sv[0] if sv.size else 1.0)
     rank = int((sv > tol).sum())
-    null = vh[rank:].conj().T
-    basis = []
-    for c in range(null.shape[1]):
-        terms = {}
-        for (e, t), row in index.items():
-            if abs(null[row, c]) > 1e-13:
-                terms.setdefault(e, np.zeros(s, dtype=complex))[t] = null[row, c]
-        basis.append(make_field(k, n, "V0", terms, validate=False))
-    return basis
+    null = vh[rank:].conj().reshape(-1, len(monos), s)
+    null[np.abs(null) <= 1e-13] = 0.0
+    return [PolyField(k, n, "V0", monos, coeffs) for coeffs in null]
 
 
 def _monomials(nvars, total):

@@ -1,18 +1,18 @@
 """Sparse polynomial fields with values in the spaces of the complex.
 
-A field is a finite sum of monomials ``x^alpha`` times a coefficient array.
-The exponent tuple has length k*n, indexed row-major by (vector variable A,
-direction j).  Coefficient arrays carry the tensor axes of the value space
-first and the spinor axis last, so a V2 coefficient has shape (k, k, k, s).
+A field is a finite sum of monomials ``x^alpha`` times a coefficient array,
+stored as two arrays: ``expo``, an int64 matrix with one exponent row
+(length k*n, indexed row-major by (vector variable A, direction j)) per
+monomial, and ``vals``, the stacked coefficient arrays.  Coefficient arrays
+carry the tensor axes of the value space first and the spinor axis last, so
+the ``vals`` of a V2 field has shape (T, k, k, k, s).  The rows of ``expo``
+are unique and sorted lexicographically, and no row of ``vals`` is zero; the
+constructor restores this canonical form after every operation.
 
-Differentiation and the gamma contractions are exact in double precision
-(derivatives multiply by small integers and the gamma entries lie in
-{0, +-1, +-i}), which is what makes polynomial fields the right test bed for
-the algebraic operator identities.
+Differentiation multiplies by small integers and the gamma contractions have
+entries in {0, +-1, +-i}, so the algebraic operator identities hold on
+polynomial fields up to roundoff, which makes them the right test bed.
 """
-
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ SPACE_INFO = {
 MEMBERSHIP_TOL = 1e-10
 
 
-@dataclass
 class PolyField:
     """Polynomial map R^{kn} -> (value space) x S+/-.
 
@@ -42,19 +41,31 @@ class PolyField:
         Number of vector variables and spatial dimension.
     space : str
         Value-space tag, a key of :data:`SPACE_INFO`.
-    terms : dict
-        Exponent tuple (length k*n) -> complex coefficient array of shape
-        ``(k,)*order + (s,)``.  Zero coefficients are never stored.
+    expo : ndarray
+        int64 array of shape (T, k*n); row t is the exponent of monomial t.
+    vals : ndarray
+        complex array of shape (T,) + ``(k,)*order + (s,)``; the zero field
+        has T = 0.
     """
 
-    k: int
-    n: int
-    space: str
-    terms: Dict[Tuple[int, ...], np.ndarray] = field(default_factory=dict)
+    def __init__(self, k, n, space, expo=None, vals=None):
+        if space not in SPACE_INFO:
+            raise ValueError(f"unknown value space {space!r}")
+        self.k, self.n, self.space = k, n, space
+        if expo is None:
+            expo, vals = (), ()
+        self.expo, self.vals = _canonical(
+            np.asarray(expo, dtype=np.int64).reshape(-1, k * n),
+            np.asarray(vals, dtype=complex),
+        )
 
-    def __post_init__(self):
-        if self.space not in SPACE_INFO:
-            raise ValueError(f"unknown value space {self.space!r}")
+    @property
+    def terms(self):
+        """Exponent tuple -> coefficient array, built from the arrays."""
+        return {tuple(e): v for e, v in zip(self.expo.tolist(), self.vals)}
+
+    def __len__(self):
+        return len(self.expo)
 
     @property
     def order(self):
@@ -68,15 +79,13 @@ class PolyField:
         return (self.k,) * self.order + (s_dim,)
 
     def norm(self):
-        return float(
-            np.sqrt(sum(float((np.abs(v) ** 2).sum()) for v in self.terms.values()))
-        )
+        return float(np.sqrt((np.abs(self.vals) ** 2).sum()))
 
     def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
+        return int(self.expo.sum(axis=1).max()) if len(self) else -1
 
     def copy(self):
-        return PolyField(self.k, self.n, self.space, {e: v.copy() for e, v in self.terms.items()})
+        return PolyField(self.k, self.n, self.space, self.expo, self.vals)
 
     def __add__(self, other):
         return _linear_combination(self, other, 1.0)
@@ -85,16 +94,18 @@ class PolyField:
         return _linear_combination(self, other, -1.0)
 
     def scale(self, a):
-        return PolyField(self.k, self.n, self.space, {e: a * v for e, v in self.terms.items()})
+        return PolyField(self.k, self.n, self.space, self.expo, a * self.vals)
 
     def membership_residual(self):
         """Largest characterization residual among the coefficient arrays."""
         lam = SPACE_INFO[self.space][2]
-        if lam is None or not self.terms:
+        if lam is None or not len(self):
             return 0.0
-        return max(weyl.check_membership(lam, v) for v in self.terms.values())
+        return max(weyl.check_membership(lam, v) for v in self.vals)
 
     def validate(self, tol=MEMBERSHIP_TOL):
+        if SPACE_INFO[self.space][2] is None:
+            return self
         res = self.membership_residual()
         if res > tol:
             raise ValueError(
@@ -104,6 +115,36 @@ class PolyField:
         return self
 
 
+def _canonical(expo, vals):
+    """Sum rows with equal exponents, sort them, and drop zero rows."""
+    if not len(expo):
+        return expo, vals
+    order = np.lexsort(expo.T[::-1])  # stable; first column most significant
+    expo = expo[order]
+    first = np.ones(len(expo), dtype=bool)
+    first[1:] = (expo[1:] != expo[:-1]).any(axis=1)
+    group = np.cumsum(first) - 1
+    # add.at adds a group's rows one at a time in input order; a reduceat
+    # may regroup them, and terms that cancel exactly then leave roundoff
+    acc = np.zeros((group[-1] + 1,) + vals.shape[1:], dtype=complex)
+    np.add.at(acc, group, vals[order])
+    keep = acc.any(axis=tuple(range(1, acc.ndim)))
+    return expo[first][keep], acc[keep]
+
+
+def _partial(expo, vals, idx):
+    """d/dx_idx on (expo, vals); canonical input gives canonical output.
+
+    Only rows with a positive exponent survive, and decrementing one column
+    of all of them keeps them unique and in lexicographic order.
+    """
+    p = expo[:, idx]
+    keep = p > 0
+    out = expo[keep]
+    out[:, idx] -= 1
+    return out, vals[keep] * p[keep].reshape((-1,) + (1,) * (vals.ndim - 1))
+
+
 def _linear_combination(f, g, sign):
     # V0 and S+ (etc.) are the same underlying space; compare structure
     if (f.k, f.n, SPACE_INFO[f.space]) != (g.k, g.n, SPACE_INFO[g.space]):
@@ -111,30 +152,25 @@ def _linear_combination(f, g, sign):
     space = f.space if f.space == g.space else ("S+" if f.chirality > 0 else "S-")
     if f.order > 0 and f.space != g.space:
         raise ValueError("fields live in different spaces")
-    terms = {e: v.copy() for e, v in f.terms.items()}
-    for e, v in g.terms.items():
-        if e in terms:
-            terms[e] = terms[e] + sign * v
-        else:
-            terms[e] = sign * v
-    return make_field(f.k, f.n, space, terms, validate=False)
+    if not len(g):
+        return PolyField(f.k, f.n, space, f.expo, f.vals)
+    if not len(f):
+        return PolyField(f.k, f.n, space, g.expo, sign * g.vals)
+    return PolyField(f.k, f.n, space, np.concatenate((f.expo, g.expo)),
+                     np.concatenate((f.vals, sign * g.vals)))
 
 
 def make_field(k, n, space, terms, validate=True, tol=MEMBERSHIP_TOL):
-    """Build a field in canonical sparse form (exact zero coefficients dropped)."""
-    clean = {}
-    for e, v in terms.items():
-        v = np.asarray(v, dtype=complex)
-        if np.any(v != 0):
-            clean[tuple(int(x) for x in e)] = v
-    out = PolyField(k, n, space, clean)
-    if validate and SPACE_INFO[space][2] is not None:
-        out.validate(tol)
-    return out
+    """Build a field from a dict exponent tuple -> coefficient array."""
+    if not terms:
+        return PolyField(k, n, space)
+    out = PolyField(k, n, space, list(terms),
+                    np.stack([np.asarray(v, dtype=complex) for v in terms.values()]))
+    return out.validate(tol) if validate else out
 
 
 def zero_field(k, n, space):
-    return PolyField(k, n, space, {})
+    return PolyField(k, n, space)
 
 
 def random_field(rng, k, n, space, rep, degree=3, nterms=8):
@@ -173,9 +209,7 @@ def _project(coeff, lam, letters):
 
 def evaluate(f, x):
     """Evaluate a field at a point x (flat array of length k*n)."""
-    x = np.asarray(x, dtype=float)
-    out = 0.0
-    for e, v in f.terms.items():
-        mono = np.prod([xi**p for xi, p in zip(x, e)])
-        out = out + mono * v
-    return out
+    if not len(f):
+        return 0.0
+    mono = np.prod(np.asarray(x, dtype=float) ** f.expo, axis=1)
+    return np.tensordot(mono, f.vals, axes=1)

@@ -469,11 +469,21 @@ def dump_field(fld, path):
 
 
 def load_field(path):
+    """Read a field written by :func:`dump_field`, checking it against its header."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         payload = fh.read()
+    if header["space"] not in ("V0", "V1", "V2"):
+        raise ValueError(f"field {path}: unknown space {header['space']!r}")
+    if header.get("dtype") != "complex128":
+        raise ValueError(f"field {path}: dtype {header.get('dtype')!r} is not complex128")
     kn = header["k"] * header["n"]
     shape = (header["N"],) * kn + (header["dim"],)
+    if len(payload) != 16 * int(np.prod(shape)):
+        raise ValueError(
+            f"field {path}: payload has {len(payload)} bytes, the header "
+            f"needs {16 * int(np.prod(shape))}"
+        )
     values = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(complex)
     return GridField(
         header["k"], header["n"], header["N"], header["L"], header["space"], values

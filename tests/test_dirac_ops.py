@@ -17,7 +17,7 @@ from diraclab.dirac_ops import (
     monogenic_basis,
     nabla,
 )
-from diraclab.fields import make_field, zero_field
+from diraclab.fields import PolyField, make_field, zero_field
 
 CONFIGS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
@@ -155,3 +155,38 @@ def test_field_algebra(reps, rng):
     assert ((f + g) - g - f).norm() <= 1e-12 * (f.norm() + g.norm())
     assert (f.scale(2.0) - f - f).norm() == 0.0
     assert f.degree() <= 3
+
+
+def assert_canonical(f):
+    # rows unique and in lexicographic order, no all-zero coefficient row
+    assert np.array_equal(f.expo, np.unique(f.expo, axis=0))
+    assert f.expo.dtype == np.int64 and f.expo.shape == (len(f), f.k * f.n)
+    assert np.abs(f.vals).reshape(len(f), -1).max(axis=1).min(initial=np.inf) > 0
+
+
+def test_canonical_form(reps, rng):
+    rep = reps[3]
+    f = random_field(rng, 3, 3, "V1", rep, degree=4, nterms=8)
+    g = random_field(rng, 3, 3, "V1", rep, degree=4, nterms=8)
+    h = d1(f, rep)
+    for fld in (f, g, f + g, f - g, h, d1_projector(f, rep), nabla(1, d0_star(f, rep), rep)):
+        assert len(fld) > 0
+        assert_canonical(fld)
+    assert h.vals.shape == (len(h), 3, 3, 3, rep.s_dim)
+    assert (f - f).terms == {}
+    assert len(f - f) == 0 and (f - f).norm() == 0.0
+    # terms round-trips through make_field
+    back = make_field(3, 3, "V1", f.terms)
+    assert np.array_equal(back.expo, f.expo) and np.array_equal(back.vals, f.vals)
+
+
+def test_constructor_sums_duplicates_and_drops_zeros():
+    one = np.array([1.0 + 0j])
+    f = make_field(2, 2, "V0", {(1, 0, 0, 0): np.zeros(1), (0, 0, 0, 0): one})
+    assert set(f.terms) == {(0, 0, 0, 0)}
+    expo = [(0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+    vals = [one, 2 * one, -one, 3 * one]
+    g = PolyField(2, 2, "V0", expo, vals)
+    assert_canonical(g)
+    assert set(g.terms) == {(1, 0, 0, 0)}
+    assert np.array_equal(g.terms[(1, 0, 0, 0)], 5 * one)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,35 @@ def test_dump_load_round_trip(tmp_path, reps):
     back = load_field(path)
     assert back.space == "V0" and back.N == 8 and back.L == pytest.approx(L)
     assert np.array_equal(back.values, b.values)
+
+
+def _rewrite_dump(path, edit_header=None, trim=0):
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline().decode())
+        payload = fh.read()
+    if edit_header:
+        header.update(edit_header)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        fh.write(payload[: len(payload) - trim])
+
+
+@pytest.mark.parametrize(
+    "edit,trim,match",
+    [
+        ({"space": "V9"}, 0, "unknown space"),
+        ({"dtype": "complex64"}, 0, "not complex128"),
+        (None, 16, "payload has"),
+    ],
+    ids=["unknown-space", "wrong-dtype", "truncated-payload"],
+)
+def test_load_field_rejects_inconsistent_files(tmp_path, reps, edit, trim, match):
+    path = tmp_path / "field.bin"
+    dump_field(make_bump(reps[2], 2, 2, 8, L, CENTER4, 0.6), path)
+    _rewrite_dump(path, edit, trim)
+    with pytest.raises(ValueError, match=match) as err:
+        load_field(path)
+    assert str(path) in str(err.value)
 
 
 def test_analytic_data_is_genuinely_aliased(reps):
