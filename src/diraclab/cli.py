@@ -396,9 +396,11 @@ def run_solve(args):
         if args.center
         else None
     )
+    stages = {}
     u, phi, metrics = solver.recover_bump(
         rep, args.k, args.n, args.N, L=args.L, radius=args.radius,
         center=center, tol=args.tol, break_compat=args.break_compat,
+        timings=stages,
     )
     checks = [
         _check("bump_recovery", "u = D0* D0 D0* G1 (D0 phi) recovers phi",
@@ -412,6 +414,7 @@ def run_solve(args):
                              "u vanishes outside the data support",
                              hart["ratio"], 1e-6))
     sweep_rows = []
+    t_sweep = time.perf_counter()
     if args.sweep:
         ns = [int(x) for x in args.sweep.split(",")]
         sweep_rows = solver.resolution_sweep(
@@ -423,6 +426,7 @@ def run_solve(args):
                              0.0, 0.0,
                              ok=all(a > b for a, b in zip(errs, errs[1:])),
                              sweep=sweep_rows))
+    stages["sweep_s"] = time.perf_counter() - t_sweep
     if args.out:
         solver.dump_field(u, args.out)
     report = {
@@ -438,7 +442,9 @@ def run_solve(args):
         "metrics": metrics,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
-        "timings": {"wall_s": time.perf_counter() - t0},
+        # stage times of the main solve and the sweep, and the main grid's modes
+        "timings": {"wall_s": time.perf_counter() - t0, **stages,
+                    "modes": args.N ** (args.k * args.n)},
     }
     return report, EXIT_PASS if report["pass"] else EXIT_FAIL
 

@@ -7,17 +7,18 @@ the cell is the symbol evaluated at xi = -(2 pi / L) m for integer mode m,
 which keeps grid operators equal to true derivatives on trigonometric
 polynomials.
 
-The solve realizes u = D0* D0 D0* applied to the frequency-wise inverse of
-L1.  Because L1 sigma0 = |xi|^4 sigma0 (the compatibility branch is
-annihilated), the recovery multiplier times sigma0 is the identity at every
-nonzero mode, a fact the solver certifies on a sample of modes before
-running.  The zero mode of the solution is fixed afterwards by anchoring on
-the exterior of the declared data support, the periodic stand-in for decay at
-infinity.
+The solve applies u_hat = sigma0* f_hat / |xi|^2, with sigma0 and sigma0*
+matrix-free.  Because sigma0* sigma0 = |xi|^2 Id and L1 sigma0 = |xi|^4
+sigma0, this closed form equals the Hodge route sigma0* sigma0 sigma0* L1^{-1}
+at every nonzero mode, a fact the solver certifies on a sample of modes
+before running.  The zero mode of the solution is fixed afterwards by
+anchoring on the exterior of the declared data support, the periodic
+stand-in for decay at infinity.
 """
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +28,6 @@ from . import weyl
 
 DEFAULT_MEM_GIB = 2.0
 MEM_ENV_VAR = "DIRACLAB_MEM_LIMIT_GIB"
-_CHUNK = 1 << 14
 
 
 class ResourceLimitError(RuntimeError):
@@ -164,15 +164,41 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
 # frequency-domain machinery
 
 
-def _mode_chunks(kn, N, chunk=_CHUNK):
-    total = N**kn
-    freq = np.fft.fftfreq(N, d=1.0 / N)  # integer modes as floats
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        modes = np.empty((len(idx), kn))
-        for t in range(kn):
-            modes[:, t] = freq[(idx // N ** (kn - 1 - t)) % N]
-        yield idx, modes
+def _axis_xi(kn, N, L):
+    """Per grid axis t, its frequencies -(2 pi / L) m shaped to broadcast on
+    a field: length N on axis t, 1 on every other axis."""
+    xi = -(2 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)
+    return [xi.reshape((1,) * t + (N,) + (1,) * (kn - t)) for t in range(kn)]
+
+
+def _mode_xi(k, n, N, L, idx):
+    """Physical frequencies, shape (len(idx), k, n), of flat row-major modes."""
+    freq = -(2 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)
+    return freq[np.stack(np.unravel_index(idx, (N,) * (k * n)), axis=-1)].reshape(-1, k, n)
+
+
+def _sigma0(uh, rep, k, n, xis, out=None):
+    """sigma0 mode by mode, matrix-free: block A is -i sum_j xi_Aj gamma_plus[j] uh,
+    added into the V1 array out when it is given."""
+    if out is None:
+        out = np.zeros(uh.shape[:-1] + (k * rep.s_dim,), dtype=complex)
+    blocks = out.reshape(uh.shape[:-1] + (k, rep.s_dim))
+    for j in range(n):
+        g = np.einsum("...t,st->...s", uh, -1j * rep.gamma_plus[j])
+        for A in range(k):
+            blocks[..., A, :] += xis[A * n + j] * g
+    return out
+
+
+def _sigma0_star(fh, rep, k, n, xis):
+    """sigma0* = sum_A -i sum_j xi_Aj gamma_minus[j], as gamma_minus[j] = -gamma_plus[j]^H."""
+    blocks = fh.reshape(fh.shape[:-1] + (k, rep.s_dim))
+    out = np.zeros(fh.shape[:-1] + (rep.s_dim,), dtype=complex)
+    for A in range(k):
+        for j in range(n):
+            out += xis[A * n + j] * np.einsum("...t,st->...s", blocks[..., A, :],
+                                              -1j * rep.gamma_minus[j])
+    return out
 
 
 def _batch_symbols(rep, k, xi):
@@ -184,9 +210,7 @@ def _batch_symbols(rep, k, xi):
 
 
 def _batch_sigma0(rep, k, xi):
-    xp, _, _ = _batch_symbols(rep, k, xi)
-    b, s = xi.shape[0], rep.s_dim
-    return xp.reshape(b, k * s, s)
+    return _batch_symbols(rep, k, xi)[0].reshape(len(xi), k * rep.s_dim, rep.s_dim)
 
 
 def _batch_sigma1(rep, k, xi):
@@ -213,65 +237,48 @@ def _batch_L1(rep, k, xi):
     return pr @ pr + np.conj(np.swapaxes(s1, -1, -2)) @ s1
 
 
-_TAGS = {
-    "d0": ("V0", "V1"),
-    "d0_star": ("V1", "V0"),
-    "d1": ("V1", "V2"),
-    "box1": ("V1", "V1"),
-}
-
-
-def _tag_matrix(tag, rep, k, xi):
-    if tag == "d0":
-        return _batch_sigma0(rep, k, xi)
-    if tag == "d0_star":
-        return np.conj(np.swapaxes(_batch_sigma0(rep, k, xi), -1, -2))
-    if tag == "d1":
-        return _batch_sigma1(rep, k, xi)
-    if tag == "box1":
-        return _batch_L1(rep, k, xi)
-    raise ValueError(f"unknown operator tag {tag!r}")
+_TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0"), "d1": ("V1", "V2")}
 
 
 def apply_spectral(tag, fld, rep):
-    """Apply one of the grid operators {d0, d1, d0_star, box1} spectrally."""
+    """Apply one of the grid operators {d0, d1, d0_star} spectrally."""
     if tag not in _TAGS:
         raise ValueError(f"unknown operator tag {tag!r}")
     space_in, space_out = _TAGS[tag]
     if fld.space != space_in:
         raise ValueError(f"{tag} expects a {space_in} grid field, got {fld.space}")
-    kn = fld.k * fld.n
-    out_dim = field_dim(space_out, fld.k, rep.s_dim)
-    _require_memory(fld.k, fld.n, fld.N, max(fld.dim, out_dim))
-    fh = np.fft.fftn(fld.values, axes=tuple(range(kn)))
-    flat = fh.reshape(-1, fld.dim)
-    out = np.empty((flat.shape[0], out_dim), dtype=complex)
-    scale = 2 * np.pi / fld.L
-    for idx, modes in _mode_chunks(kn, fld.N):
-        xi = (-scale * modes).reshape(len(idx), fld.k, fld.n)
-        mat = _tag_matrix(tag, rep, fld.k, xi)
-        out[idx] = np.einsum("bij,bj->bi", mat, flat[idx])
-    out = out.reshape(fh.shape[:-1] + (out_dim,))
-    values = np.fft.ifftn(out, axes=tuple(range(kn)))
-    return GridField(fld.k, fld.n, fld.N, fld.L, space_out, values, support=None)
+    k, n = fld.k, fld.n
+    axes = tuple(range(k * n))
+    out_dim = field_dim(space_out, k, rep.s_dim)
+    _require_memory(k, n, fld.N, max(fld.dim, out_dim))
+    fh = np.fft.fftn(fld.values, axes=axes)
+    if tag == "d1":
+        # one slab of the first grid axis at a time bounds the sigma1 batch
+        slab = fld.N ** (k * n - 1)
+        flat = fh.reshape(fld.N, slab, fld.dim)
+        out = np.empty((fld.N, slab, out_dim), dtype=complex)
+        for i in range(fld.N):
+            xi = _mode_xi(k, n, fld.N, fld.L, np.arange(i * slab, (i + 1) * slab))
+            out[i] = np.einsum("bij,bj->bi", _batch_sigma1(rep, k, xi), flat[i])
+        out = out.reshape(fh.shape[:-1] + (out_dim,))
+    else:
+        apply = _sigma0 if tag == "d0" else _sigma0_star
+        out = apply(fh, rep, k, n, _axis_xi(k * n, fld.N, fld.L))
+    np.fft.ifftn(out, axes=axes, out=out)
+    return GridField(k, n, fld.N, fld.L, space_out, out, support=None)
 
 
 def _certify_recovery_identity(rep, k, n, N, L, sample=2048, tol=1e-10):
-    """Check sigma0* sigma0 sigma0* L1^{-1} sigma0 == Id on sample modes."""
-    kn = k * n
-    total = N**kn
-    count = min(sample, total - 1)
-    idx = np.arange(1, count + 1)
-    freq = np.fft.fftfreq(N, d=1.0 / N)
-    modes = np.empty((count, kn))
-    for t in range(kn):
-        modes[:, t] = freq[(idx // N ** (kn - 1 - t)) % N]
-    xi = (-(2 * np.pi / L) * modes).reshape(count, k, n)
+    """Check the Hodge route sigma0* sigma0 sigma0* L1^{-1}, inverted per mode,
+    against the closed form sigma0* / |xi|^2 on sample modes.  Both scale as
+    1/|xi|, so the residual is multiplied by |xi| to make it free of units."""
+    count = min(sample, N ** (k * n) - 1)
+    xi = _mode_xi(k, n, N, L, np.arange(1, count + 1))
     s0 = _batch_sigma0(rep, k, xi)
     s0h = np.conj(np.swapaxes(s0, -1, -2))
-    L1 = _batch_L1(rep, k, xi)
-    mult = s0h @ s0 @ s0h @ np.linalg.inv(L1)
-    resid = np.abs(mult @ s0 - np.eye(rep.s_dim)).max()
+    xi2 = (xi**2).sum(axis=(1, 2))[:, None, None]
+    hodge = s0h @ s0 @ s0h @ np.linalg.inv(_batch_L1(rep, k, xi))
+    resid = (np.abs(hodge - s0h / xi2) * np.sqrt(xi2)).max()
     if resid > tol:
         raise ArithmeticError(
             f"frequency-wise recovery identity failed ({resid:.2e} > {tol:.0e})"
@@ -279,17 +286,29 @@ def _certify_recovery_identity(rep, k, n, N, L, sample=2048, tol=1e-10):
     return float(resid)
 
 
-def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True):
-    """Solve D0 u = f on the torus through the Hodge inverse at each mode.
+def _lap(timings, key, t0):
+    """Add the seconds since t0 to timings[key] (if timings is a dict); return now."""
+    if timings is not None:
+        timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
+    return time.perf_counter()
+
+
+def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
+    """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat / |xi|^2.
 
     Parameters
     ----------
     f : GridField
-        V1 data.  Must have (numerically) vanishing mean and satisfy the
-        compatibility condition; both guards use `tol` relative to the data
-        norm and raise :class:`CompatibilityError` when violated.
+        V1 data.  Must have (numerically) vanishing mean and satisfy D1 f = 0,
+        i.e. f_hat in the range of sigma0 at xi != 0.  The guards measure the
+        zero-mode share and the distance ||f_hat - sigma0 u_hat|| to that
+        range relative to ||f_hat||, free of units at every L and N, and
+        raise :class:`CompatibilityError` above `tol`.
     check_compat : bool
         Disable only for convergence studies on non-band-limited data.
+    timings : dict, optional
+        Receives the seconds of the FFTs, the multiplier with the guard and
+        certification ("fft_s", "multiplier_s", "certify_s").
 
     Returns
     -------
@@ -299,60 +318,41 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True):
     if f.space != "V1":
         raise ValueError(f"solve_d0 expects V1 data, got {f.space}")
     k, n, N, L = f.k, f.n, f.N, f.L
-    kn = k * n
+    axes = tuple(range(k * n))
+    zero = (0,) * (k * n)
     _require_memory(k, n, N, f.dim)
-    fh = np.fft.fftn(f.values, axes=tuple(range(kn)))
-    flat = fh.reshape(-1, f.dim)
-    fnorm = float(np.linalg.norm(flat))
-    diag = {}
-    if fnorm == 0.0:
-        u = GridField(k, n, N, L, "V0", np.zeros(fh.shape[:-1] + (rep.s_dim,), complex))
-        return u, {"zero_mode_rel": 0.0, "compat_rel": 0.0, "certified": True}
-    rel0 = float(np.linalg.norm(flat[0]) / fnorm)
-    diag["zero_mode_rel"] = rel0
+    t = time.perf_counter()
+    fh = np.fft.fftn(f.values, axes=axes)
+    t = _lap(timings, "fft_s", t)
+    fnorm = float(np.linalg.norm(fh)) or 1.0  # zero data: both guards read 0
+    rel0 = float(np.linalg.norm(fh[zero]) / fnorm)
+    diag = {"zero_mode_rel": rel0}
     if rel0 > tol:
         raise CompatibilityError(
             f"zero-frequency component too large ({rel0:.3e} > {tol:.1e}); "
             "data must have vanishing mean"
         )
+    fh[zero] = 0.0
+    xis = _axis_xi(k * n, N, L)
+    uh = _sigma0_star(fh, rep, k, n, xis)
+    xi2 = sum(x * x for x in xis)
+    xi2[zero] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0 there
+    uh /= xi2
     if check_compat:
-        compat = 0.0
-        scale = 2 * np.pi / L
-        for idx, modes in _mode_chunks(kn, N):
-            xi = (-scale * modes).reshape(len(idx), k, n)
-            s1 = _batch_sigma1(rep, k, xi)
-            compat += float(
-                (np.abs(np.einsum("bij,bj->bi", s1, flat[idx])) ** 2).sum()
-            )
-        compat = np.sqrt(compat) / fnorm
-        diag["compat_rel"] = float(compat)
+        fh *= -1  # in place, the defect sigma0 u_hat - f_hat overwrites f_hat
+        compat = float(np.linalg.norm(_sigma0(uh, rep, k, n, xis, out=fh)) / fnorm)
+        diag["compat_rel"] = compat
         if compat > tol:
             raise CompatibilityError(
                 f"compatibility defect too large ({compat:.3e} > {tol:.1e})"
             )
+    t = _lap(timings, "multiplier_s", t)
     if certify:
-        diag["recovery_identity_residual"] = _certify_recovery_identity(
-            rep, k, n, N, L
-        )
-    scale = 2 * np.pi / L
-    out = np.empty((flat.shape[0], rep.s_dim), dtype=complex)
-    for idx, modes in _mode_chunks(kn, N):
-        xi = (-scale * modes).reshape(len(idx), k, n)
-        s0 = _batch_sigma0(rep, k, xi)
-        s0h = np.conj(np.swapaxes(s0, -1, -2))
-        L1 = _batch_L1(rep, k, xi)
-        nonzero = np.linalg.norm(modes, axis=1) > 0
-        inv = np.zeros_like(L1)
-        if nonzero.any():
-            inv[nonzero] = np.linalg.inv(L1[nonzero])
-        mult = s0h @ s0 @ s0h @ inv
-        out[idx] = np.einsum("bij,bj->bi", mult, flat[idx])
-    out[0] = 0.0
-    values = np.fft.ifftn(
-        out.reshape(fh.shape[:-1] + (rep.s_dim,)), axes=tuple(range(kn))
-    )
-    u = GridField(k, n, N, L, "V0", values, support=None)
-    return u, diag
+        diag["recovery_identity_residual"] = _certify_recovery_identity(rep, k, n, N, L)
+        t = _lap(timings, "certify_s", t)
+    np.fft.ifftn(uh, axes=axes, out=uh)
+    _lap(timings, "fft_s", t)
+    return GridField(k, n, N, L, "V0", uh, support=None), diag
 
 
 def _exterior_mask(k, n, N, L, center, distance):
@@ -402,8 +402,11 @@ def hartogs_report(u, support, margin=1.0):
 
 
 def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
-                 break_compat=False):
-    """Full pipeline: bump -> grid d0 -> solve -> anchored recovery metrics."""
+                 break_compat=False, timings=None):
+    """Full pipeline: bump -> grid d0 -> solve -> anchored recovery metrics.
+
+    break_compat adds mean-free noise, which the compatibility guard rejects;
+    timings gets the stage times of :func:`solve_d0` and "anchor_s"."""
     if center is None:
         center = np.full(k * n, L / 2)
     phi = make_bump(rep, k, n, N, L, center, radius)
@@ -412,9 +415,12 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
     if break_compat:
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(f.values.shape) * np.abs(f.values).max()
+        noise -= noise.mean(axis=tuple(range(k * n)), keepdims=True)
         f = GridField(k, n, N, L, "V1", f.values + noise, support=f.support)
-    u0, diag = solve_d0(f, rep, tol=tol)
-    u = anchor_exterior(u0, phi.support)
+    u, diag = solve_d0(f, rep, tol=tol, timings=timings)
+    t = time.perf_counter()
+    u = anchor_exterior(u, phi.support)  # rebinding frees the unanchored solution
+    _lap(timings, "anchor_s", t)
     du = apply_spectral("d0", u, rep)
     fn = np.linalg.norm(f.values)
     metrics = {

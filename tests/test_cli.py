@@ -82,13 +82,21 @@ def test_verify_rejects_bad_ranges():
 
 
 def test_reports_deterministic(capsys):
-    args = ["verify", "--scope", "ellipticity", "--k", "2", "--n", "2",
-            "--samples", "4", "--seed", "11"]
-    _, first = run_cli(capsys, *args)
-    _, second = run_cli(capsys, *args)
-    first.pop("timings")
-    second.pop("timings")
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    verify = ["verify", "--scope", "ellipticity", "--k", "2", "--n", "2",
+              "--samples", "4", "--seed", "11"]
+    solve = ["solve", "--k", "2", "--n", "2", "--N", "8", "--sweep", "8,10"]
+    for args in (verify, solve):
+        _, first = run_cli(capsys, *args)
+        _, second = run_cli(capsys, *args)
+        timings = first.pop("timings")
+        second.pop("timings")
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    # the solve's stage times and mode count live only in the timings block
+    assert set(timings) == {"wall_s", "fft_s", "multiplier_s", "certify_s",
+                            "anchor_s", "sweep_s", "modes"}
+    assert timings["modes"] == 8**4
+    assert all(timings[key] >= 0.0 for key in timings)
+    assert not set(timings) & set(first["metrics"])
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -124,9 +132,13 @@ def test_solve_small_grid(tmp_path, capsys):
 
 
 def test_solve_break_compat_exit_code(capsys):
-    code = main(["solve", "--k", "2", "--n", "2", "--N", "8", "--break-compat"])
-    capsys.readouterr()
+    # the corruption is mean-free, so the compatibility guard (not the
+    # zero-frequency guard) is the one that rejects it
+    code, report = run_cli(capsys, "solve", "--k", "2", "--n", "2", "--N", "8",
+                           "--break-compat")
     assert code == EXIT_COMPAT
+    assert report["error"] == "compatibility"
+    assert report["detail"].startswith("compatibility defect too large")
 
 
 def test_solve_memory_cap_exit_code(monkeypatch, capsys):

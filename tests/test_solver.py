@@ -81,6 +81,25 @@ def test_spectral_complex_property(rng, reps):
     assert np.linalg.norm(ddf.values) <= 1e-10 * np.linalg.norm(df.values)
 
 
+def test_matrix_free_d0_matches_dense_symbol(rng, reps):
+    # mode by mode, d0 and d0_star agree with the dense sigma0 matrices
+    from diraclab.solver import _batch_sigma0, _mode_xi
+
+    for n in (2, 3):
+        rep = reps[n]
+        k, N = 2, 4
+        s0 = _batch_sigma0(rep, k, _mode_xi(k, n, N, L, np.arange(N ** (k * n))))
+        for tag, mat in (("d0", s0), ("d0_star", np.conj(np.swapaxes(s0, 1, 2)))):
+            dim = mat.shape[2]
+            f = band_limited(rng, rep, k, n, N, dim, width=2)
+            f.space = "V0" if tag == "d0" else "V1"
+            fh = np.fft.fftn(f.values, axes=range(k * n)).reshape(-1, dim)
+            ref = np.fft.ifftn(np.einsum("bij,bj->bi", mat, fh).reshape(
+                (N,) * (k * n) + (mat.shape[1],)), axes=range(k * n))
+            out = apply_spectral(tag, f, rep).values
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_spectral_laplacian(rng, reps):
     # d0_star after d0 equals the scalar multiplier |xi|^2 mode by mode
     rep = reps[2]
@@ -162,6 +181,12 @@ def test_solve_zero_data(reps):
     f = GridField(2, 2, 8, L, "V1", np.zeros((8,) * 4 + (2,), dtype=complex))
     u, diag = solve_d0(f, rep)
     assert np.abs(u.values).max() == 0.0
+    # the same diagnostics as nonzero data, certification included
+    phi = make_bump(rep, 2, 2, 8, L, CENTER4, 0.6)
+    _, reference = solve_d0(apply_spectral("d0", phi, rep), rep)
+    assert list(diag) == list(reference)
+    assert diag["zero_mode_rel"] == 0.0 and diag["compat_rel"] == 0.0
+    assert 0.0 <= diag["recovery_identity_residual"] <= 1e-10
 
 
 def test_solve_refuses_nonzero_mean(reps):
@@ -171,6 +196,30 @@ def test_solve_refuses_nonzero_mean(reps):
     bad = GridField(2, 2, 8, L, "V1", f.values + 0.1)
     with pytest.raises(CompatibilityError, match="zero-frequency"):
         solve_d0(bad, rep)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+def test_compatibility_guard_is_scale_free(reps, scale, N):
+    # the cell, the bump's radius and its centre scale together; the guard's
+    # defect is a ratio of like quantities, so it must not move with L or N
+    rep = reps[2]
+    cell = L * scale
+    phi = make_bump(rep, 2, 2, N, cell, CENTER4 * scale, 0.6 * scale)
+    f = apply_spectral("d0", phi, rep)
+    _, diag = solve_d0(f, rep, certify=False)
+    assert diag["compat_rel"] <= 1e-12
+    noise = np.random.default_rng(5).standard_normal(f.values.shape)
+    noise *= 1e-3 * np.abs(f.values).max()
+    noise -= noise.mean(axis=tuple(range(4)), keepdims=True)
+    bad = GridField(2, 2, N, cell, "V1", f.values + noise)
+    with pytest.raises(CompatibilityError, match="compatibility"):
+        solve_d0(bad, rep)
+    _, measured = solve_d0(bad, rep, tol=np.inf, certify=False)
+    _, unit_cell = solve_d0(
+        GridField(2, 2, N, L, "V1", bad.values * scale), rep, tol=np.inf, certify=False
+    )
+    assert measured["compat_rel"] == pytest.approx(unit_cell["compat_rel"], rel=1e-9)
 
 
 def test_solve_refuses_incompatible_data(rng, reps):
@@ -269,3 +318,19 @@ def test_analytic_data_is_genuinely_aliased(reps):
     u, diag = solve_d0(f, rep, tol=np.inf, check_compat=True, certify=False)
     assert np.isfinite(diag["compat_rel"])
     assert diag["compat_rel"] > 1e-8
+
+
+def test_multiplier_kernel_script_routes_agree(capsys):
+    # benchmarks/multiplier_kernel.py times the closed form against the
+    # Hodge route; running it here keeps the script in step with the solver
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "multiplier_kernel.py"
+    spec = importlib.util.spec_from_file_location("multiplier_kernel", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    result = module.main(["8"])
+    assert "solutions agree" in capsys.readouterr().out
+    assert result["modes"] == 8**4
+    assert result["max_abs_diff"] <= 1e-12
