@@ -3,9 +3,10 @@
 Times the closed form the solver applies, u_hat = sigma0* f_hat / |xi|^2 with
 sigma0* matrix-free (`solve_d0` with its compatibility guard, without
 certification), against the Hodge route it replaced and keeps as its oracle:
-sigma0* sigma0 sigma0* L1^{-1}, with L1 assembled and inverted mode by mode
-in batches.  Both solve the same bump data on the 2+2-variable torus; the
-script prints both times and the largest difference between the solutions.
+sigma0* sigma0 sigma0* L1^{-1}, with sigma0 and L1 from `symbols.build_bundle`
+over batches of modes and L1 inverted mode by mode.  Both solve the same bump
+data on the 2+2-variable torus; the script prints both times and the largest
+difference between the solutions.
 
 Run:  PYTHONPATH=src python benchmarks/multiplier_kernel.py [N]   (default 32)
 """
@@ -15,15 +16,8 @@ import time
 
 import numpy as np
 
-from diraclab import build_clifford
-from diraclab.solver import (
-    _batch_L1,
-    _batch_sigma0,
-    _mode_xi,
-    apply_spectral,
-    make_bump,
-    solve_d0,
-)
+from diraclab import build_bundle, build_clifford
+from diraclab.solver import _mode_xi, apply_spectral, make_bump, solve_d0
 
 
 def hodge_route(f, rep):
@@ -39,10 +33,10 @@ def hodge_route(f, rep):
     out = np.empty((N, slab, rep.s_dim), dtype=complex)
     for i in range(N):
         xi = _mode_xi(k, n, N, L, np.arange(i * slab, (i + 1) * slab))
-        s0 = _batch_sigma0(rep, k, xi)
+        bundle = build_bundle(rep, k, xi)
+        s0, L1 = bundle.sigma0, bundle.L1
         s0h = np.conj(np.swapaxes(s0, -1, -2))
-        L1 = _batch_L1(rep, k, xi)
-        nonzero = (xi**2).sum(axis=(1, 2)) > 0
+        nonzero = (xi**2).sum(axis=1) > 0
         inv = np.zeros_like(L1)
         inv[nonzero] = np.linalg.inv(L1[nonzero])
         out[i] = np.einsum("bij,bj->bi", s0h @ s0 @ s0h @ inv, flat[i])

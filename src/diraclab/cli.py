@@ -208,81 +208,93 @@ def checks_complex(k, n, samples, seed, with_d2):
     return out
 
 
-def _unit_xi(rng, k, n, min_first_block=0.0):
-    while True:
-        xi = rng.standard_normal(k * n)
-        xi /= np.linalg.norm(xi)
-        if np.linalg.norm(xi[:n]) >= min_first_block:
-            return xi
+def _unit_xi(rng, k, n, count, min_first_block=0.0):
+    """`count` unit frequencies whose first block has norm >= min_first_block.
+
+    They are the rows, and rng ends in the state, that drawing one frequency
+    at a time and rejecting would give: each round draws only as many rows as
+    are still missing."""
+    rows = np.empty((0, k * n))
+    while len(rows) < count:
+        xi = rng.standard_normal((count - len(rows), k * n))
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        keep = np.linalg.norm(xi[:, :n], axis=1) >= min_first_block
+        rows = np.concatenate([rows, xi[keep]])
+    return rows
+
+
+def _witness(xi, i):
+    return {"sample": int(i), "xi": xi[i].tolist()}
+
+
+def _worst_check(name, certifies, xi, values, tol):
+    """A check on the largest of the per-sample values, with its witness."""
+    i = int(np.argmax(values))
+    return _check(name, certifies, float(values[i]), tol, witness=_witness(xi, i))
+
+
+def _max_abs(*stacks):
+    """Per sample, the largest entry magnitude over stacks of matrices."""
+    return np.max([np.abs(m).max(axis=(-2, -1)) for m in stacks], axis=0)
 
 
 def checks_ellipticity(k, n, samples, seed):
-    rng = np.random.default_rng(seed)
+    if samples < 1:
+        raise ValueError("the ellipticity suite needs at least one sample")
     rep = build_clifford(n)
+    xi = _unit_xi(np.random.default_rng(seed), k, n, samples, min_first_block=0.3)
+    b = symbols.build_bundle(rep, k, xi)
     out = []
-    worst = {"comp": 0.0, "kernel": 0.0, "inter": 0.0, "green": 0.0, "homog": 0.0}
-    ranks_ok = True
-    eig_lo, eig_hi = {}, {}
-    for i in range(samples):
-        xi = _unit_xi(rng, k, n, min_first_block=0.3)
-        bundle = symbols.build_bundle(rep, k, xi)
-        worst["comp"] = max(worst["comp"],
-                            float(np.abs(bundle.sigma1 @ bundle.sigma0).max()))
-        if bundle.has_order5:
-            worst["comp"] = max(
-                worst["comp"],
-                float(np.abs(bundle.sigma2p @ bundle.sigma1).max()),
-                float(np.abs(bundle.sigma2pp @ bundle.sigma1).max()),
-            )
-        rpt = symbols.verify_exactness(bundle)
-        ranks_ok = ranks_ok and rpt.ok
-        if bundle.has_order5:
-            worst["kernel"] = max(worst["kernel"], symbols.kernel_identity_check(bundle, rep))
-        inter = symbols.intertwine_check(bundle)
-        scale = np.linalg.norm(bundle.sigma1) * np.linalg.norm(bundle.L1)
-        worst["inter"] = max(worst["inter"], inter / max(scale, 1e-300))
-        worst["green"] = max(worst["green"], symbols.green_inverse_residual(bundle))
-        for name, (lo, hi) in symbols.hodge_eig_bounds(bundle).items():
-            if not bundle.has_order5 and name == "L2":
-                continue
-            eig_lo[name] = min(eig_lo.get(name, np.inf), lo)
-            eig_hi[name] = max(eig_hi.get(name, -np.inf), hi)
-        if i < 5:
-            double = symbols.build_bundle(rep, k, 2.0 * xi)
-            for a, b in ((double.L0, bundle.L0), (double.L1, bundle.L1),
-                         (double.L2, bundle.L2)):
-                if a.shape[0] == 0:
-                    continue
-                h = np.abs(a - 16.0 * b).max() / max(np.abs(b).max(), 1e-300)
-                worst["homog"] = max(worst["homog"], float(h))
-    last = symbols.verify_exactness(symbols.build_bundle(rep, k, _unit_xi(rng, k, n, 0.3)))
-    out.append(_check(f"symbol_complex k={k} n={n}",
-                      "sigma_{j+1} sigma_j = 0", worst["comp"], 1e-10))
+
+    rpt = symbols.verify_exactness(b)
+    ranks = {"rank_sigma0": rpt.rank_sigma0, "dim_ker_sigma1": rpt.dim_ker_sigma1,
+             "rank_sigma1": rpt.rank_sigma1, "dim_ker_order5": rpt.dim_ker_order5}
+    # generic ranks are the same at every xi: a sample whose ranks differ
+    # from those of sample 0 fails like an inexact one
+    bad = ~rpt.ok
+    for r in ranks.values():
+        if r is not None:
+            bad |= r != r[0]
+    w = int(np.argmax(bad))
+    comp = [b.sigma1 @ b.sigma0]
+    if b.has_order5:
+        comp += [b.sigma2p @ b.sigma1, b.sigma2pp @ b.sigma1]
+    out.append(_worst_check(f"symbol_complex k={k} n={n}", "sigma_{j+1} sigma_j = 0",
+                            xi, _max_abs(*comp), 1e-10))
     out.append(_check(
         f"symbol_exactness k={k} n={n}",
         "ker sigma0 = 0; ker sigma1 = im sigma0; joint ker at slot 2 = im sigma1",
-        0.0 if ranks_ok else 1.0, 0.0, ok=ranks_ok,
-        ranks={"dims": last.dims, "rank_sigma0": last.rank_sigma0,
-               "dim_ker_sigma1": last.dim_ker_sigma1,
-               "rank_sigma1": last.rank_sigma1,
-               "dim_ker_order5": last.dim_ker_order5},
+        float(bad.any()), 0.0, ok=not bad.any(),
+        ranks={"dims": rpt.dims,
+               **{key: None if r is None else int(r[w]) for key, r in ranks.items()}},
+        witness=_witness(xi, w),
     ))
     if k >= 3:
-        out.append(_check(f"kernel_identity k={k} n={n}",
-                          "|xi_0|^2 Theta_ABC reconstructed from Theta_00*",
-                          worst["kernel"], 1e-9))
-    out.append(_check(f"green_intertwine k={k} n={n}", "L2 sigma1 = sigma1 L1",
-                      worst["inter"], 1e-10))
-    out.append(_check(f"green_inverse k={k} n={n}", "L_j L_j^{-1} = Id",
-                      worst["green"], 1e-10))
-    out.append(_check(f"hodge_homogeneity k={k} n={n}", "L_j(2 xi) = 16 L_j(xi)",
-                      worst["homog"], 1e-10))
-    pd_ok = all(lo > 0 for lo in eig_lo.values())
+        out.append(_worst_check(f"kernel_identity k={k} n={n}",
+                                "|xi_0|^2 Theta_ABC reconstructed from Theta_00*",
+                                xi, symbols.kernel_identity_check(b), 1e-9))
+    inter = symbols.intertwine_check(b)
+    scale = np.linalg.norm(b.sigma1, axis=(-2, -1)) * np.linalg.norm(b.L1, axis=(-2, -1))
+    out.append(_worst_check(f"green_intertwine k={k} n={n}", "L2 sigma1 = sigma1 L1",
+                            xi, inter / np.maximum(scale, 1e-300), 1e-10))
+    out.append(_worst_check(f"green_inverse k={k} n={n}", "L_j L_j^{-1} = Id",
+                            xi, symbols.green_inverse_residual(b), 1e-10))
+    double = symbols.build_bundle(rep, k, 2.0 * xi[:5])
+    homog = [_max_abs(a - 16.0 * m[:5]) / np.maximum(_max_abs(m[:5]), 1e-300)
+             for a, m in ((double.L0, b.L0), (double.L1, b.L1), (double.L2, b.L2))]
+    out.append(_worst_check(f"hodge_homogeneity k={k} n={n}", "L_j(2 xi) = 16 L_j(xi)",
+                            xi, np.max(homog, axis=0), 1e-10))
+    bounds = symbols.hodge_eig_bounds(b)
+    if not b.has_order5:
+        del bounds["L2"]
+    lowest = {m: int(np.argmin(lo)) for m, (lo, _) in bounds.items()}
+    eig_min = {m: float(bounds[m][0][i]) for m, i in lowest.items()}
+    pd_ok = all(lo > 0 for lo in eig_min.values())
     out.append(_check(f"hodge_positive k={k} n={n}",
                       "L_j positive definite on unit frequencies",
-                      0.0 if pd_ok else 1.0, 0.0, ok=pd_ok,
-                      eig_min={m: eig_lo[m] for m in sorted(eig_lo)},
-                      eig_max={m: eig_hi[m] for m in sorted(eig_hi)}))
+                      0.0 if pd_ok else 1.0, 0.0, ok=pd_ok, eig_min=eig_min,
+                      eig_max={m: float(hi.max()) for m, (_, hi) in bounds.items()},
+                      witness={m: _witness(xi, i) for m, i in lowest.items()}))
     return out
 
 
@@ -402,6 +414,7 @@ def run_solve(args):
         center=center, tol=args.tol, break_compat=args.break_compat,
         timings=stages,
     )
+    del phi  # not read here; freeing it lowers the sweep's memory peak
     checks = [
         _check("bump_recovery", "u = D0* D0 D0* G1 (D0 phi) recovers phi",
                metrics["recovery_rel_l2"], 1e-6),

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import weyl
+from . import symbols, weyl
 
 DEFAULT_MEM_GIB = 2.0
 MEM_ENV_VAR = "DIRACLAB_MEM_LIMIT_GIB"
@@ -146,17 +146,21 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
     grids = grid_axes(N, L, kn)
     r2 = sum((g - c) ** 2 for g, c in zip(grids, center)) / radius**2
     inside = r2 < 1.0
-    profile = np.zeros(r2.shape)
-    profile[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    gap = 1.0 - r2[inside]
     chain = np.zeros(r2.shape)
-    chain[inside] = profile[inside] / (1.0 - r2[inside]) ** 2
+    chain[inside] = np.exp(-1.0 / gap) / gap**2
+    del r2, inside, gap  # grid-sized temporaries not needed past chain
     gspin = np.einsum("jst,t->js", rep.gamma_plus, spinor)
-    values = np.zeros(r2.shape + (k, rep.s_dim), dtype=complex)
+    values = np.empty(chain.shape + (k, rep.s_dim), dtype=complex)
     for A in range(k):
-        for j in range(n):
-            dv = -2.0 * (grids[A * n + j] - center[A * n + j]) / radius**2 * chain
-            values[..., A, :] += dv[..., None] * gspin[j]
-    values = values.reshape(r2.shape + (k * rep.s_dim,))
+        # d(profile)/dx_Aj = -2 (x_Aj - c_Aj) / radius^2 * chain; the sum over
+        # j of these 1-D factors times gspin[j] varies on block A's n axes only
+        slopes = [-2.0 * (grids[A * n + j] - center[A * n + j]) / radius**2
+                  for j in range(n)]
+        for t in range(rep.s_dim):
+            np.multiply(chain, sum(a * gspin[j, t] for j, a in enumerate(slopes)),
+                        out=values[..., A, t])
+    values = values.reshape(chain.shape + (k * rep.s_dim,))
     return GridField(k, n, N, L, "V1", values, support=(tuple(center), radius))
 
 
@@ -172,9 +176,9 @@ def _axis_xi(kn, N, L):
 
 
 def _mode_xi(k, n, N, L, idx):
-    """Physical frequencies, shape (len(idx), k, n), of flat row-major modes."""
+    """Physical frequencies, shape (len(idx), k*n), of flat row-major modes."""
     freq = -(2 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)
-    return freq[np.stack(np.unravel_index(idx, (N,) * (k * n)), axis=-1)].reshape(-1, k, n)
+    return freq[np.stack(np.unravel_index(idx, (N,) * (k * n)), axis=-1)]
 
 
 def _sigma0(uh, rep, k, n, xis, out=None):
@@ -201,42 +205,6 @@ def _sigma0_star(fh, rep, k, n, xis):
     return out
 
 
-def _batch_symbols(rep, k, xi):
-    """xi: (B, k, n) physical frequencies -> xp, xm, scal batches."""
-    xp = -1j * np.einsum("bAj,jst->bAst", xi, rep.gamma_plus)
-    xm = -1j * np.einsum("bAj,jst->bAst", xi, rep.gamma_minus)
-    scal = 2.0 * np.einsum("bAj,bBj->bAB", xi, xi)
-    return xp, xm, scal
-
-
-def _batch_sigma0(rep, k, xi):
-    return _batch_symbols(rep, k, xi)[0].reshape(len(xi), k * rep.s_dim, rep.s_dim)
-
-
-def _batch_sigma1(rep, k, xi):
-    """Compressed sigma1 blocks, (B, d2*s, k*s), assembled without the full
-    order-3 tensor."""
-    xp, xm, scal = _batch_symbols(rep, k, xi)
-    s = rep.s_dim
-    ws2 = weyl.weyl_space(k, "21")
-    w = ws2.basis.reshape((k, k, k, ws2.dim))
-    pp = np.einsum("bAsu,bBut->bABst", xp, xm)
-    p1 = 0.5 * np.einsum("ABCr,bABut->bruCt", w, pp)
-    p2 = 0.5 * np.einsum("ABCr,bACut->bruBt", w, pp)
-    p3 = -0.5 * np.einsum("ABCr,bBC,ut->bruAt", w, scal, np.eye(s))
-    out = p1 + p2 + p3
-    b = xi.shape[0]
-    return out.reshape(b, ws2.dim * s, k * s)
-
-
-def _batch_L1(rep, k, xi):
-    s0 = _batch_sigma0(rep, k, xi)
-    s1 = _batch_sigma1(rep, k, xi)
-    s0h = np.conj(np.swapaxes(s0, -1, -2))
-    pr = s0 @ s0h
-    return pr @ pr + np.conj(np.swapaxes(s1, -1, -2)) @ s1
-
-
 _TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0"), "d1": ("V1", "V2")}
 
 
@@ -259,7 +227,8 @@ def apply_spectral(tag, fld, rep):
         out = np.empty((fld.N, slab, out_dim), dtype=complex)
         for i in range(fld.N):
             xi = _mode_xi(k, n, fld.N, fld.L, np.arange(i * slab, (i + 1) * slab))
-            out[i] = np.einsum("bij,bj->bi", _batch_sigma1(rep, k, xi), flat[i])
+            sigma1 = symbols.build_bundle(rep, k, xi).sigma1
+            out[i] = np.einsum("bij,bj->bi", sigma1, flat[i])
         out = out.reshape(fh.shape[:-1] + (out_dim,))
     else:
         apply = _sigma0 if tag == "d0" else _sigma0_star
@@ -274,10 +243,11 @@ def _certify_recovery_identity(rep, k, n, N, L, sample=2048, tol=1e-10):
     1/|xi|, so the residual is multiplied by |xi| to make it free of units."""
     count = min(sample, N ** (k * n) - 1)
     xi = _mode_xi(k, n, N, L, np.arange(1, count + 1))
-    s0 = _batch_sigma0(rep, k, xi)
+    bundle = symbols.build_bundle(rep, k, xi)
+    s0 = bundle.sigma0
     s0h = np.conj(np.swapaxes(s0, -1, -2))
-    xi2 = (xi**2).sum(axis=(1, 2))[:, None, None]
-    hodge = s0h @ s0 @ s0h @ np.linalg.inv(_batch_L1(rep, k, xi))
+    xi2 = (xi**2).sum(axis=-1)[:, None, None]
+    hodge = s0h @ s0 @ s0h @ np.linalg.inv(bundle.L1)
     resid = (np.abs(hodge - s0h / xi2) * np.sqrt(xi2)).max()
     if resid > tol:
         raise ArithmeticError(

@@ -3,8 +3,20 @@
 At a frequency vector xi (k blocks of length n) the bundle holds the symbol
 matrices of the operators in compressed coordinates: the tensor parts of the
 higher value spaces are expressed in the orthonormal Weyl-module bases, so
-ranks and kernels are computed on small matrices while the componentwise
-formulas are transcribed on full tensors.
+ranks and kernels are computed on small matrices.  :func:`build_bundle` is the
+only place the symbol formulas live.  It takes xi of shape (k*n,) or
+(..., k*n) and returns matrices with the same leading axes, so one call
+covers a whole stack of frequencies.
+
+With x_A = -i sum_j xi_Aj gamma_plus[j] (so x_A^H = -i sum_j xi_Aj
+gamma_minus[j]), each componentwise formula of sigma1, sigma2' and sigma2'' is
+a signed sum of slot permutations pi_i applied to a product of x_A^H,
+P_AB = x_A x_B^H or 2 <xi_A, xi_B> with the input tensor.  Contracting with
+the target's Weyl basis moves the permutations onto that basis as their
+adjoints pi_i^{-1}; contracting the result with the source basis w21 leaves
+one constant per k and formula, of size at most k^2 d_target d_21.  Each
+compressed matrix is then one einsum of its constant with the products, and
+no full tensor is formed.
 
 The fourth-order combinations
 
@@ -16,9 +28,14 @@ are conjugate-symmetric, homogeneous of degree 4 in xi, and positive definite
 away from xi = 0; their inverses realize the Green operators frequency by
 frequency.  For k = 2 the order-5 branch does not exist and L2 degenerates to
 sigma1 sigma1* (recorded by ``has_order5 = False``).
+
+The checks below act on stacked bundles and return one value per frequency:
+a number for a single-frequency bundle, an array over the batch axes
+otherwise.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -28,161 +45,192 @@ from . import weyl
 RANK_RTOL = 1e-9
 
 
+def _h(mat):
+    """Conjugate transpose over the last two axes."""
+    return np.conj(np.swapaxes(mat, -1, -2))
+
+
+def _adjoint_sum(w, target, sources):
+    """sum_i pi_i^{-1} w, where pi_i maps a tensor T to einsum(f"{src}->{target}", T)."""
+    return sum(np.einsum(f"{target}->{src}", w) for src in sources)
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _w21(k):
+    return weyl.weyl_space(k, "21").basis.reshape((k,) * 3 + (-1,))
+
+
+@lru_cache(maxsize=None)
+def _sigma1_constants(k):
+    """The constants of sigma1 on P and on 2<xi, xi>, each of shape
+    (k, k, d_21, k).  The Weyl bases are real, so none is conjugated."""
+    w2 = _w21(k)
+    # sigma1[abc, D] = 1/2 P_ab d_cD + 1/2 P_ac d_bD - 1/2 2<xi_b, xi_c> d_aD
+    return _frozen(0.5 * (np.einsum("abDr->abrD", w2) + np.einsum("aDbr->abrD", w2)),
+                   -0.5 * np.einsum("Dbcr->bcrD", w2))
+
+
+@lru_cache(maxsize=None)
+def _order5_constants(k):
+    """The constants of sigma2', shape (k, d_22, d_21), and of sigma2'' on P
+    and on 2<xi, xi>, each of shape (k, k, d_311, d_21); k >= 3."""
+    w2 = _w21(k)
+    # sigma2' = (1 + Q1 + Q2 + Q3) 1/2 (1 - P1 + P2 - P3) u with
+    # u[dabc] = x_d^H theta[abc]; the adjoints apply in reverse order
+    w3 = weyl.weyl_space(k, "22").basis.reshape((k,) * 4 + (-1,))
+    m = _adjoint_sum(w3, "dabcq", ("dabcq", "adbcq", "dacbq", "adcbq"))
+    m = 0.5 * (m - np.einsum("dabcq->dcbaq", m) + np.einsum("dabcq->bcdaq", m)
+               - np.einsum("dabcq->badcq", m))
+    c2p = np.einsum("dabcq,abcr->dqr", m, w2)
+    # sigma2'' = 1/2 sum_pi pi (1 - R) (t + tp/2 + x/2) with
+    # t[edabc] = P_ed theta[abc], tp[edabc] = P_de theta[abc],
+    # x[edabc] = 2<xi_b, xi_c> theta[eda] and R T[edabc] = T[adebc]
+    w5 = weyl.weyl_space(k, "311").basis.reshape((k,) * 5 + (-1,))
+    m = 0.5 * _adjoint_sum(w5, "edabcq", ("edabcq", "ebadcq", "ecabdq",
+                                          "edacbq", "ebacdq", "ecadbq"))
+    m = m - np.einsum("edabcq->adebcq", m)
+    kt = np.einsum("edabcq,abcr->edqr", m, w2)
+    return _frozen(c2p, kt + 0.5 * kt.swapaxes(0, 1),
+                   0.5 * np.einsum("edabcq,edar->bcqr", m, w2))
+
+
+def _second_order(c_pp, c_scal, pp, scal):
+    """sum_AB c_pp[A,B] P_AB + (sum_BC c_scal[B,C] 2<xi_B, xi_C>) Id,
+    shaped (..., i*s, j*s)."""
+    s = pp.shape[-1]
+    out = np.einsum("ABij,...ABst->...isjt", c_pp, pp, optimize=True)
+    out += np.einsum("BCij,...BC,st->...isjt", c_scal, scal, np.eye(s), optimize=True)
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * s, out.shape[-2] * s))
+
+
 @dataclass(frozen=True)
 class SymbolBundle:
+    """The symbols at a frequency vector xi, or at each of a stack of them.
+
+    Every matrix carries the leading axes of xi.  sigma0 is built with the
+    bundle; sigma1, the order-5 symbols, L0, L1, L2 and dims are derived on
+    first read, so a caller pays only for what it reads.
+    """
+
     k: int
     n: int
     xi: np.ndarray
     s_dim: int
     sigma0: np.ndarray
-    sigma1: np.ndarray
-    sigma2p: Optional[np.ndarray]
-    sigma2pp: Optional[np.ndarray]
-    L0: np.ndarray
-    L1: np.ndarray
-    L2: np.ndarray
-    dims: dict
 
     @property
     def has_order5(self):
-        return self.sigma2p is not None
+        return self.k >= 3
 
+    @cached_property
+    def _products(self):
+        """The blocks P_AB = x_A x_B^H of sigma0 sigma0^H, shape
+        (..., k, k, s, s), and the scalars 2 <xi_A, xi_B>, shape (..., k, k)."""
+        k, s = self.k, self.s_dim
+        gram = self.sigma0 @ _h(self.sigma0)
+        blocks = gram.reshape(gram.shape[:-2] + (k, s, k, s))
+        xiv = self.xi.reshape(self.xi.shape[:-1] + (k, self.n))
+        return np.swapaxes(blocks, -3, -2), 2.0 * xiv @ np.swapaxes(xiv, -1, -2)
 
-def _symbol_blocks(rep, k, xi):
-    xi = np.asarray(xi, dtype=float).reshape(k, rep.n)
-    xp = -1j * np.einsum("Aj,jst->Ast", xi, rep.gamma_plus)
-    xm = -1j * np.einsum("Aj,jst->Ast", xi, rep.gamma_minus)
-    scal = 2.0 * xi @ xi.T
-    return xp, xm, scal
+    @cached_property
+    def dims(self):
+        s = self.s_dim
+        dims = {"V0": s, "V1": self.k * s, "V2": self.sigma1.shape[-2]}
+        if self.has_order5:
+            dims["V3p"] = self.sigma2p.shape[-2]
+            dims["V3pp"] = self.sigma2pp.shape[-2]
+        return dims
 
+    @cached_property
+    def sigma1(self):
+        return _second_order(*_sigma1_constants(self.k), *self._products)
 
-def _sigma1_full(k, s, xp, xm, scal):
-    out = np.zeros((k, k, k, s, k, s), dtype=complex)
-    eye = np.eye(s)
-    pp = np.einsum("Ast,Btu->ABsu", xp, xm)
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                out[a, b, c, :, c, :] += 0.5 * pp[a, b]
-                out[a, b, c, :, b, :] += 0.5 * pp[a, c]
-                out[a, b, c, :, a, :] += -0.5 * scal[b, c] * eye
-    return out.reshape(k**3 * s, k * s)
+    @cached_property
+    def sigma2p(self):
+        if not self.has_order5:
+            return None
+        k, s = self.k, self.s_dim
+        batch = self.xi.shape[:-1]
+        c2p = _order5_constants(k)[0]
+        xm = _h(self.sigma0.reshape(batch + (k, s, s)))  # the blocks x_A^H
+        out = np.einsum("dqr,...dst->...qsrt", c2p, xm, optimize=True)
+        return out.reshape(batch + (c2p.shape[1] * s, c2p.shape[2] * s))
 
+    @cached_property
+    def sigma2pp(self):
+        if not self.has_order5:
+            return None
+        return _second_order(*_order5_constants(self.k)[1:], *self._products)
 
-def _sigma2p_full(theta, xm):
-    u = np.einsum("Dst,ABCt->DABCs", xm, theta)
-    base = 0.5 * (u - np.einsum("dcbas->dabcs", u)) + 0.5 * (
-        np.einsum("bcdas->dabcs", u) - np.einsum("badcs->dabcs", u)
-    )
-    return (
-        base
-        + np.einsum("adbcs->dabcs", base)
-        + np.einsum("dacbs->dabcs", base)
-        + np.einsum("adcbs->dabcs", base)
-    )
+    @cached_property
+    def L0(self):
+        g = _h(self.sigma0) @ self.sigma0
+        return g @ g
 
+    @cached_property
+    def L1(self):
+        p = self.sigma0 @ _h(self.sigma0)
+        return p @ p + _h(self.sigma1) @ self.sigma1
 
-def _sigma2pp_full(theta, xp, xm, scal):
-    pp = np.einsum("Est,Dtu->EDsu", xp, xm)
-    t = np.einsum("EDsu,ABCu->EDABCs", pp, theta)
-    tp = np.einsum("DEsu,ABCu->EDABCs", pp, theta)
-    x = np.einsum("bc,edas->edabcs", scal, theta)
-    t1 = t - np.einsum("adebcs->edabcs", t)
-    t2 = 0.5 * (tp - np.einsum("adebcs->edabcs", tp))
-    t3 = 0.5 * (x - np.einsum("adebcs->edabcs", x))
-    core = t1 + t2 + t3
-    out = np.zeros_like(core)
-    for sub in ("edabcs", "ebadcs", "ecabds", "edacbs", "ebacds", "ecadbs"):
-        out += np.einsum(f"{sub}->edabcs", core)
-    return 0.5 * out
+    @cached_property
+    def L2(self):
+        out = self.sigma1 @ _h(self.sigma1)
+        if self.has_order5:
+            g = _h(self.sigma2p) @ self.sigma2p
+            out = out + g @ g + _h(self.sigma2pp) @ self.sigma2pp
+        return out
 
 
 def build_bundle(rep, k, xi):
-    """Assemble the symbol bundle at a frequency vector.
+    """Assemble the symbol bundle at a frequency vector or a stack of them.
 
     Parameters
     ----------
     rep : CliffordRep
     k : int
         Number of vector variables (k >= 2).
-    xi : array_like, shape (k*n,)
-        Frequency vector, grouped as k blocks of n; may be zero.
+    xi : array_like, shape (k*n,) or (..., k*n)
+        Frequency vectors, each grouped as k blocks of n; may be zero.  The
+        bundle's matrices carry the same leading axes.
     """
     if k < 2:
         raise ValueError(f"need k >= 2 vector variables, got {k}")
-    s = rep.s_dim
+    n, s = rep.n, rep.s_dim
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (k * rep.n,):
-        raise ValueError(f"xi must have shape ({k * rep.n},), got {xi.shape}")
-    xp, xm, scal = _symbol_blocks(rep, k, xi)
-    sigma0 = xp.reshape(k * s, s)
-
-    ws2 = weyl.weyl_space(k, "21")
-    iso2 = np.kron(ws2.basis, np.eye(s))
-    sigma1 = iso2.conj().T @ _sigma1_full(k, s, xp, xm, scal)
-
-    dims = {"V0": s, "V1": k * s, "V2": ws2.dim * s}
-    if k >= 3:
-        ws3p = weyl.weyl_space(k, "22")
-        ws3pp = weyl.weyl_space(k, "311")
-        iso3p = np.kron(ws3p.basis, np.eye(s))
-        iso3pp = np.kron(ws3pp.basis, np.eye(s))
-        cols_p = np.empty((k**4 * s, ws2.dim * s), dtype=complex)
-        cols_pp = np.empty((k**5 * s, ws2.dim * s), dtype=complex)
-        for c in range(ws2.dim * s):
-            theta = iso2[:, c].reshape((k, k, k, s))
-            cols_p[:, c] = _sigma2p_full(theta, xm).reshape(-1)
-            cols_pp[:, c] = _sigma2pp_full(theta, xp, xm, scal).reshape(-1)
-        sigma2p = iso3p.conj().T @ cols_p
-        sigma2pp = iso3pp.conj().T @ cols_pp
-        dims["V3p"] = ws3p.dim * s
-        dims["V3pp"] = ws3pp.dim * s
-    else:
-        sigma2p = sigma2pp = None
-
-    s0h = sigma0.conj().T
-    s1h = sigma1.conj().T
-    L0 = (s0h @ sigma0) @ (s0h @ sigma0)
-    L1 = (sigma0 @ s0h) @ (sigma0 @ s0h) + s1h @ sigma1
-    L2 = sigma1 @ s1h
-    if k >= 3:
-        g = sigma2p.conj().T @ sigma2p
-        L2 = L2 + g @ g + sigma2pp.conj().T @ sigma2pp
-    return SymbolBundle(
-        k=k,
-        n=rep.n,
-        xi=xi,
-        s_dim=s,
-        sigma0=sigma0,
-        sigma1=sigma1,
-        sigma2p=sigma2p,
-        sigma2pp=sigma2pp,
-        L0=L0,
-        L1=L1,
-        L2=L2,
-        dims=dims,
-    )
+    if xi.ndim == 0 or xi.shape[-1] != k * n:
+        raise ValueError(f"xi must have shape (..., {k * n}), got {xi.shape}")
+    xiv = xi.reshape(xi.shape[:-1] + (k, n))
+    sigma0 = -1j * np.einsum("...Aj,jst->...Ast", xiv, rep.gamma_plus)
+    return SymbolBundle(k=k, n=n, xi=xi, s_dim=s,
+                        sigma0=sigma0.reshape(xi.shape[:-1] + (k * s, s)))
 
 
-def nullspace_basis(mat, rtol=RANK_RTOL):
-    """Orthonormal basis of the numeric kernel (relative SV cutoff)."""
-    u, sv, vh = np.linalg.svd(mat, full_matrices=True)
-    del u
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.eye(mat.shape[1], dtype=complex)
-    rank = int((sv > rtol * sv[0]).sum())
-    return vh[rank:].conj().T
+def _per_frequency(values):
+    """A Python scalar for a single frequency, else the array over the batch."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
+
+
+def _rank(sv, rtol):
+    # a zero matrix has rank 0: no singular value exceeds rtol * 0
+    return (sv > rtol * sv[..., :1]).sum(axis=-1)
 
 
 def numeric_rank(mat, rtol=RANK_RTOL):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int((sv > rtol * sv[0]).sum())
+    """Numeric rank (relative SV cutoff) of a matrix or of each in a stack."""
+    return _per_frequency(_rank(np.linalg.svd(mat, compute_uv=False), rtol))
 
 
 @dataclass(frozen=True)
 class ExactnessReport:
+    """Measured ranks and exactness flags, one per frequency: Python scalars
+    for a single frequency, arrays over the batch axes otherwise."""
+
     dims: dict
     rank_sigma0: int
     dim_ker_sigma1: int
@@ -195,36 +243,37 @@ class ExactnessReport:
     @property
     def ok(self):
         slot2 = True if self.exact_slot2 is None else self.exact_slot2
-        return self.injective and self.exact_slot1 and slot2
+        return _per_frequency(np.logical_and(self.injective & self.exact_slot1, slot2))
 
 
 def verify_exactness(bundle, rtol=RANK_RTOL):
     """Measure ranks and certify exactness of the symbol sequence at xi != 0."""
-    if np.linalg.norm(bundle.xi) == 0.0:
+    if np.any(np.linalg.norm(bundle.xi, axis=-1) == 0.0):
         raise ValueError("exactness is only defined at nonzero frequencies")
+    dims = bundle.dims
     rank0 = numeric_rank(bundle.sigma0, rtol)
-    ker1 = nullspace_basis(bundle.sigma1, rtol).shape[1]
-    rank1 = bundle.dims["V1"] - ker1
+    rank1 = numeric_rank(bundle.sigma1, rtol)
+    ker1 = dims["V1"] - rank1
     if bundle.has_order5:
-        stacked = np.vstack([bundle.sigma2p, bundle.sigma2pp])
-        ker2 = nullspace_basis(stacked, rtol).shape[1]
-        exact2 = ker2 == rank1
+        stacked = np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2)
+        ker2 = dims["V2"] - numeric_rank(stacked, rtol)
+        exact2 = _per_frequency(ker2 == rank1)
     else:
         ker2 = None
         exact2 = None
     return ExactnessReport(
-        dims=dict(bundle.dims),
+        dims=dict(dims),
         rank_sigma0=rank0,
         dim_ker_sigma1=ker1,
         rank_sigma1=rank1,
         dim_ker_order5=ker2,
-        injective=rank0 == bundle.dims["V0"],
-        exact_slot1=ker1 == rank0,
+        injective=_per_frequency(rank0 == dims["V0"]),
+        exact_slot1=_per_frequency(ker1 == rank0),
         exact_slot2=exact2,
     )
 
 
-def kernel_identity_check(bundle, rep, rtol=RANK_RTOL):
+def kernel_identity_check(bundle, rtol=RANK_RTOL):
     """Kernel identity for the order-5 branch, on an orthonormal kernel basis.
 
     For every unit element Theta of ker sigma2' n ker sigma2'', checks
@@ -234,47 +283,46 @@ def kernel_identity_check(bundle, rep, rtol=RANK_RTOL):
                               + xi_A xi_C Theta[0,0,B]
                               - (xi_B xi_C + xi_C xi_B) Theta[0,0,A]
 
-    and returns the largest residual entry.  Requires a nonzero first block.
+    and returns the largest residual entry per frequency, with xi_A xi_B the
+    block P_AB of sigma0 sigma0^H.  Requires a nonzero first block.
     """
     if not bundle.has_order5:
         raise ValueError("the kernel identity lives on the order-5 branch (k >= 3)")
-    k, s = bundle.k, bundle.s_dim
-    xiv = bundle.xi.reshape(k, rep.n)
-    if np.linalg.norm(xiv[0]) == 0.0:
+    k, n, s = bundle.k, bundle.n, bundle.s_dim
+    xiv = bundle.xi.reshape(bundle.xi.shape[:-1] + (k, n))
+    n0sq = (xiv[..., 0, :] ** 2).sum(axis=-1)
+    if np.any(n0sq == 0.0):
         raise ValueError("the identity requires a nonzero first frequency block")
-    xp, xm, scal = _symbol_blocks(rep, k, bundle.xi)
-    ws2 = weyl.weyl_space(k, "21")
-    iso2 = np.kron(ws2.basis, np.eye(s))
-    kernel = nullspace_basis(np.vstack([bundle.sigma2p, bundle.sigma2pp]), rtol)
-    n0sq = float((xiv[0] ** 2).sum())
-    pp = np.einsum("Ast,Btu->ABsu", xp, xm)
-    worst = 0.0
-    for c in range(kernel.shape[1]):
-        theta = (iso2 @ kernel[:, c]).reshape(k, k, k, s)
-        lhs = n0sq * theta
-        rhs = (
-            np.einsum("ABst,Ct->ABCs", pp, theta[0, 0])
-            + np.einsum("ACst,Bt->ABCs", pp, theta[0, 0])
-            - np.einsum("BC,As->ABCs", scal, theta[0, 0])
-        )
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    _, sv, vh = np.linalg.svd(np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2))
+    # the right singular vectors past the rank span the kernel; take them
+    # from the smallest rank in the batch on and mask the rest per frequency
+    rank = _rank(sv, rtol)
+    lo = int(rank.min(initial=vh.shape[-1]))
+    vecs = vh[..., lo:, :].conj().reshape(vh.shape[:-2] + (-1, vh.shape[-1] // s, s))
+    theta = np.einsum("ABCr,...vrs->...vABCs", _w21(k), vecs)
+    pp, scal = bundle._products
+    t00 = theta[..., 0, 0, :, :]
+    rhs = (np.einsum("...ABst,...vCt->...vABCs", pp, t00)
+           + np.einsum("...ACst,...vBt->...vABCs", pp, t00)
+           - np.einsum("...BC,...vAs->...vABCs", scal, t00))
+    lhs = n0sq[..., None, None, None, None, None] * theta
+    resid = np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
+    in_kernel = np.arange(lo, vh.shape[-1]) >= rank[..., None]
+    return _per_frequency(np.where(in_kernel, resid, 0.0).max(axis=-1))
 
 
 def intertwine_check(bundle):
     """Frobenius norm of L2 sigma1 - sigma1 L1 (the Green intertwining)."""
-    return float(np.linalg.norm(bundle.L2 @ bundle.sigma1 - bundle.sigma1 @ bundle.L1))
+    diff = bundle.L2 @ bundle.sigma1 - bundle.sigma1 @ bundle.L1
+    return _per_frequency(np.linalg.norm(diff, axis=(-2, -1)))
 
 
 def hodge_eig_bounds(bundle):
     """Extreme eigenvalues of each L_j (conjugate-symmetric by construction)."""
     out = {}
     for name, mat in (("L0", bundle.L0), ("L1", bundle.L1), ("L2", bundle.L2)):
-        if mat.shape[0] == 0:
-            out[name] = (float("nan"), float("nan"))
-            continue
         ev = np.linalg.eigvalsh(mat)
-        out[name] = (float(ev[0]), float(ev[-1]))
+        out[name] = (_per_frequency(ev[..., 0]), _per_frequency(ev[..., -1]))
     return out
 
 
@@ -285,6 +333,6 @@ def green_inverse_residual(bundle):
     if bundle.has_order5:
         mats.append(bundle.L2)
     for mat in mats:
-        inv = np.linalg.inv(mat)
-        worst = max(worst, float(np.abs(mat @ inv - np.eye(mat.shape[0])).max()))
-    return worst
+        resid = np.abs(mat @ np.linalg.inv(mat) - np.eye(mat.shape[-1]))
+        worst = np.maximum(worst, resid.max(axis=(-2, -1)))
+    return _per_frequency(worst)

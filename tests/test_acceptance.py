@@ -15,7 +15,7 @@ from diraclab import build_clifford, random_field, weyl
 from diraclab import boundary as bnd
 from diraclab import dirac_ops as ops
 from diraclab import solver, symbols
-from diraclab.cli import main
+from diraclab.cli import _unit_xi, main
 
 
 def _report(num, name, ok, detail):
@@ -141,37 +141,31 @@ def test_criterion_4_ellipticity():
     eig_records = {}
     for k, n in ((3, 2), (3, 3), (2, 2), (2, 3)):
         rep = build_clifford(n)
-        for i in range(100):
-            while True:
-                xi = rng.standard_normal(k * n)
-                xi /= np.linalg.norm(xi)
-                if np.linalg.norm(xi[:n]) >= 0.3:
-                    break
-            bundle = symbols.build_bundle(rep, k, xi)
-            rpt = symbols.verify_exactness(bundle)
-            ranks_ok = ranks_ok and rpt.ok
-            if bundle.has_order5:
-                worst_kernel = max(worst_kernel, symbols.kernel_identity_check(bundle, rep))
-            scale = np.linalg.norm(bundle.sigma1) * np.linalg.norm(bundle.L1)
-            worst_inter = max(
-                worst_inter, symbols.intertwine_check(bundle) / max(scale, 1e-300)
-            )
-            bounds = symbols.hodge_eig_bounds(bundle)
-            for name, (lo, hi) in bounds.items():
-                if name == "L2" and not bundle.has_order5:
-                    continue
-                rec = eig_records.setdefault((k, n, name), [np.inf, -np.inf])
-                rec[0] = min(rec[0], lo)
-                rec[1] = max(rec[1], hi)
-            if i < 3:
-                double = symbols.build_bundle(rep, k, 2.0 * xi)
-                for a, b in ((double.L0, bundle.L0), (double.L1, bundle.L1),
-                             (double.L2, bundle.L2)):
-                    if a.size:
-                        worst_homog = max(
-                            worst_homog,
-                            np.abs(a - 16.0 * b).max() / max(np.abs(b).max(), 1e-300),
-                        )
+        # 100 unit frequencies with first block >= 0.3, in the rng order of
+        # drawing and rejecting one at a time; one stacked bundle holds them
+        xi = _unit_xi(rng, k, n, 100, min_first_block=0.3)
+        bundle = symbols.build_bundle(rep, k, xi)
+        rpt = symbols.verify_exactness(bundle)
+        ranks_ok = ranks_ok and bool(rpt.ok.all())
+        if bundle.has_order5:
+            worst_kernel = max(worst_kernel, symbols.kernel_identity_check(bundle).max())
+        scale = (np.linalg.norm(bundle.sigma1, axis=(-2, -1))
+                 * np.linalg.norm(bundle.L1, axis=(-2, -1)))
+        inter = symbols.intertwine_check(bundle) / np.maximum(scale, 1e-300)
+        worst_inter = max(worst_inter, inter.max())
+        for name, (lo, hi) in symbols.hodge_eig_bounds(bundle).items():
+            if name == "L2" and not bundle.has_order5:
+                continue
+            eig_records[(k, n, name)] = [float(lo.min()), float(hi.max())]
+        double = symbols.build_bundle(rep, k, 2.0 * xi[:3])
+        for a, b in ((double.L0, bundle.L0[:3]), (double.L1, bundle.L1[:3]),
+                     (double.L2, bundle.L2[:3])):
+            if a.size:
+                worst_homog = max(
+                    worst_homog,
+                    (np.abs(a - 16.0 * b).max(axis=(-2, -1))
+                     / np.maximum(np.abs(b).max(axis=(-2, -1)), 1e-300)).max(),
+                )
     pd_ok = all(rec[0] > 0 for rec in eig_records.values())
     wall = time.perf_counter() - t0
     ok = (ranks_ok and worst_kernel <= 1e-9 and pd_ok and worst_homog <= 1e-10

@@ -99,6 +99,37 @@ def test_reports_deterministic(capsys):
     assert not set(timings) & set(first["metrics"])
 
 
+def test_ellipticity_witnesses_replay(capsys):
+    # each check names the sample and frequency of its worst value; a
+    # single-frequency bundle at that xi gives the reported value again
+    from diraclab import build_clifford, symbols
+    from diraclab.cli import _unit_xi
+
+    _, report = run_cli(capsys, "verify", "--scope", "ellipticity", "--k", "3",
+                        "--n", "2", "--samples", "30", "--seed", "5")
+    checks = {c["name"].split()[0]: c for c in report["checks"]}
+    drawn = _unit_xi(np.random.default_rng(5), 3, 2, 30, min_first_block=0.3)
+    rep = build_clifford(2)
+
+    def replay(witness):
+        assert witness["xi"] == drawn[witness["sample"]].tolist()
+        return symbols.build_bundle(rep, 3, np.array(witness["xi"]))
+
+    positive = checks["hodge_positive"]
+    assert set(positive["witness"]) == {"L0", "L1", "L2"}
+    for name, witness in positive["witness"].items():
+        lo, _ = symbols.hodge_eig_bounds(replay(witness))[name]
+        assert abs(lo - positive["eig_min"][name]) <= 1e-12
+    for name, check in (("kernel_identity", symbols.kernel_identity_check),
+                        ("green_inverse", symbols.green_inverse_residual)):
+        value = check(replay(checks[name]["witness"]))
+        assert abs(value - checks[name]["value"]) <= 1e-12
+    b = replay(checks["symbol_complex"]["witness"])
+    comp = max(np.abs(b.sigma1 @ b.sigma0).max(), np.abs(b.sigma2p @ b.sigma1).max(),
+               np.abs(b.sigma2pp @ b.sigma1).max())
+    assert abs(comp - checks["symbol_complex"]["value"]) <= 1e-12
+
+
 def test_verify_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _ = run_cli(

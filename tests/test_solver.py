@@ -82,13 +82,14 @@ def test_spectral_complex_property(rng, reps):
 
 
 def test_matrix_free_d0_matches_dense_symbol(rng, reps):
-    # mode by mode, d0 and d0_star agree with the dense sigma0 matrices
-    from diraclab.solver import _batch_sigma0, _mode_xi
+    # mode by mode, d0 and d0_star agree with the symbol builder's sigma0
+    from diraclab.solver import _mode_xi
+    from diraclab.symbols import build_bundle
 
     for n in (2, 3):
         rep = reps[n]
         k, N = 2, 4
-        s0 = _batch_sigma0(rep, k, _mode_xi(k, n, N, L, np.arange(N ** (k * n))))
+        s0 = build_bundle(rep, k, _mode_xi(k, n, N, L, np.arange(N ** (k * n)))).sigma0
         for tag, mat in (("d0", s0), ("d0_star", np.conj(np.swapaxes(s0, 1, 2)))):
             dim = mat.shape[2]
             f = band_limited(rng, rep, k, n, N, dim, width=2)
