@@ -17,10 +17,10 @@ from .weyl import (
     projector_c22,
     projector_c311,
     weyl_space,
-    young_symmetrizer,
+    apply_projector,
+    exact_checks,
     check_membership,
     weyl_dim,
-    principal_angles,
 )
 from .fields import PolyField, SPACE_INFO, random_field
 from . import dirac_ops

@@ -17,6 +17,7 @@ except for the "timings" block.
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -98,26 +99,18 @@ def checks_weyl(k):
     expected_n = {"21": 3.0, "22": 12.0, "311": 20.0}
     for lam in ("21", "22", "311"):
         ws = weyl.weyl_space(k, lam)
-        pnorm = np.linalg.norm(ws.projector)
-        idem = np.linalg.norm(ws.projector @ ws.projector - ws.projector)
-        idem = idem / pnorm if pnorm > 0 else 0.0
+        # exact in the group algebra: residuals are 0.0 when the identity holds
+        exact = weyl.exact_checks(k, lam)
         out.append(_check(f"projector_idempotent lam={lam} k={k}",
-                          "C^2 = C", float(idem), 1e-10))
-        ym = weyl.young_symmetrizer(k, lam)
-        ynorm = np.linalg.norm(ym)
-        yidem = np.linalg.norm(ym @ ym - ym) / ynorm if ynorm > 0 else 0.0
+                          "C^2 = C", exact["projector_idempotent"], 1e-10))
         out.append(_check(f"symmetrizer_idempotent lam={lam} k={k}",
                           "normalized Young symmetrizer squares to itself",
-                          float(yidem), 1e-10))
-        ybasis = weyl._image_basis(ym)
-        dims_equal = ybasis.shape[1] == ws.dim
-        if dims_equal and ws.dim > 0:
-            ang = float(weyl.principal_angles(ws.basis, ybasis).max())
-        else:
-            ang = 0.0 if dims_equal else float("inf")
+                          exact["symmetrizer_idempotent"], 1e-10))
+        same = exact["image_equality"]
         out.append(_check(f"image_equality lam={lam} k={k}",
-                          "image(C) = image(Young symmetrizer)", ang, 1e-8,
-                          ok=dims_equal and ang <= 1e-8))
+                          "image(C) = image(Young symmetrizer): CY = Y, YC = C, "
+                          "tr Y = tr C", same, 1e-8,
+                          ok=exact["trace_y"] == exact["trace_c"] and same <= 1e-8))
         oracle = weyl.weyl_dim(k, lam)
         out.append(_check(f"module_dimension lam={lam} k={k}",
                           "projector rank = Weyl dimension formula",
@@ -361,27 +354,29 @@ _ALL_SWEEPS = {
 }
 
 
+_SCOPE_SWEEPS = {
+    "clifford": lambda a: checks_clifford(max(a.n, 1), a.samples, a.seed),
+    "weyl": lambda a: checks_weyl(a.k),
+    "complex": lambda a: checks_complex(a.k, a.n, a.samples, a.seed,
+                                        a.with_d2 or a.k >= 3),
+    "ellipticity": lambda a: checks_ellipticity(a.k, a.n, a.samples, a.seed),
+    "boundary": lambda a: checks_boundary(a.k, a.n, min(a.samples, 20), a.seed),
+}
+
+
 def run_verify(args):
     t0 = time.perf_counter()
     if args.n is None:
         args.n = 10 if args.scope == "clifford" else 2
     if args.scope == "all":
-        checks = []
-        for key in ("clifford", "weyl", "complex", "ellipticity", "boundary"):
-            checks.extend(_ALL_SWEEPS[key](args))
-    elif args.scope == "clifford":
-        checks = checks_clifford(max(args.n, 1), args.samples, args.seed)
-    elif args.scope == "weyl":
-        checks = checks_weyl(args.k)
-    elif args.scope == "complex":
-        with_d2 = args.with_d2 or args.k >= 3
-        checks = checks_complex(args.k, args.n, args.samples, args.seed, with_d2)
-    elif args.scope == "ellipticity":
-        checks = checks_ellipticity(args.k, args.n, args.samples, args.seed)
-    elif args.scope == "boundary":
-        checks = checks_boundary(args.k, args.n, min(args.samples, 20), args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.scope)
+        sweeps = _ALL_SWEEPS
+    else:
+        sweeps = {args.scope: _SCOPE_SWEEPS[args.scope]}
+    checks, suite_s = [], {}
+    for key, sweep in sweeps.items():
+        t_suite = time.perf_counter()
+        checks.extend(sweep(args))
+        suite_s[key] = time.perf_counter() - t_suite
     report = {
         "tool": "diraclab",
         "version": __version__,
@@ -395,7 +390,9 @@ def run_verify(args):
         },
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
-        "timings": {"wall_s": time.perf_counter() - t0},
+        # seconds per suite, and the process's peak resident set so far
+        "timings": {"wall_s": time.perf_counter() - t0, "suite_s": suite_s,
+                    "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},
     }
     return report, EXIT_PASS if report["pass"] else EXIT_FAIL
 

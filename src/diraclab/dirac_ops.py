@@ -9,8 +9,8 @@ independent ways:
 
 * a "direct" route transcribing the componentwise displays (the default for
   the public entry points), and
-* a "projector" route multiplying a raw derivative tensor by the Weyl-module
-  projector matrix with the appropriate prefactor (3/2, 6 or 10/3).
+* a "projector" route applying the Weyl-module projector's term list to a
+  raw derivative tensor, with the appropriate prefactor (3/2, 6 or 10/3).
 
 The two routes agreeing to roundoff on random fields is one of the package's
 standing checks.  A stack is an (exponents, values) pair whose values carry
@@ -166,17 +166,13 @@ def d1_projector(F, rep):
     if not len(F):
         return zero_field(F.k, F.n, "V2")
     expo, grad2 = _grad(F, rep, 2)
-    ws = weyl.weyl_space(F.k, "21")
-    return _result(F, "V2", expo, _apply_projector(grad2, ws, 1.5))
+    return _result(F, "V2", expo, _apply_projector(grad2, "21", 1.5))
 
 
-def _apply_projector(vals, ws, prefactor):
-    # vals: (terms,) + (k,)*m + (s,); flatten tensor axes, multiply, restore
-    t = vals.shape[0]
-    s = vals.shape[-1]
-    flat = vals.reshape(t, ws.k**ws.m, s)
-    out = prefactor * np.einsum("pq,tqs->tps", ws.projector, flat)
-    return out.reshape(vals.shape)
+def _apply_projector(vals, lam, prefactor):
+    # vals: (terms,) + (k,)*m + (s,); the projector wants the tensor axes first
+    out = weyl.apply_projector(lam, np.moveaxis(vals, 0, -1))
+    return prefactor * np.moveaxis(out, -1, 0)
 
 
 def _require_order5(h):
@@ -212,8 +208,7 @@ def d2p_projector(h, rep):
     if not len(h):
         return zero_field(h.k, h.n, "V3p")
     expo, grad = _grad(h, rep)
-    ws = weyl.weyl_space(h.k, "22")
-    return _result(h, "V3p", expo, _apply_projector(grad, ws, 6.0))
+    return _result(h, "V3p", expo, _apply_projector(grad, "22", 6.0))
 
 
 def d2pp(h, rep):
@@ -257,8 +252,7 @@ def d2pp_projector(h, rep):
         return zero_field(h.k, h.n, "V3pp")
     expo, w2 = _grad(h, rep, 2)
     mixed = 2.0 * w2 + np.einsum("tdeabcs->tedabcs", w2)
-    ws = weyl.weyl_space(h.k, "311")
-    return _result(h, "V3pp", expo, _apply_projector(mixed, ws, 10.0 / 3.0))
+    return _result(h, "V3pp", expo, _apply_projector(mixed, "311", 10.0 / 3.0))
 
 
 def d1_star(h, rep):

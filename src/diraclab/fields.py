@@ -101,7 +101,8 @@ class PolyField:
         lam = SPACE_INFO[self.space][2]
         if lam is None or not len(self):
             return 0.0
-        return max(weyl.check_membership(lam, v) for v in self.vals)
+        rows = np.moveaxis(self.vals, 0, -1)  # one call, the row axis trailing
+        return float(weyl.check_membership(lam, rows, rows=True).max())
 
     def validate(self, tol=MEMBERSHIP_TOL):
         if SPACE_INFO[self.space][2] is None:
@@ -193,18 +194,9 @@ def random_field(rng, k, n, space, rep, degree=3, nterms=8):
             (k,) * order + (s,)
         )
         if lam is not None:
-            letters = weyl.PARTITIONS[lam][2]
-            coeff = np.ascontiguousarray(
-                _project(coeff, lam, letters)
-            )
+            coeff = np.ascontiguousarray(weyl.apply_projector(lam, coeff))
         terms[expo] = terms.get(expo, 0) + coeff
     return make_field(k, n, space, terms)
-
-
-def _project(coeff, lam, letters):
-    from .tensoridx import apply_terms
-
-    return apply_terms(coeff, weyl.projector_terms(lam), letters)
 
 
 def evaluate(f, x):

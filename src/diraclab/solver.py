@@ -419,6 +419,7 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
         f = bump_dirac_data(rep, k, n, N, L, center, radius)
         u0, diag = solve_d0(f, rep, tol=np.inf, check_compat=False, certify=True)
         u = anchor_exterior(u0, f.support)
+        del f, u0  # freed before the bump is sampled, to lower the peak
         phi = make_bump(rep, k, n, N, L, center, radius)
         err = float(
             np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values)

@@ -293,7 +293,14 @@ def kernel_identity_check(bundle, rtol=RANK_RTOL):
     n0sq = (xiv[..., 0, :] ** 2).sum(axis=-1)
     if np.any(n0sq == 0.0):
         raise ValueError("the identity requires a nonzero first frequency block")
-    _, sv, vh = np.linalg.svd(np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2))
+    rows = bundle.sigma2p.shape[-2] + bundle.sigma2pp.shape[-2]
+    if rows < bundle.sigma2p.shape[-1]:
+        # dim V3' + dim V3'' >= dim V2 for k >= 3; a thin SVD of a wide
+        # matrix would drop right singular vectors of the kernel
+        raise ArithmeticError(f"order-5 symbol stack is wide: {rows} rows, "
+                              f"{bundle.sigma2p.shape[-1]} columns")
+    _, sv, vh = np.linalg.svd(np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2),
+                              full_matrices=False)
     # the right singular vectors past the rank span the kernel; take them
     # from the smallest rank in the batch on and mask the rest per frequency
     rank = _rank(sv, rtol)

@@ -9,11 +9,16 @@ e.g. with output letters ``"ABC"`` the pair ``(-1/3, "CBA")`` contributes
 Tensors are laid out with one axis per letter, in output-letter order, the
 first letter most significant under row-major flattening.  Trailing axes are
 treated as a batch (e.g. a spinor axis).
+
+The term list is the only representation of such an operator: no
+(k^m, k^m) matrix is ever formed.  :func:`apply_terms` applies a list to
+tensors, and ``weyl`` composes lists exactly in the group algebra Q[S_m].
 """
 
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,35 +78,26 @@ def combine_terms(terms):
     return [(c, sub) for sub, c in acc.items() if c != 0]
 
 
+@lru_cache(maxsize=None)
+def _axis_orders(terms, letters):
+    """(float coefficient, axis order) per term, converted once per term list."""
+    pos = {ch: i for i, ch in enumerate(letters)}
+    return tuple(
+        (float(c), tuple(int(a) for a in np.argsort([pos[ch] for ch in sub])))
+        for c, sub in terms
+    )
+
+
 def apply_terms(arr, terms, letters):
     """Apply a term list to an ndarray whose leading axes follow `letters`.
 
     ``result[i_0, ..., i_{m-1}, ...] = sum_t c_t * arr[i_{p_0}, ..., i_{p_{m-1}}, ...]``
     with ``p_s`` the output position of the s-th subscript letter.  Axes past
-    the first ``len(letters)`` are carried along unchanged.
+    the first ``len(letters)`` are carried along unchanged, so a batch of
+    tensors goes through in one call with its batch axes trailing.
     """
-    m = len(letters)
-    pos = {ch: i for i, ch in enumerate(letters)}
-    batch = tuple(range(m, arr.ndim))
+    batch = tuple(range(len(letters), arr.ndim))
     out = np.zeros_like(arr, dtype=np.result_type(arr.dtype, np.float64))
-    for c, sub in terms:
-        perm = [pos[ch] for ch in sub]
-        axes = tuple(np.argsort(perm)) + batch
-        out += float(c) * np.transpose(arr, axes)
+    for c, axes in _axis_orders(tuple(terms), letters):
+        out += c * np.transpose(arr, axes + batch)
     return out
-
-
-def terms_matrix(terms, letters, k):
-    """Dense matrix of a term list on the flattened tensor space (C^k)^{m}."""
-    m = len(letters)
-    pos = {ch: i for i, ch in enumerate(letters)}
-    size = k**m
-    rows = np.arange(size)
-    digits = [(rows // k ** (m - 1 - t)) % k for t in range(m)]
-    mat = np.zeros((size, size))
-    for c, sub in terms:
-        cols = np.zeros(size, dtype=np.int64)
-        for t in range(m):
-            cols += digits[pos[sub[t]]] * k ** (m - 1 - t)
-        np.add.at(mat, (rows, cols), float(c))
-    return mat

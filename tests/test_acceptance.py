@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import dense_image_basis, principal_angles, terms_matrix
 
 from diraclab import build_clifford, random_field, weyl
 from diraclab import boundary as bnd
@@ -52,39 +53,46 @@ def test_criterion_1_clifford():
 
 
 def test_criterion_2_weyl():
+    # dense k^m x k^m matrices come from the test oracle; the library's own
+    # values are exact in the group algebra and must read 0.0
     t0 = time.perf_counter()
-    worst_idem = worst_angle = 0.0
+    worst_idem = worst_angle = worst_exact = 0.0
     dims_ok = True
     for k in (2, 3, 4, 5):
         for lam in ("21", "22", "311"):
             ws = weyl.weyl_space(k, lam)
-            pn = np.linalg.norm(ws.projector)
+            letters = weyl.PARTITIONS[lam][2]
+            proj = terms_matrix(weyl.projector_terms(lam), letters, k)
+            pn = np.linalg.norm(proj)
             if pn > 0:
-                worst_idem = max(
-                    worst_idem,
-                    np.linalg.norm(ws.projector @ ws.projector - ws.projector) / pn,
-                )
-            ym = weyl.young_symmetrizer(k, lam)
+                worst_idem = max(worst_idem, np.linalg.norm(proj @ proj - proj) / pn)
+            del proj
+            ym = terms_matrix(weyl.young_terms(lam), letters, k)
             yn = np.linalg.norm(ym)
             if yn > 0:
                 worst_idem = max(worst_idem, np.linalg.norm(ym @ ym - ym) / yn)
-            ybasis = weyl._image_basis(ym)
+            ybasis = dense_image_basis(ym)
             dims_ok = dims_ok and ws.dim == weyl.weyl_dim(k, lam) == ybasis.shape[1]
             if ws.dim:
                 worst_angle = max(
-                    worst_angle, float(weyl.principal_angles(ws.basis, ybasis).max())
+                    worst_angle, float(principal_angles(ws.basis, ybasis).max())
                 )
+            exact = weyl.exact_checks(k, lam)
+            worst_exact = max(worst_exact, exact["projector_idempotent"],
+                              exact["symmetrizer_idempotent"], exact["image_equality"])
+            dims_ok = dims_ok and exact["trace_c"] == exact["trace_y"] == ws.dim
     degenerate_ok = (
         weyl.weyl_space(2, "22").dim == 1 and weyl.weyl_space(2, "311").dim == 0
     )
     wall = time.perf_counter() - t0
-    ok = (worst_idem <= 1e-10 and worst_angle <= 1e-8 and dims_ok
-          and degenerate_ok and wall < 30.0)
+    ok = (worst_idem <= 1e-10 and worst_angle <= 1e-8 and worst_exact == 0.0
+          and dims_ok and degenerate_ok and wall < 30.0)
     _report(2, "weyl k=2..5", ok,
-            f"idem={worst_idem:.2e} angle={worst_angle:.2e} dims_ok={dims_ok} "
-            f"wall={wall:.2f}s")
+            f"idem={worst_idem:.2e} angle={worst_angle:.2e} exact={worst_exact:.1e} "
+            f"dims_ok={dims_ok} wall={wall:.2f}s")
     assert worst_idem <= 1e-10
     assert worst_angle <= 1e-8
+    assert worst_exact == 0.0
     assert dims_ok and degenerate_ok
     assert wall < 30.0
 

@@ -99,6 +99,18 @@ def test_reports_deterministic(capsys):
     assert not set(timings) & set(first["metrics"])
 
 
+def test_verify_timings_per_suite(capsys):
+    # per-suite seconds and the peak resident set live only in timings
+    _, single = run_cli(capsys, "verify", "--scope", "weyl", "--k", "2")
+    assert set(single["timings"]) == {"wall_s", "suite_s", "ru_maxrss_kib"}
+    assert set(single["timings"]["suite_s"]) == {"weyl"}
+    assert single["timings"]["ru_maxrss_kib"] > 0
+    _, every = run_cli(capsys, "verify", "--scope", "all", "--samples", "1")
+    suites = every["timings"]["suite_s"]
+    assert list(suites) == ["clifford", "weyl", "complex", "ellipticity", "boundary"]
+    assert 0.0 <= sum(suites.values()) <= every["timings"]["wall_s"]
+
+
 def test_ellipticity_witnesses_replay(capsys):
     # each check names the sample and frequency of its worst value; a
     # single-frequency bundle at that xi gives the reported value again

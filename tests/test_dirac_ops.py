@@ -190,3 +190,21 @@ def test_constructor_sums_duplicates_and_drops_zeros():
     assert_canonical(g)
     assert set(g.terms) == {(1, 0, 0, 0)}
     assert np.array_equal(g.terms[(1, 0, 0, 0)], 5 * one)
+
+
+@pytest.mark.parametrize("space", ["V2", "V3p", "V3pp"])
+def test_batched_membership_residual_matches_rows(space, reps, rng):
+    # one check_membership call over all rows gives each row's residual
+    from diraclab import weyl
+    from diraclab.fields import SPACE_INFO
+
+    order, _, lam = SPACE_INFO[space]
+    shape = (5,) + (3,) * order + (reps[2].s_dim,)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals[1] = weyl.apply_projector(lam, vals[1])  # one member row
+    f = PolyField(3, 2, space, np.eye(5, 6, dtype=np.int64), vals)
+    per_row = [weyl.check_membership(lam, v) for v in f.vals]
+    batched = weyl.check_membership(lam, np.moveaxis(f.vals, 0, -1), rows=True)
+    assert np.allclose(batched, per_row, rtol=1e-12, atol=1e-15)
+    assert sum(r <= 1e-10 for r in per_row) == 1 and max(per_row) > 1e-6
+    assert f.membership_residual() == pytest.approx(max(per_row), rel=1e-12)

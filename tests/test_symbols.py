@@ -76,14 +76,40 @@ def test_stacked_build_matches_single_frequency(k, n, rng):
         assert kernel_identity_check(flat).shape == (len(per_row),)
         assert (kernel_identity_check(flat) <= 1e-9).all()
     for name, (lo, hi) in hodge_eig_bounds(flat).items():
-        single = [hodge_eig_bounds(b)[name] for b in per_row]
-        assert np.allclose(lo, [s[0] for s in single], rtol=1e-12, atol=0)
-        assert np.allclose(hi, [s[1] for s in single], rtol=1e-12, atol=0)
+        single = np.array([hodge_eig_bounds(b)[name] for b in per_row])
+        # Weyl's inequality: entries equal to 1e-13 relative max-abs, as checked
+        # above, move each eigenvalue by at most dim * 1e-13 * max|L|.  This is
+        # the absolute slack a singular L (k = 2) needs at its roundoff zero
+        mats = getattr(flat, name)
+        atol = mats.shape[-1] * 1e-13 * np.maximum(np.abs(mats).max(axis=(-2, -1)), 1.0)
+        for got, want in ((lo, single[:, 0]), (hi, single[:, 1])):
+            assert (np.abs(got - want) <= atol + 1e-12 * np.abs(want)).all()
     rpt = verify_exactness(flat)
     assert rpt.ok.all()
     assert (rpt.dim_ker_sigma1 == verify_exactness(per_row[0]).dim_ker_sigma1).all()
     with pytest.raises(ValueError):
         verify_exactness(stacked)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_order5_stack_is_tall(k, reps):
+    # dim V3' + dim V3'' >= dim V2, so the thin SVD in kernel_identity_check
+    # keeps every right singular vector of the kernel
+    assert weyl.weyl_dim(k, "22") + weyl.weyl_dim(k, "311") >= weyl.weyl_dim(k, "21")
+    if k <= 4:
+        b = build_bundle(reps[2], k, unit_xi(np.random.default_rng(k), k, 2, 0.2))
+        assert b.dims["V3p"] + b.dims["V3pp"] >= b.dims["V2"]
+
+
+def test_kernel_identity_rejects_wide_stack(reps, rng):
+    from types import SimpleNamespace
+
+    b = build_bundle(reps[2], 3, unit_xi(rng, 3, 2, 0.2))
+    cut = b.dims["V2"] // 2 - 1  # fewer rows than columns
+    wide = SimpleNamespace(has_order5=True, k=b.k, n=b.n, s_dim=b.s_dim, xi=b.xi,
+                           sigma2p=b.sigma2p[:cut], sigma2pp=b.sigma2pp[:cut])
+    with pytest.raises(ArithmeticError):
+        kernel_identity_check(wide)
 
 
 def test_exactness_example_dims(rng, reps):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import terms_matrix
 
 from diraclab.tensoridx import (
     apply_terms,
@@ -11,7 +12,6 @@ from diraclab.tensoridx import (
     perm_sign,
     relabel_sum,
     skew_bracket,
-    terms_matrix,
 )
 
 

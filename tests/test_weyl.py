@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from conftest import dense_image_basis, principal_angles, terms_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,12 +10,12 @@ from diraclab import weyl
 from diraclab.tensoridx import apply_terms
 from diraclab.weyl import (
     TensorSpace,
+    apply_projector,
     check_membership,
-    principal_angles,
+    exact_checks,
     weyl_dim,
     weyl_space,
     young_eigenvalue,
-    young_symmetrizer,
 )
 
 LAMS = ["21", "22", "311"]
@@ -21,28 +24,114 @@ KS = [2, 3, 4, 5]
 # dimensions stated for the degenerate two-variable case: the square module
 # is a line, the hook module is trivial
 DEGENERATE_K2 = {"21": 2, "22": 1, "311": 0}
+# the dense oracle stays small enough to be cheap up to k = 3
+ORACLE_KS = [2, 3]
+
+
+def _dense(k, lam):
+    # oracle matrices of the projector C and the normalized symmetrizer Y
+    letters = weyl.PARTITIONS[lam][2]
+    c = terms_matrix(weyl.projector_terms(lam), letters, k)
+    y = terms_matrix(weyl.young_terms(lam), letters, k)
+    return c, y
+
+
+def _project(k, lam, mat):
+    # the projector applied to the columns of a (k**m, w) matrix
+    m = weyl.PARTITIONS[lam][1]
+    w = mat.shape[1]
+    return apply_projector(lam, mat.reshape((k,) * m + (w,))).reshape(k**m, w)
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("lam", LAMS)
 def test_projector_idempotent(k, lam):
-    ws = weyl_space(k, lam)
-    p = ws.projector
-    norm = np.linalg.norm(p)
-    assert np.linalg.norm(p @ p - p) <= 1e-10 * max(norm, 1e-300)
+    assert exact_checks(k, lam)["projector_idempotent"] == 0.0
+    if k in ORACLE_KS:
+        p, _ = _dense(k, lam)
+        norm = np.linalg.norm(p)
+        assert np.linalg.norm(p @ p - p) <= 1e-10 * max(norm, 1e-300)
 
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("lam", LAMS)
 def test_young_idempotent_and_image(k, lam):
-    ym = young_symmetrizer(k, lam)
-    norm = np.linalg.norm(ym)
-    assert np.linalg.norm(ym @ ym - ym) <= 1e-10 * max(norm, 1e-300)
+    exact = exact_checks(k, lam)
+    assert exact["symmetrizer_idempotent"] == 0.0
+    assert exact["image_equality"] == 0.0
+    assert exact["trace_y"] == exact["trace_c"] == weyl_space(k, lam).dim
+    if k in ORACLE_KS:
+        _, ym = _dense(k, lam)
+        norm = np.linalg.norm(ym)
+        assert np.linalg.norm(ym @ ym - ym) <= 1e-10 * max(norm, 1e-300)
+        ws = weyl_space(k, lam)
+        ybasis = dense_image_basis(ym)
+        assert ybasis.shape[1] == ws.dim
+        if ws.dim:
+            assert principal_angles(ws.basis, ybasis).max() <= 1e-8
+
+
+def _as_terms(x, letters):
+    return [(c, "".join(letters[i] for i in p)) for p, c in x.items()]
+
+
+@pytest.mark.parametrize("k", ORACLE_KS)
+@pytest.mark.parametrize("lam", LAMS)
+def test_group_algebra_matches_dense_oracle(k, lam):
+    # products, traces and Frobenius norms of the exact route against the
+    # dense matrices, including C^2, CY and YC
+    letters = weyl.PARTITIONS[lam][2]
+    c = weyl.algebra_element(weyl.projector_terms(lam), letters)
+    y = weyl.algebra_element(weyl.young_terms(lam), letters)
+    cm, ym = _dense(k, lam)
+    for x, dense in ((c, cm), (y, ym), (weyl.compose(c, c), cm @ cm),
+                     (weyl.compose(c, y), cm @ ym), (weyl.compose(y, c), ym @ cm)):
+        mat = terms_matrix(_as_terms(x, letters), letters, k)
+        assert np.abs(mat - dense).max() <= 1e-13
+        trace = weyl.evaluate(weyl.trace_polynomial(x), k)
+        frob = weyl.evaluate(weyl.gram_polynomial(x), k)
+        assert float(trace) == pytest.approx(np.trace(dense), abs=1e-11)
+        assert float(frob) == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-13)
+
+
+_PERM3 = st.permutations(range(3)).map(tuple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), _PERM3), max_size=6),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), _PERM3), max_size=6),
+    st.sampled_from(ORACLE_KS),
+)
+def test_random_term_lists_match_dense_oracle(xs, ys, k):
+    # signed term lists on three slots: the product, trace and Frobenius
+    # norm of the group algebra equal those of the dense matrices
+    letters = "ABC"
+
+    def element(raw):
+        terms = [(Fraction(a, b), "".join(letters[i] for i in p)) for a, b, p in raw]
+        return weyl.algebra_element(terms, letters)
+
+    x, y = element(xs), element(ys)
+    xm = terms_matrix(_as_terms(x, letters), letters, k)
+    ym = terms_matrix(_as_terms(y, letters), letters, k)
+    prod = weyl.compose(x, y)
+    assert np.abs(terms_matrix(_as_terms(prod, letters), letters, k) - xm @ ym).max() <= 1e-12
+    assert float(weyl.evaluate(weyl.trace_polynomial(x), k)) == pytest.approx(
+        np.trace(xm), abs=1e-10)
+    assert float(weyl.evaluate(weyl.gram_polynomial(prod), k)) == pytest.approx(
+        np.linalg.norm(xm @ ym) ** 2, rel=1e-12, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("lam", LAMS)
+def test_sketch_basis_orthonormal_and_fixed(k, lam):
     ws = weyl_space(k, lam)
-    ybasis = weyl._image_basis(ym)
-    assert ybasis.shape[1] == ws.dim
+    b = ws.basis
+    assert ws.dim == weyl_dim(k, lam) == b.shape[1]
     if ws.dim:
-        assert principal_angles(ws.basis, ybasis).max() <= 1e-8
+        assert np.abs(b.T @ b - np.eye(ws.dim)).max() <= 1e-12
+        assert np.abs(_project(k, lam, b) - b).max() <= 1e-8
 
 
 @pytest.mark.parametrize("k", KS)
@@ -55,7 +144,12 @@ def test_degenerate_two_variable_dims():
     for lam, d in DEGENERATE_K2.items():
         assert weyl_space(2, lam).dim == d
         assert weyl_dim(2, lam) == d
-    assert np.abs(young_symmetrizer(2, "311")).max() == 0.0
+    _, ym = _dense(2, "311")
+    assert np.abs(ym).max() == 0.0
+    letters = weyl.PARTITIONS["311"][2]
+    y = weyl.algebra_element(weyl.young_terms("311"), letters)
+    assert weyl.evaluate(weyl.gram_polynomial(y), 2) == 0
+    assert np.isnan(young_eigenvalue(2, "311"))
 
 
 @pytest.mark.parametrize("lam, expected", [("21", 3.0), ("22", 12.0), ("311", 20.0)])
@@ -68,7 +162,7 @@ def test_young_action_ground_truth():
     # right action on the basis tensor with labels (3,2,1): the expansion is
     # (w321 + w312 - w123 - w132) / 3
     k, m = 4, 3
-    mat = young_symmetrizer(k, "21")
+    mat = terms_matrix(weyl.young_terms("21"), "ABC", k)
 
     def unit(labels):
         v = np.zeros(k**m)
@@ -98,9 +192,8 @@ def test_projector_entry_by_hand():
 def test_membership_of_projected_tensors(lam, rng):
     k = 3
     m = weyl.PARTITIONS[lam][1]
-    ws = weyl_space(k, lam)
     raw = rng.standard_normal((k,) * m)
-    proj = (ws.projector @ raw.reshape(-1)).reshape((k,) * m)
+    proj = apply_projector(lam, raw)
     assert check_membership(lam, proj) <= 1e-10
     assert check_membership(lam, np.zeros((k,) * m)) == 0.0
     # the complementary part is generically far from the module
@@ -112,8 +205,7 @@ def test_membership_of_projected_tensors(lam, rng):
 def test_membership_projection_property(seed):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((3, 3, 3))
-    ws = weyl_space(3, "21")
-    proj = (ws.projector @ h.reshape(-1)).reshape(3, 3, 3)
+    proj = apply_projector("21", h)
     assert check_membership("21", proj) <= 1e-10
 
 
@@ -140,14 +232,15 @@ def test_basis_is_orthonormal_and_fixed():
     ws = weyl_space(4, "22")
     b = ws.basis
     assert np.abs(b.T @ b - np.eye(ws.dim)).max() <= 1e-12
-    assert np.abs(ws.projector @ b - b).max() <= 1e-10
+    assert np.abs(_project(4, "22", b) - b).max() <= 1e-10
+    assert np.abs(terms_matrix(weyl.projector_terms("22"), "DABC", 4) @ b - b).max() <= 1e-10
 
 
 def test_large_k_randomized_basis_path():
-    # k=5 order-5 tensors take the trace-rank + sketch route
+    # k=5 order-5 tensors: rank from the exact trace, basis from the sketch
     ws = weyl_space(5, "311")
-    assert ws.dim == weyl_dim(5, "311") == 126
-    assert np.abs(ws.projector @ ws.basis - ws.basis).max() <= 1e-8
+    assert ws.dim == weyl.projector_rank(5, "311") == weyl_dim(5, "311") == 126
+    assert np.abs(_project(5, "311", ws.basis) - ws.basis).max() <= 1e-8
 
 
 def test_tensor_space_roundtrip(rng):
