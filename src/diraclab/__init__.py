@@ -11,11 +11,7 @@ the compatibility condition D1 f = 0.
 
 from .clifford import CliffordRep, build_clifford, dirac_symbol, delta_symbol
 from .weyl import (
-    TensorSpace,
     WeylSpace,
-    projector_c21,
-    projector_c22,
-    projector_c311,
     weyl_space,
     apply_projector,
     exact_checks,

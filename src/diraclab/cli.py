@@ -136,9 +136,10 @@ def checks_weyl(k):
     return out
 
 
-def checks_complex(k, n, samples, seed, with_d2):
+def checks_complex(k, n, samples, seed):
     rng = np.random.default_rng(seed)
     rep = build_clifford(n)
+    order5 = k >= 3  # for k = 2 the order-5 branch does not exist
     out = []
     worst = {"d1d0": 0.0, "d2pd1": 0.0, "d2ppd1": 0.0, "agree": 0.0,
              "member": 0.0, "laplace": 0.0, "commute": 0.0}
@@ -158,7 +159,7 @@ def checks_complex(k, n, samples, seed, with_d2):
         # analytically has a norm of pure roundoff
         worst["agree"] = max(worst["agree"], (h - hp).norm() / Fn)
         worst["member"] = max(worst["member"], h.membership_residual() / Fn)
-        if with_d2:
+        if order5:
             worst["d2pd1"] = max(worst["d2pd1"], dirac_ops.d2p(h, rep).norm() / Fn)
             worst["d2ppd1"] = max(worst["d2ppd1"], dirac_ops.d2pp(h, rep).norm() / Fn)
             h2 = random_field(rng, k, n, "V2", rep, degree=2, nterms=5)
@@ -184,7 +185,7 @@ def checks_complex(k, n, samples, seed, with_d2):
     out.append(_check(f"d1_after_d0 k={k} n={n}", "D1 D0 = 0", worst["d1d0"], 1e-9))
     out.append(_check(f"adjoint_laplacian k={k} n={n}", "D0* D0 = Laplacian",
                       worst["laplace"], 1e-9))
-    if with_d2:
+    if order5:
         out.append(_check(f"d2p_after_d1 k={k} n={n}", "D2' D1 = 0",
                           worst["d2pd1"], 1e-9))
         out.append(_check(f"d2pp_after_d1 k={k} n={n}", "D2'' D1 = 0",
@@ -339,7 +340,7 @@ _ALL_SWEEPS = {
     "complex": lambda a: [
         c
         for (kk, nn) in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3))
-        for c in checks_complex(kk, nn, a.samples, a.seed, kk >= 3)
+        for c in checks_complex(kk, nn, a.samples, a.seed)
     ],
     "ellipticity": lambda a: [
         c
@@ -357,8 +358,7 @@ _ALL_SWEEPS = {
 _SCOPE_SWEEPS = {
     "clifford": lambda a: checks_clifford(max(a.n, 1), a.samples, a.seed),
     "weyl": lambda a: checks_weyl(a.k),
-    "complex": lambda a: checks_complex(a.k, a.n, a.samples, a.seed,
-                                        a.with_d2 or a.k >= 3),
+    "complex": lambda a: checks_complex(a.k, a.n, a.samples, a.seed),
     "ellipticity": lambda a: checks_ellipticity(a.k, a.n, a.samples, a.seed),
     "boundary": lambda a: checks_boundary(a.k, a.n, min(a.samples, 20), a.seed),
 }
@@ -477,8 +477,6 @@ def build_parser():
                         "(defaults: 10 for clifford, 2 elsewhere)")
     v.add_argument("--samples", type=int, default=25)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--with-d2", action="store_true",
-                   help="require the order-5 branch checks (needs k >= 3)")
     v.add_argument("--out", default=None, help="write the JSON report here")
 
     s = sub.add_parser("solve", help="solve D0 u = f for bump data")
@@ -504,8 +502,6 @@ def _validate(parser, args):
             parser.error("k must be at least 2")
         if args.n is not None and args.n < 1:
             parser.error("n must be at least 1")
-        if args.with_d2 and args.k < 3:
-            parser.error("the order-5 branch checks require k >= 3")
     else:
         if args.k < 2 or args.n < 1 or args.N < 4:
             parser.error("need k >= 2, n >= 1, N >= 4")

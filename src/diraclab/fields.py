@@ -75,9 +75,6 @@ class PolyField:
     def chirality(self):
         return SPACE_INFO[self.space][1]
 
-    def coeff_shape(self, s_dim):
-        return (self.k,) * self.order + (s_dim,)
-
     def norm(self):
         return float(np.sqrt((np.abs(self.vals) ** 2).sum()))
 

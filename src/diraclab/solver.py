@@ -97,13 +97,10 @@ def grid_inner(a, b):
     return complex(np.vdot(a.values, b.values) * vol / a.N ** (a.k * a.n))
 
 
-def make_bump(rep, k, n, N, L, center, radius, spinor=None):
-    """Smooth compactly supported spinor bump on the periodic cell.
-
-    The profile is exp(-1/(1-r^2)) for r < 1 (r the scaled distance from the
-    center), identically zero outside the ball.  The ball must sit strictly
-    inside the cell with clearance at least one radius on every side.
-    """
+def _bump_geometry(rep, k, n, N, L, center, radius, spinor, components):
+    """Validated center, spinor (default: the first basis spinor), grid axes
+    and squared scaled distance r2 of a bump whose field has `components`
+    values per grid point; raises as :func:`make_bump` documents."""
     kn = k * n
     center = np.asarray(center, dtype=float)
     if center.shape != (kn,):
@@ -114,13 +111,27 @@ def make_bump(rep, k, n, N, L, center, radius, spinor=None):
         raise ValueError(
             "bump ball does not fit inside the cell with the required margin"
         )
-    _require_memory(k, n, N, rep.s_dim)
+    _require_memory(k, n, N, components)
     if spinor is None:
         spinor = np.zeros(rep.s_dim, dtype=complex)
         spinor[0] = 1.0
     spinor = np.asarray(spinor, dtype=complex)
     grids = grid_axes(N, L, kn)
     r2 = sum((g - c) ** 2 for g, c in zip(grids, center)) / radius**2
+    return center, spinor, grids, r2
+
+
+def make_bump(rep, k, n, N, L, center, radius, spinor=None):
+    """Smooth compactly supported spinor bump on the periodic cell.
+
+    The profile is exp(-1/(1-r^2)) for r < 1 (r the scaled distance from the
+    center), identically zero outside the ball.  The ball must sit strictly
+    inside the cell with clearance at least one radius on every side; a
+    center not of shape (k*n,), a radius <= 0 or a ball that does not fit
+    raises ValueError.
+    """
+    center, spinor, _, r2 = _bump_geometry(rep, k, n, N, L, center, radius,
+                                           spinor, rep.s_dim)
     profile = np.zeros(r2.shape)
     inside = r2 < 1.0
     profile[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
@@ -134,17 +145,11 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
     Evaluates the closed-form gradient of the bump profile and contracts with
     the gamma matrices, giving V1 data that is independent of the grid
     operators.  Used for discretization-convergence studies; the sampled data
-    satisfies the compatibility condition only up to aliasing.
+    satisfies the compatibility condition only up to aliasing.  The bump is
+    validated as in :func:`make_bump`.
     """
-    kn = k * n
-    center = np.asarray(center, dtype=float)
-    if spinor is None:
-        spinor = np.zeros(rep.s_dim, dtype=complex)
-        spinor[0] = 1.0
-    spinor = np.asarray(spinor, dtype=complex)
-    _require_memory(k, n, N, k * rep.s_dim)
-    grids = grid_axes(N, L, kn)
-    r2 = sum((g - c) ** 2 for g, c in zip(grids, center)) / radius**2
+    center, spinor, grids, r2 = _bump_geometry(rep, k, n, N, L, center, radius,
+                                               spinor, k * rep.s_dim)
     inside = r2 < 1.0
     gap = 1.0 - r2[inside]
     chain = np.zeros(r2.shape)

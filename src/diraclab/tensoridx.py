@@ -1,24 +1,27 @@
-"""Signed sums of index permutations on small dense tensors.
+"""Signed sums of slot permutations: elements of the group algebra Q[S_m].
 
-Every projector and operator formula in this package is a finite signed sum
-of index permutations.  A sum is represented as a list of ``(coeff, sub)``
-pairs, where ``sub`` is a subscript string over some fixed output letters,
-e.g. with output letters ``"ABC"`` the pair ``(-1/3, "CBA")`` contributes
-``-1/3 * h[C, B, A]`` to ``result[A, B, C]``.
+Every projector and symmetrizer in this package is a finite signed sum of
+permutations of tensor slots.  Such a sum has one representation, a mapping
+``{p: Fraction}`` from permutations ``p`` of ``0..m-1`` (tuples) to nonzero
+rational coefficients.  The permutation ``p`` acts on tensors as
 
-Tensors are laid out with one axis per letter, in output-letter order, the
-first letter most significant under row-major flattening.  Trailing axes are
-treated as a batch (e.g. a spinor axis).
+    ``(M_p h)[i_0, ..., i_{m-1}, ...] = h[i_{p[0]}, ..., i_{p[m-1]}, ...]``
 
-The term list is the only representation of such an operator: no
-(k^m, k^m) matrix is ever formed.  :func:`apply_terms` applies a list to
-tensors, and ``weyl`` composes lists exactly in the group algebra Q[S_m].
+where the leading m axes are the tensor slots, the first most significant
+under row-major flattening, and trailing axes are a batch (e.g. a spinor
+axis).  In the index notation of the paper, with tensor components written
+``h[A,B,C]``, ``h[D,A,B,C]`` or ``h[E,D,A,B,C]``, the letter at slot ``s`` of
+the output is the letter at slot ``p[s]`` of the input: ``M_p`` with
+``p = (2, 1, 0)`` sends ``h`` to ``h[C,B,A]``.
+
+Elements multiply as operators, ``M_p M_q = M_{p o q}`` (:func:`compose`),
+and no (k^m, k^m) matrix is ever formed: :func:`compile_element` turns an
+element into ``(float coeff, transpose axes)`` pairs once, and
+:func:`apply_compiled` applies them to tensors.
 """
 
 import itertools
-import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,69 +38,69 @@ def perm_sign(perm):
     return sign
 
 
-def skew_bracket(sub, slots):
-    """Skew-symmetrize the letters at the given slots of a subscript.
+def inverse(p):
+    """The inverse permutation: ``inverse(p)[p[t]] = t``."""
+    inv = [0] * len(p)
+    for t, q in enumerate(p):
+        inv[q] = t
+    return tuple(inv)
 
-    Returns the term list of ``h_[...]`` with the ``1/p!`` normalization,
-    leaving the letters at all other slots fixed.
+
+def group_sum(slots, m, signed=False, scale=1):
+    """``scale * sum_g (sign g) M_g`` over the permutations g of `slots`.
+
+    Each g permutes the given slots among themselves and fixes the other
+    slots of an order-m tensor; the sign is taken only if `signed`.  The
+    terms follow ``itertools.permutations`` of the slots in the given order.
     """
-    letters = [sub[i] for i in slots]
-    p = len(slots)
-    terms = []
-    for perm in itertools.permutations(range(p)):
-        s = list(sub)
+    out = {}
+    for perm in itertools.permutations(range(len(slots))):
+        p = list(range(m))
         for dst, src in zip(slots, perm):
-            s[dst] = letters[src]
-        terms.append((Fraction(perm_sign(perm), math.factorial(p)), "".join(s)))
-    return terms
-
-
-def relabel_sum(terms, letters):
-    """Sum a term list over all permutations of a group of letters.
-
-    This realizes sums like ``sum_{(B,C)}`` : each permutation relabels every
-    occurrence of the group letters, and the copies are added (not averaged).
-    """
-    out = []
-    for perm in itertools.permutations(letters):
-        table = dict(zip(letters, perm))
-        for c, sub in terms:
-            out.append((c, "".join(table.get(ch, ch) for ch in sub)))
+            p[dst] = slots[src]
+        out[tuple(p)] = Fraction(scale) * (perm_sign(perm) if signed else 1)
     return out
 
 
-def scale_terms(terms, factor):
+def compose(x, y):
+    """Product of elements as operators: ``M_p M_q = M_{p o q}``."""
+    out = {}
+    for p, a in x.items():
+        for q, b in y.items():
+            r = tuple(p[t] for t in q)
+            out[r] = out.get(r, 0) + a * b
+    return {r: c for r, c in out.items() if c}
+
+
+def add(x, y):
+    """Sum of two elements."""
+    out = dict(x)
+    for p, c in y.items():
+        out[p] = out.get(p, 0) + c
+    return {p: c for p, c in out.items() if c}
+
+
+def scale(x, factor):
+    """The element `x` times a rational `factor`."""
     factor = Fraction(factor)
-    return [(c * factor, s) for c, s in terms]
+    return {p: c * factor for p, c in x.items()} if factor else {}
 
 
-def combine_terms(terms):
-    acc = {}
-    for c, sub in terms:
-        acc[sub] = acc.get(sub, Fraction(0)) + c
-    return [(c, sub) for sub, c in acc.items() if c != 0]
+def compile_element(x):
+    """``(float coeff, transpose axes)`` per term, for :func:`apply_compiled`.
 
-
-@lru_cache(maxsize=None)
-def _axis_orders(terms, letters):
-    """(float coefficient, axis order) per term, converted once per term list."""
-    pos = {ch: i for i, ch in enumerate(letters)}
-    return tuple(
-        (float(c), tuple(int(a) for a in np.argsort([pos[ch] for ch in sub])))
-        for c, sub in terms
-    )
-
-
-def apply_terms(arr, terms, letters):
-    """Apply a term list to an ndarray whose leading axes follow `letters`.
-
-    ``result[i_0, ..., i_{m-1}, ...] = sum_t c_t * arr[i_{p_0}, ..., i_{p_{m-1}}, ...]``
-    with ``p_s`` the output position of the s-th subscript letter.  Axes past
-    the first ``len(letters)`` are carried along unchanged, so a batch of
-    tensors goes through in one call with its batch axes trailing.
+    ``np.transpose(h, inverse(p))`` is ``M_p h`` on the leading m axes.
     """
-    batch = tuple(range(len(letters), arr.ndim))
-    out = np.zeros_like(arr, dtype=np.result_type(arr.dtype, np.float64))
-    for c, axes in _axis_orders(tuple(terms), letters):
-        out += c * np.transpose(arr, axes + batch)
+    return tuple((float(c), inverse(p)) for p, c in x.items())
+
+
+def apply_compiled(h, terms):
+    """Apply compiled terms to `h`, whose leading m axes are the tensor slots.
+
+    Axes past the first m are carried along unchanged, so a batch of tensors
+    goes through in one call with its batch axes trailing.
+    """
+    out = np.zeros_like(h, dtype=np.result_type(h.dtype, np.float64))
+    for c, axes in terms:
+        out += c * np.transpose(h, axes + tuple(range(len(axes), h.ndim)))
     return out

@@ -9,45 +9,44 @@ power of C^k in two independent ways:
 * as the image of the normalized Young symmetrizer ``Y_lam`` acting on basis
   tensors from the right (:func:`young_terms`).
 
-Both are term lists, signed sums of at most 36 slot permutations, and the
-term list is their only representation.  :func:`apply_projector` applies
-``C_lam`` to tensors.  The identities between them (idempotency, equal
-images, rank) are exact statements in the group algebra Q[S_m]: term lists
-compose there (:func:`compose`), and traces and Frobenius norms on
-(C^k)^{(x) m} are polynomials in k read off cycle counts
+Both are elements of the group algebra Q[S_m] (:mod:`diraclab.tensoridx`),
+signed sums of at most 36 slot permutations, and that element is their only
+representation.  :func:`apply_projector` applies ``C_lam`` to tensors.  The
+identities between them (idempotency, equal images, rank) are exact
+statements in Q[S_m]: elements compose there, and traces and Frobenius norms
+on (C^k)^{(x) m} are polynomials in k read off cycle counts
 (:func:`trace_polynomial`, :func:`gram_polynomial`).  No (k^m, k^m) matrix is
 formed.  :func:`weyl_dim`, the product formula, stays the independent rank
 oracle.
 
-Letter/slot convention, frozen throughout the package: tensor components are
-written ``h[A,B,C]``, ``h[D,A,B,C]``, ``h[E,D,A,B,C]`` with the first axis
-most significant under row-major flattening.  The tableau letters map to
-group-algebra positions ``m, m-1, ..., 1`` from the left, so right actions on
-basis tensors become explicit slot permutations.
+Tableau convention: the tableau position p (1-based) is the tensor slot
+``m - p``, so the right action of a tableau permutation on basis tensors is
+an explicit slot permutation.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .tensoridx import (
-    apply_terms,
-    combine_terms,
-    perm_sign,
-    relabel_sum,
-    scale_terms,
-    skew_bracket,
+    add,
+    apply_compiled,
+    compile_element,
+    compose,
+    group_sum,
+    inverse,
+    scale,
 )
 
-#: partition tag -> (partition, tensor order, output letters)
+#: partition tag -> (partition, tensor order)
 PARTITIONS = {
-    "21": ((2, 1), 3, "ABC"),
-    "22": ((2, 2), 4, "DABC"),
-    "311": ((3, 1, 1), 5, "EDABC"),
+    "21": ((2, 1), 3),
+    "22": ((2, 2), 4),
+    "311": ((3, 1, 1), 5),
 }
 
 # tableau data: 1-based position sets for row symmetrization and column
@@ -63,31 +62,11 @@ _SKETCH_OVERSAMPLE = 16  # extra sketch columns beyond the exact rank
 
 
 @dataclass(frozen=True)
-class TensorSpace:
-    """Flattened tensor power (C^k)^{(x) m}, first index most significant."""
-
-    k: int
-    m: int
-
-    @property
-    def dim(self):
-        return self.k**self.m
-
-    def flatten(self, tensor):
-        tensor = np.asarray(tensor)
-        return tensor.reshape((self.dim,) + tensor.shape[self.m :])
-
-    def unflatten(self, vec):
-        vec = np.asarray(vec)
-        return vec.reshape((self.k,) * self.m + vec.shape[1:])
-
-
-@dataclass(frozen=True)
 class WeylSpace:
     """A Weyl module: an orthonormal basis of the image of its projector.
 
-    The projector itself is the term list :func:`projector_terms`, applied
-    with :func:`apply_projector`.
+    The projector itself is the Q[S_m] element :func:`projector_terms`,
+    applied with :func:`apply_projector`.
 
     Attributes
     ----------
@@ -119,20 +98,32 @@ def _require(k, lam):
 
 @lru_cache(maxsize=None)
 def projector_terms(lam):
-    """Signed-permutation expansion of the index-formula projector."""
+    """The index-formula projector ``C_lam`` as an element of Q[S_m].
+
+    With S an unnormalized symmetric sum and A a normalized skew sum over the
+    listed slots: ``C_21 = 2/3 S_12 A_02``,
+    ``C_22 = 1/6 S_23 S_01 (1 + M_BCDA) A_13`` and
+    ``C_311 = 3/10 S_134 A_024``.
+    """
     if lam == "21":
-        base = skew_bracket("ABC", [0, 2])
-        terms = scale_terms(relabel_sum(base, ("B", "C")), Fraction(2, 3))
+        x = compose(group_sum((1, 2), 3, scale=Fraction(2, 3)),
+                    group_sum((0, 2), 3, signed=True, scale=Fraction(1, 2)))
     elif lam == "22":
-        base = skew_bracket("DABC", [1, 3]) + skew_bracket("BCDA", [1, 3])
-        terms = relabel_sum(base, ("A", "D"))
-        terms = scale_terms(relabel_sum(terms, ("B", "C")), Fraction(1, 6))
+        x = compose({(0, 1, 2, 3): 1, (2, 3, 0, 1): 1},
+                    group_sum((1, 3), 4, signed=True, scale=Fraction(1, 2)))
+        x = compose(group_sum((0, 1), 4), x)
+        x = compose(group_sum((2, 3), 4, scale=Fraction(1, 6)), x)
     elif lam == "311":
-        base = skew_bracket("EDABC", [0, 2, 4])
-        terms = scale_terms(relabel_sum(base, ("D", "B", "C")), Fraction(3, 10))
+        x = compose(group_sum((1, 3, 4), 5, scale=Fraction(3, 10)),
+                    group_sum((0, 2, 4), 5, signed=True, scale=Fraction(1, 6)))
     else:
         raise ValueError(f"unsupported partition tag {lam!r}")
-    return tuple(combine_terms(terms))
+    return MappingProxyType(x)
+
+
+@lru_cache(maxsize=None)
+def _compiled_projector(lam):
+    return compile_element(projector_terms(lam))
 
 
 def apply_projector(lam, h):
@@ -140,13 +131,13 @@ def apply_projector(lam, h):
 
     Trailing axes are a batch: many tensors go through in one call.
     """
-    return apply_terms(h, projector_terms(lam), PARTITIONS[lam][2])
+    return apply_compiled(h, _compiled_projector(lam))
 
 
 def projector_rank(k, lam):
     """Rank of ``C_lam`` on (C^k)^{(x) m}: its exact trace (it is idempotent)."""
     _require(k, lam)
-    tr = evaluate(trace_polynomial(_elements(lam)[0]), k)
+    tr = evaluate(trace_polynomial(projector_terms(lam)), k)
     if tr.denominator != 1 or tr < 0:
         raise ArithmeticError(f"trace {tr} of an idempotent is not a rank")
     return int(tr)
@@ -184,107 +175,32 @@ def weyl_space(k, lam):
     return WeylSpace(k=k, lam=lam, m=m, basis=basis, dim=rank)
 
 
-def projector_c21(k):
-    return weyl_space(k, "21")
-
-
-def projector_c22(k):
-    return weyl_space(k, "22")
-
-
-def projector_c311(k):
-    return weyl_space(k, "311")
-
-
-def _slot_map(sigma, m):
-    # right action on basis tensors: the label at position p moves to
-    # position sigma(p); slots count from the left, slot s <-> position m-s
-    return tuple(m - sigma[m - t] for t in range(m))
-
-
-def _group_terms(position_sets, m, signed):
-    """Terms of the (anti)symmetrizer over products of position sets."""
-    terms = [(1, tuple(range(m)))]
-    for support in position_sets:
-        elems = []
-        for perm in itertools.permutations(support):
-            sigma = {p: p for p in range(1, m + 1)}
-            for a, b in zip(support, perm):
-                sigma[a] = b
-            sign = perm_sign([support.index(b) for b in perm]) if signed else 1
-            elems.append((sign, _slot_map(sigma, m)))
-        terms = [
-            (c1 * c2, tuple(g1[g2[t]] for t in range(m)))
-            for c1, g1 in terms
-            for c2, g2 in elems
-        ]
-    return terms
-
-
 @lru_cache(maxsize=None)
 def young_terms(lam, normalized=True):
-    """Signed-permutation expansion of the Young symmetrizer right action.
+    """The Young symmetrizer's right action as an element of Q[S_m].
 
     The column antisymmetrizer acts first, the row symmetrizer second, as in
-    the defining right action on basis tensors.
+    the defining right action on basis tensors: the product of the row sums
+    composed with the product of the column sums, over the slots ``m - p`` of
+    the tableau positions p.
     """
     if lam not in _TABLEAU:
         raise ValueError(f"unsupported partition tag {lam!r}")
     rows, cols, norm = _TABLEAU[lam]
     m = PARTITIONS[lam][1]
-    col_terms = _group_terms(cols, m, signed=True)
-    row_terms = _group_terms(rows, m, signed=False)
-    letters = PARTITIONS[lam][2]
-    out = []
-    for c_r, g_r in row_terms:
-        for c_c, g_c in col_terms:
-            g = tuple(g_r[g_c[t]] for t in range(m))
-            coeff = Fraction(c_r * c_c, norm if normalized else 1)
-            out.append((coeff, "".join(letters[p] for p in g)))
-    return tuple(combine_terms(out))
+
+    def product(position_sets, signed):
+        out = {tuple(range(m)): Fraction(1)}
+        for support in position_sets:
+            out = compose(out, group_sum([m - p for p in support], m, signed))
+        return out
+
+    y = compose(product(rows, False), product(cols, True))
+    return MappingProxyType(scale(y, Fraction(1, norm)) if normalized else y)
 
 
 # ---------------------------------------------------------------------------
-# exact group-algebra arithmetic on term lists
-
-
-def algebra_element(terms, letters):
-    """A term list as an element of Q[S_m]: ``{slot permutation: Fraction}``.
-
-    The term ``(c, sub)`` has the permutation ``p`` with ``p[s]`` the
-    position of ``sub[s]`` in `letters`; it acts on tensors as
-    ``(M_p h)[i_0, ..., i_{m-1}] = h[i_{p[0]}, ..., i_{p[m-1]}]``.
-    """
-    pos = {ch: i for i, ch in enumerate(letters)}
-    out = {}
-    for c, sub in terms:
-        p = tuple(pos[ch] for ch in sub)
-        out[p] = out.get(p, 0) + Fraction(c)
-    return {p: c for p, c in out.items() if c}
-
-
-def compose(x, y):
-    """Product of group-algebra elements as operators: ``M_p M_q = M_{p o q}``."""
-    out = {}
-    for p, a in x.items():
-        for q, b in y.items():
-            r = tuple(p[t] for t in q)
-            out[r] = out.get(r, 0) + a * b
-    return {r: c for r, c in out.items() if c}
-
-
-def _subtract(x, y):
-    out = dict(x)
-    for p, c in y.items():
-        out[p] = out.get(p, 0) - c
-    return {p: c for p, c in out.items() if c}
-
-
-def _inverse(p):
-    inv = [0] * len(p)
-    for t, q in enumerate(p):
-        inv[q] = t
-    return tuple(inv)
+# traces and norms of Q[S_m] elements on (C^k)^{(x) m}
 
 
 def _cycles(p):
@@ -318,7 +234,7 @@ def gram_polynomial(x):
 
     This is the trace polynomial of ``X^T X``, since ``M_p^T = M_{p^-1}``.
     """
-    adjoint = {_inverse(p): c for p, c in x.items()}
+    adjoint = {inverse(p): c for p, c in x.items()}
     return trace_polynomial(compose(adjoint, x))
 
 
@@ -328,20 +244,12 @@ def evaluate(poly, k):
 
 
 @lru_cache(maxsize=None)
-def _elements(lam):
-    """``C_lam`` and the normalized ``Y_lam`` as group-algebra elements."""
-    letters = PARTITIONS[lam][2]
-    return (algebra_element(projector_terms(lam), letters),
-            algebra_element(young_terms(lam), letters))
-
-
-@lru_cache(maxsize=None)
 def _identity_polynomials(lam):
     """k-independent data of the Weyl-layer identities of `lam`: polynomials
     in k, and the ratio n of ``Y_u^2 = n Y_u`` for the unnormalized Young
     symmetrizer (None if the square is not a multiple of ``Y_u``)."""
-    c, y = _elements(lam)
-    yu = algebra_element(young_terms(lam, normalized=False), PARTITIONS[lam][2])
+    c, y = projector_terms(lam), young_terms(lam)
+    yu = young_terms(lam, normalized=False)
     square = compose(yu, yu)
     ratios = {square.get(p, 0) / a for p, a in yu.items()}
     proportional = len(ratios) == 1 and set(square) <= set(yu)
@@ -351,10 +259,10 @@ def _identity_polynomials(lam):
         "trace_y": trace_polynomial(y),
         "norm_c": gram_polynomial(c),
         "norm_y": gram_polynomial(y),
-        "idem_c": gram_polynomial(_subtract(compose(c, c), c)),
-        "idem_y": gram_polynomial(_subtract(compose(y, y), y)),
-        "cy": gram_polynomial(_subtract(compose(c, y), y)),
-        "yc": gram_polynomial(_subtract(compose(y, c), c)),
+        "idem_c": gram_polynomial(add(compose(c, c), scale(c, -1))),
+        "idem_y": gram_polynomial(add(compose(y, y), scale(y, -1))),
+        "cy": gram_polynomial(add(compose(c, y), scale(y, -1))),
+        "yc": gram_polynomial(add(compose(y, c), scale(c, -1))),
     }
 
 
@@ -401,7 +309,7 @@ def young_eigenvalue(k, lam):
     return float(poly["young_ratio"])
 
 
-def check_membership(lam, h, k=None, rows=False):
+def check_membership(lam, h, rows=False):
     """Characterization residual of a tensor against the module `lam`.
 
     Parameters
@@ -409,8 +317,7 @@ def check_membership(lam, h, k=None, rows=False):
     lam : str
         Partition tag.
     h : ndarray
-        Either tensor-shaped, ``(k,)*m`` plus optional trailing axes, or flat
-        of length ``k**m`` (then `k` must be given or inferable).
+        Tensor-shaped: ``(k,)*m`` plus optional trailing axes.
     rows : bool
         If true, the last axis of `h` indexes independent tensors, and the
         result holds one residual per row.
@@ -424,16 +331,11 @@ def check_membership(lam, h, k=None, rows=False):
     """
     if lam not in PARTITIONS:
         raise ValueError(f"unsupported partition tag {lam!r}")
-    _, m, _ = PARTITIONS[lam]
+    m = PARTITIONS[lam][1]
     h = np.asarray(h)
-    if h.ndim >= m and len(set(h.shape[:m])) == 1:
-        k = h.shape[0]
-    elif k is not None:
-        h = h.reshape((k,) * m + h.shape[1:])
-    else:
-        raise ValueError(f"tensor of order {m} expected, got shape {h.shape}")
-    if h.shape[:m] != (k,) * m:
-        raise ValueError(f"order mismatch: {lam} needs {m} tensor axes")
+    if h.ndim < m or len(set(h.shape[:m])) != 1:
+        raise ValueError(f"order mismatch: {lam} needs {m} equal tensor axes, "
+                         f"got shape {h.shape}")
     width = h.shape[-1] if rows else 1
 
     def norms(x):

@@ -16,22 +16,25 @@ def rng():
 
 
 # ---------------------------------------------------------------------------
-# dense oracle of the Weyl layer: the library composes term lists exactly in
-# the group algebra and never forms these (k^m, k^m) matrices
+# dense oracle of the Weyl layer: the library composes Q[S_m] elements exactly
+# and never forms these (k^m, k^m) matrices
 
 
-def terms_matrix(terms, letters, k):
-    """Dense matrix of a term list on the flattened tensor space (C^k)^{m}."""
-    m = len(letters)
-    pos = {ch: i for i, ch in enumerate(letters)}
+def terms_matrix(x, k, m=None):
+    """Dense matrix of a Q[S_m] element ``{p: coeff}`` on (C^k)^{m}, flattened.
+
+    ``M_p`` maps ``h`` to ``h[i_{p[0]}, ..., i_{p[m-1]}]``.  The order m is
+    read off the permutations; pass it for the empty (zero) element.
+    """
+    m = len(next(iter(x))) if m is None else m
     size = k**m
     rows = np.arange(size)
     digits = [(rows // k ** (m - 1 - t)) % k for t in range(m)]
     mat = np.zeros((size, size))
-    for c, sub in terms:
+    for p, c in x.items():
         cols = np.zeros(size, dtype=np.int64)
         for t in range(m):
-            cols += digits[pos[sub[t]]] * k ** (m - 1 - t)
+            cols += digits[p[t]] * k ** (m - 1 - t)
         np.add.at(mat, (rows, cols), float(c))
     return mat
 

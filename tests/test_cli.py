@@ -67,12 +67,15 @@ def test_verify_complex_small(capsys):
     names = [c["name"] for c in report["checks"]]
     assert any(name.startswith("d2pp_after_d1") for name in names)
     assert all(c["pass"] for c in report["checks"])
-
-
-def test_verify_order5_guard_exits_usage():
-    with pytest.raises(SystemExit) as err:
-        main(["verify", "--scope", "complex", "--k", "2", "--n", "2", "--with-d2"])
-    assert err.value.code == 2
+    # for k = 2 the order-5 branch does not exist and has no records
+    code, report = run_cli(
+        capsys, "verify", "--scope", "complex", "--k", "2", "--n", "2",
+        "--samples", "5", "--seed", "7",
+    )
+    assert code == EXIT_PASS
+    names = [c["name"].split()[0] for c in report["checks"]]
+    assert "d1_after_d0" in names
+    assert not {"d2p_after_d1", "d2pp_after_d1"} & set(names)
 
 
 def test_verify_rejects_bad_ranges():
@@ -156,7 +159,7 @@ def test_complex_residuals_relative_to_input():
     # sample 12 at this seed has a D2'' output of norm ~3e-15 (pure roundoff)
     # from an input of norm ~14: residuals divided by that output's norm
     # would read ~1 although both operator routes are right
-    checks = checks_complex(3, 3, 25, 3, True)
+    checks = checks_complex(3, 3, 25, 3)
     assert all(c["pass"] for c in checks), checks
 
 

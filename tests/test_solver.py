@@ -55,6 +55,19 @@ def test_bump_fit_guard(reps):
         make_bump(rep, 2, 2, 8, L, CENTER4, -1.0)
 
 
+@pytest.mark.parametrize("build", [make_bump, bump_dirac_data])
+@pytest.mark.parametrize("center, radius", [
+    (np.full(5, np.pi), 0.6),  # five entries for k*n = 4
+    (CENTER4, -0.6),
+    (np.full(4, 0.2), 0.6),  # the ball leaves the cell
+    (CENTER4, 0.0),
+])
+def test_bump_geometry_rejected(reps, build, center, radius):
+    # the bump and its Dirac data share one validated geometry
+    with pytest.raises(ValueError):
+        build(reps[2], 2, 2, 8, L, center, radius)
+
+
 def test_bump_norm_quadrature_converges(reps):
     # Richardson comparison on a two-axis cell where high resolutions are cheap
     rep = reps[1]

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import weyl
-from diraclab.tensoridx import apply_terms
+from diraclab.tensoridx import compose
 from diraclab.weyl import (
-    TensorSpace,
     apply_projector,
     check_membership,
     exact_checks,
@@ -30,10 +29,7 @@ ORACLE_KS = [2, 3]
 
 def _dense(k, lam):
     # oracle matrices of the projector C and the normalized symmetrizer Y
-    letters = weyl.PARTITIONS[lam][2]
-    c = terms_matrix(weyl.projector_terms(lam), letters, k)
-    y = terms_matrix(weyl.young_terms(lam), letters, k)
-    return c, y
+    return terms_matrix(weyl.projector_terms(lam), k), terms_matrix(weyl.young_terms(lam), k)
 
 
 def _project(k, lam, mat):
@@ -71,22 +67,16 @@ def test_young_idempotent_and_image(k, lam):
             assert principal_angles(ws.basis, ybasis).max() <= 1e-8
 
 
-def _as_terms(x, letters):
-    return [(c, "".join(letters[i] for i in p)) for p, c in x.items()]
-
-
 @pytest.mark.parametrize("k", ORACLE_KS)
 @pytest.mark.parametrize("lam", LAMS)
 def test_group_algebra_matches_dense_oracle(k, lam):
     # products, traces and Frobenius norms of the exact route against the
     # dense matrices, including C^2, CY and YC
-    letters = weyl.PARTITIONS[lam][2]
-    c = weyl.algebra_element(weyl.projector_terms(lam), letters)
-    y = weyl.algebra_element(weyl.young_terms(lam), letters)
+    c, y = weyl.projector_terms(lam), weyl.young_terms(lam)
     cm, ym = _dense(k, lam)
-    for x, dense in ((c, cm), (y, ym), (weyl.compose(c, c), cm @ cm),
-                     (weyl.compose(c, y), cm @ ym), (weyl.compose(y, c), ym @ cm)):
-        mat = terms_matrix(_as_terms(x, letters), letters, k)
+    for x, dense in ((c, cm), (y, ym), (compose(c, c), cm @ cm),
+                     (compose(c, y), cm @ ym), (compose(y, c), ym @ cm)):
+        mat = terms_matrix(x, k)
         assert np.abs(mat - dense).max() <= 1e-13
         trace = weyl.evaluate(weyl.trace_polynomial(x), k)
         frob = weyl.evaluate(weyl.gram_polynomial(x), k)
@@ -94,33 +84,34 @@ def test_group_algebra_matches_dense_oracle(k, lam):
         assert float(frob) == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-13)
 
 
-_PERM3 = st.permutations(range(3)).map(tuple)
+_ELEMENT3 = st.dictionaries(
+    st.permutations(range(3)).map(tuple),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+    max_size=6,
+)
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), _PERM3), max_size=6),
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), _PERM3), max_size=6),
-    st.sampled_from(ORACLE_KS),
-)
-def test_random_term_lists_match_dense_oracle(xs, ys, k):
-    # signed term lists on three slots: the product, trace and Frobenius
-    # norm of the group algebra equal those of the dense matrices
-    letters = "ABC"
-
-    def element(raw):
-        terms = [(Fraction(a, b), "".join(letters[i] for i in p)) for a, b, p in raw]
-        return weyl.algebra_element(terms, letters)
-
-    x, y = element(xs), element(ys)
-    xm = terms_matrix(_as_terms(x, letters), letters, k)
-    ym = terms_matrix(_as_terms(y, letters), letters, k)
-    prod = weyl.compose(x, y)
-    assert np.abs(terms_matrix(_as_terms(prod, letters), letters, k) - xm @ ym).max() <= 1e-12
+@given(_ELEMENT3, _ELEMENT3, st.sampled_from(ORACLE_KS))
+def test_random_elements_match_dense_oracle(x, y, k):
+    # elements on three slots: the product, trace and Frobenius norm of the
+    # group algebra equal those of the dense matrices
+    xm, ym = terms_matrix(x, k, 3), terms_matrix(y, k, 3)
+    prod = compose(x, y)
+    assert np.abs(terms_matrix(prod, k, 3) - xm @ ym).max() <= 1e-12
     assert float(weyl.evaluate(weyl.trace_polynomial(x), k)) == pytest.approx(
         np.trace(xm), abs=1e-10)
     assert float(weyl.evaluate(weyl.gram_polynomial(prod), k)) == pytest.approx(
         np.linalg.norm(xm @ ym) ** 2, rel=1e-12, abs=1e-10)
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_cached_elements_are_immutable(lam):
+    # lru_cache hands every caller the same element
+    for x in (weyl.projector_terms(lam), weyl.young_terms(lam),
+              weyl.young_terms(lam, normalized=False)):
+        with pytest.raises(TypeError):
+            x[next(iter(x))] = 0
 
 
 @pytest.mark.parametrize("k", KS)
@@ -146,9 +137,7 @@ def test_degenerate_two_variable_dims():
         assert weyl_dim(2, lam) == d
     _, ym = _dense(2, "311")
     assert np.abs(ym).max() == 0.0
-    letters = weyl.PARTITIONS["311"][2]
-    y = weyl.algebra_element(weyl.young_terms("311"), letters)
-    assert weyl.evaluate(weyl.gram_polynomial(y), 2) == 0
+    assert weyl.evaluate(weyl.gram_polynomial(weyl.young_terms("311")), 2) == 0
     assert np.isnan(young_eigenvalue(2, "311"))
 
 
@@ -162,7 +151,7 @@ def test_young_action_ground_truth():
     # right action on the basis tensor with labels (3,2,1): the expansion is
     # (w321 + w312 - w123 - w132) / 3
     k, m = 4, 3
-    mat = terms_matrix(weyl.young_terms("21"), "ABC", k)
+    mat = terms_matrix(weyl.young_terms("21"), k)
 
     def unit(labels):
         v = np.zeros(k**m)
@@ -182,7 +171,7 @@ def test_projector_entry_by_hand():
     rng = np.random.default_rng(7)
     k = 3
     h = rng.standard_normal((k, k, k))
-    out = apply_terms(h, weyl.projector_terms("21"), "ABC")
+    out = apply_projector("21", h)
     a, b, c = 1, 0, 2
     want = (h[a, b, c] + h[a, c, b] - h[c, b, a] - h[b, c, a]) / 3.0
     assert out[a, b, c] == pytest.approx(want, abs=1e-14)
@@ -212,6 +201,8 @@ def test_membership_projection_property(seed):
 def test_membership_order_mismatch():
     with pytest.raises(ValueError):
         check_membership("22", np.zeros((3, 3, 3)))
+    with pytest.raises(ValueError):
+        check_membership("21", np.zeros(27))  # tensor-shaped input only
 
 
 def test_basis_symmetries():
@@ -233,7 +224,7 @@ def test_basis_is_orthonormal_and_fixed():
     b = ws.basis
     assert np.abs(b.T @ b - np.eye(ws.dim)).max() <= 1e-12
     assert np.abs(_project(4, "22", b) - b).max() <= 1e-10
-    assert np.abs(terms_matrix(weyl.projector_terms("22"), "DABC", 4) @ b - b).max() <= 1e-10
+    assert np.abs(terms_matrix(weyl.projector_terms("22"), 4) @ b - b).max() <= 1e-10
 
 
 def test_large_k_randomized_basis_path():
@@ -241,13 +232,6 @@ def test_large_k_randomized_basis_path():
     ws = weyl_space(5, "311")
     assert ws.dim == weyl.projector_rank(5, "311") == weyl_dim(5, "311") == 126
     assert np.abs(_project(5, "311", ws.basis) - ws.basis).max() <= 1e-8
-
-
-def test_tensor_space_roundtrip(rng):
-    space = TensorSpace(3, 4)
-    assert space.dim == 81
-    t = rng.standard_normal((3, 3, 3, 3))
-    assert np.array_equal(space.unflatten(space.flatten(t)), t)
 
 
 def test_principal_angles_known_value():
