@@ -23,14 +23,15 @@ from diraclab.solver import _mode_xi, apply_spectral, make_bump, solve_d0
 def hodge_route(f, rep):
     """Solution values of D0 u = f through the per-mode inverse of L1.
 
-    The modes go one slab of the first grid axis at a time; the zero mode of
-    the solution is set to 0, as in the solver.
+    It transforms the same contiguous component planes as the solver.  The
+    modes go one slab of the first grid axis at a time; the zero mode of the
+    solution is set to 0, as in the solver.
     """
     k, n, N, L = f.k, f.n, f.N, f.L
-    axes = tuple(range(k * n))
+    axes = tuple(range(1, k * n + 1))
     slab = N ** (k * n - 1)
-    flat = np.fft.fftn(f.values, axes=axes).reshape(N, slab, f.dim)
-    out = np.empty((N, slab, rep.s_dim), dtype=complex)
+    flat = np.fft.fftn(f.planes, axes=axes).reshape(f.dim, N, slab)
+    out = np.empty((rep.s_dim, N, slab), dtype=complex)
     for i in range(N):
         xi = _mode_xi(k, n, N, L, np.arange(i * slab, (i + 1) * slab))
         bundle = build_bundle(rep, k, xi)
@@ -39,8 +40,9 @@ def hodge_route(f, rep):
         nonzero = (xi**2).sum(axis=1) > 0
         inv = np.zeros_like(L1)
         inv[nonzero] = np.linalg.inv(L1[nonzero])
-        out[i] = np.einsum("bij,bj->bi", s0h @ s0 @ s0h @ inv, flat[i])
-    return np.fft.ifftn(out.reshape((N,) * (k * n) + (rep.s_dim,)), axes=axes)
+        out[:, i] = np.einsum("bij,jb->ib", s0h @ s0 @ s0h @ inv, flat[:, i])
+    out = np.fft.ifftn(out.reshape((rep.s_dim,) + (N,) * (k * n)), axes=axes)
+    return np.moveaxis(out, 0, -1)
 
 
 def compare(N):

@@ -7,8 +7,12 @@ the cell is the symbol evaluated at xi = -(2 pi / L) m for integer mode m,
 which keeps grid operators equal to true derivatives on trigonometric
 polynomials.
 
+Grid fields are stored component-first, so transforms and multipliers run on
+contiguous planes, one per component.
+
 The solve applies u_hat = sigma0* f_hat / |xi|^2, with sigma0 and sigma0*
-matrix-free.  Because sigma0* sigma0 = |xi|^2 Id and L1 sigma0 = |xi|^4
+matrix-free: k s^2 multiply-adds of weight grids that each vary on one
+block's n axes.  Because sigma0* sigma0 = |xi|^2 Id and L1 sigma0 = |xi|^4
 sigma0, this closed form equals the Hodge route sigma0* sigma0 sigma0* L1^{-1}
 at every nonzero mode, a fact the solver certifies on a sample of modes
 before running.  The zero mode of the solution is fixed afterwards by
@@ -42,9 +46,11 @@ class CompatibilityError(RuntimeError):
 class GridField:
     """Periodic sample grid of vector-valued data.
 
-    values has shape (N,)*(k*n) + (dim,).  V2 data is stored in compressed
-    coordinates (orthonormal Weyl basis tensor spinor).  support, when set,
-    declares a ball (center, radius) outside which the field vanishes.
+    values, of shape (N,)*(k*n) + (dim,), is a view of the C-contiguous
+    component-first buffer `planes`; an array passed in is copied only when
+    its components are not contiguous planes already.  V2 data is stored in
+    compressed coordinates (orthonormal Weyl basis tensor spinor).  support,
+    when set, declares a ball (center, radius) outside which the field vanishes.
     """
 
     k: int
@@ -54,6 +60,14 @@ class GridField:
     space: str
     values: np.ndarray
     support: Optional[tuple] = field(default=None)
+
+    def __post_init__(self):
+        planes = np.ascontiguousarray(np.moveaxis(np.asarray(self.values), -1, 0))
+        self.values = np.moveaxis(planes, 0, -1)
+
+    @property
+    def planes(self):
+        return np.moveaxis(self.values, -1, 0)
 
     @property
     def dim(self):
@@ -74,14 +88,17 @@ def field_dim(space, k, s_dim):
     raise ValueError(f"no grid representation for space {space!r}")
 
 
-def _require_memory(k, n, N, dim, n_buffers=6):
+def _require_memory(k, n, N, planes):
+    """Refuse, or return the bytes of, a call holding `planes` complex grids at
+    once, plus one plane for what callers leave out (weights, masks, buffers)."""
     cap_gib = float(os.environ.get(MEM_ENV_VAR, DEFAULT_MEM_GIB))
-    need = n_buffers * (N ** (k * n)) * max(dim, 1) * 16
+    need = (planes + 1) * (N ** (k * n)) * 16
     if need > cap_gib * 2**30:
         raise ResourceLimitError(
-            f"grid {N}^{k * n} x {dim} needs about {need / 2**30:.2f} GiB "
+            f"grid {N}^{k * n} x {planes:g} planes needs about {need / 2**30:.2f} GiB "
             f"(> cap {cap_gib} GiB; override via {MEM_ENV_VAR})"
         )
+    return need
 
 
 def grid_axes(N, L, kn):
@@ -94,7 +111,7 @@ def grid_inner(a, b):
     if a.values.shape != b.values.shape:
         raise ValueError("grid shapes differ")
     vol = a.L ** (a.k * a.n)
-    return complex(np.vdot(a.values, b.values) * vol / a.N ** (a.k * a.n))
+    return complex(np.vdot(a.planes, b.planes) * vol / a.N ** (a.k * a.n))
 
 
 def _bump_geometry(rep, k, n, N, L, center, radius, spinor, components):
@@ -111,7 +128,7 @@ def _bump_geometry(rep, k, n, N, L, center, radius, spinor, components):
         raise ValueError(
             "bump ball does not fit inside the cell with the required margin"
         )
-    _require_memory(k, n, N, components)
+    _require_memory(k, n, N, components + 1)  # the real r2 and profile: one plane
     if spinor is None:
         spinor = np.zeros(rep.s_dim, dtype=complex)
         spinor[0] = 1.0
@@ -135,7 +152,7 @@ def make_bump(rep, k, n, N, L, center, radius, spinor=None):
     profile = np.zeros(r2.shape)
     inside = r2 < 1.0
     profile[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    values = profile[..., None] * spinor
+    values = np.moveaxis(np.multiply.outer(spinor, profile), 0, -1)
     return GridField(k, n, N, L, "V0", values, support=(tuple(center), radius))
 
 
@@ -156,7 +173,7 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
     chain[inside] = np.exp(-1.0 / gap) / gap**2
     del r2, inside, gap  # grid-sized temporaries not needed past chain
     gspin = np.einsum("jst,t->js", rep.gamma_plus, spinor)
-    values = np.empty(chain.shape + (k, rep.s_dim), dtype=complex)
+    planes = np.empty((k, rep.s_dim) + chain.shape, dtype=complex)
     for A in range(k):
         # d(profile)/dx_Aj = -2 (x_Aj - c_Aj) / radius^2 * chain; the sum over
         # j of these 1-D factors times gspin[j] varies on block A's n axes only
@@ -164,8 +181,8 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
                   for j in range(n)]
         for t in range(rep.s_dim):
             np.multiply(chain, sum(a * gspin[j, t] for j, a in enumerate(slopes)),
-                        out=values[..., A, t])
-    values = values.reshape(chain.shape + (k * rep.s_dim,))
+                        out=planes[A, t])
+    values = np.moveaxis(planes.reshape((k * rep.s_dim,) + chain.shape), 0, -1)
     return GridField(k, n, N, L, "V1", values, support=(tuple(center), radius))
 
 
@@ -175,9 +192,9 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
 
 def _axis_xi(kn, N, L):
     """Per grid axis t, its frequencies -(2 pi / L) m shaped to broadcast on
-    a field: length N on axis t, 1 on every other axis."""
+    one component plane: length N on axis t, 1 on every other axis."""
     xi = -(2 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)
-    return [xi.reshape((1,) * t + (N,) + (1,) * (kn - t)) for t in range(kn)]
+    return [xi.reshape((1,) * t + (N,) + (1,) * (kn - 1 - t)) for t in range(kn)]
 
 
 def _mode_xi(k, n, N, L, idx):
@@ -186,27 +203,33 @@ def _mode_xi(k, n, N, L, idx):
     return freq[np.stack(np.unravel_index(idx, (N,) * (k * n)), axis=-1)]
 
 
-def _sigma0(uh, rep, k, n, xis, out=None):
-    """sigma0 mode by mode, matrix-free: block A is -i sum_j xi_Aj gamma_plus[j] uh,
-    added into the V1 array out when it is given."""
-    if out is None:
-        out = np.zeros(uh.shape[:-1] + (k * rep.s_dim,), dtype=complex)
-    blocks = out.reshape(uh.shape[:-1] + (k, rep.s_dim))
-    for j in range(n):
-        g = np.einsum("...t,st->...s", uh, -1j * rep.gamma_plus[j])
-        for A in range(k):
-            blocks[..., A, :] += xis[A * n + j] * g
-    return out
+def _fft(planes):
+    """Forward FFT of every component plane into a new contiguous buffer."""
+    return np.fft.fftn(planes, axes=tuple(range(1, planes.ndim)),
+                       out=np.empty(planes.shape, dtype=complex))
 
 
-def _sigma0_star(fh, rep, k, n, xis):
-    """sigma0* = sum_A -i sum_j xi_Aj gamma_minus[j], as gamma_minus[j] = -gamma_plus[j]^H."""
-    blocks = fh.reshape(fh.shape[:-1] + (k, rep.s_dim))
-    out = np.zeros(fh.shape[:-1] + (rep.s_dim,), dtype=complex)
-    for A in range(k):
-        for j in range(n):
-            out += xis[A * n + j] * np.einsum("...t,st->...s", blocks[..., A, :],
-                                              -1j * rep.gamma_minus[j])
+def _sigma_rows(rep, k, n, N, L, star=False):
+    """sigma0 (block A: -i sum_j xi_Aj gamma_plus[j]) or sigma0* (sum over A of
+    -i sum_j xi_Aj gamma_minus[j], as gamma_minus[j] = -gamma_plus[j]^H) as
+    rows of weight grids, each varying on block A's n axes only."""
+    s, xis = rep.s_dim, _axis_xi(k * n, N, L)
+    gamma = rep.gamma_minus if star else rep.gamma_plus
+    w = {(A, r, t): -1j * sum(gamma[j, r, t] * xis[A * n + j] for j in range(n))
+         for A in range(k) for r in range(s) for t in range(s)}
+    if star:
+        return [[w[A, r, t] for A in range(k) for t in range(s)] for r in range(s)]
+    return [[w[A, r, t] for t in range(s)] for A in range(k) for r in range(s)]
+
+
+def _apply_rows(rows, x):
+    """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer."""
+    out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
+    tmp = np.empty(x.shape[1:], dtype=complex) if len(rows[0]) > 1 else None
+    for row, plane in zip(rows, out):
+        np.multiply(row[0], x[0], out=plane)
+        for w, xc in zip(row[1:], x[1:]):
+            plane += np.multiply(w, xc, out=tmp)
     return out
 
 
@@ -220,26 +243,28 @@ def apply_spectral(tag, fld, rep):
     space_in, space_out = _TAGS[tag]
     if fld.space != space_in:
         raise ValueError(f"{tag} expects a {space_in} grid field, got {fld.space}")
-    k, n = fld.k, fld.n
-    axes = tuple(range(k * n))
+    k, n, N = fld.k, fld.n, fld.N
     out_dim = field_dim(space_out, k, rep.s_dim)
-    _require_memory(k, n, fld.N, max(fld.dim, out_dim))
-    fh = np.fft.fftn(fld.values, axes=axes)
+    # the input's spectrum and the output, plus one scratch plane, or for d1
+    # one slab's sigma1 batch with the symbol builder's temporaries, which
+    # come to at most five sigma1-sized arrays over N^(kn-1) modes
+    work = 5 * out_dim * fld.dim / N if tag == "d1" else 1
+    _require_memory(k, n, N, fld.dim + out_dim + work)
+    fh = _fft(fld.planes)
     if tag == "d1":
         # one slab of the first grid axis at a time bounds the sigma1 batch
-        slab = fld.N ** (k * n - 1)
-        flat = fh.reshape(fld.N, slab, fld.dim)
-        out = np.empty((fld.N, slab, out_dim), dtype=complex)
-        for i in range(fld.N):
-            xi = _mode_xi(k, n, fld.N, fld.L, np.arange(i * slab, (i + 1) * slab))
+        slab = N ** (k * n - 1)
+        flat = fh.reshape(fld.dim, N, slab)
+        out = np.empty((out_dim, N, slab), dtype=complex)
+        for i in range(N):
+            xi = _mode_xi(k, n, N, fld.L, np.arange(i * slab, (i + 1) * slab))
             sigma1 = symbols.build_bundle(rep, k, xi).sigma1
-            out[i] = np.einsum("bij,bj->bi", sigma1, flat[i])
-        out = out.reshape(fh.shape[:-1] + (out_dim,))
+            out[:, i] = np.einsum("bij,jb->ib", sigma1, flat[:, i])
+        out = out.reshape((out_dim,) + fh.shape[1:])
     else:
-        apply = _sigma0 if tag == "d0" else _sigma0_star
-        out = apply(fh, rep, k, n, _axis_xi(k * n, fld.N, fld.L))
-    np.fft.ifftn(out, axes=axes, out=out)
-    return GridField(k, n, fld.N, fld.L, space_out, out, support=None)
+        out = _apply_rows(_sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star"), fh)
+    np.fft.ifftn(out, axes=tuple(range(1, out.ndim)), out=out)
+    return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1), support=None)
 
 
 def _certify_recovery_identity(rep, k, n, N, L, sample=2048, tol=1e-10):
@@ -293,11 +318,12 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
     if f.space != "V1":
         raise ValueError(f"solve_d0 expects V1 data, got {f.space}")
     k, n, N, L = f.k, f.n, f.N, f.L
-    axes = tuple(range(k * n))
-    zero = (0,) * (k * n)
-    _require_memory(k, n, N, f.dim)
+    zero = (slice(None),) + (0,) * (k * n)
+    # f_hat, u_hat and one scratch plane; the real |xi|^2 grid lives while
+    # no scratch does
+    _require_memory(k, n, N, f.dim + rep.s_dim + 1)
     t = time.perf_counter()
-    fh = np.fft.fftn(f.values, axes=axes)
+    fh = _fft(f.planes)
     t = _lap(timings, "fft_s", t)
     fnorm = float(np.linalg.norm(fh)) or 1.0  # zero data: both guards read 0
     rel0 = float(np.linalg.norm(fh[zero]) / fnorm)
@@ -308,26 +334,29 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
             "data must have vanishing mean"
         )
     fh[zero] = 0.0
-    xis = _axis_xi(k * n, N, L)
-    uh = _sigma0_star(fh, rep, k, n, xis)
-    xi2 = sum(x * x for x in xis)
-    xi2[zero] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0 there
+    uh = _apply_rows(_sigma_rows(rep, k, n, N, L, star=True), fh)
+    xi2 = sum(x * x for x in _axis_xi(k * n, N, L))
+    xi2[zero[1:]] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0 there
     uh /= xi2
+    del xi2
     if check_compat:
-        fh *= -1  # in place, the defect sigma0 u_hat - f_hat overwrites f_hat
-        compat = float(np.linalg.norm(_sigma0(uh, rep, k, n, xis, out=fh)) / fnorm)
+        # f_hat - sigma0 u_hat, one plane at a time into f_hat's own planes
+        for row, plane in zip(_sigma_rows(rep, k, n, N, L), fh):
+            plane -= _apply_rows([row], uh)[0]
+        compat = float(np.linalg.norm(fh) / fnorm)
         diag["compat_rel"] = compat
         if compat > tol:
             raise CompatibilityError(
                 f"compatibility defect too large ({compat:.3e} > {tol:.1e})"
             )
+    del fh
     t = _lap(timings, "multiplier_s", t)
     if certify:
         diag["recovery_identity_residual"] = _certify_recovery_identity(rep, k, n, N, L)
         t = _lap(timings, "certify_s", t)
-    np.fft.ifftn(uh, axes=axes, out=uh)
+    np.fft.ifftn(uh, axes=tuple(range(1, uh.ndim)), out=uh)
     _lap(timings, "fft_s", t)
-    return GridField(k, n, N, L, "V0", uh, support=None), diag
+    return GridField(k, n, N, L, "V0", np.moveaxis(uh, 0, -1), support=None), diag
 
 
 def _exterior_mask(k, n, N, L, center, distance):
@@ -352,7 +381,7 @@ def anchor_exterior(u, support, margin=2.0):
     mask = _exterior_mask(u.k, u.n, u.N, u.L, center, margin * radius)
     if not mask.any():
         raise ValueError("no exterior region: support covers the whole cell")
-    shift = u.values[mask].mean(axis=0)
+    shift = u.planes[:, mask].mean(axis=1)
     return GridField(u.k, u.n, u.N, u.L, u.space, u.values - shift, support=u.support)
 
 
@@ -396,14 +425,15 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
     t = time.perf_counter()
     u = anchor_exterior(u, phi.support)  # rebinding frees the unanchored solution
     _lap(timings, "anchor_s", t)
-    du = apply_spectral("d0", u, rep)
-    fn = np.linalg.norm(f.values)
+    # u's metrics come first, so their temporaries are freed before the residual field
+    recovery = float(np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values))
+    hartogs = hartogs_report(u, phi.support)
+    resid = apply_spectral("d0", u, rep).planes
+    resid -= f.planes
     metrics = {
-        "recovery_rel_l2": float(
-            np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values)
-        ),
-        "dirac_residual_rel_l2": float(np.linalg.norm(du.values - f.values) / fn),
-        "hartogs": hartogs_report(u, phi.support),
+        "recovery_rel_l2": recovery,
+        "dirac_residual_rel_l2": float(np.linalg.norm(resid) / np.linalg.norm(f.values)),
+        "hartogs": hartogs,
     }
     metrics.update(diag)
     return u, phi, metrics

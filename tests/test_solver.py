@@ -99,9 +99,10 @@ def test_matrix_free_d0_matches_dense_symbol(rng, reps):
     from diraclab.solver import _mode_xi
     from diraclab.symbols import build_bundle
 
-    for n in (2, 3):
+    # k = 3 exercises three blocks, n = 3 the s = 2 cross terms; N = 3 keeps
+    # the dense symbols of the nine-axis grid small
+    for k, n, N in ((2, 2, 4), (2, 3, 4), (3, 2, 4), (3, 3, 3)):
         rep = reps[n]
-        k, N = 2, 4
         s0 = build_bundle(rep, k, _mode_xi(k, n, N, L, np.arange(N ** (k * n)))).sigma0
         for tag, mat in (("d0", s0), ("d0_star", np.conj(np.swapaxes(s0, 1, 2)))):
             dim = mat.shape[2]
@@ -188,6 +189,17 @@ def test_solve_recovers_bump(reps):
     assert metrics["dirac_residual_rel_l2"] <= 1e-10
     assert metrics["hartogs"]["ratio"] <= 1e-10
     assert metrics["recovery_identity_residual"] <= 1e-10
+
+
+def test_solve_recovers_mixed_spinor_bump(reps):
+    # n = 3 has s = 2; a bump on both basis spinors makes sigma0, sigma0* and
+    # the compatibility defect mix the two spinor planes of each block
+    rep = reps[3]
+    phi = make_bump(rep, 2, 3, 6, L, np.full(6, np.pi), 1.2, spinor=[0.6, 0.8j])
+    u, diag = solve_d0(apply_spectral("d0", phi, rep), rep)
+    assert diag["compat_rel"] <= 1e-12
+    u = anchor_exterior(u, phi.support)
+    assert np.linalg.norm(u.values - phi.values) <= 1e-10 * np.linalg.norm(phi.values)
 
 
 def test_solve_zero_data(reps):
@@ -283,6 +295,82 @@ def test_memory_guard(monkeypatch, reps):
     monkeypatch.setenv("DIRACLAB_MEM_LIMIT_GIB", "0.0001")
     with pytest.raises(ResourceLimitError):
         make_bump(rep, 2, 2, 32, L, CENTER4, 0.6)
+
+
+def test_memory_guard_estimates_track_peaks(monkeypatch, reps):
+    # each guarded call's traced peak above live memory lies between half
+    # the guard's estimate and the estimate
+    import tracemalloc
+
+    from diraclab import solver
+
+    rep = reps[2]
+    N = 16
+    phi = make_bump(rep, 2, 2, N, L, CENTER4, 0.6)
+    f = apply_spectral("d0", phi, rep)
+    calls = {
+        "make_bump": lambda: make_bump(rep, 2, 2, N, L, CENTER4, 0.6),
+        "bump_dirac_data": lambda: bump_dirac_data(rep, 2, 2, N, L, CENTER4, 0.6),
+        "d0": lambda: apply_spectral("d0", phi, rep),
+        "d0_star": lambda: apply_spectral("d0_star", f, rep),
+        "d1": lambda: apply_spectral("d1", f, rep),
+        "solve_d0": lambda: solve_d0(f, rep),
+    }
+    for call in calls.values():
+        call()  # fills the symbol builder's per-k caches, which outlive a call
+    guard = solver._require_memory
+    estimates = []
+    monkeypatch.setattr(solver, "_require_memory",
+                        lambda *args: estimates.append(guard(*args)))
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            estimates.clear()
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - live
+            del result
+            assert len(estimates) == 1, name
+            assert estimates[0] / 2 <= peak <= estimates[0], (name, peak, estimates[0])
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_fields_store_contiguous_planes(tmp_path, reps):
+    # every producer stores one contiguous plane per component behind the
+    # component-last `values`; the file format stays component-last
+    rep = reps[2]
+    k = n = 2
+    N = 8
+    phi = make_bump(rep, k, n, N, L, CENTER4, 0.6)
+    f = apply_spectral("d0", phi, rep)
+    u, _ = solve_d0(f, rep)
+    path = tmp_path / "u.bin"
+    dump_field(u, path)
+    produced = {
+        "make_bump": phi,
+        "bump_dirac_data": bump_dirac_data(rep, k, n, N, L, CENTER4, 0.6),
+        "d0": f,
+        "d0_star": apply_spectral("d0_star", f, rep),
+        "d1": apply_spectral("d1", f, rep),
+        "solve_d0": u,
+        "anchor_exterior": anchor_exterior(u, phi.support),
+        "load_field": load_field(path),
+    }
+    for name, fld in produced.items():
+        assert fld.values.shape == (N,) * (k * n) + (fld.dim,), name
+        assert fld.planes.flags.c_contiguous, name
+        last = np.ascontiguousarray(fld.values)
+        rebuilt = GridField(k, n, N, L, fld.space, last)
+        assert np.array_equal(rebuilt.values, last), name
+        assert rebuilt.planes.flags.c_contiguous, name
+    # a component-first array, such as arithmetic on values, is not copied
+    shifted = f.values + 0.1
+    assert np.shares_memory(GridField(k, n, N, L, "V1", shifted).values, shifted)
+    with open(path, "rb") as fh:
+        fh.readline()
+        assert fh.read() == np.ascontiguousarray(u.values).astype("<c16").tobytes()
 
 
 def test_dump_load_round_trip(tmp_path, reps):
