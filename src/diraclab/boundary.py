@@ -15,14 +15,21 @@ both of which annihilate phi identically.  Boundary data f with
 ``Z_mu f = 0`` and ``Z_mu T f = 0`` is the analogue of a CR function; the
 pair (Z_mu f, -Z_mu T f) is the image of f under the induced first boundary
 operator.
+
+Every operator here acts on scalar fields and broadcasts over a stack
+(:func:`~diraclab.fields.stack`: ``vals`` of shape (T, B, s), the batch axis
+just before the spinor axis).  The two certifying checks,
+:func:`restrict_and_test` and :func:`pi1_kernel_check`, take sequences of
+fields, run one operator pass over their stack and return one value per
+member.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac_ops import d0, nabla
-from .fields import PolyField, _canonical, _partial, make_field
+from .dirac_ops import nabla
+from .fields import PolyField, _canonical, _partial, make_field, member_norms, stack
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,8 @@ class SpinorFactor:
     def apply(self, f):
         mat = self.plus if f.chirality > 0 else self.minus
         target = "S-" if f.chirality > 0 else "S+"
-        if not len(f):
-            return PolyField(f.k, f.n, target)
+        if not len(f):  # keeps the value shape, batch axis included
+            return PolyField(f.k, f.n, target, f.expo, f.vals)
         return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
 
 
@@ -211,14 +218,24 @@ def script_d0(chart, rep, fhat):
     return first, second
 
 
-def pi1_kernel_check(chart, rep, F, Fprime):
-    """Residual of the boundary projection on canonical zero-Cauchy data.
+def _largest_norms(fields, size):
+    """Per member, the largest norm among stacked fields (0 if there are none)."""
+    return np.max([np.zeros(size)] + [member_norms(g) for g in fields], axis=0)
 
-    Builds the V1 jet ``hatF_A = (nabla_A phi) F`` at order zero and
+
+def pi1_kernel_check(chart, rep, Fs, Fprimes):
+    """Residuals of the boundary projection on canonical zero-Cauchy data.
+
+    For each pair (F, F') of S+ fields drawn from the two sequences, builds
+    the V1 jet ``hatF_A = (nabla_A phi) F`` at order zero and
     ``hatF'_A = nabla_A F + (nabla_A phi) F'`` at order one, pushes it
     through the quotient-map formulas, and returns the largest norm among
-    the outputs, which must vanish identically.
+    the outputs, which must vanish identically: an array with one value per
+    pair.
     """
+    if len(Fs) != len(Fprimes):
+        raise ValueError(f"{len(Fs)} fields F but {len(Fprimes)} fields F'")
+    F, Fprime = stack(Fs), stack(Fprimes)
     inv = inv_nabla0_phi_factor(chart, rep)
     hat = [nabla_phi_factor(chart, rep, A).apply(F) for A in range(chart.k)]
     hatp = [
@@ -227,20 +244,19 @@ def pi1_kernel_check(chart, rep, F, Fprime):
     ]
     core = inv.apply(hat[0])  # S+ valued
     inner = hatp[0] - nabla(0, core, rep)
-    worst = 0.0
+    outputs = []
     for mu in range(1, chart.k):
         fac = nabla_phi_factor(chart, rep, mu)
-        f1 = hat[mu] - fac.apply(inv.apply(hat[0]))
-        f2 = hatp[mu] - nabla(mu, core, rep) - fac.apply(inv.apply(inner))
-        worst = max(worst, f1.norm(), f2.norm())
-    return worst
+        outputs.append(hat[mu] - fac.apply(core))
+        outputs.append(hatp[mu] - nabla(mu, core, rep) - fac.apply(inv.apply(inner)))
+    return _largest_norms(outputs, len(Fs))
 
 
 def restrict_to_chart(f, chart):
     """Substitute x_{01} = rho(rest), yielding a surface field."""
     space = f.space if f.space != "V0" else "S+"
     if not len(f):
-        return PolyField(f.k, f.n, space)
+        return PolyField(f.k, f.n, space, f.expo, f.vals)
     kn = f.k * f.n
     lin = np.flatnonzero(chart.rho_coeffs.reshape(-1))
     rho_e = np.eye(kn, dtype=np.int64)[lin]
@@ -263,21 +279,28 @@ def restrict_to_chart(f, chart):
     return PolyField(f.k, f.n, space, np.concatenate(expo), np.concatenate(vals))
 
 
-def restrict_and_test(f, chart, rep, tol=1e-10):
-    """Restrict a monogenic field to the chart and test tangential monogenicity."""
-    fnorm = f.norm()
-    defect = d0(f, rep).norm()
-    if defect > tol * max(fnorm, 1.0):
+def restrict_and_test(fields, chart, rep, tol=1e-10):
+    """Restrict monogenic fields to the chart and test tangential monogenicity.
+
+    Returns a dict of arrays with one entry per field.  Raises ValueError
+    naming the index of the first field that is not monogenic.
+    """
+    f = stack(fields)
+    fnorm = member_norms(f)
+    # |d0 f|^2 is the sum over A of |nabla_A f|^2
+    defect = np.sqrt(sum(member_norms(nabla(A, f, rep)) ** 2 for A in range(f.k)))
+    bad = np.flatnonzero(defect > tol * np.maximum(fnorm, 1.0))
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"input is not monogenic (|d0 f| = {defect:.3e} > tol * |f|)"
+            f"member {i} is not monogenic (|d0 f| = {defect[i]:.3e} > tol * |f|)"
         )
-    fhat = restrict_to_chart(f, chart)
-    first, second = script_d0(chart, rep, fhat)
-    r1 = max((g.norm() for g in first), default=0.0)
-    r2 = max((g.norm() for g in second), default=0.0)
+    first, second = script_d0(chart, rep, restrict_to_chart(f, chart))
+    r1 = _largest_norms(first, len(fnorm))
+    r2 = _largest_norms(second, len(fnorm))
     return {
         "input_norm": fnorm,
         "z_residual": r1,
         "zt_residual": r2,
-        "pass": max(r1, r2) <= tol * max(fnorm, 1.0),
+        "pass": np.maximum(r1, r2) <= tol * np.maximum(fnorm, 1.0),
     }

@@ -136,69 +136,70 @@ def checks_weyl(k):
     return out
 
 
+def _complex_sample(rng, k, n, rep):
+    """Draw one sample's random fields from rng; its residuals by check key.
+
+    Residuals are relative to the input: an output that vanishes
+    analytically has a norm of pure roundoff."""
+    val = {}
+    f = random_field(rng, k, n, "V0", rep, degree=4, nterms=6)
+    fn = max(f.norm(), 1e-300)
+    df = dirac_ops.d0(f, rep)
+    val["d1d0"] = dirac_ops.d1(df, rep).norm() / fn
+    lap = dirac_ops.d0_star(df, rep) - dirac_ops.laplacian(f, rep)
+    val["laplace"] = lap.norm() / fn
+
+    F = random_field(rng, k, n, "V1", rep, degree=4, nterms=6)
+    Fn = max(F.norm(), 1e-300)
+    h = dirac_ops.d1(F, rep)
+    hp = dirac_ops.d1_projector(F, rep)
+    val["agree"] = (h - hp).norm() / Fn
+    val["member"] = h.membership_residual() / Fn
+    if k >= 3:  # for k = 2 the order-5 branch does not exist
+        val["d2pd1"] = dirac_ops.d2p(h, rep).norm() / Fn
+        val["d2ppd1"] = dirac_ops.d2pp(h, rep).norm() / Fn
+        h2 = random_field(rng, k, n, "V2", rep, degree=2, nterms=5)
+        h2n = max(h2.norm(), 1e-300)
+        a = dirac_ops.d2p(h2, rep)
+        b = dirac_ops.d2p_projector(h2, rep)
+        c = dirac_ops.d2pp(h2, rep)
+        d = dirac_ops.d2pp_projector(h2, rep)
+        val["agree"] = max(val["agree"], (a - b).norm() / h2n, (c - d).norm() / h2n)
+        val["member"] = max(val["member"], a.membership_residual() / h2n,
+                            c.membership_residual() / h2n)
+    g = random_field(rng, k, n, "V0", rep, degree=3, nterms=4)
+    bidx = int(rng.integers(0, k))
+    cidx = int(rng.integers(0, k))
+    aidx = int(rng.integers(0, k))
+    lhs = dirac_ops.delta_op(bidx, cidx, dirac_ops.nabla(aidx, g, rep), rep)
+    rhs = dirac_ops.nabla(aidx, dirac_ops.delta_op(bidx, cidx, g, rep), rep)
+    val["commute"] = (lhs - rhs).norm() / max(g.norm(), 1e-300)
+    return val
+
+
 def checks_complex(k, n, samples, seed):
+    if samples < 1:
+        raise ValueError("the complex suite needs at least one sample")
     rng = np.random.default_rng(seed)
     rep = build_clifford(n)
-    order5 = k >= 3  # for k = 2 the order-5 branch does not exist
-    out = []
-    worst = {"d1d0": 0.0, "d2pd1": 0.0, "d2ppd1": 0.0, "agree": 0.0,
-             "member": 0.0, "laplace": 0.0, "commute": 0.0}
-    for _ in range(samples):
-        f = random_field(rng, k, n, "V0", rep, degree=4, nterms=6)
-        fn = max(f.norm(), 1e-300)
-        df = dirac_ops.d0(f, rep)
-        worst["d1d0"] = max(worst["d1d0"], dirac_ops.d1(df, rep).norm() / fn)
-        lap = dirac_ops.d0_star(df, rep) - dirac_ops.laplacian(f, rep)
-        worst["laplace"] = max(worst["laplace"], lap.norm() / fn)
+    values = [_complex_sample(rng, k, n, rep) for _ in range(samples)]
 
-        F = random_field(rng, k, n, "V1", rep, degree=4, nterms=6)
-        Fn = max(F.norm(), 1e-300)
-        h = dirac_ops.d1(F, rep)
-        hp = dirac_ops.d1_projector(F, rep)
-        # residuals are relative to the input: an output that vanishes
-        # analytically has a norm of pure roundoff
-        worst["agree"] = max(worst["agree"], (h - hp).norm() / Fn)
-        worst["member"] = max(worst["member"], h.membership_residual() / Fn)
-        if order5:
-            worst["d2pd1"] = max(worst["d2pd1"], dirac_ops.d2p(h, rep).norm() / Fn)
-            worst["d2ppd1"] = max(worst["d2ppd1"], dirac_ops.d2pp(h, rep).norm() / Fn)
-            h2 = random_field(rng, k, n, "V2", rep, degree=2, nterms=5)
-            h2n = max(h2.norm(), 1e-300)
-            a = dirac_ops.d2p(h2, rep)
-            b = dirac_ops.d2p_projector(h2, rep)
-            worst["agree"] = max(worst["agree"], (a - b).norm() / h2n)
-            c = dirac_ops.d2pp(h2, rep)
-            d = dirac_ops.d2pp_projector(h2, rep)
-            worst["agree"] = max(worst["agree"], (c - d).norm() / h2n)
-            worst["member"] = max(
-                worst["member"],
-                a.membership_residual() / h2n,
-                c.membership_residual() / h2n,
-            )
-        g = random_field(rng, k, n, "V0", rep, degree=3, nterms=4)
-        bidx = int(rng.integers(0, k))
-        cidx = int(rng.integers(0, k))
-        aidx = int(rng.integers(0, k))
-        lhs = dirac_ops.delta_op(bidx, cidx, dirac_ops.nabla(aidx, g, rep), rep)
-        rhs = dirac_ops.nabla(aidx, dirac_ops.delta_op(bidx, cidx, g, rep), rep)
-        worst["commute"] = max(worst["commute"], (lhs - rhs).norm() / max(g.norm(), 1e-300))
-    out.append(_check(f"d1_after_d0 k={k} n={n}", "D1 D0 = 0", worst["d1d0"], 1e-9))
-    out.append(_check(f"adjoint_laplacian k={k} n={n}", "D0* D0 = Laplacian",
-                      worst["laplace"], 1e-9))
-    if order5:
-        out.append(_check(f"d2p_after_d1 k={k} n={n}", "D2' D1 = 0",
-                          worst["d2pd1"], 1e-9))
-        out.append(_check(f"d2pp_after_d1 k={k} n={n}", "D2'' D1 = 0",
-                          worst["d2ppd1"], 1e-9))
-    out.append(_check(f"form_agreement k={k} n={n}",
-                      "direct operator forms = projector forms",
-                      worst["agree"], 1e-10))
-    out.append(_check(f"output_membership k={k} n={n}",
-                      "operator outputs lie in their value spaces",
-                      worst["member"], 1e-10))
-    out.append(_check(f"delta_commutation k={k} n={n}",
-                      "Delta_BC nabla_A = nabla_A Delta_BC",
-                      worst["commute"], 1e-9))
+    def worst(key, name, certifies, tol):
+        i = int(np.argmax([v[key] for v in values]))
+        return _check(f"{name} k={k} n={n}", certifies, values[i][key], tol,
+                      witness={"sample": i})
+
+    out = [worst("d1d0", "d1_after_d0", "D1 D0 = 0", 1e-9),
+           worst("laplace", "adjoint_laplacian", "D0* D0 = Laplacian", 1e-9)]
+    if k >= 3:
+        out += [worst("d2pd1", "d2p_after_d1", "D2' D1 = 0", 1e-9),
+                worst("d2ppd1", "d2pp_after_d1", "D2'' D1 = 0", 1e-9)]
+    out += [worst("agree", "form_agreement", "direct operator forms = projector forms",
+                  1e-10),
+            worst("member", "output_membership",
+                  "operator outputs lie in their value spaces", 1e-10),
+            worst("commute", "delta_commutation", "Delta_BC nabla_A = nabla_A Delta_BC",
+                  1e-9)]
     return out
 
 
@@ -292,19 +293,25 @@ def checks_ellipticity(k, n, samples, seed):
     return out
 
 
-def checks_boundary(k, n, samples, seed):
-    rng = np.random.default_rng(seed)
-    rep = build_clifford(n)
-    out = []
-    charts = [("flat", boundary.flat_chart(k, n))]
+def _boundary_charts(k, n):
+    """The (label, chart) pairs the boundary suite runs on."""
     if n >= 2:
-        charts.append(("tilted", boundary.tilted_chart(k, n)))
+        tilted = boundary.tilted_chart(k, n)
     else:
         tilt = np.zeros((k, n))
         tilt[1, 0] = 1.0
-        charts.append(("tilted", boundary.tilted_chart(k, n, tilt)))
+        tilted = boundary.tilted_chart(k, n, tilt)
+    return [("flat", boundary.flat_chart(k, n)), ("tilted", tilted)]
+
+
+def checks_boundary(k, n, samples, seed):
+    if samples < 1:
+        raise ValueError("the boundary suite needs at least one sample")
+    rng = np.random.default_rng(seed)
+    rep = build_clifford(n)
+    out = []
     mono = dirac_ops.monogenic_basis(rep, k, n, degree=3)
-    for label, chart in charts:
+    for label, chart in _boundary_charts(k, n):
         phi_kill = 0.0
         for t in range(rep.s_dim):
             spinor = np.zeros(rep.s_dim, dtype=complex)
@@ -315,22 +322,24 @@ def checks_boundary(k, n, samples, seed):
             phi_kill = max(phi_kill, boundary.apply_t(chart, rep, phi).norm())
         out.append(_check(f"frame_tangency chart={label} k={k} n={n}",
                           "Z_mu phi = 0 and T phi = 0", phi_kill, 1e-12))
-        tm = 0.0
-        for f in mono:
-            rpt = boundary.restrict_and_test(f, chart, rep)
-            tm = max(tm, max(rpt["z_residual"], rpt["zt_residual"])
-                     / max(rpt["input_norm"], 1e-300))
+        rpt = boundary.restrict_and_test(mono, chart, rep)
+        tm = (np.maximum(rpt["z_residual"], rpt["zt_residual"])
+              / np.maximum(rpt["input_norm"], 1e-300))
+        i = int(np.argmax(tm))
         out.append(_check(f"tangential_monogenicity chart={label} k={k} n={n}",
                           "restrictions of monogenic fields satisfy Z f = 0, Z T f = 0",
-                          tm, 1e-10, basis_size=len(mono)))
-        pk = 0.0
-        for _ in range(samples):
-            F = random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
-            Fp = random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
-            pk = max(pk, boundary.pi1_kernel_check(chart, rep, F, Fp)
-                     / max(F.norm() + Fp.norm(), 1e-300))
+                          float(tm[i]), 1e-10, basis_size=len(mono),
+                          witness={"member": i}))
+        # sample i is the pair of draws 2i (F) and 2i + 1 (F')
+        draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
+                 for _ in range(2 * samples)]
+        Fs, Fps = draws[0::2], draws[1::2]
+        scale = [F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)]
+        pk = boundary.pi1_kernel_check(chart, rep, Fs, Fps) / np.maximum(scale, 1e-300)
+        i = int(np.argmax(pk))
         out.append(_check(f"pi1_kernel chart={label} k={k} n={n}",
-                          "canonical zero-Cauchy data maps to zero", pk, 1e-10))
+                          "canonical zero-Cauchy data maps to zero", float(pk[i]), 1e-10,
+                          witness={"sample": i}))
     return out
 
 

@@ -105,8 +105,8 @@ def nabla(A, f, rep):
     if not 0 <= A < f.k:
         raise ValueError(f"variable index {A} out of range for k={f.k}")
     target = _flip_scalar_space(f)
-    if not len(f):
-        return zero_field(f.k, f.n, target)
+    if not len(f):  # keeps the value shape, batch axis included
+        return PolyField(f.k, f.n, target, f.expo, f.vals)
     gam = _gamma_block(rep, f.chirality)
     return PolyField(f.k, f.n, target, *_cat(_nabla_pieces(f.expo, f.vals, gam, A, f.n)))
 

@@ -9,6 +9,10 @@ the ``vals`` of a V2 field has shape (T, k, k, k, s).  The rows of ``expo``
 are unique and sorted lexicographically, and no row of ``vals`` is zero; the
 constructor restores this canonical form after every operation.
 
+A stack of B scalar fields is one field whose ``vals`` carry a batch axis
+just before the spinor axis, shape (T, B, s) (see :func:`stack`); the scalar
+operators act on all members at once.
+
 Differentiation multiplies by small integers and the gamma contractions have
 entries in {0, +-1, +-i}, so the algebraic operator identities hold on
 polynomial fields up to roundoff, which makes them the right test bed.
@@ -113,21 +117,58 @@ class PolyField:
         return self
 
 
-def _canonical(expo, vals):
-    """Sum rows with equal exponents, sort them, and drop zero rows."""
-    if not len(expo):
-        return expo, vals
+def _group(expo):
+    """Group equal exponent rows: the sort order, the distinct sorted rows,
+    and the group of each sorted row."""
     order = np.lexsort(expo.T[::-1])  # stable; first column most significant
     expo = expo[order]
     first = np.ones(len(expo), dtype=bool)
     first[1:] = (expo[1:] != expo[:-1]).any(axis=1)
-    group = np.cumsum(first) - 1
+    return order, expo[first], np.cumsum(first) - 1
+
+
+def _canonical(expo, vals):
+    """Sum rows with equal exponents, sort them, and drop zero rows."""
+    if not len(expo):
+        return expo, vals
+    order, rows, group = _group(expo)
     # add.at adds a group's rows one at a time in input order; a reduceat
     # may regroup them, and terms that cancel exactly then leave roundoff
-    acc = np.zeros((group[-1] + 1,) + vals.shape[1:], dtype=complex)
+    acc = np.zeros((len(rows),) + vals.shape[1:], dtype=complex)
     np.add.at(acc, group, vals[order])
     keep = acc.any(axis=tuple(range(1, acc.ndim)))
-    return expo[first][keep], acc[keep]
+    return rows[keep], acc[keep]
+
+
+def stack(members):
+    """One field holding B scalar fields of one space: ``vals`` has shape (T, B, s).
+
+    The rows are the union of the members' exponent rows, and member b's
+    coefficients sit at ``vals[:, b]``, zero on the rows it lacks.  Every
+    scalar operator broadcasts over the batch axis, so one call acts on all
+    members, and :func:`member_norms` reads the norms back per member.
+    """
+    members = list(members)
+    if not members:
+        raise ValueError("a stack needs at least one member")
+    head = members[0]
+    if head.order or any((g.k, g.n, g.space) != (head.k, head.n, head.space)
+                         for g in members):
+        raise ValueError("a stack holds scalar fields of one space")
+    # the zero field carries no spinor axis; take it from a nonzero member
+    tail = next((g.vals.shape[1:] for g in members if len(g)), ())
+    order, rows, group = _group(np.concatenate([g.expo for g in members]))
+    owner = np.repeat(np.arange(len(members)), [len(g) for g in members])
+    vals = np.zeros((len(rows), len(members)) + tail, dtype=complex)
+    vals[group, owner[order]] = np.concatenate(
+        [g.vals.reshape((-1,) + tail) for g in members])[order]
+    return PolyField(head.k, head.n, head.space, rows, vals)
+
+
+def member_norms(f):
+    """The norm of each member of a stack, shape (B,)."""
+    axes = (0,) + tuple(range(2, f.vals.ndim))
+    return np.sqrt((np.abs(f.vals) ** 2).sum(axis=axes))
 
 
 def _partial(expo, vals, idx):

@@ -477,26 +477,31 @@ def dump_field(fld, path):
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(np.ascontiguousarray(fld.values).astype("<c16").tobytes())
+        # the payload is component-last; one leading-axis slab at a time
+        # keeps the copy to 1/N of the field
+        for slab in fld.values:
+            fh.write(np.ascontiguousarray(slab, dtype="<c16"))
 
 
 def load_field(path):
     """Read a field written by :func:`dump_field`, checking it against its header."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        payload = fh.read()
-    if header["space"] not in ("V0", "V1", "V2"):
-        raise ValueError(f"field {path}: unknown space {header['space']!r}")
-    if header.get("dtype") != "complex128":
-        raise ValueError(f"field {path}: dtype {header.get('dtype')!r} is not complex128")
-    kn = header["k"] * header["n"]
-    shape = (header["N"],) * kn + (header["dim"],)
-    if len(payload) != 16 * int(np.prod(shape)):
-        raise ValueError(
-            f"field {path}: payload has {len(payload)} bytes, the header "
-            f"needs {16 * int(np.prod(shape))}"
-        )
-    values = np.frombuffer(payload, dtype="<c16").reshape(shape).astype(complex)
-    return GridField(
-        header["k"], header["n"], header["N"], header["L"], header["space"], values
-    )
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if header["space"] not in ("V0", "V1", "V2"):
+            raise ValueError(f"field {path}: unknown space {header['space']!r}")
+        if header.get("dtype") != "complex128":
+            raise ValueError(
+                f"field {path}: dtype {header.get('dtype')!r} is not complex128")
+        kn = header["k"] * header["n"]
+        shape = (header["N"],) * kn + (header["dim"],)
+        if size != 16 * int(np.prod(shape)):
+            raise ValueError(
+                f"field {path}: payload has {size} bytes, the header "
+                f"needs {16 * int(np.prod(shape))}"
+            )
+        values = np.empty(shape, dtype="<c16")
+        if fh.readinto(values) != size:
+            raise ValueError(f"field {path}: payload ended early")
+    return GridField(header["k"], header["n"], header["N"], header["L"], header["space"],
+                     values.astype(complex, copy=False))

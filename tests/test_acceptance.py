@@ -244,21 +244,21 @@ def test_criterion_6_boundary():
             charts = [bnd.flat_chart(k, n), bnd.tilted_chart(k, n, tilt)]
             basis = ops.monogenic_basis(rep, k, n, degree=3)
             for chart in charts:
-                for f in basis:
-                    rpt = bnd.restrict_and_test(f, chart, rep)
-                    worst_tm = max(
-                        worst_tm,
-                        max(rpt["z_residual"], rpt["zt_residual"])
-                        / max(rpt["input_norm"], 1e-300),
-                    )
-                for _ in range(20):
-                    F = random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
-                    Fp = random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
-                    worst_pi1 = max(
-                        worst_pi1,
-                        bnd.pi1_kernel_check(chart, rep, F, Fp)
-                        / max(F.norm() + Fp.norm(), 1e-300),
-                    )
+                rpt = bnd.restrict_and_test(basis, chart, rep)
+                worst_tm = max(
+                    worst_tm,
+                    float((np.maximum(rpt["z_residual"], rpt["zt_residual"])
+                           / np.maximum(rpt["input_norm"], 1e-300)).max()),
+                )
+                draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
+                         for _ in range(40)]
+                Fs, Fps = draws[0::2], draws[1::2]
+                scale = [F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)]
+                worst_pi1 = max(
+                    worst_pi1,
+                    float((bnd.pi1_kernel_check(chart, rep, Fs, Fps)
+                           / np.maximum(scale, 1e-300)).max()),
+                )
     wall = time.perf_counter() - t0
     ok = worst_tm <= 1e-10 and worst_pi1 <= 1e-10 and wall < 30.0
     _report(6, "boundary", ok,

@@ -119,9 +119,8 @@ def test_monogenic_restrictions_are_tangentially_monogenic(k, n):
     basis = monogenic_basis(rep, k, n, degree=3)
     assert len(basis) == MONOGENIC_BASIS_SIZES[(k, n)]
     for chart in charts_for(k, n):
-        for f in basis:
-            rpt = restrict_and_test(f, chart, rep)
-            assert rpt["pass"], rpt
+        rpt = restrict_and_test(basis, chart, rep)
+        assert rpt["pass"].all(), rpt
 
 
 def test_restrict_and_test_rejects_non_monogenic(rng, reps):
@@ -129,7 +128,11 @@ def test_restrict_and_test_rejects_non_monogenic(rng, reps):
     f = random_field(rng, 2, 2, "V0", rep, degree=2, nterms=5)
     # a generic field is not monogenic
     with pytest.raises(ValueError, match="not monogenic"):
-        restrict_and_test(f, flat_chart(2, 2), rep)
+        restrict_and_test([f], flat_chart(2, 2), rep)
+    # in a stack, the error names the first failing member
+    basis = monogenic_basis(rep, 2, 2, degree=2)
+    with pytest.raises(ValueError, match="member 2 is not monogenic"):
+        restrict_and_test(basis[:2] + [f] + basis[2:] + [f], flat_chart(2, 2), rep)
 
 
 def test_restriction_substitutes_defining_variable(reps):
@@ -147,13 +150,12 @@ def test_restriction_substitutes_defining_variable(reps):
 def test_pi1_kernel_property(k, n, rng):
     rep = build_clifford(n)
     for chart in charts_for(k, n):
-        for _ in range(5):
-            F = random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
-            Fp = random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
-            scale = max(F.norm() + Fp.norm(), 1e-30)
-            assert pi1_kernel_check(chart, rep, F, Fp) <= 1e-10 * scale
+        draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5) for _ in range(10)]
+        Fs, Fps = draws[0::2], draws[1::2]
+        scale = np.maximum([F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)], 1e-30)
+        assert (pi1_kernel_check(chart, rep, Fs, Fps) <= 1e-10 * scale).all()
         zero = make_field(k, n, "V0", {})
-        assert pi1_kernel_check(chart, rep, zero, zero) == 0.0
+        assert np.array_equal(pi1_kernel_check(chart, rep, [zero], [zero]), [0.0])
 
 
 def test_commutator_identities(rng, reps):
@@ -189,3 +191,27 @@ def test_restriction_agrees_with_pointwise_evaluation(rng, reps):
         x = rng.standard_normal(k * n)
         x[0] = float((chart.rho_coeffs.reshape(-1) * x).sum())  # on the chart
         assert np.abs(evaluate(f, x) - evaluate(g, x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k,n", CONFIGS)
+def test_stacked_checks_match_one_member_calls(k, n, rng):
+    # one pass over a stack gives each member the value of a one-element call
+    rep = build_clifford(n)
+    basis = monogenic_basis(rep, k, n, degree=3)
+    draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5) for _ in range(8)]
+    draws[2] = make_field(k, n, "V0", {})  # a zero member among the samples
+    Fs, Fps = draws[0::2], draws[1::2]
+    for chart in charts_for(k, n):
+        rpt = restrict_and_test(basis, chart, rep)
+        for i, f in enumerate(basis):
+            one = restrict_and_test([f], chart, rep)
+            norm = one["input_norm"][0]
+            assert abs(rpt["input_norm"][i] - norm) <= 1e-15 * norm
+            for key in ("z_residual", "zt_residual"):
+                assert abs(rpt[key][i] - one[key][0]) <= 1e-15 * norm, (i, key)
+        pk = pi1_kernel_check(chart, rep, Fs, Fps)
+        for i, (F, Fp) in enumerate(zip(Fs, Fps)):
+            one = pi1_kernel_check(chart, rep, [F], [Fp])[0]
+            assert abs(pk[i] - one) <= 1e-15 * (F.norm() + Fp.norm()), i
+    with pytest.raises(ValueError, match="fields F"):
+        pi1_kernel_check(chart, rep, Fs, Fps[:-1])

@@ -78,17 +78,22 @@ def test_verify_complex_small(capsys):
     assert not {"d2p_after_d1", "d2pp_after_d1"} & set(names)
 
 
-def test_verify_rejects_bad_ranges():
+def test_verify_rejects_bad_ranges(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--k", "1"])
     assert err.value.code == 2
+    # a suite over random samples certifies nothing without one
+    for scope in ("complex", "ellipticity", "boundary"):
+        code, report = run_cli(capsys, "verify", "--scope", scope, "--samples", "0")
+        assert code == 2 and report["error"] == "usage", scope
 
 
 def test_reports_deterministic(capsys):
-    verify = ["verify", "--scope", "ellipticity", "--k", "2", "--n", "2",
-              "--samples", "4", "--seed", "11"]
+    verify = [["verify", "--scope", scope, "--k", k, "--n", "2", "--samples", "4",
+               "--seed", "11"]
+              for scope, k in (("ellipticity", "2"), ("boundary", "2"), ("complex", "3"))]
     solve = ["solve", "--k", "2", "--n", "2", "--N", "8", "--sweep", "8,10"]
-    for args in (verify, solve):
+    for args in (*verify, solve):
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         timings = first.pop("timings")
@@ -143,6 +148,64 @@ def test_ellipticity_witnesses_replay(capsys):
     comp = max(np.abs(b.sigma1 @ b.sigma0).max(), np.abs(b.sigma2p @ b.sigma1).max(),
                np.abs(b.sigma2pp @ b.sigma1).max())
     assert abs(comp - checks["symbol_complex"]["value"]) <= 1e-12
+
+
+def assert_worst(check, replayed, witness):
+    # the witness replays the reported value, and no input has a larger one
+    assert abs(replayed[witness] - check["value"]) <= 1e-12 * check["value"]
+    assert max(replayed) <= check["value"] * (1 + 1e-12)
+
+
+def test_boundary_witnesses_replay(capsys):
+    # each boundary check names the basis member or sample of its worst
+    # value; a one-element stack of that input gives the reported value again
+    from diraclab import boundary, build_clifford, dirac_ops, random_field
+    from diraclab.cli import _boundary_charts
+
+    k, n, samples, seed = 3, 2, 6, 5
+    _, report = run_cli(capsys, "verify", "--scope", "boundary", "--k", str(k),
+                        "--n", str(n), "--samples", str(samples), "--seed", str(seed))
+    checks = {c["name"]: c for c in report["checks"]}
+    rep = build_clifford(n)
+    basis = dirac_ops.monogenic_basis(rep, k, n, degree=3)
+    rng = np.random.default_rng(seed)
+    for label, chart in _boundary_charts(k, n):
+        # the charts draw their samples from one generator, in chart order
+        draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
+                 for _ in range(2 * samples)]
+        values = []
+        for f in basis:
+            rpt = boundary.restrict_and_test([f], chart, rep)
+            values.append(max(rpt["z_residual"][0], rpt["zt_residual"][0])
+                          / rpt["input_norm"][0])
+        check = checks[f"tangential_monogenicity chart={label} k={k} n={n}"]
+        assert_worst(check, values, check["witness"]["member"])
+        values = [boundary.pi1_kernel_check(chart, rep, [F], [Fp])[0] / (F.norm() + Fp.norm())
+                  for F, Fp in zip(draws[0::2], draws[1::2])]
+        check = checks[f"pi1_kernel chart={label} k={k} n={n}"]
+        assert_worst(check, values, check["witness"]["sample"])
+
+
+def test_complex_witnesses_replay(capsys):
+    # each complex check names the sample of its worst value; re-drawing the
+    # samples at the report's seed gives that sample's value again
+    from diraclab import build_clifford
+    from diraclab.cli import _complex_sample
+
+    k, n, samples, seed = 3, 2, 8, 9
+    _, report = run_cli(capsys, "verify", "--scope", "complex", "--k", str(k),
+                        "--n", str(n), "--samples", str(samples), "--seed", str(seed))
+    rng = np.random.default_rng(seed)
+    rep = build_clifford(n)
+    drawn = [_complex_sample(rng, k, n, rep) for _ in range(samples)]
+    keys = {"d1_after_d0": "d1d0", "adjoint_laplacian": "laplace",
+            "d2p_after_d1": "d2pd1", "d2pp_after_d1": "d2ppd1",
+            "form_agreement": "agree", "output_membership": "member",
+            "delta_commutation": "commute"}
+    assert [c["name"].split()[0] for c in report["checks"]] == list(keys)
+    for check in report["checks"]:
+        key = keys[check["name"].split()[0]]
+        assert_worst(check, [v[key] for v in drawn], check["witness"]["sample"])
 
 
 def test_verify_out_file(tmp_path, capsys):

@@ -192,6 +192,36 @@ def test_constructor_sums_duplicates_and_drops_zeros():
     assert np.array_equal(g.terms[(1, 0, 0, 0)], 5 * one)
 
 
+def test_stack_round_trips_members(reps, rng):
+    # each member's slice of a stack, brought back to canonical form, is the
+    # member bit for bit: disjoint and overlapping supports and a zero member
+    from diraclab.fields import member_norms, stack
+
+    rep = reps[2]
+    one = np.array([1.0 + 0j])
+    a = make_field(2, 2, "V0", {(1, 0, 0, 0): one, (0, 0, 0, 2): 2 * one})
+    b = make_field(2, 2, "V0", {(0, 1, 0, 0): 3 * one})  # disjoint from a
+    c = random_field(rng, 2, 2, "V0", rep, degree=3, nterms=6)
+    members = [a, b, zero_field(2, 2, "V0"), c, a + c]  # a + c overlaps a and c
+    s = stack(members)
+    assert_canonical(s)
+    assert s.vals.shape == (len(s), len(members), rep.s_dim)
+    assert len(s) == len(np.unique(np.concatenate([g.expo for g in members]), axis=0))
+    for i, g in enumerate(members):
+        back = PolyField(2, 2, "V0", s.expo, s.vals[:, i])
+        assert np.array_equal(back.expo, g.expo), i
+        assert back.vals.tobytes() == g.vals.tobytes(), i
+    assert np.allclose(member_norms(s), [g.norm() for g in members], rtol=1e-15, atol=0)
+    # a stack of zero fields keeps its batch axis
+    assert np.array_equal(member_norms(stack([zero_field(2, 2, "V0")] * 3)), np.zeros(3))
+    with pytest.raises(ValueError, match="one space"):
+        stack([a, make_field(2, 2, "S-", {(0, 0, 0, 0): one})])
+    with pytest.raises(ValueError, match="one space"):
+        stack([random_field(rng, 2, 2, "V1", rep)])
+    with pytest.raises(ValueError, match="at least one"):
+        stack([])
+
+
 @pytest.mark.parametrize("space", ["V2", "V3p", "V3pp"])
 def test_batched_membership_residual_matches_rows(space, reps, rng):
     # one check_membership call over all rows gives each row's residual

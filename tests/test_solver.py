@@ -383,6 +383,31 @@ def test_dump_load_round_trip(tmp_path, reps):
     assert np.array_equal(back.values, b.values)
 
 
+def test_dump_load_hold_one_copy(tmp_path, reps):
+    # dump_field copies one leading-axis slab at a time; load_field reads
+    # into one buffer that GridField turns into its planes
+    import tracemalloc
+
+    f = apply_spectral("d0", make_bump(reps[2], 2, 2, 16, L, CENTER4, 0.6), reps[2])
+    path = tmp_path / "f.bin"
+    field_bytes = f.values.nbytes
+    bound = field_bytes + field_bytes // 16  # one field plus one slab
+    dump_field(f, path)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        dump_field(f, path)
+        assert tracemalloc.get_traced_memory()[1] - live <= bound
+        tracemalloc.reset_peak()
+        back = load_field(path)
+        live, peak = tracemalloc.get_traced_memory()  # live holds the result
+        assert peak - live <= bound
+    finally:
+        tracemalloc.stop()
+    assert f.dim == 2 and np.array_equal(back.values, f.values)
+
+
 def _rewrite_dump(path, edit_header=None, trim=0):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
