@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, boundary, dirac_ops, solver, symbols, weyl
 from .clifford import build_clifford, delta_symbol, dirac_symbol
-from .fields import random_field
+from .fields import PolyField, keyed, keyed_norms, keyed_residuals, random_field
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -136,57 +136,86 @@ def checks_weyl(k):
     return out
 
 
-def _complex_sample(rng, k, n, rep):
-    """Draw one sample's random fields from rng; its residuals by check key.
+def _complex_draws(rng, k, n, rep, samples):
+    """Every sample's random inputs, drawn one sample at a time.
+
+    Per sample the rng draws f (V0), F (V1), h2 (V2, k >= 3 only), g (V0)
+    and then the indices B, C, A of the commutation check; each role's
+    fields come back as one sample-keyed field, the indices as (samples, 3).
+    """
+    roles = {"f": [], "F": [], "h2": [], "g": []}
+    slots = []
+    for _ in range(samples):
+        roles["f"].append(random_field(rng, k, n, "V0", rep, degree=4, nterms=6))
+        roles["F"].append(random_field(rng, k, n, "V1", rep, degree=4, nterms=6))
+        if k >= 3:  # for k = 2 the order-5 branch does not exist
+            roles["h2"].append(random_field(rng, k, n, "V2", rep, degree=2, nterms=5))
+        roles["g"].append(random_field(rng, k, n, "V0", rep, degree=3, nterms=4))
+        slots.append([int(rng.integers(0, k)) for _ in range(3)])
+    return {role: keyed(fields) for role, fields in roles.items() if fields}, np.array(slots)
+
+
+def _commutator(g, rep, slots):
+    """Delta_BC nabla_A g - nabla_A Delta_BC g, each member at its own (B, C, A).
+
+    Both sides are derivative stacks over every (A, B, C) at once; each row
+    reads the slot its member's `slots` row names.
+    """
+    k, n = g.k, g.n
+    le, lv = dirac_ops._delta_stack(PolyField(k, n, "S-", *dirac_ops._grad(g, rep)))
+    re_, rv = dirac_ops._grad(PolyField(k, n, g.space, *dirac_ops._delta_stack(g)), rep)
+    b, c, a = slots[le[:, -1]].T  # lv axes (B, C, A, s)
+    lhs = PolyField(k, n, "S-", le, lv[np.arange(len(le)), b, c, a])
+    b, c, a = slots[re_[:, -1]].T  # rv axes (A, B, C, s)
+    return lhs - PolyField(k, n, "S-", re_, rv[np.arange(len(re_)), a, b, c])
+
+
+def complex_values(k, n, samples, seed):
+    """Each sample's residuals by check key, one operator pass per check.
 
     Residuals are relative to the input: an output that vanishes
     analytically has a norm of pure roundoff."""
-    val = {}
-    f = random_field(rng, k, n, "V0", rep, degree=4, nterms=6)
-    fn = max(f.norm(), 1e-300)
-    df = dirac_ops.d0(f, rep)
-    val["d1d0"] = dirac_ops.d1(df, rep).norm() / fn
-    lap = dirac_ops.d0_star(df, rep) - dirac_ops.laplacian(f, rep)
-    val["laplace"] = lap.norm() / fn
+    rep = build_clifford(n)
+    inputs, slots = _complex_draws(np.random.default_rng(seed), k, n, rep, samples)
 
-    F = random_field(rng, k, n, "V1", rep, degree=4, nterms=6)
-    Fn = max(F.norm(), 1e-300)
+    def norms(f):
+        return keyed_norms(f, samples)
+
+    def residuals(f):
+        return keyed_residuals(f, samples)
+
+    f, F, g = inputs["f"], inputs["F"], inputs["g"]
+    fn, Fn = np.maximum(norms(f), 1e-300), np.maximum(norms(F), 1e-300)
+    df = dirac_ops.d0(f, rep)
+    values = {"d1d0": norms(dirac_ops.d1(df, rep)) / fn,
+              "laplace": norms(dirac_ops.d0_star(df, rep) - dirac_ops.laplacian(f, rep)) / fn}
     h = dirac_ops.d1(F, rep)
-    hp = dirac_ops.d1_projector(F, rep)
-    val["agree"] = (h - hp).norm() / Fn
-    val["member"] = h.membership_residual() / Fn
-    if k >= 3:  # for k = 2 the order-5 branch does not exist
-        val["d2pd1"] = dirac_ops.d2p(h, rep).norm() / Fn
-        val["d2ppd1"] = dirac_ops.d2pp(h, rep).norm() / Fn
-        h2 = random_field(rng, k, n, "V2", rep, degree=2, nterms=5)
-        h2n = max(h2.norm(), 1e-300)
-        a = dirac_ops.d2p(h2, rep)
-        b = dirac_ops.d2p_projector(h2, rep)
-        c = dirac_ops.d2pp(h2, rep)
-        d = dirac_ops.d2pp_projector(h2, rep)
-        val["agree"] = max(val["agree"], (a - b).norm() / h2n, (c - d).norm() / h2n)
-        val["member"] = max(val["member"], a.membership_residual() / h2n,
-                            c.membership_residual() / h2n)
-    g = random_field(rng, k, n, "V0", rep, degree=3, nterms=4)
-    bidx = int(rng.integers(0, k))
-    cidx = int(rng.integers(0, k))
-    aidx = int(rng.integers(0, k))
-    lhs = dirac_ops.delta_op(bidx, cidx, dirac_ops.nabla(aidx, g, rep), rep)
-    rhs = dirac_ops.nabla(aidx, dirac_ops.delta_op(bidx, cidx, g, rep), rep)
-    val["commute"] = (lhs - rhs).norm() / max(g.norm(), 1e-300)
-    return val
+    agree = [norms(h - dirac_ops.d1_projector(F, rep)) / Fn]
+    member = [residuals(h) / Fn]
+    if k >= 3:
+        values["d2pd1"] = norms(dirac_ops.d2p(h, rep)) / Fn
+        values["d2ppd1"] = norms(dirac_ops.d2pp(h, rep)) / Fn
+        h2 = inputs["h2"]
+        h2n = np.maximum(norms(h2), 1e-300)
+        a, c = dirac_ops.d2p(h2, rep), dirac_ops.d2pp(h2, rep)
+        agree += [norms(a - dirac_ops.d2p_projector(h2, rep)) / h2n,
+                  norms(c - dirac_ops.d2pp_projector(h2, rep)) / h2n]
+        member += [residuals(a) / h2n, residuals(c) / h2n]
+    values["agree"], values["member"] = np.max(agree, axis=0), np.max(member, axis=0)
+    values["commute"] = norms(_commutator(g, rep, slots)) / np.maximum(norms(g), 1e-300)
+    return values
 
 
 def checks_complex(k, n, samples, seed):
+    """The complex identities on random fields; each record's witness is the
+    sample of its worst value."""
     if samples < 1:
         raise ValueError("the complex suite needs at least one sample")
-    rng = np.random.default_rng(seed)
-    rep = build_clifford(n)
-    values = [_complex_sample(rng, k, n, rep) for _ in range(samples)]
+    values = complex_values(k, n, samples, seed)
 
     def worst(key, name, certifies, tol):
-        i = int(np.argmax([v[key] for v in values]))
-        return _check(f"{name} k={k} n={n}", certifies, values[i][key], tol,
+        i = int(np.argmax(values[key]))
+        return _check(f"{name} k={k} n={n}", certifies, float(values[key][i]), tol,
                       witness={"sample": i})
 
     out = [worst("d1d0", "d1_after_d0", "D1 D0 = 0", 1e-9),

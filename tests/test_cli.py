@@ -186,26 +186,52 @@ def test_boundary_witnesses_replay(capsys):
         assert_worst(check, values, check["witness"]["sample"])
 
 
+COMPLEX_KEYS = {"d1_after_d0": "d1d0", "adjoint_laplacian": "laplace",
+                "d2p_after_d1": "d2pd1", "d2pp_after_d1": "d2ppd1",
+                "form_agreement": "agree", "output_membership": "member",
+                "delta_commutation": "commute"}
+
+
 def test_complex_witnesses_replay(capsys):
-    # each complex check names the sample of its worst value; re-drawing the
-    # samples at the report's seed gives that sample's value again
+    # each complex check names the sample of its worst value; the one-sample
+    # oracle, re-drawing the samples at the report's seed, gives that value
+    from conftest import complex_sample
     from diraclab import build_clifford
-    from diraclab.cli import _complex_sample
 
     k, n, samples, seed = 3, 2, 8, 9
     _, report = run_cli(capsys, "verify", "--scope", "complex", "--k", str(k),
                         "--n", str(n), "--samples", str(samples), "--seed", str(seed))
     rng = np.random.default_rng(seed)
     rep = build_clifford(n)
-    drawn = [_complex_sample(rng, k, n, rep) for _ in range(samples)]
-    keys = {"d1_after_d0": "d1d0", "adjoint_laplacian": "laplace",
-            "d2p_after_d1": "d2pd1", "d2pp_after_d1": "d2ppd1",
-            "form_agreement": "agree", "output_membership": "member",
-            "delta_commutation": "commute"}
-    assert [c["name"].split()[0] for c in report["checks"]] == list(keys)
+    drawn = [complex_sample(rng, k, n, rep) for _ in range(samples)]
+    assert [c["name"].split()[0] for c in report["checks"]] == list(COMPLEX_KEYS)
     for check in report["checks"]:
-        key = keys[check["name"].split()[0]]
+        key = COMPLEX_KEYS[check["name"].split()[0]]
         assert_worst(check, [v[key] for v in drawn], check["witness"]["sample"])
+
+
+def test_batched_complex_values_match_oracle():
+    # `verify --scope all --seed 0` runs these six (k, n) pairs at 25 samples;
+    # the one-pass values equal the one-sample oracle's bit for bit, and each
+    # check's witness is the oracle's argmax
+    from conftest import complex_sample
+    from diraclab import build_clifford
+    from diraclab.cli import complex_values
+
+    samples, seed = 25, 0
+    for k, n in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)):
+        rng = np.random.default_rng(seed)
+        rep = build_clifford(n)
+        oracle = [complex_sample(rng, k, n, rep) for _ in range(samples)]
+        values = complex_values(k, n, samples, seed)
+        assert set(values) == set(oracle[0])
+        for key, batched in values.items():
+            ref = np.array([v[key] for v in oracle])
+            assert batched.tobytes() == ref.tobytes(), (k, n, key)
+        for check in checks_complex(k, n, samples, seed):
+            ref = [v[COMPLEX_KEYS[check["name"].split()[0]]] for v in oracle]
+            assert check["witness"]["sample"] == int(np.argmax(ref))
+            assert check["value"] == max(ref)
 
 
 def test_verify_out_file(tmp_path, capsys):
