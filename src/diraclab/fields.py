@@ -129,17 +129,17 @@ class PolyField:
     def scale(self, a):
         return PolyField(self.k, self.n, self.space, self.expo, a * self.vals)
 
-    def _row_residuals(self):
-        """Characterization residual of each coefficient array, shape (T,)."""
+    def membership_residual(self, rows=False):
+        """Largest characterization residual among the coefficient arrays.
+
+        With ``rows=True``, the residual of each coefficient array, shape (T,).
+        """
         lam = SPACE_INFO[self.space][2]
         if lam is None or not len(self):
-            return np.zeros(len(self))
-        rows = np.moveaxis(self.vals, 0, -1)  # one call, the row axis trailing
-        return weyl.check_membership(lam, rows, rows=True)
-
-    def membership_residual(self):
-        """Largest characterization residual among the coefficient arrays."""
-        return float(self._row_residuals().max(initial=0.0))
+            res = np.zeros(len(self))
+        else:  # one call, the row axis trailing
+            res = weyl.check_membership(lam, np.moveaxis(self.vals, 0, -1), rows=True)
+        return res if rows else float(res.max(initial=0.0))
 
     def validate(self, tol=MEMBERSHIP_TOL):
         """Raise if a coefficient array leaves the value space.
@@ -148,7 +148,7 @@ class PolyField:
         """
         if SPACE_INFO[self.space][2] is None:
             return self
-        res = self._row_residuals()
+        res = self.membership_residual(rows=True)
         bad = res > tol
         if bad.any():
             where = f"residual {res.max():.3e}"
@@ -286,7 +286,7 @@ def keyed_residuals(f, count):
     within the row as for the member alone; then a maximum per member.
     """
     out = np.zeros(count)
-    np.maximum.at(out, _key(f, count), f._row_residuals())
+    np.maximum.at(out, _key(f, count), f.membership_residual(rows=True))
     return out
 
 
