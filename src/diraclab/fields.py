@@ -83,12 +83,12 @@ class PolyField:
                                           np.asarray(vals, dtype=complex))
 
     @property
-    def keyed(self):
+    def is_keyed(self):
         """Whether the last column of ``expo`` is a member index."""
         return self.expo.shape[1] > self.k * self.n
 
     def _require_plain(self, what):
-        if self.keyed:
+        if self.is_keyed:
             raise ValueError(f"{what} of a sample-keyed field, which holds several")
 
     @property
@@ -152,7 +152,7 @@ class PolyField:
         bad = res > tol
         if bad.any():
             where = f"residual {res.max():.3e}"
-            if self.keyed:
+            if self.is_keyed:
                 key = self.expo[:, -1]
                 i = int(key[bad].min())
                 where = f"member {i}: residual {res[key == i].max():.3e}"
@@ -199,7 +199,7 @@ def stack(members):
         raise ValueError("a stack needs at least one member")
     head = members[0]
     if head.order or any((g.k, g.n, g.space) != (head.k, head.n, head.space)
-                         or g.keyed for g in members):
+                         or g.is_keyed for g in members):
         raise ValueError("a stack holds scalar fields of one space")
     # the zero field carries no spinor axis; take it from a nonzero member
     tail = next((g.vals.shape[1:] for g in members if len(g)), ())
@@ -231,7 +231,7 @@ def keyed(members):
     if not members:
         raise ValueError("a keyed field needs at least one member")
     head = members[0]
-    if any((g.k, g.n, g.space) != (head.k, head.n, head.space) or g.keyed
+    if any((g.k, g.n, g.space) != (head.k, head.n, head.space) or g.is_keyed
            for g in members):
         raise ValueError("a keyed field holds plain fields of one space")
     # the zero field carries no value axes; take them from a nonzero member
@@ -249,7 +249,7 @@ def _key(f, count):
     """
     if not len(f):
         return np.zeros(0, dtype=np.int64)
-    if not f.keyed:
+    if not f.is_keyed:
         raise ValueError("not a sample-keyed field")
     key = f.expo[:, -1]
     if key.max() >= count:
@@ -310,7 +310,7 @@ def _linear_combination(f, g, sign):
     space = f.space if f.space == g.space else ("S+" if f.chirality > 0 else "S-")
     if f.order > 0 and f.space != g.space:
         raise ValueError("fields live in different spaces")
-    if len(f) and len(g) and f.keyed != g.keyed:
+    if len(f) and len(g) and f.is_keyed != g.is_keyed:
         raise ValueError("cannot add a sample-keyed field and a plain one")
     if not len(g):
         return PolyField(f.k, f.n, space, f.expo, f.vals)

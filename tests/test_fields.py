@@ -75,12 +75,12 @@ def test_keyed_round_trips_members(space, reps, rng):
     rep = reps[2]
     members = members_of(rng, rep, space)
     f = keyed(members)
-    assert f.keyed and f.expo.shape[1] == 3 * 2 + 1
+    assert f.is_keyed and f.expo.shape[1] == 3 * 2 + 1
     assert len(f) == sum(len(g) for g in members)  # no union of rows
     back = unkey(f, len(members))
     assert len(back) == len(members)  # the trailing zero member survives
     for g, h in zip(members, back):
-        assert not h.keyed
+        assert not h.is_keyed
         assert same(g, h) or (not len(g) and not len(h))
     # a keyed field of zero members keeps its count
     empty = keyed([zero_field(3, 2, space)] * 3)
