@@ -1,12 +1,12 @@
 """Collect perfbench runs into one BENCH_<label>.json file.
 
     python3 benchmarks/bench.py --label NAME [--base DIR] [--pairs 10]
-        [--seed 101] [--seconds 20] [--workloads solve,verify-poly,verify-symbolic]
-        [--previous BENCH_old.json]
+        [--seed 101] [--previous BENCH_old.json]
 
 For each seed S = --seed, --seed + 1, ... (--pairs of them) and each
-workload, runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
-from the root of this checkout.  With `--base DIR` (another checkout, such as
+workload W of BENCHMARK.json, runs `perfbench/run.py --workload W --seed S
+--seconds T --trace 0` from the root of this checkout, T being
+BENCHMARK.json's `run_seconds`.  With `--base DIR` (another checkout, such as
 the parent commit, run with its own perfbench) every run is paired with the
 same run there, the two sides taking turns to go first, because the host's
 speed drifts over minutes.  Nothing is timed here: the figures are
@@ -63,19 +63,19 @@ def main(argv=None):
     p.add_argument("--base", help="checkout to pair every run with")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=101)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--workloads", default="solve,verify-poly,verify-symbolic")
     p.add_argument("--previous", help="earlier BENCH file to compare medians with")
     args = p.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label) or args.pairs < 1:
         p.error("--label takes letters, digits, '_', '.', '-'; --pairs must be >= 1")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     previous = None
     if args.previous:
         with open(args.previous) as fh:
             previous = json.load(fh)
-    workloads = args.workloads.split(",")
     sides = [("change", ROOT)] + ([("base", os.path.abspath(args.base))] if args.base else [])
     runs = {w: [] for w in workloads}
     env = {}
@@ -84,13 +84,13 @@ def main(argv=None):
         for w in workloads:
             pair = {"seed": seed}
             for side, root in sides[::-1] if i % 2 else sides:  # take turns first
-                env_line, pair[side] = perfbench(root, w, seed, args.seconds)
+                env_line, pair[side] = perfbench(root, w, seed, seconds)
                 env.setdefault(side, env_line)
                 print(f"{w} seed {seed} {side}: {pair[side]}", file=sys.stderr)
             runs[w].append(pair)
 
     out = {"label": args.label,
-           "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
+           "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                       " --trace 0",
            "environment": env["change"], "workloads": {}}
     if args.base:

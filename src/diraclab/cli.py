@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, boundary, dirac_ops, solver, symbols, weyl
 from .clifford import build_clifford, delta_symbol, dirac_symbol
-from .fields import PolyField, keyed, keyed_norms, keyed_residuals, random_field
+from .fields import keyed, keyed_norms, keyed_residuals, random_field
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -136,8 +136,12 @@ def checks_weyl(k):
     return out
 
 
+#: samples evaluated per operator pass; bounds the suite's memory at any --samples
+COMPLEX_BLOCK = 64
+
+
 def _complex_draws(rng, k, n, rep, samples):
-    """Every sample's random inputs, drawn one sample at a time.
+    """The random inputs of `samples` samples, drawn one sample at a time.
 
     Per sample the rng draws f (V0), F (V1), h2 (V2, k >= 3 only), g (V0)
     and then the indices B, C, A of the commutation check; each role's
@@ -155,28 +159,10 @@ def _complex_draws(rng, k, n, rep, samples):
     return {role: keyed(fields) for role, fields in roles.items() if fields}, np.array(slots)
 
 
-def _commutator(g, rep, slots):
-    """Delta_BC nabla_A g - nabla_A Delta_BC g, each member at its own (B, C, A).
-
-    Both sides are derivative stacks over every (A, B, C) at once; each row
-    reads the slot its member's `slots` row names.
-    """
-    k, n = g.k, g.n
-    le, lv = dirac_ops._delta_stack(PolyField(k, n, "S-", *dirac_ops._grad(g, rep)))
-    re_, rv = dirac_ops._grad(PolyField(k, n, g.space, *dirac_ops._delta_stack(g)), rep)
-    b, c, a = slots[le[:, -1]].T  # lv axes (B, C, A, s)
-    lhs = PolyField(k, n, "S-", le, lv[np.arange(len(le)), b, c, a])
-    b, c, a = slots[re_[:, -1]].T  # rv axes (A, B, C, s)
-    return lhs - PolyField(k, n, "S-", re_, rv[np.arange(len(re_)), a, b, c])
-
-
-def complex_values(k, n, samples, seed):
-    """Each sample's residuals by check key, one operator pass per check.
-
-    Residuals are relative to the input: an output that vanishes
-    analytically has a norm of pure roundoff."""
-    rep = build_clifford(n)
-    inputs, slots = _complex_draws(np.random.default_rng(seed), k, n, rep, samples)
+def _complex_block(rng, k, n, rep, samples):
+    """The next `samples` samples' residuals by check key, one operator pass
+    per check."""
+    inputs, slots = _complex_draws(rng, k, n, rep, samples)
 
     def norms(f):
         return keyed_norms(f, samples)
@@ -202,8 +188,24 @@ def complex_values(k, n, samples, seed):
                   norms(c - dirac_ops.d2pp_projector(h2, rep)) / h2n]
         member += [residuals(a) / h2n, residuals(c) / h2n]
     values["agree"], values["member"] = np.max(agree, axis=0), np.max(member, axis=0)
-    values["commute"] = norms(_commutator(g, rep, slots)) / np.maximum(norms(g), 1e-300)
+    commute = dirac_ops.delta_nabla(g, rep, slots) - dirac_ops.nabla_delta(g, rep, slots)
+    values["commute"] = norms(commute) / np.maximum(norms(g), 1e-300)
     return values
+
+
+def complex_values(k, n, samples, seed):
+    """Each sample's residuals by check key.
+
+    The samples are drawn in order from one rng and evaluated in blocks of
+    at most :data:`COMPLEX_BLOCK`, one operator pass per check and block, so
+    memory does not grow with `samples`.  Residuals are relative to the
+    input: an output that vanishes analytically has a norm of pure roundoff.
+    """
+    rep = build_clifford(n)
+    rng = np.random.default_rng(seed)
+    blocks = [_complex_block(rng, k, n, rep, min(COMPLEX_BLOCK, samples - start))
+              for start in range(0, samples, COMPLEX_BLOCK)]
+    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
 
 def checks_complex(k, n, samples, seed):

@@ -25,7 +25,7 @@ selection of the input, then the B derivative, then the A derivative).
 import numpy as np
 
 from . import weyl
-from .fields import PolyField, _canonical, _partial, zero_field
+from .fields import PolyField, _canonical, _key, _partial, zero_field
 
 
 def _require_space(f, space, op_name):
@@ -279,6 +279,41 @@ def laplacian(f, rep):
         return zero_field(f.k, f.n, f.space)
     expo, vals = _cat(p for B in range(f.k) for p in _delta_pieces(f.expo, f.vals, B, B, f.n))
     return PolyField(f.k, f.n, f.space, expo, 0.5 * vals)
+
+
+def _at_member_slots(k, n, stack, slots):
+    """A keyed scalar field read off a keyed derivative stack, row by row.
+
+    `stack` is the (exponents, values) pair of a keyed field with three
+    leading derivative axes; each row reads the slot that its member's row
+    of `slots`, shape (B, 3), names in those axes.
+    """
+    f = PolyField(k, n, "S-", *stack)
+    i, j, l = np.asarray(slots)[_key(f, len(slots))].T
+    return PolyField(k, n, "S-", f.expo, f.vals[np.arange(len(f)), i, j, l])
+
+
+def delta_nabla(g, rep, slots):
+    """Delta_BC nabla_A g for each member of a sample-keyed V0 field.
+
+    Row b of `slots`, shape (B, 3), holds member b's indices (B, C, A)
+    (see :func:`~diraclab.fields.keyed`).  One stack over every (A, B, C)
+    serves all members.
+    """
+    _require_space(g, "V0", "delta_nabla")
+    if not len(g):
+        return zero_field(g.k, g.n, "S-")
+    stack = _delta_stack(PolyField(g.k, g.n, "S-", *_grad(g, rep)))  # (B, C, A, s)
+    return _at_member_slots(g.k, g.n, stack, slots)
+
+
+def nabla_delta(g, rep, slots):
+    """nabla_A Delta_BC g for each member, as :func:`delta_nabla` takes them."""
+    _require_space(g, "V0", "nabla_delta")
+    if not len(g):
+        return zero_field(g.k, g.n, "S-")
+    stack = _grad(PolyField(g.k, g.n, "V0", *_delta_stack(g)), rep)  # (A, B, C, s)
+    return _at_member_slots(g.k, g.n, stack, np.asarray(slots)[:, [2, 0, 1]])
 
 
 def monogenic_basis(rep, k, n, degree):

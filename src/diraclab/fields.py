@@ -26,9 +26,10 @@ members at once, through the same code path as on one field:
   (:func:`keyed_norms`, :func:`keyed_residuals`) take the member count and
   equal the one-field values bit for bit.  The boundary suite keeps the dense
   stack: its members share rows, which a keyed field repeats once per member.
-  On a 2-vCPU x86-64 VM a keyed prototype of its four commands took
-  0.42-0.55 s per iteration against 0.25-0.32 s dense, with bitwise-equal
-  values.
+  On a 2-vCPU x86-64 VM, keyed, its four commands took 0.57-0.62 s per
+  iteration against 0.25-0.34 s dense (six alternating in-process pairs),
+  and the ``verify-poly`` benchmark's median wall time rose from 0.65 to
+  0.93 s (four pairs, all lost).
 
 Differentiation multiplies by small integers and the gamma contractions have
 entries in {0, +-1, +-i}, so the algebraic operator identities hold on

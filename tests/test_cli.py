@@ -234,6 +234,21 @@ def test_batched_complex_values_match_oracle():
             assert check["value"] == max(ref)
 
 
+def test_complex_blocks_continue_the_draws(monkeypatch):
+    # past one block the next block goes on drawing from the same rng: with
+    # blocks of 3, eight samples still equal the oracle's bit for bit
+    from conftest import complex_sample
+    from diraclab import build_clifford, cli
+
+    k, n, samples, seed = 3, 2, 8, 4
+    monkeypatch.setattr(cli, "COMPLEX_BLOCK", 3)
+    rng = np.random.default_rng(seed)
+    rep = build_clifford(n)
+    oracle = [complex_sample(rng, k, n, rep) for _ in range(samples)]
+    for key, batched in cli.complex_values(k, n, samples, seed).items():
+        assert batched.tobytes() == np.array([v[key] for v in oracle]).tobytes(), key
+
+
 def test_verify_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _ = run_cli(

@@ -172,3 +172,22 @@ def test_operators_on_keyed_fields_match_members(k, n, reps, rng):
             for g, h in zip(members, outs):
                 ref = op(g, rep)
                 assert same(ref, h) or (not len(ref) and not len(h)), op.__name__
+
+
+def test_commutator_sides_read_each_members_slot(reps, rng):
+    # member b's part of each side is that composition on member b alone, at
+    # its own (B, C, A); a zero member stays zero
+    k, n = 3, 2
+    rep = reps[n]
+    members = [random_field(rng, k, n, "V0", rep, degree=5, nterms=6) for _ in range(5)]
+    members.insert(3, zero_field(k, n, "V0"))
+    slots = rng.integers(0, k, size=(len(members), 3))
+    f = keyed(members)
+    lhs = unkey(dirac_ops.delta_nabla(f, rep, slots), len(members))
+    rhs = unkey(dirac_ops.nabla_delta(f, rep, slots), len(members))
+    assert sum(map(bool, map(len, lhs + rhs))) >= 6 and not len(lhs[3])
+    for g, (b, c, a), left, right in zip(members, slots, lhs, rhs):
+        ref = dirac_ops.delta_op(b, c, dirac_ops.nabla(a, g, rep), rep)
+        assert same(ref, left) or (not len(ref) and not len(left))
+        ref = dirac_ops.nabla(a, dirac_ops.delta_op(b, c, g, rep), rep)
+        assert same(ref, right) or (not len(ref) and not len(right))
