@@ -9,8 +9,12 @@ workload W of BENCHMARK.json, runs `perfbench/run.py --workload W --seed S
 BENCHMARK.json's `run_seconds`.  With `--base DIR` (another checkout, such as
 the parent commit, run with its own perfbench) every run is paired with the
 same run there, the two sides taking turns to go first, because the host's
-speed drifts over minutes.  Nothing is timed here: the figures are
-perfbench's, only collected.
+speed drifts over minutes.  These figures are perfbench's, only collected.
+
+Before the pairs, each side also runs its tier-1 tests once and
+`diraclab verify --scope all --seed 0` once, each in a fresh process; the
+file records their wall times as timed here, the tests' summary line and
+the verify process's peak RSS.
 
 The file, written at the root of this checkout, holds the environment line
 of the first run, every run's end-to-end metrics, and per workload the
@@ -18,7 +22,8 @@ median and quartiles of each metric (peak RSS included) for this checkout
 and the base, with the number of pairs this checkout wins.  With
 `--previous`, it also holds the relative change of each median against that
 earlier BENCH file.  Exit code 1 if a run is not `correct` (its gate
-failed); a run that ends with no result line stops the collection.
+failed) or a tier-1 or verify run exits nonzero; a perfbench run that ends
+with no result line stops the collection.
 """
 
 import argparse
@@ -28,6 +33,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -45,6 +51,27 @@ def perfbench(root, workload, seed, seconds):
     values = {name: m["value"] for name, m in result["metrics"].items()}
     values.update(correct=result["correct"], failed=result["failed"])
     return json.loads(lines[-2])["environment"], values
+
+
+def whole_runs(root):
+    """One tier-1 run and one `verify --scope all --seed 0` run of a checkout:
+    wall times, the tests' summary line and the verify process's peak RSS."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    t = time.perf_counter()
+    tests = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                           cwd=root, env=env, capture_output=True, text=True)
+    tier1_s = time.perf_counter() - t
+    t = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "diraclab.cli", "verify", "--scope",
+                             "all", "--seed", "0"], cwd=root, env=env,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own rusage
+    verify_s = time.perf_counter() - t
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"tier1_wall_s": tier1_s, "tier1_exit": tests.returncode,
+            "tier1_summary": (tests.stdout.strip().splitlines() or [""])[-1],
+            "verify_all_wall_s": verify_s, "verify_all_exit": proc.returncode,
+            "verify_all_peak_rss_mib": usage.ru_maxrss / 1024.0}
 
 
 def summary(runs, metrics):
@@ -77,6 +104,9 @@ def main(argv=None):
         with open(args.previous) as fh:
             previous = json.load(fh)
     sides = [("change", ROOT)] + ([("base", os.path.abspath(args.base))] if args.base else [])
+    whole = {side: whole_runs(root) for side, root in sides}
+    for side, figures in whole.items():
+        print(f"{side}: {figures}", file=sys.stderr)
     runs = {w: [] for w in workloads}
     env = {}
     for i in range(args.pairs):
@@ -92,7 +122,7 @@ def main(argv=None):
     out = {"label": args.label,
            "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                       " --trace 0",
-           "environment": env["change"], "workloads": {}}
+           "environment": env["change"], "whole_runs": whole, "workloads": {}}
     if args.base:
         out["base_environment"] = env["base"]
     for w, pairs in runs.items():
@@ -117,8 +147,10 @@ def main(argv=None):
         json.dump(out, fh, indent=1)
         fh.write("\n")
     print(path)
-    return 0 if all(r[side]["correct"] for pairs in runs.values() for r in pairs
-                    for side, _ in sides) else 1
+    ok = all(r[side]["correct"] for pairs in runs.values() for r in pairs
+             for side, _ in sides)
+    ok &= all(w["tier1_exit"] == 0 == w["verify_all_exit"] for w in whole.values())
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -451,7 +451,9 @@ def run_solve(args):
         center=center, tol=args.tol, break_compat=args.break_compat,
         timings=stages,
     )
-    del phi  # not read here; freeing it lowers the sweep's memory peak
+    if args.out:
+        solver.dump_field(u, args.out)
+    del u, phi  # the sweep runs without them, which lowers its memory peak
     checks = [
         _check("bump_recovery", "u = D0* D0 D0* G1 (D0 phi) recovers phi",
                metrics["recovery_rel_l2"], 1e-6),
@@ -477,8 +479,6 @@ def run_solve(args):
                              ok=all(a > b for a, b in zip(errs, errs[1:])),
                              sweep=sweep_rows))
     stages["sweep_s"] = time.perf_counter() - t_sweep
-    if args.out:
-        solver.dump_field(u, args.out)
     report = {
         "tool": "diraclab",
         "version": __version__,

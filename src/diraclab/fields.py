@@ -174,10 +174,22 @@ def _group(expo):
     return order, expo[first], np.cumsum(first) - 1
 
 
+def _increasing(expo):
+    """Whether the rows are strictly increasing, first column most significant."""
+    step = expo[1:] - expo[:-1]
+    lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    return bool((lead > 0).all())
+
+
 def _canonical(expo, vals):
     """Sum rows with equal exponents, sort them, and drop zero rows."""
     if not len(expo):
         return expo, vals
+    if _increasing(expo):
+        # nothing to sort or sum; adding 0.0 turns -0.0 into 0.0, as the
+        # zero-initialized sum below does, so both routes agree bitwise
+        keep = vals.reshape(len(vals), -1).any(axis=1)
+        return expo[keep], vals[keep] + 0.0
     order, rows, group = _group(expo)
     # add.at adds a group's rows one at a time in input order; a reduceat
     # may regroup them, and terms that cancel exactly then leave roundoff

@@ -14,10 +14,18 @@ The solve applies u_hat = sigma0* f_hat / |xi|^2, with sigma0 and sigma0*
 matrix-free: k s^2 multiply-adds of weight grids that each vary on one
 block's n axes.  Because sigma0* sigma0 = |xi|^2 Id and L1 sigma0 = |xi|^4
 sigma0, this closed form equals the Hodge route sigma0* sigma0 sigma0* L1^{-1}
-at every nonzero mode, a fact the solver certifies on a sample of modes
-before running.  The zero mode of the solution is fixed afterwards by
-anchoring on the exterior of the declared data support, the periodic
-stand-in for decay at infinity.
+at every nonzero mode, a fact the solver certifies on a seeded sample of
+modes drawn from the whole grid.  The zero mode of the solution is fixed
+afterwards by anchoring on the exterior of the declared data support, the
+periodic stand-in for decay at infinity.
+
+Memory: the multipliers and the division by |xi|^2 run one slab of the first
+grid axis at a time, so their scratch is slab-sized, and the compatibility
+defect is written into f_hat's own planes.  Counted in planes (one complex
+grid per component: s for V0, k s for V1), :func:`recover_bump` holds at its
+peak phi, f, f_hat and u_hat, 2 s + 2 k s planes (6 at k = n = 2, where
+s = 1); its residual check holds phi, f, u, u_hat and one output plane,
+3 s + k s + 1.
 """
 
 import json
@@ -104,14 +112,6 @@ def _require_memory(k, n, N, planes):
 def grid_axes(N, L, kn):
     ax = np.arange(N) * (L / N)
     return np.meshgrid(*([ax] * kn), indexing="ij", sparse=True)
-
-
-def grid_inner(a, b):
-    """Discrete L2 inner product over the cell (conjugate-linear in a)."""
-    if a.values.shape != b.values.shape:
-        raise ValueError("grid shapes differ")
-    vol = a.L ** (a.k * a.n)
-    return complex(np.vdot(a.planes, b.planes) * vol / a.N ** (a.k * a.n))
 
 
 def _bump_geometry(rep, k, n, N, L, center, radius, spinor, components):
@@ -222,14 +222,25 @@ def _sigma_rows(rep, k, n, N, L, star=False):
     return [[w[A, r, t] for t in range(s)] for A in range(k) for r in range(s)]
 
 
-def _apply_rows(rows, x):
-    """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer."""
-    out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
-    tmp = np.empty(x.shape[1:], dtype=complex) if len(rows[0]) > 1 else None
-    for row, plane in zip(rows, out):
-        np.multiply(row[0], x[0], out=plane)
-        for w, xc in zip(row[1:], x[1:]):
-            plane += np.multiply(w, xc, out=tmp)
+def _apply_rows(rows, x, out=None):
+    """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer, or
+    subtracted from the planes of `out` in place.  One slab of the first grid
+    axis at a time, so the scratch is two slabs, not a plane."""
+    subtract = out is not None
+    if out is None:
+        out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
+    acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
+    for i in range(x.shape[1]):
+        xs = x[:, i:i + 1]
+        for row, plane in zip(rows, out[:, i:i + 1]):
+            # a weight grid has length 1 on the axes of the other blocks
+            ws = [w[i:i + 1] if w.shape[0] > 1 else w for w in row]
+            dst = acc if subtract else plane
+            np.multiply(ws[0], xs[0], out=dst)
+            for w, xc in zip(ws[1:], xs[1:]):
+                dst += np.multiply(w, xc, out=tmp)
+            if subtract:
+                plane -= acc
     return out
 
 
@@ -267,23 +278,35 @@ def apply_spectral(tag, fld, rep):
     return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1), support=None)
 
 
+def _certify_modes(k, n, N, sample=2048):
+    """Flat indices of up to `sample` distinct nonzero modes, drawn with a fixed
+    seed from the whole grid, so every block and axis takes generic values."""
+    total = N ** (k * n)
+    count = min(sample, total - 1)
+    return 1 + np.random.default_rng(0).choice(total - 1, size=count, replace=False)
+
+
 def _certify_recovery_identity(rep, k, n, N, L, sample=2048, tol=1e-10):
     """Check the Hodge route sigma0* sigma0 sigma0* L1^{-1}, inverted per mode,
     against the closed form sigma0* / |xi|^2 on sample modes.  Both scale as
-    1/|xi|, so the residual is multiplied by |xi| to make it free of units."""
-    count = min(sample, N ** (k * n) - 1)
-    xi = _mode_xi(k, n, N, L, np.arange(1, count + 1))
+    1/|xi|, so the residual is multiplied by |xi| to make it free of units.
+    Returns the residual and the grid multi-index of the mode that gave it."""
+    idx = _certify_modes(k, n, N, sample)
+    xi = _mode_xi(k, n, N, L, idx)
     bundle = symbols.build_bundle(rep, k, xi)
     s0 = bundle.sigma0
     s0h = np.conj(np.swapaxes(s0, -1, -2))
     xi2 = (xi**2).sum(axis=-1)[:, None, None]
     hodge = s0h @ s0 @ s0h @ np.linalg.inv(bundle.L1)
-    resid = (np.abs(hodge - s0h / xi2) * np.sqrt(xi2)).max()
+    per_mode = (np.abs(hodge - s0h / xi2) * np.sqrt(xi2)).max(axis=(1, 2))
+    worst = int(per_mode.argmax())
+    resid = float(per_mode[worst])
     if resid > tol:
         raise ArithmeticError(
             f"frequency-wise recovery identity failed ({resid:.2e} > {tol:.0e})"
         )
-    return float(resid)
+    mode = np.unravel_index(idx[worst], (N,) * (k * n))
+    return resid, {"mode": [int(m) for m in mode]}
 
 
 def _lap(timings, key, t0):
@@ -319,8 +342,8 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
         raise ValueError(f"solve_d0 expects V1 data, got {f.space}")
     k, n, N, L = f.k, f.n, f.N, f.L
     zero = (slice(None),) + (0,) * (k * n)
-    # f_hat, u_hat and one scratch plane; the real |xi|^2 grid lives while
-    # no scratch does
+    # f_hat, u_hat and one plane over the slab-sized scratch of the
+    # multipliers and of |xi|^2
     _require_memory(k, n, N, f.dim + rep.s_dim + 1)
     t = time.perf_counter()
     fh = _fft(f.planes)
@@ -335,14 +358,15 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
         )
     fh[zero] = 0.0
     uh = _apply_rows(_sigma_rows(rep, k, n, N, L, star=True), fh)
-    xi2 = sum(x * x for x in _axis_xi(k * n, N, L))
-    xi2[zero[1:]] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0 there
-    uh /= xi2
-    del xi2
+    xis = _axis_xi(k * n, N, L)
+    for i in range(N):  # |xi|^2 one slab of the first grid axis at a time
+        xi2 = sum(x * x for x in [xis[0][i:i + 1]] + xis[1:])
+        if i == 0:
+            xi2[zero[1:]] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0
+        uh[:, i:i + 1] /= xi2
     if check_compat:
-        # f_hat - sigma0 u_hat, one plane at a time into f_hat's own planes
-        for row, plane in zip(_sigma_rows(rep, k, n, N, L), fh):
-            plane -= _apply_rows([row], uh)[0]
+        # f_hat - sigma0 u_hat, written into f_hat's own planes
+        _apply_rows(_sigma_rows(rep, k, n, N, L), uh, out=fh)
         compat = float(np.linalg.norm(fh) / fnorm)
         diag["compat_rel"] = compat
         if compat > tol:
@@ -352,7 +376,8 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
     del fh
     t = _lap(timings, "multiplier_s", t)
     if certify:
-        diag["recovery_identity_residual"] = _certify_recovery_identity(rep, k, n, N, L)
+        (diag["recovery_identity_residual"],
+         diag["recovery_identity_witness"]) = _certify_recovery_identity(rep, k, n, N, L)
         t = _lap(timings, "certify_s", t)
     np.fft.ifftn(uh, axes=tuple(range(1, uh.ndim)), out=uh)
     _lap(timings, "fft_s", t)
@@ -381,7 +406,8 @@ def anchor_exterior(u, support, margin=2.0):
     mask = _exterior_mask(u.k, u.n, u.N, u.L, center, margin * radius)
     if not mask.any():
         raise ValueError("no exterior region: support covers the whole cell")
-    shift = u.planes[:, mask].mean(axis=1)
+    # one flat mask on flat planes: one index array, not one per grid axis
+    shift = u.planes.reshape(u.dim, -1)[:, mask.ravel()].mean(axis=1)
     return GridField(u.k, u.n, u.N, u.L, u.space, u.values - shift, support=u.support)
 
 
@@ -393,16 +419,32 @@ def hartogs_report(u, support, margin=1.0):
     """
     center, radius = support
     mask = _exterior_mask(u.k, u.n, u.N, u.L, center, radius + margin * radius)
-    umax = float(np.abs(u.values).max())
+    mag = np.abs(u.planes).reshape(u.dim, -1)
+    umax = float(mag.max())
     if not mask.any():
         return {"exterior_max": None, "global_max": umax, "ratio": None,
                 "note": "no exterior region"}
-    emax = float(np.abs(u.values[mask]).max())
+    emax = float(mag[:, mask.ravel()].max())
     return {
         "exterior_max": emax,
         "global_max": umax,
         "ratio": emax / umax if umax > 0 else 0.0,
     }
+
+
+def _dirac_residual(u, f, rep):
+    """||D0 u - f|| / ||f|| on the grid, from one u_hat and one output plane at
+    a time; the inverse FFT is part of what it checks."""
+    uh = _fft(u.planes)
+    axes = tuple(range(1, uh.ndim))
+    sq = 0.0
+    for row, fp in zip(_sigma_rows(rep, u.k, u.n, u.N, u.L), f.planes):
+        plane = _apply_rows([row], uh)
+        np.fft.ifftn(plane, axes=axes, out=plane)
+        plane -= fp
+        sq += np.vdot(plane, plane).real
+        del plane
+    return float(np.sqrt(sq) / np.linalg.norm(f.values))
 
 
 def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
@@ -420,19 +462,18 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(f.values.shape) * np.abs(f.values).max()
         noise -= noise.mean(axis=tuple(range(k * n)), keepdims=True)
-        f = GridField(k, n, N, L, "V1", f.values + noise, support=f.support)
+        f.values += noise  # into f's own planes
+        del noise
     u, diag = solve_d0(f, rep, tol=tol, timings=timings)
     t = time.perf_counter()
     u = anchor_exterior(u, phi.support)  # rebinding frees the unanchored solution
     _lap(timings, "anchor_s", t)
-    # u's metrics come first, so their temporaries are freed before the residual field
+    # u's metrics come first, so their temporaries are freed before the residual
     recovery = float(np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values))
     hartogs = hartogs_report(u, phi.support)
-    resid = apply_spectral("d0", u, rep).planes
-    resid -= f.planes
     metrics = {
         "recovery_rel_l2": recovery,
-        "dirac_residual_rel_l2": float(np.linalg.norm(resid) / np.linalg.norm(f.values)),
+        "dirac_residual_rel_l2": _dirac_residual(u, f, rep),
         "hartogs": hartogs,
     }
     metrics.update(diag)
@@ -459,6 +500,7 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
         err = float(
             np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values)
         )
+        del u, phi  # not carried into the next resolution's solve
         rows.append({"N": int(N), "recovery_rel_l2": err,
                      "zero_mode_rel": diag["zero_mode_rel"]})
     return rows

@@ -120,3 +120,16 @@ def complex_sample(rng, k, n, rep):
     rhs = dirac_ops.nabla(aidx, dirac_ops.delta_op(bidx, cidx, g, rep), rep)
     val["commute"] = (lhs - rhs).norm() / max(g.norm(), 1e-300)
     return val
+
+
+# ---------------------------------------------------------------------------
+# grid oracle: the adjointness of the spectral d0 and d0_star
+
+
+def grid_inner(a, b):
+    """Discrete L2 inner product of two grid fields over the cell
+    (conjugate-linear in a)."""
+    if a.values.shape != b.values.shape:
+        raise ValueError("grid shapes differ")
+    vol = a.L ** (a.k * a.n)
+    return complex(np.vdot(a.planes, b.planes) * vol / a.N ** (a.k * a.n))

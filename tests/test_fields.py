@@ -191,3 +191,36 @@ def test_commutator_sides_read_each_members_slot(reps, rng):
         assert same(ref, left) or (not len(ref) and not len(left))
         ref = dirac_ops.nabla(a, dirac_ops.delta_op(b, c, g, rep), rep)
         assert same(ref, right) or (not len(ref) and not len(right))
+
+
+def test_canonical_fast_path_matches_sum(reps, rng, monkeypatch):
+    # sorted, distinct rows skip the sort and the sum; the result is bitwise
+    # what the sort-and-sum route gives, signed zeros and zero rows included
+    from diraclab import fields
+
+    members = [random_field(rng, 3, 2, "V1", reps[2]) for _ in range(4)]
+    f = members[1]
+    signed = f.vals.copy()
+    signed[0] = -0.0  # a zero row, dropped by both routes
+    signed[1, 0] = -0.0  # a signed zero inside a kept row
+    cases = [(g.expo, g.vals) for g in (members[0], keyed(members))]
+    cases.append((f.expo, signed))
+    for expo, vals in cases:
+        assert fields._increasing(expo)
+        fast = fields._canonical(expo, vals)
+        perm = rng.permutation(len(expo))
+        shuffled = fields._canonical(expo[perm], vals[perm])
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_increasing", lambda expo: False)
+            slow = fields._canonical(expo, vals)
+        for other in (shuffled, slow):
+            assert np.array_equal(fast[0], other[0])
+            assert fast[1].tobytes() == other[1].tobytes()
+    for expo, vals in cases[:2]:  # canonical input comes back unchanged
+        out = fields._canonical(expo, vals)
+        assert np.array_equal(out[0], expo) and out[1].tobytes() == vals.tobytes()
+    assert len(fields._canonical(f.expo, signed)[0]) == len(f) - 1
+    rows = np.array([[0, 2], [1, 0], [1, 1]])
+    assert fields._increasing(rows)
+    assert not fields._increasing(rows[[0, 2, 1]])
+    assert not fields._increasing(rows[[0, 1, 1]])

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import grid_inner
 
 from diraclab import build_clifford
 from diraclab.solver import (
@@ -12,11 +13,11 @@ from diraclab.solver import (
     apply_spectral,
     bump_dirac_data,
     dump_field,
-    grid_inner,
     hartogs_report,
     load_field,
     make_bump,
     recover_bump,
+    resolution_sweep,
     solve_d0,
 )
 
@@ -189,6 +190,27 @@ def test_solve_recovers_bump(reps):
     assert metrics["dirac_residual_rel_l2"] <= 1e-10
     assert metrics["hartogs"]["ratio"] <= 1e-10
     assert metrics["recovery_identity_residual"] <= 1e-10
+
+
+def test_certification_samples_generic_modes(reps):
+    # the sampled modes are drawn over the whole grid, so they include modes
+    # with xi_00 != 0 and with X = xi.reshape(k, n) of full rank; the
+    # witness is one of them
+    from diraclab.solver import _certify_modes, _certify_recovery_identity, _mode_xi
+
+    for k, n, N in ((2, 2, 32), (3, 2, 8), (2, 3, 6)):
+        idx = _certify_modes(k, n, N)
+        assert len(np.unique(idx)) == len(idx) == 2048
+        assert idx.min() >= 1 and idx.max() < N ** (k * n)
+        assert np.array_equal(idx, _certify_modes(k, n, N))
+        xi = _mode_xi(k, n, N, L, idx)
+        assert (xi[:, 0] != 0).mean() > 0.8
+        assert (np.linalg.matrix_rank(xi.reshape(-1, k, n)) == min(k, n)).mean() > 0.9
+        resid, witness = _certify_recovery_identity(reps[n], k, n, N, L)
+        assert 0.0 < resid <= 1e-10
+        assert np.ravel_multi_index(witness["mode"], (N,) * (k * n)) in idx
+    # a grid with fewer nonzero modes than the sample takes all of them
+    assert np.array_equal(np.sort(_certify_modes(2, 2, 4)), np.arange(1, 4**4))
 
 
 def test_solve_recovers_mixed_spinor_bump(reps):
@@ -447,17 +469,33 @@ def test_analytic_data_is_genuinely_aliased(reps):
     assert diag["compat_rel"] > 1e-8
 
 
-def test_multiplier_kernel_script_routes_agree(capsys):
-    # benchmarks/multiplier_kernel.py times the closed form against the
-    # Hodge route; running it here keeps the script in step with the solver
-    import importlib.util
-    from pathlib import Path
+def test_solve_peaks_hold_few_planes(reps):
+    # at N = 32 a complex plane is 16 MiB; f holds two, phi and u one each.
+    # The multipliers' scratch is slab-sized, so the main and the rejected
+    # solve peak near 6.1 planes above live memory and a sweep row near 5.1
+    import tracemalloc
 
-    script = Path(__file__).resolve().parents[1] / "benchmarks" / "multiplier_kernel.py"
-    spec = importlib.util.spec_from_file_location("multiplier_kernel", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    result = module.main(["8"])
-    assert "solutions agree" in capsys.readouterr().out
-    assert result["modes"] == 8**4
-    assert result["max_abs_diff"] <= 1e-12
+    rep = reps[2]
+    N = 32
+    plane = 16 * N**4
+
+    def rejected():
+        with pytest.raises(CompatibilityError):
+            recover_bump(rep, 2, 2, N, break_compat=True)
+
+    calls = {
+        "recover_bump": (lambda: recover_bump(rep, 2, 2, N), 6.5),
+        "break_compat": (rejected, 6.5),
+        "resolution_sweep": (lambda: resolution_sweep(rep, 2, 2, [N]), 5.5),
+    }
+    tracemalloc.start()
+    try:
+        for name, (call, budget) in calls.items():
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - live
+            del result
+            assert peak <= budget * plane, (name, peak / plane)
+    finally:
+        tracemalloc.stop()
