@@ -11,10 +11,11 @@ the parent commit, run with its own perfbench) every run is paired with the
 same run there, the two sides taking turns to go first, because the host's
 speed drifts over minutes.  These figures are perfbench's, only collected.
 
-Before the pairs, each side also runs its tier-1 tests once and
-`diraclab verify --scope all --seed 0` once, each in a fresh process; the
-file records their wall times as timed here, the tests' summary line and
-the verify process's peak RSS.
+Before the pairs, each side also runs its tier-1 tests and `diraclab verify
+--scope all --seed 0`, each in a fresh process, WHOLE_RUNS times, the sides
+taking turns to go first; a one-off host delay can take a single run from
+0.6 to 1.7 s.  The file records every run's wall times, the tests' summary
+line and the verify process's peak RSS, and per side their medians.
 
 The file, written at the root of this checkout, holds the environment line
 of the first run, every run's end-to-end metrics, and per workload the
@@ -53,7 +54,11 @@ def perfbench(root, workload, seed, seconds):
     return json.loads(lines[-2])["environment"], values
 
 
-def whole_runs(root):
+#: fresh-process tier-1 and `verify --scope all` runs per side
+WHOLE_RUNS = 3
+
+
+def whole_run(root):
     """One tier-1 run and one `verify --scope all --seed 0` run of a checkout:
     wall times, the tests' summary line and the verify process's peak RSS."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
@@ -72,6 +77,18 @@ def whole_runs(root):
             "tier1_summary": (tests.stdout.strip().splitlines() or [""])[-1],
             "verify_all_wall_s": verify_s, "verify_all_exit": proc.returncode,
             "verify_all_peak_rss_mib": usage.ru_maxrss / 1024.0}
+
+
+def whole_runs(sides):
+    """WHOLE_RUNS whole runs per side, alternating; every run and the medians."""
+    runs = {side: [] for side, _ in sides}
+    for i in range(WHOLE_RUNS):
+        for side, root in sides[::-1] if i % 2 else sides:
+            runs[side].append(whole_run(root))
+            print(f"{side}: {runs[side][-1]}", file=sys.stderr)
+    keys = ("tier1_wall_s", "verify_all_wall_s", "verify_all_peak_rss_mib")
+    return {side: {"median": {key: statistics.median(r[key] for r in rs) for key in keys},
+                   "runs": rs} for side, rs in runs.items()}
 
 
 def summary(runs, metrics):
@@ -104,9 +121,7 @@ def main(argv=None):
         with open(args.previous) as fh:
             previous = json.load(fh)
     sides = [("change", ROOT)] + ([("base", os.path.abspath(args.base))] if args.base else [])
-    whole = {side: whole_runs(root) for side, root in sides}
-    for side, figures in whole.items():
-        print(f"{side}: {figures}", file=sys.stderr)
+    whole = whole_runs(sides)
     runs = {w: [] for w in workloads}
     env = {}
     for i in range(args.pairs):
@@ -149,7 +164,8 @@ def main(argv=None):
     print(path)
     ok = all(r[side]["correct"] for pairs in runs.values() for r in pairs
              for side, _ in sides)
-    ok &= all(w["tier1_exit"] == 0 == w["verify_all_exit"] for w in whole.values())
+    ok &= all(r["tier1_exit"] == 0 == r["verify_all_exit"]
+              for w in whole.values() for r in w["runs"])
     return 0 if ok else 1
 
 

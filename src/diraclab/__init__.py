@@ -45,7 +45,6 @@ from .solver import (
 )
 from .boundary import (
     HypersurfaceChart,
-    tangential_fields,
     script_d0,
     pi1_kernel_check,
     restrict_to_chart,

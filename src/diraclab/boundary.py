@@ -19,9 +19,9 @@ operator.
 Every operator here acts on scalar fields and broadcasts over a stack
 (:func:`~diraclab.fields.stack`: ``vals`` of shape (T, B, s), the batch axis
 just before the spinor axis).  The two certifying checks,
-:func:`restrict_and_test` and :func:`pi1_kernel_check`, take sequences of
-fields, run one operator pass over their stack and return one value per
-member.
+:func:`restrict_and_test` (on a sequence of fields) and
+:func:`pi1_kernel_check` (on two stacks), run one operator pass over all
+members and return one value per member.
 """
 
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_ops import nabla
-from .fields import PolyField, _canonical, _partial, make_field, member_norms, stack
+from .fields import PolyField, _canonical, _partial, keyed, make_field, member_norms, stack
 
 
 @dataclass(frozen=True)
@@ -134,45 +134,6 @@ def apply_z(chart, rep, mu, f):
     return nabla(mu, f, rep) - fac.apply(inv.apply(nabla(0, f, rep)))
 
 
-def apply_zt_commutator(chart, rep, mu, f):
-    return apply_z(chart, rep, mu, apply_t(chart, rep, f)) - apply_t(
-        chart, rep, apply_z(chart, rep, mu, f)
-    )
-
-
-@dataclass(frozen=True)
-class TangentialFrame:
-    """Constant-coefficient forms of the Z_mu and T operators.
-
-    z_coeffs[mu-1] and t_coeffs map a variable index (B, j) to the matrix
-    multiplying d_{B,j} when the operator acts on S+ valued fields.
-    """
-
-    k: int
-    n: int
-    z_coeffs: tuple
-    t_coeffs: dict
-
-
-def tangential_fields(chart, rep):
-    """Coefficient forms of the tangential frame on the S+ side."""
-    inv = inv_nabla0_phi_factor(chart, rep)
-    zs = []
-    for mu in range(1, chart.k):
-        fac = nabla_phi_factor(chart, rep, mu)
-        carry = fac.plus @ inv.minus  # S- -> S- factor in front of nabla_0
-        coeffs = {}
-        for j in range(chart.n):
-            coeffs[(mu, j)] = rep.gamma_plus[j].copy()
-            coeffs[(0, j)] = coeffs.get((0, j), 0) - carry @ rep.gamma_plus[j]
-        zs.append(coeffs)
-    t_coeffs = {}
-    for j in range(chart.n):
-        t_coeffs[(0, j)] = inv.minus @ rep.gamma_plus[j]
-    t_coeffs[(0, 0)] = t_coeffs[(0, 0)] - np.eye(rep.s_dim)
-    return TangentialFrame(chart.k, chart.n, tuple(zs), t_coeffs)
-
-
 def defining_polynomial(chart, rep, spinor=None):
     """phi times a constant spinor, as an S+ valued field."""
     if spinor is None:
@@ -223,19 +184,20 @@ def _largest_norms(fields, size):
     return np.max([np.zeros(size)] + [member_norms(g) for g in fields], axis=0)
 
 
-def pi1_kernel_check(chart, rep, Fs, Fprimes):
+def pi1_kernel_check(chart, rep, F, Fprime):
     """Residuals of the boundary projection on canonical zero-Cauchy data.
 
-    For each pair (F, F') of S+ fields drawn from the two sequences, builds
-    the V1 jet ``hatF_A = (nabla_A phi) F`` at order zero and
+    F and F' are stacks (:func:`~diraclab.fields.stack`) of B S+ fields
+    each.  For each pair (F, F') of members, builds the V1 jet
+    ``hatF_A = (nabla_A phi) F`` at order zero and
     ``hatF'_A = nabla_A F + (nabla_A phi) F'`` at order one, pushes it
     through the quotient-map formulas, and returns the largest norm among
     the outputs, which must vanish identically: an array with one value per
     pair.
     """
-    if len(Fs) != len(Fprimes):
-        raise ValueError(f"{len(Fs)} fields F but {len(Fprimes)} fields F'")
-    F, Fprime = stack(Fs), stack(Fprimes)
+    count = F.vals.shape[1]
+    if count != Fprime.vals.shape[1]:
+        raise ValueError(f"{count} fields F but {Fprime.vals.shape[1]} fields F'")
     inv = inv_nabla0_phi_factor(chart, rep)
     hat = [nabla_phi_factor(chart, rep, A).apply(F) for A in range(chart.k)]
     hatp = [
@@ -249,7 +211,7 @@ def pi1_kernel_check(chart, rep, Fs, Fprimes):
         fac = nabla_phi_factor(chart, rep, mu)
         outputs.append(hat[mu] - fac.apply(core))
         outputs.append(hatp[mu] - nabla(mu, core, rep) - fac.apply(inv.apply(inner)))
-    return _largest_norms(outputs, len(Fs))
+    return _largest_norms(outputs, count)
 
 
 def restrict_to_chart(f, chart):
@@ -285,7 +247,7 @@ def restrict_and_test(fields, chart, rep, tol=1e-10):
     Returns a dict of arrays with one entry per field.  Raises ValueError
     naming the index of the first field that is not monogenic.
     """
-    f = stack(fields)
+    f = stack(keyed(fields), len(fields))
     fnorm = member_norms(f)
     # |d0 f|^2 is the sum over A of |nabla_A f|^2
     defect = np.sqrt(sum(member_norms(nabla(A, f, rep)) ** 2 for A in range(f.k)))

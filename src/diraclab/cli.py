@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, boundary, dirac_ops, solver, symbols, weyl
 from .clifford import build_clifford, delta_symbol, dirac_symbol
-from .fields import keyed, keyed_norms, keyed_residuals, random_field
+from .fields import draw_terms, keyed_norms, keyed_residuals, random_keyed, stack
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -140,23 +140,29 @@ def checks_weyl(k):
 COMPLEX_BLOCK = 64
 
 
+#: role -> (value space, degree, terms) of the complex suite's random fields,
+#: in the order each sample draws them
+COMPLEX_ROLES = {"f": ("V0", 4, 6), "F": ("V1", 4, 6), "h2": ("V2", 2, 5),
+                 "g": ("V0", 3, 4)}
+
+
 def _complex_draws(rng, k, n, rep, samples):
     """The random inputs of `samples` samples, drawn one sample at a time.
 
-    Per sample the rng draws f (V0), F (V1), h2 (V2, k >= 3 only), g (V0)
-    and then the indices B, C, A of the commutation check; each role's
-    fields come back as one sample-keyed field, the indices as (samples, 3).
+    Per sample the rng draws f, F, h2 (k >= 3 only: for k = 2 the order-5
+    branch does not exist), g and then the indices B, C, A of the
+    commutation check.  Each role's raw draws become one sample-keyed field,
+    the indices an array of shape (samples, 3).
     """
-    roles = {"f": [], "F": [], "h2": [], "g": []}
+    roles = {role: [] for role in COMPLEX_ROLES if k >= 3 or role != "h2"}
     slots = []
     for _ in range(samples):
-        roles["f"].append(random_field(rng, k, n, "V0", rep, degree=4, nterms=6))
-        roles["F"].append(random_field(rng, k, n, "V1", rep, degree=4, nterms=6))
-        if k >= 3:  # for k = 2 the order-5 branch does not exist
-            roles["h2"].append(random_field(rng, k, n, "V2", rep, degree=2, nterms=5))
-        roles["g"].append(random_field(rng, k, n, "V0", rep, degree=3, nterms=4))
+        for role, draws in roles.items():
+            space, degree, nterms = COMPLEX_ROLES[role]
+            draws.append(draw_terms(rng, k, n, space, rep, degree, nterms))
         slots.append([int(rng.integers(0, k)) for _ in range(3)])
-    return {role: keyed(fields) for role, fields in roles.items() if fields}, np.array(slots)
+    return ({role: random_keyed(k, n, COMPLEX_ROLES[role][0], draws)
+             for role, draws in roles.items()}, np.array(slots))
 
 
 def _complex_block(rng, k, n, rep, samples):
@@ -362,11 +368,12 @@ def checks_boundary(k, n, samples, seed):
                           float(tm[i]), 1e-10, basis_size=len(mono),
                           witness={"member": i}))
         # sample i is the pair of draws 2i (F) and 2i + 1 (F')
-        draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
+        draws = [draw_terms(rng, k, n, "V0", rep, degree=3, nterms=5)
                  for _ in range(2 * samples)]
-        Fs, Fps = draws[0::2], draws[1::2]
-        scale = [F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)]
-        pk = boundary.pi1_kernel_check(chart, rep, Fs, Fps) / np.maximum(scale, 1e-300)
+        F, Fp = random_keyed(k, n, "V0", draws[0::2]), random_keyed(k, n, "V0", draws[1::2])
+        scale = keyed_norms(F, samples) + keyed_norms(Fp, samples)
+        pk = (boundary.pi1_kernel_check(chart, rep, stack(F, samples), stack(Fp, samples))
+              / np.maximum(scale, 1e-300))
         i = int(np.argmax(pk))
         out.append(_check(f"pi1_kernel chart={label} k={k} n={n}",
                           "canonical zero-Cauchy data maps to zero", float(pk[i]), 1e-10,

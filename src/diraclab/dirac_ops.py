@@ -25,7 +25,7 @@ selection of the input, then the B derivative, then the A derivative).
 import numpy as np
 
 from . import weyl
-from .fields import PolyField, _canonical, _key, _partial, zero_field
+from .fields import PolyField, _canonical, _key, _partial
 
 
 def _require_space(f, space, op_name):
@@ -57,7 +57,7 @@ def _delta_pieces(expo, vals, B, C, n):
         yield e, -2.0 * v
 
 
-def _stack(slotted, lead):
+def _stack(slotted, lead, keyed):
     """Canonical stack whose leading axes ``lead`` hold the pieces at their slots."""
     expo = np.concatenate([e for _, e, _ in slotted])
     vals = np.zeros((len(expo),) + lead + slotted[0][2].shape[1:], dtype=complex)
@@ -65,7 +65,7 @@ def _stack(slotted, lead):
     for slot, e, v in slotted:
         vals[(slice(row, row + len(e)),) + slot] = v
         row += len(e)
-    return _canonical(expo, vals)
+    return _canonical(expo, vals, keyed)
 
 
 def _grad(f, rep, times=1):
@@ -76,7 +76,7 @@ def _grad(f, rep, times=1):
         expo, vals = _stack(
             [((A,), e, v) for A in range(f.k)
              for e, v in _nabla_pieces(expo, vals, gam, A, f.n)],
-            (f.k,),
+            (f.k,), f.is_keyed,
         )
         chirality = -chirality
     return expo, vals
@@ -87,7 +87,7 @@ def _delta_stack(f):
     return _stack(
         [((B, C), e, v) for B in range(f.k) for C in range(f.k)
          for e, v in _delta_pieces(f.expo, f.vals, B, C, f.n)],
-        (f.k, f.k),
+        (f.k, f.k), f.is_keyed,
     )
 
 
@@ -124,7 +124,7 @@ def delta_op(B, C, f, rep):
     """The scalar anticommutator operator applied to a field."""
     del rep
     if not len(f):
-        return zero_field(f.k, f.n, f.space)
+        return PolyField(f.k, f.n, f.space)
     return PolyField(f.k, f.n, f.space, *_cat(_delta_pieces(f.expo, f.vals, B, C, f.n)))
 
 
@@ -132,7 +132,7 @@ def d0(f, rep):
     """First operator of the complex: stack the k Dirac derivatives."""
     _require_space(f, "V0", "d0")
     if not len(f):
-        return zero_field(f.k, f.n, "V1")
+        return PolyField(f.k, f.n, "V1")
     return PolyField(f.k, f.n, "V1", *_grad(f, rep))
 
 
@@ -140,7 +140,7 @@ def d0_star(G, rep):
     """Formal adjoint of d0: the contracted sum of Dirac derivatives."""
     _require_space(G, "V1", "d0_star")
     if not len(G):
-        return zero_field(G.k, G.n, "V0")
+        return PolyField(G.k, G.n, "V0")
     expo, vals = _grad(G, rep)  # axes (A, component, s)
     return PolyField(G.k, G.n, "V0", expo, np.einsum("taas->ts", vals))
 
@@ -152,7 +152,7 @@ def d1(F, rep):
     """
     _require_space(F, "V1", "d1")
     if not len(F):
-        return zero_field(F.k, F.n, "V2")
+        return PolyField(F.k, F.n, "V2")
     ge, t = _grad(F, rep, 2)  # (A, B, C, s)
     de, d = _delta_stack(F)  # (B, C, Ccomp, s)
     sym = 0.5 * (t + np.einsum("tacbs->tabcs", t))
@@ -164,7 +164,7 @@ def d1_projector(F, rep):
     """Second operator through the (2,1) projector: 3/2 C21(grad2)."""
     _require_space(F, "V1", "d1_projector")
     if not len(F):
-        return zero_field(F.k, F.n, "V2")
+        return PolyField(F.k, F.n, "V2")
     expo, grad2 = _grad(F, rep, 2)
     return _result(F, "V2", expo, _apply_projector(grad2, "21", 1.5))
 
@@ -185,7 +185,7 @@ def d2p(h, rep):
     _require_space(h, "V2", "d2p")
     _require_order5(h)
     if not len(h):
-        return zero_field(h.k, h.n, "V3p")
+        return PolyField(h.k, h.n, "V3p")
     expo, u = _grad(h, rep)  # U[D, A, B, C, s]
     # sum over swaps of (A,D) and of (B,C) of
     #   1/2 (U[DABC] - U[DCBA]) + 1/2 (U[BCDA] - U[BADC])
@@ -206,7 +206,7 @@ def d2p_projector(h, rep):
     _require_space(h, "V2", "d2p_projector")
     _require_order5(h)
     if not len(h):
-        return zero_field(h.k, h.n, "V3p")
+        return PolyField(h.k, h.n, "V3p")
     expo, grad = _grad(h, rep)
     return _result(h, "V3p", expo, _apply_projector(grad, "22", 6.0))
 
@@ -221,7 +221,7 @@ def d2pp(h, rep):
     _require_space(h, "V2", "d2pp")
     _require_order5(h)
     if not len(h):
-        return zero_field(h.k, h.n, "V3pp")
+        return PolyField(h.k, h.n, "V3pp")
     we, w2 = _grad(h, rep, 2)  # W2[E, D, A, B, C, s]
     de, dh = _delta_stack(h)  # D[B', C', A, B, C, s]
     # 2 grad_[E grad_D_ h_A]BC  = grad_E grad_D h_ABC - grad_A grad_D h_EBC
@@ -232,7 +232,7 @@ def d2pp(h, rep):
     # Delta_BC h_[E D_ A] = 1/2 Delta_BC (h_EDA - h_ADE)
     x = np.einsum("tbcedas->tedabcs", dh)
     t3 = 0.5 * (x - np.einsum("tadebcs->tedabcs", x))
-    expo, core = _canonical(*_cat([(we, t1 + t2), (de, t3)]))
+    expo, core = _canonical(*_cat([(we, t1 + t2), (de, t3)]), h.is_keyed)
     # 1/2 times the sum over the six relabelings of (D, B, C)
     out = np.zeros_like(core)
     for sub in ("edabcs", "ebadcs", "ecabds", "edacbs", "ebacds", "ecadbs"):
@@ -249,7 +249,7 @@ def d2pp_projector(h, rep):
     _require_space(h, "V2", "d2pp_projector")
     _require_order5(h)
     if not len(h):
-        return zero_field(h.k, h.n, "V3pp")
+        return PolyField(h.k, h.n, "V3pp")
     expo, w2 = _grad(h, rep, 2)
     mixed = 2.0 * w2 + np.einsum("tdeabcs->tedabcs", w2)
     return _result(h, "V3pp", expo, _apply_projector(mixed, "311", 10.0 / 3.0))
@@ -262,7 +262,7 @@ def d1_star(h, rep):
     """
     _require_space(h, "V2", "d1_star")
     if not len(h):
-        return zero_field(h.k, h.n, "V1")
+        return PolyField(h.k, h.n, "V1")
     we, w = _grad(h, rep, 2)  # W[b, a, i, j, l, s]
     de, d = _delta_stack(h)  # D[p, q, i, j, l, s]
     term1 = 0.5 * (
@@ -276,7 +276,7 @@ def laplacian(f, rep):
     """Scalar Laplacian -sum d^2 (for cross-checking d0* d0)."""
     del rep
     if not len(f):
-        return zero_field(f.k, f.n, f.space)
+        return PolyField(f.k, f.n, f.space)
     expo, vals = _cat(p for B in range(f.k) for p in _delta_pieces(f.expo, f.vals, B, B, f.n))
     return PolyField(f.k, f.n, f.space, expo, 0.5 * vals)
 
@@ -302,7 +302,7 @@ def delta_nabla(g, rep, slots):
     """
     _require_space(g, "V0", "delta_nabla")
     if not len(g):
-        return zero_field(g.k, g.n, "S-")
+        return PolyField(g.k, g.n, "S-")
     stack = _delta_stack(PolyField(g.k, g.n, "S-", *_grad(g, rep)))  # (B, C, A, s)
     return _at_member_slots(g.k, g.n, stack, slots)
 
@@ -311,7 +311,7 @@ def nabla_delta(g, rep, slots):
     """nabla_A Delta_BC g for each member, as :func:`delta_nabla` takes them."""
     _require_space(g, "V0", "nabla_delta")
     if not len(g):
-        return zero_field(g.k, g.n, "S-")
+        return PolyField(g.k, g.n, "S-")
     stack = _grad(PolyField(g.k, g.n, "V0", *_delta_stack(g)), rep)  # (A, B, C, s)
     return _at_member_slots(g.k, g.n, stack, np.asarray(slots)[:, [2, 0, 1]])
 

@@ -12,24 +12,31 @@ constructor restores this canonical form after every operation.
 Many fields can travel as one, in two forms; every operator acts on all
 members at once, through the same code path as on one field:
 
-* a *stack* of B scalar fields is one field whose ``vals`` carry a batch axis
-  just before the spinor axis, shape (T, B, s) (see :func:`stack`), on the
-  union of the members' rows.  It suits members that share their rows: the
-  boundary suite stacks a monogenic basis and random fields on few monomials.
 * a *sample-keyed* field (see :func:`keyed`) has one extra trailing ``expo``
   column holding each row's member index, so members keep their own rows and
-  may be tensor-valued.  Derivatives never touch the key column (every
+  may be tensor-valued.  Its rows are member-major: the key column is the
+  most significant, so each member's rows are one contiguous slice in the
+  order the member alone would have, and ``keyed`` of canonical members is
+  already canonical.  Derivatives never touch the key column (every
   derivative index is below k*n) and canonicalisation groups whole rows, so
-  members never mix.  The complex suite keys its random tensor fields: they
-  share few rows, and a dense stack of its order-5 second-derivative tensors
-  would take 0.2-2.7 GiB.  Per-member norms and membership residuals
+  members never mix.  Random fields are drawn as raw terms
+  (:func:`draw_terms`) and built per draw role as one keyed field
+  (:func:`random_keyed`): one projector call, one canonicalisation and one
+  ``validate()`` per role.  The complex suite keys its random tensor fields:
+  they share few rows, and a dense stack of its order-5 second-derivative
+  tensors would take 0.2-2.7 GiB.  Per-member norms and membership residuals
   (:func:`keyed_norms`, :func:`keyed_residuals`) take the member count and
-  equal the one-field values bit for bit.  The boundary suite keeps the dense
-  stack: its members share rows, which a keyed field repeats once per member.
-  On a 2-vCPU x86-64 VM, keyed, its four commands took 0.57-0.62 s per
-  iteration against 0.25-0.34 s dense (six alternating in-process pairs),
-  and the ``verify-poly`` benchmark's median wall time rose from 0.65 to
-  0.93 s (four pairs, all lost).
+  equal the one-field values bit for bit.
+* a *stack* of B scalar fields (see :func:`stack`, built from a keyed field)
+  is one field whose ``vals`` carry a batch axis just before the spinor
+  axis, shape (T, B, s), on the union of the members' rows.  The boundary
+  suite stacks a monogenic basis and random fields on few monomials: its
+  members share rows, which a keyed field repeats once per member.  With
+  member-major keyed rows, on a 2-vCPU x86-64 VM, a keyed boundary suite
+  took 0.50-0.59 s per iteration of its four ``verify-poly`` commands
+  against 0.30-0.37 s on stacks (three alternating in-process pairs), and it
+  moved ``tangential_monogenicity`` values at (3, 3) by one ulp, so the
+  stack stays.
 
 Differentiation multiplies by small integers and the gamma contractions have
 entries in {0, +-1, +-i}, so the algebraic operator identities hold on
@@ -79,9 +86,9 @@ class PolyField:
         if expo is None:
             expo, vals = (), ()
         expo = np.asarray(expo, dtype=np.int64)
-        width = k * n + 1 if expo.ndim == 2 and expo.shape[1] == k * n + 1 else k * n
-        self.expo, self.vals = _canonical(expo.reshape(-1, width),
-                                          np.asarray(vals, dtype=complex))
+        keyed = expo.ndim == 2 and expo.shape[1] == k * n + 1
+        self.expo, self.vals = _canonical(expo.reshape(-1, k * n + keyed),
+                                          np.asarray(vals, dtype=complex), keyed)
 
     @property
     def is_keyed(self):
@@ -164,64 +171,68 @@ class PolyField:
         return self
 
 
-def _group(expo):
+def _ranked(expo, keyed):
+    """The columns in order of significance: a keyed field's key column first."""
+    return np.concatenate((expo[:, -1:], expo[:, :-1]), axis=1) if keyed else expo
+
+
+def _group(expo, keyed=False):
     """Group equal exponent rows: the sort order, the distinct sorted rows,
     and the group of each sorted row."""
-    order = np.lexsort(expo.T[::-1])  # stable; first column most significant
+    order = np.lexsort(_ranked(expo, keyed).T[::-1])  # stable; most significant last
     expo = expo[order]
     first = np.ones(len(expo), dtype=bool)
     first[1:] = (expo[1:] != expo[:-1]).any(axis=1)
     return order, expo[first], np.cumsum(first) - 1
 
 
-def _increasing(expo):
-    """Whether the rows are strictly increasing, first column most significant."""
-    step = expo[1:] - expo[:-1]
+def _increasing(expo, keyed=False):
+    """Whether the rows are strictly increasing, most significant column first."""
+    step = _ranked(expo[1:] - expo[:-1], keyed)
     lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
     return bool((lead > 0).all())
 
 
-def _canonical(expo, vals):
+def _canonical(expo, vals, keyed=False):
     """Sum rows with equal exponents, sort them, and drop zero rows."""
     if not len(expo):
         return expo, vals
-    if _increasing(expo):
+    if _increasing(expo, keyed):
         # nothing to sort or sum; adding 0.0 turns -0.0 into 0.0, as the
         # zero-initialized sum below does, so both routes agree bitwise
         keep = vals.reshape(len(vals), -1).any(axis=1)
         return expo[keep], vals[keep] + 0.0
-    order, rows, group = _group(expo)
-    # add.at adds a group's rows one at a time in input order; a reduceat
-    # may regroup them, and terms that cancel exactly then leave roundoff
-    acc = np.zeros((len(rows),) + vals.shape[1:], dtype=complex)
-    np.add.at(acc, group, vals[order])
+    order, rows, group = _group(expo, keyed)
+    # bincount adds a group's rows one at a time in input order, into zeros;
+    # a reduceat may regroup them, and terms that cancel exactly then leave
+    # roundoff.  Real and imaginary parts add separately, as complex sums do.
+    size = vals[0].size
+    bins = (group[:, None] * size + np.arange(size)).reshape(-1)
+    flat = vals[order].reshape(-1)
+    acc = np.empty(len(rows) * size, dtype=complex)
+    acc.real = np.bincount(bins, flat.real, len(acc))
+    acc.imag = np.bincount(bins, flat.imag, len(acc))
+    acc = acc.reshape((len(rows),) + vals.shape[1:])
     keep = acc.any(axis=tuple(range(1, acc.ndim)))
     return rows[keep], acc[keep]
 
 
-def stack(members):
-    """One field holding B scalar fields of one space: ``vals`` has shape (T, B, s).
+def stack(f, count):
+    """The dense stack of a keyed scalar field with `count` members.
 
-    The rows are the union of the members' exponent rows, and member b's
-    coefficients sit at ``vals[:, b]``, zero on the rows it lacks.  Every
-    scalar operator broadcasts over the batch axis, so one call acts on all
-    members, and :func:`member_norms` reads the norms back per member.
+    One field whose ``vals`` have shape (T, count, s): the rows are the union
+    of the members' exponent rows, and member b's coefficients sit at
+    ``vals[:, b]``, zero on the rows it lacks.  Every scalar operator
+    broadcasts over the batch axis, so one call acts on all members, and
+    :func:`member_norms` reads the norms back per member.
     """
-    members = list(members)
-    if not members:
-        raise ValueError("a stack needs at least one member")
-    head = members[0]
-    if head.order or any((g.k, g.n, g.space) != (head.k, head.n, head.space)
-                         or g.is_keyed for g in members):
-        raise ValueError("a stack holds scalar fields of one space")
-    # the zero field carries no spinor axis; take it from a nonzero member
-    tail = next((g.vals.shape[1:] for g in members if len(g)), ())
-    order, rows, group = _group(np.concatenate([g.expo for g in members]))
-    owner = np.repeat(np.arange(len(members)), [len(g) for g in members])
-    vals = np.zeros((len(rows), len(members)) + tail, dtype=complex)
-    vals[group, owner[order]] = np.concatenate(
-        [g.vals.reshape((-1,) + tail) for g in members])[order]
-    return PolyField(head.k, head.n, head.space, rows, vals)
+    if f.order or (len(f) and not f.is_keyed):
+        raise ValueError("a stack is built from a keyed field of scalar members")
+    key = _key(f, count)
+    order, rows, group = _group(f.expo[:, :f.k * f.n])
+    vals = np.zeros((len(rows), count) + f.vals.shape[1:], dtype=complex)
+    vals[group, key[order]] = f.vals[order]
+    return PolyField(f.k, f.n, f.space, rows, vals)
 
 
 def member_norms(f):
@@ -271,14 +282,12 @@ def _key(f, count):
 
 
 def _members(f, count):
-    """Row order that groups a keyed field by member, and the count + 1 bounds.
+    """The count + 1 bounds of the members' row slices in a keyed field.
 
-    The sort is stable, so each member's rows keep their lexicographic order
-    and its slice is laid out as the member alone would be.
+    Rows are member-major, so each member's rows are contiguous and keep the
+    order the member alone would have.
     """
-    key = _key(f, count)
-    order = np.argsort(key, kind="stable")
-    return order, np.searchsorted(key[order], np.arange(count + 1))
+    return np.searchsorted(_key(f, count), np.arange(count + 1))
 
 
 def keyed_norms(f, count):
@@ -287,8 +296,8 @@ def keyed_norms(f, count):
     A member's norm sums its own contiguous slice, as the member alone
     would; one ``bincount`` over all rows would add in another order.
     """
-    order, bounds = _members(f, count)
-    sq = np.abs(f.vals[order]) ** 2
+    sq = np.abs(f.vals) ** 2
+    bounds = _members(f, count)
     return np.sqrt([sq[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
@@ -307,7 +316,7 @@ def _partial(expo, vals, idx):
     """d/dx_idx on (expo, vals); canonical input gives canonical output.
 
     Only rows with a positive exponent survive, and decrementing one column
-    of all of them keeps them unique and in lexicographic order.
+    of all of them keeps them unique and in order (member-major if keyed).
     """
     p = expo[:, idx]
     keep = p > 0
@@ -342,34 +351,41 @@ def make_field(k, n, space, terms, validate=True, tol=MEMBERSHIP_TOL):
     return out.validate(tol) if validate else out
 
 
-def zero_field(k, n, space):
-    return PolyField(k, n, space)
+def draw_terms(rng, k, n, space, rep, degree=3, nterms=8):
+    """One random field's raw terms, (expo, coeffs), before any projection.
 
-
-def random_field(rng, k, n, space, rep, degree=3, nterms=8):
-    """Seeded random field; V2/V3 coefficients are projected into the module.
-
-    Monomials are drawn with total degree <= `degree`; coefficients are
-    standard complex Gaussians, with the membership projector applied when
-    the value space requires it.  Repeated monomials add up.
+    Per term, the rng draws the total degree (<= `degree`), the variable of
+    each degree, and the real and imaginary parts of a standard complex
+    Gaussian coefficient.  :func:`random_keyed` turns draws into fields.
     """
-    order, _, lam = SPACE_INFO[space]
-    shape = (k,) * order + (rep.s_dim,)
+    shape = (k,) * SPACE_INFO[space][0] + (rep.s_dim,)
     expo = np.zeros((nterms, k * n), dtype=np.int64)
     coeffs = np.empty((nterms,) + shape, dtype=complex)
-    for t in range(nterms):  # per term: degree, variables, coefficient
+    for t in range(nterms):
         for _ in range(int(rng.integers(0, degree + 1))):
             expo[t, int(rng.integers(0, k * n))] += 1
-        coeffs[t] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z = rng.standard_normal((2,) + shape)
+        coeffs[t] = z[0] + 1j * z[1]
+    return expo, coeffs
+
+
+def random_keyed(k, n, space, draws):
+    """The sample-keyed field of raw draws, member b from ``draws[b]``.
+
+    V2/V3 coefficients are projected into the module.  One projector call,
+    one canonicalisation and one ``validate()`` serve every member; repeated
+    monomials within a member add up.
+    """
+    lam = SPACE_INFO[space][2]
+    key = np.repeat(np.arange(len(draws)), [len(e) for e, _ in draws])
+    expo = np.column_stack([np.concatenate([e for e, _ in draws]), key])
+    coeffs = np.concatenate([c for _, c in draws])
     if lam is not None:  # one projector call, the term axis trailing
         coeffs = np.moveaxis(weyl.apply_projector(lam, np.moveaxis(coeffs, 0, -1)), -1, 0)
     return PolyField(k, n, space, expo, coeffs).validate()
 
 
-def evaluate(f, x):
-    """Evaluate a field at a point x (flat array of length k*n)."""
-    f._require_plain("evaluate")
-    if not len(f):
-        return 0.0
-    mono = np.prod(np.asarray(x, dtype=float) ** f.expo, axis=1)
-    return np.tensordot(mono, f.vals, axes=1)
+def random_field(rng, k, n, space, rep, degree=3, nterms=8):
+    """Seeded random field: the one-member case of :func:`random_keyed`."""
+    f = random_keyed(k, n, space, [draw_terms(rng, k, n, space, rep, degree, nterms)])
+    return PolyField(k, n, space, f.expo[:, :-1], f.vals)

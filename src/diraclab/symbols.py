@@ -273,6 +273,11 @@ def verify_exactness(bundle, rtol=RANK_RTOL):
     )
 
 
+#: frequencies per pass of :func:`kernel_identity_check`; bounds its scratch
+#: memory at any batch size
+KERNEL_BLOCK = 256
+
+
 def kernel_identity_check(bundle, rtol=RANK_RTOL):
     """Kernel identity for the order-5 branch, on an orthonormal kernel basis.
 
@@ -284,12 +289,13 @@ def kernel_identity_check(bundle, rtol=RANK_RTOL):
                               - (xi_B xi_C + xi_C xi_B) Theta[0,0,A]
 
     and returns the largest residual entry per frequency, with xi_A xi_B the
-    block P_AB of sigma0 sigma0^H.  Requires a nonzero first block.
+    block P_AB of sigma0 sigma0^H.  Requires a nonzero first block.  The
+    frequencies go through in chunks of at most :data:`KERNEL_BLOCK`.
     """
     if not bundle.has_order5:
         raise ValueError("the kernel identity lives on the order-5 branch (k >= 3)")
-    k, n, s = bundle.k, bundle.n, bundle.s_dim
-    xiv = bundle.xi.reshape(bundle.xi.shape[:-1] + (k, n))
+    batch = bundle.xi.shape[:-1]
+    xiv = bundle.xi.reshape(batch + (bundle.k, bundle.n))
     n0sq = (xiv[..., 0, :] ** 2).sum(axis=-1)
     if np.any(n0sq == 0.0):
         raise ValueError("the identity requires a nonzero first frequency block")
@@ -299,15 +305,24 @@ def kernel_identity_check(bundle, rtol=RANK_RTOL):
         # matrix would drop right singular vectors of the kernel
         raise ArithmeticError(f"order-5 symbol stack is wide: {rows} rows, "
                               f"{bundle.sigma2p.shape[-1]} columns")
-    _, sv, vh = np.linalg.svd(np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2),
+    parts = [a.reshape((-1,) + a.shape[len(batch):]) for a in
+             (bundle.sigma2p, bundle.sigma2pp, *bundle._products, n0sq)]
+    resid = [_kernel_residual(bundle.k, bundle.s_dim, rtol,
+                              *(a[lo:lo + KERNEL_BLOCK] for a in parts))
+             for lo in range(0, max(len(parts[-1]), 1), KERNEL_BLOCK)]
+    return _per_frequency(np.concatenate(resid).reshape(batch))
+
+
+def _kernel_residual(k, s, rtol, sigma2p, sigma2pp, pp, scal, n0sq):
+    """:func:`kernel_identity_check` on one chunk of frequencies."""
+    _, sv, vh = np.linalg.svd(np.concatenate([sigma2p, sigma2pp], axis=-2),
                               full_matrices=False)
     # the right singular vectors past the rank span the kernel; take them
-    # from the smallest rank in the batch on and mask the rest per frequency
+    # from the smallest rank in the chunk on and mask the rest per frequency
     rank = _rank(sv, rtol)
     lo = int(rank.min(initial=vh.shape[-1]))
-    vecs = vh[..., lo:, :].conj().reshape(vh.shape[:-2] + (-1, vh.shape[-1] // s, s))
+    vecs = vh[:, lo:, :].conj().reshape((len(vh), -1, vh.shape[-1] // s, s))
     theta = np.einsum("ABCr,...vrs->...vABCs", _w21(k), vecs)
-    pp, scal = bundle._products
     t00 = theta[..., 0, 0, :, :]
     rhs = (np.einsum("...ABst,...vCt->...vABCs", pp, t00)
            + np.einsum("...ACst,...vBt->...vABCs", pp, t00)
@@ -315,7 +330,7 @@ def kernel_identity_check(bundle, rtol=RANK_RTOL):
     lhs = n0sq[..., None, None, None, None, None] * theta
     resid = np.abs(lhs - rhs).max(axis=(-4, -3, -2, -1))
     in_kernel = np.arange(lo, vh.shape[-1]) >= rank[..., None]
-    return _per_frequency(np.where(in_kernel, resid, 0.0).max(axis=-1))
+    return np.where(in_kernel, resid, 0.0).max(axis=-1)
 
 
 def intertwine_check(bundle):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from diraclab import build_clifford, dirac_ops, random_field
+from diraclab import boundary, build_clifford, dirac_ops, random_field
+from diraclab.fields import keyed, stack
 
 
 @pytest.fixture(scope="session")
@@ -133,3 +134,62 @@ def grid_inner(a, b):
         raise ValueError("grid shapes differ")
     vol = a.L ** (a.k * a.n)
     return complex(np.vdot(a.planes, b.planes) * vol / a.N ** (a.k * a.n))
+
+
+# ---------------------------------------------------------------------------
+# pointwise and coefficient oracles of the polynomial layer
+
+
+def add_at_canonical(expo, vals, is_keyed=False):
+    """The canonical form of (expo, vals) by a sequential ``np.add.at`` sum.
+
+    Rows sort with the key column most significant when `is_keyed`; equal rows
+    add one at a time in input order, into zeros; zero rows drop.
+    """
+    ranked = np.concatenate((expo[:, -1:], expo[:, :-1]), axis=1) if is_keyed else expo
+    rows, group = np.unique(ranked, axis=0, return_inverse=True)
+    acc = np.zeros((len(rows),) + vals.shape[1:], dtype=complex)
+    np.add.at(acc, group.reshape(-1), vals)
+    if is_keyed:
+        rows = np.concatenate((rows[:, 1:], rows[:, :1]), axis=1)
+    keep = acc.reshape(len(acc), -1).any(axis=1)
+    return rows[keep], acc[keep]
+
+
+def evaluate(f, x):
+    """Evaluate a plain field at a point x (flat array of length k*n)."""
+    f._require_plain("evaluate")
+    if not len(f):
+        return 0.0
+    mono = np.prod(np.asarray(x, dtype=float) ** f.expo, axis=1)
+    return np.tensordot(mono, f.vals, axes=1)
+
+
+def dense(members):
+    """The dense stack of a sequence of plain scalar fields."""
+    return stack(keyed(members), len(members))
+
+
+def tangential_z_coeffs(chart, rep):
+    """The Z_mu of the tangential frame on the S+ side, as coefficient dicts.
+
+    Entry mu - 1 maps a variable index (B, j) to the matrix multiplying
+    d_{B,j}: an independent route to :func:`~diraclab.boundary.apply_z`.
+    """
+    inv = boundary.inv_nabla0_phi_factor(chart, rep)
+    zs = []
+    for mu in range(1, chart.k):
+        fac = boundary.nabla_phi_factor(chart, rep, mu)
+        carry = fac.plus @ inv.minus  # S- -> S- factor in front of nabla_0
+        coeffs = {}
+        for j in range(chart.n):
+            coeffs[(mu, j)] = rep.gamma_plus[j].copy()
+            coeffs[(0, j)] = coeffs.get((0, j), 0) - carry @ rep.gamma_plus[j]
+        zs.append(coeffs)
+    return zs
+
+
+def apply_zt_commutator(chart, rep, mu, f):
+    """[Z_mu, T] f, composed from the library's Z_mu and T."""
+    return (boundary.apply_z(chart, rep, mu, boundary.apply_t(chart, rep, f))
+            - boundary.apply_t(chart, rep, boundary.apply_z(chart, rep, mu, f)))

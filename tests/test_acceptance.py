@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import dense_image_basis, principal_angles, terms_matrix
+from conftest import dense, dense_image_basis, principal_angles, terms_matrix
 
 from diraclab import build_clifford, random_field, weyl
 from diraclab import boundary as bnd
@@ -256,7 +256,7 @@ def test_criterion_6_boundary():
                 scale = [F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)]
                 worst_pi1 = max(
                     worst_pi1,
-                    float((bnd.pi1_kernel_check(chart, rep, Fs, Fps)
+                    float((bnd.pi1_kernel_check(chart, rep, dense(Fs), dense(Fps))
                            / np.maximum(scale, 1e-300)).max()),
                 )
     wall = time.perf_counter() - t0

@@ -6,18 +6,18 @@ from diraclab.boundary import (
     HypersurfaceChart,
     apply_t,
     apply_z,
-    apply_zt_commutator,
     defining_polynomial,
     flat_chart,
     pi1_kernel_check,
     restrict_and_test,
     restrict_to_chart,
     script_d0,
-    tangential_fields,
     tilted_chart,
 )
 from diraclab.dirac_ops import monogenic_basis, nabla
 from diraclab.fields import make_field
+
+from conftest import apply_zt_commutator, dense, evaluate, tangential_z_coeffs
 
 CONFIGS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 # dimension of the monogenic polynomials of degree <= 3 with values in S+
@@ -71,8 +71,7 @@ def test_tilted_coefficients_by_hand(reps):
     tilt = np.zeros((2, 2))
     tilt[1, 0] = c
     chart = tilted_chart(2, 2, tilt)
-    frame = tangential_fields(chart, rep)
-    z1 = frame.z_coeffs[0]
+    z1 = tangential_z_coeffs(chart, rep)[0]
     for j in range(2):
         assert np.allclose(z1[(1, j)], rep.gamma_plus[j])
         assert np.allclose(z1[(0, j)], c * rep.gamma_plus[j])
@@ -84,13 +83,13 @@ def test_frame_coefficients_match_operator(rng, reps):
     rep = reps[2]
     k, n = 3, 2
     chart = charts_for(k, n)[1]
-    frame = tangential_fields(chart, rep)
+    z_coeffs = tangential_z_coeffs(chart, rep)
     f = random_field(rng, k, n, "V0", rep, degree=3, nterms=6)
     from diraclab.boundary import dx
 
     for mu in range(1, k):
         acc = None
-        for (bb, jj), mat in frame.z_coeffs[mu - 1].items():
+        for (bb, jj), mat in z_coeffs[mu - 1].items():
             part = dx(bb, jj, f)
             term = make_field(
                 k, n, "S-",
@@ -153,9 +152,9 @@ def test_pi1_kernel_property(k, n, rng):
         draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5) for _ in range(10)]
         Fs, Fps = draws[0::2], draws[1::2]
         scale = np.maximum([F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)], 1e-30)
-        assert (pi1_kernel_check(chart, rep, Fs, Fps) <= 1e-10 * scale).all()
+        assert (pi1_kernel_check(chart, rep, dense(Fs), dense(Fps)) <= 1e-10 * scale).all()
         zero = make_field(k, n, "V0", {})
-        assert np.array_equal(pi1_kernel_check(chart, rep, [zero], [zero]), [0.0])
+        assert np.array_equal(pi1_kernel_check(chart, rep, dense([zero]), dense([zero])), [0.0])
 
 
 def test_commutator_identities(rng, reps):
@@ -179,9 +178,6 @@ def test_commutator_identities(rng, reps):
 def test_restriction_agrees_with_pointwise_evaluation(rng, reps):
     # independent oracle: substituting the defining variable commutes with
     # evaluating at points lying on the chart
-    from diraclab.fields import evaluate
-    from diraclab import random_field
-
     rep = reps[2]
     k, n = 2, 2
     chart = tilted_chart(k, n, np.array([[0.0, 0.7], [0.3, -0.4]]))
@@ -209,9 +205,9 @@ def test_stacked_checks_match_one_member_calls(k, n, rng):
             assert abs(rpt["input_norm"][i] - norm) <= 1e-15 * norm
             for key in ("z_residual", "zt_residual"):
                 assert abs(rpt[key][i] - one[key][0]) <= 1e-15 * norm, (i, key)
-        pk = pi1_kernel_check(chart, rep, Fs, Fps)
+        pk = pi1_kernel_check(chart, rep, dense(Fs), dense(Fps))
         for i, (F, Fp) in enumerate(zip(Fs, Fps)):
-            one = pi1_kernel_check(chart, rep, [F], [Fp])[0]
+            one = pi1_kernel_check(chart, rep, dense([F]), dense([Fp]))[0]
             assert abs(pk[i] - one) <= 1e-15 * (F.norm() + Fp.norm()), i
     with pytest.raises(ValueError, match="fields F"):
-        pi1_kernel_check(chart, rep, Fs, Fps[:-1])
+        pi1_kernel_check(chart, rep, dense(Fs), dense(Fps[:-1]))

@@ -162,6 +162,8 @@ def test_boundary_witnesses_replay(capsys):
     from diraclab import boundary, build_clifford, dirac_ops, random_field
     from diraclab.cli import _boundary_charts
 
+    from conftest import dense
+
     k, n, samples, seed = 3, 2, 6, 5
     _, report = run_cli(capsys, "verify", "--scope", "boundary", "--k", str(k),
                         "--n", str(n), "--samples", str(samples), "--seed", str(seed))
@@ -180,7 +182,8 @@ def test_boundary_witnesses_replay(capsys):
                           / rpt["input_norm"][0])
         check = checks[f"tangential_monogenicity chart={label} k={k} n={n}"]
         assert_worst(check, values, check["witness"]["member"])
-        values = [boundary.pi1_kernel_check(chart, rep, [F], [Fp])[0] / (F.norm() + Fp.norm())
+        values = [boundary.pi1_kernel_check(chart, rep, dense([F]), dense([Fp]))[0]
+                  / (F.norm() + Fp.norm())
                   for F, Fp in zip(draws[0::2], draws[1::2])]
         check = checks[f"pi1_kernel chart={label} k={k} n={n}"]
         assert_worst(check, values, check["witness"]["sample"])

@@ -17,7 +17,7 @@ from diraclab.dirac_ops import (
     monogenic_basis,
     nabla,
 )
-from diraclab.fields import PolyField, make_field, zero_field
+from diraclab.fields import PolyField, make_field
 
 CONFIGS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)]
 
@@ -46,7 +46,7 @@ def test_nabla_linear_monomial_by_hand(reps):
 
 
 def test_nabla_index_range(reps):
-    f = zero_field(2, 2, "V0")
+    f = PolyField(2, 2, "V0")
     with pytest.raises(ValueError):
         nabla(2, f, reps[2])
 
@@ -115,8 +115,8 @@ def test_adjoint_composition_is_laplacian(reps, rng):
 
 def test_zero_inputs(reps):
     rep = reps[2]
-    assert d0_star(zero_field(2, 2, "V1"), rep).norm() == 0.0
-    assert d1_star(zero_field(2, 2, "V2"), rep).norm() == 0.0
+    assert d0_star(PolyField(2, 2, "V1"), rep).norm() == 0.0
+    assert d1_star(PolyField(2, 2, "V2"), rep).norm() == 0.0
 
 
 def test_space_guards(reps, rng):
@@ -195,15 +195,15 @@ def test_constructor_sums_duplicates_and_drops_zeros():
 def test_stack_round_trips_members(reps, rng):
     # each member's slice of a stack, brought back to canonical form, is the
     # member bit for bit: disjoint and overlapping supports and a zero member
-    from diraclab.fields import member_norms, stack
+    from diraclab.fields import keyed, member_norms, stack
 
     rep = reps[2]
     one = np.array([1.0 + 0j])
     a = make_field(2, 2, "V0", {(1, 0, 0, 0): one, (0, 0, 0, 2): 2 * one})
     b = make_field(2, 2, "V0", {(0, 1, 0, 0): 3 * one})  # disjoint from a
     c = random_field(rng, 2, 2, "V0", rep, degree=3, nterms=6)
-    members = [a, b, zero_field(2, 2, "V0"), c, a + c]  # a + c overlaps a and c
-    s = stack(members)
+    members = [a, b, PolyField(2, 2, "V0"), c, a + c]  # a + c overlaps a and c
+    s = stack(keyed(members), len(members))
     assert_canonical(s)
     assert s.vals.shape == (len(s), len(members), rep.s_dim)
     assert len(s) == len(np.unique(np.concatenate([g.expo for g in members]), axis=0))
@@ -213,13 +213,16 @@ def test_stack_round_trips_members(reps, rng):
         assert back.vals.tobytes() == g.vals.tobytes(), i
     assert np.allclose(member_norms(s), [g.norm() for g in members], rtol=1e-15, atol=0)
     # a stack of zero fields keeps its batch axis
-    assert np.array_equal(member_norms(stack([zero_field(2, 2, "V0")] * 3)), np.zeros(3))
+    assert np.array_equal(member_norms(stack(keyed([PolyField(2, 2, "V0")] * 3), 3)),
+                          np.zeros(3))
     with pytest.raises(ValueError, match="one space"):
-        stack([a, make_field(2, 2, "S-", {(0, 0, 0, 0): one})])
-    with pytest.raises(ValueError, match="one space"):
-        stack([random_field(rng, 2, 2, "V1", rep)])
+        keyed([a, make_field(2, 2, "S-", {(0, 0, 0, 0): one})])
+    with pytest.raises(ValueError, match="scalar members"):
+        stack(keyed([random_field(rng, 2, 2, "V1", rep)]), 1)
+    with pytest.raises(ValueError, match="scalar members"):
+        stack(a, 1)  # a plain field, not a keyed one
     with pytest.raises(ValueError, match="at least one"):
-        stack([])
+        keyed([])
 
 
 @pytest.mark.parametrize("space", ["V2", "V3p", "V3pp"])

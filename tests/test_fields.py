@@ -1,25 +1,30 @@
 import numpy as np
 import pytest
 
-from diraclab import dirac_ops, random_field, weyl
+from diraclab import dirac_ops, fields, random_field, weyl
 from diraclab.fields import (
     SPACE_INFO,
     PolyField,
     _members,
-    evaluate,
+    draw_terms,
     keyed,
     keyed_norms,
     keyed_residuals,
     make_field,
-    zero_field,
+    random_keyed,
 )
+
+from conftest import add_at_canonical, evaluate
 
 
 def unkey(f, count):
-    """The `count` plain members of a keyed field, each on its own rows."""
-    order, bounds = _members(f, count)
-    expo, vals = f.expo[order, :f.k * f.n], f.vals[order]
-    return [PolyField(f.k, f.n, f.space, expo[lo:hi], vals[lo:hi])
+    """The `count` plain members of a keyed field, each on its own rows.
+
+    Rows are member-major, so each member is one contiguous slice."""
+    assert (np.diff(f.expo[:, -1]) >= 0).all()
+    bounds = _members(f, count)
+    expo = f.expo[:, :f.k * f.n]
+    return [PolyField(f.k, f.n, f.space, expo[lo:hi], f.vals[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -66,7 +71,7 @@ def members_of(rng, rep, space, k=3, n=2):
     a = random_field(rng, k, n, space, rep, degree=2, nterms=4)
     b = random_field(rng, k, n, space, rep, degree=1, nterms=1)  # one row
     c = a + random_field(rng, k, n, space, rep, degree=2, nterms=3)  # overlaps a
-    zero = zero_field(k, n, space)
+    zero = PolyField(k, n, space)
     return [a, zero, b, c, a, zero]
 
 
@@ -83,7 +88,7 @@ def test_keyed_round_trips_members(space, reps, rng):
         assert not h.is_keyed
         assert same(g, h) or (not len(g) and not len(h))
     # a keyed field of zero members keeps its count
-    empty = keyed([zero_field(3, 2, space)] * 3)
+    empty = keyed([PolyField(3, 2, space)] * 3)
     assert [len(h) for h in unkey(empty, 3)] == [0, 0, 0]
     assert np.array_equal(keyed_norms(empty, 3), np.zeros(3))
     assert np.array_equal(keyed_residuals(empty, 3), np.zeros(3))
@@ -133,7 +138,7 @@ def test_keyed_degree_ignores_key(reps):
     with pytest.raises(ValueError, match="sample-keyed"):
         f + members[0]
     with pytest.raises(ValueError, match="one space"):
-        keyed([members[0], zero_field(2, 2, "V1")])
+        keyed([members[0], PolyField(2, 2, "V1")])
     with pytest.raises(ValueError, match="at least one"):
         keyed([])
 
@@ -165,7 +170,7 @@ def test_operators_on_keyed_fields_match_members(k, n, reps, rng):
     for space, ops in cases.items():
         members = [random_field(rng, k, n, space, rep, degree=3, nterms=4)
                    for _ in range(5)]
-        members.insert(2, zero_field(k, n, space))
+        members.insert(2, PolyField(k, n, space))
         f = keyed(members)
         for op in ops:
             outs = unkey(op(f, rep), len(members))
@@ -180,7 +185,7 @@ def test_commutator_sides_read_each_members_slot(reps, rng):
     k, n = 3, 2
     rep = reps[n]
     members = [random_field(rng, k, n, "V0", rep, degree=5, nterms=6) for _ in range(5)]
-    members.insert(3, zero_field(k, n, "V0"))
+    members.insert(3, PolyField(k, n, "V0"))
     slots = rng.integers(0, k, size=(len(members), 3))
     f = keyed(members)
     lhs = unkey(dirac_ops.delta_nabla(f, rep, slots), len(members))
@@ -203,24 +208,89 @@ def test_canonical_fast_path_matches_sum(reps, rng, monkeypatch):
     signed = f.vals.copy()
     signed[0] = -0.0  # a zero row, dropped by both routes
     signed[1, 0] = -0.0  # a signed zero inside a kept row
-    cases = [(g.expo, g.vals) for g in (members[0], keyed(members))]
-    cases.append((f.expo, signed))
-    for expo, vals in cases:
-        assert fields._increasing(expo)
-        fast = fields._canonical(expo, vals)
+    cases = [(g.expo, g.vals, g.is_keyed) for g in (members[0], keyed(members))]
+    cases.append((f.expo, signed, False))
+    for expo, vals, key in cases:
+        assert fields._increasing(expo, key)
+        fast = fields._canonical(expo, vals, key)
         perm = rng.permutation(len(expo))
-        shuffled = fields._canonical(expo[perm], vals[perm])
+        shuffled = fields._canonical(expo[perm], vals[perm], key)
         with monkeypatch.context() as m:
-            m.setattr(fields, "_increasing", lambda expo: False)
-            slow = fields._canonical(expo, vals)
+            m.setattr(fields, "_increasing", lambda expo, keyed=False: False)
+            slow = fields._canonical(expo, vals, key)
         for other in (shuffled, slow):
             assert np.array_equal(fast[0], other[0])
             assert fast[1].tobytes() == other[1].tobytes()
-    for expo, vals in cases[:2]:  # canonical input comes back unchanged
-        out = fields._canonical(expo, vals)
+    for expo, vals, key in cases[:2]:  # canonical input comes back unchanged
+        out = fields._canonical(expo, vals, key)
         assert np.array_equal(out[0], expo) and out[1].tobytes() == vals.tobytes()
     assert len(fields._canonical(f.expo, signed)[0]) == len(f) - 1
     rows = np.array([[0, 2], [1, 0], [1, 1]])
     assert fields._increasing(rows)
     assert not fields._increasing(rows[[0, 2, 1]])
     assert not fields._increasing(rows[[0, 1, 1]])
+    # keyed rows are member-major: the last column is the most significant
+    member_major = np.array([[2, 0], [0, 1], [1, 1]])
+    assert fields._increasing(member_major, True) and not fields._increasing(member_major)
+    assert not fields._increasing(member_major[[1, 0, 2]], True)
+
+
+@pytest.mark.parametrize("space", ["V0", "V1", "V2"])
+def test_batched_draws_match_one_member_fields(space, reps):
+    # one projector call, canonicalisation and validate over all members give
+    # each member's random_field bit for bit, and leave the rng where the
+    # one-at-a-time draws leave it; degree 1 repeats monomials within members
+    rep = reps[2]
+    for degree, nterms in ((1, 9), (3, 6), (0, 3)):
+        ours, theirs = np.random.default_rng(29), np.random.default_rng(29)
+        draws = [draw_terms(ours, 3, 2, space, rep, degree, nterms) for _ in range(7)]
+        members = [random_field(theirs, 3, 2, space, rep, degree, nterms) for _ in range(7)]
+        f = random_keyed(3, 2, space, draws)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        whole = keyed(members)
+        assert np.array_equal(f.expo, whole.expo) and f.vals.tobytes() == whole.vals.tobytes()
+        for g, h in zip(members, unkey(f, len(members))):
+            assert same(g, h), (space, degree)
+
+
+def test_keyed_of_canonical_members_is_canonical(reps, rng, monkeypatch):
+    # concatenated canonical members are already in member-major order: the
+    # fast path returns what the forced sort-and-sum route gives, bitwise
+    rep = reps[2]
+    for space in ("V0", "V1", "V2"):
+        members = members_of(rng, rep, space)
+        f = keyed(members)
+        expo = np.concatenate([np.column_stack([g.expo, np.full(len(g), b)])
+                               for b, g in enumerate(members)])
+        vals = np.concatenate([g.vals for g in members if len(g)])
+        assert fields._increasing(expo, True) and not fields._increasing(expo)
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_increasing", lambda expo, keyed=False: False)
+            slow = PolyField(3, 2, space, expo, vals)
+        assert np.array_equal(f.expo, expo) and np.array_equal(slow.expo, expo)
+        assert f.vals.tobytes() == slow.vals.tobytes() == vals.tobytes()
+
+
+def test_canonical_sum_matches_add_at_oracle(rng):
+    # shuffled rows with repeats, signed zeros and exact cancellations, plain
+    # and keyed: bincount adds each group in input order, as add.at does
+    for keyed_rows, tail in ((False, (2,)), (True, (3, 2)), (False, ())):
+        for _ in range(40):
+            t = int(rng.integers(1, 40))
+            expo = rng.integers(0, 3, size=(t, 3 + keyed_rows))
+            scale = 10.0 ** rng.integers(-8, 9, size=(t,) + (1,) * len(tail))
+            vals = scale * (rng.standard_normal((t,) + tail)
+                            + 1j * rng.standard_normal((t,) + tail))
+            vals[rng.random(t) < 0.2] = -0.0
+            vals[rng.random(t) < 0.2] = complex(-0.0, -0.0)
+            # rows that cancel earlier ones exactly, half of them restored
+            dup = rng.integers(0, t, size=t // 2)
+            back = dup[: len(dup) // 2]
+            expo = np.concatenate([expo, expo[dup], expo[back]])
+            vals = np.concatenate([vals, -vals[dup], vals[back]])
+            perm = rng.permutation(len(expo))
+            expo, vals = expo[perm], vals[perm]
+            ours = fields._canonical(expo, vals, keyed_rows)
+            theirs = add_at_canonical(expo, vals, keyed_rows)
+            assert np.array_equal(ours[0], theirs[0])
+            assert ours[1].tobytes() == theirs[1].tobytes()

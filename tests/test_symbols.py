@@ -362,3 +362,48 @@ def test_operator_symbols_match_bundle(k, n, rng, reps):
             if const is not None:
                 sig2p[:, col] += (-1j * xi[p]) * const.reshape(-1)
     assert np.abs(iso3p.conj().T @ sig2p - b.sigma2p).max() <= 1e-12
+
+
+def test_kernel_identity_chunks_match_one_pass(rng, reps, monkeypatch):
+    # the check runs in chunks of frequencies; each frequency's value is the
+    # one-pass value bit for bit, at any chunk size and batch shape
+    from diraclab import symbols
+
+    for k, n in ((3, 2), (3, 3), (4, 2)):
+        xi = np.stack([unit_xi(rng, k, n, min_first=0.2) for _ in range(24)])
+        b = build_bundle(reps[n], k, xi.reshape(4, 6, k * n))
+        whole = kernel_identity_check(b)
+        assert whole.shape == (4, 6)
+        for block in (1, 5, 24):
+            monkeypatch.setattr(symbols, "KERNEL_BLOCK", block)
+            assert kernel_identity_check(b).tobytes() == whole.tobytes(), (k, n, block)
+        monkeypatch.undo()
+
+
+def test_kernel_identity_memory_is_bounded(rng, reps, monkeypatch):
+    # 2000 frequencies at (3, 3) peaked 51 MiB above live in one pass; in
+    # chunks the scratch stays near one chunk's.  The 200 frequencies of an
+    # ellipticity run are one chunk.
+    import tracemalloc
+
+    from diraclab import symbols
+
+    xi = rng.standard_normal((2000, 9))
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    b = build_bundle(reps[3], 3, xi)
+    b.sigma2p, b.sigma2pp  # cached, as after verify_exactness
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        kernel_identity_check(b)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak / 2**20
+    calls = []
+    inner = symbols._kernel_residual
+    monkeypatch.setattr(symbols, "_kernel_residual",
+                        lambda *a: calls.append(len(a[-1])) or inner(*a))
+    kernel_identity_check(build_bundle(reps[3], 3, xi[:200]))
+    assert calls == [200]
