@@ -88,8 +88,6 @@ class SpinorFactor:
     def apply(self, f):
         mat = self.plus if f.chirality > 0 else self.minus
         target = "S-" if f.chirality > 0 else "S+"
-        if not len(f):  # keeps the value shape, batch axis included
-            return PolyField(f.k, f.n, target, f.expo, f.vals)
         return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
 
 
@@ -217,8 +215,6 @@ def pi1_kernel_check(chart, rep, F, Fprime):
 def restrict_to_chart(f, chart):
     """Substitute x_{01} = rho(rest), yielding a surface field."""
     space = f.space if f.space != "V0" else "S+"
-    if not len(f):
-        return PolyField(f.k, f.n, space, f.expo, f.vals)
     kn = f.k * f.n
     lin = np.flatnonzero(chart.rho_coeffs.reshape(-1))
     rho_e = np.eye(kn, dtype=np.int64)[lin]
@@ -228,7 +224,7 @@ def restrict_to_chart(f, chart):
     # power_e, power_c: exponents and coefficients of rho**p, p = 0, 1, ...
     power_e, power_c = np.zeros((1, kn), dtype=np.int64), np.ones(1)
     expo, vals = [], []
-    for p in range(int(f.expo[:, 0].max()) + 1):
+    for p in range(int(f.expo[:, 0].max(initial=0)) + 1):
         if p:
             power_e, power_c = _canonical(
                 (power_e[:, None] + rho_e[None]).reshape(-1, kn),

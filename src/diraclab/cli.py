@@ -381,33 +381,18 @@ def checks_boundary(k, n, samples, seed):
     return out
 
 
-_ALL_SWEEPS = {
-    "clifford": lambda a: checks_clifford(10, a.samples, a.seed),
-    "weyl": lambda a: [c for kk in (2, 3, 4, 5) for c in checks_weyl(kk)],
-    "complex": lambda a: [
-        c
-        for (kk, nn) in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3))
-        for c in checks_complex(kk, nn, a.samples, a.seed)
-    ],
-    "ellipticity": lambda a: [
-        c
-        for (kk, nn) in ((3, 2), (3, 3), (2, 2), (2, 3))
-        for c in checks_ellipticity(kk, nn, a.samples, a.seed)
-    ],
-    "boundary": lambda a: [
-        c
-        for (kk, nn) in ((2, 2), (2, 3), (3, 2), (3, 3))
-        for c in checks_boundary(kk, nn, min(a.samples, 20), a.seed)
-    ],
-}
-
-
-_SCOPE_SWEEPS = {
-    "clifford": lambda a: checks_clifford(max(a.n, 1), a.samples, a.seed),
-    "weyl": lambda a: checks_weyl(a.k),
-    "complex": lambda a: checks_complex(a.k, a.n, a.samples, a.seed),
-    "ellipticity": lambda a: checks_ellipticity(a.k, a.n, a.samples, a.seed),
-    "boundary": lambda a: checks_boundary(a.k, a.n, min(a.samples, 20), a.seed),
+#: scope -> (suite(k, n, args), the (k, n) pairs `--scope all` runs, in order);
+#: a single scope runs once at (--k, --n).  The clifford suite sweeps n = 1..n,
+#: and the weyl suite has no n.
+_SWEEPS = {
+    "clifford": (lambda k, n, a: checks_clifford(n, a.samples, a.seed), [(None, 10)]),
+    "weyl": (lambda k, n, a: checks_weyl(k), [(kk, None) for kk in (2, 3, 4, 5)]),
+    "complex": (lambda k, n, a: checks_complex(k, n, a.samples, a.seed),
+                [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]),
+    "ellipticity": (lambda k, n, a: checks_ellipticity(k, n, a.samples, a.seed),
+                    [(3, 2), (3, 3), (2, 2), (2, 3)]),
+    "boundary": (lambda k, n, a: checks_boundary(k, n, min(a.samples, 20), a.seed),
+                 [(2, 2), (2, 3), (3, 2), (3, 3)]),
 }
 
 
@@ -415,14 +400,12 @@ def run_verify(args):
     t0 = time.perf_counter()
     if args.n is None:
         args.n = 10 if args.scope == "clifford" else 2
-    if args.scope == "all":
-        sweeps = _ALL_SWEEPS
-    else:
-        sweeps = {args.scope: _SCOPE_SWEEPS[args.scope]}
     checks, suite_s = [], {}
-    for key, sweep in sweeps.items():
+    for key in _SWEEPS if args.scope == "all" else [args.scope]:
+        suite, pairs = _SWEEPS[key]
         t_suite = time.perf_counter()
-        checks.extend(sweep(args))
+        for k, n in pairs if args.scope == "all" else [(args.k, args.n)]:
+            checks.extend(suite(k, n, args))
         suite_s[key] = time.perf_counter() - t_suite
     report = {
         "tool": "diraclab",

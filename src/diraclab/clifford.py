@@ -80,6 +80,13 @@ def _hermitian_generators(m):
     return gens
 
 
+def spinor_dim(n):
+    """Dimension of S+ (equal to that of S-) for spatial dimension n >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"spatial dimension must be a positive integer, got {n!r}")
+    return 2 ** ((int(n) + 1) // 2 - 1)
+
+
 def build_clifford(n):
     """Construct the spinor modules and gamma blocks for dimension n.
 
@@ -92,12 +99,9 @@ def build_clifford(n):
     -------
     CliffordRep
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"spatial dimension must be a positive integer, got {n!r}")
+    dim = 2 * spinor_dim(n)
     n = int(n)
-    m = n // 2 if n % 2 == 0 else (n + 1) // 2
-    gens = _hermitian_generators(m)[:n]
-    dim = 2**m
+    gens = _hermitian_generators((n + 1) // 2)[:n]
     parity = np.array([bin(b).count("1") % 2 for b in range(dim)])
     plus = np.where(parity == 0)[0]
     minus = np.where(parity == 1)[0]

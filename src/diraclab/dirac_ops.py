@@ -105,8 +105,6 @@ def nabla(A, f, rep):
     if not 0 <= A < f.k:
         raise ValueError(f"variable index {A} out of range for k={f.k}")
     target = _flip_scalar_space(f)
-    if not len(f):  # keeps the value shape, batch axis included
-        return PolyField(f.k, f.n, target, f.expo, f.vals)
     gam = _gamma_block(rep, f.chirality)
     return PolyField(f.k, f.n, target, *_cat(_nabla_pieces(f.expo, f.vals, gam, A, f.n)))
 
@@ -123,24 +121,18 @@ def _flip_scalar_space(f):
 def delta_op(B, C, f, rep):
     """The scalar anticommutator operator applied to a field."""
     del rep
-    if not len(f):
-        return PolyField(f.k, f.n, f.space)
     return PolyField(f.k, f.n, f.space, *_cat(_delta_pieces(f.expo, f.vals, B, C, f.n)))
 
 
 def d0(f, rep):
     """First operator of the complex: stack the k Dirac derivatives."""
     _require_space(f, "V0", "d0")
-    if not len(f):
-        return PolyField(f.k, f.n, "V1")
     return PolyField(f.k, f.n, "V1", *_grad(f, rep))
 
 
 def d0_star(G, rep):
     """Formal adjoint of d0: the contracted sum of Dirac derivatives."""
     _require_space(G, "V1", "d0_star")
-    if not len(G):
-        return PolyField(G.k, G.n, "V0")
     expo, vals = _grad(G, rep)  # axes (A, component, s)
     return PolyField(G.k, G.n, "V0", expo, np.einsum("taas->ts", vals))
 
@@ -151,8 +143,6 @@ def d1(F, rep):
     ``(d1 F)[A,B,C] = sym_{BC}(grad2[A,B,C]) - 1/2 Delta_{BC} F[A]``.
     """
     _require_space(F, "V1", "d1")
-    if not len(F):
-        return PolyField(F.k, F.n, "V2")
     ge, t = _grad(F, rep, 2)  # (A, B, C, s)
     de, d = _delta_stack(F)  # (B, C, Ccomp, s)
     sym = 0.5 * (t + np.einsum("tacbs->tabcs", t))
@@ -163,8 +153,6 @@ def d1(F, rep):
 def d1_projector(F, rep):
     """Second operator through the (2,1) projector: 3/2 C21(grad2)."""
     _require_space(F, "V1", "d1_projector")
-    if not len(F):
-        return PolyField(F.k, F.n, "V2")
     expo, grad2 = _grad(F, rep, 2)
     return _result(F, "V2", expo, _apply_projector(grad2, "21", 1.5))
 
@@ -184,8 +172,6 @@ def d2p(h, rep):
     """Third operator, first-order branch, direct componentwise form."""
     _require_space(h, "V2", "d2p")
     _require_order5(h)
-    if not len(h):
-        return PolyField(h.k, h.n, "V3p")
     expo, u = _grad(h, rep)  # U[D, A, B, C, s]
     # sum over swaps of (A,D) and of (B,C) of
     #   1/2 (U[DABC] - U[DCBA]) + 1/2 (U[BCDA] - U[BADC])
@@ -205,8 +191,6 @@ def d2p_projector(h, rep):
     """Third operator, first-order branch, as 6 C22(grad h)."""
     _require_space(h, "V2", "d2p_projector")
     _require_order5(h)
-    if not len(h):
-        return PolyField(h.k, h.n, "V3p")
     expo, grad = _grad(h, rep)
     return _result(h, "V3p", expo, _apply_projector(grad, "22", 6.0))
 
@@ -220,8 +204,6 @@ def d2pp(h, rep):
     """
     _require_space(h, "V2", "d2pp")
     _require_order5(h)
-    if not len(h):
-        return PolyField(h.k, h.n, "V3pp")
     we, w2 = _grad(h, rep, 2)  # W2[E, D, A, B, C, s]
     de, dh = _delta_stack(h)  # D[B', C', A, B, C, s]
     # 2 grad_[E grad_D_ h_A]BC  = grad_E grad_D h_ABC - grad_A grad_D h_EBC
@@ -248,8 +230,6 @@ def d2pp_projector(h, rep):
     """
     _require_space(h, "V2", "d2pp_projector")
     _require_order5(h)
-    if not len(h):
-        return PolyField(h.k, h.n, "V3pp")
     expo, w2 = _grad(h, rep, 2)
     mixed = 2.0 * w2 + np.einsum("tdeabcs->tedabcs", w2)
     return _result(h, "V3pp", expo, _apply_projector(mixed, "311", 10.0 / 3.0))
@@ -261,8 +241,6 @@ def d1_star(h, rep):
     ``(d1* h)[C] = sum_{A,B} ( grad_B grad_A h[A,(B,C)] - 1/2 Delta_AB h[C,A,B] )``.
     """
     _require_space(h, "V2", "d1_star")
-    if not len(h):
-        return PolyField(h.k, h.n, "V1")
     we, w = _grad(h, rep, 2)  # W[b, a, i, j, l, s]
     de, d = _delta_stack(h)  # D[p, q, i, j, l, s]
     term1 = 0.5 * (
@@ -275,8 +253,6 @@ def d1_star(h, rep):
 def laplacian(f, rep):
     """Scalar Laplacian -sum d^2 (for cross-checking d0* d0)."""
     del rep
-    if not len(f):
-        return PolyField(f.k, f.n, f.space)
     expo, vals = _cat(p for B in range(f.k) for p in _delta_pieces(f.expo, f.vals, B, B, f.n))
     return PolyField(f.k, f.n, f.space, expo, 0.5 * vals)
 
@@ -301,8 +277,6 @@ def delta_nabla(g, rep, slots):
     serves all members.
     """
     _require_space(g, "V0", "delta_nabla")
-    if not len(g):
-        return PolyField(g.k, g.n, "S-")
     stack = _delta_stack(PolyField(g.k, g.n, "S-", *_grad(g, rep)))  # (B, C, A, s)
     return _at_member_slots(g.k, g.n, stack, slots)
 
@@ -310,8 +284,6 @@ def delta_nabla(g, rep, slots):
 def nabla_delta(g, rep, slots):
     """nabla_A Delta_BC g for each member, as :func:`delta_nabla` takes them."""
     _require_space(g, "V0", "nabla_delta")
-    if not len(g):
-        return PolyField(g.k, g.n, "S-")
     stack = _grad(PolyField(g.k, g.n, "V0", *_delta_stack(g)), rep)  # (A, B, C, s)
     return _at_member_slots(g.k, g.n, stack, np.asarray(slots)[:, [2, 0, 1]])
 

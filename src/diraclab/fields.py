@@ -7,7 +7,9 @@ monomial, and ``vals``, the stacked coefficient arrays.  Coefficient arrays
 carry the tensor axes of the value space first and the spinor axis last, so
 the ``vals`` of a V2 field has shape (T, k, k, k, s).  The rows of ``expo``
 are unique and sorted lexicographically, and no row of ``vals`` is zero; the
-constructor restores this canonical form after every operation.
+constructor restores this canonical form after every operation.  The zero
+field has T = 0 and its space's value axes, so every operator takes it
+through the same code path as any other field.
 
 Many fields can travel as one, in two forms; every operator acts on all
 members at once, through the same code path as on one field:
@@ -46,6 +48,7 @@ polynomial fields up to roundoff, which makes them the right test bed.
 import numpy as np
 
 from . import weyl
+from .clifford import spinor_dim
 
 #: space tag -> (tensor order, chirality (+1 for S+, -1 for S-), membership tag)
 SPACE_INFO = {
@@ -76,7 +79,7 @@ class PolyField:
         member index (see :func:`keyed`).
     vals : ndarray
         complex array of shape (T,) + ``(k,)*order + (s,)``; the zero field
-        has T = 0.
+        has T = 0 and its space's value axes.
     """
 
     def __init__(self, k, n, space, expo=None, vals=None):
@@ -84,7 +87,9 @@ class PolyField:
             raise ValueError(f"unknown value space {space!r}")
         self.k, self.n, self.space = k, n, space
         if expo is None:
-            expo, vals = (), ()
+            expo = np.zeros((0, k * n), dtype=np.int64)
+            vals = np.zeros((0,) + (k,) * SPACE_INFO[space][0] + (spinor_dim(n),),
+                            dtype=complex)
         expo = np.asarray(expo, dtype=np.int64)
         keyed = expo.ndim == 2 and expo.shape[1] == k * n + 1
         self.expo, self.vals = _canonical(expo.reshape(-1, k * n + keyed),
@@ -120,10 +125,9 @@ class PolyField:
         return float(np.sqrt((np.abs(self.vals) ** 2).sum()))
 
     def degree(self):
-        """Largest total degree; the key column of a keyed field is no degree."""
-        if not len(self):
-            return -1
-        return int(self.expo[:, :self.k * self.n].sum(axis=1).max())
+        """Largest total degree (-1 for the zero field); the key column of a
+        keyed field is no degree."""
+        return int(self.expo[:, :self.k * self.n].sum(axis=1).max(initial=-1))
 
     def copy(self):
         return PolyField(self.k, self.n, self.space, self.expo, self.vals)
@@ -226,7 +230,7 @@ def stack(f, count):
     broadcasts over the batch axis, so one call acts on all members, and
     :func:`member_norms` reads the norms back per member.
     """
-    if f.order or (len(f) and not f.is_keyed):
+    if f.order or not f.is_keyed:
         raise ValueError("a stack is built from a keyed field of scalar members")
     key = _key(f, count)
     order, rows, group = _group(f.expo[:, :f.k * f.n])
@@ -258,25 +262,18 @@ def keyed(members):
     if any((g.k, g.n, g.space) != (head.k, head.n, head.space) or g.is_keyed
            for g in members):
         raise ValueError("a keyed field holds plain fields of one space")
-    # the zero field carries no value axes; take them from a nonzero member
-    tail = next((g.vals.shape[1:] for g in members if len(g)), ())
     key = np.repeat(np.arange(len(members)), [len(g) for g in members])
     expo = np.column_stack([np.concatenate([g.expo for g in members]), key])
-    vals = np.concatenate([g.vals.reshape((-1,) + tail) for g in members])
+    vals = np.concatenate([g.vals for g in members])
     return PolyField(head.k, head.n, head.space, expo, vals)
 
 
 def _key(f, count):
-    """The member index of each row of a keyed field with `count` members.
-
-    An empty field is the keyed field of `count` zero members.
-    """
-    if not len(f):
-        return np.zeros(0, dtype=np.int64)
+    """The member index of each row of a keyed field with `count` members."""
     if not f.is_keyed:
         raise ValueError("not a sample-keyed field")
     key = f.expo[:, -1]
-    if key.max() >= count:
+    if key.max(initial=-1) >= count:
         raise ValueError(f"member index {key.max()} out of range for {count} members")
     return key
 
@@ -332,12 +329,8 @@ def _linear_combination(f, g, sign):
     space = f.space if f.space == g.space else ("S+" if f.chirality > 0 else "S-")
     if f.order > 0 and f.space != g.space:
         raise ValueError("fields live in different spaces")
-    if len(f) and len(g) and f.is_keyed != g.is_keyed:
+    if f.is_keyed != g.is_keyed:
         raise ValueError("cannot add a sample-keyed field and a plain one")
-    if not len(g):
-        return PolyField(f.k, f.n, space, f.expo, f.vals)
-    if not len(f):
-        return PolyField(f.k, f.n, space, g.expo, sign * g.vals)
     return PolyField(f.k, f.n, space, np.concatenate((f.expo, g.expo)),
                      np.concatenate((f.vals, sign * g.vals)))
 

@@ -119,6 +119,47 @@ def test_zero_inputs(reps):
     assert d1_star(PolyField(2, 2, "V2"), rep).norm() == 0.0
 
 
+@pytest.mark.parametrize("k, n", [(2, 2), (3, 3), (4, 2)])
+def test_zero_field_keeps_value_axes(k, n, reps):
+    # every operator takes the zero field through its general path: the output
+    # has its space's value axes, and a keyed input stays keyed
+    from diraclab import boundary
+    from diraclab.fields import SPACE_INFO, keyed, keyed_norms, keyed_residuals, stack
+
+    rep = reps[n]
+    s = rep.s_dim
+    ops = [(d0, "V0", "V1"), (laplacian, "V0", "V0"), (d0_star, "V1", "V0"),
+           (d1, "V1", "V2"), (d1_projector, "V1", "V2"), (d1_star, "V2", "V1"),
+           (lambda f, r: nabla(k - 1, f, r), "V0", "S-"),
+           (lambda f, r: delta_op(0, k - 1, f, r), "V0", "V0")]
+    if k >= 3:
+        ops += [(d2p, "V2", "V3p"), (d2p_projector, "V2", "V3p"),
+                (d2pp, "V2", "V3pp"), (d2pp_projector, "V2", "V3pp")]
+    for op, space, target in ops:
+        for count in (None, 3):
+            f = PolyField(k, n, space)
+            if count:
+                f = keyed([f] * count)
+            out = op(f, rep)
+            assert out.space == target and len(out) == 0
+            assert out.vals.shape == (0,) + (k,) * SPACE_INFO[target][0] + (s,)
+            assert out.expo.shape == (0, k * n + bool(count))
+            assert out.is_keyed == bool(count)
+            if count:
+                assert np.array_equal(keyed_norms(out, count), np.zeros(count))
+                assert np.array_equal(keyed_residuals(out, count), np.zeros(count))
+    slots = np.zeros((3, 3), dtype=np.int64)
+    for op in (dirac_ops.delta_nabla, dirac_ops.nabla_delta):
+        out = op(keyed([PolyField(k, n, "V0")] * 3), rep, slots)
+        assert out.space == "S-" and out.is_keyed and out.vals.shape == (0, s)
+        assert np.array_equal(keyed_norms(out, 3), np.zeros(3))
+    zero = stack(keyed([PolyField(k, n, "V0")] * 3), 3)
+    chart = boundary.flat_chart(k, n)
+    assert np.array_equal(boundary.pi1_kernel_check(chart, rep, zero, zero), np.zeros(3))
+    assert boundary.apply_z(chart, rep, 1, zero).vals.shape == (0, 3, s)
+    assert boundary.restrict_to_chart(zero, chart).vals.shape == (0, 3, s)
+
+
 def test_space_guards(reps, rng):
     rep = reps[2]
     F = random_field(rng, 3, 2, "V1", rep, degree=2, nterms=3)

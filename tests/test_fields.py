@@ -143,6 +143,29 @@ def test_keyed_degree_ignores_key(reps):
         keyed([])
 
 
+def test_keyed_and_plain_never_mix(reps, rng):
+    # the zero field is a plain field like any other: it does not stand in for
+    # a keyed field of zero members, nor add to a keyed field
+    from diraclab.fields import stack
+
+    rep = reps[2]
+    members = [random_field(rng, 2, 2, "V0", rep, degree=2, nterms=3) for _ in range(3)]
+    f = keyed(members)
+    zero = PolyField(2, 2, "V0")
+    assert zero.vals.shape == (0, rep.s_dim) and zero.degree() == -1
+    for bad in (lambda: f + zero, lambda: zero - f, lambda: keyed([zero]) + zero):
+        with pytest.raises(ValueError, match="cannot add a sample-keyed field and a plain one"):
+            bad()
+    with pytest.raises(ValueError, match="keyed field of scalar members"):
+        stack(zero, 3)
+    with pytest.raises(ValueError, match="not a sample-keyed field"):
+        keyed_norms(zero, 3)
+    with pytest.raises(ValueError, match="not a sample-keyed field"):
+        keyed_residuals(zero, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        keyed_norms(f, 2)
+
+
 def test_keyed_validate_names_failing_member(reps, rng):
     rep = reps[2]
     members = [random_field(rng, 3, 2, "V2", rep, degree=2, nterms=3) for _ in range(4)]
