@@ -18,8 +18,10 @@ operator.
 
 Every operator here acts on scalar fields and broadcasts over a stack
 (:func:`~diraclab.fields.stack`: ``vals`` of shape (T, B, s), the batch axis
-just before the spinor axis).  The two certifying checks,
-:func:`restrict_and_test` (on a sequence of fields) and
+just before the spinor axis).  The suite's batches are stacks from the
+start: :func:`~diraclab.dirac_ops.monogenic_basis` returns one, and
+:func:`defining_polynomial` gives phi times each basis spinor as one.  The
+two certifying checks, :func:`restrict_and_test` (on one stack) and
 :func:`pi1_kernel_check` (on two stacks), run one operator pass over all
 members and return one value per member.
 """
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_ops import nabla
-from .fields import PolyField, _canonical, _partial, keyed, make_field, member_norms, stack
+from .fields import PolyField, _canonical, _partial, member_norms
 
 
 @dataclass(frozen=True)
@@ -132,31 +134,16 @@ def apply_z(chart, rep, mu, f):
     return nabla(mu, f, rep) - fac.apply(inv.apply(nabla(0, f, rep)))
 
 
-def defining_polynomial(chart, rep, spinor=None):
-    """phi times a constant spinor, as an S+ valued field."""
-    if spinor is None:
-        spinor = np.zeros(rep.s_dim, dtype=complex)
-        spinor[0] = 1.0
-    spinor = np.asarray(spinor, dtype=complex)
-    k, n = chart.k, chart.n
-    terms = {}
-    e01 = [0] * (k * n)
-    e01[0] = 1
-    terms[tuple(e01)] = spinor.copy()
-    for A in range(k):
-        for j in range(n):
-            c = chart.rho_coeffs[A, j]
-            if c == 0.0:
-                continue
-            e = [0] * (k * n)
-            e[A * n + j] = 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) - c * spinor
-    return make_field(k, n, "S+", terms, validate=False)
+def defining_polynomial(chart, rep):
+    """phi times each basis spinor e_t, as one stack of s S+ valued fields.
 
-
-def _require_surface_function(f):
-    if f.expo[:, 0].any():
-        raise ValueError("field must not depend on the defining variable x_{01}")
+    phi is linear with the coefficients of :meth:`HypersurfaceChart.grad_phi`,
+    so member t has the coefficient ``grad_phi * e_t`` on each variable.
+    """
+    g = chart.grad_phi().reshape(-1)
+    lin = np.flatnonzero(g)
+    return PolyField(chart.k, chart.n, "S+", np.eye(len(g), dtype=np.int64)[lin],
+                     g[lin, None, None] * np.eye(rep.s_dim))
 
 
 def script_d0(chart, rep, fhat):
@@ -167,10 +154,10 @@ def script_d0(chart, rep, fhat):
     """
     if fhat.space not in ("V0", "S+"):
         raise ValueError(f"boundary data must be S+ valued, got {fhat.space}")
-    _require_surface_function(fhat)
-    f = PolyField(fhat.k, fhat.n, "S+", fhat.expo, fhat.vals)
-    tf = apply_t(chart, rep, f)
-    first = tuple(apply_z(chart, rep, mu, f) for mu in range(1, chart.k))
+    if fhat.expo[:, 1].any():
+        raise ValueError("field must not depend on the defining variable x_{01}")
+    tf = apply_t(chart, rep, fhat)
+    first = tuple(apply_z(chart, rep, mu, fhat) for mu in range(1, chart.k))
     second = tuple(
         apply_z(chart, rep, mu, tf).scale(-1.0) for mu in range(1, chart.k)
     )
@@ -215,35 +202,36 @@ def pi1_kernel_check(chart, rep, F, Fprime):
 def restrict_to_chart(f, chart):
     """Substitute x_{01} = rho(rest), yielding a surface field."""
     space = f.space if f.space != "V0" else "S+"
-    kn = f.k * f.n
+    width = f.expo.shape[1]  # the key column, then x_{01} and the rest
     lin = np.flatnonzero(chart.rho_coeffs.reshape(-1))
-    rho_e = np.eye(kn, dtype=np.int64)[lin]
+    rho_e = np.eye(width, dtype=np.int64)[1 + lin]
     rho_c = chart.rho_coeffs.reshape(-1)[lin]
     base = f.expo.copy()
-    base[:, 0] = 0
-    # power_e, power_c: exponents and coefficients of rho**p, p = 0, 1, ...
-    power_e, power_c = np.zeros((1, kn), dtype=np.int64), np.ones(1)
+    base[:, 1] = 0
+    # power_e, power_c: exponents (key 0) and coefficients of rho**p, p = 0, 1, ...
+    power_e, power_c = np.zeros((1, width), dtype=np.int64), np.ones(1)
     expo, vals = [], []
-    for p in range(int(f.expo[:, 0].max(initial=0)) + 1):
+    for p in range(int(f.expo[:, 1].max(initial=0)) + 1):
         if p:
             power_e, power_c = _canonical(
-                (power_e[:, None] + rho_e[None]).reshape(-1, kn),
+                (power_e[:, None] + rho_e[None]).reshape(-1, width),
                 (power_c[:, None] * rho_c[None]).reshape(-1),
             )
-        rows = f.expo[:, 0] == p
-        expo.append((base[rows][:, None] + power_e[None]).reshape(-1, kn))
+        rows = f.expo[:, 1] == p
+        expo.append((base[rows][:, None] + power_e[None]).reshape(-1, width))
         vals.append(np.einsum("m,t...->tm...", power_c, f.vals[rows])
                     .reshape((-1,) + f.vals.shape[1:]))
     return PolyField(f.k, f.n, space, np.concatenate(expo), np.concatenate(vals))
 
 
-def restrict_and_test(fields, chart, rep, tol=1e-10):
-    """Restrict monogenic fields to the chart and test tangential monogenicity.
+def restrict_and_test(f, chart, rep, tol=1e-10):
+    """Restrict a stack of monogenic fields to the chart and test tangential
+    monogenicity.
 
-    Returns a dict of arrays with one entry per field.  Raises ValueError
-    naming the index of the first field that is not monogenic.
+    `f` is a stack (:func:`~diraclab.fields.stack`) of B V0 fields.  Returns
+    a dict of arrays with one entry per member.  Raises ValueError naming the
+    index of the first member that is not monogenic.
     """
-    f = stack(keyed(fields), len(fields))
     fnorm = member_norms(f)
     # |d0 f|^2 is the sum over A of |nabla_A f|^2
     defect = np.sqrt(sum(member_norms(nabla(A, f, rep)) ** 2 for A in range(f.k)))

@@ -57,7 +57,7 @@ def _delta_pieces(expo, vals, B, C, n):
         yield e, -2.0 * v
 
 
-def _stack(slotted, lead, keyed):
+def _stack(slotted, lead):
     """Canonical stack whose leading axes ``lead`` hold the pieces at their slots."""
     expo = np.concatenate([e for _, e, _ in slotted])
     vals = np.zeros((len(expo),) + lead + slotted[0][2].shape[1:], dtype=complex)
@@ -65,7 +65,7 @@ def _stack(slotted, lead, keyed):
     for slot, e, v in slotted:
         vals[(slice(row, row + len(e)),) + slot] = v
         row += len(e)
-    return _canonical(expo, vals, keyed)
+    return _canonical(expo, vals)
 
 
 def _grad(f, rep, times=1):
@@ -73,22 +73,16 @@ def _grad(f, rep, times=1):
     expo, vals, chirality = f.expo, f.vals, f.chirality
     for _ in range(times):
         gam = _gamma_block(rep, chirality)
-        expo, vals = _stack(
-            [((A,), e, v) for A in range(f.k)
-             for e, v in _nabla_pieces(expo, vals, gam, A, f.n)],
-            (f.k,), f.is_keyed,
-        )
+        expo, vals = _stack([((A,), e, v) for A in range(f.k)
+                             for e, v in _nabla_pieces(expo, vals, gam, A, f.n)], (f.k,))
         chirality = -chirality
     return expo, vals
 
 
 def _delta_stack(f):
     """Prepend two axes: out[B, C, ...] = -2 sum_j d_{Bj} d_{Cj} input."""
-    return _stack(
-        [((B, C), e, v) for B in range(f.k) for C in range(f.k)
-         for e, v in _delta_pieces(f.expo, f.vals, B, C, f.n)],
-        (f.k, f.k), f.is_keyed,
-    )
+    return _stack([((B, C), e, v) for B in range(f.k) for C in range(f.k)
+                   for e, v in _delta_pieces(f.expo, f.vals, B, C, f.n)], (f.k, f.k))
 
 
 def _result(f, space, expo, vals):
@@ -214,7 +208,7 @@ def d2pp(h, rep):
     # Delta_BC h_[E D_ A] = 1/2 Delta_BC (h_EDA - h_ADE)
     x = np.einsum("tbcedas->tedabcs", dh)
     t3 = 0.5 * (x - np.einsum("tadebcs->tedabcs", x))
-    expo, core = _canonical(*_cat([(we, t1 + t2), (de, t3)]), h.is_keyed)
+    expo, core = _canonical(*_cat([(we, t1 + t2), (de, t3)]))
     # 1/2 times the sum over the six relabelings of (D, B, C)
     out = np.zeros_like(core)
     for sub in ("edabcs", "ebadcs", "ecabds", "edacbs", "ebacds", "ecadbs"):
@@ -292,8 +286,10 @@ def monogenic_basis(rep, k, n, degree):
     """Basis of polynomial solutions of ``d0 f = 0`` up to a total degree.
 
     Assembles the matrix of d0 on the monomial/spinor coefficient space and
-    extracts an orthonormal nullspace basis by SVD, returning the basis as a
-    list of V0 fields.  Used as the generator of monogenic test data.
+    extracts an orthonormal nullspace basis by SVD, returning the basis as
+    one stack (:func:`~diraclab.fields.stack`) of B V0 fields: ``vals`` of
+    shape (T, B, s) on its monomials, basis field b at ``vals[:, b]``.  Used
+    as the generator of monogenic test data.
     """
     kn, s = k * n, rep.s_dim
     # columns (monomial, spinor) up to `degree`; rows (monomial, A, spinor)
@@ -321,7 +317,7 @@ def monogenic_basis(rep, k, n, degree):
     rank = int((sv > tol).sum())
     null = vh[rank:].conj().reshape(-1, len(monos), s)
     null[np.abs(null) <= 1e-13] = 0.0
-    return [PolyField(k, n, "V0", monos, coeffs) for coeffs in null]
+    return PolyField(k, n, "V0", monos, null.transpose(1, 0, 2))
 
 
 def _monomials(nvars, total):

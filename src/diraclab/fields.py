@@ -1,44 +1,44 @@
 """Sparse polynomial fields with values in the spaces of the complex.
 
 A field is a finite sum of monomials ``x^alpha`` times a coefficient array,
-stored as two arrays: ``expo``, an int64 matrix with one exponent row
-(length k*n, indexed row-major by (vector variable A, direction j)) per
-monomial, and ``vals``, the stacked coefficient arrays.  Coefficient arrays
-carry the tensor axes of the value space first and the spinor axis last, so
-the ``vals`` of a V2 field has shape (T, k, k, k, s).  The rows of ``expo``
-are unique and sorted lexicographically, and no row of ``vals`` is zero; the
-constructor restores this canonical form after every operation.  The zero
-field has T = 0 and its space's value axes, so every operator takes it
-through the same code path as any other field.
+stored as two arrays: ``expo``, an int64 matrix with one row per monomial,
+and ``vals``, the stacked coefficient arrays.  Column 0 of ``expo`` is the
+row's member key and columns 1..k*n hold its exponent, indexed row-major by
+(vector variable A, direction j).  A field of one member has key 0 on every
+row; the constructor accepts (T, k*n) exponent rows as one member and
+prepends that column.  Coefficient arrays carry the tensor axes of the value
+space first and the spinor axis last, so the ``vals`` of a V2 field has shape
+(T, k, k, k, s).  The rows of ``expo`` are unique and sorted
+lexicographically, and no row of ``vals`` is zero; the constructor restores
+this canonical form after every operation.  The zero field has T = 0 and its
+space's value axes, so every operator takes it through the same code path as
+any other field.
 
 Many fields can travel as one, in two forms; every operator acts on all
 members at once, through the same code path as on one field:
 
-* a *sample-keyed* field (see :func:`keyed`) has one extra trailing ``expo``
-  column holding each row's member index, so members keep their own rows and
-  may be tensor-valued.  Its rows are member-major: the key column is the
-  most significant, so each member's rows are one contiguous slice in the
-  order the member alone would have, and ``keyed`` of canonical members is
-  already canonical.  Derivatives never touch the key column (every
-  derivative index is below k*n) and canonicalisation groups whole rows, so
-  members never mix.  Random fields are drawn as raw terms
-  (:func:`draw_terms`) and built per draw role as one keyed field
-  (:func:`random_keyed`): one projector call, one canonicalisation and one
-  ``validate()`` per role.  The complex suite keys its random tensor fields:
-  they share few rows, and a dense stack of its order-5 second-derivative
-  tensors would take 0.2-2.7 GiB.  Per-member norms and membership residuals
-  (:func:`keyed_norms`, :func:`keyed_residuals`) take the member count and
-  equal the one-field values bit for bit.
-* a *stack* of B scalar fields (see :func:`stack`, built from a keyed field)
-  is one field whose ``vals`` carry a batch axis just before the spinor
-  axis, shape (T, B, s), on the union of the members' rows.  The boundary
-  suite stacks a monogenic basis and random fields on few monomials: its
-  members share rows, which a keyed field repeats once per member.  With
-  member-major keyed rows, on a 2-vCPU x86-64 VM, a keyed boundary suite
-  took 0.50-0.59 s per iteration of its four ``verify-poly`` commands
-  against 0.30-0.37 s on stacks (three alternating in-process pairs), and it
-  moved ``tangential_monogenicity`` values at (3, 3) by one ulp, so the
-  stack stays.
+* a *sample-keyed* field (see :func:`keyed`) gives member b the key b, so
+  members keep their own rows and may be tensor-valued.  The key is the most
+  significant column, so the rows are member-major: each member's rows are
+  one contiguous slice in the order the member alone would have, and
+  ``keyed`` of canonical members is already canonical.  Derivatives never
+  touch the key column and canonicalisation groups whole rows, so members
+  never mix.  Random fields are drawn as raw terms (:func:`draw_terms`) and
+  built per draw role as one keyed field (:func:`random_keyed`): one
+  projector call, one canonicalisation and one ``validate()`` per role.  The
+  complex suite keys its random tensor fields: they share few rows, and a
+  dense stack of its order-5 second-derivative tensors would take 0.2-2.7
+  GiB.  Per-member norms and membership residuals (:func:`keyed_norms`,
+  :func:`keyed_residuals`) take the member count and equal the one-field
+  values bit for bit.
+* a *stack* of B scalar fields (see :func:`stack`) is one field of key 0
+  whose ``vals`` carry a batch axis just before the spinor axis, shape
+  (T, B, s), on the union of the members' rows.  The boundary suite's
+  batches are stacks from the start (the monogenic basis, and phi times
+  each basis spinor) or stacked from keyed draws: its members share rows,
+  which a keyed field repeats once per member (keyed, the suite measured
+  0.50-0.59 s per iteration of its ``verify-poly`` commands against
+  0.30-0.37 s on stacks; see the README).
 
 Differentiation multiplies by small integers and the gamma contractions have
 entries in {0, +-1, +-i}, so the algebraic operator identities hold on
@@ -74,9 +74,9 @@ class PolyField:
     space : str
         Value-space tag, a key of :data:`SPACE_INFO`.
     expo : ndarray
-        int64 array of shape (T, k*n); row t is the exponent of monomial t.
-        A sample-keyed field has shape (T, k*n + 1), the last column the
-        member index (see :func:`keyed`).
+        int64 array of shape (T, 1 + k*n); row t is the member key of
+        monomial t (0 for a one-member field, see :func:`keyed`) followed by
+        its exponent.
     vals : ndarray
         complex array of shape (T,) + ``(k,)*order + (s,)``; the zero field
         has T = 0 and its space's value axes.
@@ -87,28 +87,20 @@ class PolyField:
             raise ValueError(f"unknown value space {space!r}")
         self.k, self.n, self.space = k, n, space
         if expo is None:
-            expo = np.zeros((0, k * n), dtype=np.int64)
+            expo = np.zeros((0, 1 + k * n), dtype=np.int64)
             vals = np.zeros((0,) + (k,) * SPACE_INFO[space][0] + (spinor_dim(n),),
                             dtype=complex)
         expo = np.asarray(expo, dtype=np.int64)
-        keyed = expo.ndim == 2 and expo.shape[1] == k * n + 1
-        self.expo, self.vals = _canonical(expo.reshape(-1, k * n + keyed),
-                                          np.asarray(vals, dtype=complex), keyed)
-
-    @property
-    def is_keyed(self):
-        """Whether the last column of ``expo`` is a member index."""
-        return self.expo.shape[1] > self.k * self.n
-
-    def _require_plain(self, what):
-        if self.is_keyed:
-            raise ValueError(f"{what} of a sample-keyed field, which holds several")
+        if expo.shape[1] == k * n:  # one member: key 0
+            expo = np.pad(expo, ((0, 0), (1, 0)))
+        self.expo, self.vals = _canonical(expo, np.asarray(vals, dtype=complex))
 
     @property
     def terms(self):
-        """Exponent tuple -> coefficient array, built from the arrays."""
-        self._require_plain("terms")
-        return {tuple(e): v for e, v in zip(self.expo.tolist(), self.vals)}
+        """Exponent tuple -> coefficient array of a one-member field."""
+        if self.expo[:, 0].any():
+            raise ValueError("terms of a sample-keyed field, which holds several members")
+        return {tuple(e): v for e, v in zip(self.expo[:, 1:].tolist(), self.vals)}
 
     def __len__(self):
         return len(self.expo)
@@ -125,12 +117,8 @@ class PolyField:
         return float(np.sqrt((np.abs(self.vals) ** 2).sum()))
 
     def degree(self):
-        """Largest total degree (-1 for the zero field); the key column of a
-        keyed field is no degree."""
-        return int(self.expo[:, :self.k * self.n].sum(axis=1).max(initial=-1))
-
-    def copy(self):
-        return PolyField(self.k, self.n, self.space, self.expo, self.vals)
+        """Largest total degree (-1 for the zero field); the key is no degree."""
+        return int(self.expo[:, 1:].sum(axis=1).max(initial=-1))
 
     def __add__(self, other):
         return _linear_combination(self, other, 1.0)
@@ -156,57 +144,47 @@ class PolyField:
     def validate(self, tol=MEMBERSHIP_TOL):
         """Raise if a coefficient array leaves the value space.
 
-        The error of a keyed field names the first member over `tol`.
+        The error names the first member over `tol`.
         """
-        if SPACE_INFO[self.space][2] is None:
-            return self
         res = self.membership_residual(rows=True)
         bad = res > tol
         if bad.any():
-            where = f"residual {res.max():.3e}"
-            if self.is_keyed:
-                key = self.expo[:, -1]
-                i = int(key[bad].min())
-                where = f"member {i}: residual {res[key == i].max():.3e}"
+            key = self.expo[:, 0]
+            i = int(key[bad].min())
             raise ValueError(
                 f"coefficients violate the {self.space} characterization "
-                f"({where} > {tol:.1e})"
+                f"(member {i}: residual {res[key == i].max():.3e} > {tol:.1e})"
             )
         return self
 
 
-def _ranked(expo, keyed):
-    """The columns in order of significance: a keyed field's key column first."""
-    return np.concatenate((expo[:, -1:], expo[:, :-1]), axis=1) if keyed else expo
-
-
-def _group(expo, keyed=False):
+def _group(expo):
     """Group equal exponent rows: the sort order, the distinct sorted rows,
     and the group of each sorted row."""
-    order = np.lexsort(_ranked(expo, keyed).T[::-1])  # stable; most significant last
+    order = np.lexsort(expo.T[::-1])  # stable; the first column most significant
     expo = expo[order]
     first = np.ones(len(expo), dtype=bool)
     first[1:] = (expo[1:] != expo[:-1]).any(axis=1)
     return order, expo[first], np.cumsum(first) - 1
 
 
-def _increasing(expo, keyed=False):
-    """Whether the rows are strictly increasing, most significant column first."""
-    step = _ranked(expo[1:] - expo[:-1], keyed)
+def _increasing(expo):
+    """Whether the rows are strictly increasing, the first column most significant."""
+    step = expo[1:] - expo[:-1]
     lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
     return bool((lead > 0).all())
 
 
-def _canonical(expo, vals, keyed=False):
+def _canonical(expo, vals):
     """Sum rows with equal exponents, sort them, and drop zero rows."""
     if not len(expo):
         return expo, vals
-    if _increasing(expo, keyed):
+    if _increasing(expo):
         # nothing to sort or sum; adding 0.0 turns -0.0 into 0.0, as the
         # zero-initialized sum below does, so both routes agree bitwise
         keep = vals.reshape(len(vals), -1).any(axis=1)
         return expo[keep], vals[keep] + 0.0
-    order, rows, group = _group(expo, keyed)
+    order, rows, group = _group(expo)
     # bincount adds a group's rows one at a time in input order, into zeros;
     # a reduceat may regroup them, and terms that cancel exactly then leave
     # roundoff.  Real and imaginary parts add separately, as complex sums do.
@@ -222,18 +200,18 @@ def _canonical(expo, vals, keyed=False):
 
 
 def stack(f, count):
-    """The dense stack of a keyed scalar field with `count` members.
+    """The dense stack of a scalar field with `count` members.
 
-    One field whose ``vals`` have shape (T, count, s): the rows are the union
-    of the members' exponent rows, and member b's coefficients sit at
-    ``vals[:, b]``, zero on the rows it lacks.  Every scalar operator
+    One field of key 0 whose ``vals`` have shape (T, count, s): the rows are
+    the union of the members' exponent rows, and member b's coefficients sit
+    at ``vals[:, b]``, zero on the rows it lacks.  Every scalar operator
     broadcasts over the batch axis, so one call acts on all members, and
     :func:`member_norms` reads the norms back per member.
     """
-    if f.order or not f.is_keyed:
-        raise ValueError("a stack is built from a keyed field of scalar members")
+    if f.order:
+        raise ValueError("a stack is built from scalar members")
     key = _key(f, count)
-    order, rows, group = _group(f.expo[:, :f.k * f.n])
+    order, rows, group = _group(f.expo[:, 1:])
     vals = np.zeros((len(rows), count) + f.vals.shape[1:], dtype=complex)
     vals[group, key[order]] = f.vals[order]
     return PolyField(f.k, f.n, f.space, rows, vals)
@@ -248,38 +226,35 @@ def member_norms(f):
 def keyed(members):
     """One sample-keyed field holding B fields of one space, in order.
 
-    Each member's rows carry its index b as an extra last ``expo`` column,
-    so members keep their own rows (no union of rows is formed) and may be
-    tensor-valued.  Every operator acts on all members in one call; read the
-    results back per member with :func:`keyed_norms` and
-    :func:`keyed_residuals`, which take the member count B (a member may
-    vanish, leaving no rows).
+    Member b's rows carry the key b in ``expo`` column 0, so members keep
+    their own rows (no union of rows is formed) and may be tensor-valued.
+    Every operator acts on all members in one call; read the results back
+    per member with :func:`keyed_norms` and :func:`keyed_residuals`, which
+    take the member count B (a member may vanish, leaving no rows).
     """
     members = list(members)
     if not members:
         raise ValueError("a keyed field needs at least one member")
     head = members[0]
-    if any((g.k, g.n, g.space) != (head.k, head.n, head.space) or g.is_keyed
+    if any((g.k, g.n, g.space) != (head.k, head.n, head.space) or g.expo[:, 0].any()
            for g in members):
-        raise ValueError("a keyed field holds plain fields of one space")
-    key = np.repeat(np.arange(len(members)), [len(g) for g in members])
-    expo = np.column_stack([np.concatenate([g.expo for g in members]), key])
+        raise ValueError("a keyed field holds one-member fields of one space")
+    expo = np.concatenate([g.expo for g in members])
+    expo[:, 0] = np.repeat(np.arange(len(members)), [len(g) for g in members])
     vals = np.concatenate([g.vals for g in members])
     return PolyField(head.k, head.n, head.space, expo, vals)
 
 
 def _key(f, count):
-    """The member index of each row of a keyed field with `count` members."""
-    if not f.is_keyed:
-        raise ValueError("not a sample-keyed field")
-    key = f.expo[:, -1]
+    """The member index of each row of a field with `count` members."""
+    key = f.expo[:, 0]
     if key.max(initial=-1) >= count:
         raise ValueError(f"member index {key.max()} out of range for {count} members")
     return key
 
 
 def _members(f, count):
-    """The count + 1 bounds of the members' row slices in a keyed field.
+    """The count + 1 bounds of the members' row slices in a field.
 
     Rows are member-major, so each member's rows are contiguous and keep the
     order the member alone would have.
@@ -310,15 +285,16 @@ def keyed_residuals(f, count):
 
 
 def _partial(expo, vals, idx):
-    """d/dx_idx on (expo, vals); canonical input gives canonical output.
+    """d/dx_idx on (expo, vals), idx = A*n + j; canonical in, canonical out.
 
-    Only rows with a positive exponent survive, and decrementing one column
-    of all of them keeps them unique and in order (member-major if keyed).
+    Variable idx is ``expo`` column 1 + idx.  Only rows with a positive
+    exponent survive, and decrementing one column of all of them keeps them
+    unique and in member-major order.
     """
-    p = expo[:, idx]
+    p = expo[:, 1 + idx]
     keep = p > 0
     out = expo[keep]
-    out[:, idx] -= 1
+    out[:, 1 + idx] -= 1
     return out, vals[keep] * p[keep].reshape((-1,) + (1,) * (vals.ndim - 1))
 
 
@@ -327,10 +303,6 @@ def _linear_combination(f, g, sign):
     if (f.k, f.n, SPACE_INFO[f.space]) != (g.k, g.n, SPACE_INFO[g.space]):
         raise ValueError("fields live in different spaces")
     space = f.space if f.space == g.space else ("S+" if f.chirality > 0 else "S-")
-    if f.order > 0 and f.space != g.space:
-        raise ValueError("fields live in different spaces")
-    if f.is_keyed != g.is_keyed:
-        raise ValueError("cannot add a sample-keyed field and a plain one")
     return PolyField(f.k, f.n, space, np.concatenate((f.expo, g.expo)),
                      np.concatenate((f.vals, sign * g.vals)))
 
@@ -371,7 +343,7 @@ def random_keyed(k, n, space, draws):
     """
     lam = SPACE_INFO[space][2]
     key = np.repeat(np.arange(len(draws)), [len(e) for e, _ in draws])
-    expo = np.column_stack([np.concatenate([e for e, _ in draws]), key])
+    expo = np.column_stack([key, np.concatenate([e for e, _ in draws])])
     coeffs = np.concatenate([c for _, c in draws])
     if lam is not None:  # one projector call, the term axis trailing
         coeffs = np.moveaxis(weyl.apply_projector(lam, np.moveaxis(coeffs, 0, -1)), -1, 0)
@@ -380,5 +352,4 @@ def random_keyed(k, n, space, draws):
 
 def random_field(rng, k, n, space, rep, degree=3, nterms=8):
     """Seeded random field: the one-member case of :func:`random_keyed`."""
-    f = random_keyed(k, n, space, [draw_terms(rng, k, n, space, rep, degree, nterms)])
-    return PolyField(k, n, space, f.expo[:, :-1], f.vals)
+    return random_keyed(k, n, space, [draw_terms(rng, k, n, space, rep, degree, nterms)])

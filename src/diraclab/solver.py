@@ -37,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from . import symbols, weyl
+from .clifford import spinor_dim
 
 DEFAULT_MEM_GIB = 2.0
 MEM_ENV_VAR = "DIRACLAB_MEM_LIMIT_GIB"
@@ -525,16 +526,35 @@ def dump_field(fld, path):
             fh.write(np.ascontiguousarray(slab, dtype="<c16"))
 
 
+def _check_header(h):
+    """Raise ValueError if a dumped field's header is incomplete or inconsistent."""
+    missing = sorted({"k", "n", "N", "L", "space", "dim", "dtype"} - set(h))
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)}")
+    for key in ("k", "n", "N"):
+        if type(h[key]) is not int or h[key] < 1:
+            raise ValueError(f"{key} = {h[key]!r} is not a positive integer")
+    if type(h["L"]) not in (int, float) or not 0 < h["L"] < np.inf:
+        raise ValueError(f"L = {h['L']!r} is not positive and finite")
+    if h["space"] not in ("V0", "V1", "V2"):
+        raise ValueError(f"unknown space {h['space']!r}")
+    if h["dtype"] != "complex128":
+        raise ValueError(f"dtype {h['dtype']!r} is not complex128")
+    dim = field_dim(h["space"], h["k"], spinor_dim(h["n"]))
+    if h["dim"] != dim:
+        raise ValueError(f"dim {h['dim']!r} is not {dim}, the {h['space']} "
+                         f"dimension at k = {h['k']}, n = {h['n']}")
+
+
 def load_field(path):
     """Read a field written by :func:`dump_field`, checking it against its header."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if header["space"] not in ("V0", "V1", "V2"):
-            raise ValueError(f"field {path}: unknown space {header['space']!r}")
-        if header.get("dtype") != "complex128":
-            raise ValueError(
-                f"field {path}: dtype {header.get('dtype')!r} is not complex128")
+        try:
+            _check_header(header)
+        except ValueError as exc:  # field_dim's own errors get the path too
+            raise ValueError(f"field {path}: {exc}") from None
         kn = header["k"] * header["n"]
         shape = (header["N"],) * kn + (header["dim"],)
         if size != 16 * int(np.prod(shape)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diraclab import boundary, build_clifford, dirac_ops, random_field
-from diraclab.fields import keyed, stack
+from diraclab.fields import PolyField, keyed, stack
 
 
 @pytest.fixture(scope="session")
@@ -140,34 +140,37 @@ def grid_inner(a, b):
 # pointwise and coefficient oracles of the polynomial layer
 
 
-def add_at_canonical(expo, vals, is_keyed=False):
+def add_at_canonical(expo, vals):
     """The canonical form of (expo, vals) by a sequential ``np.add.at`` sum.
 
-    Rows sort with the key column most significant when `is_keyed`; equal rows
-    add one at a time in input order, into zeros; zero rows drop.
+    Rows sort lexicographically, the first (key) column most significant;
+    equal rows add one at a time in input order, into zeros; zero rows drop.
     """
-    ranked = np.concatenate((expo[:, -1:], expo[:, :-1]), axis=1) if is_keyed else expo
-    rows, group = np.unique(ranked, axis=0, return_inverse=True)
+    rows, group = np.unique(expo, axis=0, return_inverse=True)
     acc = np.zeros((len(rows),) + vals.shape[1:], dtype=complex)
     np.add.at(acc, group.reshape(-1), vals)
-    if is_keyed:
-        rows = np.concatenate((rows[:, 1:], rows[:, :1]), axis=1)
     keep = acc.reshape(len(acc), -1).any(axis=1)
     return rows[keep], acc[keep]
 
 
 def evaluate(f, x):
-    """Evaluate a plain field at a point x (flat array of length k*n)."""
-    f._require_plain("evaluate")
+    """Evaluate a one-member field at a point x (flat array of length k*n)."""
+    if f.expo[:, 0].any():
+        raise ValueError("evaluate of a sample-keyed field, which holds several members")
     if not len(f):
         return 0.0
-    mono = np.prod(np.asarray(x, dtype=float) ** f.expo, axis=1)
+    mono = np.prod(np.asarray(x, dtype=float) ** f.expo[:, 1:], axis=1)
     return np.tensordot(mono, f.vals, axes=1)
 
 
 def dense(members):
-    """The dense stack of a sequence of plain scalar fields."""
+    """The dense stack of a sequence of one-member scalar fields."""
     return stack(keyed(members), len(members))
+
+
+def members(s):
+    """The B one-member fields of a stack, each in its own canonical form."""
+    return [PolyField(s.k, s.n, s.space, s.expo, s.vals[:, b]) for b in range(s.vals.shape[1])]
 
 
 def tangential_z_coeffs(chart, rep):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,3 +42,47 @@ def test_whole_runs_alternate_and_keep_every_run(monkeypatch):
     wall = out["base"]["summary"]["verify_all_wall_s"]
     assert 1.7 in base and wall["median"] < 1.0 and wall["quartiles"][1] == 1.7
     assert out["change"]["summary"]["tier1_wall_s"] == {"median": 9.0, "quartiles": [9.0, 9.0]}
+
+
+def load_same_reports():
+    spec = importlib.util.spec_from_file_location(
+        "same_reports", os.path.join(ROOT, "benchmarks", "same_reports.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_reports_names_every_differing_command(monkeypatch, capsys):
+    # timings may differ; a check value, an exit code or a non-JSON output
+    # that differs names its command, and one fresh process runs per checkout
+    same = load_same_reports()
+    cmds = same.commands()
+    assert len(cmds) == len(set(map(tuple, cmds))) == 65
+    assert ["solve", "--N", "16", "--sweep", "8,12,16"] in cmds
+    assert ["verify", "--scope", "all", "--seed", "3"] in cmds
+    runs = []
+
+    def fake_run(root, argvs):
+        runs.append(root)
+        out = []
+        for i, argv in enumerate(argvs):
+            report = {"command": argv[0], "checks": [{"value": 1.0}],
+                      "timings": {"wall_s": float(len(runs))}}
+            code = 0
+            if root != same.ROOT:  # the base
+                if i == 1:
+                    report["checks"][0]["value"] = 1.0 + 2**-52
+                if i == 4:
+                    code = 1
+            text = "Traceback" if i == 7 and root != same.ROOT else json.dumps(report)
+            out.append([code, text])
+        return out
+
+    monkeypatch.setattr(same, "run", fake_run)
+    assert same.main(["--base", "elsewhere"]) == 1
+    assert runs == [same.ROOT, os.path.abspath("elsewhere")]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["differs: " + " ".join(cmds[i]) for i in (1, 4, 7)] + [
+        f"{len(cmds)} commands, 3 differ"]
+    monkeypatch.setattr(same, "run", lambda root, argvs: [[0, "{}"]] * len(argvs))
+    assert same.main(["--base", "elsewhere"]) == 0

@@ -15,9 +15,9 @@ from diraclab.boundary import (
     tilted_chart,
 )
 from diraclab.dirac_ops import monogenic_basis, nabla
-from diraclab.fields import make_field
+from diraclab.fields import make_field, member_norms
 
-from conftest import apply_zt_commutator, dense, evaluate, tangential_z_coeffs
+from conftest import apply_zt_commutator, dense, evaluate, members, tangential_z_coeffs
 
 CONFIGS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 # dimension of the monogenic polynomials of degree <= 3 with values in S+
@@ -42,17 +42,34 @@ def test_chart_validation():
     assert g[0, 0] == 1.0 and g[0, 1] == -1.0
 
 
+def phi_times_spinor(chart, spinor):
+    """Oracle: phi * spinor through a terms dict, phi = x_{01} - rho."""
+    k, n = chart.k, chart.n
+    e01 = (1,) + (0,) * (k * n - 1)
+    terms = {e01: np.asarray(spinor, dtype=complex)}
+    for A, j in zip(*np.nonzero(chart.rho_coeffs)):
+        e = tuple(int(i == A * n + j) for i in range(k * n))
+        terms[e] = terms.get(e, 0) - chart.rho_coeffs[A, j] * terms[e01]
+    return make_field(k, n, "S+", terms, validate=False)
+
+
 @pytest.mark.parametrize("k,n", CONFIGS)
 def test_frame_annihilates_phi(k, n):
+    # member t of the phi stack is phi e_t bit for bit, and the frame kills
+    # every member, in one stacked call and member by member
     rep = build_clifford(n)
     for chart in charts_for(k, n):
-        for t in range(rep.s_dim):
-            spin = np.zeros(rep.s_dim, dtype=complex)
-            spin[t] = 1.0
-            phi = defining_polynomial(chart, rep, spin)
+        phi = defining_polynomial(chart, rep)
+        assert phi.space == "S+" and phi.vals.shape == (len(phi), rep.s_dim, rep.s_dim)
+        for mu in range(1, k):
+            assert not member_norms(apply_z(chart, rep, mu, phi)).any()
+        assert not member_norms(apply_t(chart, rep, phi)).any()
+        for t, g in enumerate(members(phi)):
+            ref = phi_times_spinor(chart, np.eye(rep.s_dim)[t])
+            assert np.array_equal(g.expo, ref.expo) and g.vals.tobytes() == ref.vals.tobytes()
             for mu in range(1, k):
-                assert apply_z(chart, rep, mu, phi).norm() == 0.0
-            assert apply_t(chart, rep, phi).norm() == 0.0
+                assert apply_z(chart, rep, mu, g).norm() == 0.0
+            assert apply_t(chart, rep, g).norm() == 0.0
 
 
 def test_flat_chart_z_equals_nabla(rng, reps):
@@ -116,7 +133,7 @@ def test_script_d0_constant_and_guard(rng, reps):
 def test_monogenic_restrictions_are_tangentially_monogenic(k, n):
     rep = build_clifford(n)
     basis = monogenic_basis(rep, k, n, degree=3)
-    assert len(basis) == MONOGENIC_BASIS_SIZES[(k, n)]
+    assert basis.vals.shape[1] == MONOGENIC_BASIS_SIZES[(k, n)]
     for chart in charts_for(k, n):
         rpt = restrict_and_test(basis, chart, rep)
         assert rpt["pass"].all(), rpt
@@ -127,11 +144,11 @@ def test_restrict_and_test_rejects_non_monogenic(rng, reps):
     f = random_field(rng, 2, 2, "V0", rep, degree=2, nterms=5)
     # a generic field is not monogenic
     with pytest.raises(ValueError, match="not monogenic"):
-        restrict_and_test([f], flat_chart(2, 2), rep)
+        restrict_and_test(dense([f]), flat_chart(2, 2), rep)
     # in a stack, the error names the first failing member
-    basis = monogenic_basis(rep, 2, 2, degree=2)
+    basis = members(monogenic_basis(rep, 2, 2, degree=2))
     with pytest.raises(ValueError, match="member 2 is not monogenic"):
-        restrict_and_test(basis[:2] + [f] + basis[2:] + [f], flat_chart(2, 2), rep)
+        restrict_and_test(dense(basis[:2] + [f] + basis[2:] + [f]), flat_chart(2, 2), rep)
 
 
 def test_restriction_substitutes_defining_variable(reps):
@@ -168,7 +185,7 @@ def test_commutator_identities(rng, reps):
     )
     assert (direct - apply_zt_commutator(chart, rep, 1, f)).norm() == 0.0
     # on tangentially monogenic data the commutator vanishes along with Z
-    for g in monogenic_basis(rep, k, n, degree=2)[:6]:
+    for g in members(monogenic_basis(rep, k, n, degree=2))[:6]:
         ghat = restrict_to_chart(g, chart)
         assert apply_zt_commutator(chart, rep, 1, ghat).norm() <= 1e-12 * max(
             ghat.norm(), 1.0
@@ -199,8 +216,8 @@ def test_stacked_checks_match_one_member_calls(k, n, rng):
     Fs, Fps = draws[0::2], draws[1::2]
     for chart in charts_for(k, n):
         rpt = restrict_and_test(basis, chart, rep)
-        for i, f in enumerate(basis):
-            one = restrict_and_test([f], chart, rep)
+        for i, f in enumerate(members(basis)):
+            one = restrict_and_test(dense([f]), chart, rep)
             norm = one["input_norm"][0]
             assert abs(rpt["input_norm"][i] - norm) <= 1e-15 * norm
             for key in ("z_residual", "zt_residual"):

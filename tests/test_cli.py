@@ -162,7 +162,7 @@ def test_boundary_witnesses_replay(capsys):
     from diraclab import boundary, build_clifford, dirac_ops, random_field
     from diraclab.cli import _boundary_charts
 
-    from conftest import dense
+    from conftest import dense, members
 
     k, n, samples, seed = 3, 2, 6, 5
     _, report = run_cli(capsys, "verify", "--scope", "boundary", "--k", str(k),
@@ -176,8 +176,8 @@ def test_boundary_witnesses_replay(capsys):
         draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
                  for _ in range(2 * samples)]
         values = []
-        for f in basis:
-            rpt = boundary.restrict_and_test([f], chart, rep)
+        for f in members(basis):
+            rpt = boundary.restrict_and_test(dense([f]), chart, rep)
             values.append(max(rpt["z_residual"][0], rpt["zt_residual"][0])
                           / rpt["input_norm"][0])
         check = checks[f"tangential_monogenicity chart={label} k={k} n={n}"]
@@ -292,6 +292,23 @@ def test_solve_break_compat_exit_code(capsys):
     assert code == EXIT_COMPAT
     assert report["error"] == "compatibility"
     assert report["detail"].startswith("compatibility defect too large")
+
+
+@pytest.mark.parametrize("sweep", ["0,8", "3,8", "1,2", "8,x", "8,,12", "8.0", "12,2"])
+def test_solve_rejects_bad_sweep_before_solving(sweep, monkeypatch, capsys):
+    # each sweep resolution obeys the --N rule (an integer >= 4): a bad one is
+    # a usage error (exit 2) before any solve runs
+    from diraclab import solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(solver, "recover_bump", no_solve)
+    monkeypatch.setattr(solver, "resolution_sweep", no_solve)
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--k", "2", "--n", "2", "--N", "8", "--sweep", sweep])
+    assert err.value.code == 2
+    assert "--sweep takes comma separated integers >= 4" in capsys.readouterr().err
 
 
 def test_solve_memory_cap_exit_code(monkeypatch, capsys):

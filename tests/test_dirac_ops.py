@@ -143,15 +143,15 @@ def test_zero_field_keeps_value_axes(k, n, reps):
             out = op(f, rep)
             assert out.space == target and len(out) == 0
             assert out.vals.shape == (0,) + (k,) * SPACE_INFO[target][0] + (s,)
-            assert out.expo.shape == (0, k * n + bool(count))
-            assert out.is_keyed == bool(count)
+            assert out.expo.shape == (0, 1 + k * n)
             if count:
                 assert np.array_equal(keyed_norms(out, count), np.zeros(count))
                 assert np.array_equal(keyed_residuals(out, count), np.zeros(count))
     slots = np.zeros((3, 3), dtype=np.int64)
     for op in (dirac_ops.delta_nabla, dirac_ops.nabla_delta):
         out = op(keyed([PolyField(k, n, "V0")] * 3), rep, slots)
-        assert out.space == "S-" and out.is_keyed and out.vals.shape == (0, s)
+        assert out.space == "S-" and out.vals.shape == (0, s)
+        assert out.expo.shape == (0, 1 + k * n)
         assert np.array_equal(keyed_norms(out, 3), np.zeros(3))
     zero = stack(keyed([PolyField(k, n, "V0")] * 3), 3)
     chart = boundary.flat_chart(k, n)
@@ -176,11 +176,21 @@ def test_space_guards(reps, rng):
 
 
 def test_monogenic_basis_members_are_monogenic(reps):
+    # the basis is one stack; each member is monogenic, and the dense stack of
+    # the members is the basis again, bit for bit
+    from conftest import dense, members
+
     rep = reps[3]
     basis = monogenic_basis(rep, 2, 3, degree=2)
-    assert len(basis) > 0
-    for f in basis:
+    count = basis.vals.shape[1]
+    assert count > 0 and basis.vals.shape == (len(basis), count, rep.s_dim)
+    assert_canonical(basis)
+    ms = members(basis)
+    for f in ms:
         assert d0(f, rep).norm() <= 1e-9 * max(f.norm(), 1.0)
+    again = dense(ms)
+    assert np.array_equal(again.expo, basis.expo)
+    assert again.vals.tobytes() == basis.vals.tobytes()
 
 
 def test_membership_validation_rejects_bad_tensors(reps, rng):
@@ -199,9 +209,11 @@ def test_field_algebra(reps, rng):
 
 
 def assert_canonical(f):
-    # rows unique and in lexicographic order, no all-zero coefficient row
+    # rows unique and in lexicographic order, key 0 (one member), no all-zero
+    # coefficient row
     assert np.array_equal(f.expo, np.unique(f.expo, axis=0))
-    assert f.expo.dtype == np.int64 and f.expo.shape == (len(f), f.k * f.n)
+    assert f.expo.dtype == np.int64 and f.expo.shape == (len(f), 1 + f.k * f.n)
+    assert not f.expo[:, 0].any()
     assert np.abs(f.vals).reshape(len(f), -1).max(axis=1).min(initial=np.inf) > 0
 
 
@@ -260,8 +272,9 @@ def test_stack_round_trips_members(reps, rng):
         keyed([a, make_field(2, 2, "S-", {(0, 0, 0, 0): one})])
     with pytest.raises(ValueError, match="scalar members"):
         stack(keyed([random_field(rng, 2, 2, "V1", rep)]), 1)
-    with pytest.raises(ValueError, match="scalar members"):
-        stack(a, 1)  # a plain field, not a keyed one
+    # a one-member field is its own keyed field
+    assert np.array_equal(stack(a, 1).expo, stack(keyed([a]), 1).expo)
+    assert stack(a, 1).vals.tobytes() == stack(keyed([a]), 1).vals.tobytes()
     with pytest.raises(ValueError, match="at least one"):
         keyed([])
 

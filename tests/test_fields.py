@@ -18,18 +18,19 @@ from conftest import add_at_canonical, evaluate
 
 
 def unkey(f, count):
-    """The `count` plain members of a keyed field, each on its own rows.
+    """The `count` members of a keyed field, each on its own rows, key 0.
 
-    Rows are member-major, so each member is one contiguous slice."""
-    assert (np.diff(f.expo[:, -1]) >= 0).all()
+    Rows are member-major, so each member is one contiguous slice; its
+    (T, k*n) exponent rows get key column 0 back from the constructor."""
+    assert (np.diff(f.expo[:, 0]) >= 0).all()
     bounds = _members(f, count)
-    expo = f.expo[:, :f.k * f.n]
+    expo = f.expo[:, 1:]
     return [PolyField(f.k, f.n, f.space, expo[lo:hi], f.vals[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def same(f, g):
-    """Bitwise equality of two plain fields."""
+    """Bitwise equality of two fields."""
     return (f.space == g.space and np.array_equal(f.expo, g.expo)
             and f.vals.shape == g.vals.shape and f.vals.tobytes() == g.vals.tobytes())
 
@@ -79,13 +80,18 @@ def members_of(rng, rep, space, k=3, n=2):
 def test_keyed_round_trips_members(space, reps, rng):
     rep = reps[2]
     members = members_of(rng, rep, space)
+    # (T, k*n) exponent rows are one member: key column 0 comes first
+    a = members[0]
+    assert a.expo.shape == (len(a), 1 + 3 * 2) and not a.expo[:, 0].any()
+    assert same(PolyField(3, 2, space, a.expo[:, 1:], a.vals), a)
     f = keyed(members)
-    assert f.is_keyed and f.expo.shape[1] == 3 * 2 + 1
+    assert f.expo.shape[1] == 1 + 3 * 2
+    assert f.expo[:, 0].tolist() == [b for b, g in enumerate(members) for _ in range(len(g))]
     assert len(f) == sum(len(g) for g in members)  # no union of rows
     back = unkey(f, len(members))
     assert len(back) == len(members)  # the trailing zero member survives
     for g, h in zip(members, back):
-        assert not h.is_keyed
+        assert not h.expo[:, 0].any()
         assert same(g, h) or (not len(g) and not len(h))
     # a keyed field of zero members keeps its count
     empty = keyed([PolyField(3, 2, space)] * 3)
@@ -128,42 +134,24 @@ def test_keyed_degree_ignores_key(reps):
     members = [make_field(2, 2, "V0", {(1, 0, 0, 0): one})] * 9
     members.append(make_field(2, 2, "V0", {(0, 2, 1, 0): one}))
     f = keyed(members)
-    assert f.expo[:, -1].max() == 9
+    assert f.expo[:, 0].max() == 9
     assert f.degree() == 3
     assert keyed(members[:9]).degree() == 1
+    zero = PolyField(2, 2, "V0")
+    assert zero.vals.shape == (0, reps[2].s_dim) and zero.degree() == -1
     with pytest.raises(ValueError, match="sample-keyed"):
         f.terms
     with pytest.raises(ValueError, match="sample-keyed"):
         evaluate(f, np.zeros(4))
-    with pytest.raises(ValueError, match="sample-keyed"):
-        f + members[0]
+    # a one-member field is member 0: adding it adds to member 0 only
+    assert same(f + members[0], keyed([members[0].scale(2.0)] + members[1:]))
+    assert np.array_equal(keyed_norms(zero, 3), np.zeros(3))
     with pytest.raises(ValueError, match="one space"):
         keyed([members[0], PolyField(2, 2, "V1")])
+    with pytest.raises(ValueError, match="one-member fields"):
+        keyed([members[0], f])
     with pytest.raises(ValueError, match="at least one"):
         keyed([])
-
-
-def test_keyed_and_plain_never_mix(reps, rng):
-    # the zero field is a plain field like any other: it does not stand in for
-    # a keyed field of zero members, nor add to a keyed field
-    from diraclab.fields import stack
-
-    rep = reps[2]
-    members = [random_field(rng, 2, 2, "V0", rep, degree=2, nterms=3) for _ in range(3)]
-    f = keyed(members)
-    zero = PolyField(2, 2, "V0")
-    assert zero.vals.shape == (0, rep.s_dim) and zero.degree() == -1
-    for bad in (lambda: f + zero, lambda: zero - f, lambda: keyed([zero]) + zero):
-        with pytest.raises(ValueError, match="cannot add a sample-keyed field and a plain one"):
-            bad()
-    with pytest.raises(ValueError, match="keyed field of scalar members"):
-        stack(zero, 3)
-    with pytest.raises(ValueError, match="not a sample-keyed field"):
-        keyed_norms(zero, 3)
-    with pytest.raises(ValueError, match="not a sample-keyed field"):
-        keyed_residuals(zero, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        keyed_norms(f, 2)
 
 
 def test_keyed_validate_names_failing_member(reps, rng):
@@ -175,7 +163,7 @@ def test_keyed_validate_names_failing_member(reps, rng):
     members[2] = PolyField(3, 2, "V2", members[2].expo, vals)
     with pytest.raises(ValueError, match=r"member 2: residual \d"):
         keyed(members).validate()
-    with pytest.raises(ValueError, match=r"\(residual \d"):
+    with pytest.raises(ValueError, match=r"\(member 0: residual \d"):
         members[2].validate()
 
 
@@ -231,31 +219,31 @@ def test_canonical_fast_path_matches_sum(reps, rng, monkeypatch):
     signed = f.vals.copy()
     signed[0] = -0.0  # a zero row, dropped by both routes
     signed[1, 0] = -0.0  # a signed zero inside a kept row
-    cases = [(g.expo, g.vals, g.is_keyed) for g in (members[0], keyed(members))]
-    cases.append((f.expo, signed, False))
-    for expo, vals, key in cases:
-        assert fields._increasing(expo, key)
-        fast = fields._canonical(expo, vals, key)
+    cases = [(g.expo, g.vals) for g in (members[0], keyed(members))]
+    cases.append((f.expo, signed))
+    for expo, vals in cases:
+        assert fields._increasing(expo)
+        fast = fields._canonical(expo, vals)
         perm = rng.permutation(len(expo))
-        shuffled = fields._canonical(expo[perm], vals[perm], key)
+        shuffled = fields._canonical(expo[perm], vals[perm])
         with monkeypatch.context() as m:
-            m.setattr(fields, "_increasing", lambda expo, keyed=False: False)
-            slow = fields._canonical(expo, vals, key)
+            m.setattr(fields, "_increasing", lambda expo: False)
+            slow = fields._canonical(expo, vals)
         for other in (shuffled, slow):
             assert np.array_equal(fast[0], other[0])
             assert fast[1].tobytes() == other[1].tobytes()
-    for expo, vals, key in cases[:2]:  # canonical input comes back unchanged
-        out = fields._canonical(expo, vals, key)
+    for expo, vals in cases[:2]:  # canonical input comes back unchanged
+        out = fields._canonical(expo, vals)
         assert np.array_equal(out[0], expo) and out[1].tobytes() == vals.tobytes()
     assert len(fields._canonical(f.expo, signed)[0]) == len(f) - 1
     rows = np.array([[0, 2], [1, 0], [1, 1]])
     assert fields._increasing(rows)
     assert not fields._increasing(rows[[0, 2, 1]])
     assert not fields._increasing(rows[[0, 1, 1]])
-    # keyed rows are member-major: the last column is the most significant
-    member_major = np.array([[2, 0], [0, 1], [1, 1]])
-    assert fields._increasing(member_major, True) and not fields._increasing(member_major)
-    assert not fields._increasing(member_major[[1, 0, 2]], True)
+    # keyed rows are member-major: the key column is the most significant
+    member_major = np.array([[0, 2, 0], [1, 0, 1], [1, 1, 0]])
+    assert fields._increasing(member_major) and not fields._increasing(member_major[:, 1:])
+    assert not fields._increasing(member_major[[1, 0, 2]])
 
 
 @pytest.mark.parametrize("space", ["V0", "V1", "V2"])
@@ -283,24 +271,25 @@ def test_keyed_of_canonical_members_is_canonical(reps, rng, monkeypatch):
     for space in ("V0", "V1", "V2"):
         members = members_of(rng, rep, space)
         f = keyed(members)
-        expo = np.concatenate([np.column_stack([g.expo, np.full(len(g), b)])
+        expo = np.concatenate([np.column_stack([np.full(len(g), b), g.expo[:, 1:]])
                                for b, g in enumerate(members)])
         vals = np.concatenate([g.vals for g in members if len(g)])
-        assert fields._increasing(expo, True) and not fields._increasing(expo)
+        assert fields._increasing(expo) and not fields._increasing(expo[:, 1:])
         with monkeypatch.context() as m:
-            m.setattr(fields, "_increasing", lambda expo, keyed=False: False)
+            m.setattr(fields, "_increasing", lambda expo: False)
             slow = PolyField(3, 2, space, expo, vals)
         assert np.array_equal(f.expo, expo) and np.array_equal(slow.expo, expo)
         assert f.vals.tobytes() == slow.vals.tobytes() == vals.tobytes()
 
 
 def test_canonical_sum_matches_add_at_oracle(rng):
-    # shuffled rows with repeats, signed zeros and exact cancellations, plain
-    # and keyed: bincount adds each group in input order, as add.at does
-    for keyed_rows, tail in ((False, (2,)), (True, (3, 2)), (False, ())):
+    # shuffled rows with repeats, signed zeros and exact cancellations, in
+    # several widths and value shapes: bincount adds each group in input
+    # order, as add.at does
+    for width, tail in ((3, (2,)), (4, (3, 2)), (3, ())):
         for _ in range(40):
             t = int(rng.integers(1, 40))
-            expo = rng.integers(0, 3, size=(t, 3 + keyed_rows))
+            expo = rng.integers(0, 3, size=(t, width))
             scale = 10.0 ** rng.integers(-8, 9, size=(t,) + (1,) * len(tail))
             vals = scale * (rng.standard_normal((t,) + tail)
                             + 1j * rng.standard_normal((t,) + tail))
@@ -313,7 +302,7 @@ def test_canonical_sum_matches_add_at_oracle(rng):
             vals = np.concatenate([vals, -vals[dup], vals[back]])
             perm = rng.permutation(len(expo))
             expo, vals = expo[perm], vals[perm]
-            ours = fields._canonical(expo, vals, keyed_rows)
-            theirs = add_at_canonical(expo, vals, keyed_rows)
+            ours = fields._canonical(expo, vals)
+            theirs = add_at_canonical(expo, vals)
             assert np.array_equal(ours[0], theirs[0])
             assert ours[1].tobytes() == theirs[1].tobytes()

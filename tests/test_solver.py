@@ -430,12 +430,18 @@ def test_dump_load_hold_one_copy(tmp_path, reps):
     assert f.dim == 2 and np.array_equal(back.values, f.values)
 
 
+DROP = object()  # a header edit that removes the key
+
+
 def _rewrite_dump(path, edit_header=None, trim=0):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         payload = fh.read()
-    if edit_header:
-        header.update(edit_header)
+    for key, value in (edit_header or {}).items():
+        if value is DROP:
+            del header[key]
+        else:
+            header[key] = value
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         fh.write(payload[: len(payload) - trim])
@@ -447,8 +453,18 @@ def _rewrite_dump(path, edit_header=None, trim=0):
         ({"space": "V9"}, 0, "unknown space"),
         ({"dtype": "complex64"}, 0, "not complex128"),
         (None, 16, "payload has"),
+        ({"L": DROP}, 0, "header lacks L"),
+        ({"k": "2"}, 0, "k = '2' is not a positive integer"),
+        ({"n": True}, 0, "n = True is not a positive integer"),
+        ({"N": 0}, 16 * 8**4, "N = 0 is not a positive integer"),  # empty payload
+        ({"L": 0.0}, 0, "L = 0.0 is not positive and finite"),
+        ({"L": float("inf")}, 0, "L = inf is not positive and finite"),
+        ({"dim": 5}, 0, "dim 5 is not 1, the V0 dimension at k = 2, n = 2"),
+        # the payload fits the header's dim, which is not the space's
+        ({"space": "V1"}, 0, "dim 1 is not 2, the V1 dimension at k = 2, n = 2"),
     ],
-    ids=["unknown-space", "wrong-dtype", "truncated-payload"],
+    ids=["unknown-space", "wrong-dtype", "truncated-payload", "missing-L", "k-string",
+         "n-bool", "N-zero", "L-zero", "L-infinite", "dim-mismatch", "space-dim-mismatch"],
 )
 def test_load_field_rejects_inconsistent_files(tmp_path, reps, edit, trim, match):
     path = tmp_path / "field.bin"
