@@ -14,7 +14,11 @@ drops the `timings` block).  The list:
 * `verify --scope boundary` at (k, n) = (2,1), (3,1), (4,2), (4,3), (2,4)
   and `verify --scope complex --samples 70` at (2,3), (3,3), (4,3), (3,1),
   (2,4), both at seeds 0 and 7;
-* `solve --N 16 --sweep 8,12,16`.
+* `verify --scope ellipticity` at (k, n) = (4,3), seed 0, and (2,4), seed 1,
+  where s = 2 and 4, so symbol products mix spinor components;
+* `solve --N 16 --sweep 8,12,16` and `solve --N 32 --sweep 16,24,32` at
+  k = n = 2, where s = 1, and `solve --k 2 --n 3 --N 8` (s = 2) and
+  `solve --k 3 --n 1 --N 12` (three blocks).
 
 A command listed twice (the workloads' `weyl` commands take no seed) runs
 once.  Exit code 0 if every command agrees, 1 naming each one that does not.
@@ -59,7 +63,12 @@ def commands():
         cmds += [["verify", "--scope", "complex", "--k", str(k), "--n", str(n),
                   "--samples", "70", "--seed", seed]
                  for k, n in ((2, 3), (3, 3), (4, 3), (3, 1), (2, 4))]
-    cmds.append(["solve", "--N", "16", "--sweep", "8,12,16"])
+    cmds += [["verify", "--scope", "ellipticity", "--k", "4", "--n", "3", "--seed", "0"],
+             ["verify", "--scope", "ellipticity", "--k", "2", "--n", "4", "--seed", "1"],
+             ["solve", "--N", "16", "--sweep", "8,12,16"],
+             ["solve", "--k", "2", "--n", "3", "--N", "8"],
+             ["solve", "--k", "3", "--n", "1", "--N", "12"],
+             ["solve", "--N", "32", "--sweep", "16,24,32"]]
     return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
 

@@ -35,6 +35,7 @@ from .solver import (
     bump_dirac_data,
     apply_spectral,
     solve_d0,
+    exterior_mask,
     anchor_exterior,
     hartogs_report,
     resolution_sweep,

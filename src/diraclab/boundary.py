@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import dirac_symbol
 from .dirac_ops import nabla
 from .fields import PolyField, _canonical, _partial, member_norms
 
@@ -94,11 +95,10 @@ class SpinorFactor:
 
 
 def nabla_phi_factor(chart, rep, A):
-    """The constant factor nabla_A phi = sum_j gamma_j (d_{Aj} phi)."""
-    g = chart.grad_phi()[A]
-    plus = np.einsum("j,jst->st", g, rep.gamma_plus)
-    minus = np.einsum("j,jst->st", g, rep.gamma_minus)
-    return SpinorFactor(plus, minus)
+    """The constant factor nabla_A phi = sum_j gamma_j (d_{Aj} phi): i times
+    the Dirac symbol at the conormal grad_A phi."""
+    plus, minus = dirac_symbol(rep, chart.grad_phi()[A])
+    return SpinorFactor(1j * plus, 1j * minus)
 
 
 def inv_nabla0_phi_factor(chart, rep):

@@ -11,7 +11,8 @@ Two subcommands:
     cell and reports recovery, residual and exterior-decay metrics.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 resource limit,
-4 compatibility violation.  Reports are deterministic for a fixed seed,
+4 compatibility violation; a failed certification (an ArithmeticError) prints
+``{"error": "certification", ...}`` and exits 1.  Reports are deterministic for a fixed seed,
 except for the "timings" block.
 """
 
@@ -42,6 +43,13 @@ def _check(name, certifies, value, tol, ok=None, **extra):
            "tolerance": tol, "pass": bool(ok)}
     rec.update(extra)
     return rec
+
+
+def _worst(name, certifies, values, tol, witness=lambda i: {"sample": i}, **extra):
+    """A check on the largest of the per-sample `values`; its record carries
+    `extra`, then ``witness(i)`` of that value's index i."""
+    i = int(np.argmax(values))
+    return _check(name, certifies, float(values[i]), tol, **extra, witness=witness(i))
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +87,7 @@ def checks_clifford(n_max, samples, seed):
         xi = rng.standard_normal(n)
         xi2 = rng.standard_normal(n)
         a, b = rng.standard_normal(2)
-        p1, m1 = dirac_symbol(rep, xi)
-        p2, m2 = dirac_symbol(rep, xi2)
-        pl, _ = dirac_symbol(rep, a * xi + b * xi2)
+        (p1, p2, pl), (m1, m2, _) = dirac_symbol(rep, np.stack([xi, xi2, a * xi + b * xi2]))
         lin = np.abs(pl - a * p1 - b * p2).max()
         out.append(_check(f"symbol_linearity n={n}", "symbol linear in xi", lin, 1e-12))
         comp = np.abs(m1 @ p1 - (xi @ xi) * eye).max()
@@ -223,9 +229,7 @@ def checks_complex(k, n, samples, seed):
     values = complex_values(k, n, samples, seed)
 
     def worst(key, name, certifies, tol):
-        i = int(np.argmax(values[key]))
-        return _check(f"{name} k={k} n={n}", certifies, float(values[key][i]), tol,
-                      witness={"sample": i})
+        return _worst(f"{name} k={k} n={n}", certifies, values[key], tol)
 
     out = [worst("d1d0", "d1_after_d0", "D1 D0 = 0", 1e-9),
            worst("laplace", "adjoint_laplacian", "D0* D0 = Laplacian", 1e-9)]
@@ -241,8 +245,8 @@ def checks_complex(k, n, samples, seed):
     return out
 
 
-def _unit_xi(rng, k, n, count, min_first_block=0.0):
-    """`count` unit frequencies whose first block has norm >= min_first_block.
+def _unit_xi(rng, k, n, count):
+    """`count` unit frequencies whose first block has norm >= 0.3.
 
     They are the rows, and rng ends in the state, that drawing one frequency
     at a time and rejecting would give: each round draws only as many rows as
@@ -251,19 +255,9 @@ def _unit_xi(rng, k, n, count, min_first_block=0.0):
     while len(rows) < count:
         xi = rng.standard_normal((count - len(rows), k * n))
         xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        keep = np.linalg.norm(xi[:, :n], axis=1) >= min_first_block
+        keep = np.linalg.norm(xi[:, :n], axis=1) >= 0.3
         rows = np.concatenate([rows, xi[keep]])
     return rows
-
-
-def _witness(xi, i):
-    return {"sample": int(i), "xi": xi[i].tolist()}
-
-
-def _worst_check(name, certifies, xi, values, tol):
-    """A check on the largest of the per-sample values, with its witness."""
-    i = int(np.argmax(values))
-    return _check(name, certifies, float(values[i]), tol, witness=_witness(xi, i))
 
 
 def _max_abs(*stacks):
@@ -275,9 +269,12 @@ def checks_ellipticity(k, n, samples, seed):
     if samples < 1:
         raise ValueError("the ellipticity suite needs at least one sample")
     rep = build_clifford(n)
-    xi = _unit_xi(np.random.default_rng(seed), k, n, samples, min_first_block=0.3)
+    xi = _unit_xi(np.random.default_rng(seed), k, n, samples)
     b = symbols.build_bundle(rep, k, xi)
     out = []
+
+    def at(i):
+        return {"sample": i, "xi": xi[i].tolist()}
 
     rpt = symbols.verify_exactness(b)
     ranks = {"rank_sigma0": rpt.rank_sigma0, "dim_ker_sigma1": rpt.dim_ker_sigma1,
@@ -292,31 +289,29 @@ def checks_ellipticity(k, n, samples, seed):
     comp = [b.sigma1 @ b.sigma0]
     if b.has_order5:
         comp += [b.sigma2p @ b.sigma1, b.sigma2pp @ b.sigma1]
-    out.append(_worst_check(f"symbol_complex k={k} n={n}", "sigma_{j+1} sigma_j = 0",
-                            xi, _max_abs(*comp), 1e-10))
-    out.append(_check(
+    out.append(_worst(f"symbol_complex k={k} n={n}", "sigma_{j+1} sigma_j = 0",
+                      _max_abs(*comp), 1e-10, at))
+    out.append(_worst(
         f"symbol_exactness k={k} n={n}",
         "ker sigma0 = 0; ker sigma1 = im sigma0; joint ker at slot 2 = im sigma1",
-        float(bad.any()), 0.0, ok=not bad.any(),
+        bad, 0.0, at,
         ranks={"dims": rpt.dims,
-               **{key: None if r is None else int(r[w]) for key, r in ranks.items()}},
-        witness=_witness(xi, w),
-    ))
+               **{key: None if r is None else int(r[w]) for key, r in ranks.items()}}))
     if k >= 3:
-        out.append(_worst_check(f"kernel_identity k={k} n={n}",
-                                "|xi_0|^2 Theta_ABC reconstructed from Theta_00*",
-                                xi, symbols.kernel_identity_check(b), 1e-9))
+        out.append(_worst(f"kernel_identity k={k} n={n}",
+                          "|xi_0|^2 Theta_ABC reconstructed from Theta_00*",
+                          symbols.kernel_identity_check(b), 1e-9, at))
     inter = symbols.intertwine_check(b)
     scale = np.linalg.norm(b.sigma1, axis=(-2, -1)) * np.linalg.norm(b.L1, axis=(-2, -1))
-    out.append(_worst_check(f"green_intertwine k={k} n={n}", "L2 sigma1 = sigma1 L1",
-                            xi, inter / np.maximum(scale, 1e-300), 1e-10))
-    out.append(_worst_check(f"green_inverse k={k} n={n}", "L_j L_j^{-1} = Id",
-                            xi, symbols.green_inverse_residual(b), 1e-10))
+    out.append(_worst(f"green_intertwine k={k} n={n}", "L2 sigma1 = sigma1 L1",
+                      inter / np.maximum(scale, 1e-300), 1e-10, at))
+    out.append(_worst(f"green_inverse k={k} n={n}", "L_j L_j^{-1} = Id",
+                      symbols.green_inverse_residual(b), 1e-10, at))
     double = symbols.build_bundle(rep, k, 2.0 * xi[:5])
     homog = [_max_abs(a - 16.0 * m[:5]) / np.maximum(_max_abs(m[:5]), 1e-300)
              for a, m in ((double.L0, b.L0), (double.L1, b.L1), (double.L2, b.L2))]
-    out.append(_worst_check(f"hodge_homogeneity k={k} n={n}", "L_j(2 xi) = 16 L_j(xi)",
-                            xi, np.max(homog, axis=0), 1e-10))
+    out.append(_worst(f"hodge_homogeneity k={k} n={n}", "L_j(2 xi) = 16 L_j(xi)",
+                      np.max(homog, axis=0), 1e-10, at))
     bounds = symbols.hodge_eig_bounds(b)
     if not b.has_order5:
         del bounds["L2"]
@@ -327,7 +322,7 @@ def checks_ellipticity(k, n, samples, seed):
                       "L_j positive definite on unit frequencies",
                       0.0 if pd_ok else 1.0, 0.0, ok=pd_ok, eig_min=eig_min,
                       eig_max={m: float(hi.max()) for m, (_, hi) in bounds.items()},
-                      witness={m: _witness(xi, i) for m, i in lowest.items()}))
+                      witness={m: at(i) for m, i in lowest.items()}))
     return out
 
 
@@ -359,11 +354,10 @@ def checks_boundary(k, n, samples, seed):
         rpt = boundary.restrict_and_test(mono, chart, rep)
         tm = (np.maximum(rpt["z_residual"], rpt["zt_residual"])
               / np.maximum(rpt["input_norm"], 1e-300))
-        i = int(np.argmax(tm))
-        out.append(_check(f"tangential_monogenicity chart={label} k={k} n={n}",
+        out.append(_worst(f"tangential_monogenicity chart={label} k={k} n={n}",
                           "restrictions of monogenic fields satisfy Z f = 0, Z T f = 0",
-                          float(tm[i]), 1e-10, basis_size=mono.vals.shape[1],
-                          witness={"member": i}))
+                          tm, 1e-10, lambda i: {"member": i},
+                          basis_size=mono.vals.shape[1]))
         # sample i is the pair of draws 2i (F) and 2i + 1 (F')
         draws = [draw_terms(rng, k, n, "V0", rep, degree=3, nterms=5)
                  for _ in range(2 * samples)]
@@ -371,10 +365,8 @@ def checks_boundary(k, n, samples, seed):
         scale = keyed_norms(F, samples) + keyed_norms(Fp, samples)
         pk = (boundary.pi1_kernel_check(chart, rep, stack(F, samples), stack(Fp, samples))
               / np.maximum(scale, 1e-300))
-        i = int(np.argmax(pk))
-        out.append(_check(f"pi1_kernel chart={label} k={k} n={n}",
-                          "canonical zero-Cauchy data maps to zero", float(pk[i]), 1e-10,
-                          witness={"sample": i}))
+        out.append(_worst(f"pi1_kernel chart={label} k={k} n={n}",
+                          "canonical zero-Cauchy data maps to zero", pk, 1e-10))
     return out
 
 
@@ -446,12 +438,9 @@ def run_solve(args):
                metrics["recovery_rel_l2"], 1e-6),
         _check("dirac_residual", "D0 u = f on the grid",
                metrics["dirac_residual_rel_l2"], 1e-8),
+        _check("exterior_vanishing", "u vanishes outside the data support",
+               metrics["hartogs"]["ratio"], 1e-6),
     ]
-    hart = metrics["hartogs"]
-    if hart.get("ratio") is not None:
-        checks.append(_check("exterior_vanishing",
-                             "u vanishes outside the data support",
-                             hart["ratio"], 1e-6))
     sweep_rows = []
     t_sweep = time.perf_counter()
     if args.sweep:
@@ -555,6 +544,9 @@ def main(argv=None):
     except ValueError as exc:
         print(json.dumps({"error": "usage", "detail": str(exc)}))
         return EXIT_USAGE
+    except ArithmeticError as exc:  # a certification inside a suite or the solve
+        print(json.dumps({"error": "certification", "detail": str(exc)}))
+        return EXIT_FAIL
     text = json.dumps(report, indent=2)
     out_path = getattr(args, "out", None)
     if args.command == "solve":

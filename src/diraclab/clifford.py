@@ -115,17 +115,17 @@ def build_clifford(n):
 def dirac_symbol(rep, xi):
     """Symbol of the Dirac operator in one vector variable at frequency xi.
 
-    Returns the pair ``(xi_plus, xi_minus)`` with
-    ``xi_plus = -i sum_j gamma_plus[j] xi[j]`` mapping S+ -> S- and
-    ``xi_minus`` the S- -> S+ counterpart.  Their composition in either order
-    is ``|xi|^2`` times the identity.
+    The only place the gamma matrices are contracted with a vector.  xi has
+    shape (..., n); returns the pair ``(xi_plus, xi_minus)``, each of shape
+    (..., s, s), with ``xi_plus = -i sum_j gamma_plus[j] xi[j]`` mapping
+    S+ -> S- and ``xi_minus`` the S- -> S+ counterpart.  Their composition
+    in either order is ``|xi|^2`` times the identity.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (rep.n,):
-        raise ValueError(f"xi must have shape ({rep.n},), got {xi.shape}")
-    xi_plus = -1j * np.einsum("j,jst->st", xi, rep.gamma_plus)
-    xi_minus = -1j * np.einsum("j,jst->st", xi, rep.gamma_minus)
-    return xi_plus, xi_minus
+    if xi.ndim == 0 or xi.shape[-1] != rep.n:
+        raise ValueError(f"xi must have shape (..., {rep.n}), got {xi.shape}")
+    return (-1j * np.einsum("...j,jst->...st", xi, rep.gamma_plus),
+            -1j * np.einsum("...j,jst->...st", xi, rep.gamma_minus))
 
 
 def delta_symbol(rep, xi_b, xi_c):

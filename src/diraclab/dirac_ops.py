@@ -285,11 +285,11 @@ def nabla_delta(g, rep, slots):
 def monogenic_basis(rep, k, n, degree):
     """Basis of polynomial solutions of ``d0 f = 0`` up to a total degree.
 
-    Assembles the matrix of d0 on the monomial/spinor coefficient space and
-    extracts an orthonormal nullspace basis by SVD, returning the basis as
-    one stack (:func:`~diraclab.fields.stack`) of B V0 fields: ``vals`` of
-    shape (T, B, s) on its monomials, basis field b at ``vals[:, b]``.  Used
-    as the generator of monogenic test data.
+    Takes the matrix of d0 on the monomial/spinor coefficient space from
+    :func:`d0` itself and extracts an orthonormal nullspace basis by SVD,
+    returning the basis as one stack (:func:`~diraclab.fields.stack`) of B
+    V0 fields: ``vals`` of shape (T, B, s) on its monomials, basis field b at
+    ``vals[:, b]``.  Used as the generator of monogenic test data.
     """
     kn, s = k * n, rep.s_dim
     # columns (monomial, spinor) up to `degree`; rows (monomial, A, spinor)
@@ -298,24 +298,18 @@ def monogenic_basis(rep, k, n, degree):
     monos = np.array([e for d in range(degree + 1) for e in _monomials(kn, d)],
                      dtype=np.int64).reshape(-1, kn)
     n_out = int((monos.sum(axis=1) < degree).sum())
-    # d0 (x^e u_t) = sum_{A,j} e[Aj] x^(e - 1_Aj) (gamma_j u_t) in slot A:
-    # one matrix block per (monomial, variable) with a positive exponent
-    src, var = np.nonzero(monos)
-    dst = monos[src] - np.eye(kn, dtype=np.int64)[var]
-    # every dst is a row monomial, so the distinct rows below are exactly those
-    _, uid = np.unique(np.concatenate((monos[:n_out], dst)), axis=0, return_inverse=True)
-    uid = uid.reshape(-1)
-    pos = np.empty(n_out, dtype=np.int64)
-    pos[uid[:n_out]] = np.arange(n_out)
-    rows = pos[uid[n_out:]]
-    A, j = np.divmod(var, n)
-    mat = np.zeros((n_out, k, s, len(monos), s), dtype=complex)
-    mat[rows, A, :, src, :] = monos[src, var][:, None, None] * rep.gamma_plus[j]
-    mat = mat.reshape(n_out * k * s, len(monos) * s)
-    _, sv, vh = np.linalg.svd(mat)
-    tol = 1e-9 * (sv[0] if sv.size else 1.0)
-    rank = int((sv > tol).sum())
-    null = vh[rank:].conj().reshape(-1, len(monos), s)
+    # column c is member c of one keyed field: x^e u_t, (e, t) = divmod(c, s)
+    e, t = np.divmod(np.arange(len(monos) * s), s)
+    image = d0(PolyField(k, n, "V0", np.column_stack((np.arange(len(e)), monos[e])),
+                         np.eye(s)[t]), rep)
+    # every image monomial is a row monomial, so the distinct rows below are
+    # exactly those, and the first n_out ids are a permutation
+    uid = np.unique(np.concatenate((monos[:n_out], image.expo[:, 1:])), axis=0,
+                    return_inverse=True)[1].reshape(-1)
+    mat = np.zeros((n_out, k, s, len(e)), dtype=complex)
+    mat[np.argsort(uid[:n_out])[uid[n_out:]], :, :, image.expo[:, 0]] = image.vals
+    _, sv, vh = np.linalg.svd(mat.reshape(n_out * k * s, len(e)))
+    null = vh[weyl.sv_rank(sv):].conj().reshape(-1, len(monos), s)
     null[np.abs(null) <= 1e-13] = 0.0
     return PolyField(k, n, "V0", monos, null.transpose(1, 0, 2))
 

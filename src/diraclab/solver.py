@@ -11,13 +11,15 @@ Grid fields are stored component-first, so transforms and multipliers run on
 contiguous planes, one per component.
 
 The solve applies u_hat = sigma0* f_hat / |xi|^2, with sigma0 and sigma0*
-matrix-free: k s^2 multiply-adds of weight grids that each vary on one
-block's n axes.  Because sigma0* sigma0 = |xi|^2 Id and L1 sigma0 = |xi|^4
-sigma0, this closed form equals the Hodge route sigma0* sigma0 sigma0* L1^{-1}
-at every nonzero mode, a fact the solver certifies on a seeded sample of
-modes drawn from the whole grid.  The zero mode of the solution is fixed
-afterwards by anchoring on the exterior of the declared data support, the
-periodic stand-in for decay at infinity.
+matrix-free: k s^2 multiply-adds of weight grids, the entries of the Dirac
+symbol on one block's n axes.  Because sigma0* sigma0 = |xi|^2 Id and
+L1 sigma0 = |xi|^4 sigma0, this closed form equals the Hodge route
+sigma0* sigma0 sigma0* L1^{-1} at every nonzero mode, a fact the solver
+certifies on a seeded sample of modes drawn from the whole grid.  The zero
+mode of the solution is fixed afterwards by anchoring on the exterior region
+(:func:`exterior_mask`: periodic distance > 2 radius from the data support's
+center), the periodic stand-in for decay at infinity; the exterior decay is
+measured on the same region.
 
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
 grid axis at a time, so their scratch is slab-sized, and the compatibility
@@ -37,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import symbols, weyl
-from .clifford import spinor_dim
+from .clifford import dirac_symbol, spinor_dim
 
 DEFAULT_MEM_GIB = 2.0
 MEM_ENV_VAR = "DIRACLAB_MEM_LIMIT_GIB"
@@ -93,7 +95,7 @@ def field_dim(space, k, s_dim):
     if space == "V1":
         return k * s_dim
     if space == "V2":
-        return weyl.weyl_space(k, "21").dim * s_dim
+        return weyl.projector_rank(k, "21") * s_dim
     raise ValueError(f"no grid representation for space {space!r}")
 
 
@@ -191,17 +193,14 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
 # frequency-domain machinery
 
 
-def _axis_xi(kn, N, L):
-    """Per grid axis t, its frequencies -(2 pi / L) m shaped to broadcast on
-    one component plane: length N on axis t, 1 on every other axis."""
-    xi = -(2 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)
-    return [xi.reshape((1,) * t + (N,) + (1,) * (kn - 1 - t)) for t in range(kn)]
+def _freqs(N, L):
+    """The frequencies -(2 pi / L) m of one grid axis, in FFT order."""
+    return -(2 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)
 
 
 def _mode_xi(k, n, N, L, idx):
     """Physical frequencies, shape (len(idx), k*n), of flat row-major modes."""
-    freq = -(2 * np.pi / L) * np.fft.fftfreq(N, d=1.0 / N)
-    return freq[np.stack(np.unravel_index(idx, (N,) * (k * n)), axis=-1)]
+    return _freqs(N, L)[np.stack(np.unravel_index(idx, (N,) * (k * n)), axis=-1)]
 
 
 def _fft(planes):
@@ -211,12 +210,13 @@ def _fft(planes):
 
 
 def _sigma_rows(rep, k, n, N, L, star=False):
-    """sigma0 (block A: -i sum_j xi_Aj gamma_plus[j]) or sigma0* (sum over A of
-    -i sum_j xi_Aj gamma_minus[j], as gamma_minus[j] = -gamma_plus[j]^H) as
-    rows of weight grids, each varying on block A's n axes only."""
-    s, xis = rep.s_dim, _axis_xi(k * n, N, L)
-    gamma = rep.gamma_minus if star else rep.gamma_plus
-    w = {(A, r, t): -1j * sum(gamma[j, r, t] * xis[A * n + j] for j in range(n))
+    """sigma0 (block A: xi_plus at xi_A) or sigma0* (the sum over A of xi_minus
+    at xi_A) as rows of weight grids, entry (r, t) of the Dirac symbol on one
+    N^n frequency mesh, reshaped to vary on block A's n axes only."""
+    s = rep.s_dim
+    mesh = np.stack(np.meshgrid(*[_freqs(N, L)] * n, indexing="ij"), axis=-1)
+    sym = np.moveaxis(dirac_symbol(rep, mesh)[1 if star else 0], (-2, -1), (0, 1))
+    w = {(A, r, t): sym[r, t].reshape((1,) * (A * n) + (N,) * n + (1,) * ((k - 1 - A) * n))
          for A in range(k) for r in range(s) for t in range(s)}
     if star:
         return [[w[A, r, t] for A in range(k) for t in range(s)] for r in range(s)]
@@ -279,20 +279,20 @@ def apply_spectral(tag, fld, rep):
     return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1), support=None)
 
 
-def _certify_modes(k, n, N, sample=2048):
-    """Flat indices of up to `sample` distinct nonzero modes, drawn with a fixed
+def _certify_modes(k, n, N):
+    """Flat indices of up to 2048 distinct nonzero modes, drawn with a fixed
     seed from the whole grid, so every block and axis takes generic values."""
     total = N ** (k * n)
-    count = min(sample, total - 1)
+    count = min(2048, total - 1)
     return 1 + np.random.default_rng(0).choice(total - 1, size=count, replace=False)
 
 
-def _certify_recovery_identity(rep, k, n, N, L, sample=2048, tol=1e-10):
+def _certify_recovery_identity(rep, k, n, N, L):
     """Check the Hodge route sigma0* sigma0 sigma0* L1^{-1}, inverted per mode,
     against the closed form sigma0* / |xi|^2 on sample modes.  Both scale as
-    1/|xi|, so the residual is multiplied by |xi| to make it free of units.
-    Returns the residual and the grid multi-index of the mode that gave it."""
-    idx = _certify_modes(k, n, N, sample)
+    1/|xi|, so the residual, times |xi|, is free of units; above 1e-10 it
+    raises ArithmeticError.  Returns it and the grid multi-index of its mode."""
+    idx = _certify_modes(k, n, N)
     xi = _mode_xi(k, n, N, L, idx)
     bundle = symbols.build_bundle(rep, k, xi)
     s0 = bundle.sigma0
@@ -302,9 +302,9 @@ def _certify_recovery_identity(rep, k, n, N, L, sample=2048, tol=1e-10):
     per_mode = (np.abs(hodge - s0h / xi2) * np.sqrt(xi2)).max(axis=(1, 2))
     worst = int(per_mode.argmax())
     resid = float(per_mode[worst])
-    if resid > tol:
+    if resid > 1e-10:
         raise ArithmeticError(
-            f"frequency-wise recovery identity failed ({resid:.2e} > {tol:.0e})"
+            f"frequency-wise recovery identity failed ({resid:.2e} > 1e-10)"
         )
     mode = np.unravel_index(idx[worst], (N,) * (k * n))
     return resid, {"mode": [int(m) for m in mode]}
@@ -317,7 +317,7 @@ def _lap(timings, key, t0):
     return time.perf_counter()
 
 
-def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
+def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
     """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat / |xi|^2.
 
     Parameters
@@ -359,12 +359,13 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
         )
     fh[zero] = 0.0
     uh = _apply_rows(_sigma_rows(rep, k, n, N, L, star=True), fh)
-    xis = _axis_xi(k * n, N, L)
+    sq = _freqs(N, L) ** 2
+    rest = [sq.reshape((N,) + (1,) * (k * n - 1 - t)) for t in range(1, k * n)]
     for i in range(N):  # |xi|^2 one slab of the first grid axis at a time
-        xi2 = sum(x * x for x in [xis[0][i:i + 1]] + xis[1:])
+        xi2 = sum(rest, sq[i])
         if i == 0:
-            xi2[zero[1:]] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0
-        uh[:, i:i + 1] /= xi2
+            xi2.flat[0] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0
+        uh[:, i] /= xi2
     if check_compat:
         # f_hat - sigma0 u_hat, written into f_hat's own planes
         _apply_rows(_sigma_rows(rep, k, n, N, L), uh, out=fh)
@@ -376,61 +377,50 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, certify=True, timings=None):
             )
     del fh
     t = _lap(timings, "multiplier_s", t)
-    if certify:
-        (diag["recovery_identity_residual"],
-         diag["recovery_identity_witness"]) = _certify_recovery_identity(rep, k, n, N, L)
-        t = _lap(timings, "certify_s", t)
+    (diag["recovery_identity_residual"],
+     diag["recovery_identity_witness"]) = _certify_recovery_identity(rep, k, n, N, L)
+    t = _lap(timings, "certify_s", t)
     np.fft.ifftn(uh, axes=tuple(range(1, uh.ndim)), out=uh)
     _lap(timings, "fft_s", t)
     return GridField(k, n, N, L, "V0", np.moveaxis(uh, 0, -1), support=None), diag
 
 
-def _exterior_mask(k, n, N, L, center, distance):
-    grids = grid_axes(N, L, k * n)
-    d2 = None
-    for g, c in zip(grids, center):
-        delta = np.abs(g - c)
-        delta = np.minimum(delta, L - delta)  # periodic min-image distance
-        d2 = delta**2 if d2 is None else d2 + delta**2
-    return d2 > distance**2
+def exterior_mask(u, support):
+    """The flat mask of u's grid points at periodic (min-image) distance
+    > 2 radius from the center of the support ball (center, radius): the
+    exterior region.  Raises ValueError if it is empty."""
+    center, radius = support
+    deltas = (np.abs(g - c) for g, c in zip(grid_axes(u.N, u.L, u.k * u.n), center))
+    d2 = sum(np.minimum(d, u.L - d) ** 2 for d in deltas)
+    mask = (d2 > (2.0 * radius) ** 2).ravel()
+    if not mask.any():
+        raise ValueError("no exterior region: support covers the whole cell")
+    return mask
 
 
-def anchor_exterior(u, support, margin=2.0):
+def anchor_exterior(u, mask):
     """Fix the additive constant so the solution vanishes far from the data.
 
     The grid solve leaves the zero mode free (it sets it to zero); the decay
     normalization of the continuum problem corresponds on the torus to
-    subtracting the mean of u over the region at distance > margin * radius
-    from the declared support ball.
+    subtracting the mean of u over the exterior region (:func:`exterior_mask`).
     """
-    center, radius = support
-    mask = _exterior_mask(u.k, u.n, u.N, u.L, center, margin * radius)
-    if not mask.any():
-        raise ValueError("no exterior region: support covers the whole cell")
     # one flat mask on flat planes: one index array, not one per grid axis
-    shift = u.planes.reshape(u.dim, -1)[:, mask.ravel()].mean(axis=1)
+    shift = u.planes.reshape(u.dim, -1)[:, mask].mean(axis=1)
     return GridField(u.k, u.n, u.N, u.L, u.space, u.values - shift, support=u.support)
 
 
-def hartogs_report(u, support, margin=1.0):
+def hartogs_report(u, mask):
     """Exterior decay metrics for a solution produced from supported data.
 
-    Reports the max of |u| over the region at distance >= margin * radius
-    outside the support ball, against the global max.
+    Reports the max of |u| over the exterior region `mask`
+    (:func:`exterior_mask`), against the global max.
     """
-    center, radius = support
-    mask = _exterior_mask(u.k, u.n, u.N, u.L, center, radius + margin * radius)
     mag = np.abs(u.planes).reshape(u.dim, -1)
     umax = float(mag.max())
-    if not mask.any():
-        return {"exterior_max": None, "global_max": umax, "ratio": None,
-                "note": "no exterior region"}
-    emax = float(mag[:, mask.ravel()].max())
-    return {
-        "exterior_max": emax,
-        "global_max": umax,
-        "ratio": emax / umax if umax > 0 else 0.0,
-    }
+    emax = float(mag[:, mask].max())
+    return {"exterior_max": emax, "global_max": umax,
+            "ratio": emax / umax if umax > 0 else 0.0}
 
 
 def _dirac_residual(u, f, rep):
@@ -467,11 +457,13 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         del noise
     u, diag = solve_d0(f, rep, tol=tol, timings=timings)
     t = time.perf_counter()
-    u = anchor_exterior(u, phi.support)  # rebinding frees the unanchored solution
+    mask = exterior_mask(u, phi.support)
+    u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
     _lap(timings, "anchor_s", t)
     # u's metrics come first, so their temporaries are freed before the residual
     recovery = float(np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values))
-    hartogs = hartogs_report(u, phi.support)
+    hartogs = hartogs_report(u, mask)
+    del mask
     metrics = {
         "recovery_rel_l2": recovery,
         "dirac_residual_rel_l2": _dirac_residual(u, f, rep),
@@ -494,8 +486,8 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
     rows = []
     for N in Ns:
         f = bump_dirac_data(rep, k, n, N, L, center, radius)
-        u0, diag = solve_d0(f, rep, tol=np.inf, check_compat=False, certify=True)
-        u = anchor_exterior(u0, f.support)
+        u0, diag = solve_d0(f, rep, tol=np.inf, check_compat=False)
+        u = anchor_exterior(u0, exterior_mask(u0, f.support))
         del f, u0  # freed before the bump is sampled, to lower the peak
         phi = make_bump(rep, k, n, N, L, center, radius)
         err = float(

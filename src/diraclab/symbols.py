@@ -6,7 +6,8 @@ higher value spaces are expressed in the orthonormal Weyl-module bases, so
 ranks and kernels are computed on small matrices.  :func:`build_bundle` is the
 only place the symbol formulas live.  It takes xi of shape (k*n,) or
 (..., k*n) and returns matrices with the same leading axes, so one call
-covers a whole stack of frequencies.
+covers a whole stack of frequencies.  sigma0 stacks the k one-variable
+Dirac symbols x_A of :func:`~diraclab.clifford.dirac_symbol`.
 
 With x_A = -i sum_j xi_Aj gamma_plus[j] (so x_A^H = -i sum_j xi_Aj
 gamma_minus[j]), each componentwise formula of sigma1, sigma2' and sigma2'' is
@@ -41,8 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import weyl
-
-RANK_RTOL = 1e-9
+from .clifford import dirac_symbol
 
 
 def _h(mat):
@@ -204,8 +204,7 @@ def build_bundle(rep, k, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0 or xi.shape[-1] != k * n:
         raise ValueError(f"xi must have shape (..., {k * n}), got {xi.shape}")
-    xiv = xi.reshape(xi.shape[:-1] + (k, n))
-    sigma0 = -1j * np.einsum("...Aj,jst->...Ast", xiv, rep.gamma_plus)
+    sigma0 = dirac_symbol(rep, xi.reshape(xi.shape[:-1] + (k, n)))[0]
     return SymbolBundle(k=k, n=n, xi=xi, s_dim=s,
                         sigma0=sigma0.reshape(xi.shape[:-1] + (k * s, s)))
 
@@ -216,14 +215,10 @@ def _per_frequency(values):
     return values.item() if values.ndim == 0 else values
 
 
-def _rank(sv, rtol):
-    # a zero matrix has rank 0: no singular value exceeds rtol * 0
-    return (sv > rtol * sv[..., :1]).sum(axis=-1)
-
-
-def numeric_rank(mat, rtol=RANK_RTOL):
-    """Numeric rank (relative SV cutoff) of a matrix or of each in a stack."""
-    return _per_frequency(_rank(np.linalg.svd(mat, compute_uv=False), rtol))
+def numeric_rank(mat):
+    """Numeric rank (:func:`~diraclab.weyl.sv_rank`) of a matrix or of each
+    in a stack."""
+    return _per_frequency(weyl.sv_rank(np.linalg.svd(mat, compute_uv=False)))
 
 
 @dataclass(frozen=True)
@@ -246,17 +241,17 @@ class ExactnessReport:
         return _per_frequency(np.logical_and(self.injective & self.exact_slot1, slot2))
 
 
-def verify_exactness(bundle, rtol=RANK_RTOL):
+def verify_exactness(bundle):
     """Measure ranks and certify exactness of the symbol sequence at xi != 0."""
     if np.any(np.linalg.norm(bundle.xi, axis=-1) == 0.0):
         raise ValueError("exactness is only defined at nonzero frequencies")
     dims = bundle.dims
-    rank0 = numeric_rank(bundle.sigma0, rtol)
-    rank1 = numeric_rank(bundle.sigma1, rtol)
+    rank0 = numeric_rank(bundle.sigma0)
+    rank1 = numeric_rank(bundle.sigma1)
     ker1 = dims["V1"] - rank1
     if bundle.has_order5:
         stacked = np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2)
-        ker2 = dims["V2"] - numeric_rank(stacked, rtol)
+        ker2 = dims["V2"] - numeric_rank(stacked)
         exact2 = _per_frequency(ker2 == rank1)
     else:
         ker2 = None
@@ -278,7 +273,7 @@ def verify_exactness(bundle, rtol=RANK_RTOL):
 KERNEL_BLOCK = 256
 
 
-def kernel_identity_check(bundle, rtol=RANK_RTOL):
+def kernel_identity_check(bundle):
     """Kernel identity for the order-5 branch, on an orthonormal kernel basis.
 
     For every unit element Theta of ker sigma2' n ker sigma2'', checks
@@ -307,19 +302,19 @@ def kernel_identity_check(bundle, rtol=RANK_RTOL):
                               f"{bundle.sigma2p.shape[-1]} columns")
     parts = [a.reshape((-1,) + a.shape[len(batch):]) for a in
              (bundle.sigma2p, bundle.sigma2pp, *bundle._products, n0sq)]
-    resid = [_kernel_residual(bundle.k, bundle.s_dim, rtol,
+    resid = [_kernel_residual(bundle.k, bundle.s_dim,
                               *(a[lo:lo + KERNEL_BLOCK] for a in parts))
              for lo in range(0, max(len(parts[-1]), 1), KERNEL_BLOCK)]
     return _per_frequency(np.concatenate(resid).reshape(batch))
 
 
-def _kernel_residual(k, s, rtol, sigma2p, sigma2pp, pp, scal, n0sq):
+def _kernel_residual(k, s, sigma2p, sigma2pp, pp, scal, n0sq):
     """:func:`kernel_identity_check` on one chunk of frequencies."""
     _, sv, vh = np.linalg.svd(np.concatenate([sigma2p, sigma2pp], axis=-2),
                               full_matrices=False)
     # the right singular vectors past the rank span the kernel; take them
     # from the smallest rank in the chunk on and mask the rest per frequency
-    rank = _rank(sv, rtol)
+    rank = weyl.sv_rank(sv)
     lo = int(rank.min(initial=vh.shape[-1]))
     vecs = vh[:, lo:, :].conj().reshape((len(vh), -1, vh.shape[-1] // s, s))
     theta = np.einsum("ABCr,...vrs->...vABCs", _w21(k), vecs)

@@ -17,7 +17,7 @@ statements in Q[S_m]: elements compose there, and traces and Frobenius norms
 on (C^k)^{(x) m} are polynomials in k read off cycle counts
 (:func:`trace_polynomial`, :func:`gram_polynomial`).  No (k^m, k^m) matrix is
 formed.  :func:`weyl_dim`, the product formula, stays the independent rank
-oracle.
+oracle.  :func:`sv_rank` is the package's one numeric-rank rule.
 
 Tableau convention: the tableau position p (1-based) is the tensor slot
 ``m - p``, so the right action of a tableau permutation on basis tensors is
@@ -57,7 +57,8 @@ _TABLEAU = {
     "311": ([(1, 2, 4)], [(1, 3, 5)], 20),
 }
 
-_RANK_RTOL = 1e-9  # relative singular-value cutoff, shared across the package
+#: relative singular-value cutoff of every numeric rank in the package
+RANK_RTOL = 1e-9
 _SKETCH_OVERSAMPLE = 16  # extra sketch columns beyond the exact rank
 
 
@@ -143,6 +144,13 @@ def projector_rank(k, lam):
     return int(tr)
 
 
+def sv_rank(sv):
+    """Numeric rank from decreasing singular values, one per stacked spectrum
+    on the last axis: how many exceed :data:`RANK_RTOL` times the largest.
+    A zero matrix and an empty spectrum have rank 0."""
+    return (sv > RANK_RTOL * sv[..., :1]).sum(axis=-1)
+
+
 @lru_cache(maxsize=None)
 def weyl_space(k, lam):
     """Build the Weyl module for partition `lam` over C^k.
@@ -161,7 +169,7 @@ def weyl_space(k, lam):
         width = min(size, rank + _SKETCH_OVERSAMPLE)
         sketch = apply_projector(lam, rng.standard_normal((k,) * m + (width,)))
         u, s, _ = np.linalg.svd(sketch.reshape(size, width), full_matrices=False)
-        found = int((s > _RANK_RTOL * s[0]).sum())
+        found = int(sv_rank(s))
         if found != rank:
             raise ArithmeticError(
                 f"sketch rank {found} disagrees with trace rank {rank}"

@@ -173,6 +173,34 @@ def members(s):
     return [PolyField(s.k, s.n, s.space, s.expo, s.vals[:, b]) for b in range(s.vals.shape[1])]
 
 
+def d0_matrix(rep, k, n, degree):
+    """The matrix of d0 on the monomial/spinor coefficients, assembled by hand.
+
+    Columns (monomial, spinor) run over the monomials up to `degree`, rows
+    (monomial, A, spinor) over those below it, both ordered by degree first
+    (as :func:`~diraclab.dirac_ops.monogenic_basis` orders them); returns the
+    column monomials and the matrix.  d0 (x^e u_t) = sum_{A,j} e[Aj]
+    x^(e - 1_Aj) (gamma_j u_t) in slot A: one block per (monomial, variable)
+    with a positive exponent.  The independent route to the matrix that
+    ``monogenic_basis`` takes from ``d0`` itself.
+    """
+    kn, s = k * n, rep.s_dim
+    monos = np.array([e for d in range(degree + 1) for e in dirac_ops._monomials(kn, d)],
+                     dtype=np.int64).reshape(-1, kn)
+    n_out = int((monos.sum(axis=1) < degree).sum())
+    src, var = np.nonzero(monos)
+    dst = monos[src] - np.eye(kn, dtype=np.int64)[var]
+    _, uid = np.unique(np.concatenate((monos[:n_out], dst)), axis=0, return_inverse=True)
+    uid = uid.reshape(-1)
+    pos = np.empty(n_out, dtype=np.int64)
+    pos[uid[:n_out]] = np.arange(n_out)
+    rows = pos[uid[n_out:]]
+    A, j = np.divmod(var, n)
+    mat = np.zeros((n_out, k, s, len(monos), s), dtype=complex)
+    mat[rows, A, :, src, :] = monos[src, var][:, None, None] * rep.gamma_plus[j]
+    return monos, mat.reshape(n_out * k * s, len(monos) * s)
+
+
 def tangential_z_coeffs(chart, rep):
     """The Z_mu of the tangential frame on the S+ side, as coefficient dicts.
 

@@ -154,7 +154,7 @@ def test_criterion_4_ellipticity():
         rep = build_clifford(n)
         # 100 unit frequencies with first block >= 0.3, in the rng order of
         # drawing and rejecting one at a time; one stacked bundle holds them
-        xi = _unit_xi(rng, k, n, 100, min_first_block=0.3)
+        xi = _unit_xi(rng, k, n, 100)
         bundle = symbols.build_bundle(rep, k, xi)
         rpt = symbols.verify_exactness(bundle)
         ranks_ok = ranks_ok and bool(rpt.ok.all())

@@ -128,7 +128,7 @@ def test_ellipticity_witnesses_replay(capsys):
     _, report = run_cli(capsys, "verify", "--scope", "ellipticity", "--k", "3",
                         "--n", "2", "--samples", "30", "--seed", "5")
     checks = {c["name"].split()[0]: c for c in report["checks"]}
-    drawn = _unit_xi(np.random.default_rng(5), 3, 2, 30, min_first_block=0.3)
+    drawn = _unit_xi(np.random.default_rng(5), 3, 2, 30)
     rep = build_clifford(2)
 
     def replay(witness):
@@ -316,6 +316,27 @@ def test_solve_memory_cap_exit_code(monkeypatch, capsys):
     code = main(["solve", "--k", "2", "--n", "2", "--N", "16"])
     capsys.readouterr()
     assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("solve", "--k", "2", "--n", "2", "--N", "8"), "solver._certify_recovery_identity"),
+    (("verify", "--scope", "ellipticity", "--k", "3", "--samples", "2"),
+     "symbols.kernel_identity_check"),
+])
+def test_failed_certification_exit_code(monkeypatch, capsys, argv, target):
+    # a certification's ArithmeticError is exit 1 with an error record, not
+    # a traceback
+    import diraclab
+
+    module, name = target.split(".")
+
+    def fail(*args):
+        raise ArithmeticError("certification failed")
+
+    monkeypatch.setattr(getattr(diraclab, module), name, fail)
+    code, report = run_cli(capsys, *argv)
+    assert code == EXIT_FAIL
+    assert report == {"error": "certification", "detail": "certification failed"}
 
 
 def test_check_records_carry_identity_labels(capsys):

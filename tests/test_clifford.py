@@ -75,6 +75,16 @@ def test_symbol_square_on_unit_vectors(n, rng):
     p, m = dirac_symbol(rep, xi)
     assert np.abs(m @ p - np.eye(rep.s_dim)).max() <= 1e-12
     assert np.abs(p @ m - np.eye(rep.s_dim)).max() <= 1e-12
+    # a stack of frequencies gives, row by row, the one-row symbols bit for bit
+    xis = rng.standard_normal((2, 3, n))
+    sp, sm = dirac_symbol(rep, xis)
+    assert sp.shape == sm.shape == (2, 3, rep.s_dim, rep.s_dim)
+    for idx in np.ndindex(2, 3):
+        rp, rm = dirac_symbol(rep, xis[idx])
+        assert rp.tobytes() == sp[idx].tobytes() and rm.tobytes() == sm[idx].tobytes()
+    for bad in (np.ones(n + 1), np.ones((2, n + 1)), 1.0):
+        with pytest.raises(ValueError, match="xi must have shape"):
+            dirac_symbol(rep, bad)
 
 
 @settings(max_examples=25, deadline=None)

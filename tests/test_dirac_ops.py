@@ -193,6 +193,26 @@ def test_monogenic_basis_members_are_monogenic(reps):
     assert again.vals.tobytes() == basis.vals.tobytes()
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_monogenic_basis_is_null_space_of_oracle_matrix(k, n, degree, reps):
+    # the basis, whose matrix comes from d0 itself, equals bit for bit the
+    # null space of the d0 matrix assembled by hand
+    from conftest import d0_matrix
+
+    rep = reps[n]
+    monos, mat = d0_matrix(rep, k, n, degree)
+    _, sv, vh = np.linalg.svd(mat)
+    rank = int((sv > 1e-9 * sv[0]).sum())
+    null = vh[rank:].conj().reshape(-1, len(monos), rep.s_dim)
+    null[np.abs(null) <= 1e-13] = 0.0
+    oracle = PolyField(k, n, "V0", monos, null.transpose(1, 0, 2))
+    basis = monogenic_basis(rep, k, n, degree)
+    assert basis.vals.shape == oracle.vals.shape and basis.vals.shape[1] > 0
+    assert np.array_equal(basis.expo, oracle.expo)
+    assert basis.vals.tobytes() == oracle.vals.tobytes()
+
+
 def test_membership_validation_rejects_bad_tensors(reps, rng):
     raw = rng.standard_normal((3, 3, 3, 1)) + 0j
     with pytest.raises(ValueError):

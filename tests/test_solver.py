@@ -13,6 +13,7 @@ from diraclab.solver import (
     apply_spectral,
     bump_dirac_data,
     dump_field,
+    exterior_mask,
     hartogs_report,
     load_field,
     make_bump,
@@ -220,7 +221,7 @@ def test_solve_recovers_mixed_spinor_bump(reps):
     phi = make_bump(rep, 2, 3, 6, L, np.full(6, np.pi), 1.2, spinor=[0.6, 0.8j])
     u, diag = solve_d0(apply_spectral("d0", phi, rep), rep)
     assert diag["compat_rel"] <= 1e-12
-    u = anchor_exterior(u, phi.support)
+    u = anchor_exterior(u, exterior_mask(u, phi.support))
     assert np.linalg.norm(u.values - phi.values) <= 1e-10 * np.linalg.norm(phi.values)
 
 
@@ -255,7 +256,7 @@ def test_compatibility_guard_is_scale_free(reps, scale, N):
     cell = L * scale
     phi = make_bump(rep, 2, 2, N, cell, CENTER4 * scale, 0.6 * scale)
     f = apply_spectral("d0", phi, rep)
-    _, diag = solve_d0(f, rep, certify=False)
+    _, diag = solve_d0(f, rep)
     assert diag["compat_rel"] <= 1e-12
     noise = np.random.default_rng(5).standard_normal(f.values.shape)
     noise *= 1e-3 * np.abs(f.values).max()
@@ -263,9 +264,9 @@ def test_compatibility_guard_is_scale_free(reps, scale, N):
     bad = GridField(2, 2, N, cell, "V1", f.values + noise)
     with pytest.raises(CompatibilityError, match="compatibility"):
         solve_d0(bad, rep)
-    _, measured = solve_d0(bad, rep, tol=np.inf, certify=False)
+    _, measured = solve_d0(bad, rep, tol=np.inf)
     _, unit_cell = solve_d0(
-        GridField(2, 2, N, L, "V1", bad.values * scale), rep, tol=np.inf, certify=False
+        GridField(2, 2, N, L, "V1", bad.values * scale), rep, tol=np.inf
     )
     assert measured["compat_rel"] == pytest.approx(unit_cell["compat_rel"], rel=1e-9)
 
@@ -296,20 +297,39 @@ def test_discrete_green_intertwining(rng, reps):
 
 
 def test_hartogs_degenerate_region(reps):
+    # a support that covers the cell leaves no exterior region to anchor on
+    # or to measure decay on
     rep = reps[2]
     phi = make_bump(rep, 2, 2, 8, L, CENTER4, 0.6)
-    rpt = hartogs_report(phi, (tuple(CENTER4), 10.0))
-    assert rpt["note"] == "no exterior region"
-    with pytest.raises(ValueError):
-        anchor_exterior(phi, (tuple(CENTER4), 10.0))
+    with pytest.raises(ValueError, match="no exterior region"):
+        exterior_mask(phi, (tuple(CENTER4), 10.0))
 
 
 def test_anchor_exterior_fixes_constant(reps):
     rep = reps[2]
     phi = make_bump(rep, 2, 2, 8, L, CENTER4, 0.6)
     shifted = GridField(2, 2, 8, L, "V0", phi.values + (0.5 + 0.25j))
-    fixed = anchor_exterior(shifted, phi.support)
+    fixed = anchor_exterior(shifted, exterior_mask(shifted, phi.support))
     assert np.abs(fixed.values - phi.values).max() <= 1e-12
+
+
+def test_field_dim_builds_no_basis(monkeypatch):
+    # V2's dimension is the exact rank of the (2,1) projector times s: the
+    # dimension of the built basis, read without building one
+    from diraclab import weyl
+    from diraclab.solver import field_dim
+
+    built = {k: weyl.weyl_space(k, "21").dim for k in range(2, 7)}
+
+    def refuse(k, lam):
+        raise AssertionError("field_dim built a Weyl basis")
+
+    monkeypatch.setattr(weyl, "weyl_space", refuse)
+    for k, dim in built.items():
+        for s in (1, 2, 4):
+            assert field_dim("V2", k, s) == dim * s
+            assert (field_dim("V0", k, s), field_dim("V1", k, s)) == (s, k * s)
+    assert field_dim("V2", 16, 1) == 1360
 
 
 def test_memory_guard(monkeypatch, reps):
@@ -377,7 +397,7 @@ def test_grid_fields_store_contiguous_planes(tmp_path, reps):
         "d0_star": apply_spectral("d0_star", f, rep),
         "d1": apply_spectral("d1", f, rep),
         "solve_d0": u,
-        "anchor_exterior": anchor_exterior(u, phi.support),
+        "anchor_exterior": anchor_exterior(u, exterior_mask(u, phi.support)),
         "load_field": load_field(path),
     }
     for name, fld in produced.items():
@@ -480,7 +500,7 @@ def test_analytic_data_is_genuinely_aliased(reps):
     # (unlike grid-derivative data), which is what the sweep studies
     rep = reps[2]
     f = bump_dirac_data(rep, 2, 2, 16, L, CENTER4, 0.6)
-    u, diag = solve_d0(f, rep, tol=np.inf, check_compat=True, certify=False)
+    u, diag = solve_d0(f, rep, tol=np.inf, check_compat=True)
     assert np.isfinite(diag["compat_rel"])
     assert diag["compat_rel"] > 1e-8
 

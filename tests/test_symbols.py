@@ -10,6 +10,7 @@ from diraclab.symbols import (
     hodge_eig_bounds,
     intertwine_check,
     kernel_identity_check,
+    numeric_rank,
     verify_exactness,
 )
 
@@ -154,6 +155,15 @@ def test_rank_scale_invariance(rng, reps):
         b.dim_ker_sigma1,
         b.dim_ker_order5,
     )
+    # the one rank rule, relative to the largest singular value: a zero
+    # matrix and an empty spectrum have rank 0, and a stack gets one rank each
+    assert weyl.sv_rank(np.zeros(3)) == 0 and weyl.sv_rank(np.zeros(0)) == 0
+    sv = np.array([[1.0, 1.01e-9, 0.99e-9], [1e6, 1e-3, 1e-4], [0.0, 0.0, 0.0]])
+    assert weyl.sv_rank(sv).tolist() == [2, 1, 0]
+    assert weyl.sv_rank(np.zeros((2, 0))).tolist() == [0, 0]
+    mats = np.stack([np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])])
+    assert numeric_rank(mats).tolist() == [3, 0, 2]
+    assert numeric_rank(mats[1]) == 0 and numeric_rank(np.zeros((0, 3))) == 0
 
 
 def test_kernel_identity_sweep(rng, reps):
