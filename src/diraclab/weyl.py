@@ -19,6 +19,13 @@ on (C^k)^{(x) m} are polynomials in k read off cycle counts
 formed.  :func:`weyl_dim`, the product formula, stays the independent rank
 oracle.  :func:`sv_rank` is the package's one numeric-rank rule.
 
+:func:`weyl_space` builds each module's basis from the classical standard
+basis (Fulton, *Young Tableaux*, 1997, 8.1; Fulton-Harris, *Representation
+Theory*, Lecture 6): ``Y_lam e_T`` for the semistandard tableaux T of shape
+lam with entries < k.  It is certified exactly, with no random numbers:
+``C_lam Y_lam = Y_lam`` in Q[S_m], and the tableau count equals the trace
+rank.
+
 Tableau convention: the tableau position p (1-based) is the tensor slot
 ``m - p``, so the right action of a tableau permutation on basis tensors is
 an explicit slot permutation.
@@ -59,7 +66,6 @@ _TABLEAU = {
 
 #: relative singular-value cutoff of every numeric rank in the package
 RANK_RTOL = 1e-9
-_SKETCH_OVERSAMPLE = 16  # extra sketch columns beyond the exact rank
 
 
 @dataclass(frozen=True)
@@ -151,34 +157,60 @@ def sv_rank(sv):
     return (sv > RANK_RTOL * sv[..., :1]).sum(axis=-1)
 
 
+def _semistandard(k, lam):
+    """The semistandard tableaux of shape `lam` with entries < k, as basis
+    tensor indices: shape (m, count), one column per tableau, row s holding
+    the entry at position m - s.  Rows weakly increase, columns strictly."""
+    rows, cols, _ = _TABLEAU[lam]
+    m = PARTITIONS[lam][1]
+    t = np.indices((k,) * m).reshape(m, -1)
+    keep = np.ones(t.shape[1], dtype=bool)
+    for sets, order in ((rows, np.less_equal), (cols, np.less)):
+        for support in sets:
+            for p, q in zip(support, support[1:]):
+                keep &= order(t[m - p], t[m - q])
+    return t[:, keep]
+
+
+@lru_cache(maxsize=None)
+def _certified_young(lam):
+    """``Y_lam``, after checking ``C_lam Y_lam = Y_lam`` exactly in Q[S_m]."""
+    y = young_terms(lam)
+    if compose(projector_terms(lam), y) != dict(y):
+        raise ArithmeticError(f"C Y != Y in Q[S_m] for lam={lam}")
+    return y
+
+
 @lru_cache(maxsize=None)
 def weyl_space(k, lam):
     """Build the Weyl module for partition `lam` over C^k.
 
-    The rank r is the exact trace of ``C_lam``.  The basis is the thin SVD of
-    ``C_lam`` applied to a seeded Gaussian sketch of width r + 16; it raises
-    if the sketch's numeric rank is not r, and certifies ``C_lam B = B``.
+    The basis is the classical one (Fulton, *Young Tableaux*, 1997, 8.1;
+    Fulton-Harris, *Representation Theory*, Lecture 6): ``Y_lam e_T`` for
+    the semistandard tableaux T of shape `lam` with entries < k,
+    orthonormalised through the Cholesky factor of its Gram matrix.  It is
+    certified exactly: ``C_lam Y_lam = Y_lam`` in Q[S_m] puts every column in
+    the image of ``C_lam``, and the tableau count equals the exact trace rank.
+    A failed certification, or a singular Gram matrix, raises ArithmeticError.
     """
     rank = projector_rank(k, lam)
     m = PARTITIONS[lam][1]
-    size = k**m
-    if rank == 0:
-        basis = np.zeros((size, 0))
-    else:
-        rng = np.random.default_rng(0x5EED)  # fixed seed: bases are reproducible
-        width = min(size, rank + _SKETCH_OVERSAMPLE)
-        sketch = apply_projector(lam, rng.standard_normal((k,) * m + (width,)))
-        u, s, _ = np.linalg.svd(sketch.reshape(size, width), full_matrices=False)
-        found = int(sv_rank(s))
-        if found != rank:
-            raise ArithmeticError(
-                f"sketch rank {found} disagrees with trace rank {rank}"
-            )
-        basis = np.ascontiguousarray(u[:, :rank])
-        image = apply_projector(lam, basis.reshape((k,) * m + (rank,)))
-        defect = np.abs(image.reshape(size, rank) - basis).max()
-        if defect > 1e-8:
-            raise ArithmeticError(f"image basis certification failed ({defect:.2e})")
+    tableaux = _semistandard(k, lam)
+    count = tableaux.shape[1]
+    if count != rank:
+        raise ArithmeticError(f"{count} semistandard tableaux, trace rank {rank}")
+    # M_p e_t = e_{t o p^-1}: each term of Y puts its coefficient at one row
+    # of every column
+    images = np.zeros((k**m, count))
+    columns = np.arange(count)
+    for p, c in _certified_young(lam).items():
+        flat = np.ravel_multi_index(tableaux[list(inverse(p))], (k,) * m)
+        np.add.at(images, (flat, columns), float(c))
+    try:
+        chol = np.linalg.cholesky(images.T @ images)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"tableau images are dependent: {exc}") from None
+    basis = images @ np.linalg.inv(chol).T
     basis.setflags(write=False)
     return WeylSpace(k=k, lam=lam, m=m, basis=basis, dim=rank)
 

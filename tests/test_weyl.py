@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import weyl
-from diraclab.tensoridx import compose
+from diraclab.cli import EXIT_FAIL, main
+from diraclab.tensoridx import add, compose
 from diraclab.weyl import (
     apply_projector,
     check_membership,
@@ -116,13 +119,82 @@ def test_cached_elements_are_immutable(lam):
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("lam", LAMS)
-def test_sketch_basis_orthonormal_and_fixed(k, lam):
+def test_tableau_basis_orthonormal_and_fixed(k, lam):
     ws = weyl_space(k, lam)
     b = ws.basis
     assert ws.dim == weyl_dim(k, lam) == b.shape[1]
     if ws.dim:
         assert np.abs(b.T @ b - np.eye(ws.dim)).max() <= 1e-12
         assert np.abs(_project(k, lam, b) - b).max() <= 1e-8
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("lam", LAMS)
+def test_tableau_count_is_the_dimension(k, lam):
+    # exact: no basis is built, so k = 6, 7 cost nothing; (2, "311") has none
+    count = weyl._semistandard(k, lam).shape[1]
+    assert count == weyl_dim(k, lam) == weyl.projector_rank(k, lam)
+    if (k, lam) == (2, "311"):
+        assert count == 0
+
+
+@pytest.fixture()
+def cold_weyl():
+    # every cache a rebuild touches starts and ends empty
+    caches = (weyl.weyl_space, weyl._certified_young, weyl._identity_polynomials)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_weyl")
+def test_tableau_basis_is_deterministic(monkeypatch):
+    built = {lam: weyl_space(4, lam).basis.copy() for lam in LAMS}
+    weyl.weyl_space.cache_clear()
+    weyl._certified_young.cache_clear()
+    legacy = np.random.get_state()
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the basis build drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for lam in LAMS:
+        again = weyl_space(4, lam).basis
+        assert again.tobytes() == built[lam].tobytes()
+    state = np.random.get_state()
+    assert state[0] == legacy[0] and np.array_equal(state[1], legacy[1])
+    assert state[2:] == legacy[2:]
+
+
+@pytest.mark.usefixtures("cold_weyl")
+def test_wrong_symmetrizer_fails_certification(monkeypatch, capsys):
+    # Y + 1 is not fixed by C, so C Y = Y fails in Q[S_m]; a rescaled Y
+    # would pass, rightly: it spans the same image
+    real = weyl.young_terms
+
+    def wrong(lam, normalized=True):
+        identity = tuple(range(weyl.PARTITIONS[lam][1]))
+        return MappingProxyType(add(real(lam, normalized), {identity: 1}))
+
+    monkeypatch.setattr(weyl, "young_terms", wrong)
+    with pytest.raises(ArithmeticError, match="C Y != Y"):
+        weyl_space(3, "22")
+    code = main(["verify", "--scope", "weyl", "--k", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_FAIL
+    assert report["error"] == "certification"
+
+
+@pytest.mark.usefixtures("cold_weyl")
+def test_singular_gram_fails_certification(monkeypatch):
+    def singular(gram):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", singular)
+    with pytest.raises(ArithmeticError, match="dependent"):
+        weyl_space(3, "21")
 
 
 @pytest.mark.parametrize("k", KS)
@@ -227,8 +299,9 @@ def test_basis_is_orthonormal_and_fixed():
     assert np.abs(terms_matrix(weyl.projector_terms("22"), 4) @ b - b).max() <= 1e-10
 
 
-def test_large_k_randomized_basis_path():
-    # k=5 order-5 tensors: rank from the exact trace, basis from the sketch
+def test_large_k_tableau_basis():
+    # k=5 order-5 tensors: rank from the exact trace, basis from the 126
+    # semistandard tableaux
     ws = weyl_space(5, "311")
     assert ws.dim == weyl.projector_rank(5, "311") == weyl_dim(5, "311") == 126
     assert np.abs(_project(5, "311", ws.basis) - ws.basis).max() <= 1e-8
