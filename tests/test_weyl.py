@@ -119,7 +119,9 @@ def test_cached_elements_are_immutable(lam):
 
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("lam", LAMS)
-def test_tableau_basis_orthonormal_and_fixed(k, lam):
+def test_sketch_basis_orthonormal_and_fixed(k, lam):
+    # the name predates the tableau construction; the basis checked here is
+    # built from semistandard tableaux, with no sketch
     ws = weyl_space(k, lam)
     b = ws.basis
     assert ws.dim == weyl_dim(k, lam) == b.shape[1]
