@@ -11,6 +11,7 @@ drops the `timings` block).  The list:
 * every command of the `verify-poly` and `verify-symbolic` workloads at
   seeds 1, 3 and 5;
 * `verify --scope all` at seeds 0-3;
+* `verify --scope weyl --k 6`, a k past the suite's sweep of 2..5;
 * `verify --scope boundary` at (k, n) = (2,1), (3,1), (4,2), (4,3), (2,4)
   and `verify --scope complex --samples 70` at (2,3), (3,3), (4,3), (3,1),
   (2,4), both at seeds 0 and 7;
@@ -57,6 +58,7 @@ def commands():
     cmds = [list(c.argv) for name in ("verify-poly", "verify-symbolic")
             for seed in (1, 3, 5) for c in make_workload(name, seed).commands]
     cmds += [["verify", "--scope", "all", "--seed", str(s)] for s in range(4)]
+    cmds += [["verify", "--scope", "weyl", "--k", "6"]]
     for seed in ("0", "7"):
         cmds += [["verify", "--scope", "boundary", "--k", str(k), "--n", str(n),
                   "--seed", seed] for k, n in ((2, 1), (3, 1), (4, 2), (4, 3), (2, 4))]

@@ -106,7 +106,7 @@ def checks_weyl(k):
     expected_n = {"21": 3.0, "22": 12.0, "311": 20.0}
     for lam in ("21", "22", "311"):
         ws = weyl.weyl_space(k, lam)
-        # exact in the group algebra: residuals are 0.0 when the identity holds
+        # exact in the group algebra: each gap is 0.0 exactly when its identity holds
         exact = weyl.exact_checks(k, lam)
         out.append(_check(f"projector_idempotent lam={lam} k={k}",
                           "C^2 = C", exact["projector_idempotent"], 1e-10))
@@ -530,6 +530,18 @@ def _validate(parser, args):
         if args.sweep and not all(x.strip().isdecimal() and int(x) >= 4
                                   for x in args.sweep.split(",")):
             parser.error("--sweep takes comma separated integers >= 4, as --N does")
+        # nan would pass every `> tol` guard silently, and nan or inf geometry
+        # would run a meaningless solve
+        for flag in ("L", "radius", "tol"):
+            if not (np.isfinite(getattr(args, flag)) and getattr(args, flag) > 0):
+                parser.error(f"--{flag} must be finite and > 0")
+        if args.center:
+            try:
+                finite = np.isfinite([float(x) for x in args.center.split(",")]).all()
+            except ValueError:
+                finite = False
+            if not finite:
+                parser.error("--center takes comma separated finite numbers")
 
 
 def main(argv=None):

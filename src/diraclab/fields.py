@@ -36,9 +36,10 @@ members at once, through the same code path as on one field:
   (T, B, s), on the union of the members' rows.  The boundary suite's
   batches are stacks from the start (the monogenic basis, and phi times
   each basis spinor) or stacked from keyed draws: its members share rows,
-  which a keyed field repeats once per member (keyed, the suite measured
-  0.50-0.59 s per iteration of its ``verify-poly`` commands against
-  0.30-0.37 s on stacks; see the README).
+  which a keyed field repeats once per member (re-measured with one field
+  form, warm and in-process at seed 1 on a 2-vCPU VM: keyed, its four
+  ``verify-poly`` commands took 0.45-0.55 s per iteration against
+  0.18-0.21 s on stacks; see the README).
 
 Differentiation multiplies by small integers and the gamma contractions have
 entries in {0, +-1, +-i}, so the algebraic operator identities hold on

@@ -99,17 +99,23 @@ def field_dim(space, k, s_dim):
     raise ValueError(f"no grid representation for space {space!r}")
 
 
-def _require_memory(k, n, N, planes):
-    """Refuse, or return the bytes of, a call holding `planes` complex grids at
-    once, plus one plane for what callers leave out (weights, masks, buffers)."""
+def _require_bytes(need, what):
+    """Refuse `what` if its `need` bytes exceed the memory cap; else return
+    `need`."""
     cap_gib = float(os.environ.get(MEM_ENV_VAR, DEFAULT_MEM_GIB))
-    need = (planes + 1) * (N ** (k * n)) * 16
     if need > cap_gib * 2**30:
         raise ResourceLimitError(
-            f"grid {N}^{k * n} x {planes:g} planes needs about {need / 2**30:.2f} GiB "
+            f"{what} needs about {need / 2**30:.2f} GiB "
             f"(> cap {cap_gib} GiB; override via {MEM_ENV_VAR})"
         )
     return need
+
+
+def _require_memory(k, n, N, planes):
+    """Refuse, or return the bytes of, a call holding `planes` complex grids at
+    once, plus one plane for what callers leave out (weights, masks, buffers)."""
+    return _require_bytes((planes + 1) * (N ** (k * n)) * 16,
+                          f"grid {N}^{k * n} x {planes:g} planes")
 
 
 def grid_axes(N, L, kn):

@@ -12,26 +12,26 @@ power of C^k in two independent ways:
 Both are elements of the group algebra Q[S_m] (:mod:`diraclab.tensoridx`),
 signed sums of at most 36 slot permutations, and that element is their only
 representation.  :func:`apply_projector` applies ``C_lam`` to tensors.  The
-identities between them (idempotency, equal images, rank) are exact
-statements in Q[S_m]: elements compose there, and traces and Frobenius norms
-on (C^k)^{(x) m} are polynomials in k read off cycle counts
-(:func:`trace_polynomial`, :func:`gram_polynomial`).  No (k^m, k^m) matrix is
-formed.  :func:`weyl_dim`, the product formula, stays the independent rank
-oracle.  :func:`sv_rank` is the package's one numeric-rank rule.
+identities between them are certified term by term in Q[S_m]:
+``C_lam = Y_lam`` as elements, and ``C_lam C_lam = C_lam``.  Neither depends
+on k, and each implies the matching operator identity on (C^k)^{(x) m} at
+every k.  The rank is the exact trace, a polynomial in k read off cycle
+counts (:func:`trace_polynomial`), so no (k^m, k^m) matrix is formed.
+:func:`weyl_dim`, the product formula, stays the independent rank oracle.
+:func:`sv_rank` is the package's one numeric-rank rule.
 
 :func:`weyl_space` builds each module's basis from the classical standard
 basis (Fulton, *Young Tableaux*, 1997, 8.1; Fulton-Harris, *Representation
 Theory*, Lecture 6): ``Y_lam e_T`` for the semistandard tableaux T of shape
 lam with entries < k.  It is certified exactly, with no random numbers:
-``C_lam Y_lam = Y_lam`` in Q[S_m], and the tableau count equals the trace
-rank.
+``C_lam = Y_lam`` and ``C_lam^2 = C_lam`` in Q[S_m], and the tableau count
+equals the trace rank.
 
 Tableau convention: the tableau position p (1-based) is the tensor slot
 ``m - p``, so the right action of a tableau permutation on basis tensors is
 an explicit slot permutation.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -173,12 +173,18 @@ def _semistandard(k, lam):
 
 
 @lru_cache(maxsize=None)
-def _certified_young(lam):
-    """``Y_lam``, after checking ``C_lam Y_lam = Y_lam`` exactly in Q[S_m]."""
-    y = young_terms(lam)
-    if compose(projector_terms(lam), y) != dict(y):
-        raise ArithmeticError(f"C Y != Y in Q[S_m] for lam={lam}")
-    return y
+def _gap(lam, identity):
+    """Largest |coefficient| of left - right in Q[S_m] for the identity of
+    `lam` named by an :func:`exact_checks` key: ``projector_idempotent``
+    (C C = C), ``symmetrizer_idempotent`` (Y Y = Y), ``image_equality`` (C = Y,
+    the one that costs no product)."""
+    c, y = projector_terms(lam), young_terms(lam)
+    if identity == "image_equality":
+        left, right = c, y
+    else:
+        x = c if identity == "projector_idempotent" else y
+        left, right = compose(x, x), x
+    return max(map(abs, add(left, scale(right, -1)).values()), default=Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -189,12 +195,20 @@ def weyl_space(k, lam):
     Fulton-Harris, *Representation Theory*, Lecture 6): ``Y_lam e_T`` for
     the semistandard tableaux T of shape `lam` with entries < k,
     orthonormalised through the Cholesky factor of its Gram matrix.  It is
-    certified exactly: ``C_lam Y_lam = Y_lam`` in Q[S_m] puts every column in
-    the image of ``C_lam``, and the tableau count equals the exact trace rank.
-    A failed certification, or a singular Gram matrix, raises ArithmeticError.
+    certified exactly: ``C_lam = Y_lam`` and ``C_lam^2 = C_lam`` in Q[S_m]
+    make ``C_lam Y_lam = Y_lam``, which puts every column in the image of
+    ``C_lam``, and the tableau count equals the exact trace rank.  A failed
+    certification, or a singular Gram matrix, raises ArithmeticError; dense
+    arrays over the memory cap raise :class:`~diraclab.solver.ResourceLimitError`.
     """
-    rank = projector_rank(k, lam)
+    from .solver import _require_bytes  # solver imports this module
+    for key, law in (("image_equality", "C != Y"), ("projector_idempotent", "C C != C")):
+        if _gap(lam, key):
+            raise ArithmeticError(f"{law} in Q[S_m] for lam={lam}")
+    rank = projector_rank(k, lam)  # a rank, now that C is idempotent
     m = PARTITIONS[lam][1]
+    # the images, the basis and the (m, k^m) tableau candidates, 8 bytes each
+    _require_bytes((2 * rank + m) * k**m * 8, f"Weyl module {lam} over C^{k}")
     tableaux = _semistandard(k, lam)
     count = tableaux.shape[1]
     if count != rank:
@@ -203,7 +217,7 @@ def weyl_space(k, lam):
     # of every column
     images = np.zeros((k**m, count))
     columns = np.arange(count)
-    for p, c in _certified_young(lam).items():
+    for p, c in young_terms(lam).items():
         flat = np.ravel_multi_index(tableaux[list(inverse(p))], (k,) * m)
         np.add.at(images, (flat, columns), float(c))
     try:
@@ -216,13 +230,13 @@ def weyl_space(k, lam):
 
 
 @lru_cache(maxsize=None)
-def young_terms(lam, normalized=True):
-    """The Young symmetrizer's right action as an element of Q[S_m].
+def young_terms(lam):
+    """The normalized Young symmetrizer's right action as an element of Q[S_m].
 
     The column antisymmetrizer acts first, the row symmetrizer second, as in
     the defining right action on basis tensors: the product of the row sums
     composed with the product of the column sums, over the slots ``m - p`` of
-    the tableau positions p.
+    the tableau positions p, divided by the tableau factor n of ``_TABLEAU``.
     """
     if lam not in _TABLEAU:
         raise ValueError(f"unsupported partition tag {lam!r}")
@@ -236,11 +250,11 @@ def young_terms(lam, normalized=True):
         return out
 
     y = compose(product(rows, False), product(cols, True))
-    return MappingProxyType(scale(y, Fraction(1, norm)) if normalized else y)
+    return MappingProxyType(scale(y, Fraction(1, norm)))
 
 
 # ---------------------------------------------------------------------------
-# traces and norms of Q[S_m] elements on (C^k)^{(x) m}
+# traces of Q[S_m] elements on (C^k)^{(x) m}
 
 
 def _cycles(p):
@@ -269,84 +283,40 @@ def trace_polynomial(x):
     return tuple(out)
 
 
-def gram_polynomial(x):
-    """Coefficients of ``||X||_F^2 = sum_{p,q} c_p c_q k^cycles(p^-1 q)``.
-
-    This is the trace polynomial of ``X^T X``, since ``M_p^T = M_{p^-1}``.
-    """
-    adjoint = {inverse(p): c for p, c in x.items()}
-    return trace_polynomial(compose(adjoint, x))
-
-
 def evaluate(poly, k):
     """Exact value at `k` of a polynomial given by its coefficients."""
     return sum((c * k**j for j, c in enumerate(poly)), Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _identity_polynomials(lam):
-    """k-independent data of the Weyl-layer identities of `lam`: polynomials
-    in k, and the ratio n of ``Y_u^2 = n Y_u`` for the unnormalized Young
-    symmetrizer (None if the square is not a multiple of ``Y_u``)."""
-    c, y = projector_terms(lam), young_terms(lam)
-    yu = young_terms(lam, normalized=False)
-    square = compose(yu, yu)
-    ratios = {square.get(p, 0) / a for p, a in yu.items()}
-    proportional = len(ratios) == 1 and set(square) <= set(yu)
-    return {
-        "young_ratio": ratios.pop() if proportional else None,
-        "trace_c": trace_polynomial(c),
-        "trace_y": trace_polynomial(y),
-        "norm_c": gram_polynomial(c),
-        "norm_y": gram_polynomial(y),
-        "idem_c": gram_polynomial(add(compose(c, c), scale(c, -1))),
-        "idem_y": gram_polynomial(add(compose(y, y), scale(y, -1))),
-        "cy": gram_polynomial(add(compose(c, y), scale(y, -1))),
-        "yc": gram_polynomial(add(compose(y, c), scale(c, -1))),
-    }
-
-
-def _relative(residual, norm, k):
-    # ||R||_F / ||X||_F from squared norms; a zero operator has a zero residual
-    den = evaluate(norm, k)
-    return math.sqrt(evaluate(residual, k) / den) if den else 0.0
-
-
 def exact_checks(k, lam):
-    """The Weyl-layer identities of `lam` on (C^k)^{(x) m}, computed exactly.
+    """The Weyl-layer identities of `lam`, certified term by term in Q[S_m].
 
-    Returns the relative Frobenius residuals ``projector_idempotent``
-    (``||C^2 - C|| / ||C||``), ``symmetrizer_idempotent`` (the same for the
-    normalized Young symmetrizer Y) and ``image_equality`` (the larger of
-    ``||CY - Y|| / ||Y||`` and ``||YC - C|| / ||C||``: ``CY = Y`` puts
-    image(Y) inside image(C), ``YC = C`` the converse), each 0.0 when its
-    identity holds exactly, and the exact traces ``trace_c`` and ``trace_y``
-    (the ranks, for idempotents).
+    Returns the gaps ``projector_idempotent``, ``symmetrizer_idempotent`` and
+    ``image_equality``: the largest |coefficient| of ``C^2 - C``, of
+    ``Y^2 - Y`` (Y the normalized Young symmetrizer) and of ``C - Y``, each
+    0.0 exactly when its identity holds.  They do not depend on k, and each
+    identity implies the operator identity on (C^k)^{(x) m} at every k; C = Y
+    gives image(C) = image(Y).  Also returns the exact traces ``trace_c`` and
+    ``trace_y`` on (C^k)^{(x) m} (the ranks, for idempotents).
     """
     _require(k, lam)
-    poly = _identity_polynomials(lam)
-    return {
-        "projector_idempotent": _relative(poly["idem_c"], poly["norm_c"], k),
-        "symmetrizer_idempotent": _relative(poly["idem_y"], poly["norm_y"], k),
-        "image_equality": max(_relative(poly["cy"], poly["norm_y"], k),
-                              _relative(poly["yc"], poly["norm_c"], k)),
-        "trace_c": evaluate(poly["trace_c"], k),
-        "trace_y": evaluate(poly["trace_y"], k),
-    }
+    out = {key: float(_gap(lam, key)) for key in
+           ("projector_idempotent", "symmetrizer_idempotent", "image_equality")}
+    out["trace_c"] = evaluate(trace_polynomial(projector_terms(lam)), k)
+    out["trace_y"] = evaluate(trace_polynomial(young_terms(lam)), k)
+    return out
 
 
 def young_eigenvalue(k, lam):
     """Nonzero eigenvalue n of the unnormalized symmetrizer, ``Y_u^2 = n Y_u``.
 
-    Read as the coefficient ratio of ``Y_u^2`` to ``Y_u`` in Q[S_m]; nan when
-    ``Y_u`` is the zero operator on (C^k)^{(x) m} (k = 2 for (3,1,1)) or the
-    ratio is not one number.
+    n is the tableau factor (3, 12 or 20): ``Y_lam = Y_u / n``, so the
+    certified ``Y_lam^2 = Y_lam`` (:func:`exact_checks`) is ``Y_u^2 = n Y_u``.
+    nan when the rank is 0, as for (3,1,1) at k = 2, where ``Y_u`` is zero.
     """
-    _require(k, lam)
-    poly = _identity_polynomials(lam)
-    if poly["young_ratio"] is None or not evaluate(poly["norm_y"], k):
+    if projector_rank(k, lam) == 0:
         return float("nan")
-    return float(poly["young_ratio"])
+    return float(_TABLEAU[lam][2])
 
 
 def check_membership(lam, h, rows=False):

@@ -318,6 +318,54 @@ def test_solve_memory_cap_exit_code(monkeypatch, capsys):
     assert code == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--tol", "nan", "--break-compat"), "--tol must be finite and > 0"),
+    (("--tol", "0"), "--tol must be finite and > 0"),
+    (("--L", "nan"), "--L must be finite and > 0"),
+    (("--L", "inf"), "--L must be finite and > 0"),
+    (("--radius", "nan"), "--radius must be finite and > 0"),
+    (("--radius", "-0.5"), "--radius must be finite and > 0"),
+    (("--center", "nan,3,3,3"), "--center takes comma separated finite numbers"),
+    (("--center", "3,inf,3,3"), "--center takes comma separated finite numbers"),
+    (("--center", "3,x,3,3"), "--center takes comma separated finite numbers"),
+])
+def test_solve_rejects_nonfinite_flags_before_solving(flags, message, monkeypatch, capsys):
+    # a nan --tol would switch the compatibility guard off (no `> nan` is
+    # true), and nan or inf geometry would run a meaningless solve: each is a
+    # usage error (exit 2) naming its flag before any grid is built
+    from diraclab import solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(solver, "recover_bump", no_solve)
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--k", "2", "--n", "2", "--N", "8", *flags])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scope", ["weyl", "ellipticity"])
+def test_verify_weyl_memory_cap_exit_code(scope, monkeypatch, capsys):
+    # the Weyl bases are dense (k^m, dim) arrays: over the cap, verify exits 3
+    # as solve does; cleared caches make k = 5 build again, and the cap
+    # refuses before anything large is allocated
+    from diraclab import symbols, weyl
+
+    caches = (weyl.weyl_space, symbols._sigma1_constants, symbols._order5_constants)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setenv("DIRACLAB_MEM_LIMIT_GIB", "0.0001")
+    try:
+        code, report = run_cli(capsys, "verify", "--scope", scope, "--k", "5")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert code == EXIT_RESOURCE
+    assert report["error"] == "resource-limit"
+    assert report["detail"].startswith("Weyl module")
+
+
 @pytest.mark.parametrize("argv, target", [
     (("solve", "--k", "2", "--n", "2", "--N", "8"), "solver._certify_recovery_identity"),
     (("verify", "--scope", "ellipticity", "--k", "3", "--samples", "2"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diraclab import weyl
 from diraclab.cli import EXIT_FAIL, main
-from diraclab.tensoridx import add, compose
+from diraclab.tensoridx import compose, scale
 from diraclab.weyl import (
     apply_projector,
     check_membership,
@@ -73,8 +73,8 @@ def test_young_idempotent_and_image(k, lam):
 @pytest.mark.parametrize("k", ORACLE_KS)
 @pytest.mark.parametrize("lam", LAMS)
 def test_group_algebra_matches_dense_oracle(k, lam):
-    # products, traces and Frobenius norms of the exact route against the
-    # dense matrices, including C^2, CY and YC
+    # products and traces of the exact route against the dense matrices,
+    # including C^2, CY and YC
     c, y = weyl.projector_terms(lam), weyl.young_terms(lam)
     cm, ym = _dense(k, lam)
     for x, dense in ((c, cm), (y, ym), (compose(c, c), cm @ cm),
@@ -82,9 +82,7 @@ def test_group_algebra_matches_dense_oracle(k, lam):
         mat = terms_matrix(x, k)
         assert np.abs(mat - dense).max() <= 1e-13
         trace = weyl.evaluate(weyl.trace_polynomial(x), k)
-        frob = weyl.evaluate(weyl.gram_polynomial(x), k)
         assert float(trace) == pytest.approx(np.trace(dense), abs=1e-11)
-        assert float(frob) == pytest.approx(np.linalg.norm(dense) ** 2, rel=1e-13)
 
 
 _ELEMENT3 = st.dictionaries(
@@ -97,22 +95,19 @@ _ELEMENT3 = st.dictionaries(
 @settings(max_examples=30, deadline=None)
 @given(_ELEMENT3, _ELEMENT3, st.sampled_from(ORACLE_KS))
 def test_random_elements_match_dense_oracle(x, y, k):
-    # elements on three slots: the product, trace and Frobenius norm of the
-    # group algebra equal those of the dense matrices
+    # elements on three slots: the product and trace of the group algebra
+    # equal those of the dense matrices
     xm, ym = terms_matrix(x, k, 3), terms_matrix(y, k, 3)
     prod = compose(x, y)
     assert np.abs(terms_matrix(prod, k, 3) - xm @ ym).max() <= 1e-12
     assert float(weyl.evaluate(weyl.trace_polynomial(x), k)) == pytest.approx(
         np.trace(xm), abs=1e-10)
-    assert float(weyl.evaluate(weyl.gram_polynomial(prod), k)) == pytest.approx(
-        np.linalg.norm(xm @ ym) ** 2, rel=1e-12, abs=1e-10)
 
 
 @pytest.mark.parametrize("lam", LAMS)
 def test_cached_elements_are_immutable(lam):
     # lru_cache hands every caller the same element
-    for x in (weyl.projector_terms(lam), weyl.young_terms(lam),
-              weyl.young_terms(lam, normalized=False)):
+    for x in (weyl.projector_terms(lam), weyl.young_terms(lam)):
         with pytest.raises(TypeError):
             x[next(iter(x))] = 0
 
@@ -143,7 +138,7 @@ def test_tableau_count_is_the_dimension(k, lam):
 @pytest.fixture()
 def cold_weyl():
     # every cache a rebuild touches starts and ends empty
-    caches = (weyl.weyl_space, weyl._certified_young, weyl._identity_polynomials)
+    caches = (weyl.weyl_space, weyl._gap)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -155,7 +150,7 @@ def cold_weyl():
 def test_tableau_basis_is_deterministic(monkeypatch):
     built = {lam: weyl_space(4, lam).basis.copy() for lam in LAMS}
     weyl.weyl_space.cache_clear()
-    weyl._certified_young.cache_clear()
+    weyl._gap.cache_clear()
     legacy = np.random.get_state()
 
     def no_rng(*args, **kwargs):
@@ -172,21 +167,35 @@ def test_tableau_basis_is_deterministic(monkeypatch):
 
 @pytest.mark.usefixtures("cold_weyl")
 def test_wrong_symmetrizer_fails_certification(monkeypatch, capsys):
-    # Y + 1 is not fixed by C, so C Y = Y fails in Q[S_m]; a rescaled Y
-    # would pass, rightly: it spans the same image
+    # 2 Y spans the same image as Y, and C (2 Y) = 2 Y, but the certificate
+    # is the element equality C = Y, which 2 Y fails in Q[S_m]: C - 2 Y = -Y,
+    # so the gap is Y's largest |coefficient|
     real = weyl.young_terms
-
-    def wrong(lam, normalized=True):
-        identity = tuple(range(weyl.PARTITIONS[lam][1]))
-        return MappingProxyType(add(real(lam, normalized), {identity: 1}))
-
-    monkeypatch.setattr(weyl, "young_terms", wrong)
-    with pytest.raises(ArithmeticError, match="C Y != Y"):
+    largest = float(max(map(abs, real("22").values())))
+    monkeypatch.setattr(weyl, "young_terms", lambda lam: MappingProxyType(scale(real(lam), 2)))
+    assert exact_checks(3, "22")["image_equality"] == largest
+    with pytest.raises(ArithmeticError, match="C != Y"):
         weyl_space(3, "22")
     code = main(["verify", "--scope", "weyl", "--k", "3"])
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_FAIL
     assert report["error"] == "certification"
+
+
+@pytest.mark.usefixtures("cold_weyl")
+def test_perturbed_projector_fails_idempotence(monkeypatch):
+    # one coefficient of C moved, and Y set to the same element: C = Y still
+    # holds, so only C C = C can refuse the basis
+    c = dict(weyl.projector_terms("22"))
+    c[next(iter(c))] += Fraction(1, 1000)
+    bad = MappingProxyType(c)
+    monkeypatch.setattr(weyl, "projector_terms", lambda lam: bad)
+    monkeypatch.setattr(weyl, "young_terms", lambda lam: bad)
+    gaps = exact_checks(3, "22")
+    assert gaps["image_equality"] == 0.0
+    assert gaps["projector_idempotent"] == gaps["symmetrizer_idempotent"] > 0.0
+    with pytest.raises(ArithmeticError, match="C C != C"):
+        weyl_space(3, "22")
 
 
 @pytest.mark.usefixtures("cold_weyl")
@@ -211,7 +220,6 @@ def test_degenerate_two_variable_dims():
         assert weyl_dim(2, lam) == d
     _, ym = _dense(2, "311")
     assert np.abs(ym).max() == 0.0
-    assert weyl.evaluate(weyl.gram_polynomial(weyl.young_terms("311")), 2) == 0
     assert np.isnan(young_eigenvalue(2, "311"))
 
 
