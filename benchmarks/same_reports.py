@@ -23,6 +23,10 @@ drops the `timings` block).  The list:
 
 A command listed twice (the workloads' `weyl` commands take no seed) runs
 once.  Exit code 0 if every command agrees, 1 naming each one that does not.
+Each differing command is classified: `same verdicts` when the exit code,
+the report's `pass` and every check's name, tolerance and pass flag agree,
+in order, else `verdicts differ`; either way with the largest |delta| among
+the checks' `value` fields, paired in order.
 """
 
 import argparse
@@ -94,9 +98,42 @@ def _report(text):
 
 
 def differing(cmds, ours, base):
-    """The commands whose exit code or report differs between the two runs."""
-    return [argv for argv, (c1, t1), (c2, t2) in zip(cmds, ours, base)
-            if c1 != c2 or _report(t1) != _report(t2)]
+    """The commands whose exit code or report differs between the two runs,
+    each with its two [exit code, stdout] pairs."""
+    return [(argv, a, b) for argv, a, b in zip(cmds, ours, base)
+            if a[0] != b[0] or _report(a[1]) != _report(b[1])]
+
+
+def _parsed(text):
+    """The report as a dict, or None if the output is not a JSON object."""
+    try:
+        report = json.loads(text)
+    except ValueError:
+        return None
+    return report if isinstance(report, dict) else None
+
+
+def _checks(text):
+    return (_parsed(text) or {}).get("checks") or []
+
+
+def verdicts(code, text):
+    """The exit code, the report's `pass`, and each check's name, tolerance
+    and pass flag, in order; a non-JSON output is its own verdict."""
+    report = _parsed(text)
+    if report is None:
+        return code, text
+    return code, report.get("pass"), [(c.get("name"), c.get("tolerance"), c.get("pass"))
+                                      for c in report.get("checks") or []]
+
+
+def largest_move(ours, base):
+    """The largest |delta| between the checks' numeric `value` fields, paired
+    in order."""
+    pairs = zip(_checks(ours[1]), _checks(base[1]))
+    return max((abs(a["value"] - b["value"]) for a, b in pairs
+                if all(isinstance(c.get("value"), (int, float)) for c in (a, b))),
+               default=0.0)
 
 
 def main(argv=None):
@@ -105,8 +142,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     cmds = commands()
     bad = differing(cmds, run(ROOT, cmds), run(os.path.abspath(args.base), cmds))
-    for argv in bad:
-        print("differs: " + " ".join(argv))
+    for argv, ours, base in bad:
+        same = "same verdicts" if verdicts(*ours) == verdicts(*base) else "verdicts differ"
+        print(f"differs: {' '.join(argv)}: {same}, "
+              f"largest |delta value| {largest_move(ours, base):.2e}")
     print(f"{len(cmds)} commands, {len(bad)} differ")
     return 1 if bad else 0
 

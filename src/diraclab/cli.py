@@ -103,7 +103,6 @@ def checks_clifford(n_max, samples, seed):
 
 def checks_weyl(k):
     out = []
-    expected_n = {"21": 3.0, "22": 12.0, "311": 20.0}
     for lam in ("21", "22", "311"):
         ws = weyl.weyl_space(k, lam)
         # exact in the group algebra: each gap is 0.0 exactly when its identity holds
@@ -115,16 +114,14 @@ def checks_weyl(k):
                           exact["symmetrizer_idempotent"], 1e-10))
         same = exact["image_equality"]
         out.append(_check(f"image_equality lam={lam} k={k}",
-                          "image(C) = image(Young symmetrizer): CY = Y, YC = C, "
-                          "tr Y = tr C", same, 1e-8,
+                          "C = Y in Q[S_m] (so CY = Y, YC = C, tr Y = tr C)",
+                          same, 1e-8,
                           ok=exact["trace_y"] == exact["trace_c"] and same <= 1e-8))
         oracle = weyl.weyl_dim(k, lam)
         out.append(_check(f"module_dimension lam={lam} k={k}",
                           "projector rank = Weyl dimension formula",
                           float(abs(ws.dim - oracle)), 0.0, ok=ws.dim == oracle,
-                          measured=ws.dim, oracle=oracle,
-                          young_eigenvalue=weyl.young_eigenvalue(k, lam),
-                          expected_eigenvalue=expected_n[lam]))
+                          measured=ws.dim, oracle=oracle))
         if ws.dim > 0:
             cols = ws.basis.reshape((k,) * ws.m + (ws.dim,))
             diff = np.empty_like(cols)

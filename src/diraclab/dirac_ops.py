@@ -10,7 +10,8 @@ independent ways:
 * a "direct" route transcribing the componentwise displays (the default for
   the public entry points), and
 * a "projector" route applying the Weyl-module projector's term list to a
-  raw derivative tensor, with the appropriate prefactor (3/2, 6 or 10/3).
+  raw derivative tensor, times the operator's prefactor (:data:`_PREFACTOR`,
+  which :mod:`~diraclab.symbols` reads too).
 
 The two routes agreeing to roundoff on random fields is one of the package's
 standing checks.  A stack is an (exponents, values) pair whose values carry
@@ -145,16 +146,22 @@ def d1(F, rep):
 
 
 def d1_projector(F, rep):
-    """Second operator through the (2,1) projector: 3/2 C21(grad2)."""
+    """Second operator through the (2,1) projector: c C21(grad2)."""
     _require_space(F, "V1", "d1_projector")
     expo, grad2 = _grad(F, rep, 2)
-    return _result(F, "V2", expo, _apply_projector(grad2, "21", 1.5))
+    return _result(F, "V2", expo, _apply_projector(grad2, "21"))
 
 
-def _apply_projector(vals, lam, prefactor):
+#: the prefactor c of each projector form, by partition tag:
+#: D1 = 3/2 C21(grad2), D2' = 6 C22(grad) and
+#: D2'' = 10/3 C311(2 grad_E grad_D + grad_D grad_E)
+_PREFACTOR = {"21": 1.5, "22": 6.0, "311": 10.0 / 3.0}
+
+
+def _apply_projector(vals, lam):
     # vals: (terms,) + (k,)*m + (s,); the projector wants the tensor axes first
     out = weyl.apply_projector(lam, np.moveaxis(vals, 0, -1))
-    return prefactor * np.moveaxis(out, -1, 0)
+    return _PREFACTOR[lam] * np.moveaxis(out, -1, 0)
 
 
 def _require_order5(h):
@@ -182,11 +189,11 @@ def d2p(h, rep):
 
 
 def d2p_projector(h, rep):
-    """Third operator, first-order branch, as 6 C22(grad h)."""
+    """Third operator, first-order branch, as c C22(grad h)."""
     _require_space(h, "V2", "d2p_projector")
     _require_order5(h)
     expo, grad = _grad(h, rep)
-    return _result(h, "V3p", expo, _apply_projector(grad, "22", 6.0))
+    return _result(h, "V3p", expo, _apply_projector(grad, "22"))
 
 
 def d2pp(h, rep):
@@ -220,13 +227,13 @@ def d2pp(h, rep):
 def d2pp_projector(h, rep):
     """Second-order branch via the (3,1,1) projector.
 
-    Combination form: ``10/3 C311( 2 grad_E grad_D h + grad_D grad_E h )``.
+    Combination form: ``c C311( 2 grad_E grad_D h + grad_D grad_E h )``.
     """
     _require_space(h, "V2", "d2pp_projector")
     _require_order5(h)
     expo, w2 = _grad(h, rep, 2)
     mixed = 2.0 * w2 + np.einsum("tdeabcs->tedabcs", w2)
-    return _result(h, "V3pp", expo, _apply_projector(mixed, "311", 10.0 / 3.0))
+    return _result(h, "V3pp", expo, _apply_projector(mixed, "311"))
 
 
 def d1_star(h, rep):

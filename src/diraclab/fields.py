@@ -130,24 +130,20 @@ class PolyField:
     def scale(self, a):
         return PolyField(self.k, self.n, self.space, self.expo, a * self.vals)
 
-    def membership_residual(self, rows=False):
-        """Largest characterization residual among the coefficient arrays.
-
-        With ``rows=True``, the residual of each coefficient array, shape (T,).
-        """
+    def membership_residual(self):
+        """The characterization residual of each coefficient array, shape (T,)."""
         lam = SPACE_INFO[self.space][2]
         if lam is None or not len(self):
-            res = np.zeros(len(self))
-        else:  # one call, the row axis trailing
-            res = weyl.check_membership(lam, np.moveaxis(self.vals, 0, -1), rows=True)
-        return res if rows else float(res.max(initial=0.0))
+            return np.zeros(len(self))
+        # one call, the row axis trailing
+        return weyl.check_membership(lam, np.moveaxis(self.vals, 0, -1))
 
     def validate(self, tol=MEMBERSHIP_TOL):
         """Raise if a coefficient array leaves the value space.
 
         The error names the first member over `tol`.
         """
-        res = self.membership_residual(rows=True)
+        res = self.membership_residual()
         bad = res > tol
         if bad.any():
             key = self.expo[:, 0]
@@ -275,13 +271,13 @@ def keyed_norms(f, count):
 
 
 def keyed_residuals(f, count):
-    """Each member's ``membership_residual()``, shape (count,), bitwise.
+    """Each member's largest ``membership_residual()``, shape (count,), bitwise.
 
     One batched characterization call gives every row's residual, reduced
     within the row as for the member alone; then a maximum per member.
     """
     out = np.zeros(count)
-    np.maximum.at(out, _key(f, count), f.membership_residual(rows=True))
+    np.maximum.at(out, _key(f, count), f.membership_residual())
     return out
 
 

@@ -9,15 +9,20 @@ only place the symbol formulas live.  It takes xi of shape (k*n,) or
 covers a whole stack of frequencies.  sigma0 stacks the k one-variable
 Dirac symbols x_A of :func:`~diraclab.clifford.dirac_symbol`.
 
-With x_A = -i sum_j xi_Aj gamma_plus[j] (so x_A^H = -i sum_j xi_Aj
-gamma_minus[j]), each componentwise formula of sigma1, sigma2' and sigma2'' is
-a signed sum of slot permutations pi_i applied to a product of x_A^H,
-P_AB = x_A x_B^H or 2 <xi_A, xi_B> with the input tensor.  Contracting with
-the target's Weyl basis moves the permutations onto that basis as their
-adjoints pi_i^{-1}; contracting the result with the source basis w21 leaves
-one constant per k and formula, of size at most k^2 d_target d_21.  Each
-compressed matrix is then one einsum of its constant with the products, and
-no full tensor is formed.
+Each of sigma1, sigma2' and sigma2'' is the symbol of its operator's
+projector form, c C_lam applied to a raw derivative tensor, with c from
+:data:`~diraclab.dirac_ops._PREFACTOR`.  With x_A = -i sum_j xi_Aj
+gamma_plus[j] (so x_A^H = -i sum_j xi_Aj gamma_minus[j]), the raw symbol is
+P_AB = x_A x_B^H for D1 and D2'', and x_D^H for D2'.  Contracting with the
+target's real orthonormal Weyl basis W moves the projector onto that basis
+as its transpose: the pullback c C_lam^T W, where C_lam^T is C_lam's terms
+with inverted permutations (M_p^T = M_{p^-1}).  Contracting the pullback with
+the source basis w21 leaves one constant per k and operator, of size at most
+k^2 d_target d_21.  Each compressed matrix is then one einsum of its
+constant with the products, and no full tensor is formed.  The projector
+absorbs the displays' Delta_BC terms, so the scalars 2 <xi_B, xi_C> enter no
+symbol; the displays themselves are written once, in the direct operator
+forms of :mod:`~diraclab.dirac_ops`, which are the oracle.
 
 The fourth-order combinations
 
@@ -30,9 +35,8 @@ away from xi = 0; their inverses realize the Green operators frequency by
 frequency.  For k = 2 the order-5 branch does not exist and L2 degenerates to
 sigma1 sigma1* (recorded by ``has_order5 = False``).
 
-The checks below act on stacked bundles and return one value per frequency:
-a number for a single-frequency bundle, an array over the batch axes
-otherwise.
+The checks below act on stacked bundles and return one value per frequency,
+an array over the batch axes (0-d for a single frequency).
 """
 
 from dataclasses import dataclass
@@ -43,16 +47,13 @@ import numpy as np
 
 from . import weyl
 from .clifford import dirac_symbol
+from .dirac_ops import _PREFACTOR
+from .tensoridx import apply_compiled, compile_element, inverse
 
 
 def _h(mat):
     """Conjugate transpose over the last two axes."""
     return np.conj(np.swapaxes(mat, -1, -2))
-
-
-def _adjoint_sum(w, target, sources):
-    """sum_i pi_i^{-1} w, where pi_i maps a tensor T to einsum(f"{src}->{target}", T)."""
-    return sum(np.einsum(f"{target}->{src}", w) for src in sources)
 
 
 def _frozen(*arrays):
@@ -65,46 +66,46 @@ def _w21(k):
     return weyl.weyl_space(k, "21").basis.reshape((k,) * 3 + (-1,))
 
 
+def _pullback(k, lam):
+    """c C_lam^T applied to the Weyl basis of `lam`, shape (k,)*m + (d,): the
+    target side of the compressed symbol of c C_lam(raw derivative)."""
+    ws = weyl.weyl_space(k, lam)
+    transpose = {inverse(p): c for p, c in weyl.projector_terms(lam).items()}
+    return _PREFACTOR[lam] * apply_compiled(ws.basis.reshape((k,) * ws.m + (-1,)),
+                                            compile_element(transpose))
+
+
 @lru_cache(maxsize=None)
 def _sigma1_constants(k):
-    """The constants of sigma1 on P and on 2<xi, xi>, each of shape
+    """The constant c of sigma1 = sum_AB c[A, B] (x) P_AB, shape
     (k, k, d_21, k).  The Weyl bases are real, so none is conjugated."""
-    w2 = _w21(k)
-    # sigma1[abc, D] = 1/2 P_ab d_cD + 1/2 P_ac d_bD - 1/2 2<xi_b, xi_c> d_aD
-    return _frozen(0.5 * (np.einsum("abDr->abrD", w2) + np.einsum("aDbr->abrD", w2)),
-                   -0.5 * np.einsum("Dbcr->bcrD", w2))
+    return _frozen(np.swapaxes(_pullback(k, "21"), -1, -2))[0]
+
+
+def _on_w21(pull):
+    """sum_abc pull[..., a, b, c, q] w21[a, b, c, r], shape (..., q, r): the
+    source side of a compressed symbol.  One matmul per leading index, on a
+    transposed view, so no copy of the pullback is made."""
+    k = pull.shape[0]
+    flat = np.swapaxes(pull.reshape(-1, k**3, pull.shape[-1]), 1, 2)
+    out = flat @ _w21(k).reshape(k**3, -1)
+    return out.reshape(pull.shape[:-4] + out.shape[1:])
 
 
 @lru_cache(maxsize=None)
 def _order5_constants(k):
-    """The constants of sigma2', shape (k, d_22, d_21), and of sigma2'' on P
-    and on 2<xi, xi>, each of shape (k, k, d_311, d_21); k >= 3."""
-    w2 = _w21(k)
-    # sigma2' = (1 + Q1 + Q2 + Q3) 1/2 (1 - P1 + P2 - P3) u with
-    # u[dabc] = x_d^H theta[abc]; the adjoints apply in reverse order
-    w3 = weyl.weyl_space(k, "22").basis.reshape((k,) * 4 + (-1,))
-    m = _adjoint_sum(w3, "dabcq", ("dabcq", "adbcq", "dacbq", "adcbq"))
-    m = 0.5 * (m - np.einsum("dabcq->dcbaq", m) + np.einsum("dabcq->bcdaq", m)
-               - np.einsum("dabcq->badcq", m))
-    c2p = np.einsum("dabcq,abcr->dqr", m, w2)
-    # sigma2'' = 1/2 sum_pi pi (1 - R) (t + tp/2 + x/2) with
-    # t[edabc] = P_ed theta[abc], tp[edabc] = P_de theta[abc],
-    # x[edabc] = 2<xi_b, xi_c> theta[eda] and R T[edabc] = T[adebc]
-    w5 = weyl.weyl_space(k, "311").basis.reshape((k,) * 5 + (-1,))
-    m = 0.5 * _adjoint_sum(w5, "edabcq", ("edabcq", "ebadcq", "ecabdq",
-                                          "edacbq", "ebacdq", "ecadbq"))
-    m = m - np.einsum("edabcq->adebcq", m)
-    kt = np.einsum("edabcq,abcr->edqr", m, w2)
-    return _frozen(c2p, kt + 0.5 * kt.swapaxes(0, 1),
-                   0.5 * np.einsum("edabcq,edar->bcqr", m, w2))
+    """The constants of sigma2', shape (k, d_22, d_21), and of sigma2'' on P,
+    shape (k, k, d_311, d_21); k >= 3."""
+    c2p = _on_w21(_pullback(k, "22"))
+    kt = _on_w21(_pullback(k, "311"))
+    # the raw symbol of 2 grad_E grad_D + grad_D grad_E is 2 P_ED + P_DE
+    return _frozen(c2p, 2.0 * kt + kt.swapaxes(0, 1))
 
 
-def _second_order(c_pp, c_scal, pp, scal):
-    """sum_AB c_pp[A,B] P_AB + (sum_BC c_scal[B,C] 2<xi_B, xi_C>) Id,
-    shaped (..., i*s, j*s)."""
+def _second_order(c_pp, pp):
+    """sum_AB c_pp[A,B] (x) P_AB, shaped (..., i*s, j*s)."""
     s = pp.shape[-1]
     out = np.einsum("ABij,...ABst->...isjt", c_pp, pp, optimize=True)
-    out += np.einsum("BCij,...BC,st->...isjt", c_scal, scal, np.eye(s), optimize=True)
     return out.reshape(out.shape[:-4] + (out.shape[-4] * s, out.shape[-2] * s))
 
 
@@ -148,7 +149,7 @@ class SymbolBundle:
 
     @cached_property
     def sigma1(self):
-        return _second_order(*_sigma1_constants(self.k), *self._products)
+        return _second_order(_sigma1_constants(self.k), self._products[0])
 
     @cached_property
     def sigma2p(self):
@@ -165,7 +166,7 @@ class SymbolBundle:
     def sigma2pp(self):
         if not self.has_order5:
             return None
-        return _second_order(*_order5_constants(self.k)[1:], *self._products)
+        return _second_order(_order5_constants(self.k)[1], self._products[0])
 
     @cached_property
     def L0(self):
@@ -209,36 +210,31 @@ def build_bundle(rep, k, xi):
                         sigma0=sigma0.reshape(xi.shape[:-1] + (k * s, s)))
 
 
-def _per_frequency(values):
-    """A Python scalar for a single frequency, else the array over the batch."""
-    values = np.asarray(values)
-    return values.item() if values.ndim == 0 else values
-
-
 def numeric_rank(mat):
     """Numeric rank (:func:`~diraclab.weyl.sv_rank`) of a matrix or of each
     in a stack."""
-    return _per_frequency(weyl.sv_rank(np.linalg.svd(mat, compute_uv=False)))
+    return weyl.sv_rank(np.linalg.svd(mat, compute_uv=False))
 
 
 @dataclass(frozen=True)
 class ExactnessReport:
-    """Measured ranks and exactness flags, one per frequency: Python scalars
-    for a single frequency, arrays over the batch axes otherwise."""
+    """Measured ranks and exactness flags, one per frequency: integer and
+    boolean arrays over the batch axes, 0-d for a single frequency.  The
+    order-5 entries are None for k = 2."""
 
     dims: dict
-    rank_sigma0: int
-    dim_ker_sigma1: int
-    rank_sigma1: int
-    dim_ker_order5: Optional[int]
-    injective: bool
-    exact_slot1: bool
-    exact_slot2: Optional[bool]
+    rank_sigma0: np.ndarray
+    dim_ker_sigma1: np.ndarray
+    rank_sigma1: np.ndarray
+    dim_ker_order5: Optional[np.ndarray]
+    injective: np.ndarray
+    exact_slot1: np.ndarray
+    exact_slot2: Optional[np.ndarray]
 
     @property
     def ok(self):
         slot2 = True if self.exact_slot2 is None else self.exact_slot2
-        return _per_frequency(np.logical_and(self.injective & self.exact_slot1, slot2))
+        return np.logical_and(self.injective & self.exact_slot1, slot2)
 
 
 def verify_exactness(bundle):
@@ -252,7 +248,7 @@ def verify_exactness(bundle):
     if bundle.has_order5:
         stacked = np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2)
         ker2 = dims["V2"] - numeric_rank(stacked)
-        exact2 = _per_frequency(ker2 == rank1)
+        exact2 = ker2 == rank1
     else:
         ker2 = None
         exact2 = None
@@ -262,8 +258,8 @@ def verify_exactness(bundle):
         dim_ker_sigma1=ker1,
         rank_sigma1=rank1,
         dim_ker_order5=ker2,
-        injective=_per_frequency(rank0 == dims["V0"]),
-        exact_slot1=_per_frequency(ker1 == rank0),
+        injective=rank0 == dims["V0"],
+        exact_slot1=ker1 == rank0,
         exact_slot2=exact2,
     )
 
@@ -305,7 +301,7 @@ def kernel_identity_check(bundle):
     resid = [_kernel_residual(bundle.k, bundle.s_dim,
                               *(a[lo:lo + KERNEL_BLOCK] for a in parts))
              for lo in range(0, max(len(parts[-1]), 1), KERNEL_BLOCK)]
-    return _per_frequency(np.concatenate(resid).reshape(batch))
+    return np.concatenate(resid).reshape(batch)
 
 
 def _kernel_residual(k, s, sigma2p, sigma2pp, pp, scal, n0sq):
@@ -331,7 +327,7 @@ def _kernel_residual(k, s, sigma2p, sigma2pp, pp, scal, n0sq):
 def intertwine_check(bundle):
     """Frobenius norm of L2 sigma1 - sigma1 L1 (the Green intertwining)."""
     diff = bundle.L2 @ bundle.sigma1 - bundle.sigma1 @ bundle.L1
-    return _per_frequency(np.linalg.norm(diff, axis=(-2, -1)))
+    return np.linalg.norm(diff, axis=(-2, -1))
 
 
 def hodge_eig_bounds(bundle):
@@ -339,7 +335,7 @@ def hodge_eig_bounds(bundle):
     out = {}
     for name, mat in (("L0", bundle.L0), ("L1", bundle.L1), ("L2", bundle.L2)):
         ev = np.linalg.eigvalsh(mat)
-        out[name] = (_per_frequency(ev[..., 0]), _per_frequency(ev[..., -1]))
+        out[name] = (ev[..., 0], ev[..., -1])
     return out
 
 
@@ -352,4 +348,4 @@ def green_inverse_residual(bundle):
     for mat in mats:
         resid = np.abs(mat @ np.linalg.inv(mat) - np.eye(mat.shape[-1]))
         worst = np.maximum(worst, resid.max(axis=(-2, -1)))
-    return _per_frequency(worst)
+    return worst

@@ -307,49 +307,36 @@ def exact_checks(k, lam):
     return out
 
 
-def young_eigenvalue(k, lam):
-    """Nonzero eigenvalue n of the unnormalized symmetrizer, ``Y_u^2 = n Y_u``.
-
-    n is the tableau factor (3, 12 or 20): ``Y_lam = Y_u / n``, so the
-    certified ``Y_lam^2 = Y_lam`` (:func:`exact_checks`) is ``Y_u^2 = n Y_u``.
-    nan when the rank is 0, as for (3,1,1) at k = 2, where ``Y_u`` is zero.
-    """
-    if projector_rank(k, lam) == 0:
-        return float("nan")
-    return float(_TABLEAU[lam][2])
-
-
-def check_membership(lam, h, rows=False):
-    """Characterization residual of a tensor against the module `lam`.
+def check_membership(lam, h):
+    """Characterization residual of each of a batch of tensors against the
+    module `lam`.
 
     Parameters
     ----------
     lam : str
         Partition tag.
     h : ndarray
-        Tensor-shaped: ``(k,)*m`` plus optional trailing axes.
-    rows : bool
-        If true, the last axis of `h` indexes independent tensors, and the
-        result holds one residual per row.
+        ``(k,)*m`` tensor axes, optional further value axes, and a last axis
+        that indexes independent tensors.
 
     Returns
     -------
-    float or ndarray
-        Norm of (characterization left side) - (characterization right side);
-        at most ~1e-10 exactly when h lies in the module.  For lam="21" the
-        symmetry of the last two indices is included in the residual.
+    ndarray, shape (h.shape[-1],)
+        Per tensor, the norm of (characterization left side) -
+        (characterization right side); at most ~1e-10 exactly when the tensor
+        lies in the module.  For lam="21" the symmetry of the last two
+        indices is included in the residual.
     """
     if lam not in PARTITIONS:
         raise ValueError(f"unsupported partition tag {lam!r}")
     m = PARTITIONS[lam][1]
     h = np.asarray(h)
-    if h.ndim < m or len(set(h.shape[:m])) != 1:
-        raise ValueError(f"order mismatch: {lam} needs {m} equal tensor axes, "
-                         f"got shape {h.shape}")
-    width = h.shape[-1] if rows else 1
+    if h.ndim <= m or len(set(h.shape[:m])) != 1:
+        raise ValueError(f"order mismatch: {lam} needs {m} equal tensor axes "
+                         f"and a batch axis, got shape {h.shape}")
 
     def norms(x):
-        return np.linalg.norm(x.reshape(-1, width), axis=0)
+        return np.linalg.norm(x.reshape(-1, h.shape[-1]), axis=0)
 
     # prefactor of the characterization display: 3/2 for (2,1), 1 for (2,2),
     # 10/3 for (3,1,1)
@@ -357,7 +344,7 @@ def check_membership(lam, h, rows=False):
     residual = prefactor * norms(apply_projector(lam, h) - h)
     if lam == "21":
         residual = np.maximum(residual, norms(h - np.swapaxes(h, 1, 2)))
-    return residual if rows else float(residual[0])
+    return residual
 
 
 def weyl_dim(k, lam):

@@ -100,7 +100,7 @@ def complex_sample(rng, k, n, rep):
     h = dirac_ops.d1(F, rep)
     hp = dirac_ops.d1_projector(F, rep)
     val["agree"] = (h - hp).norm() / Fn
-    val["member"] = h.membership_residual() / Fn
+    val["member"] = h.membership_residual().max(initial=0.0) / Fn
     if k >= 3:  # for k = 2 the order-5 branch does not exist
         val["d2pd1"] = dirac_ops.d2p(h, rep).norm() / Fn
         val["d2ppd1"] = dirac_ops.d2pp(h, rep).norm() / Fn
@@ -111,8 +111,8 @@ def complex_sample(rng, k, n, rep):
         c = dirac_ops.d2pp(h2, rep)
         d = dirac_ops.d2pp_projector(h2, rep)
         val["agree"] = max(val["agree"], (a - b).norm() / h2n, (c - d).norm() / h2n)
-        val["member"] = max(val["member"], a.membership_residual() / h2n,
-                            c.membership_residual() / h2n)
+        val["member"] = max(val["member"], a.membership_residual().max(initial=0.0) / h2n,
+                            c.membership_residual().max(initial=0.0) / h2n)
     g = random_field(rng, k, n, "V0", rep, degree=3, nterms=4)
     bidx = int(rng.integers(0, k))
     cidx = int(rng.integers(0, k))

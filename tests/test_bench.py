@@ -53,8 +53,11 @@ def load_same_reports():
 
 
 def test_same_reports_names_every_differing_command(monkeypatch, capsys):
-    # timings may differ; a check value, an exit code or a non-JSON output
-    # that differs names its command, and one fresh process runs per checkout
+    # timings may differ; a check value, an exit code, a pass flag or a
+    # non-JSON output that differs names its command, classified by whether
+    # the verdicts (exit code, pass, each check's name, tolerance and pass
+    # flag) agree and with the largest value change; one fresh process runs
+    # per checkout
     same = load_same_reports()
     cmds = same.commands()
     assert len(cmds) == len(set(map(tuple, cmds))) == 71
@@ -67,14 +70,17 @@ def test_same_reports_names_every_differing_command(monkeypatch, capsys):
         runs.append(root)
         out = []
         for i, argv in enumerate(argvs):
-            report = {"command": argv[0], "checks": [{"value": 1.0}],
+            check = {"name": "c", "value": 1.0, "tolerance": 1e-10, "pass": True}
+            report = {"command": argv[0], "checks": [check], "pass": True,
                       "timings": {"wall_s": float(len(runs))}}
             code = 0
             if root != same.ROOT:  # the base
                 if i == 1:
-                    report["checks"][0]["value"] = 1.0 + 2**-52
+                    check["value"] = 1.0 + 2**-52
                 if i == 4:
                     code = 1
+                if i == 9:
+                    check["pass"] = False
             text = "Traceback" if i == 7 and root != same.ROOT else json.dumps(report)
             out.append([code, text])
         return out
@@ -83,7 +89,11 @@ def test_same_reports_names_every_differing_command(monkeypatch, capsys):
     assert same.main(["--base", "elsewhere"]) == 1
     assert runs == [same.ROOT, os.path.abspath("elsewhere")]
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["differs: " + " ".join(cmds[i]) for i in (1, 4, 7)] + [
-        f"{len(cmds)} commands, 3 differ"]
+    kinds = {1: "same verdicts, largest |delta value| 2.22e-16",
+             4: "verdicts differ, largest |delta value| 0.00e+00",
+             7: "verdicts differ, largest |delta value| 0.00e+00",
+             9: "verdicts differ, largest |delta value| 0.00e+00"}
+    assert lines == [f"differs: {' '.join(cmds[i])}: {kind}" for i, kind in kinds.items()] + [
+        f"{len(cmds)} commands, 4 differ"]
     monkeypatch.setattr(same, "run", lambda root, argvs: [[0, "{}"]] * len(argvs))
     assert same.main(["--base", "elsewhere"]) == 0

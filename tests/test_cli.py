@@ -36,6 +36,20 @@ def test_verify_complex_low_dimension(capsys):
     assert code == EXIT_PASS and report["pass"]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [("verify", "--scope", "weyl", "--k", "2"),
+                                  ("solve", "--N", "8")])
+def test_reports_are_strict_json(argv, capsys):
+    # NaN and Infinity are Python's JSON extensions, which a strict parser
+    # refuses; k = 2 covers the rank-0 (3,1,1) module
+    main(list(argv))
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert report["checks"]
+
+
 def test_solve_malformed_center_is_usage_error(capsys):
     code = main(["solve", "--k", "2", "--n", "2", "--N", "8",
                  "--center", "1.0,2.0"])

@@ -17,7 +17,6 @@ from diraclab.weyl import (
     exact_checks,
     weyl_dim,
     weyl_space,
-    young_eigenvalue,
 )
 
 LAMS = ["21", "22", "311"]
@@ -220,13 +219,6 @@ def test_degenerate_two_variable_dims():
         assert weyl_dim(2, lam) == d
     _, ym = _dense(2, "311")
     assert np.abs(ym).max() == 0.0
-    assert np.isnan(young_eigenvalue(2, "311"))
-
-
-@pytest.mark.parametrize("lam, expected", [("21", 3.0), ("22", 12.0), ("311", 20.0)])
-def test_measured_symmetrizer_eigenvalue(lam, expected):
-    for k in (3, 4):
-        assert young_eigenvalue(k, lam) == pytest.approx(expected, abs=1e-9)
 
 
 def test_young_action_ground_truth():
@@ -265,10 +257,11 @@ def test_membership_of_projected_tensors(lam, rng):
     m = weyl.PARTITIONS[lam][1]
     raw = rng.standard_normal((k,) * m)
     proj = apply_projector(lam, raw)
-    assert check_membership(lam, proj) <= 1e-10
-    assert check_membership(lam, np.zeros((k,) * m)) == 0.0
+    # each tensor's residual: the last axis is the batch
+    assert check_membership(lam, proj[..., None]) <= 1e-10
+    assert check_membership(lam, np.zeros((k,) * m + (1,))) == 0.0
     # the complementary part is generically far from the module
-    assert check_membership(lam, raw - proj) > 1e-6
+    assert check_membership(lam, (raw - proj)[..., None]) > 1e-6
 
 
 @settings(max_examples=20, deadline=None)
@@ -277,14 +270,16 @@ def test_membership_projection_property(seed):
     rng = np.random.default_rng(seed)
     h = rng.standard_normal((3, 3, 3))
     proj = apply_projector("21", h)
-    assert check_membership("21", proj) <= 1e-10
+    assert check_membership("21", proj[..., None]) <= 1e-10
 
 
 def test_membership_order_mismatch():
     with pytest.raises(ValueError):
-        check_membership("22", np.zeros((3, 3, 3)))
+        check_membership("22", np.zeros((3, 3, 3, 1)))
     with pytest.raises(ValueError):
-        check_membership("21", np.zeros(27))  # tensor-shaped input only
+        check_membership("21", np.zeros((27, 1)))  # tensor-shaped input only
+    with pytest.raises(ValueError):
+        check_membership("21", np.zeros((3, 3, 3)))  # no batch axis
 
 
 def test_basis_symmetries():
