@@ -26,7 +26,7 @@ selection of the input, then the B derivative, then the A derivative).
 import numpy as np
 
 from . import weyl
-from .fields import PolyField, _canonical, _key, _partial
+from .fields import PolyField, _canonical, _group, _key, _partial
 
 
 def _require_space(f, space, op_name):
@@ -58,15 +58,37 @@ def _delta_pieces(expo, vals, B, C, n):
         yield e, -2.0 * v
 
 
+#: the peak of the worst caller, :func:`d2pp`, in units of its largest stack:
+#: its derivative and Delta stacks, the einsum terms, their canonical sum and
+#: the output check (measured under tracemalloc at n = 2 and k = 3..9: 6.5 to
+#: 12.5, rising with k)
+STACK_COPIES = 13
+
+
 def _stack(slotted, lead):
-    """Canonical stack whose leading axes ``lead`` hold the pieces at their slots."""
-    expo = np.concatenate([e for _, e, _ in slotted])
-    vals = np.zeros((len(expo),) + lead + slotted[0][2].shape[1:], dtype=complex)
+    """Canonical stack whose leading axes ``lead`` hold the pieces at their slots.
+
+    One grouping of the concatenated exponents gives each row its output
+    row; then each piece adds into its slot of its rows.  A piece's rows
+    are unique, so no index repeats within one add, and the pieces add in
+    order into zeros, bit for bit as a sum of the zero-padded pieces would.
+    The stack is refused over the memory cap, counted as
+    :data:`STACK_COPIES` copies of it.
+    """
+    from .solver import _require_bytes  # solver imports symbols, which imports this module
+    order, rows, group = _group(np.concatenate([e for _, e, _ in slotted]))
+    out_row = np.empty_like(group)
+    out_row[order] = group
+    acc_shape = (len(rows),) + lead + slotted[0][2].shape[1:]
+    _require_bytes(STACK_COPIES * 16 * int(np.prod(acc_shape)),
+                   f"derivative stack of shape {acc_shape}")
+    acc = np.zeros(acc_shape, dtype=complex)
     row = 0
     for slot, e, v in slotted:
-        vals[(slice(row, row + len(e)),) + slot] = v
+        acc[(out_row[row:row + len(e)],) + slot] += v
         row += len(e)
-    return _canonical(expo, vals)
+    keep = acc.any(axis=tuple(range(1, acc.ndim)))
+    return rows[keep], acc[keep]
 
 
 def _grad(f, rep, times=1):
@@ -293,10 +315,19 @@ def monogenic_basis(rep, k, n, degree):
     """Basis of polynomial solutions of ``d0 f = 0`` up to a total degree.
 
     Takes the matrix of d0 on the monomial/spinor coefficient space from
-    :func:`d0` itself and extracts an orthonormal nullspace basis by SVD,
-    returning the basis as one stack (:func:`~diraclab.fields.stack`) of B
-    V0 fields: ``vals`` of shape (T, B, s) on its monomials, basis field b at
-    ``vals[:, b]``.  Used as the generator of monogenic test data.
+    :func:`d0` itself and extracts an orthonormal null-space basis by
+    multidegree block, returning the basis as one stack
+    (:func:`~diraclab.fields.stack`) of B V0 fields: ``vals`` of shape
+    (T, B, s) on its monomials, basis field b at ``vals[:, b]``.  Used as the
+    generator of monogenic test data.
+
+    nabla_A lowers the degree in variable A only, so d0 maps the columns of
+    multidegree delta (the degree in each vector variable) into the rows of
+    slot A at multidegree delta - e_A, and its matrix is block-diagonal.  The
+    null space is the sum of the blocks' null spaces, each taken by one SVD
+    (:func:`~diraclab.weyl.sv_rank` per block); the blocks come in
+    lexicographic order of delta, and the columns and rows keep their order
+    within a block.
     """
     kn, s = k * n, rep.s_dim
     # columns (monomial, spinor) up to `degree`; rows (monomial, A, spinor)
@@ -315,8 +346,23 @@ def monogenic_basis(rep, k, n, degree):
                     return_inverse=True)[1].reshape(-1)
     mat = np.zeros((n_out, k, s, len(e)), dtype=complex)
     mat[np.argsort(uid[:n_out])[uid[n_out:]], :, :, image.expo[:, 0]] = image.vals
-    _, sv, vh = np.linalg.svd(mat.reshape(n_out * k * s, len(e)))
-    null = vh[weyl.sv_rank(sv):].conj().reshape(-1, len(monos), s)
+    mat = mat.reshape(n_out * k * s, len(e))
+    # the multidegree of each column, and the one whose image each row holds:
+    # row (x^r, A, t) takes the columns of multidegree delta(r) + e_A
+    multi = monos.reshape(-1, k, n).sum(axis=2)
+    col_deg = np.repeat(multi, s, axis=0)
+    row_deg = np.repeat((multi[:n_out, None] + np.eye(k, dtype=np.int64)).reshape(-1, k),
+                        s, axis=0)
+    blocks = []
+    for delta in np.unique(col_deg, axis=0):
+        cols = np.flatnonzero((col_deg == delta).all(axis=1))
+        rows = np.flatnonzero((row_deg == delta).all(axis=1))
+        _, sv, vh = np.linalg.svd(mat[np.ix_(rows, cols)])
+        rank = weyl.sv_rank(sv)
+        part = np.zeros((len(cols) - rank, len(e)), dtype=complex)
+        part[:, cols] = vh[rank:].conj()
+        blocks.append(part)
+    null = np.concatenate(blocks).reshape(-1, len(monos), s)
     null[np.abs(null) <= 1e-13] = 0.0
     return PolyField(k, n, "V0", monos, null.transpose(1, 0, 2))
 

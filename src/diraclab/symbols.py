@@ -15,8 +15,9 @@ projector form, c C_lam applied to a raw derivative tensor, with c from
 gamma_plus[j] (so x_A^H = -i sum_j xi_Aj gamma_minus[j]), the raw symbol is
 P_AB = x_A x_B^H for D1 and D2'', and x_D^H for D2'.  Contracting with the
 target's real orthonormal Weyl basis W moves the projector onto that basis
-as its transpose: the pullback c C_lam^T W, where C_lam^T is C_lam's terms
-with inverted permutations (M_p^T = M_{p^-1}).  Contracting the pullback with
+as its transpose: the pullback c C_lam^T W.  C_lam^T is the product of
+C_lam's group-sum factors in reverse order, each its own transpose
+(:func:`~diraclab.weyl.apply_projector_transpose`).  Contracting the pullback with
 the source basis w21 leaves one constant per k and operator, of size at most
 k^2 d_target d_21.  Each compressed matrix is then one einsum of its
 constant with the products, and no full tensor is formed.  The projector
@@ -48,7 +49,6 @@ import numpy as np
 from . import weyl
 from .clifford import dirac_symbol
 from .dirac_ops import _PREFACTOR
-from .tensoridx import apply_compiled, compile_element, inverse
 
 
 def _h(mat):
@@ -70,9 +70,8 @@ def _pullback(k, lam):
     """c C_lam^T applied to the Weyl basis of `lam`, shape (k,)*m + (d,): the
     target side of the compressed symbol of c C_lam(raw derivative)."""
     ws = weyl.weyl_space(k, lam)
-    transpose = {inverse(p): c for p, c in weyl.projector_terms(lam).items()}
-    return _PREFACTOR[lam] * apply_compiled(ws.basis.reshape((k,) * ws.m + (-1,)),
-                                            compile_element(transpose))
+    return _PREFACTOR[lam] * weyl.apply_projector_transpose(
+        lam, ws.basis.reshape((k,) * ws.m + (-1,)))
 
 
 @lru_cache(maxsize=None)

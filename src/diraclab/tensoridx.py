@@ -15,9 +15,12 @@ the output is the letter at slot ``p[s]`` of the input: ``M_p`` with
 ``p = (2, 1, 0)`` sends ``h`` to ``h[C,B,A]``.
 
 Elements multiply as operators, ``M_p M_q = M_{p o q}`` (:func:`compose`),
-and no (k^m, k^m) matrix is ever formed: :func:`compile_element` turns an
-element into ``(float coeff, transpose axes)`` pairs once, and
-:func:`apply_compiled` applies them to tensors.
+and no (k^m, k^m) matrix is ever formed: :func:`compile_element` groups an
+element's terms by |coefficient| once, and :func:`apply_compiled` applies
+them to tensors, one signed sum of transposes per group and one multiply per
+group.  A product of elements is applied factor by factor (see
+:func:`~diraclab.weyl.apply_projector`), which costs the sum of the factors'
+term counts rather than the product's.
 """
 
 import itertools
@@ -87,20 +90,33 @@ def scale(x, factor):
 
 
 def compile_element(x):
-    """``(float coeff, transpose axes)`` per term, for :func:`apply_compiled`.
+    """``(|coeff|, ((sign, transpose axes), ...))`` per distinct |coefficient|
+    of `x`, in order of first appearance, for :func:`apply_compiled`.
 
     ``np.transpose(h, inverse(p))`` is ``M_p h`` on the leading m axes.
     """
-    return tuple((float(c), inverse(p)) for p, c in x.items())
+    groups = {}
+    for p, c in x.items():
+        groups.setdefault(abs(c), []).append((1 if c > 0 else -1, inverse(p)))
+    return tuple((float(mag), tuple(terms)) for mag, terms in groups.items())
 
 
 def apply_compiled(h, terms):
     """Apply compiled terms to `h`, whose leading m axes are the tensor slots.
 
-    Axes past the first m are carried along unchanged, so a batch of tensors
-    goes through in one call with its batch axes trailing.
+    Per group, the signed transposes of `h` add into one buffer, which is
+    multiplied once by the group's |coefficient|; no per-term temporary is
+    made.  Axes past the first m are carried along unchanged, so a batch of
+    tensors goes through in one call with its batch axes trailing.
     """
-    out = np.zeros_like(h, dtype=np.result_type(h.dtype, np.float64))
-    for c, axes in terms:
-        out += c * np.transpose(h, axes + tuple(range(len(axes), h.ndim)))
-    return out
+    dtype = np.result_type(h.dtype, np.float64)
+    out = None
+    for mag, signed in terms:
+        buf = np.zeros_like(h, dtype=dtype)  # the memory layout of h
+        for sign, axes in signed:
+            view = np.transpose(h, axes + tuple(range(len(axes), h.ndim)))
+            (np.add if sign > 0 else np.subtract)(buf, view, out=buf)
+        if mag != 1.0:
+            buf *= mag
+        out = buf if out is None else np.add(out, buf, out=out)
+    return np.zeros_like(h, dtype=dtype) if out is None else out

@@ -10,12 +10,15 @@ power of C^k in two independent ways:
   tensors from the right (:func:`young_terms`).
 
 Both are elements of the group algebra Q[S_m] (:mod:`diraclab.tensoridx`),
-signed sums of at most 36 slot permutations, and that element is their only
-representation.  :func:`apply_projector` applies ``C_lam`` to tensors.  The
-identities between them are certified term by term in Q[S_m]:
-``C_lam = Y_lam`` as elements, and ``C_lam C_lam = C_lam``.  Neither depends
-on k, and each implies the matching operator identity on (C^k)^{(x) m} at
-every k.  The rank is the exact trace, a polynomial in k read off cycle
+signed sums of at most 36 slot permutations.  ``C_lam`` is kept as its
+group-sum factors (:func:`projector_factors`: 2 for (2,1), 4 for (2,2), 2 for
+(3,1,1)), and :func:`projector_terms` is their exact product.
+:func:`apply_projector` applies ``C_lam`` to tensors factor by factor, and
+:func:`apply_projector_transpose` applies ``C_lam^T`` the same way, each
+factor being its own transpose.  The identities between ``C_lam`` and
+``Y_lam`` are certified term by term in Q[S_m]: ``C_lam = Y_lam`` as
+elements, and ``C_lam C_lam = C_lam``.  Neither depends on k, and each
+implies the matching operator identity on (C^k)^{(x) m} at every k.  The rank is the exact trace, a polynomial in k read off cycle
 counts (:func:`trace_polynomial`), so no (k^m, k^m) matrix is formed.
 :func:`weyl_dim`, the product formula, stays the independent rank oracle.
 :func:`sv_rank` is the package's one numeric-rank rule.
@@ -34,7 +37,7 @@ an explicit slot permutation.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -72,8 +75,8 @@ RANK_RTOL = 1e-9
 class WeylSpace:
     """A Weyl module: an orthonormal basis of the image of its projector.
 
-    The projector itself is the Q[S_m] element :func:`projector_terms`,
-    applied with :func:`apply_projector`.
+    The projector itself is the Q[S_m] element :func:`projector_terms`, the
+    product of :func:`projector_factors`, applied with :func:`apply_projector`.
 
     Attributes
     ----------
@@ -104,41 +107,70 @@ def _require(k, lam):
 
 
 @lru_cache(maxsize=None)
-def projector_terms(lam):
-    """The index-formula projector ``C_lam`` as an element of Q[S_m].
+def projector_factors(lam):
+    """The index-formula projector ``C_lam`` as its group-sum factors, a
+    tuple of Q[S_m] elements whose product, left to right, is ``C_lam``.
 
     With S an unnormalized symmetric sum and A a normalized skew sum over the
-    listed slots: ``C_21 = 2/3 S_12 A_02``,
-    ``C_22 = 1/6 S_23 S_01 (1 + M_BCDA) A_13`` and
-    ``C_311 = 3/10 S_134 A_024``.
+    listed slots: ``C_21 = 2/3 S_12 . A_02``,
+    ``C_22 = 1/6 S_23 . S_01 . (1 + M_BCDA) . A_13`` and
+    ``C_311 = 3/10 S_134 . A_024``.  Each factor is its own transpose: a
+    (signed) group sum is closed under inversion, with sign(g^-1) = sign(g),
+    and M_BCDA = M_(2,3,0,1) is an involution.
     """
     if lam == "21":
-        x = compose(group_sum((1, 2), 3, scale=Fraction(2, 3)),
-                    group_sum((0, 2), 3, signed=True, scale=Fraction(1, 2)))
+        factors = (group_sum((1, 2), 3, scale=Fraction(2, 3)),
+                   group_sum((0, 2), 3, signed=True, scale=Fraction(1, 2)))
     elif lam == "22":
-        x = compose({(0, 1, 2, 3): 1, (2, 3, 0, 1): 1},
-                    group_sum((1, 3), 4, signed=True, scale=Fraction(1, 2)))
-        x = compose(group_sum((0, 1), 4), x)
-        x = compose(group_sum((2, 3), 4, scale=Fraction(1, 6)), x)
+        factors = (group_sum((2, 3), 4, scale=Fraction(1, 6)), group_sum((0, 1), 4),
+                   {(0, 1, 2, 3): Fraction(1), (2, 3, 0, 1): Fraction(1)},
+                   group_sum((1, 3), 4, signed=True, scale=Fraction(1, 2)))
     elif lam == "311":
-        x = compose(group_sum((1, 3, 4), 5, scale=Fraction(3, 10)),
-                    group_sum((0, 2, 4), 5, signed=True, scale=Fraction(1, 6)))
+        factors = (group_sum((1, 3, 4), 5, scale=Fraction(3, 10)),
+                   group_sum((0, 2, 4), 5, signed=True, scale=Fraction(1, 6)))
     else:
         raise ValueError(f"unsupported partition tag {lam!r}")
-    return MappingProxyType(x)
+    return tuple(MappingProxyType(x) for x in factors)
 
 
 @lru_cache(maxsize=None)
-def _compiled_projector(lam):
-    return compile_element(projector_terms(lam))
+def projector_terms(lam):
+    """``C_lam`` as one element of Q[S_m]: the exact product of
+    :func:`projector_factors`.  The certificates and traces read it; tensors
+    go through the factors (:func:`apply_projector`)."""
+    return MappingProxyType(reduce(compose, projector_factors(lam)))
+
+
+@lru_cache(maxsize=None)
+def _compiled_factors(lam):
+    factors = projector_factors(lam)
+    if any(x != {inverse(p): c for p, c in x.items()} for x in factors):
+        raise ArithmeticError(f"a factor of C_{lam} is not its own transpose")
+    return tuple(compile_element(x) for x in factors)
 
 
 def apply_projector(lam, h):
-    """Apply ``C_lam`` to `h`, whose leading m axes are the tensor axes.
+    """Apply ``C_lam`` to `h`, whose leading m axes are the tensor axes: its
+    factors from right to left, at 4 (``"21"``), 8 (``"22"``) or 12
+    (``"311"``) transposes in all.
 
     Trailing axes are a batch: many tensors go through in one call.
     """
-    return apply_compiled(h, _compiled_projector(lam))
+    for terms in reversed(_compiled_factors(lam)):
+        h = apply_compiled(h, terms)
+    return h
+
+
+def apply_projector_transpose(lam, h):
+    """Apply ``C_lam^T`` to `h`, as :func:`apply_projector` takes it.
+
+    ``C_lam^T`` is the product of the factors' transposes in reverse order,
+    and each factor is its own transpose, so the factors apply from left to
+    right.
+    """
+    for terms in _compiled_factors(lam):
+        h = apply_compiled(h, terms)
+    return h
 
 
 def projector_rank(k, lam):

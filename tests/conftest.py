@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from diraclab import boundary, build_clifford, dirac_ops, random_field
-from diraclab.fields import PolyField, keyed, stack
+from diraclab.fields import PolyField, _canonical, keyed, stack
+from diraclab.tensoridx import inverse
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,21 @@ def terms_matrix(x, k, m=None):
             cols += digits[p[t]] * k ** (m - 1 - t)
         np.add.at(mat, (rows, cols), float(c))
     return mat
+
+
+def apply_terms(x, h):
+    """A Q[S_m] element applied term by term: ``sum_p c_p M_p h``, one scaled
+    transpose per term, into zeros in the order of the terms.
+
+    The oracle of the factored application (``weyl.apply_projector``) and of
+    the grouped one (``tensoridx.apply_compiled``); `h` carries the tensor
+    slots first and any batch axes after them.
+    """
+    out = np.zeros_like(h, dtype=np.result_type(h.dtype, np.float64))
+    for p, c in x.items():
+        axes = inverse(p) + tuple(range(len(p), h.ndim))
+        out += float(c) * np.transpose(h, axes)
+    return out
 
 
 def dense_image_basis(proj, rtol=1e-9):
@@ -151,6 +167,20 @@ def add_at_canonical(expo, vals):
     np.add.at(acc, group.reshape(-1), vals)
     keep = acc.reshape(len(acc), -1).any(axis=1)
     return rows[keep], acc[keep]
+
+
+def zero_pad_stack(slotted, lead):
+    """A derivative stack by zero padding: each piece written at its slot of
+    a zero block over all ``lead`` slots, the blocks concatenated and summed
+    by ``fields._canonical``.  The oracle of ``dirac_ops._stack``, which adds
+    each piece into its slot of the grouped rows instead."""
+    expo = np.concatenate([e for _, e, _ in slotted])
+    vals = np.zeros((len(expo),) + lead + slotted[0][2].shape[1:], dtype=complex)
+    row = 0
+    for slot, e, v in slotted:
+        vals[(slice(row, row + len(e)),) + slot] = v
+        row += len(e)
+    return _canonical(expo, vals)
 
 
 def evaluate(f, x):

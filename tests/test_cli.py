@@ -380,6 +380,18 @@ def test_verify_weyl_memory_cap_exit_code(scope, monkeypatch, capsys):
     assert report["detail"].startswith("Weyl module")
 
 
+def test_verify_complex_memory_cap_exit_code(monkeypatch, capsys):
+    # the derivative stacks grow with k: over the cap, counted for the
+    # stack-sized arrays that d2pp holds at once, verify exits 3 with its
+    # JSON error before the stack is allocated
+    monkeypatch.setenv("DIRACLAB_MEM_LIMIT_GIB", "0.0001")
+    code, report = run_cli(capsys, "verify", "--scope", "complex", "--k", "4", "--n", "2",
+                           "--samples", "4")
+    assert code == EXIT_RESOURCE
+    assert report["error"] == "resource-limit"
+    assert report["detail"].startswith("derivative stack")
+
+
 @pytest.mark.parametrize("argv, target", [
     (("solve", "--k", "2", "--n", "2", "--N", "8"), "solver._certify_recovery_identity"),
     (("verify", "--scope", "ellipticity", "--k", "3", "--samples", "2"),

@@ -197,20 +197,78 @@ def test_monogenic_basis_members_are_monogenic(reps):
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_monogenic_basis_is_null_space_of_oracle_matrix(k, n, degree, reps):
     # the basis, whose matrix comes from d0 itself, equals bit for bit the
-    # null space of the d0 matrix assembled by hand
+    # null space of the d0 matrix assembled by hand, taken block by block over
+    # multidegree: columns of multidegree delta, rows of slot A at delta - e_A.
+    # The blocks hold every nonzero entry of the hand matrix, and their null
+    # spaces together have the nullity and the span of the full matrix's
     from conftest import d0_matrix
 
     rep = reps[n]
+    s = rep.s_dim
     monos, mat = d0_matrix(rep, k, n, degree)
+    multi = monos.reshape(-1, k, n).sum(axis=2)
+    n_out = mat.shape[0] // (k * s)
+    col_deg = np.repeat(multi, s, axis=0)
+    row_deg = np.array([multi[r] + np.eye(k, dtype=np.int64)[a]
+                        for r in range(n_out) for a in range(k) for _ in range(s)])
+    in_block = np.zeros(mat.shape, dtype=bool)
+    null = []
+    for delta in sorted(set(map(tuple, col_deg.tolist()))):
+        cols = np.flatnonzero((col_deg == delta).all(axis=1))
+        rows = np.flatnonzero((row_deg == delta).all(axis=1))
+        in_block[np.ix_(rows, cols)] = True
+        _, sv, vh = np.linalg.svd(mat[np.ix_(rows, cols)])
+        rank = int((sv > 1e-9 * sv[:1]).sum())
+        part = np.zeros((len(cols) - rank, mat.shape[1]), dtype=complex)
+        part[:, cols] = vh[rank:].conj()
+        null.append(part)
+    assert not mat[~in_block].any()
+    null = np.concatenate(null)
     _, sv, vh = np.linalg.svd(mat)
-    rank = int((sv > 1e-9 * sv[0]).sum())
-    null = vh[rank:].conj().reshape(-1, len(monos), rep.s_dim)
+    full = vh[int((sv > 1e-9 * sv[0]).sum()):].conj()
+    assert len(null) == len(full) > 0
+    assert np.abs(null.T @ null.conj() - full.T @ full.conj()).max() <= 1e-12
+    null = null.reshape(-1, len(monos), s)
     null[np.abs(null) <= 1e-13] = 0.0
     oracle = PolyField(k, n, "V0", monos, null.transpose(1, 0, 2))
     basis = monogenic_basis(rep, k, n, degree)
-    assert basis.vals.shape == oracle.vals.shape and basis.vals.shape[1] > 0
+    assert basis.vals.shape == oracle.vals.shape
     assert np.array_equal(basis.expo, oracle.expo)
     assert basis.vals.tobytes() == oracle.vals.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(3,), (3, 3)])
+def test_stack_matches_zero_padded_sum_bitwise(lead, rng):
+    # each piece adds into its slot of the grouped rows; the zero-padded
+    # pieces summed over all slots give the same bytes, also for empty input,
+    # for rows that cancel to an exact zero, for signed zeros and for one
+    # piece whose rows are canonical already
+    from conftest import zero_pad_stack
+
+    def piece(count):
+        e = np.unique(np.column_stack((rng.integers(0, 2, count),
+                                       rng.integers(0, 3, (count, 4)))), axis=0)
+        v = rng.standard_normal((len(e), 3, 2)) + 1j * rng.standard_normal((len(e), 3, 2))
+        v[rng.random(v.shape) < 0.2] = -0.0
+        return e, v
+
+    slots = list(np.ndindex(lead))
+    e, v = piece(12)
+    cases = [
+        [(slots[int(rng.integers(len(slots)))],) + piece(12) for _ in range(9)],
+        [(slot, np.zeros((0, 5), dtype=np.int64), np.zeros((0, 3, 2), dtype=complex))
+         for slot in slots[:3]],
+        [(slots[0], e, v), (slots[1], e[:4], v[:4]), (slots[0], e[:6], -v[:6]),
+         (slots[1], e[:4], -v[:4])],
+        [(slots[-1], e, v)],
+    ]
+    for slotted in cases:
+        got, want = dirac_ops._stack(slotted, lead), zero_pad_stack(slotted, lead)
+        assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+        assert got[1].shape == want[1].shape
+        assert got[1].tobytes() == want[1].tobytes()
+    # rows 0-5 cancel to exact zeros in every slot and drop
+    assert len(dirac_ops._stack(cases[2], lead)[0]) == len(e) - 6
 
 
 def test_membership_validation_rejects_bad_tensors(reps, rng):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from diraclab import build_clifford, weyl
-from diraclab.dirac_ops import d0_star, d1_star
+from diraclab.dirac_ops import _PREFACTOR, d0_star, d1_star
 from diraclab.fields import PolyField
+from diraclab.tensoridx import inverse
 from diraclab.symbols import (
+    _pullback,
     build_bundle,
     green_inverse_residual,
     hodge_eig_bounds,
@@ -92,6 +94,22 @@ def test_stacked_build_matches_single_frequency(k, n, rng):
     assert (rpt.dim_ker_sigma1 == verify_exactness(per_row[0]).dim_ker_sigma1).all()
     with pytest.raises(ValueError):
         verify_exactness(stacked)
+
+
+@pytest.mark.parametrize("lam", ["21", "22", "311"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_pullback_matches_transposed_terms(k, lam):
+    # c C_lam^T W through the factors, left to right, equals C_lam's terms
+    # with inverted permutations applied one by one
+    from conftest import apply_terms
+
+    m = weyl.PARTITIONS[lam][1]
+    basis = weyl.weyl_space(k, lam).basis.reshape((k,) * m + (-1,))
+    transpose = {inverse(p): c for p, c in weyl.projector_terms(lam).items()}
+    want = _PREFACTOR[lam] * apply_terms(transpose, basis)
+    got = _pullback(k, lam)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

@@ -1,16 +1,17 @@
 import json
 from fractions import Fraction
+from functools import reduce
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from conftest import dense_image_basis, principal_angles, terms_matrix
+from conftest import apply_terms, dense_image_basis, principal_angles, terms_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import weyl
 from diraclab.cli import EXIT_FAIL, main
-from diraclab.tensoridx import compose, scale
+from diraclab.tensoridx import compose, inverse, scale
 from diraclab.weyl import (
     apply_projector,
     check_membership,
@@ -39,6 +40,35 @@ def _project(k, lam, mat):
     m = weyl.PARTITIONS[lam][1]
     w = mat.shape[1]
     return apply_projector(lam, mat.reshape((k,) * m + (w,))).reshape(k**m, w)
+
+
+@pytest.mark.parametrize("lam", LAMS)
+def test_projector_factors_multiply_to_terms_and_are_symmetric(lam):
+    # C_lam is kept as its group-sum factors; their product is C_lam exactly
+    # in Q[S_m], and each factor is its own transpose, so C_lam^T applies the
+    # same factors in reverse order
+    factors = weyl.projector_factors(lam)
+    assert len(factors) == {"21": 2, "22": 4, "311": 2}[lam]
+    assert reduce(compose, factors) == dict(weyl.projector_terms(lam))
+    for x in factors:
+        assert dict(x) == {inverse(p): c for p, c in x.items()}
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("lam", LAMS)
+def test_apply_projector_matches_term_by_term(k, lam, rng):
+    # the factors applied right to left equal C_lam's terms applied one by
+    # one, to roundoff relative to the output; where the module is zero
+    # (the hook at k = 2) both outputs are roundoff of the input
+    m = weyl.PARTITIONS[lam][1]
+    shape = (k,) * m + (2, 3)
+    h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, want = apply_projector(lam, h), apply_terms(weyl.projector_terms(lam), h)
+    assert got.shape == want.shape == shape
+    if weyl_dim(k, lam):
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    else:
+        assert max(np.linalg.norm(got), np.linalg.norm(want)) <= 1e-15 * np.linalg.norm(h)
 
 
 @pytest.mark.parametrize("k", KS)
