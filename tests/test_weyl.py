@@ -45,11 +45,14 @@ def _project(k, lam, mat):
 @pytest.mark.parametrize("lam", LAMS)
 def test_projector_factors_multiply_to_terms_and_are_symmetric(lam):
     # C_lam is kept as its group-sum factors; their product is C_lam exactly
-    # in Q[S_m], and each factor is its own transpose, so C_lam^T applies the
+    # in Q[S_m], the independently built Young symmetrizer with its 4, 16 or
+    # 36 terms, and each factor is its own transpose, so C_lam^T applies the
     # same factors in reverse order
     factors = weyl.projector_factors(lam)
     assert len(factors) == {"21": 2, "22": 4, "311": 2}[lam]
-    assert reduce(compose, factors) == dict(weyl.projector_terms(lam))
+    product = reduce(compose, factors)
+    assert product == dict(weyl.projector_terms(lam)) == dict(weyl.young_terms(lam))
+    assert len(product) == {"21": 4, "22": 16, "311": 36}[lam]
     for x in factors:
         assert dict(x) == {inverse(p): c for p, c in x.items()}
 
