@@ -14,7 +14,8 @@ The tangential frame consists of the fields
 both of which annihilate phi identically.  Boundary data f with
 ``Z_mu f = 0`` and ``Z_mu T f = 0`` is the analogue of a CR function; the
 pair (Z_mu f, -Z_mu T f) is the image of f under the induced first boundary
-operator.
+operator.  :func:`tangential_frame` applies T and every Z_mu with one
+nabla_0 pass, its factors read from :func:`~diraclab.clifford.dirac_symbol`.
 
 Every operator here acts on scalar fields and broadcasts over a stack
 (:func:`~diraclab.fields.stack`: ``vals`` of shape (T, B, s), the batch axis
@@ -77,41 +78,23 @@ def tilted_chart(k, n, coeffs=None):
     return HypersurfaceChart(k, n, rho)
 
 
-class SpinorFactor:
-    """Constant multiplication operator with chirality blocks.
+def frame_factors(chart, rep):
+    """The frame's constant factors ``(fac, inv0)``.
 
-    plus maps S+ -> S-, minus maps S- -> S+ (the shape every gamma-built
-    factor has).  Applying it flips the chirality of a scalar field.
+    fac[:, A] = nabla_A phi is i times the Dirac symbol at grad_A phi, shape
+    (2, k, s, s), [0] acting on S+ and [1] on S-.  The gammas square to -1,
+    so inv0 = (nabla_0 phi)^{-1} = -fac[:, 0] / |grad_0 phi|^2, shape
+    (2, s, s); the x_{01} coefficient 1 of phi keeps it finite.
     """
-
-    def __init__(self, plus, minus):
-        self.plus = plus
-        self.minus = minus
-
-    def apply(self, f):
-        mat = self.plus if f.chirality > 0 else self.minus
-        target = "S-" if f.chirality > 0 else "S+"
-        return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
+    g = chart.grad_phi()
+    fac = 1j * np.stack(dirac_symbol(rep, g))
+    return fac, -fac[:, 0] / float((g[0] ** 2).sum())
 
 
-def nabla_phi_factor(chart, rep, A):
-    """The constant factor nabla_A phi = sum_j gamma_j (d_{Aj} phi): i times
-    the Dirac symbol at the conormal grad_A phi."""
-    plus, minus = dirac_symbol(rep, chart.grad_phi()[A])
-    return SpinorFactor(1j * plus, 1j * minus)
-
-
-def inv_nabla0_phi_factor(chart, rep):
-    """Inverse of the nabla_0 phi factor.
-
-    The gammas square to -1, so the factor squares to the scalar
-    -|grad_0 phi|^2, which never vanishes (the x_{01} coefficient of phi is
-    1); the inverse is the factor itself divided by that scalar.
-    """
-    g0 = chart.grad_phi()[0]
-    norm2 = float((g0**2).sum())
-    base = nabla_phi_factor(chart, rep, 0)
-    return SpinorFactor(-base.plus / norm2, -base.minus / norm2)
+def _times(blocks, f):
+    """f times the block of ``blocks`` (2, s, s) for its chirality, which flips."""
+    mat, target = (blocks[0], "S-") if f.chirality > 0 else (blocks[1], "S+")
+    return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
 
 
 def dx(A, j, f):
@@ -119,19 +102,17 @@ def dx(A, j, f):
     return PolyField(f.k, f.n, f.space, *_partial(f.expo, f.vals, A * f.n + j))
 
 
-def apply_t(chart, rep, f):
-    """The tangential scalar-like field T (chirality preserving)."""
-    inv = inv_nabla0_phi_factor(chart, rep)
-    return inv.apply(nabla(0, f, rep)) - dx(0, 0, f)
+def tangential_frame(chart, rep, f):
+    """The frame on f, a scalar field or stack of either chirality:
+    ``(T f, (Z_1 f, ..., Z_{k-1} f))``.
 
-
-def apply_z(chart, rep, mu, f):
-    """The tangential Dirac field Z_mu, mu = 1..k-1 (chirality flipping)."""
-    if not 1 <= mu < f.k:
-        raise ValueError(f"tangential index must lie in 1..{f.k - 1}, got {mu}")
-    inv = inv_nabla0_phi_factor(chart, rep)
-    fac = nabla_phi_factor(chart, rep, mu)
-    return nabla(mu, f, rep) - fac.apply(inv.apply(nabla(0, f, rep)))
+    With w = (nabla_0 phi)^{-1} nabla_0 f, computed once, T f = w - d_{01} f
+    keeps the chirality and Z_mu f = nabla_mu f - (nabla_mu phi) w flips it.
+    """
+    fac, inv0 = frame_factors(chart, rep)
+    w = _times(inv0, nabla(0, f, rep))
+    zs = tuple(nabla(mu, f, rep) - _times(fac[:, mu], w) for mu in range(1, f.k))
+    return w - dx(0, 0, f), zs
 
 
 def defining_polynomial(chart, rep):
@@ -156,11 +137,8 @@ def script_d0(chart, rep, fhat):
         raise ValueError(f"boundary data must be S+ valued, got {fhat.space}")
     if fhat.expo[:, 1].any():
         raise ValueError("field must not depend on the defining variable x_{01}")
-    tf = apply_t(chart, rep, fhat)
-    first = tuple(apply_z(chart, rep, mu, fhat) for mu in range(1, chart.k))
-    second = tuple(
-        apply_z(chart, rep, mu, tf).scale(-1.0) for mu in range(1, chart.k)
-    )
+    tf, first = tangential_frame(chart, rep, fhat)
+    second = tuple(g.scale(-1.0) for g in tangential_frame(chart, rep, tf)[1])
     return first, second
 
 
@@ -183,19 +161,15 @@ def pi1_kernel_check(chart, rep, F, Fprime):
     count = F.vals.shape[1]
     if count != Fprime.vals.shape[1]:
         raise ValueError(f"{count} fields F but {Fprime.vals.shape[1]} fields F'")
-    inv = inv_nabla0_phi_factor(chart, rep)
-    hat = [nabla_phi_factor(chart, rep, A).apply(F) for A in range(chart.k)]
-    hatp = [
-        nabla(A, F, rep) + nabla_phi_factor(chart, rep, A).apply(Fprime)
-        for A in range(chart.k)
-    ]
-    core = inv.apply(hat[0])  # S+ valued
+    fac, inv0 = frame_factors(chart, rep)
+    hat = [_times(fac[:, A], F) for A in range(chart.k)]
+    hatp = [nabla(A, F, rep) + _times(fac[:, A], Fprime) for A in range(chart.k)]
+    core = _times(inv0, hat[0])  # S+ valued
     inner = hatp[0] - nabla(0, core, rep)
     outputs = []
     for mu in range(1, chart.k):
-        fac = nabla_phi_factor(chart, rep, mu)
-        outputs.append(hat[mu] - fac.apply(core))
-        outputs.append(hatp[mu] - nabla(mu, core, rep) - fac.apply(inv.apply(inner)))
+        outputs.append(hat[mu] - _times(fac[:, mu], core))
+        outputs.append(hatp[mu] - nabla(mu, core, rep) - _times(fac[:, mu], _times(inv0, inner)))
     return _largest_norms(outputs, count)
 
 

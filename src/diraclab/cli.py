@@ -12,11 +12,14 @@ Two subcommands:
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 resource limit,
 4 compatibility violation; a failed certification (an ArithmeticError) prints
-``{"error": "certification", ...}`` and exits 1.  Reports are deterministic for a fixed seed,
-except for the "timings" block.
+``{"error": "certification", ...}`` and exits 1.  An output file that cannot
+be written (``verify --out``, ``solve --out`` or ``solve --report-out``, say
+in a missing directory) prints ``{"error": "output", ...}`` and exits 2.
+Reports are deterministic for a fixed seed, except for the "timings" block.
 """
 
 import argparse
+import contextlib
 import json
 import resource
 import sys
@@ -34,6 +37,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_COMPAT = 4
+
+
+class OutputError(Exception):
+    """An output file of the command could not be written."""
+
+
+@contextlib.contextmanager
+def _output():
+    """Raise an OSError of the enclosed write as an :class:`OutputError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(str(exc)) from exc
 
 
 def _check(name, certifies, value, tol, ok=None, **extra):
@@ -316,8 +332,6 @@ def checks_ellipticity(k, n, samples, seed):
     out.append(_worst(f"hodge_homogeneity k={k} n={n}", "L_j(2 xi) = 16 L_j(xi)",
                       np.max(homog, axis=0), 1e-10, at))
     bounds = symbols.hodge_eig_bounds(b)
-    if not b.has_order5:
-        del bounds["L2"]
     lowest = {m: int(np.argmin(lo)) for m, (lo, _) in bounds.items()}
     eig_min = {m: float(bounds[m][0][i]) for m, i in lowest.items()}
     pd_ok = all(lo > 0 for lo in eig_min.values())
@@ -349,9 +363,8 @@ def checks_boundary(k, n, samples, seed):
     mono = dirac_ops.monogenic_basis(rep, k, n, degree=3)
     for label, chart in _boundary_charts(k, n):
         phi = boundary.defining_polynomial(chart, rep)  # one member per basis spinor
-        killed = [boundary.apply_t(chart, rep, phi)]
-        killed += [boundary.apply_z(chart, rep, mu, phi) for mu in range(1, k)]
-        phi_kill = float(max(member_norms(g).max() for g in killed))
+        tf, zs = boundary.tangential_frame(chart, rep, phi)
+        phi_kill = float(max(member_norms(g).max() for g in (tf,) + zs))
         out.append(_check(f"frame_tangency chart={label} k={k} n={n}",
                           "Z_mu phi = 0 and T phi = 0", phi_kill, 1e-12))
         rpt = boundary.restrict_and_test(mono, chart, rep)
@@ -434,7 +447,8 @@ def run_solve(args):
         timings=stages,
     )
     if args.out:
-        solver.dump_field(u, args.out)
+        with _output():
+            solver.dump_field(u, args.out)
     del u, phi  # the sweep runs without them, which lowers its memory peak
     checks = [
         _check("bump_recovery", "u = D0* D0 D0* G1 (D0 phi) recovers phi",
@@ -550,6 +564,14 @@ def main(argv=None):
             report, code = run_verify(args)
         else:
             report, code = run_solve(args)
+        text = json.dumps(report, indent=2)
+        out_path = args.report_out if args.command == "solve" else args.out
+        if out_path:
+            with _output(), open(out_path, "w") as fh:
+                fh.write(text + "\n")
+    except OutputError as exc:
+        print(json.dumps({"error": "output", "detail": str(exc)}))
+        return EXIT_USAGE
     except solver.ResourceLimitError as exc:
         print(json.dumps({"error": "resource-limit", "detail": str(exc)}))
         return EXIT_RESOURCE
@@ -562,13 +584,6 @@ def main(argv=None):
     except ArithmeticError as exc:  # a certification inside a suite or the solve
         print(json.dumps({"error": "certification", "detail": str(exc)}))
         return EXIT_FAIL
-    text = json.dumps(report, indent=2)
-    out_path = getattr(args, "out", None)
-    if args.command == "solve":
-        out_path = args.report_out
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
     print(text)
     return code
 

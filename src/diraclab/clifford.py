@@ -25,6 +25,7 @@ hold exactly in double precision.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,8 +88,12 @@ def spinor_dim(n):
     return 2 ** ((int(n) + 1) // 2 - 1)
 
 
+@lru_cache(maxsize=None, typed=True)
 def build_clifford(n):
     """Construct the spinor modules and gamma blocks for dimension n.
+
+    Cached, as the rep is frozen and its arrays read-only; the cache is
+    typed, so a float n is still refused once the int is built.
 
     Parameters
     ----------

@@ -330,10 +330,11 @@ def intertwine_check(bundle):
 
 
 def hodge_eig_bounds(bundle):
-    """Extreme eigenvalues of each L_j (conjugate-symmetric by construction)."""
+    """Extreme eigenvalues of each L_j (conjugate-symmetric by construction),
+    L2 only where it is invertible, as in :func:`green_inverse_residual`."""
     out = {}
-    for name, mat in (("L0", bundle.L0), ("L1", bundle.L1), ("L2", bundle.L2)):
-        ev = np.linalg.eigvalsh(mat)
+    for name in ("L0", "L1", "L2")[:3 if bundle.has_order5 else 2]:
+        ev = np.linalg.eigvalsh(getattr(bundle, name))
         out[name] = (ev[..., 0], ev[..., -1])
     return out
 

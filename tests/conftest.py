@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diraclab import boundary, build_clifford, dirac_ops, random_field
+from diraclab import boundary, build_clifford, dirac_ops, dirac_symbol, random_field
 from diraclab.fields import PolyField, _canonical, keyed, stack
 from diraclab.tensoridx import inverse
 
@@ -235,13 +235,13 @@ def tangential_z_coeffs(chart, rep):
     """The Z_mu of the tangential frame on the S+ side, as coefficient dicts.
 
     Entry mu - 1 maps a variable index (B, j) to the matrix multiplying
-    d_{B,j}: an independent route to :func:`~diraclab.boundary.apply_z`.
+    d_{B,j}: an independent route to the Z_mu of
+    :func:`~diraclab.boundary.tangential_frame`.
     """
-    inv = boundary.inv_nabla0_phi_factor(chart, rep)
+    fac, inv0 = boundary.frame_factors(chart, rep)
     zs = []
     for mu in range(1, chart.k):
-        fac = boundary.nabla_phi_factor(chart, rep, mu)
-        carry = fac.plus @ inv.minus  # S- -> S- factor in front of nabla_0
+        carry = fac[0, mu] @ inv0[1]  # S- -> S- factor in front of nabla_0
         coeffs = {}
         for j in range(chart.n):
             coeffs[(mu, j)] = rep.gamma_plus[j].copy()
@@ -252,5 +252,52 @@ def tangential_z_coeffs(chart, rep):
 
 def apply_zt_commutator(chart, rep, mu, f):
     """[Z_mu, T] f, composed from the library's Z_mu and T."""
-    return (boundary.apply_z(chart, rep, mu, boundary.apply_t(chart, rep, f))
-            - boundary.apply_t(chart, rep, boundary.apply_z(chart, rep, mu, f)))
+    tf, zf = boundary.tangential_frame(chart, rep, f)
+    return (boundary.tangential_frame(chart, rep, tf)[1][mu - 1]
+            - boundary.tangential_frame(chart, rep, zf[mu - 1])[0])
+
+
+# ---------------------------------------------------------------------------
+# the tangential frame as separate T and Z_mu operators, each building its
+# factors from a one-row Dirac symbol and nabla_0 f anew: the oracle that
+# boundary.tangential_frame must match bit for bit
+
+
+class SpinorFactor:
+    """Constant multiplication operator with chirality blocks: plus maps
+    S+ -> S-, minus maps S- -> S+."""
+
+    def __init__(self, plus, minus):
+        self.plus = plus
+        self.minus = minus
+
+    def apply(self, f):
+        mat = self.plus if f.chirality > 0 else self.minus
+        target = "S-" if f.chirality > 0 else "S+"
+        return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
+
+
+def nabla_phi_factor(chart, rep, A):
+    """nabla_A phi: i times the Dirac symbol at the conormal grad_A phi."""
+    plus, minus = dirac_symbol(rep, chart.grad_phi()[A])
+    return SpinorFactor(1j * plus, 1j * minus)
+
+
+def inv_nabla0_phi_factor(chart, rep):
+    """(nabla_0 phi)^{-1}: the factor divided by -|grad_0 phi|^2."""
+    norm2 = float((chart.grad_phi()[0] ** 2).sum())
+    base = nabla_phi_factor(chart, rep, 0)
+    return SpinorFactor(-base.plus / norm2, -base.minus / norm2)
+
+
+def apply_t(chart, rep, f):
+    """T f = (nabla_0 phi)^{-1} nabla_0 f - d_{01} f."""
+    inv = inv_nabla0_phi_factor(chart, rep)
+    return inv.apply(dirac_ops.nabla(0, f, rep)) - boundary.dx(0, 0, f)
+
+
+def apply_z(chart, rep, mu, f):
+    """Z_mu f = nabla_mu f - (nabla_mu phi)(nabla_0 phi)^{-1} nabla_0 f."""
+    inv = inv_nabla0_phi_factor(chart, rep)
+    fac = nabla_phi_factor(chart, rep, mu)
+    return dirac_ops.nabla(mu, f, rep) - fac.apply(inv.apply(dirac_ops.nabla(0, f, rep)))

@@ -165,8 +165,6 @@ def test_criterion_4_ellipticity():
         inter = symbols.intertwine_check(bundle) / np.maximum(scale, 1e-300)
         worst_inter = max(worst_inter, inter.max())
         for name, (lo, hi) in symbols.hodge_eig_bounds(bundle).items():
-            if name == "L2" and not bundle.has_order5:
-                continue
             eig_records[(k, n, name)] = [float(lo.min()), float(hi.max())]
         double = symbols.build_bundle(rep, k, 2.0 * xi[:3])
         for a, b in ((double.L0, bundle.L0[:3]), (double.L1, bundle.L1[:3]),

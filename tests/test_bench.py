@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -42,6 +44,23 @@ def test_whole_runs_alternate_and_keep_every_run(monkeypatch):
     wall = out["base"]["summary"]["verify_all_wall_s"]
     assert 1.7 in base and wall["median"] < 1.0 and wall["quartiles"][1] == 1.7
     assert out["change"]["summary"]["tier1_wall_s"] == {"median": 9.0, "quartiles": [9.0, 9.0]}
+
+
+def test_base_at_another_path_length_runs_nothing(monkeypatch, capsys):
+    # the peak RSS moves with the checkout's path length, so a base whose
+    # absolute path is longer or shorter is refused before any run
+    bench = load_bench()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    for name in ("tier1_run", "verify_run", "perfbench"):
+        monkeypatch.setattr(bench, name, no_run)
+    for base in (bench.ROOT + "x", bench.ROOT[:-1]):
+        with pytest.raises(SystemExit) as err:
+            bench.main(["--label", "t", "--base", base, "--pairs", "1"])
+        assert err.value.code == 2
+        assert "must have an absolute path as long" in capsys.readouterr().err
 
 
 def load_same_reports():

@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from diraclab import build_clifford, random_field
+from diraclab import boundary, build_clifford, random_field
 from diraclab.boundary import (
     HypersurfaceChart,
-    apply_t,
-    apply_z,
     defining_polynomial,
     flat_chart,
     pi1_kernel_check,
     restrict_and_test,
     restrict_to_chart,
     script_d0,
+    tangential_frame,
     tilted_chart,
 )
 from diraclab.dirac_ops import monogenic_basis, nabla
 from diraclab.fields import make_field, member_norms
 
-from conftest import apply_zt_commutator, dense, evaluate, members, tangential_z_coeffs
+from conftest import (apply_t, apply_z, apply_zt_commutator, dense, evaluate, members,
+                      tangential_z_coeffs)
 
 CONFIGS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 # dimension of the monogenic polynomials of degree <= 3 with values in S+
@@ -61,22 +61,24 @@ def test_frame_annihilates_phi(k, n):
     for chart in charts_for(k, n):
         phi = defining_polynomial(chart, rep)
         assert phi.space == "S+" and phi.vals.shape == (len(phi), rep.s_dim, rep.s_dim)
-        for mu in range(1, k):
-            assert not member_norms(apply_z(chart, rep, mu, phi)).any()
-        assert not member_norms(apply_t(chart, rep, phi)).any()
+        tf, zs = tangential_frame(chart, rep, phi)
+        for z in zs:
+            assert not member_norms(z).any()
+        assert not member_norms(tf).any()
         for t, g in enumerate(members(phi)):
             ref = phi_times_spinor(chart, np.eye(rep.s_dim)[t])
             assert np.array_equal(g.expo, ref.expo) and g.vals.tobytes() == ref.vals.tobytes()
-            for mu in range(1, k):
-                assert apply_z(chart, rep, mu, g).norm() == 0.0
-            assert apply_t(chart, rep, g).norm() == 0.0
+            tg, zg = tangential_frame(chart, rep, g)
+            for z in zg:
+                assert z.norm() == 0.0
+            assert tg.norm() == 0.0
 
 
 def test_flat_chart_z_equals_nabla(rng, reps):
     rep = reps[3]
     chart = flat_chart(2, 3)
     f = random_field(rng, 2, 3, "V0", rep, degree=3, nterms=5)
-    diff = apply_z(chart, rep, 1, f) - nabla(1, f, rep)
+    diff = tangential_frame(chart, rep, f)[1][0] - nabla(1, f, rep)
     assert diff.norm() == 0.0
 
 
@@ -96,7 +98,7 @@ def test_tilted_coefficients_by_hand(reps):
 
 def test_frame_coefficients_match_operator(rng, reps):
     # the explicit coefficient dictionary is an independent differentiation
-    # route; it must reproduce apply_z on random fields
+    # route; it must reproduce the frame's Z_mu on random fields
     rep = reps[2]
     k, n = 3, 2
     chart = charts_for(k, n)[1]
@@ -104,6 +106,7 @@ def test_frame_coefficients_match_operator(rng, reps):
     f = random_field(rng, k, n, "V0", rep, degree=3, nterms=6)
     from diraclab.boundary import dx
 
+    zs = tangential_frame(chart, rep, f)[1]
     for mu in range(1, k):
         acc = None
         for (bb, jj), mat in z_coeffs[mu - 1].items():
@@ -114,8 +117,50 @@ def test_frame_coefficients_match_operator(rng, reps):
                 validate=False,
             )
             acc = term if acc is None else acc + term
-        diff = acc - apply_z(chart, rep, mu, f)
+        diff = acc - zs[mu - 1]
         assert diff.norm() <= 1e-12 * max(f.norm(), 1.0)
+
+
+@pytest.mark.parametrize("k,n", CONFIGS)
+def test_tangential_frame_matches_factor_route(k, n, rng):
+    # T and every Z_mu on S+ and S- stacks equal, bit for bit, the separate
+    # operators that build each factor from a one-row Dirac symbol
+    rep = build_clifford(n)
+    plus = dense([random_field(rng, k, n, "V0", rep, degree=3, nterms=5) for _ in range(3)])
+    for chart in charts_for(k, n):
+        for f in (plus, nabla(1, plus, rep)):
+            tf, zs = tangential_frame(chart, rep, f)
+            want = [apply_t(chart, rep, f)] + [apply_z(chart, rep, mu, f) for mu in range(1, k)]
+            assert len(zs) == k - 1
+            for got, ref in zip((tf,) + zs, want):
+                assert got.space == ref.space and np.array_equal(got.expo, ref.expo)
+                assert got.vals.tobytes() == ref.vals.tobytes()
+
+
+def test_script_d0_reads_nabla0_and_symbol_twice(rng, monkeypatch):
+    # one tangential_frame call on fhat and one on T fhat: nabla_0 and the
+    # Dirac symbol once each per call, nabla_1 and nabla_2 once each per call
+    k, n = 3, 2
+    rep = build_clifford(n)
+    chart = charts_for(k, n)[1]
+    fhat = restrict_to_chart(random_field(rng, k, n, "V0", rep, degree=3, nterms=5), chart)
+    calls = {"nabla": [], "dirac_symbol": 0}
+    real_nabla, real_symbol = boundary.nabla, boundary.dirac_symbol
+
+    def counted_nabla(A, f, rep):
+        calls["nabla"].append(A)
+        return real_nabla(A, f, rep)
+
+    def counted_symbol(rep, xi):
+        calls["dirac_symbol"] += 1
+        return real_symbol(rep, xi)
+
+    monkeypatch.setattr(boundary, "nabla", counted_nabla)
+    monkeypatch.setattr(boundary, "dirac_symbol", counted_symbol)
+    first, second = script_d0(chart, rep, fhat)
+    assert len(first) == len(second) == k - 1
+    assert calls["nabla"].count(0) == 2 and len(calls["nabla"]) == 2 * k
+    assert calls["dirac_symbol"] == 2
 
 
 def test_script_d0_constant_and_guard(rng, reps):
@@ -178,7 +223,8 @@ def test_commutator_identities(rng, reps):
     rep = reps[2]
     k, n = 2, 2
     chart = charts_for(k, n)[1]
-    # operator identity Z T - T Z = [Z, T] on arbitrary fields
+    # operator identity Z T - T Z = [Z, T] on arbitrary fields, the left side
+    # composed from the separate T and Z_mu operators of the oracle
     f = random_field(rng, k, n, "V0", rep, degree=3, nterms=6)
     direct = apply_z(chart, rep, 1, apply_t(chart, rep, f)) - apply_t(
         chart, rep, apply_z(chart, rep, 1, f)

@@ -8,6 +8,7 @@ from diraclab.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_RESOURCE,
+    EXIT_USAGE,
     checks_complex,
     main,
 )
@@ -274,6 +275,29 @@ def test_verify_out_file(tmp_path, capsys):
     assert code == EXIT_PASS
     on_disk = json.loads(out.read_text())
     assert on_disk["command"] == "verify"
+
+
+def output_error(capsys, *argv):
+    """Run a command whose output path is unwritable: exit 2 and one JSON
+    line naming the output error, with no report printed."""
+    code = main(list(argv))
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_USAGE and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "output" and "No such file or directory" in error["detail"]
+
+
+def test_verify_unwritable_out(tmp_path, capsys):
+    output_error(capsys, "verify", "--scope", "weyl", "--k", "3",
+                 "--out", str(tmp_path / "missing" / "report.json"))
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report-out"])
+def test_solve_unwritable_out(flag, tmp_path, capsys):
+    # the field dump, before the sweep, and the report write, after it
+    output_error(capsys, "solve", "--k", "2", "--n", "2", "--N", "8", "--sweep", "4,8",
+                 flag, str(tmp_path / "missing" / "out"))
+    assert not (tmp_path / "missing").exists()
 
 
 def test_complex_residuals_relative_to_input():

@@ -56,9 +56,21 @@ def test_rejects_nonpositive_dimension():
 
 def test_construction_deterministic():
     a = build_clifford(5)
-    b = build_clifford(5)
+    b = build_clifford.__wrapped__(5)  # a fresh build, past the cache
     assert np.array_equal(a.gamma_plus, b.gamma_plus)
     assert np.array_equal(a.gamma_minus, b.gamma_minus)
+
+
+def test_build_is_cached_and_still_validates():
+    # one rep per dimension, shared read-only; the typed cache never hands
+    # the int's rep to a float, so a float is refused as before
+    rep = build_clifford(2)
+    assert build_clifford(2) is rep
+    assert not rep.gamma_plus.flags.writeable and not rep.gamma_minus.flags.writeable
+    build_clifford(1)
+    for bad in (2.0, 1.0):
+        with pytest.raises(ValueError):
+            build_clifford(bad)
 
 
 def test_symbol_zero_frequency(reps):

@@ -156,7 +156,7 @@ def test_zero_field_keeps_value_axes(k, n, reps):
     zero = stack(keyed([PolyField(k, n, "V0")] * 3), 3)
     chart = boundary.flat_chart(k, n)
     assert np.array_equal(boundary.pi1_kernel_check(chart, rep, zero, zero), np.zeros(3))
-    assert boundary.apply_z(chart, rep, 1, zero).vals.shape == (0, 3, s)
+    assert boundary.tangential_frame(chart, rep, zero)[1][0].vals.shape == (0, 3, s)
     assert boundary.restrict_to_chart(zero, chart).vals.shape == (0, 3, s)
 
 
