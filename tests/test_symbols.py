@@ -83,8 +83,8 @@ def test_stacked_build_matches_single_frequency(k, n, rng):
     for name, (lo, hi) in hodge_eig_bounds(flat).items():
         single = np.array([hodge_eig_bounds(b)[name] for b in per_row])
         # Weyl's inequality: entries equal to 1e-13 relative max-abs, as checked
-        # above, move each eigenvalue by at most dim * 1e-13 * max|L|.  This is
-        # the absolute slack a singular L (k = 2) needs at its roundoff zero
+        # above (floored at 1), move each eigenvalue by at most
+        # dim * 1e-13 * max(max|L|, 1)
         mats = getattr(flat, name)
         atol = mats.shape[-1] * 1e-13 * np.maximum(np.abs(mats).max(axis=(-2, -1)), 1.0)
         for got, want in ((lo, single[:, 0]), (hi, single[:, 1])):
