@@ -14,13 +14,16 @@ Exit codes: 0 pass, 1 check failure, 2 usage error, 3 resource limit,
 4 compatibility violation; a failed certification (an ArithmeticError) prints
 ``{"error": "certification", ...}`` and exits 1.  An output file that cannot
 be written (``verify --out``, ``solve --out`` or ``solve --report-out``, say
-in a missing directory) prints ``{"error": "output", ...}`` and exits 2.
+in a missing directory) prints ``{"error": "output", ...}`` and exits 2; the
+paths are checked before any suite or solve runs.
 Reports are deterministic for a fixed seed, except for the "timings" block.
 """
 
 import argparse
 import contextlib
+import errno
 import json
+import os
 import resource
 import sys
 import time
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import __version__, boundary, dirac_ops, solver, symbols, weyl
 from .clifford import build_clifford, delta_symbol, dirac_symbol
-from .fields import (draw_terms, keyed_norms, keyed_residuals, member_norms, random_keyed,
+from .fields import (draw_width, keyed_norms, keyed_residuals, member_norms, random_keyed,
                      stack)
 
 EXIT_PASS = 0
@@ -50,6 +53,24 @@ def _output():
         yield
     except OSError as exc:
         raise OutputError(str(exc)) from exc
+
+
+def _check_outputs(*paths):
+    """Raise an :class:`OutputError` for the first output that cannot be
+    written: its directory is missing or not writable, or it is a directory.
+
+    Called before any work, so a bad path costs no solve or suite."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            code = errno.ENOENT
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OutputError(str(OSError(code, os.strerror(code), path)))
 
 
 def _check(name, certifies, value, tol, ok=None, **extra):
@@ -172,29 +193,30 @@ COMPLEX_ROLES = {"f": ("V0", 4, 6), "F": ("V1", 4, 6), "h2": ("V2", 2, 5),
                  "g": ("V0", 3, 4)}
 
 
-def _complex_draws(rng, k, n, rep, samples):
-    """The random inputs of `samples` samples, drawn one sample at a time.
+def _complex_draws(rng, k, n, samples):
+    """The random inputs of `samples` samples, from one ``rng.random`` call.
 
-    Per sample the rng draws f, F, h2 (k >= 3 only: for k = 2 the order-5
-    branch does not exist), g and then the indices B, C, A of the
-    commutation check.  Each role's raw draws become one sample-keyed field,
-    the indices an array of shape (samples, 3).
+    Row i of the (samples, width) uniforms is sample i: the columns of f, F,
+    h2 (k >= 3 only: for k = 2 the order-5 branch does not exist) and g
+    (:func:`~diraclab.fields.draw_width` each), then three for the indices
+    B, C, A of the commutation check, ``floor(u k)``.  Each role's columns
+    become one sample-keyed field, the indices an array of shape
+    (samples, 3).
     """
-    roles = {role: [] for role in COMPLEX_ROLES if k >= 3 or role != "h2"}
-    slots = []
-    for _ in range(samples):
-        for role, draws in roles.items():
-            space, degree, nterms = COMPLEX_ROLES[role]
-            draws.append(draw_terms(rng, k, n, space, rep, degree, nterms))
-        slots.append([int(rng.integers(0, k)) for _ in range(3)])
-    return ({role: random_keyed(k, n, COMPLEX_ROLES[role][0], draws)
-             for role, draws in roles.items()}, np.array(slots))
+    roles = [role for role in COMPLEX_ROLES if k >= 3 or role != "h2"]
+    widths = [draw_width(k, n, *COMPLEX_ROLES[role]) for role in roles]
+    u = rng.random((samples, sum(widths) + 3))
+    inputs = {}
+    for role, cols in zip(roles, np.split(u[:, :-3], np.cumsum(widths)[:-1], axis=1)):
+        space, degree, nterms = COMPLEX_ROLES[role]
+        inputs[role] = random_keyed(k, n, space, cols, degree, nterms)
+    return inputs, (u[:, -3:] * k).astype(np.int64)
 
 
 def _complex_block(rng, k, n, rep, samples):
     """The next `samples` samples' residuals by check key, one operator pass
     per check."""
-    inputs, slots = _complex_draws(rng, k, n, rep, samples)
+    inputs, slots = _complex_draws(rng, k, n, samples)
 
     def norms(f):
         return keyed_norms(f, samples)
@@ -374,10 +396,11 @@ def checks_boundary(k, n, samples, seed):
                           "restrictions of monogenic fields satisfy Z f = 0, Z T f = 0",
                           tm, 1e-10, lambda i: {"member": i},
                           basis_size=mono.vals.shape[1]))
-        # sample i is the pair of draws 2i (F) and 2i + 1 (F')
-        draws = [draw_terms(rng, k, n, "V0", rep, degree=3, nterms=5)
-                 for _ in range(2 * samples)]
-        F, Fp = random_keyed(k, n, "V0", draws[0::2]), random_keyed(k, n, "V0", draws[1::2])
+        # row i of one draw is sample i: the uniforms of F, then those of F'
+        width = draw_width(k, n, "V0", 3, 5)
+        u = rng.random((samples, 2 * width))
+        F, Fp = (random_keyed(k, n, "V0", u[:, :width], 3, 5),
+                 random_keyed(k, n, "V0", u[:, width:], 3, 5))
         scale = keyed_norms(F, samples) + keyed_norms(Fp, samples)
         pk = (boundary.pi1_kernel_check(chart, rep, stack(F, samples), stack(Fp, samples))
               / np.maximum(scale, 1e-300))
@@ -559,13 +582,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
+    out_path = args.report_out if args.command == "solve" else args.out
     try:
         if args.command == "verify":
+            _check_outputs(out_path)
             report, code = run_verify(args)
         else:
+            _check_outputs(args.out, out_path)
             report, code = run_solve(args)
         text = json.dumps(report, indent=2)
-        out_path = args.report_out if args.command == "solve" else args.out
         if out_path:
             with _output(), open(out_path, "w") as fh:
                 fh.write(text + "\n")

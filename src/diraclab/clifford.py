@@ -82,8 +82,10 @@ def _hermitian_generators(m):
 
 
 def spinor_dim(n):
-    """Dimension of S+ (equal to that of S-) for spatial dimension n >= 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    """Dimension of S+ (equal to that of S-) for spatial dimension n >= 1.
+
+    A bool is refused: True is an int, but not a dimension."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"spatial dimension must be a positive integer, got {n!r}")
     return 2 ** ((int(n) + 1) // 2 - 1)
 

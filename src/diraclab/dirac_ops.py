@@ -16,7 +16,9 @@ independent ways:
 The two routes agreeing to roundoff on random fields is one of the package's
 standing checks.  A stack is an (exponents, values) pair whose values carry
 extra leading tensor axes; a sum of stacks is their concatenation, which the
-field constructor brings back to canonical form.
+field constructor brings back to canonical form; D1 and D2'' sum their
+gradient and Delta stacks in one buffer on the joint rows instead
+(:func:`_stack` with no leading axes), with the same values.
 
 Index conventions for the stacked derivative tensors: new derivative axes are
 prepended, so ``grad2[A, B, C, s]`` means (first apply the C-component
@@ -26,7 +28,7 @@ selection of the input, then the B derivative, then the A derivative).
 import numpy as np
 
 from . import weyl
-from .fields import PolyField, _canonical, _group, _key, _partial
+from .fields import PolyField, _group, _key, _partial
 
 
 def _require_space(f, space, op_name):
@@ -58,11 +60,12 @@ def _delta_pieces(expo, vals, B, C, n):
         yield e, -2.0 * v
 
 
-#: the peak of the worst caller, :func:`d2pp`, in units of its largest stack:
-#: its derivative and Delta stacks, the einsum terms, their canonical sum and
-#: the output check (measured under tracemalloc at n = 2 and k = 3..9: 6.5 to
-#: 12.5, rising with k)
-STACK_COPIES = 13
+#: the peak of an operator in units of its largest stack, rounded up: under
+#: tracemalloc on the complex suite's fields at n = 2 and k = 3..9, d1 and
+#: the order-5 operators held 2.8 to 6.4 (d2pp 2.8 to 5.0), most of it the
+#: nested gradient's pieces and the output's membership check; only stacks
+#: under 0.02 MiB, whose exponent rows outweigh their values, read more
+STACK_COPIES = 7
 
 
 def _stack(slotted, lead):
@@ -72,7 +75,9 @@ def _stack(slotted, lead):
     row; then each piece adds into its slot of its rows.  A piece's rows
     are unique, so no index repeats within one add, and the pieces add in
     order into zeros, bit for bit as a sum of the zero-padded pieces would.
-    The stack is refused over the memory cap, counted as
+    With ``lead = ()`` and empty slots it is the canonical sum of the pieces
+    in one buffer, bit for bit as the field constructor would sum their
+    concatenation.  The stack is refused over the memory cap, counted as
     :data:`STACK_COPIES` copies of it.
     """
     from .solver import _require_bytes  # solver imports symbols, which imports this module
@@ -161,10 +166,13 @@ def d1(F, rep):
     """
     _require_space(F, "V1", "d1")
     ge, t = _grad(F, rep, 2)  # (A, B, C, s)
+    sym = t + np.einsum("tacbs->tabcs", t)
+    del t
+    sym *= 0.5
     de, d = _delta_stack(F)  # (B, C, Ccomp, s)
-    sym = 0.5 * (t + np.einsum("tacbs->tabcs", t))
     lap = -0.5 * np.einsum("tbcas->tabcs", d)
-    return _result(F, "V2", *_cat([(ge, sym), (de, lap)]))
+    del d
+    return _result(F, "V2", *_stack([((), ge, sym), ((), de, lap)], ()))
 
 
 def d1_projector(F, rep):
@@ -198,15 +206,17 @@ def d2p(h, rep):
     expo, u = _grad(h, rep)  # U[D, A, B, C, s]
     # sum over swaps of (A,D) and of (B,C) of
     #   1/2 (U[DABC] - U[DCBA]) + 1/2 (U[BCDA] - U[BADC])
-    base = 0.5 * (u - np.einsum("tdcbas->tdabcs", u)) + 0.5 * (
-        np.einsum("tbcdas->tdabcs", u) - np.einsum("tbadcs->tdabcs", u)
-    )
-    out = (
-        base
-        + np.einsum("tadbcs->tdabcs", base)
-        + np.einsum("tdacbs->tdabcs", base)
-        + np.einsum("tadcbs->tdabcs", base)
-    )
+    base = u - np.einsum("tdcbas->tdabcs", u)
+    half = np.einsum("tbcdas->tdabcs", u) - np.einsum("tbadcs->tdabcs", u)
+    del u
+    base *= 0.5
+    half *= 0.5
+    base += half
+    del half
+    out = base + np.einsum("tadbcs->tdabcs", base)
+    out += np.einsum("tdacbs->tdabcs", base)
+    out += np.einsum("tadcbs->tdabcs", base)
+    del base
     return _result(h, "V3p", expo, out)
 
 
@@ -224,25 +234,36 @@ def d2pp(h, rep):
     Transcribes the display
     ``1/2 sum_{(D,B,C)} ( 2 grad_[E grad_D h_A]BC + grad_D grad_[E h_A]BC
     + Delta_BC h_[E D_ A] )`` with the bracket skew over E and A only.
+    Each stack-sized term is dropped once it is added in, and the gradient
+    and Delta terms are summed on their joint rows in one buffer, which
+    keeps the peak within :data:`STACK_COPIES` stacks.
     """
     _require_space(h, "V2", "d2pp")
     _require_order5(h)
     we, w2 = _grad(h, rep, 2)  # W2[E, D, A, B, C, s]
-    de, dh = _delta_stack(h)  # D[B', C', A, B, C, s]
     # 2 grad_[E grad_D_ h_A]BC  = grad_E grad_D h_ABC - grad_A grad_D h_EBC
-    t1 = w2 - np.einsum("tadebcs->tedabcs", w2)
+    t = w2 - np.einsum("tadebcs->tedabcs", w2)
     # grad_D grad_[E h_A]BC = 1/2 (grad_D grad_E h_ABC - grad_D grad_A h_EBC)
     w2s = np.einsum("tdeabcs->tedabcs", w2)
-    t2 = 0.5 * (w2s - np.einsum("tadebcs->tedabcs", w2s))
+    half = w2s - np.einsum("tadebcs->tedabcs", w2s)
+    del w2, w2s
+    half *= 0.5
+    t += half
+    del half
+    de, dh = _delta_stack(h)  # D[B', C', A, B, C, s]
     # Delta_BC h_[E D_ A] = 1/2 Delta_BC (h_EDA - h_ADE)
     x = np.einsum("tbcedas->tedabcs", dh)
-    t3 = 0.5 * (x - np.einsum("tadebcs->tedabcs", x))
-    expo, core = _canonical(*_cat([(we, t1 + t2), (de, t3)]))
+    half = x - np.einsum("tadebcs->tedabcs", x)
+    del dh, x
+    half *= 0.5
+    expo, core = _stack([((), we, t), ((), de, half)], ())
+    del t, half
     # 1/2 times the sum over the six relabelings of (D, B, C)
     out = np.zeros_like(core)
     for sub in ("edabcs", "ebadcs", "ecabds", "edacbs", "ebacds", "ecadbs"):
         out += np.einsum(f"t{sub}->tedabcs", core)
     out *= 0.5
+    del core
     return _result(h, "V3pp", expo, out)
 
 
@@ -254,7 +275,9 @@ def d2pp_projector(h, rep):
     _require_space(h, "V2", "d2pp_projector")
     _require_order5(h)
     expo, w2 = _grad(h, rep, 2)
-    mixed = 2.0 * w2 + np.einsum("tdeabcs->tedabcs", w2)
+    mixed = 2.0 * w2
+    mixed += np.einsum("tdeabcs->tedabcs", w2)
+    del w2
     return _result(h, "V3pp", expo, _apply_projector(mixed, "311"))
 
 

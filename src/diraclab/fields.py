@@ -23,11 +23,15 @@ members at once, through the same code path as on one field:
   one contiguous slice in the order the member alone would have, and
   ``keyed`` of canonical members is already canonical.  Derivatives never
   touch the key column and canonicalisation groups whole rows, so members
-  never mix.  Random fields are drawn as raw terms (:func:`draw_terms`) and
-  built per draw role as one keyed field (:func:`random_keyed`): one
-  projector call, one canonicalisation and one ``validate()`` per role.  The
-  complex suite keys its random tensor fields: they share few rows, and a
-  dense stack of its order-5 second-derivative tensors would take 0.2-2.7
+  never mix.  Random fields are built from uniforms, one row of
+  :func:`draw_width` per member, as one keyed field per draw role
+  (:func:`random_keyed`): one projector call, one canonicalisation and one
+  ``validate()`` per role.  A suite draws a block of samples with one
+  ``rng.random`` call, every role's columns side by side in a sample's row;
+  since consecutive ``rng.random`` calls continue one stream, the draws are
+  sample-major and :func:`random_field`, which draws one member's row, gives
+  each member bit for bit.  The complex suite keys its random tensor
+  fields: they share few rows, and a dense stack of its order-5 second-derivative tensors would take 0.2-2.7
   GiB.  Per-member norms and membership residuals (:func:`keyed_norms`,
   :func:`keyed_residuals`) take the member count and equal the one-field
   values bit for bit.
@@ -313,40 +317,44 @@ def make_field(k, n, space, terms, validate=True, tol=MEMBERSHIP_TOL):
     return out.validate(tol) if validate else out
 
 
-def draw_terms(rng, k, n, space, rep, degree=3, nterms=8):
-    """One random field's raw terms, (expo, coeffs), before any projection.
+def draw_width(k, n, space, degree, nterms):
+    """The uniforms one member of a draw role takes: per term, one for its
+    degree, `degree` for its variables and two per coefficient entry."""
+    size = k ** SPACE_INFO[space][0] * spinor_dim(n)
+    return nterms * (1 + degree + 2 * size)
 
-    Per term, the rng draws the total degree (<= `degree`), the variable of
-    each degree, and the real and imaginary parts of a standard complex
-    Gaussian coefficient.  :func:`random_keyed` turns draws into fields.
+
+def random_keyed(k, n, space, u, degree=3, nterms=8):
+    """The sample-keyed field drawn from uniforms `u`, member b from row b.
+
+    `u` has shape (B, :func:`draw_width`), values in [0, 1), laid out term
+    after term.  A term's first uniform gives its total degree
+    ``floor(u (degree + 1))``; the next `degree` give its variables
+    ``floor(u k n)``, of which the first (total degree) are used; the rest,
+    in pairs (u1, u2) per coefficient entry, a standard complex Gaussian by
+    Box-Muller, ``sqrt(-2 log(1 - u1)) exp(2 pi i u2)``.  V2/V3 coefficients
+    are projected into the module.  One projector call, one canonicalisation
+    and one ``validate()`` serve every member; repeated monomials within a
+    member add up.
     """
-    shape = (k,) * SPACE_INFO[space][0] + (rep.s_dim,)
-    expo = np.zeros((nterms, k * n), dtype=np.int64)
-    coeffs = np.empty((nterms,) + shape, dtype=complex)
-    for t in range(nterms):
-        for _ in range(int(rng.integers(0, degree + 1))):
-            expo[t, int(rng.integers(0, k * n))] += 1
-        z = rng.standard_normal((2,) + shape)
-        coeffs[t] = z[0] + 1j * z[1]
-    return expo, coeffs
-
-
-def random_keyed(k, n, space, draws):
-    """The sample-keyed field of raw draws, member b from ``draws[b]``.
-
-    V2/V3 coefficients are projected into the module.  One projector call,
-    one canonicalisation and one ``validate()`` serve every member; repeated
-    monomials within a member add up.
-    """
-    lam = SPACE_INFO[space][2]
-    key = np.repeat(np.arange(len(draws)), [len(e) for e, _ in draws])
-    expo = np.column_stack([key, np.concatenate([e for e, _ in draws])])
-    coeffs = np.concatenate([c for _, c in draws])
+    order, _, lam = SPACE_INFO[space]
+    shape = (k,) * order + (spinor_dim(n),)
+    count, kn = len(u), k * n
+    u = u.reshape(count * nterms, -1)
+    used = np.arange(degree) < (u[:, :1] * (degree + 1)).astype(np.int64)
+    var = (u[:, 1:1 + degree] * kn).astype(np.int64) + kn * np.arange(len(u))[:, None]
+    expo = np.bincount(var[used], minlength=len(u) * kn).reshape(len(u), kn)
+    pair = u[:, 1 + degree:].reshape((len(u),) + shape + (2,))
+    coeffs = np.sqrt(-2.0 * np.log1p(-pair[..., 0])) * np.exp(2j * np.pi * pair[..., 1])
     if lam is not None:  # one projector call, the term axis trailing
         coeffs = np.moveaxis(weyl.apply_projector(lam, np.moveaxis(coeffs, 0, -1)), -1, 0)
-    return PolyField(k, n, space, expo, coeffs).validate()
+    key = np.repeat(np.arange(count), nterms)
+    return PolyField(k, n, space, np.column_stack([key, expo]), coeffs).validate()
 
 
 def random_field(rng, k, n, space, rep, degree=3, nterms=8):
-    """Seeded random field: the one-member case of :func:`random_keyed`."""
-    return random_keyed(k, n, space, [draw_terms(rng, k, n, space, rep, degree, nterms)])
+    """Seeded random field: the one-member case of :func:`random_keyed`,
+    from one ``rng.random`` call."""
+    del rep
+    u = rng.random((1, draw_width(k, n, space, degree, nterms)))
+    return random_keyed(k, n, space, u, degree, nterms)

@@ -168,6 +168,17 @@ class SymbolBundle:
         return _second_order(_order5_constants(self.k)[1], self._products[0])
 
     @cached_property
+    def order5_svd(self):
+        """The thin SVD of the stacked order-5 symbols [sigma2'; sigma2''] as
+        (singular values, vh), or None for k = 2: one decomposition serves
+        the slot-2 rank of :func:`verify_exactness` and the kernel vectors of
+        :func:`kernel_identity_check`."""
+        if not self.has_order5:
+            return None
+        stacked = np.concatenate([self.sigma2p, self.sigma2pp], axis=-2)
+        return np.linalg.svd(stacked, full_matrices=False)[1:]
+
+    @cached_property
     def L0(self):
         g = _h(self.sigma0) @ self.sigma0
         return g @ g
@@ -245,8 +256,7 @@ def verify_exactness(bundle):
     rank1 = numeric_rank(bundle.sigma1)
     ker1 = dims["V1"] - rank1
     if bundle.has_order5:
-        stacked = np.concatenate([bundle.sigma2p, bundle.sigma2pp], axis=-2)
-        ker2 = dims["V2"] - numeric_rank(stacked)
+        ker2 = dims["V2"] - weyl.sv_rank(bundle.order5_svd[0])
         exact2 = ker2 == rank1
     else:
         ker2 = None
@@ -296,23 +306,23 @@ def kernel_identity_check(bundle):
         raise ArithmeticError(f"order-5 symbol stack is wide: {rows} rows, "
                               f"{bundle.sigma2p.shape[-1]} columns")
     parts = [a.reshape((-1,) + a.shape[len(batch):]) for a in
-             (bundle.sigma2p, bundle.sigma2pp, *bundle._products, n0sq)]
+             (*bundle.order5_svd, *bundle._products, n0sq)]
     resid = [_kernel_residual(bundle.k, bundle.s_dim,
                               *(a[lo:lo + KERNEL_BLOCK] for a in parts))
              for lo in range(0, max(len(parts[-1]), 1), KERNEL_BLOCK)]
     return np.concatenate(resid).reshape(batch)
 
 
-def _kernel_residual(k, s, sigma2p, sigma2pp, pp, scal, n0sq):
-    """:func:`kernel_identity_check` on one chunk of frequencies."""
-    _, sv, vh = np.linalg.svd(np.concatenate([sigma2p, sigma2pp], axis=-2),
-                              full_matrices=False)
+def _kernel_residual(k, s, sv, vh, pp, scal, n0sq):
+    """:func:`kernel_identity_check` on one chunk of frequencies, from the
+    chunk's singular values and right singular vectors of the stack."""
     # the right singular vectors past the rank span the kernel; take them
     # from the smallest rank in the chunk on and mask the rest per frequency
     rank = weyl.sv_rank(sv)
     lo = int(rank.min(initial=vh.shape[-1]))
     vecs = vh[:, lo:, :].conj().reshape((len(vh), -1, vh.shape[-1] // s, s))
-    theta = np.einsum("ABCr,...vrs->...vABCs", _w21(k), vecs)
+    # Theta[..., v, A, B, C, s] = sum_r w21[A, B, C, r] vecs[..., v, r, s]
+    theta = (_w21(k).reshape(k**3, -1) @ vecs).reshape(vecs.shape[:2] + (k,) * 3 + (s,))
     t00 = theta[..., 0, 0, :, :]
     rhs = (np.einsum("...ABst,...vCt->...vABCs", pp, t00)
            + np.einsum("...ACst,...vBt->...vABCs", pp, t00)

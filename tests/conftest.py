@@ -130,13 +130,33 @@ def complex_sample(rng, k, n, rep):
         val["member"] = max(val["member"], a.membership_residual().max(initial=0.0) / h2n,
                             c.membership_residual().max(initial=0.0) / h2n)
     g = random_field(rng, k, n, "V0", rep, degree=3, nterms=4)
-    bidx = int(rng.integers(0, k))
-    cidx = int(rng.integers(0, k))
-    aidx = int(rng.integers(0, k))
+    bidx, cidx, aidx = (rng.random(3) * k).astype(int)
     lhs = dirac_ops.delta_op(bidx, cidx, dirac_ops.nabla(aidx, g, rep), rep)
     rhs = dirac_ops.nabla(aidx, dirac_ops.delta_op(bidx, cidx, g, rep), rep)
     val["commute"] = (lhs - rhs).norm() / max(g.norm(), 1e-300)
     return val
+
+
+# ---------------------------------------------------------------------------
+# D2'' with every stack-sized term alive at once: the route that
+# dirac_ops.d2pp replaced by one joint stack and one output buffer
+
+
+def d2pp_all_at_once(h, rep):
+    """D2'' h by the display, its terms t1, t2, t3 and their canonical sum
+    formed side by side before the sum over the relabelings of (D, B, C)."""
+    we, w2 = dirac_ops._grad(h, rep, 2)
+    de, dh = dirac_ops._delta_stack(h)
+    t1 = w2 - np.einsum("tadebcs->tedabcs", w2)
+    w2s = np.einsum("tdeabcs->tedabcs", w2)
+    t2 = 0.5 * (w2s - np.einsum("tadebcs->tedabcs", w2s))
+    x = np.einsum("tbcedas->tedabcs", dh)
+    t3 = 0.5 * (x - np.einsum("tadebcs->tedabcs", x))
+    expo, core = _canonical(np.concatenate((we, de)), np.concatenate((t1 + t2, t3)))
+    out = np.zeros_like(core)
+    for sub in ("edabcs", "ebadcs", "ecabds", "edacbs", "ebacds", "ecadbs"):
+        out += np.einsum(f"t{sub}->tedabcs", core)
+    return PolyField(h.k, h.n, "V3pp", expo, 0.5 * out)
 
 
 # ---------------------------------------------------------------------------

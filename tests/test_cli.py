@@ -267,6 +267,39 @@ def test_complex_blocks_continue_the_draws(monkeypatch):
         assert batched.tobytes() == np.array([v[key] for v in oracle]).tobytes(), key
 
 
+class CountingRng:
+    """A generator that records the name of every call made on it."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._log.append(name)
+            return method(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_each_block_draws_with_one_rng_call(k, monkeypatch):
+    # a complex block of any size, and a boundary chart, make one rng.random
+    # call; 70 samples are two complex blocks, and the boundary suite has two
+    # charts
+    from diraclab import cli
+
+    log, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: CountingRng(default_rng(seed), log))
+    cli.complex_values(k, 2, 70, 3)
+    assert log == ["random", "random"]
+    del log[:]
+    cli.checks_boundary(k, 2, 4, 3)
+    assert log == ["random", "random"]
+
+
 def test_verify_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _ = run_cli(
@@ -287,17 +320,38 @@ def output_error(capsys, *argv):
     assert error["error"] == "output" and "No such file or directory" in error["detail"]
 
 
-def test_verify_unwritable_out(tmp_path, capsys):
+def test_verify_unwritable_out(tmp_path, monkeypatch, capsys):
+    # the path is checked before the suite runs
+    from diraclab import cli
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "checks_weyl", no_suite)
     output_error(capsys, "verify", "--scope", "weyl", "--k", "3",
                  "--out", str(tmp_path / "missing" / "report.json"))
 
 
 @pytest.mark.parametrize("flag", ["--out", "--report-out"])
-def test_solve_unwritable_out(flag, tmp_path, capsys):
-    # the field dump, before the sweep, and the report write, after it
+def test_solve_unwritable_out(flag, tmp_path, monkeypatch, capsys):
+    # both the field dump and the report are checked before any solve runs
+    from diraclab import solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(solver, "recover_bump", no_solve)
+    monkeypatch.setattr(solver, "resolution_sweep", no_solve)
     output_error(capsys, "solve", "--k", "2", "--n", "2", "--N", "8", "--sweep", "4,8",
                  flag, str(tmp_path / "missing" / "out"))
     assert not (tmp_path / "missing").exists()
+
+
+def test_output_that_is_a_directory(tmp_path, capsys):
+    code = main(["verify", "--scope", "weyl", "--k", "2", "--out", str(tmp_path)])
+    error = json.loads(capsys.readouterr().out)
+    assert code == EXIT_USAGE and error["error"] == "output"
+    assert "Is a directory" in error["detail"]
 
 
 def test_complex_residuals_relative_to_input():

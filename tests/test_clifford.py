@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import build_clifford, delta_symbol, dirac_symbol
+from diraclab.clifford import spinor_dim
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -52,6 +53,17 @@ def test_rejects_nonpositive_dimension():
         build_clifford(0)
     with pytest.raises(ValueError):
         build_clifford(-3)
+
+
+def test_rejects_bool_dimension():
+    # True is an int equal to 1, but not a dimension; the typed cache keeps
+    # the n = 1 rep from answering for it
+    build_clifford(1)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="positive integer"):
+            spinor_dim(bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            build_clifford(bad)
 
 
 def test_construction_deterministic():

@@ -6,7 +6,7 @@ from diraclab.fields import (
     SPACE_INFO,
     PolyField,
     _members,
-    draw_terms,
+    draw_width,
     keyed,
     keyed_norms,
     keyed_residuals,
@@ -36,18 +36,19 @@ def same(f, g):
 
 
 def per_term_random_field(rng, k, n, space, rep, degree=3, nterms=8):
-    """Oracle: the projector applied one term at a time, through a terms dict."""
+    """Oracle: each term from its own ``rng.random`` call, its coefficient
+    projected alone and added through a terms dict."""
     order, _, lam = SPACE_INFO[space]
-    s = rep.s_dim
+    shape = (k,) * order + (rep.s_dim,)
     terms = {}
     for _ in range(nterms):
-        d = int(rng.integers(0, degree + 1))
+        u = rng.random(1 + degree + 2 * int(np.prod(shape)))
         expo = [0] * (k * n)
-        for _ in range(d):
-            expo[int(rng.integers(0, k * n))] += 1
+        for i in range(int(u[0] * (degree + 1))):
+            expo[int(u[1 + i] * k * n)] += 1
         expo = tuple(expo)
-        coeff = rng.standard_normal((k,) * order + (s,)) + 1j * rng.standard_normal(
-            (k,) * order + (s,))
+        u1, u2 = u[1 + degree::2].reshape(shape), u[2 + degree::2].reshape(shape)
+        coeff = np.sqrt(-2.0 * np.log1p(-u1)) * np.exp(2j * np.pi * u2)
         if lam is not None:
             coeff = np.ascontiguousarray(weyl.apply_projector(lam, coeff))
         terms[expo] = terms.get(expo, 0) + coeff
@@ -248,20 +249,26 @@ def test_canonical_fast_path_matches_sum(reps, rng, monkeypatch):
 
 @pytest.mark.parametrize("space", ["V0", "V1", "V2"])
 def test_batched_draws_match_one_member_fields(space, reps):
-    # one projector call, canonicalisation and validate over all members give
-    # each member's random_field bit for bit, and leave the rng where the
-    # one-at-a-time draws leave it; degree 1 repeats monomials within members
+    # one draw of a (B, width) block, one projector call, canonicalisation and
+    # validate over all members give each member's random_field bit for bit,
+    # and leave the rng where the one-at-a-time draws leave it; two roles side
+    # by side in a row are the strided column slices the suites pass;
+    # degree 1 repeats monomials within members
     rep = reps[2]
     for degree, nterms in ((1, 9), (3, 6), (0, 3)):
         ours, theirs = np.random.default_rng(29), np.random.default_rng(29)
-        draws = [draw_terms(ours, 3, 2, space, rep, degree, nterms) for _ in range(7)]
-        members = [random_field(theirs, 3, 2, space, rep, degree, nterms) for _ in range(7)]
-        f = random_keyed(3, 2, space, draws)
+        width = draw_width(3, 2, space, degree, nterms)
+        u = ours.random((7, 2 * width))
+        sides = [random_keyed(3, 2, space, u[:, :width], degree, nterms),
+                 random_keyed(3, 2, space, u[:, width:], degree, nterms)]
+        members = [random_field(theirs, 3, 2, space, rep, degree, nterms) for _ in range(14)]
         assert ours.bit_generator.state == theirs.bit_generator.state
-        whole = keyed(members)
-        assert np.array_equal(f.expo, whole.expo) and f.vals.tobytes() == whole.vals.tobytes()
-        for g, h in zip(members, unkey(f, len(members))):
-            assert same(g, h), (space, degree)
+        for f, part in zip(sides, (members[0::2], members[1::2])):
+            whole = keyed(part)
+            assert np.array_equal(f.expo, whole.expo)
+            assert f.vals.tobytes() == whole.vals.tobytes()
+            for g, h in zip(part, unkey(f, len(part))):
+                assert same(g, h), (space, degree)
 
 
 def test_keyed_of_canonical_members_is_canonical(reps, rng, monkeypatch):
