@@ -108,6 +108,11 @@ def _second_order(c_pp, pp):
     return out.reshape(out.shape[:-4] + (out.shape[-4] * s, out.shape[-2] * s))
 
 
+#: frequencies per pass of :attr:`SymbolBundle.order5_svd` and
+#: :func:`kernel_identity_check`; bounds their scratch memory at any batch size
+KERNEL_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class SymbolBundle:
     """The symbols at a frequency vector xi, or at each of a stack of them.
@@ -172,11 +177,21 @@ class SymbolBundle:
         """The thin SVD of the stacked order-5 symbols [sigma2'; sigma2''] as
         (singular values, vh), or None for k = 2: one decomposition serves
         the slot-2 rank of :func:`verify_exactness` and the kernel vectors of
-        :func:`kernel_identity_check`."""
+        :func:`kernel_identity_check`.  It runs on at most
+        :data:`KERNEL_BLOCK` frequencies at a time, so its scratch, the
+        discarded left vectors among it, does not grow with the batch."""
         if not self.has_order5:
             return None
-        stacked = np.concatenate([self.sigma2p, self.sigma2pp], axis=-2)
-        return np.linalg.svd(stacked, full_matrices=False)[1:]
+        batch = self.xi.shape[:-1]
+        p, pp = (a.reshape((-1,) + a.shape[-2:]) for a in (self.sigma2p, self.sigma2pp))
+        width = min(p.shape[1] + pp.shape[1], p.shape[2])
+        sv = np.empty((len(p), width))
+        vh = np.empty((len(p), width, p.shape[2]), dtype=complex)
+        for lo in range(0, len(p), KERNEL_BLOCK):
+            hi = lo + KERNEL_BLOCK
+            _, sv[lo:hi], vh[lo:hi] = np.linalg.svd(
+                np.concatenate([p[lo:hi], pp[lo:hi]], axis=-2), full_matrices=False)
+        return sv.reshape(batch + sv.shape[1:]), vh.reshape(batch + vh.shape[1:])
 
     @cached_property
     def L0(self):
@@ -271,11 +286,6 @@ def verify_exactness(bundle):
         exact_slot1=ker1 == rank0,
         exact_slot2=exact2,
     )
-
-
-#: frequencies per pass of :func:`kernel_identity_check`; bounds its scratch
-#: memory at any batch size
-KERNEL_BLOCK = 256
 
 
 def kernel_identity_check(bundle):
