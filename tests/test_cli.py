@@ -355,10 +355,11 @@ def test_output_that_is_a_directory(tmp_path, capsys):
 
 
 def test_complex_residuals_relative_to_input():
-    # sample 12 at this seed has a D2'' output of norm ~3e-15 (pure roundoff)
-    # from an input of norm ~14: residuals divided by that output's norm
-    # would read ~1 although both operator routes are right
-    checks = checks_complex(3, 3, 25, 3)
+    # sample 4 at this seed has a D2'' output of norm ~4e-15 (pure roundoff)
+    # from an input of norm ~16: residuals divided by that output's norm
+    # would read ~1 (0.95 for form agreement) although both operator routes
+    # are right
+    checks = checks_complex(3, 3, 25, 1)
     assert all(c["pass"] for c in checks), checks
 
 

@@ -83,8 +83,9 @@ def assert_forms_agree(a, b, f, order):
     exact arithmetic and its norm is roundoff, so a ratio to it reads ~1 on
     correct values; there both norms and the membership residual are held
     to the same tolerance relative to f instead."""
-    scale = a.norm() if f.degree() >= order else f.norm()
-    if f.degree() < order:
+    vanishes = f.degree() < order
+    scale = f.norm() if vanishes else a.norm()
+    if vanishes:
         assert rel(a.norm(), scale) <= 1e-10 and rel(b.norm(), scale) <= 1e-10
     assert rel((a - b).norm(), scale) <= 1e-10
     assert rel(a.membership_residual().max(initial=0.0), scale) <= 1e-10
