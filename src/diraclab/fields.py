@@ -352,9 +352,8 @@ def random_keyed(k, n, space, u, degree=3, nterms=8):
     return PolyField(k, n, space, np.column_stack([key, expo]), coeffs).validate()
 
 
-def random_field(rng, k, n, space, rep, degree=3, nterms=8):
+def random_field(rng, k, n, space, degree=3, nterms=8):
     """Seeded random field: the one-member case of :func:`random_keyed`,
     from one ``rng.random`` call."""
-    del rep
     u = rng.random((1, draw_width(k, n, space, degree, nterms)))
     return random_keyed(k, n, space, u, degree, nterms)

@@ -177,9 +177,10 @@ class SymbolBundle:
         """The thin SVD of the stacked order-5 symbols [sigma2'; sigma2''] as
         (singular values, vh), or None for k = 2: one decomposition serves
         the slot-2 rank of :func:`verify_exactness` and the kernel vectors of
-        :func:`kernel_identity_check`.  It runs on at most
-        :data:`KERNEL_BLOCK` frequencies at a time, so its scratch, the
-        discarded left vectors among it, does not grow with the batch."""
+        :func:`kernel_identity_check`.  The kept (sv, vh) grow linearly with
+        the number of frequencies, at most the size of the stack itself.  It
+        runs on at most :data:`KERNEL_BLOCK` frequencies at a time, so only
+        its scratch, the discarded left vectors among it, is bounded."""
         if not self.has_order5:
             return None
         batch = self.xi.shape[:-1]

@@ -104,14 +104,14 @@ def complex_sample(rng, k, n, rep):
     Each operator runs on one plain field, in the rng order the suite draws
     in: f, F, [h2], g, then the indices B, C, A."""
     val = {}
-    f = random_field(rng, k, n, "V0", rep, degree=4, nterms=6)
+    f = random_field(rng, k, n, "V0", degree=4, nterms=6)
     fn = max(f.norm(), 1e-300)
     df = dirac_ops.d0(f, rep)
     val["d1d0"] = dirac_ops.d1(df, rep).norm() / fn
     lap = dirac_ops.d0_star(df, rep) - dirac_ops.laplacian(f, rep)
     val["laplace"] = lap.norm() / fn
 
-    F = random_field(rng, k, n, "V1", rep, degree=4, nterms=6)
+    F = random_field(rng, k, n, "V1", degree=4, nterms=6)
     Fn = max(F.norm(), 1e-300)
     h = dirac_ops.d1(F, rep)
     hp = dirac_ops.d1_projector(F, rep)
@@ -120,7 +120,7 @@ def complex_sample(rng, k, n, rep):
     if k >= 3:  # for k = 2 the order-5 branch does not exist
         val["d2pd1"] = dirac_ops.d2p(h, rep).norm() / Fn
         val["d2ppd1"] = dirac_ops.d2pp(h, rep).norm() / Fn
-        h2 = random_field(rng, k, n, "V2", rep, degree=2, nterms=5)
+        h2 = random_field(rng, k, n, "V2", degree=2, nterms=5)
         h2n = max(h2.norm(), 1e-300)
         a = dirac_ops.d2p(h2, rep)
         b = dirac_ops.d2p_projector(h2, rep)
@@ -129,7 +129,7 @@ def complex_sample(rng, k, n, rep):
         val["agree"] = max(val["agree"], (a - b).norm() / h2n, (c - d).norm() / h2n)
         val["member"] = max(val["member"], a.membership_residual().max(initial=0.0) / h2n,
                             c.membership_residual().max(initial=0.0) / h2n)
-    g = random_field(rng, k, n, "V0", rep, degree=3, nterms=4)
+    g = random_field(rng, k, n, "V0", degree=3, nterms=4)
     bidx, cidx, aidx = (rng.random(3) * k).astype(int)
     lhs = dirac_ops.delta_op(bidx, cidx, dirac_ops.nabla(aidx, g, rep), rep)
     rhs = dirac_ops.nabla(aidx, dirac_ops.delta_op(bidx, cidx, g, rep), rep)

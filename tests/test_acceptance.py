@@ -114,12 +114,12 @@ def test_criterion_3_complex_property():
         for n in (2, 3):
             rep = build_clifford(n)
             for _ in range(25):
-                f = random_field(rngs, k, n, "V0", rep, degree=4, nterms=6)
+                f = random_field(rngs, k, n, "V0", degree=4, nterms=6)
                 worst_complex = max(
                     worst_complex,
                     ops.d1(ops.d0(f, rep), rep).norm() / max(f.norm(), 1e-300),
                 )
-                F = random_field(rngs, k, n, "V1", rep, degree=4, nterms=6)
+                F = random_field(rngs, k, n, "V1", degree=4, nterms=6)
                 h = ops.d1(F, rep)
                 worst_agree = max(worst_agree, _form_gap(h, ops.d1_projector(F, rep), F))
                 if k >= 3:
@@ -129,7 +129,7 @@ def test_criterion_3_complex_property():
                         ops.d2p(h, rep).norm() / Fn,
                         ops.d2pp(h, rep).norm() / Fn,
                     )
-                    hr = random_field(rngs, k, n, "V2", rep, degree=2, nterms=4)
+                    hr = random_field(rngs, k, n, "V2", degree=2, nterms=4)
                     worst_agree = max(
                         worst_agree,
                         _form_gap(ops.d2p(hr, rep), ops.d2p_projector(hr, rep), hr),
@@ -248,7 +248,7 @@ def test_criterion_6_boundary():
                     float((np.maximum(rpt["z_residual"], rpt["zt_residual"])
                            / np.maximum(rpt["input_norm"], 1e-300)).max()),
                 )
-                draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
+                draws = [random_field(rng, k, n, "V0", degree=3, nterms=5)
                          for _ in range(40)]
                 Fs, Fps = draws[0::2], draws[1::2]
                 scale = [F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)]

@@ -77,7 +77,7 @@ def test_frame_annihilates_phi(k, n):
 def test_flat_chart_z_equals_nabla(rng, reps):
     rep = reps[3]
     chart = flat_chart(2, 3)
-    f = random_field(rng, 2, 3, "V0", rep, degree=3, nterms=5)
+    f = random_field(rng, 2, 3, "V0", degree=3, nterms=5)
     diff = tangential_frame(chart, rep, f)[1][0] - nabla(1, f, rep)
     assert diff.norm() == 0.0
 
@@ -103,7 +103,7 @@ def test_frame_coefficients_match_operator(rng, reps):
     k, n = 3, 2
     chart = charts_for(k, n)[1]
     z_coeffs = tangential_z_coeffs(chart, rep)
-    f = random_field(rng, k, n, "V0", rep, degree=3, nterms=6)
+    f = random_field(rng, k, n, "V0", degree=3, nterms=6)
     from diraclab.boundary import dx
 
     zs = tangential_frame(chart, rep, f)[1]
@@ -126,7 +126,7 @@ def test_tangential_frame_matches_factor_route(k, n, rng):
     # T and every Z_mu on S+ and S- stacks equal, bit for bit, the separate
     # operators that build each factor from a one-row Dirac symbol
     rep = build_clifford(n)
-    plus = dense([random_field(rng, k, n, "V0", rep, degree=3, nterms=5) for _ in range(3)])
+    plus = dense([random_field(rng, k, n, "V0", degree=3, nterms=5) for _ in range(3)])
     for chart in charts_for(k, n):
         for f in (plus, nabla(1, plus, rep)):
             tf, zs = tangential_frame(chart, rep, f)
@@ -143,7 +143,7 @@ def test_script_d0_reads_nabla0_and_symbol_twice(rng, monkeypatch):
     k, n = 3, 2
     rep = build_clifford(n)
     chart = charts_for(k, n)[1]
-    fhat = restrict_to_chart(random_field(rng, k, n, "V0", rep, degree=3, nterms=5), chart)
+    fhat = restrict_to_chart(random_field(rng, k, n, "V0", degree=3, nterms=5), chart)
     calls = {"nabla": [], "dirac_symbol": 0}
     real_nabla, real_symbol = boundary.nabla, boundary.dirac_symbol
 
@@ -186,7 +186,7 @@ def test_monogenic_restrictions_are_tangentially_monogenic(k, n):
 
 def test_restrict_and_test_rejects_non_monogenic(rng, reps):
     rep = reps[2]
-    f = random_field(rng, 2, 2, "V0", rep, degree=2, nterms=5)
+    f = random_field(rng, 2, 2, "V0", degree=2, nterms=5)
     # a generic field is not monogenic
     with pytest.raises(ValueError, match="not monogenic"):
         restrict_and_test(dense([f]), flat_chart(2, 2), rep)
@@ -211,7 +211,7 @@ def test_restriction_substitutes_defining_variable(reps):
 def test_pi1_kernel_property(k, n, rng):
     rep = build_clifford(n)
     for chart in charts_for(k, n):
-        draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5) for _ in range(10)]
+        draws = [random_field(rng, k, n, "V0", degree=3, nterms=5) for _ in range(10)]
         Fs, Fps = draws[0::2], draws[1::2]
         scale = np.maximum([F.norm() + Fp.norm() for F, Fp in zip(Fs, Fps)], 1e-30)
         assert (pi1_kernel_check(chart, rep, dense(Fs), dense(Fps)) <= 1e-10 * scale).all()
@@ -225,7 +225,7 @@ def test_commutator_identities(rng, reps):
     chart = charts_for(k, n)[1]
     # operator identity Z T - T Z = [Z, T] on arbitrary fields, the left side
     # composed from the separate T and Z_mu operators of the oracle
-    f = random_field(rng, k, n, "V0", rep, degree=3, nterms=6)
+    f = random_field(rng, k, n, "V0", degree=3, nterms=6)
     direct = apply_z(chart, rep, 1, apply_t(chart, rep, f)) - apply_t(
         chart, rep, apply_z(chart, rep, 1, f)
     )
@@ -238,13 +238,12 @@ def test_commutator_identities(rng, reps):
         )
 
 
-def test_restriction_agrees_with_pointwise_evaluation(rng, reps):
+def test_restriction_agrees_with_pointwise_evaluation(rng):
     # independent oracle: substituting the defining variable commutes with
     # evaluating at points lying on the chart
-    rep = reps[2]
     k, n = 2, 2
     chart = tilted_chart(k, n, np.array([[0.0, 0.7], [0.3, -0.4]]))
-    f = random_field(rng, k, n, "V0", rep, degree=3, nterms=6)
+    f = random_field(rng, k, n, "V0", degree=3, nterms=6)
     g = restrict_to_chart(f, chart)
     for _ in range(5):
         x = rng.standard_normal(k * n)
@@ -257,7 +256,7 @@ def test_stacked_checks_match_one_member_calls(k, n, rng):
     # one pass over a stack gives each member the value of a one-element call
     rep = build_clifford(n)
     basis = monogenic_basis(rep, k, n, degree=3)
-    draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5) for _ in range(8)]
+    draws = [random_field(rng, k, n, "V0", degree=3, nterms=5) for _ in range(8)]
     draws[2] = make_field(k, n, "V0", {})  # a zero member among the samples
     Fs, Fps = draws[0::2], draws[1::2]
     for chart in charts_for(k, n):

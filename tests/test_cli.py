@@ -188,7 +188,7 @@ def test_boundary_witnesses_replay(capsys):
     rng = np.random.default_rng(seed)
     for label, chart in _boundary_charts(k, n):
         # the charts draw their samples from one generator, in chart order
-        draws = [random_field(rng, k, n, "V0", rep, degree=3, nterms=5)
+        draws = [random_field(rng, k, n, "V0", degree=3, nterms=5)
                  for _ in range(2 * samples)]
         values = []
         for f in members(basis):

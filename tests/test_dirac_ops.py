@@ -54,7 +54,7 @@ def test_nabla_index_range(reps):
 def test_delta_commutes_with_nabla(reps, rng):
     rep = reps[2]
     for _ in range(5):
-        f = random_field(rng, 3, 2, "V0", rep, degree=3, nterms=5)
+        f = random_field(rng, 3, 2, "V0", degree=3, nterms=5)
         a, b, c = rng.integers(0, 3, size=3)
         lhs = delta_op(b, c, nabla(a, f, rep), rep)
         rhs = nabla(a, delta_op(b, c, f, rep), rep)
@@ -65,9 +65,9 @@ def test_delta_commutes_with_nabla(reps, rng):
 def test_complex_property(k, n, rng):
     rep = build_clifford(n)
     for _ in range(5):
-        f = random_field(rng, k, n, "V0", rep, degree=4, nterms=6)
+        f = random_field(rng, k, n, "V0", degree=4, nterms=6)
         assert rel(d1(d0(f, rep), rep).norm(), f.norm()) <= 1e-9
-        F = random_field(rng, k, n, "V1", rep, degree=4, nterms=6)
+        F = random_field(rng, k, n, "V1", degree=4, nterms=6)
         h = d1(F, rep)
         assert rel(h.membership_residual().max(initial=0.0), h.norm()) <= 1e-10
         if k >= 3:
@@ -95,9 +95,9 @@ def assert_forms_agree(a, b, f, order):
 def test_direct_vs_projector_forms(k, n, rng):
     rep = build_clifford(n)
     for _ in range(4):
-        F = random_field(rng, k, n, "V1", rep, degree=3, nterms=5)
+        F = random_field(rng, k, n, "V1", degree=3, nterms=5)
         assert_forms_agree(d1(F, rep), d1_projector(F, rep), F, 2)
-        h = random_field(rng, k, n, "V2", rep, degree=2, nterms=5)
+        h = random_field(rng, k, n, "V2", degree=2, nterms=5)
         assert_forms_agree(d2p(h, rep), d2p_projector(h, rep), h, 1)
         assert_forms_agree(d2pp(h, rep), d2pp_projector(h, rep), h, 2)
 
@@ -109,8 +109,8 @@ def test_d2pp_matches_all_at_once_route(k, n, rng):
     from conftest import d2pp_all_at_once
 
     rep = build_clifford(n)
-    members = [random_field(rng, k, n, "V2", rep, degree=3, nterms=4) for _ in range(4)]
-    members.append(d1(random_field(rng, k, n, "V1", rep, degree=4, nterms=6), rep))
+    members = [random_field(rng, k, n, "V2", degree=3, nterms=4) for _ in range(4)]
+    members.append(d1(random_field(rng, k, n, "V1", degree=4, nterms=6), rep))
     for h in members + [keyed(members)]:
         a, b = d2pp(h, rep), d2pp_all_at_once(h, rep)
         assert np.array_equal(a.expo, b.expo)
@@ -126,7 +126,7 @@ def test_second_order_kills_constants(reps):
 def test_first_order_branch_kills_constants(reps, rng):
     # both routes agree (trivially, at zero) on constant inputs
     rep = reps[2]
-    h = random_field(rng, 3, 2, "V2", rep, degree=0, nterms=2)
+    h = random_field(rng, 3, 2, "V2", degree=0, nterms=2)
     assert d2p(h, rep).norm() == 0.0
     assert d2p_projector(h, rep).norm() == 0.0
 
@@ -134,7 +134,7 @@ def test_first_order_branch_kills_constants(reps, rng):
 def test_adjoint_composition_is_laplacian(reps, rng):
     rep = reps[2]
     for _ in range(5):
-        f = random_field(rng, 2, 2, "V0", rep, degree=2, nterms=5)
+        f = random_field(rng, 2, 2, "V0", degree=2, nterms=5)
         lhs = d0_star(d0(f, rep), rep)
         rhs = laplacian(f, rep)
         assert rel((lhs - rhs).norm(), f.norm()) <= 1e-12
@@ -189,15 +189,15 @@ def test_zero_field_keeps_value_axes(k, n, reps):
 
 def test_space_guards(reps, rng):
     rep = reps[2]
-    F = random_field(rng, 3, 2, "V1", rep, degree=2, nterms=3)
+    F = random_field(rng, 3, 2, "V1", degree=2, nterms=3)
     with pytest.raises(ValueError):
         d0(F, rep)
-    f = random_field(rng, 3, 2, "V0", rep, degree=2, nterms=3)
+    f = random_field(rng, 3, 2, "V0", degree=2, nterms=3)
     with pytest.raises(ValueError):
         d1(f, rep)
     with pytest.raises(ValueError):
         d2p(F, rep)
-    h2 = random_field(rng, 2, 2, "V2", rep, degree=2, nterms=3)
+    h2 = random_field(rng, 2, 2, "V2", degree=2, nterms=3)
     with pytest.raises(ValueError):
         d2p(h2, rep)  # order-5 branch needs k >= 3
 
@@ -304,10 +304,9 @@ def test_membership_validation_rejects_bad_tensors(reps, rng):
         make_field(3, 2, "V2", {(0,) * 6: raw})
 
 
-def test_field_algebra(reps, rng):
-    rep = reps[2]
-    f = random_field(rng, 2, 2, "V0", rep, degree=3, nterms=4)
-    g = random_field(rng, 2, 2, "V0", rep, degree=3, nterms=4)
+def test_field_algebra(rng):
+    f = random_field(rng, 2, 2, "V0", degree=3, nterms=4)
+    g = random_field(rng, 2, 2, "V0", degree=3, nterms=4)
     assert ((f + g) - g - f).norm() <= 1e-12 * (f.norm() + g.norm())
     assert (f.scale(2.0) - f - f).norm() == 0.0
     assert f.degree() <= 3
@@ -324,8 +323,8 @@ def assert_canonical(f):
 
 def test_canonical_form(reps, rng):
     rep = reps[3]
-    f = random_field(rng, 3, 3, "V1", rep, degree=4, nterms=8)
-    g = random_field(rng, 3, 3, "V1", rep, degree=4, nterms=8)
+    f = random_field(rng, 3, 3, "V1", degree=4, nterms=8)
+    g = random_field(rng, 3, 3, "V1", degree=4, nterms=8)
     h = d1(f, rep)
     for fld in (f, g, f + g, f - g, h, d1_projector(f, rep), nabla(1, d0_star(f, rep), rep)):
         assert len(fld) > 0
@@ -359,7 +358,7 @@ def test_stack_round_trips_members(reps, rng):
     one = np.array([1.0 + 0j])
     a = make_field(2, 2, "V0", {(1, 0, 0, 0): one, (0, 0, 0, 2): 2 * one})
     b = make_field(2, 2, "V0", {(0, 1, 0, 0): 3 * one})  # disjoint from a
-    c = random_field(rng, 2, 2, "V0", rep, degree=3, nterms=6)
+    c = random_field(rng, 2, 2, "V0", degree=3, nterms=6)
     members = [a, b, PolyField(2, 2, "V0"), c, a + c]  # a + c overlaps a and c
     s = stack(keyed(members), len(members))
     assert_canonical(s)
@@ -376,7 +375,7 @@ def test_stack_round_trips_members(reps, rng):
     with pytest.raises(ValueError, match="one space"):
         keyed([a, make_field(2, 2, "S-", {(0, 0, 0, 0): one})])
     with pytest.raises(ValueError, match="scalar members"):
-        stack(keyed([random_field(rng, 2, 2, "V1", rep)]), 1)
+        stack(keyed([random_field(rng, 2, 2, "V1")]), 1)
     # a one-member field is its own keyed field
     assert np.array_equal(stack(a, 1).expo, stack(keyed([a]), 1).expo)
     assert stack(a, 1).vals.tobytes() == stack(keyed([a]), 1).vals.tobytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diraclab import dirac_ops, fields, random_field, weyl
+from diraclab.clifford import spinor_dim
 from diraclab.fields import (
     SPACE_INFO,
     PolyField,
@@ -35,11 +36,11 @@ def same(f, g):
             and f.vals.shape == g.vals.shape and f.vals.tobytes() == g.vals.tobytes())
 
 
-def per_term_random_field(rng, k, n, space, rep, degree=3, nterms=8):
+def per_term_random_field(rng, k, n, space, degree=3, nterms=8):
     """Oracle: each term from its own ``rng.random`` call, its coefficient
     projected alone and added through a terms dict."""
     order, _, lam = SPACE_INFO[space]
-    shape = (k,) * order + (rep.s_dim,)
+    shape = (k,) * order + (spinor_dim(n),)
     terms = {}
     for _ in range(nterms):
         u = rng.random(1 + degree + 2 * int(np.prod(shape)))
@@ -56,31 +57,29 @@ def per_term_random_field(rng, k, n, space, rep, degree=3, nterms=8):
 
 
 @pytest.mark.parametrize("space", ["V0", "V1", "V2", "V3p", "V3pp"])
-def test_random_field_matches_per_term_oracle(space, reps):
+def test_random_field_matches_per_term_oracle(space):
     # one projector call over all terms gives each term's tensor bit for bit;
     # degree 1 over 6 variables repeats monomials, so repeated terms add too
-    rep = reps[2]
     for degree, nterms in ((1, 9), (3, 6), (0, 3)):
         ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
-        f = random_field(ours, 3, 2, space, rep, degree=degree, nterms=nterms)
-        g = per_term_random_field(theirs, 3, 2, space, rep, degree=degree, nterms=nterms)
+        f = random_field(ours, 3, 2, space, degree=degree, nterms=nterms)
+        g = per_term_random_field(theirs, 3, 2, space, degree=degree, nterms=nterms)
         assert same(f, g), (space, degree)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-def members_of(rng, rep, space, k=3, n=2):
+def members_of(rng, space, k=3, n=2):
     """Overlapping supports, a zero member and a trailing zero member."""
-    a = random_field(rng, k, n, space, rep, degree=2, nterms=4)
-    b = random_field(rng, k, n, space, rep, degree=1, nterms=1)  # one row
-    c = a + random_field(rng, k, n, space, rep, degree=2, nterms=3)  # overlaps a
+    a = random_field(rng, k, n, space, degree=2, nterms=4)
+    b = random_field(rng, k, n, space, degree=1, nterms=1)  # one row
+    c = a + random_field(rng, k, n, space, degree=2, nterms=3)  # overlaps a
     zero = PolyField(k, n, space)
     return [a, zero, b, c, a, zero]
 
 
 @pytest.mark.parametrize("space", ["V0", "V1", "V2", "V3pp"])
-def test_keyed_round_trips_members(space, reps, rng):
-    rep = reps[2]
-    members = members_of(rng, rep, space)
+def test_keyed_round_trips_members(space, rng):
+    members = members_of(rng, space)
     # (T, k*n) exponent rows are one member: key column 0 comes first
     a = members[0]
     assert a.expo.shape == (len(a), 1 + 3 * 2) and not a.expo[:, 0].any()
@@ -111,7 +110,7 @@ def test_keyed_reductions_equal_one_field_values(space, reps, rng):
     noise = [PolyField(3, 2, space, np.eye(t, 6, dtype=np.int64),
                        rng.standard_normal((t,) + shape) + 1j * rng.standard_normal((t,) + shape))
              for t in (1, 3)]
-    members = members_of(rng, rep, space) + noise
+    members = members_of(rng, space) + noise
     f = keyed(members)
     count = len(members)
     norms = keyed_norms(f, count)
@@ -155,9 +154,8 @@ def test_keyed_degree_ignores_key(reps):
         keyed([])
 
 
-def test_keyed_validate_names_failing_member(reps, rng):
-    rep = reps[2]
-    members = [random_field(rng, 3, 2, "V2", rep, degree=2, nterms=3) for _ in range(4)]
+def test_keyed_validate_names_failing_member(rng):
+    members = [random_field(rng, 3, 2, "V2", degree=2, nterms=3) for _ in range(4)]
     keyed(members).validate()
     vals = members[2].vals.copy()
     vals[0] += 1.0  # off the (2,1) module
@@ -180,7 +178,7 @@ def test_operators_on_keyed_fields_match_members(k, n, reps, rng):
                dirac_ops.d2pp_projector],
     }
     for space, ops in cases.items():
-        members = [random_field(rng, k, n, space, rep, degree=3, nterms=4)
+        members = [random_field(rng, k, n, space, degree=3, nterms=4)
                    for _ in range(5)]
         members.insert(2, PolyField(k, n, space))
         f = keyed(members)
@@ -193,10 +191,13 @@ def test_operators_on_keyed_fields_match_members(k, n, reps, rng):
 
 def test_commutator_sides_read_each_members_slot(reps, rng):
     # member b's part of each side is that composition on member b alone, at
-    # its own (B, C, A); a zero member stays zero
+    # its own (B, C, A); a zero member stays zero.  Every exponent of the
+    # random members is raised by 3, so no monomial vanishes under the three
+    # derivatives at any slot and every other member's sides are nonzero.
     k, n = 3, 2
     rep = reps[n]
-    members = [random_field(rng, k, n, "V0", rep, degree=5, nterms=6) for _ in range(5)]
+    members = [random_field(rng, k, n, "V0", degree=5, nterms=6) for _ in range(5)]
+    members = [PolyField(k, n, "V0", g.expo[:, 1:] + 3, g.vals) for g in members]
     members.insert(3, PolyField(k, n, "V0"))
     slots = rng.integers(0, k, size=(len(members), 3))
     f = keyed(members)
@@ -210,12 +211,12 @@ def test_commutator_sides_read_each_members_slot(reps, rng):
         assert same(ref, right) or (not len(ref) and not len(right))
 
 
-def test_canonical_fast_path_matches_sum(reps, rng, monkeypatch):
+def test_canonical_fast_path_matches_sum(rng, monkeypatch):
     # sorted, distinct rows skip the sort and the sum; the result is bitwise
     # what the sort-and-sum route gives, signed zeros and zero rows included
     from diraclab import fields
 
-    members = [random_field(rng, 3, 2, "V1", reps[2]) for _ in range(4)]
+    members = [random_field(rng, 3, 2, "V1") for _ in range(4)]
     f = members[1]
     signed = f.vals.copy()
     signed[0] = -0.0  # a zero row, dropped by both routes
@@ -248,20 +249,19 @@ def test_canonical_fast_path_matches_sum(reps, rng, monkeypatch):
 
 
 @pytest.mark.parametrize("space", ["V0", "V1", "V2"])
-def test_batched_draws_match_one_member_fields(space, reps):
+def test_batched_draws_match_one_member_fields(space):
     # one draw of a (B, width) block, one projector call, canonicalisation and
     # validate over all members give each member's random_field bit for bit,
     # and leave the rng where the one-at-a-time draws leave it; two roles side
     # by side in a row are the strided column slices the suites pass;
     # degree 1 repeats monomials within members
-    rep = reps[2]
     for degree, nterms in ((1, 9), (3, 6), (0, 3)):
         ours, theirs = np.random.default_rng(29), np.random.default_rng(29)
         width = draw_width(3, 2, space, degree, nterms)
         u = ours.random((7, 2 * width))
         sides = [random_keyed(3, 2, space, u[:, :width], degree, nterms),
                  random_keyed(3, 2, space, u[:, width:], degree, nterms)]
-        members = [random_field(theirs, 3, 2, space, rep, degree, nterms) for _ in range(14)]
+        members = [random_field(theirs, 3, 2, space, degree, nterms) for _ in range(14)]
         assert ours.bit_generator.state == theirs.bit_generator.state
         for f, part in zip(sides, (members[0::2], members[1::2])):
             whole = keyed(part)
@@ -271,12 +271,11 @@ def test_batched_draws_match_one_member_fields(space, reps):
                 assert same(g, h), (space, degree)
 
 
-def test_keyed_of_canonical_members_is_canonical(reps, rng, monkeypatch):
+def test_keyed_of_canonical_members_is_canonical(rng, monkeypatch):
     # concatenated canonical members are already in member-major order: the
     # fast path returns what the forced sort-and-sum route gives, bitwise
-    rep = reps[2]
     for space in ("V0", "V1", "V2"):
-        members = members_of(rng, rep, space)
+        members = members_of(rng, space)
         f = keyed(members)
         expo = np.concatenate([np.column_stack([np.full(len(g), b), g.expo[:, 1:]])
                                for b, g in enumerate(members)])

@@ -346,25 +346,36 @@ def test_operator_symbols_match_bundle(k, n, rng, reps):
 
 
 def test_kernel_identity_chunks_match_one_pass(rng, reps, monkeypatch):
-    # the check runs in chunks of frequencies; each frequency's value is the
-    # one-pass value bit for bit, at any chunk size and batch shape
+    # the decomposition and the check run in chunks of frequencies; each
+    # frequency's singular values, vh and check value are the one-pass values
+    # bit for bit, at any chunk size and batch shape.  A fresh bundle per
+    # chunk size, so the decomposition is chunked anew each time.
     from diraclab import symbols
 
     for k, n in ((3, 2), (3, 3), (4, 2)):
         xi = np.stack([unit_xi(rng, k, n, min_first=0.2) for _ in range(24)])
-        b = build_bundle(reps[n], k, xi.reshape(4, 6, k * n))
+        xi = xi.reshape(4, 6, k * n)
+        b = build_bundle(reps[n], k, xi)
+        sv, vh = np.linalg.svd(np.concatenate([b.sigma2p, b.sigma2pp], axis=-2),
+                               full_matrices=False)[1:]
         whole = kernel_identity_check(b)
         assert whole.shape == (4, 6)
-        for block in (1, 5, 24):
+        for block in (1, 5, 24, 256):
             monkeypatch.setattr(symbols, "KERNEL_BLOCK", block)
+            b = build_bundle(reps[n], k, xi)
+            got = b.order5_svd
+            assert got[0].tobytes() == sv.tobytes(), (k, n, block)
+            assert got[1].tobytes() == vh.tobytes(), (k, n, block)
             assert kernel_identity_check(b).tobytes() == whole.tobytes(), (k, n, block)
         monkeypatch.undo()
 
 
 def test_kernel_identity_memory_is_bounded(rng, reps, monkeypatch):
     # 2000 frequencies at (3, 3) peaked 51 MiB above live in one pass; in
-    # chunks the scratch stays near one chunk's.  The 200 frequencies of an
-    # ellipticity run are one chunk.
+    # chunks the scratch stays near one chunk's.  The decomposition keeps its
+    # (sv, vh), 8 MiB here, growing with the batch; its scratch beyond them
+    # read 31 MiB in one pass.  The 200 frequencies of an ellipticity run are
+    # one chunk.
     import tracemalloc
 
     from diraclab import symbols
@@ -372,15 +383,20 @@ def test_kernel_identity_memory_is_bounded(rng, reps, monkeypatch):
     xi = rng.standard_normal((2000, 9))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     b = build_bundle(reps[3], 3, xi)
-    b.order5_svd  # cached with the stack it decomposes, as after verify_exactness
+    b.sigma2p, b.sigma2pp  # cached with the bundle, as before verify_exactness
     tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        kept = sum(a.nbytes for a in b.order5_svd)
+        svd_scratch = tracemalloc.get_traced_memory()[1] - live - kept
         tracemalloc.reset_peak()
         live = tracemalloc.get_traced_memory()[0]
         kernel_identity_check(b)
         peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
+    assert svd_scratch <= 10 * 2**20, svd_scratch / 2**20
     assert peak <= 10 * 2**20, peak / 2**20
     calls = []
     inner = symbols._kernel_residual
