@@ -3,10 +3,11 @@ complex in k vector variables on R^n.
 
 The package constructs spinor modules and Dirac gamma matrices, the GL(k)
 Weyl-module projectors that carve out the value spaces of the complex, the
-differential operators D0, D1, D2', D2'' together with their formal adjoints,
-the frequency-domain symbol bundles with their fourth-order Hodge Laplacians,
-and a periodic spectral solver for the non-homogeneous system D0 u = f under
-the compatibility condition D1 f = 0.
+differential operators D0, D1, D2', D2'' on polynomial fields together with
+the formal adjoint D0*, the frequency-domain symbol bundles with their
+fourth-order Hodge Laplacians, the tangential operators of the boundary
+theory, and a periodic spectral solver for the non-homogeneous system
+D0 u = f under the compatibility condition D1 f = 0.
 """
 
 from .clifford import CliffordRep, build_clifford, dirac_symbol, delta_symbol
@@ -18,7 +19,7 @@ from .weyl import (
     check_membership,
     weyl_dim,
 )
-from .fields import PolyField, SPACE_INFO, random_field
+from .fields import PolyField, SPACE_INFO
 from . import dirac_ops
 from .symbols import (
     SymbolBundle,

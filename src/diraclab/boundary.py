@@ -17,7 +17,8 @@ pair (Z_mu f, -Z_mu T f) is the image of f under the induced first boundary
 operator.  :func:`tangential_frame` applies T and every Z_mu with one
 nabla_0 pass, its factors read from :func:`~diraclab.clifford.dirac_symbol`.
 
-Every operator here acts on scalar fields and broadcasts over a stack
+Every operator here acts on scalar fields, S+ valued (tag "V0") or S-
+valued (tag "S-"), and broadcasts over a stack
 (:func:`~diraclab.fields.stack`: ``vals`` of shape (T, B, s), the batch axis
 just before the spinor axis).  The suite's batches are stacks from the
 start: :func:`~diraclab.dirac_ops.monogenic_basis` returns one, and
@@ -93,7 +94,7 @@ def frame_factors(chart, rep):
 
 def _times(blocks, f):
     """f times the block of ``blocks`` (2, s, s) for its chirality, which flips."""
-    mat, target = (blocks[0], "S-") if f.chirality > 0 else (blocks[1], "S+")
+    mat, target = (blocks[0], "S-") if f.chirality > 0 else (blocks[1], "V0")
     return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
 
 
@@ -116,25 +117,25 @@ def tangential_frame(chart, rep, f):
 
 
 def defining_polynomial(chart, rep):
-    """phi times each basis spinor e_t, as one stack of s S+ valued fields.
+    """phi times each basis spinor e_t, as one stack of s V0 (S+ valued) fields.
 
     phi is linear with the coefficients of :meth:`HypersurfaceChart.grad_phi`,
     so member t has the coefficient ``grad_phi * e_t`` on each variable.
     """
     g = chart.grad_phi().reshape(-1)
     lin = np.flatnonzero(g)
-    return PolyField(chart.k, chart.n, "S+", np.eye(len(g), dtype=np.int64)[lin],
+    return PolyField(chart.k, chart.n, "V0", np.eye(len(g), dtype=np.int64)[lin],
                      g[lin, None, None] * np.eye(rep.s_dim))
 
 
 def script_d0(chart, rep, fhat):
     """First boundary operator: fhat -> (Z_mu fhat, -Z_mu T fhat).
 
-    fhat must be an S+ valued field in the surface variables (independent of
-    x_{01}).  Both output tuples have k-1 components of S- valued fields.
+    fhat must be a V0 (S+ valued) field in the surface variables (independent
+    of x_{01}).  Both output tuples have k-1 components of S- valued fields.
     """
-    if fhat.space not in ("V0", "S+"):
-        raise ValueError(f"boundary data must be S+ valued, got {fhat.space}")
+    if fhat.space != "V0":
+        raise ValueError(f"boundary data must be V0 (S+ valued), got {fhat.space}")
     if fhat.expo[:, 1].any():
         raise ValueError("field must not depend on the defining variable x_{01}")
     tf, first = tangential_frame(chart, rep, fhat)
@@ -150,7 +151,7 @@ def _largest_norms(fields, size):
 def pi1_kernel_check(chart, rep, F, Fprime):
     """Residuals of the boundary projection on canonical zero-Cauchy data.
 
-    F and F' are stacks (:func:`~diraclab.fields.stack`) of B S+ fields
+    F and F' are stacks (:func:`~diraclab.fields.stack`) of B V0 fields
     each.  For each pair (F, F') of members, builds the V1 jet
     ``hatF_A = (nabla_A phi) F`` at order zero and
     ``hatF'_A = nabla_A F + (nabla_A phi) F'`` at order one, pushes it
@@ -164,7 +165,7 @@ def pi1_kernel_check(chart, rep, F, Fprime):
     fac, inv0 = frame_factors(chart, rep)
     hat = [_times(fac[:, A], F) for A in range(chart.k)]
     hatp = [nabla(A, F, rep) + _times(fac[:, A], Fprime) for A in range(chart.k)]
-    core = _times(inv0, hat[0])  # S+ valued
+    core = _times(inv0, hat[0])  # V0
     inner = hatp[0] - nabla(0, core, rep)
     outputs = []
     for mu in range(1, chart.k):
@@ -175,7 +176,6 @@ def pi1_kernel_check(chart, rep, F, Fprime):
 
 def restrict_to_chart(f, chart):
     """Substitute x_{01} = rho(rest), yielding a surface field."""
-    space = f.space if f.space != "V0" else "S+"
     width = f.expo.shape[1]  # the key column, then x_{01} and the rest
     lin = np.flatnonzero(chart.rho_coeffs.reshape(-1))
     rho_e = np.eye(width, dtype=np.int64)[1 + lin]
@@ -195,32 +195,30 @@ def restrict_to_chart(f, chart):
         expo.append((base[rows][:, None] + power_e[None]).reshape(-1, width))
         vals.append(np.einsum("m,t...->tm...", power_c, f.vals[rows])
                     .reshape((-1,) + f.vals.shape[1:]))
-    return PolyField(f.k, f.n, space, np.concatenate(expo), np.concatenate(vals))
+    return PolyField(f.k, f.n, f.space, np.concatenate(expo), np.concatenate(vals))
 
 
-def restrict_and_test(f, chart, rep, tol=1e-10):
-    """Restrict a stack of monogenic fields to the chart and test tangential
-    monogenicity.
+def restrict_and_test(f, chart, rep):
+    """Restrict a stack of monogenic fields to the chart and measure their
+    tangential monogenicity.
 
     `f` is a stack (:func:`~diraclab.fields.stack`) of B V0 fields.  Returns
-    a dict of arrays with one entry per member.  Raises ValueError naming the
-    index of the first member that is not monogenic.
+    a dict of arrays with one entry per member: the input norms and the
+    largest norms of the Z_mu and Z_mu T outputs.  Raises ValueError naming
+    the index of the first member with |d0 f| > 1e-10 max(|f|, 1).
     """
     fnorm = member_norms(f)
     # |d0 f|^2 is the sum over A of |nabla_A f|^2
     defect = np.sqrt(sum(member_norms(nabla(A, f, rep)) ** 2 for A in range(f.k)))
-    bad = np.flatnonzero(defect > tol * np.maximum(fnorm, 1.0))
+    bad = np.flatnonzero(defect > 1e-10 * np.maximum(fnorm, 1.0))
     if bad.size:
         i = bad[0]
         raise ValueError(
-            f"member {i} is not monogenic (|d0 f| = {defect[i]:.3e} > tol * |f|)"
+            f"member {i} is not monogenic (|d0 f| = {defect[i]:.3e} > 1e-10 |f|)"
         )
     first, second = script_d0(chart, rep, restrict_to_chart(f, chart))
-    r1 = _largest_norms(first, len(fnorm))
-    r2 = _largest_norms(second, len(fnorm))
     return {
         "input_norm": fnorm,
-        "z_residual": r1,
-        "zt_residual": r2,
-        "pass": np.maximum(r1, r2) <= tol * np.maximum(fnorm, 1.0),
+        "z_residual": _largest_norms(first, len(fnorm)),
+        "zt_residual": _largest_norms(second, len(fnorm)),
     }

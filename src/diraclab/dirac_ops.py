@@ -1,4 +1,4 @@
-"""The operators D0, D1, D2', D2'' and the formal adjoints D0*, D1*.
+"""The operators D0, D1, D2', D2'', the formal adjoint D0* and the Laplacian.
 
 All operators act on the exponent matrix and value tensor of a
 :class:`~diraclab.fields.PolyField`.  Every derivative goes through one
@@ -15,10 +15,11 @@ independent ways:
 
 The two routes agreeing to roundoff on random fields is one of the package's
 standing checks.  A stack is an (exponents, values) pair whose values carry
-extra leading tensor axes; a sum of stacks is their concatenation, which the
-field constructor brings back to canonical form; D1 and D2'' sum their
-gradient and Delta stacks in one buffer on the joint rows instead
-(:func:`_stack` with no leading axes), with the same values.
+extra leading tensor axes.  Every sum of pieces goes through :func:`_stack`:
+with leading axes it adds each piece into its slot, and with none (nabla,
+the Laplacian, and D1 and D2'' on their gradient and Delta stacks) it is the
+canonical sum in one buffer on the joint rows, bit for bit as the field
+constructor would sum the pieces' concatenation.
 
 Index conventions for the stacked derivative tensors: new derivative axes are
 prepended, so ``grad2[A, B, C, s]`` means (first apply the C-component
@@ -38,12 +39,6 @@ def _require_space(f, space, op_name):
 
 def _gamma_block(rep, chirality):
     return rep.gamma_plus if chirality > 0 else rep.gamma_minus
-
-
-def _cat(pieces):
-    """Concatenate (exponents, values) pieces into one un-summed pair."""
-    expo, vals = zip(*pieces)
-    return np.concatenate(expo), np.concatenate(vals)
 
 
 def _nabla_pieces(expo, vals, gam, A, n):
@@ -128,22 +123,15 @@ def nabla(A, f, rep):
         raise ValueError(f"variable index {A} out of range for k={f.k}")
     target = _flip_scalar_space(f)
     gam = _gamma_block(rep, f.chirality)
-    return PolyField(f.k, f.n, target, *_cat(_nabla_pieces(f.expo, f.vals, gam, A, f.n)))
+    return PolyField(f.k, f.n, target, *_stack(
+        [((), e, v) for e, v in _nabla_pieces(f.expo, f.vals, gam, A, f.n)], ()))
 
 
 def _flip_scalar_space(f):
-    # spaces only track tags for the canonical slots; derivative intermediates
-    # use the bare spinor tags
-    flip = {+1: "S-", -1: "S+"}[f.chirality]
+    # a scalar field is S+ valued (V0) or S- valued
     if f.order == 0:
-        return flip
+        return "S-" if f.chirality > 0 else "V0"
     raise ValueError("nabla on tensor-valued fields goes through the stacks")
-
-
-def delta_op(B, C, f, rep):
-    """The scalar anticommutator operator applied to a field."""
-    del rep
-    return PolyField(f.k, f.n, f.space, *_cat(_delta_pieces(f.expo, f.vals, B, C, f.n)))
 
 
 def d0(f, rep):
@@ -281,26 +269,12 @@ def d2pp_projector(h, rep):
     return _result(h, "V3pp", expo, _apply_projector(mixed, "311"))
 
 
-def d1_star(h, rep):
-    """Formal adjoint of d1.
-
-    ``(d1* h)[C] = sum_{A,B} ( grad_B grad_A h[A,(B,C)] - 1/2 Delta_AB h[C,A,B] )``.
-    """
-    _require_space(h, "V2", "d1_star")
-    we, w = _grad(h, rep, 2)  # W[b, a, i, j, l, s]
-    de, d = _delta_stack(h)  # D[p, q, i, j, l, s]
-    term1 = 0.5 * (
-        np.einsum("tbaabcs->tcs", w) + np.einsum("tbaacbs->tcs", w)
-    )
-    term2 = -0.5 * np.einsum("tabcabs->tcs", d)
-    return PolyField(h.k, h.n, "V1", *_cat([(we, term1), (de, term2)]))
-
-
 def laplacian(f, rep):
     """Scalar Laplacian -sum d^2 (for cross-checking d0* d0)."""
     del rep
-    expo, vals = _cat(p for B in range(f.k) for p in _delta_pieces(f.expo, f.vals, B, B, f.n))
-    return PolyField(f.k, f.n, f.space, expo, 0.5 * vals)
+    return PolyField(f.k, f.n, f.space, *_stack(
+        [((), e, 0.5 * v) for B in range(f.k)
+         for e, v in _delta_pieces(f.expo, f.vals, B, B, f.n)], ()))
 
 
 def _at_member_slots(k, n, stack, slots):
@@ -318,9 +292,8 @@ def _at_member_slots(k, n, stack, slots):
 def delta_nabla(g, rep, slots):
     """Delta_BC nabla_A g for each member of a sample-keyed V0 field.
 
-    Row b of `slots`, shape (B, 3), holds member b's indices (B, C, A)
-    (see :func:`~diraclab.fields.keyed`).  One stack over every (A, B, C)
-    serves all members.
+    Row b of `slots`, shape (B, 3), holds member b's indices (B, C, A).
+    One stack over every (A, B, C) serves all members.
     """
     _require_space(g, "V0", "delta_nabla")
     stack = _delta_stack(PolyField(g.k, g.n, "S-", *_grad(g, rep)))  # (B, C, A, s)

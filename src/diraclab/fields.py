@@ -17,22 +17,21 @@ any other field.
 Many fields can travel as one, in two forms; every operator acts on all
 members at once, through the same code path as on one field:
 
-* a *sample-keyed* field (see :func:`keyed`) gives member b the key b, so
-  members keep their own rows and may be tensor-valued.  The key is the most
-  significant column, so the rows are member-major: each member's rows are
-  one contiguous slice in the order the member alone would have, and
-  ``keyed`` of canonical members is already canonical.  Derivatives never
-  touch the key column and canonicalisation groups whole rows, so members
-  never mix.  Random fields are built from uniforms, one row of
-  :func:`draw_width` per member, as one keyed field per draw role
-  (:func:`random_keyed`): one projector call, one canonicalisation and one
-  ``validate()`` per role.  A suite draws a block of samples with one
-  ``rng.random`` call, every role's columns side by side in a sample's row;
-  since consecutive ``rng.random`` calls continue one stream, the draws are
-  sample-major and :func:`random_field`, which draws one member's row, gives
-  each member bit for bit.  The complex suite keys its random tensor
-  fields: they share few rows, and a dense stack of its order-5 second-derivative tensors would take 0.2-2.7
-  GiB.  Per-member norms and membership residuals (:func:`keyed_norms`,
+* a *sample-keyed* field gives member b the key b, so members keep their own
+  rows and may be tensor-valued.  The key is the most significant column, so
+  the rows are member-major: each member's rows are one contiguous slice in
+  the order the member alone would have.  Derivatives never touch the key
+  column and canonicalisation groups whole rows, so members never mix.
+  Random fields are built from uniforms, one row of :func:`draw_width` per
+  member, as one keyed field per draw role (:func:`random_keyed`): one
+  projector call, one canonicalisation and one ``validate()`` per role.  A
+  suite draws a block of samples with one ``rng.random`` call, every role's
+  columns side by side in a sample's row; since consecutive ``rng.random``
+  calls continue one stream, the draws are sample-major, and a one-row block
+  drawn per member gives each member bit for bit.  The complex suite keys
+  its random tensor fields: they share few rows, and a dense stack of its
+  order-5 second-derivative tensors would take 0.2-2.7 GiB.  Per-member
+  norms and membership residuals (:func:`keyed_norms`,
   :func:`keyed_residuals`) take the member count and equal the one-field
   values bit for bit.
 * a *stack* of B scalar fields (see :func:`stack`) is one field of key 0
@@ -55,14 +54,14 @@ import numpy as np
 from . import weyl
 from .clifford import spinor_dim
 
-#: space tag -> (tensor order, chirality (+1 for S+, -1 for S-), membership tag)
+#: space tag -> (tensor order, chirality (+1 for S+, -1 for S-), membership
+#: tag); a scalar S+ valued field is a V0 field, a scalar S- valued one "S-"
 SPACE_INFO = {
     "V0": (0, +1, None),
     "V1": (1, -1, None),
     "V2": (3, -1, "21"),
     "V3p": (4, +1, "22"),
     "V3pp": (5, -1, "311"),
-    "S+": (0, +1, None),
     "S-": (0, -1, None),
 }
 
@@ -80,8 +79,7 @@ class PolyField:
         Value-space tag, a key of :data:`SPACE_INFO`.
     expo : ndarray
         int64 array of shape (T, 1 + k*n); row t is the member key of
-        monomial t (0 for a one-member field, see :func:`keyed`) followed by
-        its exponent.
+        monomial t (0 for a one-member field) followed by its exponent.
     vals : ndarray
         complex array of shape (T,) + ``(k,)*order + (s,)``; the zero field
         has T = 0 and its space's value axes.
@@ -99,13 +97,6 @@ class PolyField:
         if expo.shape[1] == k * n:  # one member: key 0
             expo = np.pad(expo, ((0, 0), (1, 0)))
         self.expo, self.vals = _canonical(expo, np.asarray(vals, dtype=complex))
-
-    @property
-    def terms(self):
-        """Exponent tuple -> coefficient array of a one-member field."""
-        if self.expo[:, 0].any():
-            raise ValueError("terms of a sample-keyed field, which holds several members")
-        return {tuple(e): v for e, v in zip(self.expo[:, 1:].tolist(), self.vals)}
 
     def __len__(self):
         return len(self.expo)
@@ -142,19 +133,19 @@ class PolyField:
         # one call, the row axis trailing
         return weyl.check_membership(lam, np.moveaxis(self.vals, 0, -1))
 
-    def validate(self, tol=MEMBERSHIP_TOL):
+    def validate(self):
         """Raise if a coefficient array leaves the value space.
 
-        The error names the first member over `tol`.
+        The error names the first member over :data:`MEMBERSHIP_TOL`.
         """
         res = self.membership_residual()
-        bad = res > tol
+        bad = res > MEMBERSHIP_TOL
         if bad.any():
             key = self.expo[:, 0]
             i = int(key[bad].min())
             raise ValueError(
                 f"coefficients violate the {self.space} characterization "
-                f"(member {i}: residual {res[key == i].max():.3e} > {tol:.1e})"
+                f"(member {i}: residual {res[key == i].max():.3e} > {MEMBERSHIP_TOL:.1e})"
             )
         return self
 
@@ -224,28 +215,6 @@ def member_norms(f):
     return np.sqrt((np.abs(f.vals) ** 2).sum(axis=axes))
 
 
-def keyed(members):
-    """One sample-keyed field holding B fields of one space, in order.
-
-    Member b's rows carry the key b in ``expo`` column 0, so members keep
-    their own rows (no union of rows is formed) and may be tensor-valued.
-    Every operator acts on all members in one call; read the results back
-    per member with :func:`keyed_norms` and :func:`keyed_residuals`, which
-    take the member count B (a member may vanish, leaving no rows).
-    """
-    members = list(members)
-    if not members:
-        raise ValueError("a keyed field needs at least one member")
-    head = members[0]
-    if any((g.k, g.n, g.space) != (head.k, head.n, head.space) or g.expo[:, 0].any()
-           for g in members):
-        raise ValueError("a keyed field holds one-member fields of one space")
-    expo = np.concatenate([g.expo for g in members])
-    expo[:, 0] = np.repeat(np.arange(len(members)), [len(g) for g in members])
-    vals = np.concatenate([g.vals for g in members])
-    return PolyField(head.k, head.n, head.space, expo, vals)
-
-
 def _key(f, count):
     """The member index of each row of a field with `count` members."""
     key = f.expo[:, 0]
@@ -300,21 +269,10 @@ def _partial(expo, vals, idx):
 
 
 def _linear_combination(f, g, sign):
-    # V0 and S+ (etc.) are the same underlying space; compare structure
-    if (f.k, f.n, SPACE_INFO[f.space]) != (g.k, g.n, SPACE_INFO[g.space]):
+    if (f.k, f.n, f.space) != (g.k, g.n, g.space):
         raise ValueError("fields live in different spaces")
-    space = f.space if f.space == g.space else ("S+" if f.chirality > 0 else "S-")
-    return PolyField(f.k, f.n, space, np.concatenate((f.expo, g.expo)),
+    return PolyField(f.k, f.n, f.space, np.concatenate((f.expo, g.expo)),
                      np.concatenate((f.vals, sign * g.vals)))
-
-
-def make_field(k, n, space, terms, validate=True, tol=MEMBERSHIP_TOL):
-    """Build a field from a dict exponent tuple -> coefficient array."""
-    if not terms:
-        return PolyField(k, n, space)
-    out = PolyField(k, n, space, list(terms),
-                    np.stack([np.asarray(v, dtype=complex) for v in terms.values()]))
-    return out.validate(tol) if validate else out
 
 
 def draw_width(k, n, space, degree, nterms):
@@ -351,9 +309,3 @@ def random_keyed(k, n, space, u, degree=3, nterms=8):
     key = np.repeat(np.arange(count), nterms)
     return PolyField(k, n, space, np.column_stack([key, expo]), coeffs).validate()
 
-
-def random_field(rng, k, n, space, degree=3, nterms=8):
-    """Seeded random field: the one-member case of :func:`random_keyed`,
-    from one ``rng.random`` call."""
-    u = rng.random((1, draw_width(k, n, space, degree, nterms)))
-    return random_keyed(k, n, space, u, degree, nterms)

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import symbols, weyl
+from . import symbols
 from .clifford import dirac_symbol, spinor_dim
 
 DEFAULT_MEM_GIB = 2.0
@@ -59,9 +59,9 @@ class GridField:
 
     values, of shape (N,)*(k*n) + (dim,), is a view of the C-contiguous
     component-first buffer `planes`; an array passed in is copied only when
-    its components are not contiguous planes already.  V2 data is stored in
-    compressed coordinates (orthonormal Weyl basis tensor spinor).  support,
-    when set, declares a ball (center, radius) outside which the field vanishes.
+    its components are not contiguous planes already.  space is "V0" (S+
+    valued, dim s) or "V1" (k S- components, dim k s).  support, when set,
+    declares a ball (center, radius) outside which the field vanishes.
     """
 
     k: int
@@ -94,8 +94,6 @@ def field_dim(space, k, s_dim):
         return s_dim
     if space == "V1":
         return k * s_dim
-    if space == "V2":
-        return weyl.projector_rank(k, "21") * s_dim
     raise ValueError(f"no grid representation for space {space!r}")
 
 
@@ -251,11 +249,11 @@ def _apply_rows(rows, x, out=None):
     return out
 
 
-_TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0"), "d1": ("V1", "V2")}
+_TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0")}
 
 
 def apply_spectral(tag, fld, rep):
-    """Apply one of the grid operators {d0, d1, d0_star} spectrally."""
+    """Apply one of the grid operators {d0, d0_star} spectrally."""
     if tag not in _TAGS:
         raise ValueError(f"unknown operator tag {tag!r}")
     space_in, space_out = _TAGS[tag]
@@ -263,24 +261,10 @@ def apply_spectral(tag, fld, rep):
         raise ValueError(f"{tag} expects a {space_in} grid field, got {fld.space}")
     k, n, N = fld.k, fld.n, fld.N
     out_dim = field_dim(space_out, k, rep.s_dim)
-    # the input's spectrum and the output, plus one scratch plane, or for d1
-    # one slab's sigma1 batch with the symbol builder's temporaries, which
-    # come to at most five sigma1-sized arrays over N^(kn-1) modes
-    work = 5 * out_dim * fld.dim / N if tag == "d1" else 1
-    _require_memory(k, n, N, fld.dim + out_dim + work)
+    # the input's spectrum and the output, plus one scratch plane
+    _require_memory(k, n, N, fld.dim + out_dim + 1)
     fh = _fft(fld.planes)
-    if tag == "d1":
-        # one slab of the first grid axis at a time bounds the sigma1 batch
-        slab = N ** (k * n - 1)
-        flat = fh.reshape(fld.dim, N, slab)
-        out = np.empty((out_dim, N, slab), dtype=complex)
-        for i in range(N):
-            xi = _mode_xi(k, n, N, fld.L, np.arange(i * slab, (i + 1) * slab))
-            sigma1 = symbols.build_bundle(rep, k, xi).sigma1
-            out[:, i] = np.einsum("bij,jb->ib", sigma1, flat[:, i])
-        out = out.reshape((out_dim,) + fh.shape[1:])
-    else:
-        out = _apply_rows(_sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star"), fh)
+    out = _apply_rows(_sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star"), fh)
     np.fft.ifftn(out, axes=tuple(range(1, out.ndim)), out=out)
     return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1), support=None)
 
@@ -534,7 +518,7 @@ def _check_header(h):
             raise ValueError(f"{key} = {h[key]!r} is not a positive integer")
     if type(h["L"]) not in (int, float) or not 0 < h["L"] < np.inf:
         raise ValueError(f"L = {h['L']!r} is not positive and finite")
-    if h["space"] not in ("V0", "V1", "V2"):
+    if h["space"] not in ("V0", "V1"):
         raise ValueError(f"unknown space {h['space']!r}")
     if h["dtype"] != "complex128":
         raise ValueError(f"dtype {h['dtype']!r} is not complex128")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from diraclab import boundary, build_clifford, dirac_ops, dirac_symbol, random_field
-from diraclab.fields import PolyField, _canonical, keyed, stack
+from diraclab import boundary, build_clifford, dirac_ops, dirac_symbol
+from diraclab.fields import PolyField, _canonical, draw_width, random_keyed, stack
 from diraclab.tensoridx import inverse
 
 
@@ -15,6 +15,101 @@ def reps():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+# ---------------------------------------------------------------------------
+# fields by hand: the library draws its fields from uniforms and builds its
+# keyed fields from arrays, and reads no field as a dict
+
+
+def make_field(k, n, space, terms, validate=True):
+    """Build a field from a dict exponent tuple -> coefficient array."""
+    if not terms:
+        return PolyField(k, n, space)
+    out = PolyField(k, n, space, list(terms),
+                    np.stack([np.asarray(v, dtype=complex) for v in terms.values()]))
+    return out.validate() if validate else out
+
+
+def terms(f):
+    """Exponent tuple -> coefficient array of a one-member field."""
+    if f.expo[:, 0].any():
+        raise ValueError("terms of a sample-keyed field, which holds several members")
+    return {tuple(e): v for e, v in zip(f.expo[:, 1:].tolist(), f.vals)}
+
+
+def keyed(members):
+    """One sample-keyed field holding B fields of one space, in order.
+
+    Member b's rows carry the key b in ``expo`` column 0, so members keep
+    their own rows (no union of rows is formed) and may be tensor-valued;
+    concatenated canonical members are already canonical.
+    """
+    members = list(members)
+    if not members:
+        raise ValueError("a keyed field needs at least one member")
+    head = members[0]
+    if any((g.k, g.n, g.space) != (head.k, head.n, head.space) or g.expo[:, 0].any()
+           for g in members):
+        raise ValueError("a keyed field holds one-member fields of one space")
+    expo = np.concatenate([g.expo for g in members])
+    expo[:, 0] = np.repeat(np.arange(len(members)), [len(g) for g in members])
+    vals = np.concatenate([g.vals for g in members])
+    return PolyField(head.k, head.n, head.space, expo, vals)
+
+
+def random_field(rng, k, n, space, degree=3, nterms=8):
+    """Seeded random field: the one-member case of ``fields.random_keyed``,
+    from one ``rng.random`` call."""
+    u = rng.random((1, draw_width(k, n, space, degree, nterms)))
+    return random_keyed(k, n, space, u, degree, nterms)
+
+
+# ---------------------------------------------------------------------------
+# sums of pieces by concatenation, which the field constructor brings back to
+# canonical form: the route that dirac_ops._stack must match bit for bit
+
+
+def _concatenated(k, n, space, pieces):
+    expo, vals = zip(*pieces)
+    return PolyField(k, n, space, np.concatenate(expo), np.concatenate(vals))
+
+
+def nabla_concatenated(A, f, rep):
+    """nabla_A f, its n pieces concatenated."""
+    gam = dirac_ops._gamma_block(rep, f.chirality)
+    return _concatenated(f.k, f.n, dirac_ops._flip_scalar_space(f),
+                         dirac_ops._nabla_pieces(f.expo, f.vals, gam, A, f.n))
+
+
+def laplacian_concatenated(f):
+    """The scalar Laplacian, its k n pieces concatenated."""
+    return _concatenated(f.k, f.n, f.space,
+                         [(e, 0.5 * v) for B in range(f.k)
+                          for e, v in dirac_ops._delta_pieces(f.expo, f.vals, B, B, f.n)])
+
+
+def delta_op(B, C, f, rep):
+    """The scalar anticommutator operator Delta_BC applied to a field: the
+    oracle of the complex suite's keyed ``delta_nabla`` and ``nabla_delta``."""
+    del rep
+    return _concatenated(f.k, f.n, f.space,
+                         dirac_ops._delta_pieces(f.expo, f.vals, B, C, f.n))
+
+
+def d1_star(h, rep):
+    """Formal adjoint of d1, the oracle of sigma1's conjugate transpose.
+
+    ``(d1* h)[C] = sum_{A,B} ( grad_B grad_A h[A,(B,C)] - 1/2 Delta_AB h[C,A,B] )``.
+    """
+    dirac_ops._require_space(h, "V2", "d1_star")
+    we, w = dirac_ops._grad(h, rep, 2)  # W[b, a, i, j, l, s]
+    de, d = dirac_ops._delta_stack(h)  # D[p, q, i, j, l, s]
+    term1 = 0.5 * (
+        np.einsum("tbaabcs->tcs", w) + np.einsum("tbaacbs->tcs", w)
+    )
+    term2 = -0.5 * np.einsum("tabcabs->tcs", d)
+    return _concatenated(h.k, h.n, "V1", [(we, term1), (de, term2)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +226,8 @@ def complex_sample(rng, k, n, rep):
                             c.membership_residual().max(initial=0.0) / h2n)
     g = random_field(rng, k, n, "V0", degree=3, nterms=4)
     bidx, cidx, aidx = (rng.random(3) * k).astype(int)
-    lhs = dirac_ops.delta_op(bidx, cidx, dirac_ops.nabla(aidx, g, rep), rep)
-    rhs = dirac_ops.nabla(aidx, dirac_ops.delta_op(bidx, cidx, g, rep), rep)
+    lhs = delta_op(bidx, cidx, dirac_ops.nabla(aidx, g, rep), rep)
+    rhs = dirac_ops.nabla(aidx, delta_op(bidx, cidx, g, rep), rep)
     val["commute"] = (lhs - rhs).norm() / max(g.norm(), 1e-300)
     return val
 
@@ -293,7 +388,7 @@ class SpinorFactor:
 
     def apply(self, f):
         mat = self.plus if f.chirality > 0 else self.minus
-        target = "S-" if f.chirality > 0 else "S+"
+        target = "S-" if f.chirality > 0 else "V0"
         return PolyField(f.k, f.n, target, f.expo, np.einsum("st,...t->...s", mat, f.vals))
 
 

@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import dense, dense_image_basis, principal_angles, terms_matrix
+from conftest import dense, dense_image_basis, principal_angles, random_field, terms_matrix
 
-from diraclab import build_clifford, random_field, weyl
+from diraclab import build_clifford, weyl
 from diraclab import boundary as bnd
 from diraclab import dirac_ops as ops
 from diraclab import solver, symbols

@@ -174,10 +174,10 @@ def assert_worst(check, replayed, witness):
 def test_boundary_witnesses_replay(capsys):
     # each boundary check names the basis member or sample of its worst
     # value; a one-element stack of that input gives the reported value again
-    from diraclab import boundary, build_clifford, dirac_ops, random_field
+    from diraclab import boundary, build_clifford, dirac_ops
     from diraclab.cli import _boundary_charts
 
-    from conftest import dense, members
+    from conftest import dense, members, random_field
 
     k, n, samples, seed = 3, 2, 6, 5
     _, report = run_cli(capsys, "verify", "--scope", "boundary", "--k", str(k),

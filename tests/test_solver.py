@@ -88,14 +88,6 @@ def test_fft_round_trip(reps):
     assert np.abs(back - b.values).max() <= 1e-13 * max(np.abs(b.values).max(), 1e-30)
 
 
-def test_spectral_complex_property(rng, reps):
-    rep = reps[2]
-    f = band_limited(rng, rep, 2, 2, 12, rep.s_dim)
-    df = apply_spectral("d0", f, rep)
-    ddf = apply_spectral("d1", df, rep)
-    assert np.linalg.norm(ddf.values) <= 1e-10 * np.linalg.norm(df.values)
-
-
 def test_matrix_free_d0_matches_dense_symbol(rng, reps):
     # mode by mode, d0 and d0_star agree with the symbol builder's sigma0
     from diraclab.solver import _mode_xi
@@ -171,9 +163,10 @@ def test_operator_tag_guards(rng, reps):
     rep = reps[2]
     f = band_limited(rng, rep, 2, 2, 8, rep.s_dim)
     with pytest.raises(ValueError):
-        apply_spectral("d1", f, rep)  # d1 wants V1 data
-    with pytest.raises(ValueError):
-        apply_spectral("nope", f, rep)
+        apply_spectral("d0_star", f, rep)  # d0_star wants V1 data
+    for tag in ("d1", "nope"):  # the grid carries D0 and its adjoint only
+        with pytest.raises(ValueError, match="unknown operator tag"):
+            apply_spectral(tag, apply_spectral("d0", f, rep), rep)
 
 
 def test_zero_mode_of_derivative_data(reps):
@@ -313,25 +306,6 @@ def test_anchor_exterior_fixes_constant(reps):
     assert np.abs(fixed.values - phi.values).max() <= 1e-12
 
 
-def test_field_dim_builds_no_basis(monkeypatch):
-    # V2's dimension is the exact rank of the (2,1) projector times s: the
-    # dimension of the built basis, read without building one
-    from diraclab import weyl
-    from diraclab.solver import field_dim
-
-    built = {k: weyl.weyl_space(k, "21").dim for k in range(2, 7)}
-
-    def refuse(k, lam):
-        raise AssertionError("field_dim built a Weyl basis")
-
-    monkeypatch.setattr(weyl, "weyl_space", refuse)
-    for k, dim in built.items():
-        for s in (1, 2, 4):
-            assert field_dim("V2", k, s) == dim * s
-            assert (field_dim("V0", k, s), field_dim("V1", k, s)) == (s, k * s)
-    assert field_dim("V2", 16, 1) == 1360
-
-
 def test_memory_guard(monkeypatch, reps):
     rep = reps[2]
     monkeypatch.setenv("DIRACLAB_MEM_LIMIT_GIB", "0.0001")
@@ -355,7 +329,6 @@ def test_memory_guard_estimates_track_peaks(monkeypatch, reps):
         "bump_dirac_data": lambda: bump_dirac_data(rep, 2, 2, N, L, CENTER4, 0.6),
         "d0": lambda: apply_spectral("d0", phi, rep),
         "d0_star": lambda: apply_spectral("d0_star", f, rep),
-        "d1": lambda: apply_spectral("d1", f, rep),
         "solve_d0": lambda: solve_d0(f, rep),
     }
     for call in calls.values():
@@ -395,7 +368,6 @@ def test_grid_fields_store_contiguous_planes(tmp_path, reps):
         "bump_dirac_data": bump_dirac_data(rep, k, n, N, L, CENTER4, 0.6),
         "d0": f,
         "d0_star": apply_spectral("d0_star", f, rep),
-        "d1": apply_spectral("d1", f, rep),
         "solve_d0": u,
         "anchor_exterior": anchor_exterior(u, exterior_mask(u, phi.support)),
         "load_field": load_field(path),

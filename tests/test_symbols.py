@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diraclab import build_clifford, weyl
-from diraclab.dirac_ops import _PREFACTOR, d0_star, d1_star
+from diraclab.dirac_ops import _PREFACTOR, d0_star
 from diraclab.fields import PolyField
 from diraclab.tensoridx import inverse
 from diraclab.symbols import (
@@ -17,6 +17,8 @@ from diraclab.symbols import (
     numeric_rank,
     verify_exactness,
 )
+
+from conftest import d1_star
 
 CONFIGS = [(3, 2), (3, 3), (2, 2), (2, 3)]
 
