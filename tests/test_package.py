@@ -32,7 +32,7 @@ def _references(name, tree):
                 else:
                     functions[local] = (node.module, alias.name)
     for top in tree.body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(top, ast.FunctionDef):
             functions.setdefault(top.name, (name, top.name))
     out = set()
     for top in tree.body:
