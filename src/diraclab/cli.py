@@ -508,9 +508,11 @@ def run_solve(args):
         "metrics": metrics,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
-        # stage times of the main solve and the sweep, and the main grid's modes
+        # stage times of the main solve and the sweep, the main grid's modes,
+        # its parts per grid pass and the process's peak resident set so far
         "timings": {"wall_s": time.perf_counter() - t0, **stages,
-                    "modes": args.N ** (args.k * args.n)},
+                    "modes": args.N ** (args.k * args.n),
+                    "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},
     }
     return report, EXIT_PASS if report["pass"] else EXIT_FAIL
 
@@ -561,9 +563,13 @@ def _validate(parser, args):
     else:
         if args.k < 2 or args.n < 1 or args.N < 4:
             parser.error("need k >= 2, n >= 1, N >= 4")
-        if args.sweep and not all(x.strip().isdecimal() and int(x) >= 4
-                                  for x in args.sweep.split(",")):
-            parser.error("--sweep takes comma separated integers >= 4, as --N does")
+        if args.sweep:
+            ns = args.sweep.split(",")
+            if not (all(x.strip().isdecimal() and int(x) >= 4 for x in ns)
+                    and all(int(a) < int(b) for a, b in zip(ns, ns[1:]))):
+                # sweep_monotone compares the rows in the order given
+                parser.error("--sweep takes comma separated integers >= 4, as --N "
+                             "does, in increasing order")
         # nan would pass every `> tol` guard silently, and nan or inf geometry
         # would run a meaningless solve
         for flag in ("L", "radius", "tol"):

@@ -21,9 +21,17 @@ mode of the solution is fixed afterwards by anchoring on the exterior region
 center), the periodic stand-in for decay at infinity; the exterior decay is
 measured on the same region.
 
+Cores: every FFT, multiplier and the division by |xi|^2 cut their planes
+into slabs and share them out among one thread per CPU of the process's
+affinity set (:func:`_on_cores`); NumPy releases the GIL in its FFT and ufunc
+loops.  Each slab takes the same arithmetic as on one core, so the results
+are bitwise the same at every CPU count.  To use one core, run under
+`taskset`.
+
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
-grid axis at a time, so their scratch is slab-sized, and the compatibility
-defect is written into f_hat's own planes.  Counted in planes (one complex
+grid axis at a time per part, so their scratch is two slabs per part, and at
+most N/2 parts run, so all of it fits in one plane; the compatibility defect
+is written into f_hat's own planes.  Counted in planes (one complex
 grid per component: s for V0, k s for V1), :func:`recover_bump` holds at its
 peak phi, f, f_hat and u_hat, 2 s + 2 k s planes (6 at k = n = 2, where
 s = 1); its residual check holds phi, f, u, u_hat and one output plane,
@@ -32,6 +40,7 @@ s = 1); its residual check holds phi, f, u, u_hat and one output plane,
 
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -207,10 +216,104 @@ def _mode_xi(k, n, N, L, idx):
     return _freqs(N, L)[np.stack(np.unravel_index(idx, (N,) * (k * n)), axis=-1)]
 
 
+def _cpus():
+    """The CPUs this thread may run on, in order; where the platform has no
+    affinity call, os.cpu_count() of them."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
+
+
+def _pin(cpus):
+    """Keep the calling thread on the CPUs `cpus`, where the platform allows
+    it.  A kernel that does not balance load between CPUs leaves a new thread
+    on its creator's CPU for good, so each part is placed on a CPU of its own."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # no affinity call, or the CPU is gone
+        pass
+
+
+def _on_cores(fn, n):
+    """Call fn(slabs) once per part, where `slabs` yields indices of range(n)
+    that the parts take from one shared range, each the next one when it is
+    done with its last, so a part whose CPU is busy takes fewer.  There is one
+    part per CPU of the affinity set, at most n // 2 of them (so that two
+    slabs of scratch per part fit in one plane); the first runs on the
+    calling thread, each other on a thread of its own, each pinned to its CPU.
+    Returns the number of parts once all are done and the caller's affinity
+    is restored; re-raises the first part's exception."""
+    cpus = _cpus()
+    parts = max(1, min(len(cpus), n // 2))
+    if parts == 1:
+        fn(iter(range(n)))
+        return 1
+    ids, lock = iter(range(n)), threading.Lock()
+    errors = [None] * parts
+
+    def slabs():
+        while True:
+            with lock:  # each index goes to exactly one part
+                i = next(ids, None)
+            if i is None:
+                return
+            yield i
+
+    def run(p):
+        try:
+            _pin({cpus[p]})
+            fn(slabs())
+        except BaseException as exc:  # re-raised by the caller, after the joins
+            errors[p] = exc
+
+    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, parts)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+        _pin(cpus)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return parts
+
+
+def _fftn(x, out, inverse=False):
+    """The FFT (inverse FFT) of every component plane of x over all grid axes,
+    into out, which may be x itself.  As np.fft.fftn does, one 1-D transform
+    per axis, the last axis first: first the axes after grid axis 1 on slabs
+    of grid axis 1, then grid axis 1 on slabs of grid axis 2.  Each line goes
+    through the same np.fft call, so out is np.fft.fftn's (ifftn's) bit for
+    bit."""
+    fn = np.fft.ifft if inverse else np.fft.fft
+    kn = x.ndim - 1
+    if kn == 1:
+        return fn(x, axis=1, out=out)
+
+    def later_axes(slabs):
+        for i in slabs:
+            src, dst = x[:, i:i + 1], out[:, i:i + 1]
+            for axis in range(kn, 1, -1):
+                src = fn(src, axis=axis, out=dst)
+
+    def first_axis(slabs):
+        for i in slabs:
+            part = out[:, :, i:i + 1]
+            fn(part, axis=1, out=part)
+
+    _on_cores(later_axes, x.shape[1])
+    _on_cores(first_axis, x.shape[2])
+    return out
+
+
 def _fft(planes):
     """Forward FFT of every component plane into a new contiguous buffer."""
-    return np.fft.fftn(planes, axes=tuple(range(1, planes.ndim)),
-                       out=np.empty(planes.shape, dtype=complex))
+    return _fftn(planes, np.empty(planes.shape, dtype=complex))
 
 
 def _sigma_rows(rep, k, n, N, L, star=False):
@@ -229,23 +332,28 @@ def _sigma_rows(rep, k, n, N, L, star=False):
 
 def _apply_rows(rows, x, out=None):
     """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer, or
-    subtracted from the planes of `out` in place.  One slab of the first grid
-    axis at a time, so the scratch is two slabs, not a plane."""
+    subtracted from the planes of `out` in place.  Each part of
+    :func:`_on_cores` runs its slabs of the first grid axis one at a time, so
+    its scratch is two slabs, not a plane."""
     subtract = out is not None
     if out is None:
         out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
-    acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
-    for i in range(x.shape[1]):
-        xs = x[:, i:i + 1]
-        for row, plane in zip(rows, out[:, i:i + 1]):
-            # a weight grid has length 1 on the axes of the other blocks
-            ws = [w[i:i + 1] if w.shape[0] > 1 else w for w in row]
-            dst = acc if subtract else plane
-            np.multiply(ws[0], xs[0], out=dst)
-            for w, xc in zip(ws[1:], xs[1:]):
-                dst += np.multiply(w, xc, out=tmp)
-            if subtract:
-                plane -= acc
+
+    def part(slabs):
+        acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
+        for i in slabs:
+            xs = x[:, i:i + 1]
+            for row, plane in zip(rows, out[:, i:i + 1]):
+                # a weight grid has length 1 on the axes of the other blocks
+                ws = [w[i:i + 1] if w.shape[0] > 1 else w for w in row]
+                dst = acc if subtract else plane
+                np.multiply(ws[0], xs[0], out=dst)
+                for w, xc in zip(ws[1:], xs[1:]):
+                    dst += np.multiply(w, xc, out=tmp)
+                if subtract:
+                    plane -= acc
+
+    _on_cores(part, x.shape[1])
     return out
 
 
@@ -265,7 +373,7 @@ def apply_spectral(tag, fld, rep):
     _require_memory(k, n, N, fld.dim + out_dim + 1)
     fh = _fft(fld.planes)
     out = _apply_rows(_sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star"), fh)
-    np.fft.ifftn(out, axes=tuple(range(1, out.ndim)), out=out)
+    _fftn(out, out, inverse=True)
     return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1), support=None)
 
 
@@ -322,7 +430,8 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
         Disable only for convergence studies on non-band-limited data.
     timings : dict, optional
         Receives the seconds of the FFTs, the multiplier with the guard and
-        certification ("fft_s", "multiplier_s", "certify_s").
+        certification ("fft_s", "multiplier_s", "certify_s"), and the number
+        of parts the grid work is split into ("workers", see :func:`_on_cores`).
 
     Returns
     -------
@@ -351,11 +460,15 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
     uh = _apply_rows(_sigma_rows(rep, k, n, N, L, star=True), fh)
     sq = _freqs(N, L) ** 2
     rest = [sq.reshape((N,) + (1,) * (k * n - 1 - t)) for t in range(1, k * n)]
-    for i in range(N):  # |xi|^2 one slab of the first grid axis at a time
-        xi2 = sum(rest, sq[i])
-        if i == 0:
-            xi2.flat[0] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0
-        uh[:, i] /= xi2
+
+    def divide(slabs):  # |xi|^2 one slab of the first grid axis at a time
+        for i in slabs:
+            xi2 = sum(rest, sq[i])
+            if i == 0:
+                xi2.flat[0] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0
+            uh[:, i] /= xi2
+
+    workers = _on_cores(divide, N)
     if check_compat:
         # f_hat - sigma0 u_hat, written into f_hat's own planes
         _apply_rows(_sigma_rows(rep, k, n, N, L), uh, out=fh)
@@ -367,10 +480,12 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
             )
     del fh
     t = _lap(timings, "multiplier_s", t)
+    if timings is not None:
+        timings["workers"] = workers
     (diag["recovery_identity_residual"],
      diag["recovery_identity_witness"]) = _certify_recovery_identity(rep, k, n, N, L)
     t = _lap(timings, "certify_s", t)
-    np.fft.ifftn(uh, axes=tuple(range(1, uh.ndim)), out=uh)
+    _fftn(uh, uh, inverse=True)
     _lap(timings, "fft_s", t)
     return GridField(k, n, N, L, "V0", np.moveaxis(uh, 0, -1), support=None), diag
 
@@ -417,11 +532,10 @@ def _dirac_residual(u, f, rep):
     """||D0 u - f|| / ||f|| on the grid, from one u_hat and one output plane at
     a time; the inverse FFT is part of what it checks."""
     uh = _fft(u.planes)
-    axes = tuple(range(1, uh.ndim))
     sq = 0.0
     for row, fp in zip(_sigma_rows(rep, u.k, u.n, u.N, u.L), f.planes):
         plane = _apply_rows([row], uh)
-        np.fft.ifftn(plane, axes=axes, out=plane)
+        _fftn(plane, plane, inverse=True)
         plane -= fp
         sq += np.vdot(plane, plane).real
         del plane
@@ -433,9 +547,12 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
     """Full pipeline: bump -> grid d0 -> solve -> anchored recovery metrics.
 
     break_compat adds mean-free noise, which the compatibility guard rejects;
-    timings gets the stage times of :func:`solve_d0` and "anchor_s"."""
+    timings gets the stage times of :func:`solve_d0`, "data_s" (the bump,
+    its d0 image and the noise), "anchor_s" and "residual_s" (the recovery
+    error, the exterior decay and the Dirac residual)."""
     if center is None:
         center = np.full(k * n, L / 2)
+    t = time.perf_counter()
     phi = make_bump(rep, k, n, N, L, center, radius)
     f = apply_spectral("d0", phi, rep)
     f.support = phi.support
@@ -445,11 +562,12 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         noise -= noise.mean(axis=tuple(range(k * n)), keepdims=True)
         f.values += noise  # into f's own planes
         del noise
+    _lap(timings, "data_s", t)
     u, diag = solve_d0(f, rep, tol=tol, timings=timings)
     t = time.perf_counter()
     mask = exterior_mask(u, phi.support)
     u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
-    _lap(timings, "anchor_s", t)
+    t = _lap(timings, "anchor_s", t)
     # u's metrics come first, so their temporaries are freed before the residual
     recovery = float(np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values))
     hartogs = hartogs_report(u, mask)
@@ -459,6 +577,7 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         "dirac_residual_rel_l2": _dirac_residual(u, f, rep),
         "hartogs": hartogs,
     }
+    _lap(timings, "residual_s", t)
     metrics.update(diag)
     return u, phi, metrics
 

@@ -114,9 +114,11 @@ def test_reports_deterministic(capsys):
         timings = first.pop("timings")
         second.pop("timings")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    # the solve's stage times and mode count live only in the timings block
-    assert set(timings) == {"wall_s", "fft_s", "multiplier_s", "certify_s",
-                            "anchor_s", "sweep_s", "modes"}
+    # the solve's stage times, mode count, part count and peak resident set
+    # live only in the timings block
+    assert set(timings) == {"wall_s", "data_s", "fft_s", "multiplier_s", "certify_s",
+                            "anchor_s", "residual_s", "sweep_s", "modes", "workers",
+                            "ru_maxrss_kib"}
     assert timings["modes"] == 8**4
     assert all(timings[key] >= 0.0 for key in timings)
     assert not set(timings) & set(first["metrics"])
@@ -387,10 +389,12 @@ def test_solve_break_compat_exit_code(capsys):
     assert report["detail"].startswith("compatibility defect too large")
 
 
-@pytest.mark.parametrize("sweep", ["0,8", "3,8", "1,2", "8,x", "8,,12", "8.0", "12,2"])
+@pytest.mark.parametrize("sweep", ["0,8", "3,8", "1,2", "8,x", "8,,12", "8.0", "12,2",
+                                   "16,8", "8,8"])
 def test_solve_rejects_bad_sweep_before_solving(sweep, monkeypatch, capsys):
-    # each sweep resolution obeys the --N rule (an integer >= 4): a bad one is
-    # a usage error (exit 2) before any solve runs
+    # each sweep resolution obeys the --N rule (an integer >= 4), and they
+    # increase strictly, as sweep_monotone reads them: a bad sweep is a usage
+    # error (exit 2) before any solve runs
     from diraclab import solver
 
     def no_solve(*args, **kwargs):

@@ -507,3 +507,177 @@ def test_solve_peaks_hold_few_planes(reps):
             assert peak <= budget * plane, (name, peak / plane)
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# the grid work split over the CPUs of the affinity set
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set how many CPUs the affinity read returns, and record the pins the
+    solver asks for instead of making them."""
+    import os
+
+    pins = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pins.append(set(mask)))
+
+    def force(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        pins.clear()
+        return pins
+
+    return force
+
+
+def serial_rows(rows, x, out=None):
+    """The multiplier loop on one thread, one slab at a time: the oracle."""
+    subtract = out is not None
+    if out is None:
+        out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
+    acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
+    for i in range(x.shape[1]):
+        xs = x[:, i:i + 1]
+        for row, plane in zip(rows, out[:, i:i + 1]):
+            ws = [w[i:i + 1] if w.shape[0] > 1 else w for w in row]
+            dst = acc if subtract else plane
+            np.multiply(ws[0], xs[0], out=dst)
+            for w, xc in zip(ws[1:], xs[1:]):
+                dst += np.multiply(w, xc, out=tmp)
+            if subtract:
+                plane -= acc
+    return out
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, "N"])
+@pytest.mark.parametrize("kn", [1, 2, 3, 4])
+def test_parallel_kernels_match_serial_bitwise(kn, count, cpus):
+    # every split of the slabs gives np.fft.fftn's, ifftn's and the serial
+    # multiplier loop's bytes
+    from diraclab.solver import _apply_rows, _fftn
+
+    rng = np.random.default_rng(kn)
+    axes = tuple(range(1, kn + 1))
+    for N in (4, 5, 7, 8):
+        cpus(N if count == "N" else count)
+        for comps in (1, 2, 3):
+            x = complex_normal(rng, (comps,) + (N,) * kn)
+            want = np.fft.fftn(x, axes=axes, out=np.empty(x.shape, dtype=complex))
+            got = _fftn(x, np.empty(x.shape, dtype=complex))
+            assert got.tobytes() == want.tobytes(), (N, comps)
+            want, got = x.copy(), x.copy()
+            np.fft.ifftn(want, axes=axes, out=want)
+            _fftn(got, got, inverse=True)
+            assert got.tobytes() == want.tobytes(), (N, comps)
+            # weight grids of full length or length 1 on each axis, as the
+            # block-factored symbol entries are
+            rows = [[complex_normal(rng, tuple(N if rng.random() < 0.5 else 1
+                                               for _ in range(kn)))
+                     for _ in range(comps)]
+                    for _ in range(1 + (N + comps) % 3)]
+            want = serial_rows(rows, x)
+            assert _apply_rows(rows, x).tobytes() == want.tobytes(), (N, comps)
+            base = complex_normal(rng, want.shape)
+            want, got = serial_rows(rows, x, out=base.copy()), base.copy()
+            _apply_rows(rows, x, out=got)
+            assert got.tobytes() == want.tobytes(), (N, comps)
+
+
+@pytest.mark.parametrize("count, n, parts", [(1, 8, 1), (2, 8, 2), (3, 8, 3),
+                                             (8, 8, 4), (3, 5, 2), (4, 3, 1)])
+def test_parts_follow_affinity_set_and_half_n(count, n, parts, cpus):
+    # one part per CPU, at most n // 2 parts; each extra part pins its thread
+    # to a CPU of its own, and the caller gets its affinity back
+    import threading
+
+    from diraclab.solver import _on_cores
+
+    pins = cpus(count)
+    seen, lock = [], threading.Lock()
+
+    def part(slabs):
+        for i in slabs:
+            with lock:
+                seen.append(i)
+
+    assert _on_cores(part, n) == parts
+    assert sorted(seen) == list(range(n))
+    if parts == 1:
+        assert pins == []
+    else:
+        assert sorted(pins[:-1], key=min) == [{p} for p in range(parts)]
+        assert pins[-1] == set(range(count))
+
+
+def test_parts_take_every_slab_once_under_contention(cpus):
+    # more parts than cores, switching threads as often as the interpreter
+    # allows: every index still goes to exactly one part
+    import sys
+    import threading
+
+    from diraclab.solver import _on_cores
+
+    cpus(16)
+    taken, lock = [], threading.Lock()
+
+    def part(slabs):
+        for i in slabs:
+            with lock:
+                taken.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            taken.clear()
+            assert _on_cores(part, 64) == 16
+            assert sorted(taken) == list(range(64))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parts_without_affinity_call_follow_cpu_count(monkeypatch):
+    import os
+
+    from diraclab.solver import _on_cores
+
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _on_cores(lambda slabs: list(slabs), 8) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _on_cores(lambda slabs: list(slabs), 8) == 1
+
+
+def test_part_exception_reaches_caller(cpus):
+    # an exception in a part on another thread is raised in the caller, and
+    # no thread outlives the call
+    import threading
+
+    from diraclab.solver import _on_cores
+
+    cpus(3)
+    before = threading.active_count()
+
+    def part(slabs):
+        list(slabs)
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("in a part thread")
+
+    with pytest.raises(ZeroDivisionError, match="in a part thread"):
+        _on_cores(part, 8)
+    assert threading.active_count() == before
+
+
+def test_solve_leaves_no_thread_behind(reps):
+    import threading
+
+    before = threading.active_count()
+    timings = {}
+    recover_bump(reps[2], 2, 2, 8, timings=timings)
+    assert threading.active_count() == before
+    assert 1 <= timings["workers"] <= 4
