@@ -100,21 +100,13 @@ def checks_clifford(n_max, samples, seed):
         rep = build_clifford(n)
         s = rep.s_dim
         eye = np.eye(s)
-        anti = 0.0
-        for j in range(n):
-            for k_ in range(n):
-                delta = 2.0 * eye if j == k_ else 0.0
-                anti = max(
-                    anti,
-                    np.abs(rep.gamma_minus[j] @ rep.gamma_plus[k_]
-                           + rep.gamma_minus[k_] @ rep.gamma_plus[j] + delta).max(),
-                    np.abs(rep.gamma_plus[j] @ rep.gamma_minus[k_]
-                           + rep.gamma_plus[k_] @ rep.gamma_minus[j] + delta).max(),
-                )
-        skew = max(
-            np.abs(rep.gamma_plus[j].conj().T + rep.gamma_minus[j]).max()
-            for j in range(n)
-        )
+        gp, gm = rep.gamma_plus, rep.gamma_minus
+        # every pair (j, k) at once: entries in {0, +-1, +-i} make each
+        # product an exact Gaussian integer
+        delta = 2.0 * np.eye(n)[:, :, None, None] * eye
+        anti = max(np.abs(prod + prod.swapaxes(0, 1) + delta).max()
+                   for prod in (gm[:, None] @ gp[None, :], gp[:, None] @ gm[None, :]))
+        skew = np.abs(gp.conj().swapaxes(1, 2) + gm).max()
         expected = 1 if n == 1 else (2 ** (n // 2 - 1) if n % 2 == 0 else 2 ** ((n - 1) // 2))
         out.append(_check(f"anticommutation n={n}",
                           "g_j g_k + g_k g_j = -2 delta_jk Id", anti, 1e-12))
@@ -194,29 +186,27 @@ COMPLEX_ROLES = {"f": ("V0", 4, 6), "F": ("V1", 4, 6), "h2": ("V2", 2, 5),
 
 
 def _complex_draws(rng, k, n, samples):
-    """The random inputs of `samples` samples, from one ``rng.random`` call.
+    """The random fields of `samples` samples, from one ``rng.random`` call.
 
     Row i of the (samples, width) uniforms is sample i: the columns of f, F,
     h2 (k >= 3 only: for k = 2 the order-5 branch does not exist) and g
-    (:func:`~diraclab.fields.draw_width` each), then three for the indices
-    B, C, A of the commutation check, ``floor(u k)``.  Each role's columns
-    become one sample-keyed field, the indices an array of shape
-    (samples, 3).
+    (:func:`~diraclab.fields.draw_width` each).  Each role's columns become
+    one sample-keyed field.
     """
     roles = [role for role in COMPLEX_ROLES if k >= 3 or role != "h2"]
     widths = [draw_width(k, n, *COMPLEX_ROLES[role]) for role in roles]
-    u = rng.random((samples, sum(widths) + 3))
+    u = rng.random((samples, sum(widths)))
     inputs = {}
-    for role, cols in zip(roles, np.split(u[:, :-3], np.cumsum(widths)[:-1], axis=1)):
+    for role, cols in zip(roles, np.split(u, np.cumsum(widths)[:-1], axis=1)):
         space, degree, nterms = COMPLEX_ROLES[role]
         inputs[role] = random_keyed(k, n, space, cols, degree, nterms)
-    return inputs, (u[:, -3:] * k).astype(np.int64)
+    return inputs
 
 
 def _complex_block(rng, k, n, rep, samples):
     """The next `samples` samples' residuals by check key, one operator pass
     per check."""
-    inputs, slots = _complex_draws(rng, k, n, samples)
+    inputs = _complex_draws(rng, k, n, samples)
 
     def norms(f):
         return keyed_norms(f, samples)
@@ -242,8 +232,8 @@ def _complex_block(rng, k, n, rep, samples):
                   norms(c - dirac_ops.d2pp_projector(h2, rep)) / h2n]
         member += [residuals(a) / h2n, residuals(c) / h2n]
     values["agree"], values["member"] = np.max(agree, axis=0), np.max(member, axis=0)
-    commute = dirac_ops.delta_nabla(g, rep, slots) - dirac_ops.nabla_delta(g, rep, slots)
-    values["commute"] = norms(commute) / np.maximum(norms(g), 1e-300)
+    values["commute"] = (norms(dirac_ops.delta_nabla_commutator(g, rep))
+                         / np.maximum(norms(g), 1e-300))
     return values
 
 

@@ -1,4 +1,5 @@
-"""The operators D0, D1, D2', D2'', the formal adjoint D0* and the Laplacian.
+"""The operators D0, D1, D2', D2'', the formal adjoint D0*, the Laplacian and
+the commutator of Delta_BC with nabla_A.
 
 All operators act on the exponent matrix and value tensor of a
 :class:`~diraclab.fields.PolyField`.  Every derivative goes through one
@@ -17,9 +18,10 @@ The two routes agreeing to roundoff on random fields is one of the package's
 standing checks.  A stack is an (exponents, values) pair whose values carry
 extra leading tensor axes.  Every sum of pieces goes through :func:`_stack`:
 with leading axes it adds each piece into its slot, and with none (nabla,
-the Laplacian, and D1 and D2'' on their gradient and Delta stacks) it is the
-canonical sum in one buffer on the joint rows, bit for bit as the field
-constructor would sum the pieces' concatenation.
+the Laplacian, D1 and D2'' on their gradient and Delta stacks, and the two
+sides of the commutator) it is the canonical sum in one buffer on the joint
+rows, bit for bit as the field constructor would sum the pieces'
+concatenation.
 
 Index conventions for the stacked derivative tensors: new derivative axes are
 prepended, so ``grad2[A, B, C, s]`` means (first apply the C-component
@@ -29,7 +31,7 @@ selection of the input, then the B derivative, then the A derivative).
 import numpy as np
 
 from . import weyl
-from .fields import PolyField, _group, _key, _partial
+from .fields import PolyField, _group, _partial
 
 
 def _require_space(f, space, op_name):
@@ -277,34 +279,20 @@ def laplacian(f, rep):
          for e, v in _delta_pieces(f.expo, f.vals, B, B, f.n)], ()))
 
 
-def _at_member_slots(k, n, stack, slots):
-    """A keyed scalar field read off a keyed derivative stack, row by row.
+def delta_nabla_commutator(g, rep):
+    """Delta_BC nabla_A g - nabla_A Delta_BC g at every (A, B, C).
 
-    `stack` is the (exponents, values) pair of a keyed field with three
-    leading derivative axes; each row reads the slot that its member's row
-    of `slots`, shape (B, 3), names in those axes.
+    An S- field whose values carry the axes (A, B, C) ahead of the spinor
+    axis; on a sample-keyed V0 field each member keeps its own rows.  The
+    two sides are whole stacks, the Delta stack of the gradient (axes B, C,
+    A) and the gradient of the Delta stack (axes A, B, C), summed on their
+    joint rows in one buffer.
     """
-    f = PolyField(k, n, "S-", *stack)
-    i, j, l = np.asarray(slots)[_key(f, len(slots))].T
-    return PolyField(k, n, "S-", f.expo, f.vals[np.arange(len(f)), i, j, l])
-
-
-def delta_nabla(g, rep, slots):
-    """Delta_BC nabla_A g for each member of a sample-keyed V0 field.
-
-    Row b of `slots`, shape (B, 3), holds member b's indices (B, C, A).
-    One stack over every (A, B, C) serves all members.
-    """
-    _require_space(g, "V0", "delta_nabla")
-    stack = _delta_stack(PolyField(g.k, g.n, "S-", *_grad(g, rep)))  # (B, C, A, s)
-    return _at_member_slots(g.k, g.n, stack, slots)
-
-
-def nabla_delta(g, rep, slots):
-    """nabla_A Delta_BC g for each member, as :func:`delta_nabla` takes them."""
-    _require_space(g, "V0", "nabla_delta")
-    stack = _grad(PolyField(g.k, g.n, "V0", *_delta_stack(g)), rep)  # (A, B, C, s)
-    return _at_member_slots(g.k, g.n, stack, np.asarray(slots)[:, [2, 0, 1]])
+    _require_space(g, "V0", "delta_nabla_commutator")
+    de, dn = _delta_stack(PolyField(g.k, g.n, "S-", *_grad(g, rep)))  # (B, C, A, s)
+    ne, nd = _grad(PolyField(g.k, g.n, "V0", *_delta_stack(g)), rep)  # (A, B, C, s)
+    return PolyField(g.k, g.n, "S-", *_stack(
+        [((), de, np.einsum("tbcas->tabcs", dn)), ((), ne, np.negative(nd, out=nd))], ()))
 
 
 def monogenic_basis(rep, k, n, degree):

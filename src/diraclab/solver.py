@@ -39,11 +39,11 @@ s = 1); its residual check holds phi, f, u, u_hat and one output plane,
 """
 
 import json
+import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +69,7 @@ class GridField:
     values, of shape (N,)*(k*n) + (dim,), is a view of the C-contiguous
     component-first buffer `planes`; an array passed in is copied only when
     its components are not contiguous planes already.  space is "V0" (S+
-    valued, dim s) or "V1" (k S- components, dim k s).  support, when set,
-    declares a ball (center, radius) outside which the field vanishes.
+    valued, dim s) or "V1" (k S- components, dim k s).
     """
 
     k: int
@@ -79,7 +78,6 @@ class GridField:
     L: float
     space: str
     values: np.ndarray
-    support: Optional[tuple] = field(default=None)
 
     def __post_init__(self):
         planes = np.ascontiguousarray(np.moveaxis(np.asarray(self.values), -1, 0))
@@ -92,10 +90,6 @@ class GridField:
     @property
     def dim(self):
         return self.values.shape[-1]
-
-    def norm(self):
-        vol = self.L ** (self.k * self.n)
-        return float(np.linalg.norm(self.values) * np.sqrt(vol / self.N ** (self.k * self.n)))
 
 
 def field_dim(space, k, s_dim):
@@ -130,10 +124,10 @@ def grid_axes(N, L, kn):
     return np.meshgrid(*([ax] * kn), indexing="ij", sparse=True)
 
 
-def _bump_geometry(rep, k, n, N, L, center, radius, spinor, components):
-    """Validated center, spinor (default: the first basis spinor), grid axes
-    and squared scaled distance r2 of a bump whose field has `components`
-    values per grid point; raises as :func:`make_bump` documents."""
+def _bump_geometry(k, n, N, L, center, radius, components):
+    """Validated center, grid axes and squared scaled distance r2 of a bump
+    whose field has `components` values per grid point; raises as
+    :func:`make_bump` documents."""
     kn = k * n
     center = np.asarray(center, dtype=float)
     if center.shape != (kn,):
@@ -144,18 +138,15 @@ def _bump_geometry(rep, k, n, N, L, center, radius, spinor, components):
         raise ValueError(
             "bump ball does not fit inside the cell with the required margin"
         )
-    _require_memory(k, n, N, components + 1)  # the real r2 and profile: one plane
-    if spinor is None:
-        spinor = np.zeros(rep.s_dim, dtype=complex)
-        spinor[0] = 1.0
-    spinor = np.asarray(spinor, dtype=complex)
+    _require_memory(k, n, N, components + 1)  # the real r2 and its temporaries
     grids = grid_axes(N, L, kn)
     r2 = sum((g - c) ** 2 for g, c in zip(grids, center)) / radius**2
-    return center, spinor, grids, r2
+    return center, grids, r2
 
 
-def make_bump(rep, k, n, N, L, center, radius, spinor=None):
-    """Smooth compactly supported spinor bump on the periodic cell.
+def make_bump(rep, k, n, N, L, center, radius):
+    """Smooth compactly supported bump on the first basis spinor of the
+    periodic cell.
 
     The profile is exp(-1/(1-r^2)) for r < 1 (r the scaled distance from the
     center), identically zero outside the ball.  The ball must sit strictly
@@ -163,16 +154,14 @@ def make_bump(rep, k, n, N, L, center, radius, spinor=None):
     center not of shape (k*n,), a radius <= 0 or a ball that does not fit
     raises ValueError.
     """
-    center, spinor, _, r2 = _bump_geometry(rep, k, n, N, L, center, radius,
-                                           spinor, rep.s_dim)
-    profile = np.zeros(r2.shape)
+    _, _, r2 = _bump_geometry(k, n, N, L, center, radius, rep.s_dim)
+    planes = np.zeros((rep.s_dim,) + r2.shape, dtype=complex)
     inside = r2 < 1.0
-    profile[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    values = np.moveaxis(np.multiply.outer(spinor, profile), 0, -1)
-    return GridField(k, n, N, L, "V0", values, support=(tuple(center), radius))
+    planes[0][inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return GridField(k, n, N, L, "V0", np.moveaxis(planes, 0, -1))
 
 
-def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
+def bump_dirac_data(rep, k, n, N, L, center, radius):
     """Exact samples of the continuum Dirac image of the bump.
 
     Evaluates the closed-form gradient of the bump profile and contracts with
@@ -181,14 +170,13 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
     satisfies the compatibility condition only up to aliasing.  The bump is
     validated as in :func:`make_bump`.
     """
-    center, spinor, grids, r2 = _bump_geometry(rep, k, n, N, L, center, radius,
-                                               spinor, k * rep.s_dim)
+    center, grids, r2 = _bump_geometry(k, n, N, L, center, radius, k * rep.s_dim)
     inside = r2 < 1.0
     gap = 1.0 - r2[inside]
     chain = np.zeros(r2.shape)
     chain[inside] = np.exp(-1.0 / gap) / gap**2
     del r2, inside, gap  # grid-sized temporaries not needed past chain
-    gspin = np.einsum("jst,t->js", rep.gamma_plus, spinor)
+    gspin = rep.gamma_plus[:, :, 0]  # gamma_j applied to the first basis spinor
     planes = np.empty((k, rep.s_dim) + chain.shape, dtype=complex)
     for A in range(k):
         # d(profile)/dx_Aj = -2 (x_Aj - c_Aj) / radius^2 * chain; the sum over
@@ -199,7 +187,7 @@ def bump_dirac_data(rep, k, n, N, L, center, radius, spinor=None):
             np.multiply(chain, sum(a * gspin[j, t] for j, a in enumerate(slopes)),
                         out=planes[A, t])
     values = np.moveaxis(planes.reshape((k * rep.s_dim,) + chain.shape), 0, -1)
-    return GridField(k, n, N, L, "V1", values, support=(tuple(center), radius))
+    return GridField(k, n, N, L, "V1", values)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +362,7 @@ def apply_spectral(tag, fld, rep):
     fh = _fft(fld.planes)
     out = _apply_rows(_sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star"), fh)
     _fftn(out, out, inverse=True)
-    return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1), support=None)
+    return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1))
 
 
 def _certify_modes(k, n, N):
@@ -415,7 +403,7 @@ def _lap(timings, key, t0):
     return time.perf_counter()
 
 
-def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
+def solve_d0(f, rep, tol=1e-6, timings=None):
     """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat / |xi|^2.
 
     Parameters
@@ -423,11 +411,13 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
     f : GridField
         V1 data.  Must have (numerically) vanishing mean and satisfy D1 f = 0,
         i.e. f_hat in the range of sigma0 at xi != 0.  The guards measure the
-        zero-mode share and the distance ||f_hat - sigma0 u_hat|| to that
-        range relative to ||f_hat||, free of units at every L and N, and
-        raise :class:`CompatibilityError` above `tol`.
-    check_compat : bool
-        Disable only for convergence studies on non-band-limited data.
+        zero-mode share ("zero_mode_rel") and the distance
+        ||f_hat - sigma0 u_hat|| to that range ("compat_rel"), both relative
+        to ||f_hat|| and so free of units at every L and N.
+    tol : float or None
+        The guards raise :class:`CompatibilityError` above it.  None, for
+        convergence studies on data that is not band-limited, measures the
+        zero-mode share only and raises nothing.
     timings : dict, optional
         Receives the seconds of the FFTs, the multiplier with the guard and
         certification ("fft_s", "multiplier_s", "certify_s"), and the number
@@ -451,7 +441,7 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
     fnorm = float(np.linalg.norm(fh)) or 1.0  # zero data: both guards read 0
     rel0 = float(np.linalg.norm(fh[zero]) / fnorm)
     diag = {"zero_mode_rel": rel0}
-    if rel0 > tol:
+    if tol is not None and rel0 > tol:
         raise CompatibilityError(
             f"zero-frequency component too large ({rel0:.3e} > {tol:.1e}); "
             "data must have vanishing mean"
@@ -469,7 +459,7 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
             uh[:, i] /= xi2
 
     workers = _on_cores(divide, N)
-    if check_compat:
+    if tol is not None:
         # f_hat - sigma0 u_hat, written into f_hat's own planes
         _apply_rows(_sigma_rows(rep, k, n, N, L), uh, out=fh)
         compat = float(np.linalg.norm(fh) / fnorm)
@@ -487,14 +477,16 @@ def solve_d0(f, rep, tol=1e-6, check_compat=True, timings=None):
     t = _lap(timings, "certify_s", t)
     _fftn(uh, uh, inverse=True)
     _lap(timings, "fft_s", t)
-    return GridField(k, n, N, L, "V0", np.moveaxis(uh, 0, -1), support=None), diag
+    return GridField(k, n, N, L, "V0", np.moveaxis(uh, 0, -1)), diag
 
 
-def exterior_mask(u, support):
+def exterior_mask(u, center, radius):
     """The flat mask of u's grid points at periodic (min-image) distance
-    > 2 radius from the center of the support ball (center, radius): the
-    exterior region.  Raises ValueError if it is empty."""
-    center, radius = support
+    > 2 radius from the center of the data's support ball: the exterior
+    region.  Raises ValueError if the center is not of shape (k*n,) or the
+    region is empty."""
+    if np.shape(center) != (u.k * u.n,):
+        raise ValueError(f"center must have shape ({u.k * u.n},)")
     deltas = (np.abs(g - c) for g, c in zip(grid_axes(u.N, u.L, u.k * u.n), center))
     d2 = sum(np.minimum(d, u.L - d) ** 2 for d in deltas)
     mask = (d2 > (2.0 * radius) ** 2).ravel()
@@ -512,7 +504,7 @@ def anchor_exterior(u, mask):
     """
     # one flat mask on flat planes: one index array, not one per grid axis
     shift = u.planes.reshape(u.dim, -1)[:, mask].mean(axis=1)
-    return GridField(u.k, u.n, u.N, u.L, u.space, u.values - shift, support=u.support)
+    return GridField(u.k, u.n, u.N, u.L, u.space, u.values - shift)
 
 
 def hartogs_report(u, mask):
@@ -555,7 +547,6 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
     t = time.perf_counter()
     phi = make_bump(rep, k, n, N, L, center, radius)
     f = apply_spectral("d0", phi, rep)
-    f.support = phi.support
     if break_compat:
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(f.values.shape) * np.abs(f.values).max()
@@ -565,7 +556,7 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
     _lap(timings, "data_s", t)
     u, diag = solve_d0(f, rep, tol=tol, timings=timings)
     t = time.perf_counter()
-    mask = exterior_mask(u, phi.support)
+    mask = exterior_mask(u, center, radius)
     u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
     t = _lap(timings, "anchor_s", t)
     # u's metrics come first, so their temporaries are freed before the residual
@@ -587,16 +578,17 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
 
     For each N the V1 data is the analytically sampled Dirac image of the
     bump (not band-limited), so the recovery error is a genuine function of
-    resolution.  The compatibility guard is skipped: sampled continuum data
-    satisfies it only up to aliasing, which is the quantity under study.
+    resolution.  The solve runs with ``tol=None``, which skips the
+    compatibility guard: sampled continuum data satisfies it only up to
+    aliasing, which is the quantity under study.
     """
     if center is None:
         center = np.full(k * n, L / 2)
     rows = []
     for N in Ns:
         f = bump_dirac_data(rep, k, n, N, L, center, radius)
-        u0, diag = solve_d0(f, rep, tol=np.inf, check_compat=False)
-        u = anchor_exterior(u0, exterior_mask(u0, f.support))
+        u0, diag = solve_d0(f, rep, tol=None)
+        u = anchor_exterior(u0, exterior_mask(u0, center, radius))
         del f, u0  # freed before the bump is sampled, to lower the peak
         phi = make_bump(rep, k, n, N, L, center, radius)
         err = float(
@@ -629,10 +621,12 @@ def dump_field(fld, path):
 
 def _check_header(h):
     """Raise ValueError if a dumped field's header is incomplete or inconsistent."""
+    if not isinstance(h, dict):
+        raise ValueError(f"header {h!r} is not a JSON object")
     missing = sorted({"k", "n", "N", "L", "space", "dim", "dtype"} - set(h))
     if missing:
         raise ValueError(f"header lacks {', '.join(missing)}")
-    for key in ("k", "n", "N"):
+    for key in ("k", "n", "N", "dim"):
         if type(h[key]) is not int or h[key] < 1:
             raise ValueError(f"{key} = {h[key]!r} is not a positive integer")
     if type(h["L"]) not in (int, float) or not 0 < h["L"] < np.inf:
@@ -650,19 +644,17 @@ def _check_header(h):
 def load_field(path):
     """Read a field written by :func:`dump_field`, checking it against its header."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        try:
+        try:  # a header that is not JSON, and field_dim's own errors, get the path too
+            header = json.loads(fh.readline().decode())
             _check_header(header)
-        except ValueError as exc:  # field_dim's own errors get the path too
+        except ValueError as exc:
             raise ValueError(f"field {path}: {exc}") from None
-        kn = header["k"] * header["n"]
-        shape = (header["N"],) * kn + (header["dim"],)
-        if size != 16 * int(np.prod(shape)):
-            raise ValueError(
-                f"field {path}: payload has {size} bytes, the header "
-                f"needs {16 * int(np.prod(shape))}"
-            )
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        shape = (header["N"],) * (header["k"] * header["n"]) + (header["dim"],)
+        need = 16 * math.prod(shape)  # exact: an int64 product can wrap to 0
+        if size != need:
+            raise ValueError(f"field {path}: payload has {size} bytes, "
+                             f"the header needs {need}")
         values = np.empty(shape, dtype="<c16")
         if fh.readinto(values) != size:
             raise ValueError(f"field {path}: payload ended early")

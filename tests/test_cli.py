@@ -28,6 +28,35 @@ def test_verify_clifford_sweeps_all_dimensions(capsys):
     assert "anticommutation n=10" in names
 
 
+def test_clifford_checks_match_the_pairwise_loop(monkeypatch):
+    # the batched anticommutation and skew-adjointness values equal the loop
+    # over pairs (j, k) bit for bit, also on broken gammas whose defects are
+    # nonzero Gaussian integers: the products stay exact
+    from types import SimpleNamespace
+
+    from diraclab import build_clifford, cli
+
+    def broken(n):
+        rep = build_clifford(n)
+        gp, gm = rep.gamma_plus.copy(), rep.gamma_minus.copy()
+        # the same entry of both blocks of gamma_{n-1}: the largest defect
+        # moves if either check transposes the wrong axes
+        gp[-1, 0, -1] += 1 + 2j
+        gm[-1, 0, -1] += 1j
+        return SimpleNamespace(n=n, s_dim=rep.s_dim, gamma_plus=gp, gamma_minus=gm)
+
+    monkeypatch.setattr(cli, "build_clifford", broken)
+    checks = {c["name"]: c["value"] for c in cli.checks_clifford(6, 1, 0)}
+    for n in range(1, 7):
+        rep = broken(n)
+        gp, gm, eye = rep.gamma_plus, rep.gamma_minus, np.eye(rep.s_dim)
+        anti = max(np.abs(a[j] @ b[k] + a[k] @ b[j] + (2.0 * eye if j == k else 0.0)).max()
+                   for j in range(n) for k in range(n) for a, b in ((gm, gp), (gp, gm)))
+        skew = max(np.abs(gp[j].conj().T + gm[j]).max() for j in range(n))
+        assert anti > 0 and checks[f"anticommutation n={n}"] == anti
+        assert skew > 0 and checks[f"skew_adjoint n={n}"] == skew
+
+
 def test_verify_complex_low_dimension(capsys):
     # the whole algebra degenerates gracefully at n=1 (one gamma, 1x1 blocks)
     code, report = run_cli(

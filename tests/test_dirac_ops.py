@@ -212,12 +212,13 @@ def test_zero_field_keeps_value_axes(k, n, reps):
             if count:
                 assert np.array_equal(keyed_norms(out, count), np.zeros(count))
                 assert np.array_equal(keyed_residuals(out, count), np.zeros(count))
-    slots = np.zeros((3, 3), dtype=np.int64)
-    for op in (dirac_ops.delta_nabla, dirac_ops.nabla_delta):
-        out = op(keyed([PolyField(k, n, "V0")] * 3), rep, slots)
-        assert out.space == "S-" and out.vals.shape == (0, s)
+    for count in (None, 3):
+        f = PolyField(k, n, "V0")
+        out = dirac_ops.delta_nabla_commutator(keyed([f] * count) if count else f, rep)
+        assert out.space == "S-" and out.vals.shape == (0, k, k, k, s)
         assert out.expo.shape == (0, 1 + k * n)
-        assert np.array_equal(keyed_norms(out, 3), np.zeros(3))
+        if count:
+            assert np.array_equal(keyed_norms(out, count), np.zeros(count))
     zero = stack(keyed([PolyField(k, n, "V0")] * 3), 3)
     chart = boundary.flat_chart(k, n)
     assert np.array_equal(boundary.pi1_kernel_check(chart, rep, zero, zero), np.zeros(3))

@@ -188,26 +188,28 @@ def test_operators_on_keyed_fields_match_members(k, n, reps, rng):
                 assert same(ref, h) or (not len(ref) and not len(h)), op.__name__
 
 
-def test_commutator_sides_read_each_members_slot(reps, rng):
-    # member b's part of each side is that composition on member b alone, at
-    # its own (B, C, A); a zero member stays zero.  Every exponent of the
-    # random members is raised by 3, so no monomial vanishes under the three
-    # derivatives at any slot and every other member's sides are nonzero.
+def test_commutator_matches_compositions_at_every_slot(reps, rng):
+    # member b's part of the commutator is the commutator of member b alone,
+    # and at each (A, B, C) it is Delta_BC nabla_A g - nabla_A Delta_BC g,
+    # both sides composed on that member; a zero member stays zero.  Every
+    # exponent of the random members is raised by 3, so no monomial vanishes
+    # under the three derivatives at any slot.
     k, n = 3, 2
     rep = reps[n]
     members = [random_field(rng, k, n, "V0", degree=5, nterms=6) for _ in range(5)]
     members = [PolyField(k, n, "V0", g.expo[:, 1:] + 3, g.vals) for g in members]
     members.insert(3, PolyField(k, n, "V0"))
-    slots = rng.integers(0, k, size=(len(members), 3))
-    f = keyed(members)
-    lhs = unkey(dirac_ops.delta_nabla(f, rep, slots), len(members))
-    rhs = unkey(dirac_ops.nabla_delta(f, rep, slots), len(members))
-    assert sum(map(bool, map(len, lhs + rhs))) >= 6 and not len(lhs[3])
-    for g, (b, c, a), left, right in zip(members, slots, lhs, rhs):
-        ref = delta_op(b, c, dirac_ops.nabla(a, g, rep), rep)
-        assert same(ref, left) or (not len(ref) and not len(left))
-        ref = dirac_ops.nabla(a, delta_op(b, c, g, rep), rep)
-        assert same(ref, right) or (not len(ref) and not len(right))
+    out = unkey(dirac_ops.delta_nabla_commutator(keyed(members), rep), len(members))
+    assert not len(out[3]) and out[3].vals.shape == (0, k, k, k, rep.s_dim)
+    nonzero = 0
+    for g, part in zip(members, out):
+        assert same(dirac_ops.delta_nabla_commutator(g, rep), part)
+        for a, b, c in np.ndindex(k, k, k):
+            ref = (delta_op(b, c, dirac_ops.nabla(a, g, rep), rep)
+                   - dirac_ops.nabla(a, delta_op(b, c, g, rep), rep))
+            assert same(ref, PolyField(k, n, "S-", part.expo, part.vals[:, a, b, c]))
+            nonzero += len(ref)
+    assert nonzero  # the sides' roundoff leaves rows to compare
 
 
 def test_canonical_fast_path_matches_sum(rng, monkeypatch):

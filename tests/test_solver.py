@@ -71,10 +71,12 @@ def test_bump_geometry_rejected(reps, build, center, radius):
 
 
 def test_bump_norm_quadrature_converges(reps):
-    # Richardson comparison on a two-axis cell where high resolutions are cheap
+    # Richardson comparison on a two-axis cell where high resolutions are
+    # cheap; the quadrature norm weighs each grid point by its cell, (L / N)^2
     rep = reps[1]
     norms = {
-        N: make_bump(rep, 2, 1, N, L, np.full(2, np.pi), 1.4).norm()
+        N: np.linalg.norm(make_bump(rep, 2, 1, N, L, np.full(2, np.pi), 1.4).values)
+        * np.sqrt(L**2 / N**2)
         for N in (256, 512)
     }
     assert norms[256] > 0
@@ -211,10 +213,12 @@ def test_solve_recovers_mixed_spinor_bump(reps):
     # n = 3 has s = 2; a bump on both basis spinors makes sigma0, sigma0* and
     # the compatibility defect mix the two spinor planes of each block
     rep = reps[3]
-    phi = make_bump(rep, 2, 3, 6, L, np.full(6, np.pi), 1.2, spinor=[0.6, 0.8j])
+    center = np.full(6, np.pi)
+    profile = make_bump(rep, 2, 3, 6, L, center, 1.2).values[..., 0].real
+    phi = GridField(2, 3, 6, L, "V0", np.multiply.outer(profile, [0.6, 0.8j]))
     u, diag = solve_d0(apply_spectral("d0", phi, rep), rep)
     assert diag["compat_rel"] <= 1e-12
-    u = anchor_exterior(u, exterior_mask(u, phi.support))
+    u = anchor_exterior(u, exterior_mask(u, center, 1.2))
     assert np.linalg.norm(u.values - phi.values) <= 1e-10 * np.linalg.norm(phi.values)
 
 
@@ -275,6 +279,21 @@ def test_solve_refuses_incompatible_data(rng, reps):
         solve_d0(bad, rep)
 
 
+def test_solve_without_tol_measures_and_never_raises(reps):
+    # tol=None, the sweep's setting, skips both guards and the range defect:
+    # data off the range and with a mean solves, the zero-mode share is
+    # measured, and the solution is the one tol=inf gives
+    rep = reps[2]
+    f = apply_spectral("d0", make_bump(rep, 2, 2, 8, L, CENTER4, 0.6), rep)
+    noise = np.random.default_rng(3).standard_normal(f.values.shape)
+    bad = GridField(2, 2, 8, L, "V1", f.values + noise * np.abs(f.values).max())
+    u, diag = solve_d0(bad, rep, tol=None)
+    ref, measured = solve_d0(bad, rep, tol=np.inf)
+    assert "compat_rel" not in diag and measured["compat_rel"] > 1e-3
+    assert diag["zero_mode_rel"] == measured["zero_mode_rel"] > 1e-3
+    assert u.values.tobytes() == ref.values.tobytes()
+
+
 def test_discrete_green_intertwining(rng, reps):
     # G2 d1 = d1 G1 mode by mode (matrix identity on sampled frequencies)
     rep = reps[2]
@@ -295,14 +314,18 @@ def test_hartogs_degenerate_region(reps):
     rep = reps[2]
     phi = make_bump(rep, 2, 2, 8, L, CENTER4, 0.6)
     with pytest.raises(ValueError, match="no exterior region"):
-        exterior_mask(phi, (tuple(CENTER4), 10.0))
+        exterior_mask(phi, CENTER4, 10.0)
+    # a center with too few or too many entries would measure the wrong region
+    for center in (CENTER4[:2], np.full(5, np.pi)):
+        with pytest.raises(ValueError, match="center must have shape"):
+            exterior_mask(phi, center, 0.6)
 
 
 def test_anchor_exterior_fixes_constant(reps):
     rep = reps[2]
     phi = make_bump(rep, 2, 2, 8, L, CENTER4, 0.6)
     shifted = GridField(2, 2, 8, L, "V0", phi.values + (0.5 + 0.25j))
-    fixed = anchor_exterior(shifted, exterior_mask(shifted, phi.support))
+    fixed = anchor_exterior(shifted, exterior_mask(shifted, CENTER4, 0.6))
     assert np.abs(fixed.values - phi.values).max() <= 1e-12
 
 
@@ -369,7 +392,7 @@ def test_grid_fields_store_contiguous_planes(tmp_path, reps):
         "d0": f,
         "d0_star": apply_spectral("d0_star", f, rep),
         "solve_d0": u,
-        "anchor_exterior": anchor_exterior(u, exterior_mask(u, phi.support)),
+        "anchor_exterior": anchor_exterior(u, exterior_mask(u, CENTER4, 0.6)),
         "load_field": load_field(path),
     }
     for name, fld in produced.items():
@@ -426,14 +449,19 @@ DROP = object()  # a header edit that removes the key
 
 
 def _rewrite_dump(path, edit_header=None, trim=0):
+    """Rewrite a dump with its header edited, key by key from a dict or
+    wholly by a function, and `trim` bytes cut off its payload."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         payload = fh.read()
-    for key, value in (edit_header or {}).items():
-        if value is DROP:
-            del header[key]
-        else:
-            header[key] = value
+    if callable(edit_header):
+        header = edit_header(header)
+    else:
+        for key, value in (edit_header or {}).items():
+            if value is DROP:
+                del header[key]
+            else:
+                header[key] = value
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         fh.write(payload[: len(payload) - trim])
@@ -454,9 +482,16 @@ def _rewrite_dump(path, edit_header=None, trim=0):
         ({"dim": 5}, 0, "dim 5 is not 1, the V0 dimension at k = 2, n = 2"),
         # the payload fits the header's dim, which is not the space's
         ({"space": "V1"}, 0, "dim 1 is not 2, the V1 dimension at k = 2, n = 2"),
+        # JSON, but no object
+        (lambda header: 5, 0, "header 5 is not a JSON object"),
+        (lambda header: None, 0, "header None is not a JSON object"),
+        # 16 N^4 = 2^68 bytes, which an int64 product wraps to 0
+        ({"N": 65536}, 16 * 8**4, "payload has 0 bytes, the header needs "
+         "295147905179352825856"),
     ],
     ids=["unknown-space", "wrong-dtype", "truncated-payload", "missing-L", "k-string",
-         "n-bool", "N-zero", "L-zero", "L-infinite", "dim-mismatch", "space-dim-mismatch"],
+         "n-bool", "N-zero", "L-zero", "L-infinite", "dim-mismatch", "space-dim-mismatch",
+         "header-number", "header-null", "N-overflow"],
 )
 def test_load_field_rejects_inconsistent_files(tmp_path, reps, edit, trim, match):
     path = tmp_path / "field.bin"
@@ -472,7 +507,7 @@ def test_analytic_data_is_genuinely_aliased(reps):
     # (unlike grid-derivative data), which is what the sweep studies
     rep = reps[2]
     f = bump_dirac_data(rep, 2, 2, 16, L, CENTER4, 0.6)
-    u, diag = solve_d0(f, rep, tol=np.inf, check_compat=True)
+    u, diag = solve_d0(f, rep, tol=np.inf)
     assert np.isfinite(diag["compat_rel"])
     assert diag["compat_rel"] > 1e-8
 
