@@ -471,13 +471,14 @@ def run_solve(args):
         _check("exterior_vanishing", "u vanishes outside the data support",
                metrics["hartogs"]["ratio"], 1e-6),
     ]
-    sweep_rows = []
+    sweep_rows, row_timings = [], []
     t_sweep = time.perf_counter()
     if args.sweep:
         ns = [int(x) for x in args.sweep.split(",")]
         sweep_rows = solver.resolution_sweep(
             rep, args.k, args.n, ns, L=args.L, radius=args.radius, center=center
         )
+        row_timings = [row.pop("timings") for row in sweep_rows]
         errs = [r["recovery_rel_l2"] for r in sweep_rows]
         checks.append(_check("sweep_monotone",
                              "recovery error decreases with resolution",
@@ -485,6 +486,9 @@ def run_solve(args):
                              ok=all(a > b for a, b in zip(errs, errs[1:])),
                              sweep=sweep_rows))
     stages["sweep_s"] = time.perf_counter() - t_sweep
+    stages["sweep_rows_s"] = [t["s"] for t in row_timings]
+    for key in ("fft_planes", "regions"):
+        stages[key] += sum(t[key] for t in row_timings)
     report = {
         "tool": "diraclab",
         "version": __version__,
@@ -498,8 +502,10 @@ def run_solve(args):
         "metrics": metrics,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
-        # stage times of the main solve and the sweep, the main grid's modes,
-        # its parts per grid pass and the process's peak resident set so far
+        # stage times of the main solve and the sweep (and of each sweep row),
+        # the main grid's modes, its parts per grid pass, the component planes
+        # transformed and the grid passes run by the whole command, and the
+        # process's peak resident set so far
         "timings": {"wall_s": time.perf_counter() - t0, **stages,
                     "modes": args.N ** (args.k * args.n),
                     "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},

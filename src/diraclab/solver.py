@@ -21,26 +21,40 @@ mode of the solution is fixed afterwards by anchoring on the exterior region
 center), the periodic stand-in for decay at infinity; the exterior decay is
 measured on the same region.
 
-Cores: every FFT, multiplier and the division by |xi|^2 cut their planes
-into slabs and share them out among one thread per CPU of the process's
-affinity set (:func:`_on_cores`); NumPy releases the GIL in its FFT and ufunc
-loops.  Each slab takes the same arithmetic as on one core, so the results
-are bitwise the same at every CPU count.  To use one core, run under
-`taskset`.
+Cores: every pass over a grid (the bump and its Dirac data, the FFTs, the
+multipliers, the division by |xi|^2, the exterior mask, the anchoring, the
+noise of a broken solve, and the norms and maxima of the metrics) cuts its
+planes into slabs and shares them out among one thread per CPU of the
+process's affinity set (:func:`_on_cores`); NumPy releases the GIL in its
+FFT and ufunc loops.  :func:`recover_bump` and :func:`resolution_sweep`
+start those threads once, each pinned to its CPU, run every pass on them
+and join them before they return (:func:`_team`); a pass called on its own
+gets threads for that pass alone.  A solve whose slabs hold fewer than
+_SPLIT_POINTS grid points (N <= 16 at k = n = 2) keeps every pass on one
+thread, where a second costs more than it saves.  Each slab takes the same
+arithmetic as on one core, so every grid is bitwise the same at every CPU
+count.  A norm is the exact sum (math.fsum) of one partial sum per slab,
+each from NumPy's pairwise sums, not from BLAS, whose idle threads would
+busy-wait on the CPUs the parts run on; so it too reads the same at every
+count.  To use one core, run under `taskset`.
 
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
 grid axis at a time per part, so their scratch is two slabs per part, and at
 most N/2 parts run, so all of it fits in one plane; the compatibility defect
-is written into f_hat's own planes.  Counted in planes (one complex
-grid per component: s for V0, k s for V1), :func:`recover_bump` holds at its
-peak phi, f, f_hat and u_hat, 2 s + 2 k s planes (6 at k = n = 2, where
-s = 1); its residual check holds phi, f, u, u_hat and one output plane,
-3 s + k s + 1.
+is written into f_hat's own planes.  The bump, its Dirac data, the exterior
+mask, the norms and the maxima work one slab at a time too, so beyond their
+outputs they hold slabs, not grids; the anchoring holds one grid of exterior
+values.  Counted in planes (one complex grid per component: s for V0, k s
+for V1), :func:`recover_bump` holds at its peak phi, f, f_hat and u_hat,
+2 s + 2 k s planes (6 at k = n = 2, where s = 1); its residual check holds
+phi, f, u, u_hat and one output plane, 3 s + k s + 1.
 """
 
+import contextlib
 import json
 import math
 import os
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -125,9 +139,10 @@ def grid_axes(N, L, kn):
 
 
 def _bump_geometry(k, n, N, L, center, radius, components):
-    """Validated center, grid axes and squared scaled distance r2 of a bump
-    whose field has `components` values per grid point; raises as
-    :func:`make_bump` documents."""
+    """Validated center, grid axes and a function giving the squared scaled
+    distance r2 on one slab of grid axis 1, or None where the slab misses the
+    ball, of a bump whose field has `components` values per grid point;
+    raises as :func:`make_bump` documents."""
     kn = k * n
     center = np.asarray(center, dtype=float)
     if center.shape != (kn,):
@@ -138,9 +153,17 @@ def _bump_geometry(k, n, N, L, center, radius, components):
         raise ValueError(
             "bump ball does not fit inside the cell with the required margin"
         )
-    _require_memory(k, n, N, components + 1)  # the real r2 and its temporaries
+    _require_memory(k, n, N, components)  # r2 and its temporaries are slabs
     grids = grid_axes(N, L, kn)
-    r2 = sum((g - c) ** 2 for g, c in zip(grids, center)) / radius**2
+
+    def r2(i):
+        terms = [(_slab(g, i) - c) ** 2 for g, c in zip(grids, center)]
+        # the other terms are >= 0, and adding them cannot round the sum below
+        # the first: if that alone reaches the radius, every point is outside
+        if terms[0].item() / radius**2 >= 1.0:
+            return None
+        return sum(terms) / radius**2
+
     return center, grids, r2
 
 
@@ -154,10 +177,17 @@ def make_bump(rep, k, n, N, L, center, radius):
     center not of shape (k*n,), a radius <= 0 or a ball that does not fit
     raises ValueError.
     """
-    _, _, r2 = _bump_geometry(k, n, N, L, center, radius, rep.s_dim)
-    planes = np.zeros((rep.s_dim,) + r2.shape, dtype=complex)
-    inside = r2 < 1.0
-    planes[0][inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    r2 = _bump_geometry(k, n, N, L, center, radius, rep.s_dim)[2]
+    planes = np.zeros((rep.s_dim,) + (N,) * (k * n), dtype=complex)
+
+    def part(slabs):
+        for i in slabs:
+            q = r2(i)
+            if q is not None:
+                inside = q < 1.0
+                planes[0, i:i + 1][inside] = np.exp(-1.0 / (1.0 - q[inside]))
+
+    _on_cores(part, N)
     return GridField(k, n, N, L, "V0", np.moveaxis(planes, 0, -1))
 
 
@@ -171,23 +201,30 @@ def bump_dirac_data(rep, k, n, N, L, center, radius):
     validated as in :func:`make_bump`.
     """
     center, grids, r2 = _bump_geometry(k, n, N, L, center, radius, k * rep.s_dim)
-    inside = r2 < 1.0
-    gap = 1.0 - r2[inside]
-    chain = np.zeros(r2.shape)
-    chain[inside] = np.exp(-1.0 / gap) / gap**2
-    del r2, inside, gap  # grid-sized temporaries not needed past chain
     gspin = rep.gamma_plus[:, :, 0]  # gamma_j applied to the first basis spinor
-    planes = np.empty((k, rep.s_dim) + chain.shape, dtype=complex)
+    weights = []
     for A in range(k):
         # d(profile)/dx_Aj = -2 (x_Aj - c_Aj) / radius^2 * chain; the sum over
         # j of these 1-D factors times gspin[j] varies on block A's n axes only
         slopes = [-2.0 * (grids[A * n + j] - center[A * n + j]) / radius**2
                   for j in range(n)]
-        for t in range(rep.s_dim):
-            np.multiply(chain, sum(a * gspin[j, t] for j, a in enumerate(slopes)),
-                        out=planes[A, t])
-    values = np.moveaxis(planes.reshape((k * rep.s_dim,) + chain.shape), 0, -1)
-    return GridField(k, n, N, L, "V1", values)
+        weights += [sum(a * gspin[j, t] for j, a in enumerate(slopes))
+                    for t in range(rep.s_dim)]
+    planes = np.empty((k * rep.s_dim,) + (N,) * (k * n), dtype=complex)
+
+    def part(slabs):
+        for i in slabs:
+            q = r2(i)
+            chain = np.zeros((1,) + planes.shape[2:])
+            if q is not None:
+                inside = q < 1.0
+                gap = 1.0 - q[inside]
+                chain[inside] = np.exp(-1.0 / gap) / gap**2
+            for w, plane in zip(weights, planes[:, i:i + 1]):
+                np.multiply(chain, _slab(w, i), out=plane)
+
+    _on_cores(part, N)
+    return GridField(k, n, N, L, "V1", np.moveaxis(planes, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,52 +260,163 @@ def _pin(cpus):
         pass
 
 
+#: A solve whose slabs (one index of grid axis 1) hold fewer grid points than
+#: this runs every pass on one thread: each slab costs the GIL a few numpy
+#: calls, so small slabs gain nothing from a second part.  Warm
+#: `recover_bump`, 2-vCPU x86-64 VM, one BLAS thread, interleaved medians,
+#: two parts against one CPU, by points per slab: 512 (k = 2, n = 1, N = 512)
+#: +53%; 1728 (k = n = 2, N = 12) +21%; 2744 (N = 14) and 4096 (N = 16) -1 to
+#: +4%; 5832 (N = 18) -10%; 8000 (N = 20) -15%; 13824 (N = 24) -31%; 7776
+#: (k = 2, n = 3, N = 6) -34%.  The plane's size alone does not decide it:
+#: k = 2, n = 1, N = 512 has 262144 points per plane and 512 per slab.
+_SPLIT_POINTS = 5000
+
+_local = threading.local()  # the team of the solve running on this thread
+
+
+class _Team:
+    """One thread per CPU of the affinity set, each pinned to its CPU and
+    started when a region first needs it, that runs the parts of every
+    parallel region (:func:`_on_cores`) until :meth:`close`.  Part 0 runs on
+    the thread that opened the team, pinned to the first CPU from then on.
+    `regions` counts the regions run and `fft_planes` the component planes
+    through :func:`_fftn`."""
+
+    def __init__(self):
+        self.cpus = _cpus()
+        self.width = len(self.cpus)  # the most parts a region may have
+        self.threads, self.inboxes = [], []
+        self.regions = self.fft_planes = 0
+
+    def fit(self, slab_points):
+        """Let the regions that follow split their slabs among the parts only
+        if each holds at least _SPLIT_POINTS grid points."""
+        self.width = len(self.cpus) if slab_points >= _SPLIT_POINTS else 1
+
+    def _serve(self, p, inbox):
+        _pin({self.cpus[p]})
+        while (job := inbox.get()) is not None:
+            job(p)
+            job = None  # holding it would keep the region's arrays alive
+
+    def run(self, fn, n):
+        """Call fn(slabs) once per part; see :func:`_on_cores`."""
+        self.regions += 1
+        parts = max(1, min(self.width, n // 2))
+        if parts == 1:
+            fn(iter(range(n)))
+            return 1
+        first = not self.threads
+        while len(self.threads) < parts - 1:
+            inbox = queue.SimpleQueue()
+            thread = threading.Thread(target=self._serve,
+                                      args=(len(self.threads) + 1, inbox))
+            thread.start()
+            self.threads.append(thread)
+            self.inboxes.append(inbox)
+        if first:
+            _pin({self.cpus[0]})
+        ids, lock, done = iter(range(n)), threading.Lock(), queue.SimpleQueue()
+        errors = [None] * parts
+
+        def slabs():
+            while True:
+                with lock:  # each index goes to exactly one part
+                    i = next(ids, None)
+                if i is None:
+                    return
+                yield i
+
+        def job(p):
+            try:
+                fn(slabs())
+            except BaseException as exc:  # re-raised by the caller, once all are done
+                errors[p] = exc
+            done.put(p)
+
+        for inbox in self.inboxes[:parts - 1]:
+            inbox.put(job)
+        job(0)
+        for _ in range(parts):
+            done.get()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return parts
+
+    def close(self):
+        """Join every thread and give the opening thread its affinity back."""
+        for inbox in self.inboxes:
+            inbox.put(None)
+        for thread in self.threads:
+            thread.join()
+        if self.threads:
+            _pin(self.cpus)
+
+
+@contextlib.contextmanager
+def _team():
+    """The team of the solve running on this thread, or, if there is none, a
+    new one that is closed when the block ends, whatever it raises."""
+    team = getattr(_local, "team", None)
+    if team is not None:
+        yield team
+        return
+    team = _local.team = _Team()
+    try:
+        yield team
+    finally:
+        _local.team = None
+        team.close()
+
+
 def _on_cores(fn, n):
     """Call fn(slabs) once per part, where `slabs` yields indices of range(n)
     that the parts take from one shared range, each the next one when it is
     done with its last, so a part whose CPU is busy takes fewer.  There is one
     part per CPU of the affinity set, at most n // 2 of them (so that two
     slabs of scratch per part fit in one plane); the first runs on the
-    calling thread, each other on a thread of its own, each pinned to its CPU.
-    Returns the number of parts once all are done and the caller's affinity
-    is restored; re-raises the first part's exception."""
-    cpus = _cpus()
-    parts = max(1, min(len(cpus), n // 2))
-    if parts == 1:
-        fn(iter(range(n)))
-        return 1
-    ids, lock = iter(range(n)), threading.Lock()
-    errors = [None] * parts
+    calling thread, each other on a thread of the team (:func:`_team`), each
+    pinned to its CPU.  Inside a solve the parts run on the solve's team;
+    elsewhere on a team of their own, closed before this returns.  Returns
+    the number of parts once all are done; re-raises the first part's
+    exception."""
+    with _team() as team:
+        return team.run(fn, n)
 
-    def slabs():
-        while True:
-            with lock:  # each index goes to exactly one part
-                i = next(ids, None)
-            if i is None:
-                return
-            yield i
 
-    def run(p):
-        try:
-            _pin({cpus[p]})
-            fn(slabs())
-        except BaseException as exc:  # re-raised by the caller, after the joins
-            errors[p] = exc
+def _slab(a, i):
+    """Slab i of the first axis of a grid, or the grid itself where that axis
+    has length 1 (a weight or a sparse axis that does not vary on it)."""
+    return a[i:i + 1] if a.shape[0] > 1 else a
 
-    threads = [threading.Thread(target=run, args=(p,)) for p in range(1, parts)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-        _pin(cpus)
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return parts
+
+def _per_slab(fn, n, shape=()):
+    """fn(i) for every slab i of range(n), computed on the cores, as the rows
+    of one array in slab order: each row is the same whichever part takes it,
+    so reductions of the array do not depend on the number of parts."""
+    out = np.empty((n,) + shape)
+
+    def part(slabs):
+        for i in slabs:
+            out[i] = fn(i)
+
+    _on_cores(part, n)
+    return out
+
+
+def _sum_sq(x, sub=None):
+    """The sum of |x - sub|^2 (of |x|^2 without sub) over component-first
+    planes: the exact sum of one partial sum per slab of grid axis 1, each
+    from NumPy's pairwise sums, not BLAS, whose threads would busy-wait on
+    the parts' CPUs."""
+    def slab(i):  # the real and imaginary parts as one float array
+        if sub is None:
+            return np.square(x[:, i:i + 1].view(np.float64)).sum()
+        d = np.subtract(x[:, i:i + 1], sub[:, i:i + 1]).view(np.float64)
+        return np.square(d, out=d).sum()
+
+    return np.float64(math.fsum(_per_slab(slab, x.shape[1])))
 
 
 def _fftn(x, out, inverse=False):
@@ -280,8 +428,6 @@ def _fftn(x, out, inverse=False):
     bit."""
     fn = np.fft.ifft if inverse else np.fft.fft
     kn = x.ndim - 1
-    if kn == 1:
-        return fn(x, axis=1, out=out)
 
     def later_axes(slabs):
         for i in slabs:
@@ -294,8 +440,12 @@ def _fftn(x, out, inverse=False):
             part = out[:, :, i:i + 1]
             fn(part, axis=1, out=part)
 
-    _on_cores(later_axes, x.shape[1])
-    _on_cores(first_axis, x.shape[2])
+    with _team() as team:  # one team for both passes
+        team.fft_planes += x.shape[0]
+        if kn == 1:
+            return fn(x, axis=1, out=out)
+        _on_cores(later_axes, x.shape[1])
+        _on_cores(first_axis, x.shape[2])
     return out
 
 
@@ -333,7 +483,7 @@ def _apply_rows(rows, x, out=None):
             xs = x[:, i:i + 1]
             for row, plane in zip(rows, out[:, i:i + 1]):
                 # a weight grid has length 1 on the axes of the other blocks
-                ws = [w[i:i + 1] if w.shape[0] > 1 else w for w in row]
+                ws = [_slab(w, i) for w in row]
                 dst = acc if subtract else plane
                 np.multiply(ws[0], xs[0], out=dst)
                 for w, xc in zip(ws[1:], xs[1:]):
@@ -438,7 +588,7 @@ def solve_d0(f, rep, tol=1e-6, timings=None):
     t = time.perf_counter()
     fh = _fft(f.planes)
     t = _lap(timings, "fft_s", t)
-    fnorm = float(np.linalg.norm(fh)) or 1.0  # zero data: both guards read 0
+    fnorm = float(np.sqrt(_sum_sq(fh))) or 1.0  # zero data: both guards read 0
     rel0 = float(np.linalg.norm(fh[zero]) / fnorm)
     diag = {"zero_mode_rel": rel0}
     if tol is not None and rel0 > tol:
@@ -462,7 +612,7 @@ def solve_d0(f, rep, tol=1e-6, timings=None):
     if tol is not None:
         # f_hat - sigma0 u_hat, written into f_hat's own planes
         _apply_rows(_sigma_rows(rep, k, n, N, L), uh, out=fh)
-        compat = float(np.linalg.norm(fh) / fnorm)
+        compat = float(np.sqrt(_sum_sq(fh)) / fnorm)
         diag["compat_rel"] = compat
         if compat > tol:
             raise CompatibilityError(
@@ -487,12 +637,19 @@ def exterior_mask(u, center, radius):
     region is empty."""
     if np.shape(center) != (u.k * u.n,):
         raise ValueError(f"center must have shape ({u.k * u.n},)")
-    deltas = (np.abs(g - c) for g, c in zip(grid_axes(u.N, u.L, u.k * u.n), center))
-    d2 = sum(np.minimum(d, u.L - d) ** 2 for d in deltas)
-    mask = (d2 > (2.0 * radius) ** 2).ravel()
+    grids = grid_axes(u.N, u.L, u.k * u.n)
+    mask = np.empty(u.planes.shape[1:], dtype=bool)
+
+    def part(slabs):
+        for i in slabs:
+            deltas = (np.abs(_slab(g, i) - c) for g, c in zip(grids, center))
+            d2 = sum(np.minimum(d, u.L - d) ** 2 for d in deltas)
+            np.greater(d2, (2.0 * radius) ** 2, out=mask[i:i + 1])
+
+    _on_cores(part, u.N)
     if not mask.any():
         raise ValueError("no exterior region: support covers the whole cell")
-    return mask
+    return mask.ravel()
 
 
 def anchor_exterior(u, mask):
@@ -502,9 +659,19 @@ def anchor_exterior(u, mask):
     normalization of the continuum problem corresponds on the torus to
     subtracting the mean of u over the exterior region (:func:`exterior_mask`).
     """
-    # one flat mask on flat planes: one index array, not one per grid axis
-    shift = u.planes.reshape(u.dim, -1)[:, mask].mean(axis=1)
-    return GridField(u.k, u.n, u.N, u.L, u.space, u.values - shift)
+    # the exterior values point by point, in the memory order that
+    # u.planes.reshape(u.dim, -1)[:, mask] gives them, so the mean adds them
+    # in its order; np.compress gathers them in half its time
+    shift = np.compress(mask, u.planes.reshape(u.dim, -1).T, axis=0).mean(axis=0)
+    shift = shift.reshape((u.dim,) + (1,) * (u.k * u.n - 1))
+    out = np.empty(u.planes.shape, dtype=complex)
+
+    def part(slabs):
+        for i in slabs:
+            np.subtract(u.planes[:, i], shift, out=out[:, i])
+
+    _on_cores(part, u.N)
+    return GridField(u.k, u.n, u.N, u.L, u.space, np.moveaxis(out, 0, -1))
 
 
 def hartogs_report(u, mask):
@@ -513,9 +680,13 @@ def hartogs_report(u, mask):
     Reports the max of |u| over the exterior region `mask`
     (:func:`exterior_mask`), against the global max.
     """
-    mag = np.abs(u.planes).reshape(u.dim, -1)
-    umax = float(mag.max())
-    emax = float(mag[:, mask].max())
+    mask = mask.reshape(u.planes.shape[1:])
+
+    def maxima(i):  # |u| >= 0, so 0 is the max of a slab with no exterior point
+        mag = np.abs(u.planes[:, i])
+        return mag.max(), mag.max(where=mask[i], initial=0.0)
+
+    umax, emax = (float(m) for m in _per_slab(maxima, u.N, (2,)).max(axis=0))
     return {"exterior_max": emax, "global_max": umax,
             "ratio": emax / umax if umax > 0 else 0.0}
 
@@ -528,10 +699,14 @@ def _dirac_residual(u, f, rep):
     for row, fp in zip(_sigma_rows(rep, u.k, u.n, u.N, u.L), f.planes):
         plane = _apply_rows([row], uh)
         _fftn(plane, plane, inverse=True)
-        plane -= fp
-        sq += np.vdot(plane, plane).real
+        sq += _sum_sq(plane, fp[None])
         del plane
-    return float(np.sqrt(sq) / np.linalg.norm(f.values))
+    return float(np.sqrt(sq) / np.sqrt(_sum_sq(f.planes)))
+
+
+def _recovery(u, phi):
+    """||u - phi|| / ||phi|| on the grid."""
+    return float(np.sqrt(_sum_sq(u.planes, phi.planes)) / np.sqrt(_sum_sq(phi.planes)))
 
 
 def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
@@ -541,36 +716,60 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
     break_compat adds mean-free noise, which the compatibility guard rejects;
     timings gets the stage times of :func:`solve_d0`, "data_s" (the bump,
     its d0 image and the noise), "anchor_s" and "residual_s" (the recovery
-    error, the exterior decay and the Dirac residual)."""
+    error, the exterior decay and the Dirac residual), and the counts of the
+    solve's team (:func:`_team`): "fft_planes" and "regions".  Every grid
+    pass runs on that one team."""
     if center is None:
         center = np.full(k * n, L / 2)
-    t = time.perf_counter()
-    phi = make_bump(rep, k, n, N, L, center, radius)
-    f = apply_spectral("d0", phi, rep)
-    if break_compat:
-        rng = np.random.default_rng(0)
-        noise = rng.standard_normal(f.values.shape) * np.abs(f.values).max()
-        noise -= noise.mean(axis=tuple(range(k * n)), keepdims=True)
-        f.values += noise  # into f's own planes
-        del noise
-    _lap(timings, "data_s", t)
-    u, diag = solve_d0(f, rep, tol=tol, timings=timings)
-    t = time.perf_counter()
-    mask = exterior_mask(u, center, radius)
-    u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
-    t = _lap(timings, "anchor_s", t)
-    # u's metrics come first, so their temporaries are freed before the residual
-    recovery = float(np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values))
-    hartogs = hartogs_report(u, mask)
-    del mask
-    metrics = {
-        "recovery_rel_l2": recovery,
-        "dirac_residual_rel_l2": _dirac_residual(u, f, rep),
-        "hartogs": hartogs,
-    }
-    _lap(timings, "residual_s", t)
+    with _team() as team:
+        team.fit(N ** (k * n - 1))
+        t = time.perf_counter()
+        phi = make_bump(rep, k, n, N, L, center, radius)
+        f = apply_spectral("d0", phi, rep)
+        if break_compat:
+            _add_noise(f)
+        _lap(timings, "data_s", t)
+        u, diag = solve_d0(f, rep, tol=tol, timings=timings)
+        t = time.perf_counter()
+        mask = exterior_mask(u, center, radius)
+        u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
+        t = _lap(timings, "anchor_s", t)
+        # the mask is freed before the residual, which sets the peak
+        recovery, hartogs = _recovery(u, phi), hartogs_report(u, mask)
+        del mask
+        metrics = {
+            "recovery_rel_l2": recovery,
+            "dirac_residual_rel_l2": _dirac_residual(u, f, rep),
+            "hartogs": hartogs,
+        }
+        _lap(timings, "residual_s", t)
+        if timings is not None:
+            timings.update(fft_planes=team.fft_planes, regions=team.regions)
     metrics.update(diag)
     return u, phi, metrics
+
+
+def _add_noise(f):
+    """Add mean-free noise to f's own planes: standard normal draws of seed 0
+    in f's component-last order, scaled by max |f| and centred per component."""
+    noise = np.moveaxis(np.random.default_rng(0).standard_normal(f.values.shape), -1, 0)
+    planes, N = f.planes, f.N
+    top = _per_slab(lambda i: np.abs(planes[:, i]).max(), N).max()
+    axes = tuple(range(1, planes.ndim - 1))
+
+    def scale(i):
+        noise[:, i] *= top
+        return noise[:, i].sum(axis=axes)
+
+    sums = _per_slab(scale, N, (f.dim,))
+    mean = np.array([math.fsum(col) for col in sums.T]) / N ** (planes.ndim - 1)
+    mean = mean.reshape((f.dim,) + (1,) * (planes.ndim - 2))
+
+    def add(slabs):
+        for i in slabs:
+            planes[:, i] += noise[:, i] - mean
+
+    _on_cores(add, N)
 
 
 def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
@@ -580,23 +779,28 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
     bump (not band-limited), so the recovery error is a genuine function of
     resolution.  The solve runs with ``tol=None``, which skips the
     compatibility guard: sampled continuum data satisfies it only up to
-    aliasing, which is the quantity under study.
+    aliasing, which is the quantity under study.  Every row runs on one team
+    (:func:`_team`) and carries its own "timings": its seconds ("s") and its
+    "fft_planes" and "regions".
     """
     if center is None:
         center = np.full(k * n, L / 2)
     rows = []
-    for N in Ns:
-        f = bump_dirac_data(rep, k, n, N, L, center, radius)
-        u0, diag = solve_d0(f, rep, tol=None)
-        u = anchor_exterior(u0, exterior_mask(u0, center, radius))
-        del f, u0  # freed before the bump is sampled, to lower the peak
-        phi = make_bump(rep, k, n, N, L, center, radius)
-        err = float(
-            np.linalg.norm(u.values - phi.values) / np.linalg.norm(phi.values)
-        )
-        del u, phi  # not carried into the next resolution's solve
-        rows.append({"N": int(N), "recovery_rel_l2": err,
-                     "zero_mode_rel": diag["zero_mode_rel"]})
+    with _team() as team:
+        for N in Ns:
+            t, planes, regions = time.perf_counter(), team.fft_planes, team.regions
+            team.fit(N ** (k * n - 1))
+            f = bump_dirac_data(rep, k, n, N, L, center, radius)
+            u0, diag = solve_d0(f, rep, tol=None)
+            u = anchor_exterior(u0, exterior_mask(u0, center, radius))
+            del f, u0  # freed before the bump is sampled, to lower the peak
+            err = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
+            del u  # not carried into the next resolution's solve
+            rows.append({"N": int(N), "recovery_rel_l2": err,
+                         "zero_mode_rel": diag["zero_mode_rel"],
+                         "timings": {"s": time.perf_counter() - t,
+                                     "fft_planes": team.fft_planes - planes,
+                                     "regions": team.regions - regions}})
     return rows
 
 

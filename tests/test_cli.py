@@ -143,12 +143,19 @@ def test_reports_deterministic(capsys):
         timings = first.pop("timings")
         second.pop("timings")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-    # the solve's stage times, mode count, part count and peak resident set
-    # live only in the timings block
+    # the solve's stage times, mode count, part count, transform and region
+    # counts and peak resident set live only in the timings block
     assert set(timings) == {"wall_s", "data_s", "fft_s", "multiplier_s", "certify_s",
-                            "anchor_s", "residual_s", "sweep_s", "modes", "workers",
-                            "ru_maxrss_kib"}
+                            "anchor_s", "residual_s", "sweep_s", "sweep_rows_s", "modes",
+                            "workers", "fft_planes", "regions", "ru_maxrss_kib"}
     assert timings["modes"] == 8**4
+    # three transformed planes for each of d0, the solve and the residual check
+    # of the main solve, and for the solve of each of the two sweep rows
+    assert timings["fft_planes"] == 3 * 3 + 2 * 3
+    assert type(timings["regions"]) is int and timings["regions"] > 0
+    rows = timings.pop("sweep_rows_s")
+    assert len(rows) == 2 and all(s >= 0.0 for s in rows)
+    assert sum(rows) <= timings["sweep_s"]
     assert all(timings[key] >= 0.0 for key in timings)
     assert not set(timings) & set(first["metrics"])
 

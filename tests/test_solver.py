@@ -716,3 +716,324 @@ def test_solve_leaves_no_thread_behind(reps):
     recover_bump(reps[2], 2, 2, 8, timings=timings)
     assert threading.active_count() == before
     assert 1 <= timings["workers"] <= 4
+
+
+# ---------------------------------------------------------------------------
+# the elementwise passes and reductions on the slabs, and the solve's team
+
+
+def serial_bump(rep, k, n, N, L, center, radius):
+    """make_bump's planes from the whole-grid r2, on one thread: the oracle."""
+    from diraclab.solver import grid_axes
+
+    r2 = sum((g - c) ** 2 for g, c in zip(grid_axes(N, L, k * n), center)) / radius**2
+    planes = np.zeros((rep.s_dim,) + r2.shape, dtype=complex)
+    inside = r2 < 1.0
+    planes[0][inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return planes
+
+
+def serial_bump_dirac(rep, k, n, N, L, center, radius):
+    """bump_dirac_data's planes from the whole-grid chain factor: the oracle."""
+    from diraclab.solver import grid_axes
+
+    grids = grid_axes(N, L, k * n)
+    r2 = sum((g - c) ** 2 for g, c in zip(grids, center)) / radius**2
+    inside = r2 < 1.0
+    gap = 1.0 - r2[inside]
+    chain = np.zeros(r2.shape)
+    chain[inside] = np.exp(-1.0 / gap) / gap**2
+    gspin = rep.gamma_plus[:, :, 0]
+    planes = np.empty((k, rep.s_dim) + chain.shape, dtype=complex)
+    for A in range(k):
+        slopes = [-2.0 * (grids[A * n + j] - center[A * n + j]) / radius**2
+                  for j in range(n)]
+        for t in range(rep.s_dim):
+            np.multiply(chain, sum(a * gspin[j, t] for j, a in enumerate(slopes)),
+                        out=planes[A, t])
+    return planes.reshape((k * rep.s_dim,) + chain.shape)
+
+
+def serial_exterior(u, center, radius):
+    from diraclab.solver import grid_axes
+
+    deltas = (np.abs(g - c) for g, c in zip(grid_axes(u.N, u.L, u.k * u.n), center))
+    d2 = sum(np.minimum(d, u.L - d) ** 2 for d in deltas)
+    return (d2 > (2.0 * radius) ** 2).ravel()
+
+
+# (k, n, N, L, center, radius): off-grid centres, and one whose ball touches
+# the grid points of two slabs exactly (r2 = 1 there, which is outside)
+GEOMETRIES = [
+    (2, 1, 16, L, [2.9, 3.3, 3.1, 2.2][:2], 0.7),
+    (2, 2, 8, L, [3.0, 2.7, 3.5, 3.2], 0.9),
+    (2, 2, 9, L, [2.1, 4.0, 3.3, 2.8], 1.0),
+    (3, 1, 10, L, [2.6, 3.4, 3.0], 0.8),
+    (2, 3, 5, L, [2.6, 3.7, 2.6, 3.6, 2.7, 3.7], 1.2),
+    (2, 2, 8, 8.0, [4.0, 4.0, 4.0, 4.0], 1.0),
+]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, "N"])
+@pytest.mark.parametrize("geometry", GEOMETRIES,
+                         ids=["21", "22", "22-odd", "31", "23", "22-touching"])
+def test_sliced_passes_match_serial_bitwise(geometry, count, cpus, reps):
+    # every split of the slabs gives the whole-grid passes' bytes; the
+    # maxima of the exterior report do not depend on the order either
+    k, n, N, cell, center, radius = geometry
+    rep, center = reps[n], np.array(center)
+    cpus(N if count == "N" else count)
+    phi = make_bump(rep, k, n, N, cell, center, radius)
+    want = serial_bump(rep, k, n, N, cell, center, radius)
+    assert phi.planes.tobytes() == want.tobytes()
+    assert np.abs(want).max() > 0  # the ball holds grid points
+    f = bump_dirac_data(rep, k, n, N, cell, center, radius)
+    assert f.planes.tobytes() == serial_bump_dirac(rep, k, n, N, cell, center,
+                                                   radius).tobytes()
+    mask = exterior_mask(f, center, radius)
+    assert mask.tobytes() == serial_exterior(f, center, radius).tobytes()
+    # values of many sizes outside the ball, so the exterior mean depends on
+    # the order of its sum
+    noise = complex_normal(np.random.default_rng(N), f.values.shape)
+    u = GridField(k, n, N, cell, "V1", f.values + noise * np.exp(np.arange(f.dim)))
+    flat = u.planes.reshape(u.dim, -1)
+    want = u.values - flat[:, mask].mean(axis=1)
+    assert anchor_exterior(u, mask).values.tobytes() == np.ascontiguousarray(want).tobytes()
+    report = hartogs_report(u, mask)
+    mag = np.abs(flat)
+    assert report["global_max"] == mag.max() and report["exterior_max"] == mag[:, mask].max()
+
+
+@pytest.mark.parametrize("kn", [1, 2, 3, 4])
+def test_sliced_sums_agree_at_every_count(kn, cpus):
+    # the squared norms and distances read the same bits at every count, and
+    # agree with np.linalg.norm to 1e-14
+    from diraclab.solver import _sum_sq
+
+    rng = np.random.default_rng(10 + kn)
+    for N in (4, 5, 8):
+        for comps in (1, 2, 3):
+            shape = (comps,) + (N,) * kn
+            scale = np.exp(3 * rng.standard_normal(shape))  # entries of many sizes
+            x, y = complex_normal(rng, shape) * scale, complex_normal(rng, shape)
+            sums = set()
+            for count in (1, 2, 3, N):
+                cpus(count)
+                sums.add((float(_sum_sq(x)), float(_sum_sq(x, y))))
+            assert len(sums) == 1, (N, comps, sums)
+            (sq, dist), = sums
+            assert np.sqrt(sq) == pytest.approx(np.linalg.norm(x), rel=1e-14, abs=0)
+            assert np.sqrt(dist) == pytest.approx(np.linalg.norm(x - y), rel=1e-14, abs=0)
+
+
+def test_noise_keeps_its_draw_and_is_the_same_at_every_count(cpus, reps):
+    # --break-compat's noise: one standard normal draw in f's component-last
+    # order, scaled by max |f| and centred per component; the centred noise
+    # matches the whole-array formulas to rounding and reads the same bits at
+    # every count
+    from diraclab.solver import _add_noise
+
+    rep = reps[2]
+    f = apply_spectral("d0", make_bump(rep, 2, 2, 8, L, CENTER4, 0.6), rep)
+    noise = np.random.default_rng(0).standard_normal(f.values.shape) * np.abs(f.values).max()
+    noise -= noise.mean(axis=tuple(range(4)), keepdims=True)
+    want = f.values + noise
+    results = set()
+    for count in (1, 2, 3, 8):
+        cpus(count)
+        g = GridField(2, 2, 8, L, "V1", f.values.copy())
+        _add_noise(g)
+        results.add(g.values.tobytes())
+        assert np.abs(g.values - want).max() <= 1e-14 * np.abs(want).max()
+        added = g.values - f.values
+        assert np.abs(added.mean(axis=(0, 1, 2, 3))).max() <= 1e-15 * np.abs(added).max()
+    assert len(results) == 1
+
+
+def test_split_solves_read_the_same_at_every_count(cpus, reps, monkeypatch):
+    # with every grid split among the parts, the whole pipeline (bump, d0,
+    # noise, solve, anchor, metrics, sweep) gives the same bytes and values
+    # at every count
+    import json
+
+    from diraclab import solver
+
+    monkeypatch.setattr(solver, "_SPLIT_POINTS", 0)
+    rep, seen = reps[2], set()
+    for count in (1, 2, 3, 8):
+        cpus(count)
+        u, _, metrics = recover_bump(rep, 2, 2, 8)
+        rows = resolution_sweep(rep, 2, 2, [8, 10])
+        for row in rows:
+            del row["timings"]
+        with pytest.raises(CompatibilityError) as err:
+            recover_bump(rep, 2, 2, 8, break_compat=True)
+        seen.add((u.values.tobytes(), json.dumps([metrics, rows]), str(err.value)))
+    assert len(seen) == 1
+
+
+def _counted_starts(monkeypatch):
+    """Record every thread started from now on."""
+    import threading
+
+    started, start = [], threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def test_one_team_per_solve(cpus, reps, monkeypatch):
+    # a solve and a sweep each start parts - 1 threads once and run all of
+    # their regions on them; every thread is joined and the caller's pins
+    # are made once and undone at the end
+    import threading
+
+    from diraclab import solver
+
+    monkeypatch.setattr(solver, "_SPLIT_POINTS", 0)
+    pins = cpus(3)
+    started = _counted_starts(monkeypatch)
+    before = threading.active_count()
+    timings = {}
+    recover_bump(reps[2], 2, 2, 8, timings=timings)
+    assert timings["workers"] == 3 and len(started) == 2
+    assert timings["regions"] > 20 and timings["fft_planes"] == 9
+    assert threading.active_count() == before
+    assert sorted(pins[:-1], key=min) == [{0}, {1}, {2}] and pins[-1] == {0, 1, 2}
+    started.clear()
+    rows = resolution_sweep(reps[2], 2, 2, [8, 10, 12])
+    assert len(started) == 2 and threading.active_count() == before
+    assert [row["timings"]["fft_planes"] for row in rows] == [3, 3, 3]
+    assert all(row["timings"]["regions"] > 5 and row["timings"]["s"] > 0 for row in rows)
+
+
+def test_team_survives_a_raising_region_and_ends_with_the_solve(cpus, reps, monkeypatch):
+    # a part that raises reaches the caller, and the team's threads wait for
+    # the next region; a solve that raises still joins its team
+    import threading
+
+    from diraclab import solver
+
+    pins = cpus(3)
+    before = threading.active_count()
+
+    def part(slabs):
+        list(slabs)
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("in a part thread")
+
+    with solver._team():
+        with pytest.raises(ZeroDivisionError, match="in a part thread"):
+            solver._on_cores(part, 8)
+        assert threading.active_count() == before + 2
+        assert solver._on_cores(lambda slabs: list(slabs), 8) == 3
+    assert threading.active_count() == before and pins[-1] == {0, 1, 2}
+    monkeypatch.setattr(solver, "_SPLIT_POINTS", 0)
+    pins.clear()
+    with pytest.raises(CompatibilityError):
+        recover_bump(reps[2], 2, 2, 8, break_compat=True)
+    assert threading.active_count() == before and pins[-1] == {0, 1, 2}
+
+
+def test_team_regions_take_every_slab_once_under_contention(cpus):
+    # one team of more parts than cores runs region after region, switching
+    # threads as often as the interpreter allows: every index of every
+    # region goes to exactly one part, and the team starts its threads once
+    import sys
+    import threading
+
+    from diraclab import solver
+
+    cpus(16)
+    before = threading.active_count()
+    taken, lock = [], threading.Lock()
+
+    def part(slabs):
+        for i in slabs:
+            with lock:
+                taken.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with solver._team() as team:
+            for n in range(2, 66):
+                taken.clear()
+                assert solver._on_cores(part, n) == min(16, n // 2)
+                assert sorted(taken) == list(range(n))
+            assert len(team.threads) == 15
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_region_inside_a_callers_part_completes(cpus):
+    # a part on the calling thread may run a region of its own on the same
+    # team: each region waits for its own parts, so both cover their range
+    import threading
+
+    from diraclab import solver
+
+    cpus(2)
+    seen = {"outer": [], "inner": []}
+
+    def inner(slabs):
+        seen["inner"].extend(slabs)
+
+    def outer(slabs):
+        for i in slabs:
+            seen["outer"].append(i)
+            if threading.current_thread() is threading.main_thread() and not seen["inner"]:
+                solver._on_cores(inner, 8)
+
+    with solver._team() as team:
+        assert solver._on_cores(outer, 8) == 2
+        assert len(team.threads) == 1
+    assert sorted(seen["outer"]) == sorted(seen["inner"]) == list(range(8))
+
+
+def test_solve_gives_the_caller_its_affinity_back(reps, monkeypatch):
+    # with real pins: the calling thread runs on its first CPU during a
+    # split solve and on all of them again afterwards
+    import os
+
+    from diraclab import solver
+
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("no affinity call on this platform")
+    monkeypatch.setattr(solver, "_SPLIT_POINTS", 0)
+    before = os.sched_getaffinity(0)
+    seen = []
+    real = solver._Team.run
+
+    def run(team, fn, n):
+        seen.append(os.sched_getaffinity(0))
+        return real(team, fn, n)
+
+    monkeypatch.setattr(solver._Team, "run", run)
+    recover_bump(reps[2], 2, 2, 8)
+    assert os.sched_getaffinity(0) == before
+    if len(before) > 1:  # pinned from the first split region on
+        assert {min(before)} in seen
+
+
+def test_small_slabs_stay_on_one_thread(cpus, reps, monkeypatch):
+    # below _SPLIT_POINTS points per slab a solve splits nothing and starts
+    # no thread, at any number of CPUs
+    from diraclab import solver
+
+    cpus(4)
+    started = _counted_starts(monkeypatch)
+    timings = {}
+    recover_bump(reps[2], 2, 2, 8, timings=timings)  # 512 points per slab
+    resolution_sweep(reps[2], 2, 2, [8, 12])
+    assert timings["workers"] == 1 and started == []
+    team = solver._Team()
+    team.fit(solver._SPLIT_POINTS - 1)
+    assert team.width == 1
+    team.fit(solver._SPLIT_POINTS)
+    assert team.width == 4
