@@ -26,7 +26,10 @@ once.  Exit code 0 if every command agrees, 1 naming each one that does not.
 Each differing command is classified: `same verdicts` when the exit code,
 the report's `pass` and every check's name, tolerance and pass flag agree,
 in order, else `verdicts differ`; either way with the largest |delta| among
-the checks' `value` fields, paired in order.
+the checks' `value` fields, paired in order, and the largest |delta| among
+all numeric leaves outside `timings` found at the same key path in both
+reports, with that path (such as `metrics.zero_mode_rel`), so that moves in
+diagnostics show as well as moves in check values.
 """
 
 import argparse
@@ -136,6 +139,29 @@ def largest_move(ours, base):
                default=0.0)
 
 
+def _leaves(node, path=""):
+    """(key path, value) of every numeric leaf of a parsed JSON value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
+def largest_leaf_move(ours, base):
+    """The largest |delta| between numeric leaves at the same key path of the
+    two reports, `timings` left out, and the first path where it occurs
+    ("" when no such leaf moves)."""
+    a, b = (dict(_leaves({key: value for key, value in (_parsed(text) or {}).items()
+                          if key != "timings"}))
+            for _, text in (ours, base))
+    moves = [(abs(a[path] - b[path]), path) for path in a if path in b]
+    return max(moves, key=lambda move: move[0], default=(0.0, ""))
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="checkout to compare reports with")
@@ -144,8 +170,10 @@ def main(argv=None):
     bad = differing(cmds, run(ROOT, cmds), run(os.path.abspath(args.base), cmds))
     for argv, ours, base in bad:
         same = "same verdicts" if verdicts(*ours) == verdicts(*base) else "verdicts differ"
+        move, path = largest_leaf_move(ours, base)
         print(f"differs: {' '.join(argv)}: {same}, "
-              f"largest |delta value| {largest_move(ours, base):.2e}")
+              f"largest |delta value| {largest_move(ours, base):.2e}, "
+              f"largest |delta| {move:.2e}" + (f" at {path}" if move else ""))
     print(f"{len(cmds)} commands, {len(bad)} differ")
     return 1 if bad else 0
 

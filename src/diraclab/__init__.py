@@ -34,7 +34,6 @@ from .solver import (
     GridField,
     make_bump,
     bump_dirac_data,
-    apply_spectral,
     solve_d0,
     exterior_mask,
     anchor_exterior,

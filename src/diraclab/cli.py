@@ -467,7 +467,8 @@ def run_solve(args):
         _check("bump_recovery", "u = D0* D0 D0* G1 (D0 phi) recovers phi",
                metrics["recovery_rel_l2"], 1e-6),
         _check("dirac_residual", "D0 u = f on the grid",
-               metrics["dirac_residual_rel_l2"], 1e-8),
+               metrics["dirac_residual_rel_l2"], 1e-8,
+               witness=metrics["dirac_residual_witness"]),
         _check("exterior_vanishing", "u vanishes outside the data support",
                metrics["hartogs"]["ratio"], 1e-6),
     ]

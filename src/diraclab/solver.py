@@ -38,16 +38,26 @@ each from NumPy's pairwise sums, not from BLAS, whose idle threads would
 busy-wait on the CPUs the parts run on; so it too reads the same at every
 count.  To use one core, run under `taskset`.
 
+Transforms: :func:`recover_bump` keeps its data f = D0 phi as the spectrum
+f_hat = sigma0 phi_hat from the start and never forms f in real space; its
+residual check compares in the spectrum too (f_hat - sigma0 u_hat, then one
+inverse FFT).  :func:`solve_d0` takes data in real space and transforms it
+first.  A transform skips the slabs of grid axis 1 whose bytes are all zero,
+as most of a compactly supported field's are (:func:`_fftn`).
+
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
 grid axis at a time per part, so their scratch is two slabs per part, and at
 most N/2 parts run, so all of it fits in one plane; the compatibility defect
-is written into f_hat's own planes.  The bump, its Dirac data, the exterior
-mask, the norms and the maxima work one slab at a time too, so beyond their
-outputs they hold slabs, not grids; the anchoring holds one grid of exterior
-values.  Counted in planes (one complex grid per component: s for V0, k s
-for V1), :func:`recover_bump` holds at its peak phi, f, f_hat and u_hat,
-2 s + 2 k s planes (6 at k = n = 2, where s = 1); its residual check holds
-phi, f, u, u_hat and one output plane, 3 s + k s + 1.
+is summed slab by slab, from the same scratch, and the residual check's
+difference is written into f_hat's own planes.  The bump, its Dirac data, the
+exterior mask, the norms and the maxima work one slab at a time too, so
+beyond their outputs they hold slabs, not grids; the anchoring holds one grid
+of exterior values and their indices.  Counted in planes (one complex grid
+per component: s for V0, k s for V1), :func:`recover_bump` holds at its peak
+phi, f_hat, u and the residual check's u_hat, 3 s + k s planes (5 at
+k = n = 2, where s = 1); a row of :func:`resolution_sweep` holds f, f_hat
+and u_hat, s + 2 k s.  Each of the two refuses, before any work, a grid on
+which what it holds together exceeds the memory cap.
 """
 
 import contextlib
@@ -198,7 +208,8 @@ def bump_dirac_data(rep, k, n, N, L, center, radius):
     the gamma matrices, giving V1 data that is independent of the grid
     operators.  Used for discretization-convergence studies; the sampled data
     satisfies the compatibility condition only up to aliasing.  The bump is
-    validated as in :func:`make_bump`.
+    validated as in :func:`make_bump`.  A slab of grid axis 1 that misses the
+    ball holds +0.0, not the zero chain times a weight, which may be -0.0.
     """
     center, grids, r2 = _bump_geometry(k, n, N, L, center, radius, k * rep.s_dim)
     gspin = rep.gamma_plus[:, :, 0]  # gamma_j applied to the first basis spinor
@@ -215,11 +226,13 @@ def bump_dirac_data(rep, k, n, N, L, center, radius):
     def part(slabs):
         for i in slabs:
             q = r2(i)
+            if q is None:  # zero bytes, which the transforms skip
+                planes[:, i:i + 1] = 0.0
+                continue
             chain = np.zeros((1,) + planes.shape[2:])
-            if q is not None:
-                inside = q < 1.0
-                gap = 1.0 - q[inside]
-                chain[inside] = np.exp(-1.0 / gap) / gap**2
+            inside = q < 1.0
+            gap = 1.0 - q[inside]
+            chain[inside] = np.exp(-1.0 / gap) / gap**2
             for w, plane in zip(weights, planes[:, i:i + 1]):
                 np.multiply(chain, _slab(w, i), out=plane)
 
@@ -425,13 +438,18 @@ def _fftn(x, out, inverse=False):
     per axis, the last axis first: first the axes after grid axis 1 on slabs
     of grid axis 1, then grid axis 1 on slabs of grid axis 2.  Each line goes
     through the same np.fft call, so out is np.fft.fftn's (ifftn's) bit for
-    bit."""
+    bit.  A slab of grid axis 1 whose bytes are all zero, as most of a
+    compactly supported field's are, transforms to zeros and is written as
+    zeros in the first pass; a -0.0 is not zero bytes, so it is transformed."""
     fn = np.fft.ifft if inverse else np.fft.fft
     kn = x.ndim - 1
 
     def later_axes(slabs):
         for i in slabs:
             src, dst = x[:, i:i + 1], out[:, i:i + 1]
+            if not src.view(np.int64).any():
+                dst[...] = 0
+                continue
             for axis in range(kn, 1, -1):
                 src = fn(src, axis=axis, out=dst)
 
@@ -468,6 +486,18 @@ def _sigma_rows(rep, k, n, N, L, star=False):
     return [[w[A, r, t] for t in range(s)] for A in range(k) for r in range(s)]
 
 
+def _row_on_slab(row, x, i, dst, tmp):
+    """sum_c row[c] * x[c] on slab i of the first grid axis, into dst; tmp is
+    a slab of scratch."""
+    # a weight grid has length 1 on the axes of the other blocks
+    ws = [_slab(w, i) for w in row]
+    xs = x[:, i:i + 1]
+    np.multiply(ws[0], xs[0], out=dst)
+    for w, xc in zip(ws[1:], xs[1:]):
+        dst += np.multiply(w, xc, out=tmp)
+    return dst
+
+
 def _apply_rows(rows, x, out=None):
     """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer, or
     subtracted from the planes of `out` in place.  Each part of
@@ -480,39 +510,36 @@ def _apply_rows(rows, x, out=None):
     def part(slabs):
         acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
         for i in slabs:
-            xs = x[:, i:i + 1]
             for row, plane in zip(rows, out[:, i:i + 1]):
-                # a weight grid has length 1 on the axes of the other blocks
-                ws = [_slab(w, i) for w in row]
-                dst = acc if subtract else plane
-                np.multiply(ws[0], xs[0], out=dst)
-                for w, xc in zip(ws[1:], xs[1:]):
-                    dst += np.multiply(w, xc, out=tmp)
                 if subtract:
-                    plane -= acc
+                    plane -= _row_on_slab(row, x, i, acc, tmp)
+                else:
+                    _row_on_slab(row, x, i, plane, tmp)
 
     _on_cores(part, x.shape[1])
     return out
 
 
-_TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0")}
+def _defect_sq(rows, x, y):
+    """The sum of |y - sum_c rows[r][c] * x[c]|^2 over the planes of y, the
+    zero mode left out, with y left as it is: the exact sum of one partial
+    sum per slab of the first grid axis and row, from two slabs of scratch
+    per part, as :func:`_apply_rows` holds."""
+    zero = (0,) * (y.ndim - 1)
+    sums = np.empty((y.shape[1], len(rows)))
 
+    def part(slabs):
+        acc, tmp = np.empty((2, 1) + y.shape[2:], dtype=complex)
+        for i in slabs:
+            for r, (row, plane) in enumerate(zip(rows, y[:, i:i + 1])):
+                d = np.subtract(plane, _row_on_slab(row, x, i, acc, tmp), out=acc)
+                if i == 0:
+                    d[zero] = 0.0
+                d = d.view(np.float64)
+                sums[i, r] = np.square(d, out=d).sum()
 
-def apply_spectral(tag, fld, rep):
-    """Apply one of the grid operators {d0, d0_star} spectrally."""
-    if tag not in _TAGS:
-        raise ValueError(f"unknown operator tag {tag!r}")
-    space_in, space_out = _TAGS[tag]
-    if fld.space != space_in:
-        raise ValueError(f"{tag} expects a {space_in} grid field, got {fld.space}")
-    k, n, N = fld.k, fld.n, fld.N
-    out_dim = field_dim(space_out, k, rep.s_dim)
-    # the input's spectrum and the output, plus one scratch plane
-    _require_memory(k, n, N, fld.dim + out_dim + 1)
-    fh = _fft(fld.planes)
-    out = _apply_rows(_sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star"), fh)
-    _fftn(out, out, inverse=True)
-    return GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1))
+    _on_cores(part, y.shape[1])
+    return np.float64(math.fsum(sums.ravel()))
 
 
 def _certify_modes(k, n, N):
@@ -553,7 +580,7 @@ def _lap(timings, key, t0):
     return time.perf_counter()
 
 
-def solve_d0(f, rep, tol=1e-6, timings=None):
+def solve_d0(f, rep, tol=1e-6):
     """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat / |xi|^2.
 
     Parameters
@@ -568,10 +595,6 @@ def solve_d0(f, rep, tol=1e-6, timings=None):
         The guards raise :class:`CompatibilityError` above it.  None, for
         convergence studies on data that is not band-limited, measures the
         zero-mode share only and raises nothing.
-    timings : dict, optional
-        Receives the seconds of the FFTs, the multiplier with the guard and
-        certification ("fft_s", "multiplier_s", "certify_s"), and the number
-        of parts the grid work is split into ("workers", see :func:`_on_cores`).
 
     Returns
     -------
@@ -580,14 +603,21 @@ def solve_d0(f, rep, tol=1e-6, timings=None):
     """
     if f.space != "V1":
         raise ValueError(f"solve_d0 expects V1 data, got {f.space}")
-    k, n, N, L = f.k, f.n, f.N, f.L
-    zero = (slice(None),) + (0,) * (k * n)
     # f_hat, u_hat and one plane over the slab-sized scratch of the
     # multipliers and of |xi|^2
-    _require_memory(k, n, N, f.dim + rep.s_dim + 1)
+    _require_memory(f.k, f.n, f.N, f.dim + rep.s_dim + 1)
+    return _solve_spectrum(_fft(f.planes), rep, f.k, f.n, f.L, tol)
+
+
+def _solve_spectrum(fh, rep, k, n, L, tol, timings=None):
+    """:func:`solve_d0` on the spectrum fh of V1 data (component-first planes,
+    left as they are); timings, if a dict, receives the seconds of the
+    inverse FFT, the multiplier with the guard and certification ("fft_s",
+    "multiplier_s", "certify_s"), and the number of parts the grid work is
+    split into ("workers", see :func:`_on_cores`)."""
+    N = fh.shape[1]
+    zero = (slice(None),) + (0,) * (k * n)
     t = time.perf_counter()
-    fh = _fft(f.planes)
-    t = _lap(timings, "fft_s", t)
     fnorm = float(np.sqrt(_sum_sq(fh))) or 1.0  # zero data: both guards read 0
     rel0 = float(np.linalg.norm(fh[zero]) / fnorm)
     diag = {"zero_mode_rel": rel0}
@@ -596,7 +626,7 @@ def solve_d0(f, rep, tol=1e-6, timings=None):
             f"zero-frequency component too large ({rel0:.3e} > {tol:.1e}); "
             "data must have vanishing mean"
         )
-    fh[zero] = 0.0
+    # sigma0* is exactly 0 at xi = 0, so u_hat's zero mode is 0 whatever f_hat's
     uh = _apply_rows(_sigma_rows(rep, k, n, N, L, star=True), fh)
     sq = _freqs(N, L) ** 2
     rest = [sq.reshape((N,) + (1,) * (k * n - 1 - t)) for t in range(1, k * n)]
@@ -605,20 +635,17 @@ def solve_d0(f, rep, tol=1e-6, timings=None):
         for i in slabs:
             xi2 = sum(rest, sq[i])
             if i == 0:
-                xi2.flat[0] = 1.0  # sigma0* f_hat is exactly 0 at xi = 0: u_hat stays 0
+                xi2.flat[0] = 1.0  # u_hat stays 0 at xi = 0
             uh[:, i] /= xi2
 
     workers = _on_cores(divide, N)
     if tol is not None:
-        # f_hat - sigma0 u_hat, written into f_hat's own planes
-        _apply_rows(_sigma_rows(rep, k, n, N, L), uh, out=fh)
-        compat = float(np.sqrt(_sum_sq(fh)) / fnorm)
+        compat = float(np.sqrt(_defect_sq(_sigma_rows(rep, k, n, N, L), uh, fh)) / fnorm)
         diag["compat_rel"] = compat
         if compat > tol:
             raise CompatibilityError(
                 f"compatibility defect too large ({compat:.3e} > {tol:.1e})"
             )
-    del fh
     t = _lap(timings, "multiplier_s", t)
     if timings is not None:
         timings["workers"] = workers
@@ -691,17 +718,29 @@ def hartogs_report(u, mask):
             "ratio": emax / umax if umax > 0 else 0.0}
 
 
-def _dirac_residual(u, f, rep):
-    """||D0 u - f|| / ||f|| on the grid, from one u_hat and one output plane at
-    a time; the inverse FFT is part of what it checks."""
-    uh = _fft(u.planes)
-    sq = 0.0
-    for row, fp in zip(_sigma_rows(rep, u.k, u.n, u.N, u.L), f.planes):
-        plane = _apply_rows([row], uh)
-        _fftn(plane, plane, inverse=True)
-        sq += _sum_sq(plane, fp[None])
-        del plane
-    return float(np.sqrt(sq) / np.sqrt(_sum_sq(f.planes)))
+def _dirac_residual(u, fh, rep):
+    """||D0 u - f|| / ||f|| on the grid, for f the inverse FFT of the spectrum
+    fh, with the grid point and component of the largest |D0 u - f| as its
+    witness, taken from the slabs of the norm.  f - D0 u is formed as
+    fh - sigma0 u_hat in fh's own planes, and squared there, so fh is spent;
+    ||f||^2 is ||fh||^2 / N^{kn}, read first.  The forward FFT of u and the
+    inverse FFT of the difference are part of what it checks."""
+    fsq = _sum_sq(fh) / u.N ** (u.k * u.n)
+    _apply_rows(_sigma_rows(rep, u.k, u.n, u.N, u.L), _fft(u.planes), out=fh)
+    _fftn(fh, fh, inverse=True)
+
+    def slab(i):  # its sum of squares, and its largest squared modulus and where
+        sq = fh[:, i:i + 1].view(np.float64)
+        total = np.square(sq, out=sq).sum()
+        mod2 = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
+        j = int(mod2.argmax())
+        return total, mod2.flat[j], j
+
+    sums = _per_slab(slab, u.N, (3,))
+    i = int(sums[:, 1].argmax())
+    c, _, *point = np.unravel_index(int(sums[i, 2]), fh[:, :1].shape)
+    resid = float(np.sqrt(math.fsum(sums[:, 0])) / np.sqrt(fsq))
+    return resid, {"point": [i, *map(int, point)], "component": int(c)}
 
 
 def _recovery(u, phi):
@@ -713,23 +752,31 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
                  break_compat=False, timings=None):
     """Full pipeline: bump -> grid d0 -> solve -> anchored recovery metrics.
 
-    break_compat adds mean-free noise, which the compatibility guard rejects;
-    timings gets the stage times of :func:`solve_d0`, "data_s" (the bump,
-    its d0 image and the noise), "anchor_s" and "residual_s" (the recovery
-    error, the exterior decay and the Dirac residual), and the counts of the
-    solve's team (:func:`_team`): "fft_planes" and "regions".  Every grid
-    pass runs on that one team."""
+    The data f = D0 phi is kept as its spectrum sigma0 phi_hat from the
+    start, so it is never formed in real space; the solve takes it as it is.
+    break_compat adds mean-free noise to f in real space (an inverse FFT of
+    the spectrum and a forward one), which the compatibility guard rejects;
+    timings gets the stage times of the solve (see :func:`_solve_spectrum`),
+    "data_s" (the bump, its d0 spectrum and the noise), "anchor_s" and
+    "residual_s" (the recovery error, the exterior decay and the Dirac
+    residual), and the counts of the solve's team (:func:`_team`):
+    "fft_planes" and "regions".  Every grid pass runs on that one team."""
     if center is None:
         center = np.full(k * n, L / 2)
+    s = rep.s_dim
+    # at the peak, the residual check: phi, f_hat, u and u_hat
+    _require_memory(k, n, N, 3 * s + k * s)
     with _team() as team:
         team.fit(N ** (k * n - 1))
         t = time.perf_counter()
         phi = make_bump(rep, k, n, N, L, center, radius)
-        f = apply_spectral("d0", phi, rep)
+        fh = _apply_rows(_sigma_rows(rep, k, n, N, L), _fft(phi.planes))
         if break_compat:
-            _add_noise(f)
+            _fftn(fh, fh, inverse=True)
+            _add_noise(GridField(k, n, N, L, "V1", np.moveaxis(fh, 0, -1)))
+            _fftn(fh, fh)
         _lap(timings, "data_s", t)
-        u, diag = solve_d0(f, rep, tol=tol, timings=timings)
+        u, diag = _solve_spectrum(fh, rep, k, n, L, tol, timings)
         t = time.perf_counter()
         mask = exterior_mask(u, center, radius)
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
@@ -737,9 +784,12 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         # the mask is freed before the residual, which sets the peak
         recovery, hartogs = _recovery(u, phi), hartogs_report(u, mask)
         del mask
+        residual, witness = _dirac_residual(u, fh, rep)
+        del fh
         metrics = {
             "recovery_rel_l2": recovery,
-            "dirac_residual_rel_l2": _dirac_residual(u, f, rep),
+            "dirac_residual_rel_l2": residual,
+            "dirac_residual_witness": witness,
             "hartogs": hartogs,
         }
         _lap(timings, "residual_s", t)
@@ -785,6 +835,8 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
     """
     if center is None:
         center = np.full(k * n, L / 2)
+    # at the peak, the largest row's solve: f, f_hat and u_hat
+    _require_memory(k, n, max(Ns), 2 * k * rep.s_dim + rep.s_dim)
     rows = []
     with _team() as team:
         for N in Ns:

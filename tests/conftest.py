@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diraclab import boundary, build_clifford, dirac_ops, dirac_symbol
+from diraclab import boundary, build_clifford, dirac_ops, dirac_symbol, solver
 from diraclab.fields import PolyField, _canonical, draw_width, random_keyed, stack
 from diraclab.tensoridx import inverse
 
@@ -253,7 +253,59 @@ def d2pp_all_at_once(h, rep):
 
 
 # ---------------------------------------------------------------------------
-# grid oracle: the adjointness of the spectral d0 and d0_star
+# grid oracles: the spectral d0 and d0_star on real-space fields, their
+# adjointness, and the solve pipeline with its data in real space
+
+
+_TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0")}
+
+
+def apply_spectral(tag, fld, rep):
+    """Apply one of the grid operators {d0, d0_star} spectrally: forward FFT,
+    the symbol's rows, inverse FFT, from real space to real space."""
+    if tag not in _TAGS:
+        raise ValueError(f"unknown operator tag {tag!r}")
+    space_in, space_out = _TAGS[tag]
+    if fld.space != space_in:
+        raise ValueError(f"{tag} expects a {space_in} grid field, got {fld.space}")
+    k, n, N = fld.k, fld.n, fld.N
+    out_dim = solver.field_dim(space_out, k, rep.s_dim)
+    # the input's spectrum and the output, plus one scratch plane
+    solver._require_memory(k, n, N, fld.dim + out_dim + 1)
+    fh = solver._fft(fld.planes)
+    rows = solver._sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star")
+    out = solver._apply_rows(rows, fh)
+    solver._fftn(out, out, inverse=True)
+    return solver.GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1))
+
+
+def recover_bump_in_real_space(rep, k, n, N, L=2 * np.pi, radius=0.6, tol=1e-6,
+                               break_compat=False):
+    """``solver.recover_bump``'s metrics by the route that forms f = D0 phi
+    in real space: f from :func:`apply_spectral`, the noise added to it,
+    ``solve_d0`` on it (a forward FFT of f), the anchoring, and the Dirac
+    residual against f in real space, one output plane at a time."""
+    center = np.full(k * n, L / 2)
+    phi = solver.make_bump(rep, k, n, N, L, center, radius)
+    f = apply_spectral("d0", phi, rep)
+    if break_compat:
+        solver._add_noise(f)
+    u, diag = solver.solve_d0(f, rep, tol=tol)
+    mask = solver.exterior_mask(u, center, radius)
+    u = solver.anchor_exterior(u, mask)
+    uh = solver._fft(u.planes)
+    sq = 0.0
+    for row, fp in zip(solver._sigma_rows(rep, k, n, N, L), f.planes):
+        plane = solver._apply_rows([row], uh)
+        solver._fftn(plane, plane, inverse=True)
+        sq += solver._sum_sq(plane, fp[None])
+    return {
+        "recovery_rel_l2": float(np.sqrt(solver._sum_sq(u.planes, phi.planes))
+                                 / np.sqrt(solver._sum_sq(phi.planes))),
+        "dirac_residual_rel_l2": float(np.sqrt(sq) / np.sqrt(solver._sum_sq(f.planes))),
+        "hartogs": solver.hartogs_report(u, mask),
+        **diag,
+    }
 
 
 def grid_inner(a, b):

@@ -72,11 +72,12 @@ def load_same_reports():
 
 
 def test_same_reports_names_every_differing_command(monkeypatch, capsys):
-    # timings may differ; a check value, an exit code, a pass flag or a
-    # non-JSON output that differs names its command, classified by whether
-    # the verdicts (exit code, pass, each check's name, tolerance and pass
-    # flag) agree and with the largest value change; one fresh process runs
-    # per checkout
+    # timings may differ; a check value, a diagnostic, an exit code, a pass
+    # flag or a non-JSON output that differs names its command, classified by
+    # whether the verdicts (exit code, pass, each check's name, tolerance and
+    # pass flag) agree, with the largest check value change and the largest
+    # change of any numeric leaf outside timings, with its key path; one
+    # fresh process runs per checkout
     same = load_same_reports()
     cmds = same.commands()
     assert len(cmds) == len(set(map(tuple, cmds))) == 71
@@ -91,11 +92,14 @@ def test_same_reports_names_every_differing_command(monkeypatch, capsys):
         for i, argv in enumerate(argvs):
             check = {"name": "c", "value": 1.0, "tolerance": 1e-10, "pass": True}
             report = {"command": argv[0], "checks": [check], "pass": True,
+                      "metrics": {"zero_mode_rel": 0.0, "sweep": [{"N": 8}]},
                       "timings": {"wall_s": float(len(runs))}}
             code = 0
             if root != same.ROOT:  # the base
                 if i == 1:
                     check["value"] = 1.0 + 2**-52
+                if i == 2:
+                    report["metrics"]["zero_mode_rel"] = 8.4e-19
                 if i == 4:
                     code = 1
                 if i == 9:
@@ -108,11 +112,14 @@ def test_same_reports_names_every_differing_command(monkeypatch, capsys):
     assert same.main(["--base", "elsewhere"]) == 1
     assert runs == [same.ROOT, os.path.abspath("elsewhere")]
     lines = capsys.readouterr().out.splitlines()
-    kinds = {1: "same verdicts, largest |delta value| 2.22e-16",
-             4: "verdicts differ, largest |delta value| 0.00e+00",
-             7: "verdicts differ, largest |delta value| 0.00e+00",
-             9: "verdicts differ, largest |delta value| 0.00e+00"}
+    kinds = {1: "same verdicts, largest |delta value| 2.22e-16, "
+                "largest |delta| 2.22e-16 at checks[0].value",
+             2: "same verdicts, largest |delta value| 0.00e+00, "
+                "largest |delta| 8.40e-19 at metrics.zero_mode_rel",
+             4: "verdicts differ, largest |delta value| 0.00e+00, largest |delta| 0.00e+00",
+             7: "verdicts differ, largest |delta value| 0.00e+00, largest |delta| 0.00e+00",
+             9: "verdicts differ, largest |delta value| 0.00e+00, largest |delta| 0.00e+00"}
     assert lines == [f"differs: {' '.join(cmds[i])}: {kind}" for i, kind in kinds.items()] + [
-        f"{len(cmds)} commands, 4 differ"]
+        f"{len(cmds)} commands, 5 differ"]
     monkeypatch.setattr(same, "run", lambda root, argvs: [[0, "{}"]] * len(argvs))
     assert same.main(["--base", "elsewhere"]) == 0

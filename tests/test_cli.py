@@ -149,9 +149,10 @@ def test_reports_deterministic(capsys):
                             "anchor_s", "residual_s", "sweep_s", "sweep_rows_s", "modes",
                             "workers", "fft_planes", "regions", "ru_maxrss_kib"}
     assert timings["modes"] == 8**4
-    # three transformed planes for each of d0, the solve and the residual check
-    # of the main solve, and for the solve of each of the two sweep rows
-    assert timings["fft_planes"] == 3 * 3 + 2 * 3
+    # the main solve transforms five planes: phi forward, u_hat back, and for
+    # the residual check u forward and f_hat - sigma0 u_hat's two back; the
+    # solve of each of the two sweep rows three
+    assert timings["fft_planes"] == 5 + 2 * 3
     assert type(timings["regions"]) is int and timings["regions"] > 0
     rows = timings.pop("sweep_rows_s")
     assert len(rows) == 2 and all(s >= 0.0 for s in rows)
