@@ -38,26 +38,16 @@ each from NumPy's pairwise sums, not from BLAS, whose idle threads would
 busy-wait on the CPUs the parts run on; so it too reads the same at every
 count.  To use one core, run under `taskset`.
 
-Transforms: :func:`recover_bump` keeps its data f = D0 phi as the spectrum
-f_hat = sigma0 phi_hat from the start and never forms f in real space; its
-residual check compares in the spectrum too (f_hat - sigma0 u_hat, then one
-inverse FFT).  :func:`solve_d0` takes data in real space and transforms it
-first.  A transform skips the slabs of grid axis 1 whose bytes are all zero,
-as most of a compactly supported field's are (:func:`_fftn`).
-
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
 grid axis at a time per part, so their scratch is two slabs per part, and at
-most N/2 parts run, so all of it fits in one plane; the compatibility defect
-is summed slab by slab, from the same scratch, and the residual check's
-difference is written into f_hat's own planes.  The bump, its Dirac data, the
-exterior mask, the norms and the maxima work one slab at a time too, so
-beyond their outputs they hold slabs, not grids; the anchoring holds one grid
-of exterior values and their indices.  Counted in planes (one complex grid
-per component: s for V0, k s for V1), :func:`recover_bump` holds at its peak
-phi, f_hat, u and the residual check's u_hat, 3 s + k s planes (5 at
-k = n = 2, where s = 1); a row of :func:`resolution_sweep` holds f, f_hat
-and u_hat, s + 2 k s.  Each of the two refuses, before any work, a grid on
-which what it holds together exceeds the memory cap.
+most N/2 parts run, so all of it fits in one plane.  The bump, its Dirac
+data, the exterior mask, the norms and the maxima work one slab at a time
+too; the anchoring holds one grid of exterior values and their indices.
+:func:`recover_bump` keeps f = D0 phi as its spectrum f_hat and never forms
+it in real space; the residual check writes f_hat - sigma0 u_hat into
+f_hat's own planes.  Counted in planes (one complex grid per component: s
+for V0, k s for V1), it holds at its peak phi, f_hat, u and u_hat, 3 s + k s
+(5 at k = n = 2, where s = 1), and a sweep row f, f_hat and u_hat, s + 2 k s.
 """
 
 import contextlib
@@ -208,8 +198,8 @@ def bump_dirac_data(rep, k, n, N, L, center, radius):
     the gamma matrices, giving V1 data that is independent of the grid
     operators.  Used for discretization-convergence studies; the sampled data
     satisfies the compatibility condition only up to aliasing.  The bump is
-    validated as in :func:`make_bump`.  A slab of grid axis 1 that misses the
-    ball holds +0.0, not the zero chain times a weight, which may be -0.0.
+    validated as in :func:`make_bump`; slabs of grid axis 1 that miss it
+    hold +0.0.
     """
     center, grids, r2 = _bump_geometry(k, n, N, L, center, radius, k * rep.s_dim)
     gspin = rep.gamma_plus[:, :, 0]  # gamma_j applied to the first basis spinor
@@ -438,9 +428,8 @@ def _fftn(x, out, inverse=False):
     per axis, the last axis first: first the axes after grid axis 1 on slabs
     of grid axis 1, then grid axis 1 on slabs of grid axis 2.  Each line goes
     through the same np.fft call, so out is np.fft.fftn's (ifftn's) bit for
-    bit.  A slab of grid axis 1 whose bytes are all zero, as most of a
-    compactly supported field's are, transforms to zeros and is written as
-    zeros in the first pass; a -0.0 is not zero bytes, so it is transformed."""
+    bit.  A slab of grid axis 1 whose bytes are all zero (not -0.0), as most
+    of a compactly supported field's are, is written as zeros untransformed."""
     fn = np.fft.ifft if inverse else np.fft.fft
     kn = x.ndim - 1
 
@@ -522,9 +511,8 @@ def _apply_rows(rows, x, out=None):
 
 def _defect_sq(rows, x, y):
     """The sum of |y - sum_c rows[r][c] * x[c]|^2 over the planes of y, the
-    zero mode left out, with y left as it is: the exact sum of one partial
-    sum per slab of the first grid axis and row, from two slabs of scratch
-    per part, as :func:`_apply_rows` holds."""
+    zero mode left out and y left as it is: the exact sum of one partial sum
+    per slab and row, from the scratch :func:`_apply_rows` holds."""
     zero = (0,) * (y.ndim - 1)
     sums = np.empty((y.shape[1], len(rows)))
 
@@ -610,11 +598,10 @@ def solve_d0(f, rep, tol=1e-6):
 
 
 def _solve_spectrum(fh, rep, k, n, L, tol, timings=None):
-    """:func:`solve_d0` on the spectrum fh of V1 data (component-first planes,
-    left as they are); timings, if a dict, receives the seconds of the
-    inverse FFT, the multiplier with the guard and certification ("fft_s",
-    "multiplier_s", "certify_s"), and the number of parts the grid work is
-    split into ("workers", see :func:`_on_cores`)."""
+    """:func:`solve_d0` on the spectrum fh of V1 data, left as it is; timings
+    gets the seconds of the inverse FFT, the multiplier with the guard and
+    certification ("fft_s", "multiplier_s", "certify_s"), and the parts the
+    grid work is split into ("workers", see :func:`_on_cores`)."""
     N = fh.shape[1]
     zero = (slice(None),) + (0,) * (k * n)
     t = time.perf_counter()
@@ -719,12 +706,11 @@ def hartogs_report(u, mask):
 
 
 def _dirac_residual(u, fh, rep):
-    """||D0 u - f|| / ||f|| on the grid, for f the inverse FFT of the spectrum
-    fh, with the grid point and component of the largest |D0 u - f| as its
-    witness, taken from the slabs of the norm.  f - D0 u is formed as
-    fh - sigma0 u_hat in fh's own planes, and squared there, so fh is spent;
-    ||f||^2 is ||fh||^2 / N^{kn}, read first.  The forward FFT of u and the
-    inverse FFT of the difference are part of what it checks."""
+    """||D0 u - f|| / ||f|| on the grid for f the inverse FFT of fh, and the
+    grid point and component of the largest |D0 u - f|.  fh - sigma0 u_hat
+    is formed, transformed and squared in fh's own planes, which it spends;
+    ||f||^2 = ||fh||^2 / N^{kn} is read first.  The FFTs are part of what it
+    checks."""
     fsq = _sum_sq(fh) / u.N ** (u.k * u.n)
     _apply_rows(_sigma_rows(rep, u.k, u.n, u.N, u.L), _fft(u.planes), out=fh)
     _fftn(fh, fh, inverse=True)
@@ -752,11 +738,9 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
                  break_compat=False, timings=None):
     """Full pipeline: bump -> grid d0 -> solve -> anchored recovery metrics.
 
-    The data f = D0 phi is kept as its spectrum sigma0 phi_hat from the
-    start, so it is never formed in real space; the solve takes it as it is.
-    break_compat adds mean-free noise to f in real space (an inverse FFT of
-    the spectrum and a forward one), which the compatibility guard rejects;
-    timings gets the stage times of the solve (see :func:`_solve_spectrum`),
+    f = D0 phi stays the spectrum sigma0 phi_hat.  break_compat adds
+    mean-free noise to f in real space, which the compatibility guard
+    rejects; timings gets the stage times of :func:`_solve_spectrum`,
     "data_s" (the bump, its d0 spectrum and the noise), "anchor_s" and
     "residual_s" (the recovery error, the exterior decay and the Dirac
     residual), and the counts of the solve's team (:func:`_team`):
