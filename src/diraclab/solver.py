@@ -765,11 +765,10 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         mask = exterior_mask(u, center, radius)
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
         t = _lap(timings, "anchor_s", t)
-        # the mask is freed before the residual, which sets the peak
+        # the mask is freed before the residual, which holds the most planes
         recovery, hartogs = _recovery(u, phi), hartogs_report(u, mask)
         del mask
         residual, witness = _dirac_residual(u, fh, rep)
-        del fh
         metrics = {
             "recovery_rel_l2": recovery,
             "dirac_residual_rel_l2": residual,
