@@ -34,7 +34,6 @@ from .solver import (
     GridField,
     make_bump,
     bump_dirac_data,
-    solve_d0,
     exterior_mask,
     anchor_exterior,
     hartogs_report,

@@ -454,7 +454,7 @@ def run_solve(args):
         else None
     )
     stages = {}
-    u, phi, metrics = solver.recover_bump(
+    u, metrics = solver.recover_bump(
         rep, args.k, args.n, args.N, L=args.L, radius=args.radius,
         center=center, tol=args.tol, break_compat=args.break_compat,
         timings=stages,
@@ -462,7 +462,7 @@ def run_solve(args):
     if args.out:
         with _output():
             solver.dump_field(u, args.out)
-    del u, phi  # the sweep runs without them, which lowers its memory peak
+    del u  # the sweep runs without it, which lowers its memory peak
     checks = [
         _check("bump_recovery", "u = D0* D0 D0* G1 (D0 phi) recovers phi",
                metrics["recovery_rel_l2"], 1e-6),

@@ -42,12 +42,16 @@ Memory: the multipliers and the division by |xi|^2 run one slab of the first
 grid axis at a time per part, so their scratch is two slabs per part, and at
 most N/2 parts run, so all of it fits in one plane.  The bump, its Dirac
 data, the exterior mask, the norms and the maxima work one slab at a time
-too; the anchoring holds one grid of exterior values and their indices.
-:func:`recover_bump` keeps f = D0 phi as its spectrum f_hat and never forms
-it in real space; the residual check writes f_hat - sigma0 u_hat into
-f_hat's own planes.  Counted in planes (one complex grid per component: s
-for V0, k s for V1), it holds at its peak phi, f_hat, u and u_hat, 3 s + k s
-(5 at k = n = 2, where s = 1), and a sweep row f, f_hat and u_hat, s + 2 k s.
+too; the anchoring gathers the exterior values slab by slab into one array
+and makes no index array.  The pipelines spend their own buffers:
+:func:`recover_bump` transforms phi in its own planes and frees them once
+f_hat = sigma0 phi_hat exists, builds phi again for the recovery error, and
+never forms f in real space; the residual check writes f_hat - sigma0 u_hat
+into f_hat's own planes.  :func:`resolution_sweep` transforms its data in its
+own planes.  Counted in planes (one complex grid per component: s for V0,
+k s for V1), the main solve holds at its peak f_hat and two V0 grids (u and
+its gather, phi, or the residual's u_hat), k s + 2 s (4 at k = n = 2, where
+s = 1), and a sweep row f_hat and u_hat, k s + s.
 """
 
 import contextlib
@@ -429,14 +433,16 @@ def _fftn(x, out, inverse=False):
     of grid axis 1, then grid axis 1 on slabs of grid axis 2.  Each line goes
     through the same np.fft call, so out is np.fft.fftn's (ifftn's) bit for
     bit.  A slab of grid axis 1 whose bytes are all zero (not -0.0), as most
-    of a compactly supported field's are, is written as zeros untransformed."""
+    of a compactly supported field's are, is written as zeros untransformed;
+    the bytes are scanned only where the slab's first element is zero."""
     fn = np.fft.ifft if inverse else np.fft.fft
     kn = x.ndim - 1
 
     def later_axes(slabs):
         for i in slabs:
             src, dst = x[:, i:i + 1], out[:, i:i + 1]
-            if not src.view(np.int64).any():
+            bits = src.view(np.int64)
+            if not bits.flat[0] and not bits.any():
                 dst[...] = 0
                 continue
             for axis in range(kn, 1, -1):
@@ -568,40 +574,21 @@ def _lap(timings, key, t0):
     return time.perf_counter()
 
 
-def solve_d0(f, rep, tol=1e-6):
-    """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat / |xi|^2.
-
-    Parameters
-    ----------
-    f : GridField
-        V1 data.  Must have (numerically) vanishing mean and satisfy D1 f = 0,
-        i.e. f_hat in the range of sigma0 at xi != 0.  The guards measure the
-        zero-mode share ("zero_mode_rel") and the distance
-        ||f_hat - sigma0 u_hat|| to that range ("compat_rel"), both relative
-        to ||f_hat|| and so free of units at every L and N.
-    tol : float or None
-        The guards raise :class:`CompatibilityError` above it.  None, for
-        convergence studies on data that is not band-limited, measures the
-        zero-mode share only and raises nothing.
-
-    Returns
-    -------
-    (GridField, dict)
-        The zero-mean solution and a diagnostics record.
-    """
-    if f.space != "V1":
-        raise ValueError(f"solve_d0 expects V1 data, got {f.space}")
-    # f_hat, u_hat and one plane over the slab-sized scratch of the
-    # multipliers and of |xi|^2
-    _require_memory(f.k, f.n, f.N, f.dim + rep.s_dim + 1)
-    return _solve_spectrum(_fft(f.planes), rep, f.k, f.n, f.L, tol)
-
-
 def _solve_spectrum(fh, rep, k, n, L, tol, timings=None):
-    """:func:`solve_d0` on the spectrum fh of V1 data, left as it is; timings
-    gets the seconds of the inverse FFT, the multiplier with the guard and
-    certification ("fft_s", "multiplier_s", "certify_s"), and the parts the
-    grid work is split into ("workers", see :func:`_on_cores`)."""
+    """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat /
+    |xi|^2, from the spectrum fh of V1 data, left as it is.
+
+    f must have (numerically) vanishing mean and satisfy D1 f = 0, i.e. f_hat
+    in the range of sigma0 at xi != 0.  The guards measure the zero-mode
+    share ("zero_mode_rel") and the distance ||f_hat - sigma0 u_hat|| to that
+    range ("compat_rel"), both relative to ||f_hat|| and so free of units at
+    every L and N, and raise :class:`CompatibilityError` above tol.  tol=None,
+    for convergence studies on data that is not band-limited, measures the
+    zero-mode share only and raises nothing.  Returns the zero-mean solution
+    and a diagnostics record.  timings gets the seconds of the inverse FFT,
+    the multiplier with the guard and certification ("fft_s",
+    "multiplier_s", "certify_s"), and the parts the grid work is split into
+    ("workers", see :func:`_on_cores`)."""
     N = fh.shape[1]
     zero = (slice(None),) + (0,) * (k * n)
     t = time.perf_counter()
@@ -673,11 +660,21 @@ def anchor_exterior(u, mask):
     normalization of the continuum problem corresponds on the torus to
     subtracting the mean of u over the exterior region (:func:`exterior_mask`).
     """
-    # the exterior values point by point, in the memory order that
-    # u.planes.reshape(u.dim, -1)[:, mask] gives them, so the mean adds them
-    # in its order; np.compress gathers them in half its time
-    shift = np.compress(mask, u.planes.reshape(u.dim, -1).T, axis=0).mean(axis=0)
-    shift = shift.reshape((u.dim,) + (1,) * (u.k * u.n - 1))
+    # the exterior values slab by slab into one (dim, M) array laid out as
+    # u.planes.reshape(u.dim, -1)[:, mask] is, point by point, so the mean
+    # adds them in its order; no index array of the grid is made
+    rows, inside = u.planes.reshape(u.dim, u.N, -1), mask.reshape(u.N, -1)
+    counts = np.count_nonzero(inside, axis=1)
+    ends = np.cumsum(counts)
+    values = np.empty((int(ends[-1]), u.dim), dtype=complex).T
+
+    def gather(slabs):
+        for i in slabs:
+            values[:, ends[i] - counts[i]:ends[i]] = rows[:, i, inside[i]]
+
+    _on_cores(gather, u.N)
+    shift = values.mean(axis=1).reshape((u.dim,) + (1,) * (u.k * u.n - 1))
+    del values  # freed before the output plane is made
     out = np.empty(u.planes.shape, dtype=complex)
 
     def part(slabs):
@@ -738,23 +735,26 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
                  break_compat=False, timings=None):
     """Full pipeline: bump -> grid d0 -> solve -> anchored recovery metrics.
 
-    f = D0 phi stays the spectrum sigma0 phi_hat.  break_compat adds
-    mean-free noise to f in real space, which the compatibility guard
-    rejects; timings gets the stage times of :func:`_solve_spectrum`,
-    "data_s" (the bump, its d0 spectrum and the noise), "anchor_s" and
-    "residual_s" (the recovery error, the exterior decay and the Dirac
-    residual), and the counts of the solve's team (:func:`_team`):
-    "fft_planes" and "regions".  Every grid pass runs on that one team."""
+    f = D0 phi stays the spectrum sigma0 phi_hat; phi is transformed in its
+    own planes, freed, and built again (:func:`make_bump`) for the recovery
+    error.  break_compat adds mean-free noise to f in real space, which the
+    compatibility guard rejects; timings gets the stage times of
+    :func:`_solve_spectrum`, "data_s" (the bump, its d0 spectrum and the
+    noise), "anchor_s" and "residual_s" (the recovery error, the exterior
+    decay and the Dirac residual), and the counts of the solve's team
+    (:func:`_team`): "fft_planes" and "regions".  Every grid pass runs on
+    that one team.  Returns the anchored solution and the metrics."""
     if center is None:
         center = np.full(k * n, L / 2)
     s = rep.s_dim
-    # at the peak, the residual check: phi, f_hat, u and u_hat
-    _require_memory(k, n, N, 3 * s + k * s)
+    # at the peak, f_hat and two V0 grids: u and its gather, phi or u_hat
+    _require_memory(k, n, N, k * s + 2 * s)
     with _team() as team:
         team.fit(N ** (k * n - 1))
         t = time.perf_counter()
-        phi = make_bump(rep, k, n, N, L, center, radius)
-        fh = _apply_rows(_sigma_rows(rep, k, n, N, L), _fft(phi.planes))
+        phi_hat = make_bump(rep, k, n, N, L, center, radius).planes
+        fh = _apply_rows(_sigma_rows(rep, k, n, N, L), _fftn(phi_hat, phi_hat))
+        del phi_hat
         if break_compat:
             _fftn(fh, fh, inverse=True)
             _add_noise(GridField(k, n, N, L, "V1", np.moveaxis(fh, 0, -1)))
@@ -765,8 +765,8 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         mask = exterior_mask(u, center, radius)
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
         t = _lap(timings, "anchor_s", t)
-        # the mask is freed before the residual, which holds the most planes
-        recovery, hartogs = _recovery(u, phi), hartogs_report(u, mask)
+        recovery = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
+        hartogs = hartogs_report(u, mask)
         del mask
         residual, witness = _dirac_residual(u, fh, rep)
         metrics = {
@@ -779,7 +779,7 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         if timings is not None:
             timings.update(fft_planes=team.fft_planes, regions=team.regions)
     metrics.update(diag)
-    return u, phi, metrics
+    return u, metrics
 
 
 def _add_noise(f):
@@ -810,25 +810,25 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
 
     For each N the V1 data is the analytically sampled Dirac image of the
     bump (not band-limited), so the recovery error is a genuine function of
-    resolution.  The solve runs with ``tol=None``, which skips the
-    compatibility guard: sampled continuum data satisfies it only up to
-    aliasing, which is the quantity under study.  Every row runs on one team
-    (:func:`_team`) and carries its own "timings": its seconds ("s") and its
-    "fft_planes" and "regions".
+    resolution.  The data is transformed in its own planes and solved with
+    ``tol=None``, which skips the compatibility guard: sampled continuum data
+    satisfies it only up to aliasing, which is the quantity under study.
+    Every row runs on one team (:func:`_team`) and carries its own
+    "timings": its seconds ("s") and its "fft_planes" and "regions".
     """
     if center is None:
         center = np.full(k * n, L / 2)
-    # at the peak, the largest row's solve: f, f_hat and u_hat
-    _require_memory(k, n, max(Ns), 2 * k * rep.s_dim + rep.s_dim)
+    # at the peak, the largest row's solve: f_hat and u_hat
+    _require_memory(k, n, max(Ns), k * rep.s_dim + rep.s_dim)
     rows = []
     with _team() as team:
         for N in Ns:
             t, planes, regions = time.perf_counter(), team.fft_planes, team.regions
             team.fit(N ** (k * n - 1))
-            f = bump_dirac_data(rep, k, n, N, L, center, radius)
-            u0, diag = solve_d0(f, rep, tol=None)
-            u = anchor_exterior(u0, exterior_mask(u0, center, radius))
-            del f, u0  # freed before the bump is sampled, to lower the peak
+            fh = bump_dirac_data(rep, k, n, N, L, center, radius).planes
+            u, diag = _solve_spectrum(_fftn(fh, fh), rep, k, n, L, None)
+            del fh  # freed before the anchoring, to lower the peak
+            u = anchor_exterior(u, exterior_mask(u, center, radius))
             err = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
             del u  # not carried into the next resolution's solve
             rows.append({"N": int(N), "recovery_rel_l2": err,

@@ -254,7 +254,8 @@ def d2pp_all_at_once(h, rep):
 
 # ---------------------------------------------------------------------------
 # grid oracles: the spectral d0 and d0_star on real-space fields, their
-# adjointness, and the solve pipeline with its data in real space
+# adjointness, the solve of real-space data, and the solve pipeline with its
+# data in real space
 
 
 _TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0")}
@@ -279,18 +280,29 @@ def apply_spectral(tag, fld, rep):
     return solver.GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1))
 
 
+def solve_d0(f, rep, tol=1e-6):
+    """The solve of V1 data f in real space: its forward FFT into a new
+    buffer, then the solver's spectral core, f left as it is."""
+    if f.space != "V1":
+        raise ValueError(f"solve_d0 expects V1 data, got {f.space}")
+    # f_hat, u_hat and one plane over the slab-sized scratch of the
+    # multipliers and of |xi|^2
+    solver._require_memory(f.k, f.n, f.N, f.dim + rep.s_dim + 1)
+    return solver._solve_spectrum(solver._fft(f.planes), rep, f.k, f.n, f.L, tol)
+
+
 def recover_bump_in_real_space(rep, k, n, N, L=2 * np.pi, radius=0.6, tol=1e-6,
                                break_compat=False):
     """``solver.recover_bump``'s metrics by the route that forms f = D0 phi
     in real space: f from :func:`apply_spectral`, the noise added to it,
-    ``solve_d0`` on it (a forward FFT of f), the anchoring, and the Dirac
+    :func:`solve_d0` on it (a forward FFT of f), the anchoring, and the Dirac
     residual against f in real space, one output plane at a time."""
     center = np.full(k * n, L / 2)
     phi = solver.make_bump(rep, k, n, N, L, center, radius)
     f = apply_spectral("d0", phi, rep)
     if break_compat:
         solver._add_noise(f)
-    u, diag = solver.solve_d0(f, rep, tol=tol)
+    u, diag = solve_d0(f, rep, tol=tol)
     mask = solver.exterior_mask(u, center, radius)
     u = solver.anchor_exterior(u, mask)
     uh = solver._fft(u.planes)

@@ -197,7 +197,7 @@ def test_criterion_4_ellipticity():
 def test_criterion_5_solver():
     t0 = time.perf_counter()
     rep = build_clifford(2)
-    u, phi, metrics = solver.recover_bump(rep, 2, 2, 32, radius=0.6)
+    u, metrics = solver.recover_bump(rep, 2, 2, 32, radius=0.6)
     sweep = solver.resolution_sweep(rep, 2, 2, (16, 24, 32), radius=0.6)
     errs = [row["recovery_rel_l2"] for row in sweep]
     monotone = all(a > b for a, b in zip(errs, errs[1:]))
@@ -224,7 +224,7 @@ def test_criterion_5_solver():
 )
 def test_criterion_5_extended_nongating():
     rep = build_clifford(2)
-    u, phi, metrics = solver.recover_bump(rep, 3, 2, 12, radius=0.6)
+    u, metrics = solver.recover_bump(rep, 3, 2, 12, radius=0.6)
     _report(5, "solver extended k=3", True,
             f"recovery={metrics['recovery_rel_l2']:.2e} (non-gating)")
 

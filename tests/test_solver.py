@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import apply_spectral, grid_inner, recover_bump_in_real_space
+from conftest import apply_spectral, grid_inner, recover_bump_in_real_space, solve_d0
 
 from diraclab import build_clifford
 from diraclab.solver import (
@@ -18,7 +18,6 @@ from diraclab.solver import (
     make_bump,
     recover_bump,
     resolution_sweep,
-    solve_d0,
 )
 
 L = float(2 * np.pi)
@@ -180,7 +179,7 @@ def test_zero_mode_of_derivative_data(reps):
 
 def test_solve_recovers_bump(reps):
     rep = reps[2]
-    u, phi, metrics = recover_bump(rep, 2, 2, 16)
+    u, metrics = recover_bump(rep, 2, 2, 16)
     assert metrics["recovery_rel_l2"] <= 1e-10
     assert metrics["dirac_residual_rel_l2"] <= 1e-10
     assert metrics["hartogs"]["ratio"] <= 1e-10
@@ -194,7 +193,7 @@ def test_pipeline_matches_the_real_space_route(k, n, N, reps):
     # it gives the same metrics within 1e-14, and broken data the same
     # compat_rel within 1e-12 relative and the same rejection
     rep = reps[n]
-    _, _, got = recover_bump(rep, k, n, N)
+    _, got = recover_bump(rep, k, n, N)
     want = recover_bump_in_real_space(rep, k, n, N)
     assert got["recovery_identity_witness"] == want["recovery_identity_witness"]
     for key in ("recovery_rel_l2", "dirac_residual_rel_l2", "zero_mode_rel",
@@ -202,7 +201,7 @@ def test_pipeline_matches_the_real_space_route(k, n, N, reps):
         assert abs(got[key] - want[key]) <= 1e-14, key
     for key, value in want["hartogs"].items():
         assert abs(got["hartogs"][key] - value) <= 1e-14 * max(1.0, value), key
-    _, _, got = recover_bump(rep, k, n, N, tol=np.inf, break_compat=True)
+    _, got = recover_bump(rep, k, n, N, tol=np.inf, break_compat=True)
     want = recover_bump_in_real_space(rep, k, n, N, tol=np.inf, break_compat=True)
     assert got["compat_rel"] == pytest.approx(want["compat_rel"], rel=1e-12, abs=0)
     assert got["compat_rel"] > 1e-3
@@ -213,6 +212,22 @@ def test_pipeline_matches_the_real_space_route(k, n, N, reps):
     assert str(err.value) == str(ref.value)
 
 
+@pytest.mark.parametrize("k, n, N", [(2, 2, 16), (2, 3, 6), (3, 1, 12)])
+def test_sweep_matches_the_real_space_route(k, n, N, reps):
+    # the sweep transforms its data in its own planes; solve_d0, which leaves
+    # f as it is, the anchoring and the recovery error give its row bit for bit
+    from diraclab.solver import _recovery
+
+    rep, center = reps[n], np.full(k * n, L / 2)
+    f = bump_dirac_data(rep, k, n, N, L, center, 0.6)
+    u, diag = solve_d0(f, rep, tol=None)
+    u = anchor_exterior(u, exterior_mask(u, center, 0.6))
+    err = _recovery(u, make_bump(rep, k, n, N, L, center, 0.6))
+    row, = resolution_sweep(rep, k, n, [N])
+    assert (row["recovery_rel_l2"], row["zero_mode_rel"]) == (err, diag["zero_mode_rel"])
+    assert err > 0
+
+
 def test_dirac_residual_names_its_worst_point(reps):
     # the witness is a grid point and component of the largest |D0 u - f|,
     # with f - D0 u formed from the spectra as the residual forms it, and the
@@ -221,7 +236,8 @@ def test_dirac_residual_names_its_worst_point(reps):
 
     rep = reps[2]
     N = 12
-    u, phi, metrics = recover_bump(rep, 2, 2, N)
+    u, metrics = recover_bump(rep, 2, 2, N)
+    phi = make_bump(rep, 2, 2, N, L, CENTER4, 0.6)
     rows = _sigma_rows(rep, 2, 2, N, L)
     fh = _apply_rows(rows, np.fft.fftn(phi.planes, axes=(1, 2, 3, 4)))
     f = np.fft.ifftn(fh, axes=(1, 2, 3, 4))
@@ -441,23 +457,30 @@ def test_memory_guard_estimates_track_peaks(monkeypatch, reps):
 
 @pytest.mark.parametrize("call", ["recover_bump", "resolution_sweep"])
 def test_pipelines_refuse_what_they_hold_together(call, monkeypatch, reps):
-    # at k = n = 2 and N = 69 each call of the pipeline fits a 2 GiB cap on
-    # its own, but what the pipeline holds at once does not: it is refused
-    # before any grid is made
+    # at k = n = 2 and N = 72 (recover_bump) or 77 (resolution_sweep) each
+    # call of the pipeline fits a 2 GiB cap on its own, but what the pipeline
+    # holds at once does not: it is refused before any grid is made.  At
+    # N - 1 it passes its guard and makes one
     from diraclab import solver
 
-    rep = reps[2]
+    rep, N = reps[2], {"recover_bump": 72, "resolution_sweep": 77}[call]
     monkeypatch.setenv("DIRACLAB_MEM_LIMIT_GIB", "2.0")
     monkeypatch.setattr(solver, "make_bump", None)  # a grid made would raise TypeError
     monkeypatch.setattr(solver, "bump_dirac_data", None)
     s = rep.s_dim
-    for planes in (s, 2 * s, 2 * s + s + 1):  # make_bump's, bump_dirac_data's, solve_d0's
-        solver._require_memory(2, 2, 69, planes)  # each fits on its own
-    with pytest.raises(ResourceLimitError, match="69"):
+    for planes in (s, 2 * s):  # make_bump's and bump_dirac_data's
+        solver._require_memory(2, 2, N, planes)  # each fits on its own
+
+    def run(size):
         if call == "recover_bump":
-            recover_bump(rep, 2, 2, 69)
+            recover_bump(rep, 2, 2, size)
         else:
-            resolution_sweep(rep, 2, 2, [8, 69])
+            resolution_sweep(rep, 2, 2, [8, size])
+
+    with pytest.raises(TypeError):
+        run(N - 1)
+    with pytest.raises(ResourceLimitError, match=str(N)):
+        run(N)
 
 
 def test_grid_fields_store_contiguous_planes(tmp_path, reps):
@@ -600,9 +623,10 @@ def test_analytic_data_is_genuinely_aliased(reps):
 def test_solve_peaks_hold_few_planes(reps):
     # at N = 32 a complex plane is 16 MiB; f_hat holds two, phi and u one
     # each.  The multipliers' scratch is slab-sized, so the main solve holds
-    # 5 planes (phi, f_hat, u and the residual's u_hat) and peaks near 5.55
-    # above live memory, in the anchoring's gather of the exterior values and
-    # their indices; the rejected solve peaks near 4.1 and a sweep row near 5.1
+    # 4 planes (f_hat with phi_hat, u_hat, u, the anchoring's gather of the
+    # exterior values, or the residual's u_hat) and peaks near 4.15 above
+    # live memory; the rejected solve (f_hat and the noise, or u_hat) and a
+    # sweep row (f_hat and u_hat) peak near 3.14
     import tracemalloc
 
     rep = reps[2]
@@ -614,9 +638,9 @@ def test_solve_peaks_hold_few_planes(reps):
             recover_bump(rep, 2, 2, N, break_compat=True)
 
     calls = {
-        "recover_bump": (lambda: recover_bump(rep, 2, 2, N), 6.0),
-        "break_compat": (rejected, 4.5),
-        "resolution_sweep": (lambda: resolution_sweep(rep, 2, 2, [N]), 5.5),
+        "recover_bump": (lambda: recover_bump(rep, 2, 2, N), 4.5),
+        "break_compat": (rejected, 3.5),
+        "resolution_sweep": (lambda: resolution_sweep(rep, 2, 2, [N]), 3.5),
     }
     tracemalloc.start()
     try:
@@ -987,7 +1011,7 @@ def test_split_solves_read_the_same_at_every_count(cpus, reps, monkeypatch):
     rep, seen = reps[2], set()
     for count in (1, 2, 3, 8):
         cpus(count)
-        u, _, metrics = recover_bump(rep, 2, 2, 8)
+        u, metrics = recover_bump(rep, 2, 2, 8)
         rows = resolution_sweep(rep, 2, 2, [8, 10])
         for row in rows:
             del row["timings"]
