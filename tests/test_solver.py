@@ -623,10 +623,10 @@ def test_analytic_data_is_genuinely_aliased(reps):
 def test_solve_peaks_hold_few_planes(reps):
     # at N = 32 a complex plane is 16 MiB; f_hat holds two, phi and u one
     # each.  The multipliers' scratch is slab-sized, so the main solve holds
-    # 4 planes (f_hat with phi_hat, u_hat, u, the anchoring's gather of the
-    # exterior values, or the residual's u_hat) and peaks near 4.15 above
-    # live memory; the rejected solve (f_hat and the noise, or u_hat) and a
-    # sweep row (f_hat and u_hat) peak near 3.14
+    # 4 planes (f_hat and two of phi_hat, u_hat, u, the anchoring's gather
+    # of the exterior values, phi or the residual's u_hat) and peaks near
+    # 4.15 above live memory; the rejected solve (f_hat and the noise, or
+    # u_hat) and a sweep row (f_hat and u_hat) peak near 3.14
     import tracemalloc
 
     rep = reps[2]
