@@ -39,19 +39,24 @@ busy-wait on the CPUs the parts run on; so it too reads the same at every
 count.  To use one core, run under `taskset`.
 
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
-grid axis at a time per part, so their scratch is two slabs per part, and at
-most N/2 parts run, so all of it fits in one plane.  The bump, its Dirac
-data, the exterior mask, the norms and the maxima work one slab at a time
-too; the anchoring gathers the exterior values slab by slab into one array
-and makes no index array.  The pipelines spend their own buffers:
-:func:`recover_bump` transforms phi in its own planes and frees them once
-f_hat = sigma0 phi_hat exists, builds phi again for the recovery error, and
-never forms f in real space; the residual check writes f_hat - sigma0 u_hat
-into f_hat's own planes.  :func:`resolution_sweep` transforms its data in its
-own planes.  Counted in planes (one complex grid per component: s for V0,
-k s for V1), the main solve holds at its peak f_hat and two V0 grids (u and
-its gather, phi, or the residual's u_hat), k s + 2 s (4 at k = n = 2, where
-s = 1), and a sweep row f_hat and u_hat, k s + s.
+grid axis at a time per part, so their scratch is a few slabs per part (k s + 2
+where f_hat's slab is formed), and at most N/2 parts run.  The bump, its
+Dirac data, the exterior mask, the norms and the maxima work one slab at a
+time too; the anchoring gathers the exterior values slab by slab into one
+array and makes no index array.  The pipelines spend their own buffers:
+:func:`recover_bump` transforms phi in its own planes and keeps f = D0 phi as
+phi_hat and the rows of sigma0; the solve and the residual check form f_hat =
+sigma0 phi_hat one slab at a time where they read it, so f_hat is never held
+as a grid, and f is never formed in real space.  phi is built again for the
+recovery error.  The residual check writes f_hat - sigma0 v_hat (v_hat = FFT(u))
+into the planes of phi_hat and v_hat, with (k - 2) s planes more where k > 2.
+:func:`resolution_sweep` transforms its data in its own planes.  Counted in
+planes (one complex grid per component: s for V0, k s for V1), every solve
+path holds at most one V1 grid and one V0 grid, (k + 1) s planes (3 at
+k = n = 2, where s = 1): the main solve phi_hat, u and a third V0 grid (u's
+gather, phi or v_hat) and the residual's (k - 2) s planes; a sweep row and a
+rejected solve f_hat and u_hat (or the noise).  Noisy data that a tolerance
+above its defect lets through holds f_hat beside u and one more V0 grid.
 """
 
 import contextlib
@@ -481,59 +486,61 @@ def _sigma_rows(rep, k, n, N, L, star=False):
     return [[w[A, r, t] for t in range(s)] for A in range(k) for r in range(s)]
 
 
-def _row_on_slab(row, x, i, dst, tmp):
-    """sum_c row[c] * x[c] on slab i of the first grid axis, into dst; tmp is
-    a slab of scratch."""
+def _row_on_slab(row, xs, i, dst, tmp):
+    """sum_c row[c] * xs[c] for xs the slab i of the first grid axis of
+    component planes, into dst; tmp is a slab of scratch."""
     # a weight grid has length 1 on the axes of the other blocks
     ws = [_slab(w, i) for w in row]
-    xs = x[:, i:i + 1]
     np.multiply(ws[0], xs[0], out=dst)
     for w, xc in zip(ws[1:], xs[1:]):
         dst += np.multiply(w, xc, out=tmp)
     return dst
 
 
-def _apply_rows(rows, x, out=None):
-    """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer, or
-    subtracted from the planes of `out` in place.  Each part of
-    :func:`_on_cores` runs its slabs of the first grid axis one at a time, so
-    its scratch is two slabs, not a plane."""
-    subtract = out is not None
-    if out is None:
-        out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
+def _apply_rows(rows, x):
+    """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer.
+    Each part of :func:`_on_cores` runs its slabs of the first grid axis one
+    at a time, so its scratch is one slab, not a plane."""
+    out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
 
     def part(slabs):
-        acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
+        tmp = np.empty((1,) + x.shape[2:], dtype=complex)
         for i in slabs:
             for row, plane in zip(rows, out[:, i:i + 1]):
-                if subtract:
-                    plane -= _row_on_slab(row, x, i, acc, tmp)
-                else:
-                    _row_on_slab(row, x, i, plane, tmp)
+                _row_on_slab(row, x[:, i:i + 1], i, plane, tmp)
 
     _on_cores(part, x.shape[1])
     return out
 
 
-def _defect_sq(rows, x, y):
-    """The sum of |y - sum_c rows[r][c] * x[c]|^2 over the planes of y, the
-    zero mode left out and y left as it is: the exact sum of one partial sum
-    per slab and row, from the scratch :func:`_apply_rows` holds."""
-    zero = (0,) * (y.ndim - 1)
-    sums = np.empty((y.shape[1], len(rows)))
+def _f_slab(x, rows, i, f, tmp):
+    """Slab i of the first grid axis of f_hat: x's own slab, or, given rows
+    (sigma0's), the planes sum_c rows[r][c] x[c] formed in the slab scratch f."""
+    xs = x[:, i:i + 1]
+    if rows is None:
+        return xs
+    for row, plane in zip(rows, f):
+        _row_on_slab(row, xs, i, plane, tmp)
+    return f
 
-    def part(slabs):
-        acc, tmp = np.empty((2, 1) + y.shape[2:], dtype=complex)
-        for i in slabs:
-            for r, (row, plane) in enumerate(zip(rows, y[:, i:i + 1])):
-                d = np.subtract(plane, _row_on_slab(row, x, i, acc, tmp), out=acc)
-                if i == 0:
-                    d[zero] = 0.0
-                d = d.view(np.float64)
-                sums[i, r] = np.square(d, out=d).sum()
 
-    _on_cores(part, y.shape[1])
-    return np.float64(math.fsum(sums.ravel()))
+def _sq_stats(sq):
+    """For float pairs sq, squared real and imaginary parts of component-first
+    slabs: their sum, and their largest sum of a pair (a squared modulus,
+    written over sq's real parts) and its flat index among the pairs."""
+    total = sq.sum()
+    mod2 = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
+    j = int(mod2.argmax())
+    return total, mod2.flat[j], j
+
+
+def _witness(best, at, shape):
+    """The grid point and component of the largest of the slabs' maxima
+    `best`: slab i's lies at flat index at[i] of its array of `shape`
+    (components, then the slab's axis of length 1, then the other axes)."""
+    i = int(best.argmax())
+    c, _, *point = np.unravel_index(int(at[i]), shape)
+    return {"point": [i, *map(int, point)], "component": int(c)}
 
 
 def _certify_modes(k, n, N):
@@ -574,47 +581,77 @@ def _lap(timings, key, t0):
     return time.perf_counter()
 
 
-def _solve_spectrum(fh, rep, k, n, L, tol, timings=None):
+def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
     """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat /
-    |xi|^2, from the spectrum fh of V1 data, left as it is.
+    |xi|^2, from the spectrum f_hat of V1 data: x itself, or with d0 sigma0 x,
+    the Dirac image of the V0 spectrum x.  x is left as it is.
 
     f must have (numerically) vanishing mean and satisfy D1 f = 0, i.e. f_hat
     in the range of sigma0 at xi != 0.  The guards measure the zero-mode
     share ("zero_mode_rel") and the distance ||f_hat - sigma0 u_hat|| to that
     range ("compat_rel"), both relative to ||f_hat|| and so free of units at
-    every L and N, and raise :class:`CompatibilityError` above tol.  tol=None,
-    for convergence studies on data that is not band-limited, measures the
-    zero-mode share only and raises nothing.  Returns the zero-mean solution
-    and a diagnostics record.  timings gets the seconds of the inverse FFT,
-    the multiplier with the guard and certification ("fft_s",
+    every L and N, and raise :class:`CompatibilityError` above tol, the
+    zero-mode guard first.  tol=None, for convergence studies on data that
+    is not band-limited, measures the zero-mode share only and raises
+    nothing.  One pass over the slabs of the first grid axis forms each slab
+    of f_hat (with d0, in slab scratch, so f_hat is never a grid), adds up
+    its squares and keeps its zero mode, writes u_hat's slab and sums the
+    defect's squares on it.  Returns the zero-mean solution, a diagnostics
+    record and ||f_hat||^2.  timings gets the seconds of the inverse FFT,
+    the pass with the guards and of the certification ("fft_s",
     "multiplier_s", "certify_s"), and the parts the grid work is split into
     ("workers", see :func:`_on_cores`)."""
-    N = fh.shape[1]
-    zero = (slice(None),) + (0,) * (k * n)
     t = time.perf_counter()
-    fnorm = float(np.sqrt(_sum_sq(fh))) or 1.0  # zero data: both guards read 0
-    rel0 = float(np.linalg.norm(fh[zero]) / fnorm)
+    N, kn = x.shape[1], k * n
+    sigma = _sigma_rows(rep, k, n, N, L) if d0 or tol is not None else None
+    star = _sigma_rows(rep, k, n, N, L, star=True)
+    rows = sigma if d0 else None
+    dim = len(sigma) if d0 else len(x)
+    uh = np.empty((len(star),) + x.shape[1:], dtype=complex)
+    sq = _freqs(N, L) ** 2
+    rest = [sq.reshape((N,) + (1,) * (kn - 1 - t)) for t in range(1, kn)]
+    # per slab: ||f_hat||^2, then the defect's squares per row of sigma0
+    sums = np.empty((N, 1 + (dim if tol is not None else 0)))
+    zero = np.empty(dim, dtype=complex)
+
+    def part(slabs):
+        acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
+        f = np.empty((dim, 1) + x.shape[2:], dtype=complex) if d0 else None
+        for i in slabs:
+            fs = _f_slab(x, rows, i, f, tmp)
+            sums[i, 0] = np.square(fs.view(np.float64)).sum()
+            if i == 0:
+                zero[:] = fs[(slice(None),) + (0,) * kn]
+            # sigma0* is exactly 0 at xi = 0, so u_hat's zero mode is 0
+            # whatever f_hat's
+            us = uh[:, i:i + 1]
+            for row, plane in zip(star, us):
+                _row_on_slab(row, fs, i, plane, tmp)
+            xi2 = sum(rest, sq[i])
+            if i == 0:
+                xi2.flat[0] = 1.0  # u_hat stays 0 at xi = 0
+            us /= xi2
+            if tol is None:
+                continue
+            for r, (row, plane) in enumerate(zip(sigma, fs), 1):
+                d = np.subtract(plane, _row_on_slab(row, us, i, acc, tmp), out=acc)
+                if i == 0:
+                    d[(0,) * kn] = 0.0  # the zero mode is the other guard's
+                d = d.view(np.float64)
+                sums[i, r] = np.square(d, out=d).sum()
+
+    workers = _on_cores(part, N)
+    f_sq = np.float64(math.fsum(sums[:, 0]))
+    fnorm = float(np.sqrt(f_sq)) or 1.0  # zero data: both guards read 0
+    rel0 = float(np.linalg.norm(zero) / fnorm)
     diag = {"zero_mode_rel": rel0}
     if tol is not None and rel0 > tol:
         raise CompatibilityError(
             f"zero-frequency component too large ({rel0:.3e} > {tol:.1e}); "
             "data must have vanishing mean"
         )
-    # sigma0* is exactly 0 at xi = 0, so u_hat's zero mode is 0 whatever f_hat's
-    uh = _apply_rows(_sigma_rows(rep, k, n, N, L, star=True), fh)
-    sq = _freqs(N, L) ** 2
-    rest = [sq.reshape((N,) + (1,) * (k * n - 1 - t)) for t in range(1, k * n)]
-
-    def divide(slabs):  # |xi|^2 one slab of the first grid axis at a time
-        for i in slabs:
-            xi2 = sum(rest, sq[i])
-            if i == 0:
-                xi2.flat[0] = 1.0  # u_hat stays 0 at xi = 0
-            uh[:, i] /= xi2
-
-    workers = _on_cores(divide, N)
     if tol is not None:
-        compat = float(np.sqrt(_defect_sq(_sigma_rows(rep, k, n, N, L), uh, fh)) / fnorm)
+        compat = float(np.sqrt(np.float64(math.fsum(sums[:, 1:].ravel()))) / fnorm)
         diag["compat_rel"] = compat
         if compat > tol:
             raise CompatibilityError(
@@ -628,7 +665,7 @@ def _solve_spectrum(fh, rep, k, n, L, tol, timings=None):
     t = _lap(timings, "certify_s", t)
     _fftn(uh, uh, inverse=True)
     _lap(timings, "fft_s", t)
-    return GridField(k, n, N, L, "V0", np.moveaxis(uh, 0, -1)), diag
+    return GridField(k, n, N, L, "V0", np.moveaxis(uh, 0, -1)), diag, f_sq
 
 
 def exterior_mask(u, center, radius):
@@ -702,28 +739,53 @@ def hartogs_report(u, mask):
             "ratio": emax / umax if umax > 0 else 0.0}
 
 
-def _dirac_residual(u, fh, rep):
-    """||D0 u - f|| / ||f|| on the grid for f the inverse FFT of fh, and the
-    grid point and component of the largest |D0 u - f|.  fh - sigma0 u_hat
-    is formed, transformed and squared in fh's own planes, which it spends;
-    ||f||^2 = ||fh||^2 / N^{kn} is read first.  The FFTs are part of what it
-    checks."""
-    fsq = _sum_sq(fh) / u.N ** (u.k * u.n)
-    _apply_rows(_sigma_rows(rep, u.k, u.n, u.N, u.L), _fft(u.planes), out=fh)
-    _fftn(fh, fh, inverse=True)
+def _dirac_residual(u, x, f_sq, rep, d0=False):
+    """||D0 u - f|| / ||f|| on the grid, for f the inverse FFT of f_hat = x
+    or, with d0, sigma0 x (as in :func:`_solve_spectrum`, whose ||f_hat||^2
+    is f_sq), and the grid point and component of the largest |D0 u - f|.
+    With v_hat = FFT(u), the difference f_hat - sigma0 v_hat is formed slab by
+    slab in x's own planes (with d0 also in v_hat's, and in (k - 2) s planes
+    more where k > 2), which it spends, transformed back and squared.  The
+    FFTs are part of what it checks."""
+    sigma = _sigma_rows(rep, u.k, u.n, u.N, u.L)
+    vh = _fft(u.planes)
+    shape = (len(sigma), 1) + x.shape[2:]
+    # the planes that take the difference, in order
+    bufs, need = [], len(sigma)
+    for b in ([x, vh] if d0 else [x]):
+        if need:
+            bufs.append(b[:need])
+            need -= len(bufs[-1])
+    if need:
+        bufs.append(np.empty((need,) + x.shape[1:], dtype=complex))
+    outs = [plane for b in bufs for plane in b]
+
+    def part(slabs):
+        acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
+        f = np.empty(shape, dtype=complex) if d0 else None
+        for i in slabs:
+            fs = _f_slab(x, sigma if d0 else None, i, f, tmp)
+            for row, plane in zip(sigma, fs):
+                np.subtract(plane, _row_on_slab(row, vh[:, i:i + 1], i, acc, tmp),
+                            out=plane)
+            if d0:  # every row has read the slab of x and v_hat it overwrites
+                for plane, out in zip(fs, outs):
+                    out[i:i + 1] = plane
+
+    _on_cores(part, u.N)
+    for b in bufs:
+        _fftn(b, b, inverse=True)
 
     def slab(i):  # its sum of squares, and its largest squared modulus and where
-        sq = fh[:, i:i + 1].view(np.float64)
-        total = np.square(sq, out=sq).sum()
-        mod2 = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
-        j = int(mod2.argmax())
-        return total, mod2.flat[j], j
+        sq = np.empty(shape, dtype=complex).view(np.float64)
+        for out, dst in zip(outs, sq):
+            np.square(out[i:i + 1].view(np.float64), out=dst)
+        return _sq_stats(sq)
 
     sums = _per_slab(slab, u.N, (3,))
-    i = int(sums[:, 1].argmax())
-    c, _, *point = np.unravel_index(int(sums[i, 2]), fh[:, :1].shape)
+    fsq = f_sq / u.N ** (u.k * u.n)
     resid = float(np.sqrt(math.fsum(sums[:, 0])) / np.sqrt(fsq))
-    return resid, {"point": [i, *map(int, point)], "component": int(c)}
+    return resid, _witness(sums[:, 1], sums[:, 2], shape)
 
 
 def _recovery(u, phi):
@@ -735,32 +797,38 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
                  break_compat=False, timings=None):
     """Full pipeline: bump -> grid d0 -> solve -> anchored recovery metrics.
 
-    f = D0 phi stays the spectrum sigma0 phi_hat; phi is transformed in its
-    own planes, freed, and built again (:func:`make_bump`) for the recovery
-    error.  break_compat adds mean-free noise to f in real space, which the
-    compatibility guard rejects; timings gets the stage times of
-    :func:`_solve_spectrum`, "data_s" (the bump, its d0 spectrum and the
-    noise), "anchor_s" and "residual_s" (the recovery error, the exterior
-    decay and the Dirac residual), and the counts of the solve's team
-    (:func:`_team`): "fft_planes" and "regions".  Every grid pass runs on
-    that one team.  Returns the anchored solution and the metrics."""
+    phi is transformed in its own planes, and f = D0 phi is kept as phi_hat
+    with the rows of sigma0: the solve and the residual check form f_hat =
+    sigma0 phi_hat slab by slab where they read it, so f_hat is never a grid.
+    phi is built again (:func:`make_bump`) for the recovery error.
+    break_compat adds mean-free noise to f in real space, which the
+    compatibility guard rejects; noisy f has no closed-form spectrum, so it is
+    held whole.  timings gets the stage times of :func:`_solve_spectrum`,
+    "data_s" (the bump, its spectrum and the noise), "anchor_s" and
+    "residual_s" (the recovery error, the exterior decay and the Dirac
+    residual), and the counts of the solve's team (:func:`_team`):
+    "fft_planes" and "regions".  Every grid pass runs on that one team.
+    Returns the anchored solution and the metrics."""
     if center is None:
         center = np.full(k * n, L / 2)
     s = rep.s_dim
-    # at the peak, f_hat and two V0 grids: u and its gather, phi or u_hat
-    _require_memory(k, n, N, k * s + 2 * s)
+    # at the peak, (k + 1) s planes: phi_hat, u and, for the residual, v_hat
+    # and (k - 2) s more (or the anchoring's gather, or phi); noisy f_hat is
+    # held whole, beside the noise or u and the anchoring's output
+    _require_memory(k, n, N, k * s + (2 * s if break_compat else s))
     with _team() as team:
         team.fit(N ** (k * n - 1))
         t = time.perf_counter()
-        phi_hat = make_bump(rep, k, n, N, L, center, radius).planes
-        fh = _apply_rows(_sigma_rows(rep, k, n, N, L), _fftn(phi_hat, phi_hat))
-        del phi_hat
+        x = make_bump(rep, k, n, N, L, center, radius).planes
+        _fftn(x, x)
         if break_compat:
-            _fftn(fh, fh, inverse=True)
-            _add_noise(GridField(k, n, N, L, "V1", np.moveaxis(fh, 0, -1)))
-            _fftn(fh, fh)
+            x = _apply_rows(_sigma_rows(rep, k, n, N, L), x)  # frees phi_hat
+            _fftn(x, x, inverse=True)
+            _add_noise(GridField(k, n, N, L, "V1", np.moveaxis(x, 0, -1)))
+            _fftn(x, x)
         _lap(timings, "data_s", t)
-        u, diag = _solve_spectrum(fh, rep, k, n, L, tol, timings)
+        d0 = not break_compat
+        u, diag, f_sq = _solve_spectrum(x, rep, k, n, L, tol, d0, timings)
         t = time.perf_counter()
         mask = exterior_mask(u, center, radius)
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
@@ -768,7 +836,7 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         recovery = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
         hartogs = hartogs_report(u, mask)
         del mask
-        residual, witness = _dirac_residual(u, fh, rep)
+        residual, witness = _dirac_residual(u, x, f_sq, rep, d0)
         metrics = {
             "recovery_rel_l2": recovery,
             "dirac_residual_rel_l2": residual,
@@ -826,7 +894,7 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
             t, planes, regions = time.perf_counter(), team.fft_planes, team.regions
             team.fit(N ** (k * n - 1))
             fh = bump_dirac_data(rep, k, n, N, L, center, radius).planes
-            u, diag = _solve_spectrum(_fftn(fh, fh), rep, k, n, L, None)
+            u, diag, _ = _solve_spectrum(_fftn(fh, fh), rep, k, n, L, None)
             del fh  # freed before the anchoring, to lower the peak
             u = anchor_exterior(u, exterior_mask(u, center, radius))
             err = _recovery(u, make_bump(rep, k, n, N, L, center, radius))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -288,7 +290,72 @@ def solve_d0(f, rep, tol=1e-6):
     # f_hat, u_hat and one plane over the slab-sized scratch of the
     # multipliers and of |xi|^2
     solver._require_memory(f.k, f.n, f.N, f.dim + rep.s_dim + 1)
-    return solver._solve_spectrum(solver._fft(f.planes), rep, f.k, f.n, f.L, tol)
+    return solver._solve_spectrum(solver._fft(f.planes), rep, f.k, f.n, f.L, tol)[:2]
+
+
+def defect_sq(rows, x, y):
+    """The sum of |y - sum_c rows[r][c] * x[c]|^2 over the planes of y, the
+    zero mode left out and y left as it is: the exact sum of one NumPy
+    partial sum per slab of grid axis 1 and row, on one thread."""
+    zero = (0,) * (y.ndim - 1)
+    acc, tmp = np.empty((2, 1) + y.shape[2:], dtype=complex)
+    sums = []
+    for i in range(y.shape[1]):
+        for row, plane in zip(rows, y[:, i:i + 1]):
+            d = np.subtract(plane, solver._row_on_slab(row, x[:, i:i + 1], i, acc, tmp),
+                            out=acc)
+            if i == 0:
+                d[zero] = 0.0
+            d = d.view(np.float64)
+            sums.append(np.square(d, out=d).sum())
+    return np.float64(math.fsum(sums))
+
+
+def solve_spectrum_in_passes(fh, rep, k, n, L, tol):
+    """u_hat, zero_mode_rel and compat_rel (None for tol=None) of the solve
+    of the spectrum fh, held as a grid, in separate passes: ||f_hat||, the
+    zero mode, sigma0* f_hat, the division by |xi|^2 one slab at a time and
+    the defect.  Raises nothing; fh is left as it is."""
+    N = fh.shape[1]
+    fnorm = float(np.sqrt(solver._sum_sq(fh))) or 1.0
+    rel0 = float(np.linalg.norm(fh[(slice(None),) + (0,) * (k * n)]) / fnorm)
+    uh = solver._apply_rows(solver._sigma_rows(rep, k, n, N, L, star=True), fh)
+    sq = solver._freqs(N, L) ** 2
+    rest = [sq.reshape((N,) + (1,) * (k * n - 1 - t)) for t in range(1, k * n)]
+    for i in range(N):
+        xi2 = sum(rest, sq[i])
+        if i == 0:
+            xi2.flat[0] = 1.0
+        uh[:, i] /= xi2
+    if tol is None:
+        return uh, rel0, None
+    rows = solver._sigma_rows(rep, k, n, N, L)
+    return uh, rel0, float(np.sqrt(defect_sq(rows, uh, fh)) / fnorm)
+
+
+def dirac_residual_in_f_hat_planes(u, fh, rep):
+    """The Dirac residual and its witness by the route that holds f_hat as a
+    grid fh: fh - sigma0 v_hat, v_hat = FFT(u), written into fh's own planes,
+    which it spends, transformed back and squared there, on one thread."""
+    fsq = solver._sum_sq(fh) / u.N ** (u.k * u.n)
+    vh = solver._fft(u.planes)
+    acc, tmp = np.empty((2, 1) + fh.shape[2:], dtype=complex)
+    for i in range(u.N):
+        for row, plane in zip(solver._sigma_rows(rep, u.k, u.n, u.N, u.L), fh[:, i:i + 1]):
+            plane -= solver._row_on_slab(row, vh[:, i:i + 1], i, acc, tmp)
+    solver._fftn(fh, fh, inverse=True)
+    sums = []
+    for i in range(u.N):
+        sq = fh[:, i:i + 1].view(np.float64)
+        total = np.square(sq, out=sq).sum()
+        mod2 = np.add(sq[..., 0::2], sq[..., 1::2], out=sq[..., 0::2])
+        j = int(mod2.argmax())
+        sums.append((total, mod2.flat[j], j))
+    sums = np.array(sums)
+    i = int(sums[:, 1].argmax())
+    c, _, *point = np.unravel_index(int(sums[i, 2]), fh[:, :1].shape)
+    resid = float(np.sqrt(math.fsum(sums[:, 0])) / np.sqrt(fsq))
+    return resid, {"point": [i, *map(int, point)], "component": int(c)}
 
 
 def recover_bump_in_real_space(rep, k, n, N, L=2 * np.pi, radius=0.6, tol=1e-6,

@@ -2,7 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import apply_spectral, grid_inner, recover_bump_in_real_space, solve_d0
+from conftest import (
+    apply_spectral,
+    dirac_residual_in_f_hat_planes,
+    grid_inner,
+    recover_bump_in_real_space,
+    solve_d0,
+    solve_spectrum_in_passes,
+)
 
 from diraclab import build_clifford
 from diraclab.solver import (
@@ -251,6 +258,70 @@ def test_dirac_residual_names_its_worst_point(reps):
         np.linalg.norm(diff) / np.linalg.norm(f), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("d0", [True, False])
+@pytest.mark.parametrize("tol", [1.0, None])
+@pytest.mark.parametrize("k, n, N", [(2, 2, 16), (2, 3, 6), (3, 1, 12)])
+def test_fused_pass_matches_the_pass_by_pass_oracle(k, n, N, tol, d0, cpus, reps,
+                                                    monkeypatch):
+    # the solve's one pass over the slabs, from phi_hat with the rows of
+    # sigma0 (d0) or from a given f_hat, gives the u_hat, zero_mode_rel and
+    # compat_rel of separate passes over f_hat held as a grid bit for bit,
+    # and ||f_hat||^2, at every count of parts; tol = 1.0 measures both
+    # guards and raises nothing, since both shares are at most 1
+    from diraclab import solver
+
+    rep, center = reps[n], np.full(k * n, L / 2)
+    rows = solver._sigma_rows(rep, k, n, N, L)
+    if d0:
+        x = solver._fft(make_bump(rep, k, n, N, L, center, 0.6).planes)
+        fh = solver._apply_rows(rows, x)
+    else:  # off the range of sigma0 and not mean-free
+        f = bump_dirac_data(rep, k, n, N, L, center, 0.6).planes
+        x = fh = solver._fft(f + 1e-3 * complex_normal(np.random.default_rng(N), f.shape))
+    want_uh, want_rel0, want_compat = solve_spectrum_in_passes(fh, rep, k, n, L, tol)
+    if not d0:
+        assert want_rel0 > 0 and want_compat != 0
+    before = x.tobytes()
+    seen, fftn = [], solver._fftn
+
+    def spy(a, out, inverse=False):  # u_hat, before it is transformed back
+        if inverse:
+            seen.append(a.copy())
+        return fftn(a, out, inverse=inverse)
+
+    monkeypatch.setattr(solver, "_fftn", spy)
+    monkeypatch.setattr(solver, "_SPLIT_POINTS", 0)
+    for count in (1, 3):
+        cpus(count)
+        seen.clear()
+        _, diag, f_sq = solver._solve_spectrum(x, rep, k, n, L, tol, d0=d0)
+        assert seen[0].tobytes() == want_uh.tobytes(), count
+        assert diag["zero_mode_rel"] == want_rel0
+        assert diag.get("compat_rel") == want_compat
+        assert f_sq == solver._sum_sq(fh)
+        assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("k, n, N", [(2, 2, 12), (2, 3, 6), (3, 1, 12)])
+def test_dirac_residual_matches_the_f_hat_plane_route(k, n, N, reps):
+    # the residual check forms f_hat - sigma0 v_hat from phi_hat slab by slab
+    # into the planes of phi_hat, v_hat and, at k = 3, one more V0 grid; the
+    # route that holds f_hat = sigma0 phi_hat as a grid and writes the
+    # difference into its planes gives its value and witness bit for bit, as
+    # does the residual of f_hat given whole
+    from diraclab import solver
+
+    rep, center = reps[n], np.full(k * n, L / 2)
+    u, metrics = recover_bump(rep, k, n, N)
+    phi_hat = solver._fft(make_bump(rep, k, n, N, L, center, 0.6).planes)
+    fh = solver._apply_rows(solver._sigma_rows(rep, k, n, N, L), phi_hat)
+    f_sq = solver._sum_sq(fh)
+    given = solver._dirac_residual(u, fh.copy(), f_sq, rep)
+    want = dirac_residual_in_f_hat_planes(u, fh, rep)
+    assert solver._dirac_residual(u, phi_hat, f_sq, rep, d0=True) == want == given
+    assert (metrics["dirac_residual_rel_l2"], metrics["dirac_residual_witness"]) == want
+
+
 def test_certification_samples_generic_modes(reps):
     # the sampled modes are drawn over the whole grid, so they include modes
     # with xi_00 != 0 and with X = xi.reshape(k, n) of full rank; the
@@ -457,13 +528,13 @@ def test_memory_guard_estimates_track_peaks(monkeypatch, reps):
 
 @pytest.mark.parametrize("call", ["recover_bump", "resolution_sweep"])
 def test_pipelines_refuse_what_they_hold_together(call, monkeypatch, reps):
-    # at k = n = 2 and N = 72 (recover_bump) or 77 (resolution_sweep) each
-    # call of the pipeline fits a 2 GiB cap on its own, but what the pipeline
-    # holds at once does not: it is refused before any grid is made.  At
-    # N - 1 it passes its guard and makes one
+    # at k = n = 2 and N = 77 each call of the pipeline fits a 2 GiB cap on
+    # its own, but what the pipeline holds at once (k s + s planes in both)
+    # does not: it is refused before any grid is made.  At N - 1 it passes
+    # its guard and makes one
     from diraclab import solver
 
-    rep, N = reps[2], {"recover_bump": 72, "resolution_sweep": 77}[call]
+    rep, N = reps[2], 77
     monkeypatch.setenv("DIRACLAB_MEM_LIMIT_GIB", "2.0")
     monkeypatch.setattr(solver, "make_bump", None)  # a grid made would raise TypeError
     monkeypatch.setattr(solver, "bump_dirac_data", None)
@@ -621,12 +692,14 @@ def test_analytic_data_is_genuinely_aliased(reps):
 
 
 def test_solve_peaks_hold_few_planes(reps):
-    # at N = 32 a complex plane is 16 MiB; f_hat holds two, phi and u one
-    # each.  The multipliers' scratch is slab-sized, so the main solve holds
-    # 4 planes (f_hat and two of phi_hat, u_hat, u, the anchoring's gather
-    # of the exterior values, phi or the residual's u_hat) and peaks near
-    # 4.15 above live memory; the rejected solve (f_hat and the noise, or
-    # u_hat) and a sweep row (f_hat and u_hat) peak near 3.14
+    # at N = 32 a complex plane is 16 MiB; f_hat would hold two, phi and u
+    # one each.  The main solve forms f_hat = sigma0 phi_hat slab by slab
+    # and never holds it, and the scratch of every pass is slab-sized, so it
+    # holds 3 planes (phi_hat and two of u_hat, u, the anchoring's gather of
+    # the exterior values, phi, or the residual's v_hat, whose planes take
+    # the difference with phi_hat's); the rejected solve (f_hat and the
+    # noise, or u_hat) and a sweep row (f_hat and u_hat) hold 3 too.  Each
+    # peaks a little above that: the slab scratch and the certification
     import tracemalloc
 
     rep = reps[2]
@@ -638,7 +711,7 @@ def test_solve_peaks_hold_few_planes(reps):
             recover_bump(rep, 2, 2, N, break_compat=True)
 
     calls = {
-        "recover_bump": (lambda: recover_bump(rep, 2, 2, N), 4.5),
+        "recover_bump": (lambda: recover_bump(rep, 2, 2, N), 3.5),
         "break_compat": (rejected, 3.5),
         "resolution_sweep": (lambda: resolution_sweep(rep, 2, 2, [N]), 3.5),
     }
@@ -676,22 +749,17 @@ def cpus(monkeypatch):
     return force
 
 
-def serial_rows(rows, x, out=None):
+def serial_rows(rows, x):
     """The multiplier loop on one thread, one slab at a time: the oracle."""
-    subtract = out is not None
-    if out is None:
-        out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
-    acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
+    out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
+    tmp = np.empty((1,) + x.shape[2:], dtype=complex)
     for i in range(x.shape[1]):
         xs = x[:, i:i + 1]
         for row, plane in zip(rows, out[:, i:i + 1]):
             ws = [w[i:i + 1] if w.shape[0] > 1 else w for w in row]
-            dst = acc if subtract else plane
-            np.multiply(ws[0], xs[0], out=dst)
+            np.multiply(ws[0], xs[0], out=plane)
             for w, xc in zip(ws[1:], xs[1:]):
-                dst += np.multiply(w, xc, out=tmp)
-            if subtract:
-                plane -= acc
+                plane += np.multiply(w, xc, out=tmp)
     return out
 
 
@@ -727,10 +795,6 @@ def test_parallel_kernels_match_serial_bitwise(kn, count, cpus):
                     for _ in range(1 + (N + comps) % 3)]
             want = serial_rows(rows, x)
             assert _apply_rows(rows, x).tobytes() == want.tobytes(), (N, comps)
-            base = complex_normal(rng, want.shape)
-            want, got = serial_rows(rows, x, out=base.copy()), base.copy()
-            _apply_rows(rows, x, out=got)
-            assert got.tobytes() == want.tobytes(), (N, comps)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
@@ -1050,7 +1114,12 @@ def test_one_team_per_solve(cpus, reps, monkeypatch):
     timings = {}
     recover_bump(reps[2], 2, 2, 8, timings=timings)
     assert timings["workers"] == 3 and len(started) == 2
-    assert timings["regions"] > 20 and timings["fft_planes"] == 5
+    # the bump 1, phi's transform 2, the solve's pass 1, u_hat's transform 2,
+    # the mask 1, the anchoring 2, the bump again 1, the recovery error 2, the
+    # exterior maxima 1, and the residual check 8: u's transform 2, the
+    # difference 1, its transforms in phi_hat's and v_hat's planes 2 + 2 and
+    # its sums 1
+    assert timings["regions"] == 21 and timings["fft_planes"] == 5
     assert threading.active_count() == before
     assert sorted(pins[:-1], key=min) == [{0}, {1}, {2}] and pins[-1] == {0, 1, 2}
     started.clear()
