@@ -465,12 +465,12 @@ def run_solve(args):
     del u  # the sweep runs without it, which lowers its memory peak
     checks = [
         _check("bump_recovery", "u = D0* D0 D0* G1 (D0 phi) recovers phi",
-               metrics["recovery_rel_l2"], 1e-6),
+               metrics["recovery_rel_l2"], 1e-6, witness=metrics["recovery_witness"]),
         _check("dirac_residual", "D0 u = f on the grid",
                metrics["dirac_residual_rel_l2"], 1e-8,
                witness=metrics["dirac_residual_witness"]),
         _check("exterior_vanishing", "u vanishes outside the data support",
-               metrics["hartogs"]["ratio"], 1e-6),
+               metrics["hartogs"]["ratio"], 1e-6, witness=metrics["exterior_witness"]),
     ]
     sweep_rows, row_timings = [], []
     t_sweep = time.perf_counter()

@@ -417,20 +417,6 @@ def _per_slab(fn, n, shape=()):
     return out
 
 
-def _sum_sq(x, sub=None):
-    """The sum of |x - sub|^2 (of |x|^2 without sub) over component-first
-    planes: the exact sum of one partial sum per slab of grid axis 1, each
-    from NumPy's pairwise sums, not BLAS, whose threads would busy-wait on
-    the parts' CPUs."""
-    def slab(i):  # the real and imaginary parts as one float array
-        if sub is None:
-            return np.square(x[:, i:i + 1].view(np.float64)).sum()
-        d = np.subtract(x[:, i:i + 1], sub[:, i:i + 1]).view(np.float64)
-        return np.square(d, out=d).sum()
-
-    return np.float64(math.fsum(_per_slab(slab, x.shape[1])))
-
-
 def _fftn(x, out, inverse=False):
     """The FFT (inverse FFT) of every component plane of x over all grid axes,
     into out, which may be x itself.  As np.fft.fftn does, one 1-D transform
@@ -726,17 +712,22 @@ def hartogs_report(u, mask):
     """Exterior decay metrics for a solution produced from supported data.
 
     Reports the max of |u| over the exterior region `mask`
-    (:func:`exterior_mask`), against the global max.
+    (:func:`exterior_mask`, never empty), against the global max, and the
+    grid point and component of the exterior max.
     """
     mask = mask.reshape(u.planes.shape[1:])
 
-    def maxima(i):  # |u| >= 0, so 0 is the max of a slab with no exterior point
-        mag = np.abs(u.planes[:, i])
-        return mag.max(), mag.max(where=mask[i], initial=0.0)
+    def maxima(i):  # the slab's largest |u|, and its largest exterior |u| and where
+        mag = np.abs(u.planes[:, i:i + 1])
+        outside = np.where(mask[i], mag, -1.0)  # -1: below every |u|
+        j = int(outside.argmax())
+        return mag.max(), outside.flat[j], j
 
-    umax, emax = (float(m) for m in _per_slab(maxima, u.N, (2,)).max(axis=0))
-    return {"exterior_max": emax, "global_max": umax,
-            "ratio": emax / umax if umax > 0 else 0.0}
+    m = _per_slab(maxima, u.N, (3,))
+    umax, emax = float(m[:, 0].max()), float(m[:, 1].max())
+    return ({"exterior_max": emax, "global_max": umax,
+             "ratio": emax / umax if umax > 0 else 0.0},
+            _witness(m[:, 1], m[:, 2], (u.dim, 1) + mask.shape[1:]))
 
 
 def _dirac_residual(u, x, f_sq, rep, d0=False):
@@ -789,8 +780,16 @@ def _dirac_residual(u, x, f_sq, rep, d0=False):
 
 
 def _recovery(u, phi):
-    """||u - phi|| / ||phi|| on the grid."""
-    return float(np.sqrt(_sum_sq(u.planes, phi.planes)) / np.sqrt(_sum_sq(phi.planes)))
+    """||u - phi|| / ||phi|| on the grid, and the grid point and component of
+    the largest |u - phi|."""
+    def slab(i):  # phi's sum of squares, then u - phi's, its largest and where
+        d = np.subtract(u.planes[:, i:i + 1], phi.planes[:, i:i + 1]).view(np.float64)
+        return (np.square(phi.planes[:, i:i + 1].view(np.float64)).sum(),
+                *_sq_stats(np.square(d, out=d)))
+
+    sums = _per_slab(slab, u.N, (4,))
+    value = float(np.sqrt(math.fsum(sums[:, 1])) / np.sqrt(math.fsum(sums[:, 0])))
+    return value, _witness(sums[:, 2], sums[:, 3], (u.dim, 1) + u.planes.shape[2:])
 
 
 def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
@@ -833,15 +832,17 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         mask = exterior_mask(u, center, radius)
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
         t = _lap(timings, "anchor_s", t)
-        recovery = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
-        hartogs = hartogs_report(u, mask)
+        recovery, recovery_at = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
+        hartogs, exterior_at = hartogs_report(u, mask)
         del mask
-        residual, witness = _dirac_residual(u, x, f_sq, rep, d0)
+        residual, residual_at = _dirac_residual(u, x, f_sq, rep, d0)
         metrics = {
             "recovery_rel_l2": recovery,
+            "recovery_witness": recovery_at,
             "dirac_residual_rel_l2": residual,
-            "dirac_residual_witness": witness,
+            "dirac_residual_witness": residual_at,
             "hartogs": hartogs,
+            "exterior_witness": exterior_at,
         }
         _lap(timings, "residual_s", t)
         if timings is not None:
@@ -897,7 +898,7 @@ def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):
             u, diag, _ = _solve_spectrum(_fftn(fh, fh), rep, k, n, L, None)
             del fh  # freed before the anchoring, to lower the peak
             u = anchor_exterior(u, exterior_mask(u, center, radius))
-            err = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
+            err, _ = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
             del u  # not carried into the next resolution's solve
             rows.append({"N": int(N), "recovery_rel_l2": err,
                          "zero_mode_rel": diag["zero_mode_rel"],

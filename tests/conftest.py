@@ -293,6 +293,19 @@ def solve_d0(f, rep, tol=1e-6):
     return solver._solve_spectrum(solver._fft(f.planes), rep, f.k, f.n, f.L, tol)[:2]
 
 
+def sum_sq(x, sub=None):
+    """The sum of |x - sub|^2 (of |x|^2 without sub) over component-first
+    planes: the exact sum of one NumPy partial sum per slab of grid axis 1,
+    as the solver's passes add up their norms."""
+    def slab(i):  # the real and imaginary parts as one float array
+        if sub is None:
+            return np.square(x[:, i:i + 1].view(np.float64)).sum()
+        d = np.subtract(x[:, i:i + 1], sub[:, i:i + 1]).view(np.float64)
+        return np.square(d, out=d).sum()
+
+    return np.float64(math.fsum(slab(i) for i in range(x.shape[1])))
+
+
 def defect_sq(rows, x, y):
     """The sum of |y - sum_c rows[r][c] * x[c]|^2 over the planes of y, the
     zero mode left out and y left as it is: the exact sum of one NumPy
@@ -317,7 +330,7 @@ def solve_spectrum_in_passes(fh, rep, k, n, L, tol):
     zero mode, sigma0* f_hat, the division by |xi|^2 one slab at a time and
     the defect.  Raises nothing; fh is left as it is."""
     N = fh.shape[1]
-    fnorm = float(np.sqrt(solver._sum_sq(fh))) or 1.0
+    fnorm = float(np.sqrt(sum_sq(fh))) or 1.0
     rel0 = float(np.linalg.norm(fh[(slice(None),) + (0,) * (k * n)]) / fnorm)
     uh = solver._apply_rows(solver._sigma_rows(rep, k, n, N, L, star=True), fh)
     sq = solver._freqs(N, L) ** 2
@@ -337,7 +350,7 @@ def dirac_residual_in_f_hat_planes(u, fh, rep):
     """The Dirac residual and its witness by the route that holds f_hat as a
     grid fh: fh - sigma0 v_hat, v_hat = FFT(u), written into fh's own planes,
     which it spends, transformed back and squared there, on one thread."""
-    fsq = solver._sum_sq(fh) / u.N ** (u.k * u.n)
+    fsq = sum_sq(fh) / u.N ** (u.k * u.n)
     vh = solver._fft(u.planes)
     acc, tmp = np.empty((2, 1) + fh.shape[2:], dtype=complex)
     for i in range(u.N):
@@ -377,12 +390,12 @@ def recover_bump_in_real_space(rep, k, n, N, L=2 * np.pi, radius=0.6, tol=1e-6,
     for row, fp in zip(solver._sigma_rows(rep, k, n, N, L), f.planes):
         plane = solver._apply_rows([row], uh)
         solver._fftn(plane, plane, inverse=True)
-        sq += solver._sum_sq(plane, fp[None])
+        sq += sum_sq(plane, fp[None])
     return {
-        "recovery_rel_l2": float(np.sqrt(solver._sum_sq(u.planes, phi.planes))
-                                 / np.sqrt(solver._sum_sq(phi.planes))),
-        "dirac_residual_rel_l2": float(np.sqrt(sq) / np.sqrt(solver._sum_sq(f.planes))),
-        "hartogs": solver.hartogs_report(u, mask),
+        "recovery_rel_l2": float(np.sqrt(sum_sq(u.planes, phi.planes))
+                                 / np.sqrt(sum_sq(phi.planes))),
+        "dirac_residual_rel_l2": float(np.sqrt(sq) / np.sqrt(sum_sq(f.planes))),
+        "hartogs": solver.hartogs_report(u, mask)[0],
         **diag,
     }
 

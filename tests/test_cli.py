@@ -210,6 +210,35 @@ def assert_worst(check, replayed, witness):
     assert max(replayed) <= check["value"] * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("k, n, N", [(2, 2, 12), (2, 3, 6)])
+def test_solve_witnesses_replay(k, n, N, capsys, tmp_path):
+    # bump_recovery names the grid point and component of the largest
+    # |u - phi|, exterior_vanishing those of the largest exterior |u|; the
+    # dumped solution and the bump rebuilt from the report's parameters give
+    # both again bit for bit, and the exterior one the check's value
+    from diraclab import build_clifford, solver
+
+    path = tmp_path / "u.bin"
+    code, report = run_cli(capsys, "solve", "--k", str(k), "--n", str(n), "--N", str(N),
+                           "--out", str(path))
+    assert code == EXIT_PASS
+    checks, metrics = {c["name"]: c for c in report["checks"]}, report["metrics"]
+    cell, radius = report["parameters"]["L"], report["parameters"]["radius"]
+    center = np.full(k * n, cell / 2)
+    u = solver.load_field(path)
+    phi = solver.make_bump(build_clifford(n), k, n, N, cell, center, radius)
+    diff = u.planes - phi.planes
+    mod2 = diff.real**2 + diff.imag**2
+    at = checks["bump_recovery"]["witness"]
+    assert at == metrics["recovery_witness"]
+    assert mod2[(at["component"], *at["point"])] == mod2.max() > 0
+    at, hartogs = checks["exterior_vanishing"]["witness"], metrics["hartogs"]
+    assert at == metrics["exterior_witness"]
+    assert solver.exterior_mask(u, center, radius).reshape(u.planes.shape[1:])[tuple(at["point"])]
+    assert np.abs(u.planes[(at["component"], *at["point"])]) == hartogs["exterior_max"]
+    assert hartogs["exterior_max"] / hartogs["global_max"] == checks["exterior_vanishing"]["value"]
+
+
 def test_boundary_witnesses_replay(capsys):
     # each boundary check names the basis member or sample of its worst
     # value; a one-element stack of that input gives the reported value again

@@ -9,6 +9,7 @@ from conftest import (
     recover_bump_in_real_space,
     solve_d0,
     solve_spectrum_in_passes,
+    sum_sq,
 )
 
 from diraclab import build_clifford
@@ -229,7 +230,7 @@ def test_sweep_matches_the_real_space_route(k, n, N, reps):
     f = bump_dirac_data(rep, k, n, N, L, center, 0.6)
     u, diag = solve_d0(f, rep, tol=None)
     u = anchor_exterior(u, exterior_mask(u, center, 0.6))
-    err = _recovery(u, make_bump(rep, k, n, N, L, center, 0.6))
+    err, _ = _recovery(u, make_bump(rep, k, n, N, L, center, 0.6))
     row, = resolution_sweep(rep, k, n, [N])
     assert (row["recovery_rel_l2"], row["zero_mode_rel"]) == (err, diag["zero_mode_rel"])
     assert err > 0
@@ -298,7 +299,7 @@ def test_fused_pass_matches_the_pass_by_pass_oracle(k, n, N, tol, d0, cpus, reps
         assert seen[0].tobytes() == want_uh.tobytes(), count
         assert diag["zero_mode_rel"] == want_rel0
         assert diag.get("compat_rel") == want_compat
-        assert f_sq == solver._sum_sq(fh)
+        assert f_sq == sum_sq(fh)
         assert x.tobytes() == before
 
 
@@ -315,7 +316,7 @@ def test_dirac_residual_matches_the_f_hat_plane_route(k, n, N, reps):
     u, metrics = recover_bump(rep, k, n, N)
     phi_hat = solver._fft(make_bump(rep, k, n, N, L, center, 0.6).planes)
     fh = solver._apply_rows(solver._sigma_rows(rep, k, n, N, L), phi_hat)
-    f_sq = solver._sum_sq(fh)
+    f_sq = sum_sq(fh)
     given = solver._dirac_residual(u, fh.copy(), f_sq, rep)
     want = dirac_residual_in_f_hat_planes(u, fh, rep)
     assert solver._dirac_residual(u, phi_hat, f_sq, rep, d0=True) == want == given
@@ -1012,16 +1013,19 @@ def test_sliced_passes_match_serial_bitwise(geometry, count, cpus, reps):
     flat = u.planes.reshape(u.dim, -1)
     want = u.values - flat[:, mask].mean(axis=1)
     assert anchor_exterior(u, mask).values.tobytes() == np.ascontiguousarray(want).tobytes()
-    report = hartogs_report(u, mask)
+    report, witness = hartogs_report(u, mask)
     mag = np.abs(flat)
     assert report["global_max"] == mag.max() and report["exterior_max"] == mag[:, mask].max()
+    point = np.ravel_multi_index(witness["point"], (N,) * (k * n))
+    assert mask[point] and mag[witness["component"], point] == report["exterior_max"]
 
 
 @pytest.mark.parametrize("kn", [1, 2, 3, 4])
 def test_sliced_sums_agree_at_every_count(kn, cpus):
-    # the squared norms and distances read the same bits at every count, and
-    # agree with np.linalg.norm to 1e-14
-    from diraclab.solver import _sum_sq
+    # the recovery error's squared norms, summed slab by slab, and its witness
+    # read the same bits at every count; the error agrees with np.linalg.norm
+    # to 1e-14 and the witness names the largest |u - phi|
+    from diraclab.solver import _recovery
 
     rng = np.random.default_rng(10 + kn)
     for N in (4, 5, 8):
@@ -1029,14 +1033,18 @@ def test_sliced_sums_agree_at_every_count(kn, cpus):
             shape = (comps,) + (N,) * kn
             scale = np.exp(3 * rng.standard_normal(shape))  # entries of many sizes
             x, y = complex_normal(rng, shape) * scale, complex_normal(rng, shape)
-            sums = set()
+            u, phi = (GridField(kn, 1, N, L, "V0", np.moveaxis(a, 0, -1)) for a in (x + y, x))
+            seen = set()
             for count in (1, 2, 3, N):
                 cpus(count)
-                sums.add((float(_sum_sq(x)), float(_sum_sq(x, y))))
-            assert len(sums) == 1, (N, comps, sums)
-            (sq, dist), = sums
-            assert np.sqrt(sq) == pytest.approx(np.linalg.norm(x), rel=1e-14, abs=0)
-            assert np.sqrt(dist) == pytest.approx(np.linalg.norm(x - y), rel=1e-14, abs=0)
+                value, witness = _recovery(u, phi)
+                seen.add((value, json.dumps(witness)))
+            assert len(seen) == 1, (N, comps, seen)
+            diff = u.planes - phi.planes
+            assert value == pytest.approx(np.linalg.norm(diff) / np.linalg.norm(x),
+                                          rel=1e-14, abs=0)
+            mod2 = diff.real**2 + diff.imag**2
+            assert mod2[(witness["component"], *witness["point"])] == mod2.max()
 
 
 def test_noise_keeps_its_draw_and_is_the_same_at_every_count(cpus, reps):
@@ -1115,11 +1123,11 @@ def test_one_team_per_solve(cpus, reps, monkeypatch):
     recover_bump(reps[2], 2, 2, 8, timings=timings)
     assert timings["workers"] == 3 and len(started) == 2
     # the bump 1, phi's transform 2, the solve's pass 1, u_hat's transform 2,
-    # the mask 1, the anchoring 2, the bump again 1, the recovery error 2, the
+    # the mask 1, the anchoring 2, the bump again 1, the recovery error 1, the
     # exterior maxima 1, and the residual check 8: u's transform 2, the
     # difference 1, its transforms in phi_hat's and v_hat's planes 2 + 2 and
     # its sums 1
-    assert timings["regions"] == 21 and timings["fft_planes"] == 5
+    assert timings["regions"] == 20 and timings["fft_planes"] == 5
     assert threading.active_count() == before
     assert sorted(pins[:-1], key=min) == [{0}, {1}, {2}] and pins[-1] == {0, 1, 2}
     started.clear()
