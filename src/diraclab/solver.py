@@ -39,8 +39,9 @@ busy-wait on the CPUs the parts run on; so it too reads the same at every
 count.  To use one core, run under `taskset`.
 
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
-grid axis at a time per part, so their scratch is a few slabs per part (k s + 2
-where f_hat's slab is formed), and at most N/2 parts run.  The bump, its
+grid axis at a time per part, so their scratch is slabs, not grids: k s + 2
+slabs per part in the solve's pass, which holds f_hat's slab, and at most N/2
+parts run.  The bump, its
 Dirac data, the exterior mask, the norms and the maxima work one slab at a
 time too; the anchoring gathers the exterior values slab by slab into one
 array and makes no index array.  The pipelines spend their own buffers:
@@ -605,7 +606,6 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
         f = np.empty((dim, 1) + x.shape[2:], dtype=complex) if d0 else None
         for i in slabs:
             fs = _f_slab(x, rows, i, f, tmp)
-            sums[i, 0] = np.square(fs.view(np.float64)).sum()
             if i == 0:
                 zero[:] = fs[(slice(None),) + (0,) * kn]
             # sigma0* is exactly 0 at xi = 0, so u_hat's zero mode is 0
@@ -617,14 +617,16 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
             if i == 0:
                 xi2.flat[0] = 1.0  # u_hat stays 0 at xi = 0
             us /= xi2
-            if tol is None:
-                continue
-            for r, (row, plane) in enumerate(zip(sigma, fs), 1):
-                d = np.subtract(plane, _row_on_slab(row, us, i, acc, tmp), out=acc)
-                if i == 0:
-                    d[(0,) * kn] = 0.0  # the zero mode is the other guard's
-                d = d.view(np.float64)
-                sums[i, r] = np.square(d, out=d).sum()
+            if tol is not None:
+                for r, (row, plane) in enumerate(zip(sigma, fs), 1):
+                    d = np.subtract(plane, _row_on_slab(row, us, i, acc, tmp), out=acc)
+                    if i == 0:
+                        d[(0,) * kn] = 0.0  # the zero mode is the other guard's
+                    d = d.view(np.float64)
+                    sums[i, r] = np.square(d, out=d).sum()
+            # last: with d0 the squares overwrite f_hat's slab, in f
+            sums[i, 0] = np.square(fs.view(np.float64),
+                                   out=fs.view(np.float64) if d0 else None).sum()
 
     workers = _on_cores(part, N)
     f_sq = np.float64(math.fsum(sums[:, 0]))
@@ -741,14 +743,10 @@ def _dirac_residual(u, x, f_sq, rep, d0=False):
     sigma = _sigma_rows(rep, u.k, u.n, u.N, u.L)
     vh = _fft(u.planes)
     shape = (len(sigma), 1) + x.shape[2:]
-    # the planes that take the difference, in order
-    bufs, need = [], len(sigma)
-    for b in ([x, vh] if d0 else [x]):
-        if need:
-            bufs.append(b[:need])
-            need -= len(bufs[-1])
-    if need:
-        bufs.append(np.empty((need,) + x.shape[1:], dtype=complex))
+    bufs = [x, vh] if d0 else [x]  # the planes that take the difference
+    extra = len(sigma) - sum(map(len, bufs))
+    if extra > 0:
+        bufs.append(np.empty((extra,) + x.shape[1:], dtype=complex))
     outs = [plane for b in bufs for plane in b]
 
     def part(slabs):
