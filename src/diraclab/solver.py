@@ -39,12 +39,13 @@ busy-wait on the CPUs the parts run on; so it too reads the same at every
 count.  To use one core, run under `taskset`.
 
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
-grid axis at a time per part, so their scratch is slabs, not grids: k s + 2
-slabs per part in the solve's pass, which holds f_hat's slab, and at most N/2
-parts run.  The bump, its
-Dirac data, the exterior mask, the norms and the maxima work one slab at a
-time too; the anchoring gathers the exterior values slab by slab into one
-array and makes no index array.  The pipelines spend their own buffers:
+grid axis at a time per part, so their scratch is slabs, not grids, and a
+pass whose parts each hold m slabs at once runs at most N // m parts, so that
+its scratch fits in one plane (m = k s + 3 in the main solve's pass, which
+holds f_hat's slab).  The bump, its Dirac data, the exterior mask, the norms
+and the maxima work one slab at a time too; the anchoring gathers the
+exterior values slab by slab into one array and makes no index array.  The
+pipelines spend their own buffers:
 :func:`recover_bump` transforms phi in its own planes and keeps f = D0 phi as
 phi_hat and the rows of sigma0; the solve and the residual check form f_hat =
 sigma0 phi_hat one slab at a time where they read it, so f_hat is never held
@@ -312,10 +313,15 @@ class _Team:
             job(p)
             job = None  # holding it would keep the region's arrays alive
 
-    def run(self, fn, n):
+    def parts(self, n, scratch):
+        """The parts a region of n slabs runs, if each holds `scratch` slabs
+        of scratch at once: one per CPU, at most n // scratch."""
+        return max(1, min(self.width, n // scratch))
+
+    def run(self, fn, n, scratch=2):
         """Call fn(slabs) once per part; see :func:`_on_cores`."""
         self.regions += 1
-        parts = max(1, min(self.width, n // 2))
+        parts = self.parts(n, scratch)
         if parts == 1:
             fn(iter(range(n)))
             return 1
@@ -383,19 +389,20 @@ def _team():
         team.close()
 
 
-def _on_cores(fn, n):
+def _on_cores(fn, n, scratch=2):
     """Call fn(slabs) once per part, where `slabs` yields indices of range(n)
     that the parts take from one shared range, each the next one when it is
     done with its last, so a part whose CPU is busy takes fewer.  There is one
-    part per CPU of the affinity set, at most n // 2 of them (so that two
-    slabs of scratch per part fit in one plane); the first runs on the
-    calling thread, each other on a thread of the team (:func:`_team`), each
-    pinned to its CPU.  Inside a solve the parts run on the solve's team;
-    elsewhere on a team of their own, closed before this returns.  Returns
-    the number of parts once all are done; re-raises the first part's
-    exception."""
+    part per CPU of the affinity set, at most n // scratch of them for parts
+    that each hold `scratch` slabs of scratch at once, so that the region's
+    scratch fits in the one plane :func:`_require_memory` adds; the first
+    runs on the calling thread, each other on a thread of the team
+    (:func:`_team`), each pinned to its CPU.  Inside a solve the parts run on
+    the solve's team; elsewhere on a team of their own, closed before this
+    returns.  Returns the number of parts once all are done; re-raises the
+    first part's exception."""
     with _team() as team:
-        return team.run(fn, n)
+        return team.run(fn, n, scratch)
 
 
 def _slab(a, i):
@@ -404,17 +411,18 @@ def _slab(a, i):
     return a[i:i + 1] if a.shape[0] > 1 else a
 
 
-def _per_slab(fn, n, shape=()):
+def _per_slab(fn, n, shape=(), scratch=2):
     """fn(i) for every slab i of range(n), computed on the cores, as the rows
     of one array in slab order: each row is the same whichever part takes it,
-    so reductions of the array do not depend on the number of parts."""
+    so reductions of the array do not depend on the number of parts.  fn
+    holds at most `scratch` slabs of scratch (:func:`_on_cores`)."""
     out = np.empty((n,) + shape)
 
     def part(slabs):
         for i in slabs:
             out[i] = fn(i)
 
-    _on_cores(part, n)
+    _on_cores(part, n, scratch)
     return out
 
 
@@ -601,9 +609,13 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
     sums = np.empty((N, 1 + (dim if tol is not None else 0)))
     zero = np.empty(dim, dtype=complex)
 
+    # a part's scratch: with d0 f_hat's slab, then acc and tmp; without, acc
+    # and tmp, whose slabs take the squares of x's slab once they are done
+    scratch = (dim + 2 if d0 else max(2, dim), 1) + x.shape[2:]
+
     def part(slabs):
-        acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
-        f = np.empty((dim, 1) + x.shape[2:], dtype=complex) if d0 else None
+        buf = np.empty(scratch, dtype=complex)
+        f, (acc, tmp) = buf[:dim], buf[-2:]
         for i in slabs:
             fs = _f_slab(x, rows, i, f, tmp)
             if i == 0:
@@ -617,6 +629,7 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
             if i == 0:
                 xi2.flat[0] = 1.0  # u_hat stays 0 at xi = 0
             us /= xi2
+            del xi2  # freed before the next slab's is made
             if tol is not None:
                 for r, (row, plane) in enumerate(zip(sigma, fs), 1):
                     d = np.subtract(plane, _row_on_slab(row, us, i, acc, tmp), out=acc)
@@ -624,11 +637,11 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
                         d[(0,) * kn] = 0.0  # the zero mode is the other guard's
                     d = d.view(np.float64)
                     sums[i, r] = np.square(d, out=d).sum()
-            # last: with d0 the squares overwrite f_hat's slab, in f
-            sums[i, 0] = np.square(fs.view(np.float64),
-                                   out=fs.view(np.float64) if d0 else None).sum()
+            # last: the squares of f_hat's slab (with d0 in its own place)
+            sums[i, 0] = np.square(fs.view(np.float64), out=f.view(np.float64)).sum()
 
-    workers = _on_cores(part, N)
+    # and one slab more: |xi|^2 (half a slab) and NumPy's buffer for its cast
+    workers = _on_cores(part, N, scratch[0] + 1)
     f_sq = np.float64(math.fsum(sums[:, 0]))
     fnorm = float(np.sqrt(f_sq)) or 1.0  # zero data: both guards read 0
     rel0 = float(np.linalg.norm(zero) / fnorm)
@@ -710,12 +723,13 @@ def anchor_exterior(u, mask):
     return GridField(u.k, u.n, u.N, u.L, u.space, np.moveaxis(out, 0, -1))
 
 
-def hartogs_report(u, mask):
+def hartogs_report(u, mask, return_witness=False):
     """Exterior decay metrics for a solution produced from supported data.
 
     Reports the max of |u| over the exterior region `mask`
-    (:func:`exterior_mask`, never empty), against the global max, and the
-    grid point and component of the exterior max.
+    (:func:`exterior_mask`, never empty) against the global max; with
+    return_witness, also the grid point and component of the exterior max,
+    as a second value.
     """
     mask = mask.reshape(u.planes.shape[1:])
 
@@ -727,9 +741,11 @@ def hartogs_report(u, mask):
 
     m = _per_slab(maxima, u.N, (3,))
     umax, emax = float(m[:, 0].max()), float(m[:, 1].max())
-    return ({"exterior_max": emax, "global_max": umax,
-             "ratio": emax / umax if umax > 0 else 0.0},
-            _witness(m[:, 1], m[:, 2], (u.dim, 1) + mask.shape[1:]))
+    report = {"exterior_max": emax, "global_max": umax,
+              "ratio": emax / umax if umax > 0 else 0.0}
+    if not return_witness:
+        return report
+    return report, _witness(m[:, 1], m[:, 2], (u.dim, 1) + mask.shape[1:])
 
 
 def _dirac_residual(u, x, f_sq, rep, d0=False):
@@ -749,9 +765,12 @@ def _dirac_residual(u, x, f_sq, rep, d0=False):
         bufs.append(np.empty((extra,) + x.shape[1:], dtype=complex))
     outs = [plane for b in bufs for plane in b]
 
+    # a part's scratch: with d0 f_hat's slab, then acc and tmp
+    scratch = ((len(sigma) if d0 else 0) + 2,) + shape[1:]
+
     def part(slabs):
-        acc, tmp = np.empty((2, 1) + x.shape[2:], dtype=complex)
-        f = np.empty(shape, dtype=complex) if d0 else None
+        buf = np.empty(scratch, dtype=complex)
+        f, (acc, tmp) = buf[:-2], buf[-2:]
         for i in slabs:
             fs = _f_slab(x, sigma if d0 else None, i, f, tmp)
             for row, plane in zip(sigma, fs):
@@ -761,7 +780,7 @@ def _dirac_residual(u, x, f_sq, rep, d0=False):
                 for plane, out in zip(fs, outs):
                     out[i:i + 1] = plane
 
-    _on_cores(part, u.N)
+    _on_cores(part, u.N, scratch[0] + 1)  # and NumPy's buffers
     for b in bufs:
         _fftn(b, b, inverse=True)
 
@@ -771,23 +790,33 @@ def _dirac_residual(u, x, f_sq, rep, d0=False):
             np.square(out[i:i + 1].view(np.float64), out=dst)
         return _sq_stats(sq)
 
-    sums = _per_slab(slab, u.N, (3,))
+    sums = _per_slab(slab, u.N, (3,), 2 * len(sigma))  # sq and half of it copied
     fsq = f_sq / u.N ** (u.k * u.n)
     resid = float(np.sqrt(math.fsum(sums[:, 0])) / np.sqrt(fsq))
     return resid, _witness(sums[:, 1], sums[:, 2], shape)
 
 
+def _recovery_sums(u, phi):
+    """||u - phi||^2 and ||phi||^2 on the grid, each the exact sum of one
+    partial sum per slab, and the grid point and component of the largest
+    |u - phi|."""
+    def slab(i):  # phi's sum of squares, then u - phi's, its largest and where
+        us, ps = u.planes[:, i:i + 1], phi.planes[:, i:i + 1]
+        d = np.square(ps.view(np.float64))
+        total = d.sum()
+        d = np.subtract(us, ps, out=d.view(complex)).view(np.float64)
+        return (total, *_sq_stats(np.square(d, out=d)))
+
+    sums = _per_slab(slab, u.N, (4,), 2 * u.dim)  # d and half of it copied
+    return (np.float64(math.fsum(sums[:, 1])), np.float64(math.fsum(sums[:, 0])),
+            _witness(sums[:, 2], sums[:, 3], (u.dim, 1) + u.planes.shape[2:]))
+
+
 def _recovery(u, phi):
     """||u - phi|| / ||phi|| on the grid, and the grid point and component of
     the largest |u - phi|."""
-    def slab(i):  # phi's sum of squares, then u - phi's, its largest and where
-        d = np.subtract(u.planes[:, i:i + 1], phi.planes[:, i:i + 1]).view(np.float64)
-        return (np.square(phi.planes[:, i:i + 1].view(np.float64)).sum(),
-                *_sq_stats(np.square(d, out=d)))
-
-    sums = _per_slab(slab, u.N, (4,))
-    value = float(np.sqrt(math.fsum(sums[:, 1])) / np.sqrt(math.fsum(sums[:, 0])))
-    return value, _witness(sums[:, 2], sums[:, 3], (u.dim, 1) + u.planes.shape[2:])
+    diff_sq, phi_sq, witness = _recovery_sums(u, phi)
+    return float(np.sqrt(diff_sq) / np.sqrt(phi_sq)), witness
 
 
 def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
@@ -831,7 +860,7 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
         t = _lap(timings, "anchor_s", t)
         recovery, recovery_at = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
-        hartogs, exterior_at = hartogs_report(u, mask)
+        hartogs, exterior_at = hartogs_report(u, mask, return_witness=True)
         del mask
         residual, residual_at = _dirac_residual(u, x, f_sq, rep, d0)
         metrics = {

@@ -395,7 +395,7 @@ def recover_bump_in_real_space(rep, k, n, N, L=2 * np.pi, radius=0.6, tol=1e-6,
         "recovery_rel_l2": float(np.sqrt(sum_sq(u.planes, phi.planes))
                                  / np.sqrt(sum_sq(phi.planes))),
         "dirac_residual_rel_l2": float(np.sqrt(sq) / np.sqrt(sum_sq(f.planes))),
-        "hartogs": solver.hartogs_report(u, mask)[0],
+        "hartogs": solver.hartogs_report(u, mask),
         **diag,
     }
 

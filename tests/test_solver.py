@@ -729,6 +729,64 @@ def test_solve_peaks_hold_few_planes(reps):
         tracemalloc.stop()
 
 
+def test_solve_peaks_stay_under_their_guards_on_many_cpus(cpus, reps, monkeypatch):
+    # with one CPU per two slabs (16 at N = 32), a pass runs at most as many
+    # parts as keep its slab scratch within the plane the guard adds for it:
+    # the main solve, the rejected solve and a sweep row each peak under
+    # their guard's estimate (the main solve near 5.1 planes, over its 4, if
+    # every pass ran N/2 parts).  Every part makes the scratch it holds for
+    # the whole pass before it takes its first slab, and here none takes one
+    # before all have started, so all of that scratch is held at once
+    import threading
+    import tracemalloc
+
+    from diraclab import solver
+
+    rep, N = reps[2], 32
+    cpus(N // 2)
+    run = solver._Team.run
+
+    def synced(team, fn, n, scratch=2):
+        start = threading.Barrier(team.parts(n, scratch), timeout=60)
+
+        def part(ids):
+            def waited():
+                start.wait()
+                yield from ids
+            fn(waited())
+
+        return run(team, part, n, scratch)
+
+    def rejected():
+        with pytest.raises(CompatibilityError):
+            recover_bump(rep, 2, 2, N, break_compat=True)
+
+    calls = {
+        "recover_bump": lambda: recover_bump(rep, 2, 2, N),
+        "break_compat": rejected,
+        "resolution_sweep": lambda: resolution_sweep(rep, 2, 2, [N]),
+    }
+    for call in calls.values():
+        call()  # fills the symbol builder's per-k caches, which outlive a call
+    guard, estimates = solver._require_memory, []
+    monkeypatch.setattr(solver, "_require_memory",
+                        lambda *args: estimates.append(guard(*args)))
+    monkeypatch.setattr(solver._Team, "run", synced)
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            estimates.clear()
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - live
+            del result
+            assert max(estimates) == estimates[0], (name, estimates)
+            assert peak <= estimates[0], (name, peak / (16 * N**4))
+    finally:
+        tracemalloc.stop()
+
+
 # ---------------------------------------------------------------------------
 # the grid work split over the CPUs of the affinity set
 
@@ -1013,7 +1071,8 @@ def test_sliced_passes_match_serial_bitwise(geometry, count, cpus, reps):
     flat = u.planes.reshape(u.dim, -1)
     want = u.values - flat[:, mask].mean(axis=1)
     assert anchor_exterior(u, mask).values.tobytes() == np.ascontiguousarray(want).tobytes()
-    report, witness = hartogs_report(u, mask)
+    report, witness = hartogs_report(u, mask, return_witness=True)
+    assert hartogs_report(u, mask) == report
     mag = np.abs(flat)
     assert report["global_max"] == mag.max() and report["exterior_max"] == mag[:, mask].max()
     point = np.ravel_multi_index(witness["point"], (N,) * (k * n))
@@ -1022,10 +1081,11 @@ def test_sliced_passes_match_serial_bitwise(geometry, count, cpus, reps):
 
 @pytest.mark.parametrize("kn", [1, 2, 3, 4])
 def test_sliced_sums_agree_at_every_count(kn, cpus):
-    # the recovery error's squared norms, summed slab by slab, and its witness
-    # read the same bits at every count; the error agrees with np.linalg.norm
-    # to 1e-14 and the witness names the largest |u - phi|
-    from diraclab.solver import _recovery
+    # the recovery error's squared norms ||u - phi||^2 and ||phi||^2, summed
+    # slab by slab, and its witness read the same bits at every count; each
+    # norm agrees with np.linalg.norm to 1e-14 on entries of many sizes, the
+    # error is their ratio and the witness names the largest |u - phi|
+    from diraclab.solver import _recovery, _recovery_sums
 
     rng = np.random.default_rng(10 + kn)
     for N in (4, 5, 8):
@@ -1033,16 +1093,17 @@ def test_sliced_sums_agree_at_every_count(kn, cpus):
             shape = (comps,) + (N,) * kn
             scale = np.exp(3 * rng.standard_normal(shape))  # entries of many sizes
             x, y = complex_normal(rng, shape) * scale, complex_normal(rng, shape)
-            u, phi = (GridField(kn, 1, N, L, "V0", np.moveaxis(a, 0, -1)) for a in (x + y, x))
+            u, phi = (GridField(kn, 1, N, L, "V0", np.moveaxis(a, 0, -1)) for a in (y, x))
             seen = set()
             for count in (1, 2, 3, N):
                 cpus(count)
-                value, witness = _recovery(u, phi)
-                seen.add((value, json.dumps(witness)))
+                diff_sq, phi_sq, witness = _recovery_sums(u, phi)
+                seen.add((float(diff_sq), float(phi_sq), json.dumps(witness)))
             assert len(seen) == 1, (N, comps, seen)
-            diff = u.planes - phi.planes
-            assert value == pytest.approx(np.linalg.norm(diff) / np.linalg.norm(x),
-                                          rel=1e-14, abs=0)
+            assert np.sqrt(phi_sq) == pytest.approx(np.linalg.norm(x), rel=1e-14, abs=0)
+            assert np.sqrt(diff_sq) == pytest.approx(np.linalg.norm(y - x), rel=1e-14, abs=0)
+            assert _recovery(u, phi) == (float(np.sqrt(diff_sq) / np.sqrt(phi_sq)), witness)
+            diff = y - x
             mod2 = diff.real**2 + diff.imag**2
             assert mod2[(witness["component"], *witness["point"])] == mod2.max()
 
@@ -1120,7 +1181,9 @@ def test_one_team_per_solve(cpus, reps, monkeypatch):
     started = _counted_starts(monkeypatch)
     before = threading.active_count()
     timings = {}
-    recover_bump(reps[2], 2, 2, 8, timings=timings)
+    # at N = 16 the solve's pass, whose parts hold k s + 3 = 5 slabs each,
+    # may run 16 // 5 = 3 parts
+    recover_bump(reps[2], 2, 2, 16, timings=timings)
     assert timings["workers"] == 3 and len(started) == 2
     # the bump 1, phi's transform 2, the solve's pass 1, u_hat's transform 2,
     # the mask 1, the anchoring 2, the bump again 1, the recovery error 1, the
@@ -1241,9 +1304,9 @@ def test_solve_gives_the_caller_its_affinity_back(reps, monkeypatch):
     seen = []
     real = solver._Team.run
 
-    def run(team, fn, n):
+    def run(team, fn, n, scratch=2):
         seen.append(os.sched_getaffinity(0))
-        return real(team, fn, n)
+        return real(team, fn, n, scratch)
 
     monkeypatch.setattr(solver._Team, "run", run)
     recover_bump(reps[2], 2, 2, 8)
