@@ -545,7 +545,8 @@ def build_parser():
     s.add_argument("--sweep", default=None,
                    help="comma separated resolutions for a convergence study")
     s.add_argument("--break-compat", action="store_true",
-                   help="corrupt the data to exercise the compatibility guard")
+                   help="negate the last block of f = D0 phi, so that D1 f != 0, "
+                        "to exercise the compatibility guard")
     s.add_argument("--out", default=None, help="dump the solution field here")
     s.add_argument("--report-out", default=None, help="write the JSON report here")
     return parser

@@ -22,17 +22,16 @@ center), the periodic stand-in for decay at infinity; the exterior decay is
 measured on the same region.
 
 Cores: every pass over a grid (the bump and its Dirac data, the FFTs, the
-multipliers, the division by |xi|^2, the exterior mask, the anchoring, the
-noise of a broken solve, and the norms and maxima of the metrics) cuts its
-planes into slabs and shares them out among one thread per CPU of the
-process's affinity set (:func:`_on_cores`); NumPy releases the GIL in its
-FFT and ufunc loops.  :func:`recover_bump` and :func:`resolution_sweep`
-start those threads once, each pinned to its CPU, run every pass on them
-and join them before they return (:func:`_team`); a pass called on its own
-gets threads for that pass alone.  A solve whose slabs hold fewer than
-_SPLIT_POINTS grid points (N <= 16 at k = n = 2) keeps every pass on one
-thread, where a second costs more than it saves.  Each slab takes the same
-arithmetic as on one core, so every grid is bitwise the same at every CPU
+multipliers, the division by |xi|^2, the exterior mask, the anchoring, and the
+norms and maxima of the metrics) cuts its planes into slabs and shares them
+out among one thread per CPU of the process's affinity set (:func:`_on_cores`);
+NumPy releases the GIL in its FFT and ufunc loops.  :func:`recover_bump` and
+:func:`resolution_sweep` start those threads once, each pinned to its CPU, run
+every pass on them and join them before they return (:func:`_team`); a pass
+called on its own gets threads for that pass alone.  A solve whose slabs hold
+fewer than _SPLIT_POINTS grid points (N <= 16 at k = n = 2) keeps every pass
+on one thread, where a second costs more than it saves.  Each slab takes the
+same arithmetic as on one core, so every grid is bitwise the same at every CPU
 count.  A norm is the exact sum (math.fsum) of one partial sum per slab,
 each from NumPy's pairwise sums, not from BLAS, whose idle threads would
 busy-wait on the CPUs the parts run on; so it too reads the same at every
@@ -41,24 +40,24 @@ count.  To use one core, run under `taskset`.
 Memory: the multipliers and the division by |xi|^2 run one slab of the first
 grid axis at a time per part, so their scratch is slabs, not grids, and a
 pass whose parts each hold m slabs at once runs at most N // m parts, so that
-its scratch fits in one plane (m = k s + 3 in the main solve's pass, which
-holds f_hat's slab).  The bump, its Dirac data, the exterior mask, the norms
-and the maxima work one slab at a time too; the anchoring gathers the
+its scratch fits in one plane (m = k s + 3 in :func:`recover_bump`'s pass,
+which holds f_hat's slab).  The bump, its Dirac data, the exterior mask, the
+norms and the maxima work one slab at a time too; the anchoring gathers the
 exterior values slab by slab into one array and makes no index array.  The
-pipelines spend their own buffers:
-:func:`recover_bump` transforms phi in its own planes and keeps f = D0 phi as
-phi_hat and the rows of sigma0; the solve and the residual check form f_hat =
-sigma0 phi_hat one slab at a time where they read it, so f_hat is never held
-as a grid, and f is never formed in real space.  phi is built again for the
-recovery error.  The residual check writes f_hat - sigma0 v_hat (v_hat = FFT(u))
-into the planes of phi_hat and v_hat, with (k - 2) s planes more where k > 2.
-:func:`resolution_sweep` transforms its data in its own planes.  Counted in
-planes (one complex grid per component: s for V0, k s for V1), every solve
-path holds at most one V1 grid and one V0 grid, (k + 1) s planes (3 at
-k = n = 2, where s = 1): the main solve phi_hat, u and a third V0 grid (u's
-gather, phi or v_hat) and the residual's (k - 2) s planes; a sweep row and a
-rejected solve f_hat and u_hat (or the noise).  Noisy data that a tolerance
-above its defect lets through holds f_hat beside u and one more V0 grid.
+pipelines spend their own buffers: :func:`recover_bump` transforms phi in its
+own planes and keeps f as phi_hat and rows of weight grids (sigma0's, or, for
+a broken solve, sigma0's with the last block negated); the solve and the
+residual check form f_hat one slab at a time where they read it, so f_hat is
+never held as a grid, and f is never formed in real space.  phi is built
+again for the recovery error.  The residual check writes f_hat - sigma0 v_hat
+(v_hat = FFT(u)) into the planes of phi_hat and v_hat, with (k - 2) s planes
+more where k > 2.  :func:`resolution_sweep` transforms its data in its own
+planes.  Counted in planes (one complex grid per component: s for V0, k s for
+V1), every solve path holds at most one V1 grid and one V0 grid, (k + 1) s
+planes (3 at k = n = 2, where s = 1): a solve phi_hat, u and a third V0 grid
+(u's gather, phi or v_hat) and the residual's (k - 2) s planes, whether its
+data is compatible, rejected, or let through by a tolerance above its defect;
+a sweep row f_hat and u_hat.
 """
 
 import contextlib
@@ -492,25 +491,9 @@ def _row_on_slab(row, xs, i, dst, tmp):
     return dst
 
 
-def _apply_rows(rows, x):
-    """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer.
-    Each part of :func:`_on_cores` runs its slabs of the first grid axis one
-    at a time, so its scratch is one slab, not a plane."""
-    out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
-
-    def part(slabs):
-        tmp = np.empty((1,) + x.shape[2:], dtype=complex)
-        for i in slabs:
-            for row, plane in zip(rows, out[:, i:i + 1]):
-                _row_on_slab(row, x[:, i:i + 1], i, plane, tmp)
-
-    _on_cores(part, x.shape[1])
-    return out
-
-
 def _f_slab(x, rows, i, f, tmp):
-    """Slab i of the first grid axis of f_hat: x's own slab, or, given rows
-    (sigma0's), the planes sum_c rows[r][c] x[c] formed in the slab scratch f."""
+    """Slab i of the first grid axis of f_hat: x's own slab, or, given rows,
+    the planes sum_c rows[r][c] x[c] formed in the slab scratch f."""
     xs = x[:, i:i + 1]
     if rows is None:
         return xs
@@ -576,10 +559,11 @@ def _lap(timings, key, t0):
     return time.perf_counter()
 
 
-def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
+def _solve_spectrum(x, rep, k, n, L, tol, rows=None, timings=None):
     """Solve D0 u = f on the torus by the closed form u_hat = sigma0* f_hat /
-    |xi|^2, from the spectrum f_hat of V1 data: x itself, or with d0 sigma0 x,
-    the Dirac image of the V0 spectrum x.  x is left as it is.
+    |xi|^2, from the spectrum f_hat of V1 data: x itself, or, given rows, the
+    planes sum_c rows[r][c] x[c] of the V0 spectrum x (sigma0's rows give the
+    Dirac image of x).  x is left as it is.
 
     f must have (numerically) vanishing mean and satisfy D1 f = 0, i.e. f_hat
     in the range of sigma0 at xi != 0.  The guards measure the zero-mode
@@ -589,7 +573,7 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
     zero-mode guard first.  tol=None, for convergence studies on data that
     is not band-limited, measures the zero-mode share only and raises
     nothing.  One pass over the slabs of the first grid axis forms each slab
-    of f_hat (with d0, in slab scratch, so f_hat is never a grid), adds up
+    of f_hat (given rows, in slab scratch, so f_hat is never a grid), adds up
     its squares and keeps its zero mode, writes u_hat's slab and sums the
     defect's squares on it.  Returns the zero-mean solution, a diagnostics
     record and ||f_hat||^2.  timings gets the seconds of the inverse FFT,
@@ -598,10 +582,9 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
     ("workers", see :func:`_on_cores`)."""
     t = time.perf_counter()
     N, kn = x.shape[1], k * n
-    sigma = _sigma_rows(rep, k, n, N, L) if d0 or tol is not None else None
+    sigma = _sigma_rows(rep, k, n, N, L) if tol is not None else None
     star = _sigma_rows(rep, k, n, N, L, star=True)
-    rows = sigma if d0 else None
-    dim = len(sigma) if d0 else len(x)
+    dim = len(x) if rows is None else len(rows)
     uh = np.empty((len(star),) + x.shape[1:], dtype=complex)
     sq = _freqs(N, L) ** 2
     rest = [sq.reshape((N,) + (1,) * (kn - 1 - t)) for t in range(1, kn)]
@@ -609,9 +592,9 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
     sums = np.empty((N, 1 + (dim if tol is not None else 0)))
     zero = np.empty(dim, dtype=complex)
 
-    # a part's scratch: with d0 f_hat's slab, then acc and tmp; without, acc
-    # and tmp, whose slabs take the squares of x's slab once they are done
-    scratch = (dim + 2 if d0 else max(2, dim), 1) + x.shape[2:]
+    # a part's scratch: given rows f_hat's slab, then acc and tmp; without,
+    # acc and tmp, whose slabs take the squares of x's slab once they are done
+    scratch = (max(2, dim) if rows is None else dim + 2, 1) + x.shape[2:]
 
     def part(slabs):
         buf = np.empty(scratch, dtype=complex)
@@ -637,7 +620,7 @@ def _solve_spectrum(x, rep, k, n, L, tol, d0=False, timings=None):
                         d[(0,) * kn] = 0.0  # the zero mode is the other guard's
                     d = d.view(np.float64)
                     sums[i, r] = np.square(d, out=d).sum()
-            # last: the squares of f_hat's slab (with d0 in its own place)
+            # last: the squares of f_hat's slab (given rows in its own place)
             sums[i, 0] = np.square(fs.view(np.float64), out=f.view(np.float64)).sum()
 
     # and one slab more: |xi|^2 (half a slab) and NumPy's buffer for its cast
@@ -748,37 +731,37 @@ def hartogs_report(u, mask, return_witness=False):
     return report, _witness(m[:, 1], m[:, 2], (u.dim, 1) + mask.shape[1:])
 
 
-def _dirac_residual(u, x, f_sq, rep, d0=False):
-    """||D0 u - f|| / ||f|| on the grid, for f the inverse FFT of f_hat = x
-    or, with d0, sigma0 x (as in :func:`_solve_spectrum`, whose ||f_hat||^2
+def _dirac_residual(u, x, f_sq, rep, rows):
+    """||D0 u - f|| / ||f|| on the grid, for f the inverse FFT of f_hat =
+    sum_c rows[r][c] x[c] (as in :func:`_solve_spectrum`, whose ||f_hat||^2
     is f_sq), and the grid point and component of the largest |D0 u - f|.
     With v_hat = FFT(u), the difference f_hat - sigma0 v_hat is formed slab by
-    slab in x's own planes (with d0 also in v_hat's, and in (k - 2) s planes
-    more where k > 2), which it spends, transformed back and squared.  The
-    FFTs are part of what it checks."""
+    slab in the planes of x and v_hat (and in (k - 2) s planes more where
+    k > 2), which it spends, transformed back and squared.  The FFTs are part
+    of what it checks."""
     sigma = _sigma_rows(rep, u.k, u.n, u.N, u.L)
     vh = _fft(u.planes)
     shape = (len(sigma), 1) + x.shape[2:]
-    bufs = [x, vh] if d0 else [x]  # the planes that take the difference
-    extra = len(sigma) - sum(map(len, bufs))
+    bufs = [x, vh]  # the planes that take the difference
+    extra = len(sigma) - len(x) - len(vh)
     if extra > 0:
         bufs.append(np.empty((extra,) + x.shape[1:], dtype=complex))
     outs = [plane for b in bufs for plane in b]
 
-    # a part's scratch: with d0 f_hat's slab, then acc and tmp
-    scratch = ((len(sigma) if d0 else 0) + 2,) + shape[1:]
+    # a part's scratch: f_hat's slab, then acc and tmp
+    scratch = (len(sigma) + 2,) + shape[1:]
 
     def part(slabs):
         buf = np.empty(scratch, dtype=complex)
         f, (acc, tmp) = buf[:-2], buf[-2:]
         for i in slabs:
-            fs = _f_slab(x, sigma if d0 else None, i, f, tmp)
+            fs = _f_slab(x, rows, i, f, tmp)
             for row, plane in zip(sigma, fs):
                 np.subtract(plane, _row_on_slab(row, vh[:, i:i + 1], i, acc, tmp),
                             out=plane)
-            if d0:  # every row has read the slab of x and v_hat it overwrites
-                for plane, out in zip(fs, outs):
-                    out[i:i + 1] = plane
+            # every row has read the slab of x and v_hat it overwrites
+            for plane, out in zip(fs, outs):
+                out[i:i + 1] = plane
 
     _on_cores(part, u.N, scratch[0] + 1)  # and NumPy's buffers
     for b in bufs:
@@ -827,34 +810,32 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
     with the rows of sigma0: the solve and the residual check form f_hat =
     sigma0 phi_hat slab by slab where they read it, so f_hat is never a grid.
     phi is built again (:func:`make_bump`) for the recovery error.
-    break_compat adds mean-free noise to f in real space, which the
-    compatibility guard rejects; noisy f has no closed-form spectrum, so it is
-    held whole.  timings gets the stage times of :func:`_solve_spectrum`,
-    "data_s" (the bump, its spectrum and the noise), "anchor_s" and
-    "residual_s" (the recovery error, the exterior decay and the Dirac
-    residual), and the counts of the solve's team (:func:`_team`):
+    break_compat negates the rows of sigma0's last block, so f =
+    (nabla_0 phi, ..., nabla_{k-2} phi, -nabla_{k-1} phi): its zero mode is
+    still 0, but at each mode a share 4 a (1 - a) of |f_hat|^2, a =
+    |xi_{k-1}|^2 / |xi|^2, lies off the range of sigma0, which the
+    compatibility guard rejects.  timings gets the stage times of
+    :func:`_solve_spectrum`, "data_s" (the bump and its spectrum),
+    "anchor_s" and "residual_s" (the recovery error, the exterior decay and
+    the Dirac residual), and the counts of the solve's team (:func:`_team`):
     "fft_planes" and "regions".  Every grid pass runs on that one team.
     Returns the anchored solution and the metrics."""
     if center is None:
         center = np.full(k * n, L / 2)
     s = rep.s_dim
     # at the peak, (k + 1) s planes: phi_hat, u and, for the residual, v_hat
-    # and (k - 2) s more (or the anchoring's gather, or phi); noisy f_hat is
-    # held whole, beside the noise or u and the anchoring's output
-    _require_memory(k, n, N, k * s + (2 * s if break_compat else s))
+    # and (k - 2) s more (or the anchoring's gather, or phi)
+    _require_memory(k, n, N, k * s + s)
     with _team() as team:
         team.fit(N ** (k * n - 1))
         t = time.perf_counter()
         x = make_bump(rep, k, n, N, L, center, radius).planes
         _fftn(x, x)
+        rows = _sigma_rows(rep, k, n, N, L)
         if break_compat:
-            x = _apply_rows(_sigma_rows(rep, k, n, N, L), x)  # frees phi_hat
-            _fftn(x, x, inverse=True)
-            _add_noise(GridField(k, n, N, L, "V1", np.moveaxis(x, 0, -1)))
-            _fftn(x, x)
+            rows[-s:] = [[-w for w in row] for row in rows[-s:]]
         _lap(timings, "data_s", t)
-        d0 = not break_compat
-        u, diag, f_sq = _solve_spectrum(x, rep, k, n, L, tol, d0, timings)
+        u, diag, f_sq = _solve_spectrum(x, rep, k, n, L, tol, rows, timings)
         t = time.perf_counter()
         mask = exterior_mask(u, center, radius)
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
@@ -862,7 +843,7 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         recovery, recovery_at = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
         hartogs, exterior_at = hartogs_report(u, mask, return_witness=True)
         del mask
-        residual, residual_at = _dirac_residual(u, x, f_sq, rep, d0)
+        residual, residual_at = _dirac_residual(u, x, f_sq, rep, rows)
         metrics = {
             "recovery_rel_l2": recovery,
             "recovery_witness": recovery_at,
@@ -876,29 +857,6 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
             timings.update(fft_planes=team.fft_planes, regions=team.regions)
     metrics.update(diag)
     return u, metrics
-
-
-def _add_noise(f):
-    """Add mean-free noise to f's own planes: standard normal draws of seed 0
-    in f's component-last order, scaled by max |f| and centred per component."""
-    noise = np.moveaxis(np.random.default_rng(0).standard_normal(f.values.shape), -1, 0)
-    planes, N = f.planes, f.N
-    top = _per_slab(lambda i: np.abs(planes[:, i]).max(), N).max()
-    axes = tuple(range(1, planes.ndim - 1))
-
-    def scale(i):
-        noise[:, i] *= top
-        return noise[:, i].sum(axis=axes)
-
-    sums = _per_slab(scale, N, (f.dim,))
-    mean = np.array([math.fsum(col) for col in sums.T]) / N ** (planes.ndim - 1)
-    mean = mean.reshape((f.dim,) + (1,) * (planes.ndim - 2))
-
-    def add(slabs):
-        for i in slabs:
-            planes[:, i] += noise[:, i] - mean
-
-    _on_cores(add, N)
 
 
 def resolution_sweep(rep, k, n, Ns, L=2 * np.pi, radius=0.6, center=None):

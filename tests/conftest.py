@@ -263,6 +263,22 @@ def d2pp_all_at_once(h, rep):
 _TAGS = {"d0": ("V0", "V1"), "d0_star": ("V1", "V0")}
 
 
+def apply_rows(rows, x):
+    """The planes sum_c rows[r][c] * x[c], one per row, into a new buffer.
+    Each part of ``solver._on_cores`` runs its slabs of the first grid axis
+    one at a time, so its scratch is one slab, not a plane."""
+    out = np.empty((len(rows),) + x.shape[1:], dtype=complex)
+
+    def part(slabs):
+        tmp = np.empty((1,) + x.shape[2:], dtype=complex)
+        for i in slabs:
+            for row, plane in zip(rows, out[:, i:i + 1]):
+                solver._row_on_slab(row, x[:, i:i + 1], i, plane, tmp)
+
+    solver._on_cores(part, x.shape[1])
+    return out
+
+
 def apply_spectral(tag, fld, rep):
     """Apply one of the grid operators {d0, d0_star} spectrally: forward FFT,
     the symbol's rows, inverse FFT, from real space to real space."""
@@ -277,7 +293,7 @@ def apply_spectral(tag, fld, rep):
     solver._require_memory(k, n, N, fld.dim + out_dim + 1)
     fh = solver._fft(fld.planes)
     rows = solver._sigma_rows(rep, k, n, N, fld.L, star=tag == "d0_star")
-    out = solver._apply_rows(rows, fh)
+    out = apply_rows(rows, fh)
     solver._fftn(out, out, inverse=True)
     return solver.GridField(k, n, N, fld.L, space_out, np.moveaxis(out, 0, -1))
 
@@ -332,7 +348,7 @@ def solve_spectrum_in_passes(fh, rep, k, n, L, tol):
     N = fh.shape[1]
     fnorm = float(np.sqrt(sum_sq(fh))) or 1.0
     rel0 = float(np.linalg.norm(fh[(slice(None),) + (0,) * (k * n)]) / fnorm)
-    uh = solver._apply_rows(solver._sigma_rows(rep, k, n, N, L, star=True), fh)
+    uh = apply_rows(solver._sigma_rows(rep, k, n, N, L, star=True), fh)
     sq = solver._freqs(N, L) ** 2
     rest = [sq.reshape((N,) + (1,) * (k * n - 1 - t)) for t in range(1, k * n)]
     for i in range(N):
@@ -374,21 +390,22 @@ def dirac_residual_in_f_hat_planes(u, fh, rep):
 def recover_bump_in_real_space(rep, k, n, N, L=2 * np.pi, radius=0.6, tol=1e-6,
                                break_compat=False):
     """``solver.recover_bump``'s metrics by the route that forms f = D0 phi
-    in real space: f from :func:`apply_spectral`, the noise added to it,
-    :func:`solve_d0` on it (a forward FFT of f), the anchoring, and the Dirac
-    residual against f in real space, one output plane at a time."""
+    in real space: f from :func:`apply_spectral`, with break_compat its last
+    block negated, f = (nabla_0 phi, ..., -nabla_{k-1} phi), :func:`solve_d0`
+    on it (a forward FFT of f), the anchoring, and the Dirac residual against
+    f in real space, one output plane at a time."""
     center = np.full(k * n, L / 2)
     phi = solver.make_bump(rep, k, n, N, L, center, radius)
     f = apply_spectral("d0", phi, rep)
     if break_compat:
-        solver._add_noise(f)
+        f.planes[-rep.s_dim:] *= -1
     u, diag = solve_d0(f, rep, tol=tol)
     mask = solver.exterior_mask(u, center, radius)
     u = solver.anchor_exterior(u, mask)
     uh = solver._fft(u.planes)
     sq = 0.0
     for row, fp in zip(solver._sigma_rows(rep, k, n, N, L), f.planes):
-        plane = solver._apply_rows([row], uh)
+        plane = apply_rows([row], uh)
         solver._fftn(plane, plane, inverse=True)
         sq += sum_sq(plane, fp[None])
     return {

@@ -446,13 +446,33 @@ def test_solve_small_grid(tmp_path, capsys):
 
 
 def test_solve_break_compat_exit_code(capsys):
-    # the corruption is mean-free, so the compatibility guard (not the
-    # zero-frequency guard) is the one that rejects it
+    # the corruption (f's last block negated) is mean-free, so the
+    # compatibility guard (not the zero-frequency guard) is the one that
+    # rejects it
     code, report = run_cli(capsys, "solve", "--k", "2", "--n", "2", "--N", "8",
                            "--break-compat")
     assert code == EXIT_COMPAT
     assert report["error"] == "compatibility"
     assert report["detail"].startswith("compatibility defect too large")
+
+
+def test_solve_break_compat_under_a_loose_tol_fails_its_residual(capsys):
+    # a --tol above the defect lets the broken data through: the solve runs
+    # on f = (nabla_0 phi, -nabla_1 phi), whose mean is exactly 0, and D0 u
+    # misses f, so the residual check fails (exit 1) and names its worst
+    # point; a second run writes the same report outside its timings
+    argv = ("solve", "--k", "2", "--n", "2", "--N", "16", "--break-compat", "--tol", "2")
+    reports = []
+    for _ in range(2):
+        code, report = run_cli(capsys, *argv)
+        assert code == EXIT_FAIL and not report["pass"]
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    metrics = reports[0]["metrics"]
+    assert metrics["zero_mode_rel"] == 0.0 and 0.7 <= metrics["compat_rel"] <= 0.95
+    residual, = (c for c in reports[0]["checks"] if c["name"] == "dirac_residual")
+    assert not residual["pass"] and set(residual["witness"]) == {"point", "component"}
 
 
 @pytest.mark.parametrize("sweep", ["0,8", "3,8", "1,2", "8,x", "8,,12", "8.0", "12,2",

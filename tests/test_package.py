@@ -1,11 +1,12 @@
-"""The package exercises its own public surface: every public function has a
-caller in the package, and every defaulted parameter a call that passes it."""
+"""The package exercises its own code: every top-level function, public or
+private, has a caller in the package, and every defaulted parameter a call
+that passes it."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "diraclab"
-#: what the package itself leaves unexercised, each with its reason: a public
+#: what the package itself leaves unexercised, each with its reason: a
 #: function (module, function) with no caller, or a defaulted parameter
 #: (module, function, parameter) that no call passes
 EXEMPT = {
@@ -18,10 +19,10 @@ def _modules():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _public(trees):
-    """The top-level public function definitions, by (module, function)."""
+def _functions(trees):
+    """The top-level function definitions, by (module, function)."""
     return {(name, node.name): node for name, tree in trees.items() for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+            if isinstance(node, ast.FunctionDef)}
 
 
 def _names(name, tree):
@@ -90,28 +91,28 @@ def _passes(call, param, position):
     return position is not None and position < len(call.args)
 
 
-def test_every_public_function_has_a_caller_in_the_package():
-    # a public function that only the tests reach belongs in tests/conftest.py;
-    # the package's own __init__ re-exports names and calls none of them
+def test_every_function_has_a_caller_in_the_package():
+    # a function that only the tests reach belongs in tests/conftest.py; the
+    # package's own __init__ re-exports names and calls none of them
     trees = _modules()
-    public = set(_public(trees))
+    functions = set(_functions(trees))
     called = set()
     for name, tree in trees.items():
         if name != "__init__":
             called |= {target for target, owner in _references(name, tree)
                        if target != (name, owner)}
     exempt = {key for key in EXEMPT if len(key) == 2}
-    assert public, SRC
-    assert exempt <= public - called
-    uncalled = sorted(f"{mod}.{fn}" for mod, fn in public - called - exempt)
-    assert not uncalled, f"public functions with no caller in the package: {uncalled}"
+    assert functions, SRC
+    assert exempt <= functions - called
+    uncalled = sorted(f"{mod}.{fn}" for mod, fn in functions - called - exempt)
+    assert not uncalled, f"functions with no caller in the package: {uncalled}"
 
 
 def test_every_default_is_passed_by_a_call_in_the_package():
     # a default that no call overrides is an option no command sets: the
     # parameter goes, and the default becomes the code
     trees = _modules()
-    defaulted = {(mod, fn, param): position for (mod, fn), node in _public(trees).items()
+    defaulted = {(mod, fn, param): position for (mod, fn), node in _functions(trees).items()
                  for param, position in _defaulted(node).items()}
     passed = set()
     for name, tree in trees.items():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import (
+    apply_rows,
     apply_spectral,
     dirac_residual_in_f_hat_planes,
     grid_inner,
@@ -220,6 +221,33 @@ def test_pipeline_matches_the_real_space_route(k, n, N, reps):
     assert str(err.value) == str(ref.value)
 
 
+def test_broken_data_is_mean_free_with_its_closed_form_defect(reps):
+    # --break-compat negates f's last block, f = (nabla_0 phi, ...,
+    # -nabla_{k-1} phi): its zero mode stays exactly 0, and at each mode a
+    # share 4 a (1 - a) of |f_hat|^2 = |xi|^2 |phi_hat|^2, a = |xi_{k-1}|^2 /
+    # |xi|^2, lies off the range of sigma0, so compat_rel is a property of
+    # the continuum data and reads nearly the same at every N
+    from diraclab.solver import _freqs
+
+    compat = {}
+    for k, n, N in [(2, 2, 16), (2, 2, 24), (2, 2, 32), (2, 3, 8), (3, 1, 12)]:
+        rep = reps[n]
+        _, metrics = recover_bump(rep, k, n, N, tol=np.inf, break_compat=True)
+        assert metrics["zero_mode_rel"] == 0.0, (k, n, N)
+        phi = make_bump(rep, k, n, N, L, np.full(k * n, L / 2), 0.6).planes
+        phi_sq = (np.abs(np.fft.fftn(phi, axes=tuple(range(1, k * n + 1)))) ** 2).sum(0)
+        sq = [x**2 for x in np.meshgrid(*[_freqs(N, L)] * (k * n), indexing="ij",
+                                        sparse=True)]
+        xi2, last = sum(sq), sum(sq[-n:])
+        a = np.divide(last, xi2, out=np.zeros(phi_sq.shape), where=xi2 > 0)
+        f_sq = xi2 * phi_sq
+        want = np.sqrt((4 * a * (1 - a) * f_sq).sum() / f_sq.sum())
+        assert metrics["compat_rel"] == pytest.approx(want, rel=1e-12, abs=0), (k, n, N)
+        compat[k, n, N] = metrics["compat_rel"]
+    at22 = [compat[2, 2, N] for N in (16, 24, 32)]
+    assert all(0.7 <= c <= 0.95 for c in at22) and max(at22) <= 1.03 * min(at22), at22
+
+
 @pytest.mark.parametrize("k, n, N", [(2, 2, 16), (2, 3, 6), (3, 1, 12)])
 def test_sweep_matches_the_real_space_route(k, n, N, reps):
     # the sweep transforms its data in its own planes; solve_d0, which leaves
@@ -240,16 +268,16 @@ def test_dirac_residual_names_its_worst_point(reps):
     # the witness is a grid point and component of the largest |D0 u - f|,
     # with f - D0 u formed from the spectra as the residual forms it, and the
     # value is that difference's norm relative to ||f||
-    from diraclab.solver import _apply_rows, _sigma_rows
+    from diraclab.solver import _sigma_rows
 
     rep = reps[2]
     N = 12
     u, metrics = recover_bump(rep, 2, 2, N)
     phi = make_bump(rep, 2, 2, N, L, CENTER4, 0.6)
     rows = _sigma_rows(rep, 2, 2, N, L)
-    fh = _apply_rows(rows, np.fft.fftn(phi.planes, axes=(1, 2, 3, 4)))
+    fh = apply_rows(rows, np.fft.fftn(phi.planes, axes=(1, 2, 3, 4)))
     f = np.fft.ifftn(fh, axes=(1, 2, 3, 4))
-    diff = np.fft.ifftn(fh - _apply_rows(rows, np.fft.fftn(u.planes, axes=(1, 2, 3, 4))),
+    diff = np.fft.ifftn(fh - apply_rows(rows, np.fft.fftn(u.planes, axes=(1, 2, 3, 4))),
                         axes=(1, 2, 3, 4))
     mod2 = diff.real**2 + diff.imag**2
     witness = metrics["dirac_residual_witness"]
@@ -259,29 +287,43 @@ def test_dirac_residual_names_its_worst_point(reps):
         np.linalg.norm(diff) / np.linalg.norm(f), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("d0", [True, False])
+def broken_rows(rep, k, n, N, L):
+    """The rows of sigma0 with the last block's s rows negated: the rows of
+    f = (nabla_0 phi, ..., -nabla_{k-1} phi), which --break-compat solves."""
+    from diraclab.solver import _sigma_rows
+
+    rows, s = _sigma_rows(rep, k, n, N, L), rep.s_dim
+    return rows[:-s] + [[-w for w in row] for row in rows[-s:]]
+
+
+@pytest.mark.parametrize("phi_rows", [True, False, "negated"])
 @pytest.mark.parametrize("tol", [1.0, None])
 @pytest.mark.parametrize("k, n, N", [(2, 2, 16), (2, 3, 6), (3, 1, 12)])
-def test_fused_pass_matches_the_pass_by_pass_oracle(k, n, N, tol, d0, cpus, reps,
+def test_fused_pass_matches_the_pass_by_pass_oracle(k, n, N, tol, phi_rows, cpus, reps,
                                                     monkeypatch):
     # the solve's one pass over the slabs, from phi_hat with the rows of
-    # sigma0 (d0) or from a given f_hat, gives the u_hat, zero_mode_rel and
-    # compat_rel of separate passes over f_hat held as a grid bit for bit,
-    # and ||f_hat||^2, at every count of parts; tol = 1.0 measures both
-    # guards and raises nothing, since both shares are at most 1
+    # sigma0 (phi_rows) or with their last block negated, or from a given
+    # f_hat, gives the u_hat, zero_mode_rel and compat_rel of separate passes
+    # over f_hat held as a grid bit for bit, and ||f_hat||^2, at every count
+    # of parts; tol = 1.0 measures both guards and raises nothing, since both
+    # shares are at most 1
     from diraclab import solver
 
     rep, center = reps[n], np.full(k * n, L / 2)
-    rows = solver._sigma_rows(rep, k, n, N, L)
-    if d0:
+    rows = None
+    if phi_rows:
+        rows = (broken_rows if phi_rows == "negated" else solver._sigma_rows)(
+            rep, k, n, N, L)
         x = solver._fft(make_bump(rep, k, n, N, L, center, 0.6).planes)
-        fh = solver._apply_rows(rows, x)
+        fh = apply_rows(rows, x)
     else:  # off the range of sigma0 and not mean-free
         f = bump_dirac_data(rep, k, n, N, L, center, 0.6).planes
         x = fh = solver._fft(f + 1e-3 * complex_normal(np.random.default_rng(N), f.shape))
     want_uh, want_rel0, want_compat = solve_spectrum_in_passes(fh, rep, k, n, L, tol)
-    if not d0:
+    if not phi_rows:
         assert want_rel0 > 0 and want_compat != 0
+    if phi_rows == "negated":  # mean-free, but off the range of sigma0
+        assert want_rel0 == 0 and (tol is None or want_compat > 0.5)
     before = x.tobytes()
     seen, fftn = [], solver._fftn
 
@@ -295,7 +337,7 @@ def test_fused_pass_matches_the_pass_by_pass_oracle(k, n, N, tol, d0, cpus, reps
     for count in (1, 3):
         cpus(count)
         seen.clear()
-        _, diag, f_sq = solver._solve_spectrum(x, rep, k, n, L, tol, d0=d0)
+        _, diag, f_sq = solver._solve_spectrum(x, rep, k, n, L, tol, rows)
         assert seen[0].tobytes() == want_uh.tobytes(), count
         assert diag["zero_mode_rel"] == want_rel0
         assert diag.get("compat_rel") == want_compat
@@ -305,22 +347,24 @@ def test_fused_pass_matches_the_pass_by_pass_oracle(k, n, N, tol, d0, cpus, reps
 
 @pytest.mark.parametrize("k, n, N", [(2, 2, 12), (2, 3, 6), (3, 1, 12)])
 def test_dirac_residual_matches_the_f_hat_plane_route(k, n, N, reps):
-    # the residual check forms f_hat - sigma0 v_hat from phi_hat slab by slab
+    # the residual check forms f_hat - sigma0 v_hat from phi_hat slab by slab,
+    # f_hat by the rows of sigma0 or by those with the last block negated,
     # into the planes of phi_hat, v_hat and, at k = 3, one more V0 grid; the
-    # route that holds f_hat = sigma0 phi_hat as a grid and writes the
-    # difference into its planes gives its value and witness bit for bit, as
-    # does the residual of f_hat given whole
+    # route that holds f_hat as a grid and writes the difference into its
+    # planes gives its value and witness bit for bit
     from diraclab import solver
 
     rep, center = reps[n], np.full(k * n, L / 2)
-    u, metrics = recover_bump(rep, k, n, N)
-    phi_hat = solver._fft(make_bump(rep, k, n, N, L, center, 0.6).planes)
-    fh = solver._apply_rows(solver._sigma_rows(rep, k, n, N, L), phi_hat)
-    f_sq = sum_sq(fh)
-    given = solver._dirac_residual(u, fh.copy(), f_sq, rep)
-    want = dirac_residual_in_f_hat_planes(u, fh, rep)
-    assert solver._dirac_residual(u, phi_hat, f_sq, rep, d0=True) == want == given
-    assert (metrics["dirac_residual_rel_l2"], metrics["dirac_residual_witness"]) == want
+    for broken in (False, True):
+        u, metrics = recover_bump(rep, k, n, N, tol=np.inf, break_compat=broken)
+        rows = (broken_rows if broken else solver._sigma_rows)(rep, k, n, N, L)
+        phi_hat = solver._fft(make_bump(rep, k, n, N, L, center, 0.6).planes)
+        fh = apply_rows(rows, phi_hat)
+        f_sq = sum_sq(fh)
+        want = dirac_residual_in_f_hat_planes(u, fh, rep)
+        assert solver._dirac_residual(u, phi_hat, f_sq, rep, rows) == want, broken
+        assert (metrics["dirac_residual_rel_l2"],
+                metrics["dirac_residual_witness"]) == want, broken
 
 
 def test_certification_samples_generic_modes(reps):
@@ -498,8 +542,13 @@ def test_memory_guard_estimates_track_peaks(monkeypatch, reps):
         "d0_star": lambda: apply_spectral("d0_star", f, rep),
         "solve_d0": lambda: solve_d0(f, rep),
     }
+    def rejected():
+        with pytest.raises(CompatibilityError):
+            recover_bump(rep, 2, 2, 24, break_compat=True)
+
     pipelines = {
         "recover_bump": lambda: recover_bump(rep, 2, 2, 24),
+        "break_compat": rejected,
         "resolution_sweep": lambda: resolution_sweep(rep, 2, 2, [16, 24]),
     }
     calls.update(pipelines)
@@ -698,8 +747,8 @@ def test_solve_peaks_hold_few_planes(reps):
     # and never holds it, and the scratch of every pass is slab-sized, so it
     # holds 3 planes (phi_hat and two of u_hat, u, the anchoring's gather of
     # the exterior values, phi, or the residual's v_hat, whose planes take
-    # the difference with phi_hat's); the rejected solve (f_hat and the
-    # noise, or u_hat) and a sweep row (f_hat and u_hat) hold 3 too.  Each
+    # the difference with phi_hat's); the rejected solve (phi_hat and u_hat)
+    # and a sweep row (f_hat and u_hat) hold 3 at most too.  Each
     # peaks a little above that: the slab scratch and the certification
     import tracemalloc
 
@@ -831,7 +880,7 @@ def complex_normal(rng, shape):
 def test_parallel_kernels_match_serial_bitwise(kn, count, cpus):
     # every split of the slabs gives np.fft.fftn's, ifftn's and the serial
     # multiplier loop's bytes
-    from diraclab.solver import _apply_rows, _fftn
+    from diraclab.solver import _fftn
 
     rng = np.random.default_rng(kn)
     axes = tuple(range(1, kn + 1))
@@ -853,7 +902,7 @@ def test_parallel_kernels_match_serial_bitwise(kn, count, cpus):
                      for _ in range(comps)]
                     for _ in range(1 + (N + comps) % 3)]
             want = serial_rows(rows, x)
-            assert _apply_rows(rows, x).tobytes() == want.tobytes(), (N, comps)
+            assert apply_rows(rows, x).tobytes() == want.tobytes(), (N, comps)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])
@@ -1108,34 +1157,10 @@ def test_sliced_sums_agree_at_every_count(kn, cpus):
             assert mod2[(witness["component"], *witness["point"])] == mod2.max()
 
 
-def test_noise_keeps_its_draw_and_is_the_same_at_every_count(cpus, reps):
-    # --break-compat's noise: one standard normal draw in f's component-last
-    # order, scaled by max |f| and centred per component; the centred noise
-    # matches the whole-array formulas to rounding and reads the same bits at
-    # every count
-    from diraclab.solver import _add_noise
-
-    rep = reps[2]
-    f = apply_spectral("d0", make_bump(rep, 2, 2, 8, L, CENTER4, 0.6), rep)
-    noise = np.random.default_rng(0).standard_normal(f.values.shape) * np.abs(f.values).max()
-    noise -= noise.mean(axis=tuple(range(4)), keepdims=True)
-    want = f.values + noise
-    results = set()
-    for count in (1, 2, 3, 8):
-        cpus(count)
-        g = GridField(2, 2, 8, L, "V1", f.values.copy())
-        _add_noise(g)
-        results.add(g.values.tobytes())
-        assert np.abs(g.values - want).max() <= 1e-14 * np.abs(want).max()
-        added = g.values - f.values
-        assert np.abs(added.mean(axis=(0, 1, 2, 3))).max() <= 1e-15 * np.abs(added).max()
-    assert len(results) == 1
-
-
 def test_split_solves_read_the_same_at_every_count(cpus, reps, monkeypatch):
     # with every grid split among the parts, the whole pipeline (bump, d0,
-    # noise, solve, anchor, metrics, sweep) gives the same bytes and values
-    # at every count
+    # solve, anchor, metrics, sweep) and the rejection of broken data give
+    # the same bytes and values at every count
     import json
 
     from diraclab import solver
@@ -1198,11 +1223,10 @@ def test_one_team_per_solve(cpus, reps, monkeypatch):
     assert len(started) == 2 and threading.active_count() == before
     assert [row["timings"]["fft_planes"] for row in rows] == [3, 3, 3]
     assert all(row["timings"]["regions"] > 5 and row["timings"]["s"] > 0 for row in rows)
-    # a broken solve transforms phi forward and f_hat back and forth, for the
-    # noise, before the guard rejects it
+    # a broken solve transforms phi forward only before the guard rejects it
     with solver._team() as team, pytest.raises(CompatibilityError):
         recover_bump(reps[2], 2, 2, 8, break_compat=True)
-    assert team.fft_planes == 5
+    assert team.fft_planes == 1
 
 
 def test_team_survives_a_raising_region_and_ends_with_the_solve(cpus, reps, monkeypatch):
