@@ -156,22 +156,29 @@ def checks_weyl(k):
             diff = np.empty_like(cols)
 
             def defect(op, perm):
-                # max |cols -/+ cols.transpose(perm)|, all in one buffer: at
-                # k = 5 each fresh (k^m, dim) temporary is 3 MiB of new pages
+                # max |cols -/+ cols.transpose(perm)| and its entry, all in one
+                # buffer: at k = 5 each fresh (k^m, dim) temporary is 3 MiB of
+                # new pages
                 op(cols, cols.transpose(perm), out=diff)
-                return float(np.abs(diff, out=diff).max())
+                at = np.unravel_index(np.argmax(np.abs(diff, out=diff)), diff.shape)
+                return float(diff[at]), {
+                    "transpose": list(perm[:-1]),
+                    "relation": "symmetric" if op is np.subtract else "skew",
+                    "column": int(at[-1]), "index": [int(i) for i in at[:-1]]}
 
             if lam == "21":
+                value, witness = defect(np.subtract, (0, 2, 1, 3))
                 out.append(_check(f"basis_symmetry lam=21 k={k}",
                                   "members symmetric in the last two indices",
-                                  defect(np.subtract, (0, 2, 1, 3)), 1e-10))
+                                  value, 1e-10, witness=witness))
             if lam == "311":
-                worst = max(defect(np.subtract, (0, 3, 2, 1, 4, 5)),
-                            defect(np.subtract, (0, 1, 2, 4, 3, 5)),
-                            defect(np.add, (2, 1, 0, 3, 4, 5)))
+                value, witness = max((defect(np.subtract, (0, 3, 2, 1, 4, 5)),
+                                      defect(np.subtract, (0, 1, 2, 4, 3, 5)),
+                                      defect(np.add, (2, 1, 0, 3, 4, 5))),
+                                     key=lambda d: d[0])
                 out.append(_check(f"basis_symmetry lam=311 k={k}",
                                   "symmetric in slots 2,4,5; skew in slots 1,3",
-                                  worst, 1e-10))
+                                  value, 1e-10, witness=witness))
     return out
 
 

@@ -20,6 +20,12 @@ Construction convention (fixed so results are reproducible bit for bit):
   dropped; both blocks are taken over the resulting half-spin spaces, which
   makes S+ and S- the same coordinate space.
 
+Each family E_1..E_2m is built once per m and shared by n = 2m - 1 and
+n = 2m.  Every E is the left-associated chain of krons from [[1]], and the
+s3 prefix of E_{2l-1} and E_{2l} is built once; the products are the same
+ones in the same order, so the blocks are the same bytes, signed zeros
+included, as when each E was built alone.
+
 All matrix entries lie in {0, +-1, +-i}, so the algebraic identities below
 hold exactly in double precision.
 """
@@ -64,21 +70,22 @@ class CliffordRep:
     gamma_minus: np.ndarray
 
 
-def _kron_chain(mats):
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
+@lru_cache(maxsize=None)
 def _hermitian_generators(m):
+    """E_1..E_2m, one family per m: n = 2m - 1 and n = 2m share it.
+
+    Each E is the left-associated chain ``((1 (x) s3) (x) ...) (x) s (x) 1
+    ...``, and the s3 prefix of E_{2l-1} and E_{2l} is built once."""
     gens = []
+    prefix = np.array([[1.0 + 0.0j]])
     for l in range(m):
-        head = [_PAULI3] * l
-        tail = [_ID2] * (m - 1 - l)
-        gens.append(_kron_chain(head + [_PAULI1] + tail))
-        gens.append(_kron_chain(head + [_PAULI2] + tail))
-    return gens
+        for pauli in (_PAULI1, _PAULI2):
+            out = np.kron(prefix, pauli)
+            for _ in range(m - 1 - l):
+                out = np.kron(out, _ID2)
+            gens.append(out)
+        prefix = np.kron(prefix, _PAULI3)
+    return tuple(gens)
 
 
 def spinor_dim(n):

@@ -15,7 +15,9 @@ the output is the letter at slot ``p[s]`` of the input: ``M_p`` with
 ``p = (2, 1, 0)`` sends ``h`` to ``h[C,B,A]``.
 
 Elements multiply as operators, ``M_p M_q = M_{p o q}`` (:func:`compose`),
-and no (k^m, k^m) matrix is ever formed: :func:`compile_element` groups an
+in integers: the products of the operands' numerators over their common
+denominators are summed exactly, and each sum becomes one Fraction at the
+end.  No (k^m, k^m) matrix is ever formed: :func:`compile_element` groups an
 element's terms by |coefficient| once, and :func:`apply_compiled` applies
 them to tensors, one signed sum of transposes per group and one multiply per
 group.  A product of elements is applied factor by factor (see
@@ -24,6 +26,7 @@ term counts rather than the product's.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -65,14 +68,28 @@ def group_sum(slots, m, signed=False, scale=1):
     return out
 
 
+def _numerators(x):
+    """The coefficients of `x` as integers over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in x.values()))
+    return [(p, c.numerator * (den // c.denominator)) for p, c in x.items()], den
+
+
 def compose(x, y):
-    """Product of elements as operators: ``M_p M_q = M_{p o q}``."""
+    """Product of elements as operators: ``M_p M_q = M_{p o q}``.
+
+    The products are summed as integer numerators over the operands' common
+    denominator, in the order of the terms, so each distinct ``p o q`` is
+    keyed where it first appears and the result's Fractions are exact."""
+    xs, dx = _numerators(x)
+    ys, dy = _numerators(y)
     out = {}
-    for p, a in x.items():
-        for q, b in y.items():
-            r = tuple(p[t] for t in q)
+    for p, a in xs:
+        at = p.__getitem__
+        for q, b in ys:
+            r = tuple(map(at, q))
             out[r] = out.get(r, 0) + a * b
-    return {r: c for r, c in out.items() if c}
+    den = dx * dy
+    return {r: Fraction(c, den) for r, c in out.items() if c}
 
 
 def add(x, y):

@@ -28,7 +28,11 @@ basis (Fulton, *Young Tableaux*, 1997, 8.1; Fulton-Harris, *Representation
 Theory*, Lecture 6): ``Y_lam e_T`` for the semistandard tableaux T of shape
 lam with entries < k.  It is certified exactly, with no random numbers:
 ``C_lam = Y_lam`` and ``C_lam^2 = C_lam`` in Q[S_m], and the tableau count
-equals the trace rank.
+equals the trace rank.  The columns are orthonormalised through their Gram
+matrix, which is exact: n Y_lam has integer coefficients (n the tableau
+factor), so the Gram matrix is an integer one divided by n^2.  The inverse
+of its Cholesky factor comes from substitution on the tableau axis, and no
+matrix product, inverse or LAPACK call runs on the k^m axis.
 
 Tableau convention: the tableau position p (1-based) is the tensor slot
 ``m - p``, so the right action of a tableau permutation on basis tensors is
@@ -176,7 +180,7 @@ def apply_projector_transpose(lam, h):
 def projector_rank(k, lam):
     """Rank of ``C_lam`` on (C^k)^{(x) m}: its exact trace (it is idempotent)."""
     _require(k, lam)
-    tr = evaluate(trace_polynomial(projector_terms(lam)), k)
+    tr = evaluate(_trace(lam, "trace_c"), k)
     if tr.denominator != 1 or tr < 0:
         raise ArithmeticError(f"trace {tr} of an idempotent is not a rank")
     return int(tr)
@@ -219,6 +223,61 @@ def _gap(lam, identity):
     return max(map(abs, add(left, scale(right, -1)).values()), default=Fraction(0))
 
 
+def _images(k, lam, tableaux):
+    """The images ``n Y_lam e_T`` of the tableaux (n the tableau factor of
+    ``_TABLEAU``) as their nonzero integer entries, sorted by row and then
+    column: arrays (rows, cols, values).
+
+    Each term p of Y puts n c_p at row ``T o p^-1`` of T's column (``M_p e_T
+    = e_{T o p^-1}``); for a fixed p distinct tableaux go to distinct rows,
+    so a column holds at most len(Y) entries."""
+    m, count = tableaux.shape
+    terms = young_terms(lam)
+    coefs = [c * _TABLEAU[lam][2] for c in terms.values()]
+    if any(c.denominator != 1 for c in coefs):
+        raise ArithmeticError(f"the tableau factor does not clear Y_{lam}'s denominators")
+    perms = np.array([inverse(p) for p in terms], dtype=np.intp)
+    rows = (tableaux[perms] * (k ** np.arange(m - 1, -1, -1))[:, None]).sum(axis=1)
+    keys, slot = np.unique((rows * count + np.arange(count)).ravel(), return_inverse=True)
+    values = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(values, slot, np.repeat(np.array(coefs, dtype=np.int64), count))
+    keys, values = keys[values != 0], values[values != 0]
+    return keys // count, keys % count, values
+
+
+def _ranges(starts, sizes):
+    """The index ranges ``starts[i] .. starts[i] + sizes[i] - 1``, concatenated:
+    arrays (i, index), one pair per index."""
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    return owner, np.arange(owner.size) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+
+
+def _gram(rows, cols, values, count):
+    """The exact integer Gram matrix of the columns given by entries sorted by
+    row: the sum of ``values[a] values[b]`` over the pairs (a, b) of entries
+    that share a row, at (cols[a], cols[b])."""
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    sizes = np.diff(starts, append=rows.size)
+    left, right = _ranges(np.repeat(starts, sizes), np.repeat(sizes, sizes))
+    gram = np.zeros((count, count), dtype=np.int64)
+    np.add.at(gram, (cols[left], cols[right]), values[left] * values[right])
+    return gram
+
+
+def _lower_inverse(chol):
+    """L^-1 for a lower-triangular L, by forward substitution down L's
+    columns in elementwise updates, with no BLAS or LAPACK call.  A column
+    with no entry below the diagonal updates no other row, so its row is
+    scaled with the others like it at the end."""
+    inv = np.eye(len(chol))
+    below = np.tril(chol, -1).any(axis=0)
+    for j in np.flatnonzero(below):
+        inv[j, :j + 1] /= chol[j, j]
+        inv[j + 1:, :j + 1] -= chol[j + 1:, j, None] * inv[j, :j + 1]
+    inv[~below] /= chol.diagonal()[~below, None]
+    return inv
+
+
 @lru_cache(maxsize=None)
 def weyl_space(k, lam):
     """Build the Weyl module for partition `lam` over C^k.
@@ -226,12 +285,16 @@ def weyl_space(k, lam):
     The basis is the classical one (Fulton, *Young Tableaux*, 1997, 8.1;
     Fulton-Harris, *Representation Theory*, Lecture 6): ``Y_lam e_T`` for
     the semistandard tableaux T of shape `lam` with entries < k,
-    orthonormalised through the Cholesky factor of its Gram matrix.  It is
-    certified exactly: ``C_lam = Y_lam`` and ``C_lam^2 = C_lam`` in Q[S_m]
-    make ``C_lam Y_lam = Y_lam``, which puts every column in the image of
-    ``C_lam``, and the tableau count equals the exact trace rank.  A failed
-    certification, or a singular Gram matrix, raises ArithmeticError; dense
-    arrays over the memory cap raise :class:`~diraclab.solver.ResourceLimitError`.
+    orthonormalised as ``[Y_lam e_T] L^-T``, L the Cholesky factor of their
+    exact Gram matrix (:func:`_gram`, over the tableau factor squared) and
+    L^-1 from substitution (:func:`_lower_inverse`); the basis is summed
+    from the images' entries, with no matrix product on the k^m axis.  It
+    is certified exactly: ``C_lam = Y_lam`` and ``C_lam^2 = C_lam`` in
+    Q[S_m] make ``C_lam Y_lam = Y_lam``, which puts every column in the
+    image of ``C_lam``, and the tableau count equals the exact trace rank.
+    A failed certification, or a singular Gram matrix, raises
+    ArithmeticError; dense arrays over the memory cap raise
+    :class:`~diraclab.solver.ResourceLimitError`.
     """
     from .solver import _require_bytes  # solver imports this module
     for key, law in (("image_equality", "C != Y"), ("projector_idempotent", "C C != C")):
@@ -245,18 +308,22 @@ def weyl_space(k, lam):
     count = tableaux.shape[1]
     if count != rank:
         raise ArithmeticError(f"{count} semistandard tableaux, trace rank {rank}")
-    # M_p e_t = e_{t o p^-1}: each term of Y puts its coefficient at one row
-    # of every column
-    images = np.zeros((k**m, count))
-    columns = np.arange(count)
-    for p, c in young_terms(lam).items():
-        flat = np.ravel_multi_index(tableaux[list(inverse(p))], (k,) * m)
-        np.add.at(images, (flat, columns), float(c))
+    rows, cols, values = _images(k, lam, tableaux)
+    norm = _TABLEAU[lam][2]
     try:
-        chol = np.linalg.cholesky(images.T @ images)
+        chol = np.linalg.cholesky(_gram(rows, cols, values, count) / norm**2)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"tableau images are dependent: {exc}") from None
-    basis = images @ np.linalg.inv(chol).T
+    # G, and so L^-T, is block diagonal by tableau content: each image entry
+    # (row, col, value) adds value times the few nonzeros of row col of
+    # L^-T / n, in order of col, so rows equal or opposite in the images stay
+    # so bit for bit
+    w = _lower_inverse(chol).T / norm
+    wc, wj = np.nonzero(w)
+    ptr = np.searchsorted(wc, np.arange(count + 1))
+    entry, at = _ranges(ptr[cols], np.diff(ptr)[cols])
+    basis = np.zeros((k**m, count))
+    np.add.at(basis, (rows[entry], wj[at]), values[entry] * w[wc[at], wj[at]])
     basis.setflags(write=False)
     return WeylSpace(k=k, lam=lam, m=m, basis=basis, dim=rank)
 
@@ -315,6 +382,12 @@ def trace_polynomial(x):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _trace(lam, key):
+    """:func:`trace_polynomial` of C (``trace_c``) or Y (``trace_y``) of `lam`."""
+    return trace_polynomial((projector_terms if key == "trace_c" else young_terms)(lam))
+
+
 def evaluate(poly, k):
     """Exact value at `k` of a polynomial given by its coefficients."""
     return sum((c * k**j for j, c in enumerate(poly)), Fraction(0))
@@ -334,8 +407,8 @@ def exact_checks(k, lam):
     _require(k, lam)
     out = {key: float(_gap(lam, key)) for key in
            ("projector_idempotent", "symmetrizer_idempotent", "image_equality")}
-    out["trace_c"] = evaluate(trace_polynomial(projector_terms(lam)), k)
-    out["trace_y"] = evaluate(trace_polynomial(young_terms(lam)), k)
+    for key in ("trace_c", "trace_y"):
+        out[key] = evaluate(_trace(lam, key), k)
     return out
 
 

@@ -139,6 +139,53 @@ def terms_matrix(x, k, m=None):
     return mat
 
 
+def terms_rows(x, k):
+    """The rows of :func:`terms_matrix` as sparse rows: arrays (cols, vals) of
+    shape (k**m, len(x)), row i of the matrix being the sum over t of
+    ``vals[i, t]`` at column ``cols[i, t]`` (a column may repeat in a row)."""
+    m = len(next(iter(x)))
+    size = k**m
+    rows = np.arange(size)
+    digits = [(rows // k ** (m - 1 - t)) % k for t in range(m)]
+    cols = np.zeros((size, len(x)), dtype=np.int64)
+    for j, p in enumerate(x):
+        for t in range(m):
+            cols[:, j] += digits[p[t]] * k ** (m - 1 - t)
+    vals = np.broadcast_to(np.array([float(c) for c in x.values()]), cols.shape)
+    return cols, vals
+
+
+def square_defect(x, k, block=256):
+    """Frobenius norms ``(||X X - X||, ||X||)`` of the dense matrix X of a
+    nonzero Q[S_m] element, from its sparse rows (:func:`terms_rows`): row i
+    of X X is the sum over t of ``vals[i, t]`` times row ``cols[i, t]`` of X.
+    `block` rows at a time are summed into dense rows, so at k = 5 nothing of
+    size k^m x k^m is formed."""
+    cols, vals = terms_rows(x, k)
+    size = len(cols)
+    defect = norm = 0.0
+    for lo in range(0, size, block):
+        c, v = cols[lo:lo + block], vals[lo:lo + block]
+        at = np.arange(len(c))[:, None] * size
+        row = np.bincount((at + c).ravel(), v.ravel(), minlength=len(c) * size)
+        square = np.bincount((at[:, :, None] + cols[c]).ravel(),
+                             (v[:, :, None] * vals[c]).ravel(), minlength=len(c) * size)
+        defect += np.sum((square - row) ** 2)
+        norm += np.sum(row**2)
+    return math.sqrt(defect), math.sqrt(norm)
+
+
+def compose_reference(x, y):
+    """``M_p M_q = M_{p o q}`` summed in Fractions in the order of the terms:
+    the oracle of ``tensoridx.compose``, keys and their order included."""
+    out = {}
+    for p, a in x.items():
+        for q, b in y.items():
+            r = tuple(p[t] for t in q)
+            out[r] = out.get(r, 0) + a * b
+    return {r: c for r, c in out.items() if c}
+
+
 def apply_terms(x, h):
     """A Q[S_m] element applied term by term: ``sum_p c_p M_p h``, one scaled
     transpose per term, into zeros in the order of the terms.

@@ -73,6 +73,36 @@ def test_construction_deterministic():
     assert np.array_equal(a.gamma_minus, b.gamma_minus)
 
 
+def _kron_reference(n):
+    # every generator its own left-associated kron chain from [[1]], as in the
+    # tensor recursion of the module docstring, then the chirality blocks
+    m = (n + 1) // 2
+    pauli = [np.array(a, dtype=complex) for a in
+             ([[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]])]
+    gens = []
+    for l in range(m):
+        for s in pauli[:2]:
+            out = np.array([[1.0 + 0.0j]])
+            for f in [pauli[2]] * l + [s] + [np.eye(2, dtype=complex)] * (m - 1 - l):
+                out = np.kron(out, f)
+            gens.append(out)
+    parity = np.array([bin(b).count("1") % 2 for b in range(2**m)])
+    plus, minus = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    return (np.stack([(1j * e)[np.ix_(minus, plus)] for e in gens[:n]]),
+            np.stack([(1j * e)[np.ix_(plus, minus)] for e in gens[:n]]))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gammas_match_kron_reference_bytes(n):
+    # one shared family per m and shared s3 prefixes leave every byte as it
+    # was, signed zeros included
+    rep = build_clifford.__wrapped__(n)
+    gp, gm = _kron_reference(n)
+    assert rep.gamma_plus.dtype == gp.dtype and rep.gamma_plus.shape == gp.shape
+    assert rep.gamma_plus.tobytes() == gp.tobytes()
+    assert rep.gamma_minus.tobytes() == gm.tobytes()
+
+
 def test_build_is_cached_and_still_validates():
     # one rep per dimension, shared read-only; the typed cache never hands
     # the int's rep to a float, so a float is refused as before

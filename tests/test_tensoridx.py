@@ -1,10 +1,15 @@
 """Pins the semantics of Q[S_m] elements: signed sums of slot permutations."""
 
 from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
-from conftest import terms_matrix
+from conftest import compose_reference, terms_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diraclab import weyl
 
 from diraclab.tensoridx import (
     add,
@@ -101,3 +106,35 @@ def test_compose_matches_dense_oracle(k):
     # cancelling terms leave no zero coefficients behind
     assert add(x, scale(x, -1)) == {}
     assert scale(x, 0) == {}
+
+
+_ELEMENT3 = st.dictionaries(
+    st.permutations(range(3)).map(tuple),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 12)),
+    max_size=6,
+)
+
+
+def _same(got, want):
+    # the same keys in the same insertion order, with equal Fractions
+    assert list(got) == list(want)
+    assert all(type(c) is Fraction and c == want[r] for r, c in got.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ELEMENT3, _ELEMENT3)
+def test_compose_matches_fraction_loop(x, y):
+    # integer numerators over a common denominator sum to the Fraction loop's
+    # values, keyed in its order, cancellations included
+    _same(compose(x, y), compose_reference(x, y))
+    _same(compose(x, scale(x, -1)), compose_reference(x, scale(x, -1)))
+
+
+@pytest.mark.parametrize("lam", ["21", "22", "311"])
+def test_projector_products_match_fraction_loop(lam):
+    # every product of two of C_lam's factors, their running products (which
+    # end in C_lam) and Y_lam, in either order
+    factors = weyl.projector_factors(lam)
+    elements = (*factors, *accumulate(factors, compose), weyl.young_terms(lam))
+    for x, y in product(elements, repeat=2):
+        _same(compose(x, y), compose_reference(x, y))

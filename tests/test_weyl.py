@@ -170,7 +170,7 @@ def test_tableau_count_is_the_dimension(k, lam):
 @pytest.fixture()
 def cold_weyl():
     # every cache a rebuild touches starts and ends empty
-    caches = (weyl.weyl_space, weyl._gap)
+    caches = (weyl.weyl_space, weyl._gap, weyl._trace)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -183,6 +183,7 @@ def test_tableau_basis_is_deterministic(monkeypatch):
     built = {lam: weyl_space(4, lam).basis.copy() for lam in LAMS}
     weyl.weyl_space.cache_clear()
     weyl._gap.cache_clear()
+    weyl._trace.cache_clear()
     legacy = np.random.get_state()
 
     def no_rng(*args, **kwargs):
@@ -238,6 +239,92 @@ def test_singular_gram_fails_certification(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", singular)
     with pytest.raises(ArithmeticError, match="dependent"):
         weyl_space(3, "21")
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("lam", LAMS)
+def test_gram_matches_dense_oracle(k, lam):
+    # the tableau images n Y e_T as columns of the oracle's dense n Y (n the
+    # tableau factor, so every entry is an integer), and their Gram matrix,
+    # both exact
+    m, norm = weyl.PARTITIONS[lam][1], weyl._TABLEAU[lam][2]
+    tableaux = weyl._semistandard(k, lam)
+    count = tableaux.shape[1]
+    oracle = terms_matrix(scale(weyl.young_terms(lam), norm), k)
+    oracle = oracle[:, np.ravel_multi_index(tuple(tableaux), (k,) * m)].astype(np.int64)
+    rows, cols, values = weyl._images(k, lam, tableaux)
+    images = np.zeros_like(oracle)
+    images[rows, cols] = values
+    assert np.array_equal(images, oracle) and np.all(values != 0)
+    gram = weyl._gram(rows, cols, values, count)
+    assert gram.dtype == np.int64
+    assert np.array_equal(gram, oracle.T @ oracle)
+    b = weyl_space(k, lam).basis
+    assert np.abs(b.T @ b - np.eye(count)).max() <= 1e-12
+
+
+@pytest.mark.usefixtures("cold_weyl")
+def test_cold_build_inverts_nothing(monkeypatch):
+    # L^-1 comes from substitution on the tableau axis, not from inv or solve
+    def refused(*args, **kwargs):
+        raise AssertionError("the basis build called a dense inverse")
+
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    ws = weyl_space(5, "311")
+    assert ws.dim == 126
+    assert np.abs(ws.basis.T @ ws.basis - np.eye(126)).max() <= 1e-12
+    assert np.abs(_project(5, "311", ws.basis) - ws.basis).max() <= 1e-12
+
+
+def _partner(witness):
+    # the index the tested transpose moves the witness's index to
+    other = [0] * len(witness["index"])
+    for axis, source in enumerate(witness["transpose"]):
+        other[source] = witness["index"][axis]
+    return tuple(other)
+
+
+def _symmetry_defect(record, basis, k):
+    # |b[i, c] -/+ b[j, c]| at the witness's column c, index i and its
+    # partner j, from the record and the basis alone
+    w = record["witness"]
+    cols = basis.reshape((k,) * len(w["index"]) + (-1,))
+    sign = -1.0 if w["relation"] == "symmetric" else 1.0
+    return abs(cols[tuple(w["index"]) + (w["column"],)]
+               + sign * cols[_partner(w) + (w["column"],)])
+
+
+def test_basis_symmetry_witness_replays(capsys):
+    code = main(["verify", "--scope", "weyl", "--k", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    records = [c for c in report["checks"] if c["name"].startswith("basis_symmetry")]
+    assert [c["name"] for c in records] == ["basis_symmetry lam=21 k=4",
+                                             "basis_symmetry lam=311 k=4"]
+    for record, lam in zip(records, ("21", "311")):
+        assert _symmetry_defect(record, weyl_space(4, lam).basis, 4) == record["value"]
+
+
+@pytest.mark.usefixtures("cold_weyl")
+def test_basis_symmetry_witness_names_a_planted_defect(monkeypatch):
+    # one entry of the (3, "311") basis moved by 1e-6: the record names it
+    # (or the entry a tested transpose pairs it with), and the value replays
+    from dataclasses import replace
+
+    from diraclab import cli
+
+    planted = (1, 0, 2, 1, 1)
+    ws = weyl_space(3, "311")
+    basis = ws.basis.copy()
+    basis[np.ravel_multi_index(planted, (3,) * 5), 4] += 1e-6
+    monkeypatch.setattr(weyl, "weyl_space", lambda k, lam: (
+        replace(ws, basis=basis) if (k, lam) == (3, "311") else weyl_space(k, lam)))
+    record = next(c for c in cli.checks_weyl(3) if c["name"] == "basis_symmetry lam=311 k=3")
+    assert not record["pass"] and record["value"] > 1e-7
+    assert record["witness"]["column"] == 4
+    assert _symmetry_defect(record, basis, 3) == record["value"]
+    assert planted in (tuple(record["witness"]["index"]), _partner(record["witness"]))
 
 
 @pytest.mark.parametrize("k", KS)
