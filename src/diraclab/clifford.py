@@ -21,10 +21,9 @@ Construction convention (fixed so results are reproducible bit for bit):
   makes S+ and S- the same coordinate space.
 
 Each family E_1..E_2m is built once per m and shared by n = 2m - 1 and
-n = 2m.  Every E is the left-associated chain of krons from [[1]], and the
-s3 prefix of E_{2l-1} and E_{2l} is built once; the products are the same
-ones in the same order, so the blocks are the same bytes, signed zeros
-included, as when each E was built alone.
+n = 2m, from the family of m - 1.  Every E is the left-associated chain of
+krons from [[1]], so the blocks are the same bytes, signed zeros included,
+as when each E is built alone.
 
 All matrix entries lie in {0, +-1, +-i}, so the algebraic identities below
 hold exactly in double precision.
@@ -72,20 +71,17 @@ class CliffordRep:
 
 @lru_cache(maxsize=None)
 def _hermitian_generators(m):
-    """E_1..E_2m, one family per m: n = 2m - 1 and n = 2m share it.
+    """E_1..E_2m, one family per m (n = 2m - 1 and n = 2m share it), and the
+    s3 prefix s3^{(x)m}, each a left-associated kron chain from [[1]].
 
-    Each E is the left-associated chain ``((1 (x) s3) (x) ...) (x) s (x) 1
-    ...``, and the s3 prefix of E_{2l-1} and E_{2l} is built once."""
-    gens = []
-    prefix = np.array([[1.0 + 0.0j]])
-    for l in range(m):
-        for pauli in (_PAULI1, _PAULI2):
-            out = np.kron(prefix, pauli)
-            for _ in range(m - 1 - l):
-                out = np.kron(out, _ID2)
-            gens.append(out)
-        prefix = np.kron(prefix, _PAULI3)
-    return tuple(gens)
+    The chains of family m are those of family m - 1 extended by (x) 1, and
+    the last two extend the prefix of family m - 1."""
+    if m == 0:
+        return (), np.array([[1.0 + 0.0j]])
+    gens, prefix = _hermitian_generators(m - 1)
+    gens = tuple(np.kron(e, _ID2) for e in gens) + tuple(
+        np.kron(prefix, pauli) for pauli in (_PAULI1, _PAULI2))
+    return gens, np.kron(prefix, _PAULI3)
 
 
 def spinor_dim(n):
@@ -115,12 +111,12 @@ def build_clifford(n):
     """
     dim = 2 * spinor_dim(n)
     n = int(n)
-    gens = _hermitian_generators((n + 1) // 2)[:n]
+    gens = 1j * np.stack(_hermitian_generators((n + 1) // 2)[0][:n])
     parity = np.array([bin(b).count("1") % 2 for b in range(dim)])
     plus = np.where(parity == 0)[0]
     minus = np.where(parity == 1)[0]
-    gp = np.stack([(1j * e)[np.ix_(minus, plus)] for e in gens])
-    gm = np.stack([(1j * e)[np.ix_(plus, minus)] for e in gens])
+    gp = gens[:, minus[:, None], plus]
+    gm = gens[:, plus[:, None], minus]
     gp.setflags(write=False)
     gm.setflags(write=False)
     return CliffordRep(n=n, s_dim=dim // 2, gamma_plus=gp, gamma_minus=gm)
