@@ -157,8 +157,7 @@ def checks_weyl(k):
 
             def defect(op, perm):
                 # max |cols -/+ cols.transpose(perm)| and its entry, all in one
-                # buffer: at k = 5 each fresh (k^m, dim) temporary is 3 MiB of
-                # new pages
+                # buffer: at k = 5 each fresh (k^m, dim) temporary is 3 MiB of new pages
                 op(cols, cols.transpose(perm), out=diff)
                 at = np.unravel_index(np.argmax(np.abs(diff, out=diff)), diff.shape)
                 return float(diff[at]), {

@@ -111,12 +111,12 @@ def build_clifford(n):
     """
     dim = 2 * spinor_dim(n)
     n = int(n)
-    gens = 1j * np.stack(_hermitian_generators((n + 1) // 2)[0][:n])
+    gammas = 1j * np.stack(_hermitian_generators((n + 1) // 2)[0][:n])
     parity = np.array([bin(b).count("1") % 2 for b in range(dim)])
     plus = np.where(parity == 0)[0]
     minus = np.where(parity == 1)[0]
-    gp = gens[:, minus[:, None], plus]
-    gm = gens[:, plus[:, None], minus]
+    gp = gammas[:, minus[:, None], plus]
+    gm = gammas[:, plus[:, None], minus]
     gp.setflags(write=False)
     gm.setflags(write=False)
     return CliffordRep(n=n, s_dim=dim // 2, gamma_plus=gp, gamma_minus=gm)

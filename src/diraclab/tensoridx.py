@@ -68,8 +68,9 @@ def group_sum(slots, m, signed=False, scale=1):
     return out
 
 
-def _numerators(x):
-    """The coefficients of `x` as integers over their least common denominator."""
+def integer_form(x):
+    """``([(p, a_p), ...], d)`` with ``x = sum_p (a_p / d) M_p``: the
+    coefficients as integers over their least common denominator d."""
     den = math.lcm(*(c.denominator for c in x.values()))
     return [(p, c.numerator * (den // c.denominator)) for p, c in x.items()], den
 
@@ -80,8 +81,8 @@ def compose(x, y):
     The products are summed as integer numerators over the operands' common
     denominator, in the order of the terms, so each distinct ``p o q`` is
     keyed where it first appears and the result's Fractions are exact."""
-    xs, dx = _numerators(x)
-    ys, dy = _numerators(y)
+    xs, dx = integer_form(x)
+    ys, dy = integer_form(y)
     out = {}
     for p, a in xs:
         at = p.__getitem__

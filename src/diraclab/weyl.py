@@ -29,8 +29,8 @@ Theory*, Lecture 6): ``Y_lam e_T`` for the semistandard tableaux T of shape
 lam with entries < k.  It is certified exactly, with no random numbers:
 ``C_lam = Y_lam`` and ``C_lam^2 = C_lam`` in Q[S_m], and the tableau count
 equals the trace rank.  The columns are orthonormalised through their Gram
-matrix, which is exact: n Y_lam has integer coefficients (n the tableau
-factor), so the Gram matrix is an integer one divided by n^2.  The inverse
+matrix, which is exact: d Y_lam has integer coefficients (d their least
+common denominator), so the Gram matrix is an integer one divided by d^2.  The inverse
 of its Cholesky factor comes from substitution on the tableau axis, and no
 matrix product, inverse or LAPACK call runs on the k^m axis.
 
@@ -52,6 +52,7 @@ from .tensoridx import (
     compile_element,
     compose,
     group_sum,
+    integer_form,
     inverse,
     scale,
 )
@@ -224,25 +225,22 @@ def _gap(lam, identity):
 
 
 def _images(k, lam, tableaux):
-    """The images ``n Y_lam e_T`` of the tableaux (n the tableau factor of
-    ``_TABLEAU``) as their nonzero integer entries, sorted by row and then
-    column: arrays (rows, cols, values).
+    """The images ``d Y_lam e_T`` of the tableaux, d the least common
+    denominator of Y's coefficients, as their nonzero integer entries sorted
+    by row and then column: ``(rows, cols, values, d)``.
 
-    Each term p of Y puts n c_p at row ``T o p^-1`` of T's column (``M_p e_T
+    Each term p of Y puts d c_p at row ``T o p^-1`` of T's column (``M_p e_T
     = e_{T o p^-1}``); for a fixed p distinct tableaux go to distinct rows,
     so a column holds at most len(Y) entries."""
     m, count = tableaux.shape
-    terms = young_terms(lam)
-    coefs = [c * _TABLEAU[lam][2] for c in terms.values()]
-    if any(c.denominator != 1 for c in coefs):
-        raise ArithmeticError(f"the tableau factor does not clear Y_{lam}'s denominators")
-    perms = np.array([inverse(p) for p in terms], dtype=np.intp)
+    terms, den = integer_form(young_terms(lam))
+    perms = np.array([inverse(p) for p, _ in terms], dtype=np.intp)
     rows = (tableaux[perms] * (k ** np.arange(m - 1, -1, -1))[:, None]).sum(axis=1)
     keys, slot = np.unique((rows * count + np.arange(count)).ravel(), return_inverse=True)
     values = np.zeros(keys.size, dtype=np.int64)
-    np.add.at(values, slot, np.repeat(np.array(coefs, dtype=np.int64), count))
+    np.add.at(values, slot, np.repeat(np.array([a for _, a in terms], dtype=np.int64), count))
     keys, values = keys[values != 0], values[values != 0]
-    return keys // count, keys % count, values
+    return keys // count, keys % count, values, den
 
 
 def _ranges(starts, sizes):
@@ -286,7 +284,7 @@ def weyl_space(k, lam):
     Fulton-Harris, *Representation Theory*, Lecture 6): ``Y_lam e_T`` for
     the semistandard tableaux T of shape `lam` with entries < k,
     orthonormalised as ``[Y_lam e_T] L^-T``, L the Cholesky factor of their
-    exact Gram matrix (:func:`_gram`, over the tableau factor squared) and
+    exact Gram matrix (:func:`_gram`, over Y's denominator squared) and
     L^-1 from substitution (:func:`_lower_inverse`); the basis is summed
     from the images' entries, with no matrix product on the k^m axis.  It
     is certified exactly: ``C_lam = Y_lam`` and ``C_lam^2 = C_lam`` in
@@ -308,17 +306,16 @@ def weyl_space(k, lam):
     count = tableaux.shape[1]
     if count != rank:
         raise ArithmeticError(f"{count} semistandard tableaux, trace rank {rank}")
-    rows, cols, values = _images(k, lam, tableaux)
-    norm = _TABLEAU[lam][2]
+    rows, cols, values, den = _images(k, lam, tableaux)
     try:
-        chol = np.linalg.cholesky(_gram(rows, cols, values, count) / norm**2)
+        chol = np.linalg.cholesky(_gram(rows, cols, values, count) / den**2)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"tableau images are dependent: {exc}") from None
     # G, and so L^-T, is block diagonal by tableau content: each image entry
     # (row, col, value) adds value times the few nonzeros of row col of
-    # L^-T / n, in order of col, so rows equal or opposite in the images stay
+    # L^-T / d, in order of col, so rows equal or opposite in the images stay
     # so bit for bit
-    w = _lower_inverse(chol).T / norm
+    w = _lower_inverse(chol).T / den
     wc, wj = np.nonzero(w)
     ptr = np.searchsorted(wc, np.arange(count + 1))
     entry, at = _ranges(ptr[cols], np.diff(ptr)[cols])

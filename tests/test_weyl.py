@@ -252,7 +252,8 @@ def test_gram_matches_dense_oracle(k, lam):
     count = tableaux.shape[1]
     oracle = terms_matrix(scale(weyl.young_terms(lam), norm), k)
     oracle = oracle[:, np.ravel_multi_index(tuple(tableaux), (k,) * m)].astype(np.int64)
-    rows, cols, values = weyl._images(k, lam, tableaux)
+    rows, cols, values, den = weyl._images(k, lam, tableaux)
+    assert den == norm
     images = np.zeros_like(oracle)
     images[rows, cols] = values
     assert np.array_equal(images, oracle) and np.all(values != 0)
