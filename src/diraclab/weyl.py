@@ -300,7 +300,8 @@ def weyl_space(k, lam):
             raise ArithmeticError(f"{law} in Q[S_m] for lam={lam}")
     rank = projector_rank(k, lam)  # a rank, now that C is idempotent
     m = PARTITIONS[lam][1]
-    # the images, the basis and the (m, k^m) tableau candidates, 8 bytes each
+    # the basis, a basis' worth of headroom and the (m, k^m) tableau
+    # candidates, 8 bytes each
     _require_bytes((2 * rank + m) * k**m * 8, f"Weyl module {lam} over C^{k}")
     tableaux = _semistandard(k, lam)
     count = tableaux.shape[1]
