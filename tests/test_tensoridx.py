@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diraclab import weyl
-
 from diraclab.tensoridx import (
     add,
     apply_compiled,

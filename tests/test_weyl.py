@@ -307,7 +307,6 @@ def test_basis_symmetry_witness_replays(capsys):
         assert _symmetry_defect(record, weyl_space(4, lam).basis, 4) == record["value"]
 
 
-@pytest.mark.usefixtures("cold_weyl")
 def test_basis_symmetry_witness_names_a_planted_defect(monkeypatch):
     # one entry of the (3, "311") basis moved by 1e-6: the record names it
     # (or the entry a tested transpose pairs it with), and the value replays
