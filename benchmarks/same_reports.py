@@ -18,8 +18,9 @@ drops the `timings` block).  The list:
 * `verify --scope ellipticity` at (k, n) = (4,3), seed 0, and (2,4), seed 1,
   where s = 2 and 4, so symbol products mix spinor components;
 * `solve --N 16 --sweep 8,12,16` and `solve --N 32 --sweep 16,24,32` at
-  k = n = 2, where s = 1, and `solve --k 2 --n 3 --N 8` (s = 2) and
-  `solve --k 3 --n 1 --N 12` (three blocks).
+  k = n = 2, where s = 1, `solve --k 2 --n 3 --N 8` (s = 2) and
+  `solve --k 3 --n 1 --N 12` (three blocks), and `solve --k 2 --n 2 --N 32
+  --break-compat`, which exits 4 with its compatibility error.
 
 A command listed twice (the workloads' `weyl` commands take no seed) runs
 once.  Exit code 0 if every command agrees, 1 naming each one that does not.
@@ -77,7 +78,8 @@ def commands():
              ["solve", "--N", "16", "--sweep", "8,12,16"],
              ["solve", "--k", "2", "--n", "3", "--N", "8"],
              ["solve", "--k", "3", "--n", "1", "--N", "12"],
-             ["solve", "--N", "32", "--sweep", "16,24,32"]]
+             ["solve", "--N", "32", "--sweep", "16,24,32"],
+             ["solve", "--k", "2", "--n", "2", "--N", "32", "--break-compat"]]
     return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
 

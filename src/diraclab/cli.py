@@ -93,7 +93,7 @@ def _worst(name, certifies, values, tol, witness=lambda i: {"sample": i}, **extr
 # verify scopes
 
 
-def checks_clifford(n_max, samples, seed):
+def checks_clifford(n_max, seed):
     rng = np.random.default_rng(seed)
     out = []
     for n in range(1, n_max + 1):
@@ -409,7 +409,7 @@ def checks_boundary(k, n, samples, seed):
 #: a single scope runs once at (--k, --n).  The clifford suite sweeps n = 1..n,
 #: and the weyl suite has no n.
 _SWEEPS = {
-    "clifford": (lambda k, n, a: checks_clifford(n, a.samples, a.seed), [(None, 10)]),
+    "clifford": (lambda k, n, a: checks_clifford(n, a.seed), [(None, 10)]),
     "weyl": (lambda k, n, a: checks_weyl(k), [(kk, None) for kk in (2, 3, 4, 5)]),
     "complex": (lambda k, n, a: checks_complex(k, n, a.samples, a.seed),
                 [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]),
@@ -418,6 +418,19 @@ _SWEEPS = {
     "boundary": (lambda k, n, a: checks_boundary(k, n, min(a.samples, 20), a.seed),
                  [(2, 2), (2, 3), (3, 2), (3, 3)]),
 }
+
+
+def _report(command, t0, parameters, checks, timings, **metrics):
+    """The report both commands write, and its exit code: the tool, the
+    command, its parameters, the solve's `metrics`, the checks, whether all
+    pass, and the timings, which open with the wall time since t0 and close
+    with the process's peak resident set so far."""
+    report = {"tool": "diraclab", "version": __version__, "command": command,
+              "parameters": parameters, **metrics, "checks": checks,
+              "pass": all(c["pass"] for c in checks),
+              "timings": {"wall_s": time.perf_counter() - t0, **timings,
+                          "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}}
+    return report, EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 def run_verify(args):
@@ -431,24 +444,15 @@ def run_verify(args):
         for k, n in pairs if args.scope == "all" else [(args.k, args.n)]:
             checks.extend(suite(k, n, args))
         suite_s[key] = time.perf_counter() - t_suite
-    report = {
-        "tool": "diraclab",
-        "version": __version__,
-        "command": "verify",
-        "parameters": {
-            "scope": args.scope,
-            "k": args.k,
-            "n": args.n,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        # seconds per suite, and the process's peak resident set so far
-        "timings": {"wall_s": time.perf_counter() - t0, "suite_s": suite_s,
-                    "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},
+    parameters = {
+        "scope": args.scope,
+        "k": args.k,
+        "n": args.n,
+        "samples": args.samples,
+        "seed": args.seed,
     }
-    return report, EXIT_PASS if report["pass"] else EXIT_FAIL
+    # seconds per suite
+    return _report("verify", t0, parameters, checks, {"suite_s": suite_s})
 
 
 def run_solve(args):
@@ -496,28 +500,17 @@ def run_solve(args):
     stages["sweep_rows_s"] = [t["s"] for t in row_timings]
     for key in ("fft_planes", "regions"):
         stages[key] += sum(t[key] for t in row_timings)
-    report = {
-        "tool": "diraclab",
-        "version": __version__,
-        "command": "solve",
-        "parameters": {
-            "k": args.k, "n": args.n, "N": args.N, "L": args.L,
-            "radius": args.radius, "tol": args.tol,
-            "center": args.center, "sweep": args.sweep,
-            "break_compat": args.break_compat,
-        },
-        "metrics": metrics,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        # stage times of the main solve and the sweep (and of each sweep row),
-        # the main grid's modes, its parts per grid pass, the component planes
-        # transformed and the grid passes run by the whole command, and the
-        # process's peak resident set so far
-        "timings": {"wall_s": time.perf_counter() - t0, **stages,
-                    "modes": args.N ** (args.k * args.n),
-                    "ru_maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss},
+    parameters = {
+        "k": args.k, "n": args.n, "N": args.N, "L": args.L,
+        "radius": args.radius, "tol": args.tol,
+        "center": args.center, "sweep": args.sweep,
+        "break_compat": args.break_compat,
     }
-    return report, EXIT_PASS if report["pass"] else EXIT_FAIL
+    # stage times of the main solve and the sweep (and of each sweep row), the
+    # main grid's parts per grid pass, the component planes transformed and
+    # the grid passes run by the whole command, and the main grid's modes
+    stages["modes"] = args.N ** (args.k * args.n)
+    return _report("solve", t0, parameters, checks, stages, metrics=metrics)
 
 
 def build_parser():

@@ -11,8 +11,8 @@ independent ways:
 * a "direct" route transcribing the componentwise displays (the default for
   the public entry points), and
 * a "projector" route applying the Weyl-module projector's term list to a
-  raw derivative tensor, times the operator's prefactor (:data:`_PREFACTOR`,
-  which :mod:`~diraclab.symbols` reads too).
+  raw derivative tensor, times the operator's prefactor
+  (:data:`~diraclab.weyl.PREFACTOR`, beside the projectors it scales).
 
 The two routes agreeing to roundoff on random fields is one of the package's
 standing checks.  A stack is an (exponents, values) pair whose values carry
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import weyl
 from .fields import PolyField, _group, _partial
+from .solver import _require_bytes
 
 
 def _require_space(f, space, op_name):
@@ -77,7 +78,6 @@ def _stack(slotted, lead):
     concatenation.  The stack is refused over the memory cap, counted as
     :data:`STACK_COPIES` copies of it.
     """
-    from .solver import _require_bytes  # solver imports symbols, which imports this module
     order, rows, group = _group(np.concatenate([e for _, e, _ in slotted]))
     out_row = np.empty_like(group)
     out_row[order] = group
@@ -172,16 +172,10 @@ def d1_projector(F, rep):
     return _result(F, "V2", expo, _apply_projector(grad2, "21"))
 
 
-#: the prefactor c of each projector form, by partition tag:
-#: D1 = 3/2 C21(grad2), D2' = 6 C22(grad) and
-#: D2'' = 10/3 C311(2 grad_E grad_D + grad_D grad_E)
-_PREFACTOR = {"21": 1.5, "22": 6.0, "311": 10.0 / 3.0}
-
-
 def _apply_projector(vals, lam):
     # vals: (terms,) + (k,)*m + (s,); the projector wants the tensor axes first
     out = weyl.apply_projector(lam, np.moveaxis(vals, 0, -1))
-    return _PREFACTOR[lam] * np.moveaxis(out, -1, 0)
+    return weyl.PREFACTOR[lam] * np.moveaxis(out, -1, 0)
 
 
 def _require_order5(h):

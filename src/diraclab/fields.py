@@ -112,10 +112,6 @@ class PolyField:
     def norm(self):
         return float(np.sqrt((np.abs(self.vals) ** 2).sum()))
 
-    def degree(self):
-        """Largest total degree (-1 for the zero field); the key is no degree."""
-        return int(self.expo[:, 1:].sum(axis=1).max(initial=-1))
-
     def __add__(self, other):
         return _linear_combination(self, other, 1.0)
 

@@ -116,14 +116,6 @@ class GridField:
         return self.values.shape[-1]
 
 
-def field_dim(space, k, s_dim):
-    if space == "V0":
-        return s_dim
-    if space == "V1":
-        return k * s_dim
-    raise ValueError(f"no grid representation for space {space!r}")
-
-
 def _require_bytes(need, what):
     """Refuse `what` if its `need` bytes exceed the memory cap; else return
     `need`."""
@@ -706,13 +698,12 @@ def anchor_exterior(u, mask):
     return GridField(u.k, u.n, u.N, u.L, u.space, np.moveaxis(out, 0, -1))
 
 
-def hartogs_report(u, mask, return_witness=False):
+def hartogs_report(u, mask):
     """Exterior decay metrics for a solution produced from supported data.
 
     Reports the max of |u| over the exterior region `mask`
-    (:func:`exterior_mask`, never empty) against the global max; with
-    return_witness, also the grid point and component of the exterior max,
-    as a second value.
+    (:func:`exterior_mask`, never empty) against the global max, and, as a
+    second value, the grid point and component of the exterior max.
     """
     mask = mask.reshape(u.planes.shape[1:])
 
@@ -726,8 +717,6 @@ def hartogs_report(u, mask, return_witness=False):
     umax, emax = float(m[:, 0].max()), float(m[:, 1].max())
     report = {"exterior_max": emax, "global_max": umax,
               "ratio": emax / umax if umax > 0 else 0.0}
-    if not return_witness:
-        return report
     return report, _witness(m[:, 1], m[:, 2], (u.dim, 1) + mask.shape[1:])
 
 
@@ -779,9 +768,9 @@ def _dirac_residual(u, x, f_sq, rep, rows):
     return resid, _witness(sums[:, 1], sums[:, 2], shape)
 
 
-def _recovery_sums(u, phi):
-    """||u - phi||^2 and ||phi||^2 on the grid, each the exact sum of one
-    partial sum per slab, and the grid point and component of the largest
+def _recovery(u, phi):
+    """||u - phi|| / ||phi|| on the grid, each squared norm the exact sum of
+    one partial sum per slab, and the grid point and component of the largest
     |u - phi|."""
     def slab(i):  # phi's sum of squares, then u - phi's, its largest and where
         us, ps = u.planes[:, i:i + 1], phi.planes[:, i:i + 1]
@@ -791,15 +780,9 @@ def _recovery_sums(u, phi):
         return (total, *_sq_stats(np.square(d, out=d)))
 
     sums = _per_slab(slab, u.N, (4,), 2 * u.dim)  # d and half of it copied
-    return (np.float64(math.fsum(sums[:, 1])), np.float64(math.fsum(sums[:, 0])),
+    diff_sq, phi_sq = math.fsum(sums[:, 1]), math.fsum(sums[:, 0])
+    return (float(np.sqrt(diff_sq) / np.sqrt(phi_sq)),
             _witness(sums[:, 2], sums[:, 3], (u.dim, 1) + u.planes.shape[2:]))
-
-
-def _recovery(u, phi):
-    """||u - phi|| / ||phi|| on the grid, and the grid point and component of
-    the largest |u - phi|."""
-    diff_sq, phi_sq, witness = _recovery_sums(u, phi)
-    return float(np.sqrt(diff_sq) / np.sqrt(phi_sq)), witness
 
 
 def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
@@ -841,7 +824,7 @@ def recover_bump(rep, k, n, N, L=2 * np.pi, radius=0.6, center=None, tol=1e-6,
         u = anchor_exterior(u, mask)  # rebinding frees the unanchored solution
         t = _lap(timings, "anchor_s", t)
         recovery, recovery_at = _recovery(u, make_bump(rep, k, n, N, L, center, radius))
-        hartogs, exterior_at = hartogs_report(u, mask, return_witness=True)
+        hartogs, exterior_at = hartogs_report(u, mask)
         del mask
         residual, residual_at = _dirac_residual(u, x, f_sq, rep, rows)
         metrics = {
@@ -928,7 +911,7 @@ def _check_header(h):
         raise ValueError(f"unknown space {h['space']!r}")
     if h["dtype"] != "complex128":
         raise ValueError(f"dtype {h['dtype']!r} is not complex128")
-    dim = field_dim(h["space"], h["k"], spinor_dim(h["n"]))
+    dim = spinor_dim(h["n"]) * (h["k"] if h["space"] == "V1" else 1)
     if h["dim"] != dim:
         raise ValueError(f"dim {h['dim']!r} is not {dim}, the {h['space']} "
                          f"dimension at k = {h['k']}, n = {h['n']}")
@@ -937,7 +920,7 @@ def _check_header(h):
 def load_field(path):
     """Read a field written by :func:`dump_field`, checking it against its header."""
     with open(path, "rb") as fh:
-        try:  # a header that is not JSON, and field_dim's own errors, get the path too
+        try:  # a header that is not JSON gets the path too
             header = json.loads(fh.readline().decode())
             _check_header(header)
         except ValueError as exc:

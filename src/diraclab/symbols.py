@@ -11,8 +11,9 @@ Dirac symbols x_A of :func:`~diraclab.clifford.dirac_symbol`.
 
 Each of sigma1, sigma2' and sigma2'' is the symbol of its operator's
 projector form, c C_lam applied to a raw derivative tensor, with c from
-:data:`~diraclab.dirac_ops._PREFACTOR`.  With x_A = -i sum_j xi_Aj
-gamma_plus[j] (so x_A^H = -i sum_j xi_Aj gamma_minus[j]), the raw symbol is
+:data:`~diraclab.weyl.PREFACTOR`, the table that the projector forms of
+:mod:`~diraclab.dirac_ops` read too.  With x_A = -i sum_j xi_Aj gamma_plus[j]
+(so x_A^H = -i sum_j xi_Aj gamma_minus[j]), the raw symbol is
 P_AB = x_A x_B^H for D1 and D2'', and x_D^H for D2'.  Contracting with the
 target's real orthonormal Weyl basis W moves the projector onto that basis
 as its transpose: the pullback c C_lam^T W.  C_lam^T is the product of
@@ -48,7 +49,6 @@ import numpy as np
 
 from . import weyl
 from .clifford import dirac_symbol
-from .dirac_ops import _PREFACTOR
 
 
 def _h(mat):
@@ -70,7 +70,7 @@ def _pullback(k, lam):
     """c C_lam^T applied to the Weyl basis of `lam`, shape (k,)*m + (d,): the
     target side of the compressed symbol of c C_lam(raw derivative)."""
     ws = weyl.weyl_space(k, lam)
-    return _PREFACTOR[lam] * weyl.apply_projector_transpose(
+    return weyl.PREFACTOR[lam] * weyl.apply_projector_transpose(
         lam, ws.basis.reshape((k,) * ws.m + (-1,)))
 
 

@@ -21,7 +21,10 @@ elements, and ``C_lam C_lam = C_lam``.  Neither depends on k, and each
 implies the matching operator identity on (C^k)^{(x) m} at every k.  The rank is the exact trace, a polynomial in k read off cycle
 counts (:func:`trace_polynomial`), so no (k^m, k^m) matrix is formed.
 :func:`weyl_dim`, the product formula, stays the independent rank oracle.
-:func:`sv_rank` is the package's one numeric-rank rule.
+:func:`sv_rank` is the package's one numeric-rank rule.  :data:`PREFACTOR` is
+the package's one table of the prefactors c of the operators' projector forms
+c C_lam: :mod:`~diraclab.dirac_ops` and :mod:`~diraclab.symbols` build those
+forms with it, and :func:`check_membership` scales its residual by it.
 
 :func:`weyl_space` builds each module's basis from the classical standard
 basis (Fulton, *Young Tableaux*, 1997, 8.1; Fulton-Harris, *Representation
@@ -63,6 +66,12 @@ PARTITIONS = {
     "22": ((2, 2), 4),
     "311": ((3, 1, 1), 5),
 }
+
+#: the prefactor c of each operator's projector form c C_lam, by partition
+#: tag: D1 = 3/2 C21(grad2), D2' = 6 C22(grad) and
+#: D2'' = 10/3 C311(2 grad_E grad_D + grad_D grad_E); the package's one table
+#: of them, which scales :func:`check_membership`'s residual too
+PREFACTOR = {"21": 1.5, "22": 6.0, "311": 10.0 / 3.0}
 
 # tableau data: 1-based position sets for row symmetrization and column
 # antisymmetrization, plus the factor making the symmetrizer idempotent
@@ -425,10 +434,10 @@ def check_membership(lam, h):
     Returns
     -------
     ndarray, shape (h.shape[-1],)
-        Per tensor, the norm of (characterization left side) -
-        (characterization right side); at most ~1e-10 exactly when the tensor
-        lies in the module.  For lam="21" the symmetry of the last two
-        indices is included in the residual.
+        Per tensor, c ||C_lam h - h||, c the operators' prefactor
+        :data:`PREFACTOR`; at most ~1e-10 exactly when the tensor lies in the
+        module.  For lam="21" the symmetry of the last two indices is
+        included in the residual.
     """
     if lam not in PARTITIONS:
         raise ValueError(f"unsupported partition tag {lam!r}")
@@ -441,10 +450,7 @@ def check_membership(lam, h):
     def norms(x):
         return np.linalg.norm(x.reshape(-1, h.shape[-1]), axis=0)
 
-    # prefactor of the characterization display: 3/2 for (2,1), 1 for (2,2),
-    # 10/3 for (3,1,1)
-    prefactor = {"21": 1.5, "22": 1.0, "311": 10.0 / 3.0}[lam]
-    residual = prefactor * norms(apply_projector(lam, h) - h)
+    residual = PREFACTOR[lam] * norms(apply_projector(lam, h) - h)
     if lam == "21":
         residual = np.maximum(residual, norms(h - np.swapaxes(h, 1, 2)))
     return residual

@@ -40,6 +40,11 @@ def terms(f):
     return {tuple(e): v for e, v in zip(f.expo[:, 1:].tolist(), f.vals)}
 
 
+def total_degree(f):
+    """Largest total degree of a field (-1 for the zero field); the key is no degree."""
+    return int(f.expo[:, 1:].sum(axis=1).max(initial=-1))
+
+
 def keyed(members):
     """One sample-keyed field holding B fields of one space, in order.
 
@@ -335,7 +340,7 @@ def apply_spectral(tag, fld, rep):
     if fld.space != space_in:
         raise ValueError(f"{tag} expects a {space_in} grid field, got {fld.space}")
     k, n, N = fld.k, fld.n, fld.N
-    out_dim = solver.field_dim(space_out, k, rep.s_dim)
+    out_dim = rep.s_dim * (k if space_out == "V1" else 1)
     # the input's spectrum and the output, plus one scratch plane
     solver._require_memory(k, n, N, fld.dim + out_dim + 1)
     fh = solver._fft(fld.planes)
@@ -459,7 +464,7 @@ def recover_bump_in_real_space(rep, k, n, N, L=2 * np.pi, radius=0.6, tol=1e-6,
         "recovery_rel_l2": float(np.sqrt(sum_sq(u.planes, phi.planes))
                                  / np.sqrt(sum_sq(phi.planes))),
         "dirac_residual_rel_l2": float(np.sqrt(sq) / np.sqrt(sum_sq(f.planes))),
-        "hartogs": solver.hartogs_report(u, mask),
+        "hartogs": solver.hartogs_report(u, mask)[0],
         **diag,
     }
 

@@ -80,7 +80,8 @@ def test_same_reports_names_every_differing_command(monkeypatch, capsys):
     # fresh process runs per checkout
     same = load_same_reports()
     cmds = same.commands()
-    assert len(cmds) == len(set(map(tuple, cmds))) == 71
+    assert len(cmds) == len(set(map(tuple, cmds))) == 72
+    assert ["solve", "--k", "2", "--n", "2", "--N", "32", "--break-compat"] in cmds
     assert ["solve", "--N", "16", "--sweep", "8,12,16"] in cmds
     assert ["verify", "--scope", "weyl", "--k", "6"] in cmds
     assert ["verify", "--scope", "all", "--seed", "3"] in cmds

@@ -46,7 +46,7 @@ def test_clifford_checks_match_the_pairwise_loop(monkeypatch):
         return SimpleNamespace(n=n, s_dim=rep.s_dim, gamma_plus=gp, gamma_minus=gm)
 
     monkeypatch.setattr(cli, "build_clifford", broken)
-    checks = {c["name"]: c["value"] for c in cli.checks_clifford(6, 1, 0)}
+    checks = {c["name"]: c["value"] for c in cli.checks_clifford(6, 0)}
     for n in range(1, 7):
         rep = broken(n)
         gp, gm, eye = rep.gamma_plus, rep.gamma_minus, np.eye(rep.s_dim)
@@ -159,6 +159,24 @@ def test_reports_deterministic(capsys):
     assert sum(rows) <= timings["sweep_s"]
     assert all(timings[key] >= 0.0 for key in timings)
     assert not set(timings) & set(first["metrics"])
+
+
+def test_report_key_order_is_fixed(capsys):
+    # both reports open with the tool, the command and its parameters, the
+    # solve's metrics next, then the checks, pass and timings, which open with
+    # the wall time and close with the peak resident set; same_reports.py
+    # compares reports with sort_keys, so it cannot see an order change
+    head, tail = ["tool", "version", "command", "parameters"], ["checks", "pass", "timings"]
+    _, verify = run_cli(capsys, "verify", "--scope", "weyl", "--k", "2")
+    _, solve = run_cli(capsys, "solve", "--N", "8")
+    assert list(verify) == head + tail
+    assert list(solve) == head + ["metrics"] + tail
+    assert list(verify["parameters"]) == ["scope", "k", "n", "samples", "seed"]
+    assert list(solve["parameters"]) == ["k", "n", "N", "L", "radius", "tol", "center",
+                                         "sweep", "break_compat"]
+    assert list(verify["timings"]) == ["wall_s", "suite_s", "ru_maxrss_kib"]
+    assert list(solve["timings"])[0] == "wall_s"
+    assert list(solve["timings"])[-2:] == ["modes", "ru_maxrss_kib"]
 
 
 def test_verify_timings_per_suite(capsys):

@@ -1120,8 +1120,9 @@ def test_sliced_passes_match_serial_bitwise(geometry, count, cpus, reps):
     flat = u.planes.reshape(u.dim, -1)
     want = u.values - flat[:, mask].mean(axis=1)
     assert anchor_exterior(u, mask).values.tobytes() == np.ascontiguousarray(want).tobytes()
-    report, witness = hartogs_report(u, mask, return_witness=True)
-    assert hartogs_report(u, mask) == report
+    # the witness comes with the report unasked, the same at a second call
+    report, witness = hartogs_report(u, mask)
+    assert hartogs_report(u, mask) == (report, witness)
     mag = np.abs(flat)
     assert report["global_max"] == mag.max() and report["exterior_max"] == mag[:, mask].max()
     point = np.ravel_multi_index(witness["point"], (N,) * (k * n))
@@ -1130,11 +1131,12 @@ def test_sliced_passes_match_serial_bitwise(geometry, count, cpus, reps):
 
 @pytest.mark.parametrize("kn", [1, 2, 3, 4])
 def test_sliced_sums_agree_at_every_count(kn, cpus):
-    # the recovery error's squared norms ||u - phi||^2 and ||phi||^2, summed
-    # slab by slab, and its witness read the same bits at every count; each
-    # norm agrees with np.linalg.norm to 1e-14 on entries of many sizes, the
-    # error is their ratio and the witness names the largest |u - phi|
-    from diraclab.solver import _recovery, _recovery_sums
+    # the recovery error ||u - phi|| / ||phi||, its squared norms summed slab
+    # by slab, and its witness read the same bits at every count, and the
+    # witness names the largest |u - phi|; each norm agrees with
+    # np.linalg.norm to 1e-14 on entries of many sizes: with u - phi one unit
+    # entry the error is 1 / ||phi||, and with phi one unit entry ||u - phi||
+    from diraclab.solver import _recovery
 
     rng = np.random.default_rng(10 + kn)
     for N in (4, 5, 8):
@@ -1142,16 +1144,26 @@ def test_sliced_sums_agree_at_every_count(kn, cpus):
             shape = (comps,) + (N,) * kn
             scale = np.exp(3 * rng.standard_normal(shape))  # entries of many sizes
             x, y = complex_normal(rng, shape) * scale, complex_normal(rng, shape)
-            u, phi = (GridField(kn, 1, N, L, "V0", np.moveaxis(a, 0, -1)) for a in (y, x))
-            seen = set()
-            for count in (1, 2, 3, N):
-                cpus(count)
-                diff_sq, phi_sq, witness = _recovery_sums(u, phi)
-                seen.add((float(diff_sq), float(phi_sq), json.dumps(witness)))
-            assert len(seen) == 1, (N, comps, seen)
-            assert np.sqrt(phi_sq) == pytest.approx(np.linalg.norm(x), rel=1e-14, abs=0)
-            assert np.sqrt(diff_sq) == pytest.approx(np.linalg.norm(y - x), rel=1e-14, abs=0)
-            assert _recovery(u, phi) == (float(np.sqrt(diff_sq) / np.sqrt(phi_sq)), witness)
+            unit = np.zeros(shape, dtype=complex)
+            unit[(0,) * len(shape)] = 1
+            x[unit != 0] = 0  # so (x + unit) - x is unit exactly
+            got = {}
+            for case, pair in {"both": (y, x), "phi": (x + unit, x),
+                               "diff": (x + y, unit)}.items():
+                u, phi = (GridField(kn, 1, N, L, "V0", np.moveaxis(a, 0, -1)) for a in pair)
+                seen = set()
+                for count in (1, 2, 3, N):
+                    cpus(count)
+                    err, witness = _recovery(u, phi)
+                    seen.add((err, json.dumps(witness)))
+                assert len(seen) == 1, (N, comps, case, seen)
+                got[case] = err, witness
+            assert 1 / got["phi"][0] == pytest.approx(np.linalg.norm(x), rel=1e-14, abs=0)
+            assert got["diff"][0] == pytest.approx(np.linalg.norm(x + y - unit),
+                                                   rel=1e-14, abs=0)
+            err, witness = got["both"]
+            assert err == pytest.approx(np.linalg.norm(y - x) / np.linalg.norm(x),
+                                        rel=1e-14, abs=0)
             diff = y - x
             mod2 = diff.real**2 + diff.imag**2
             assert mod2[(witness["component"], *witness["point"])] == mod2.max()

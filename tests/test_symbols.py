@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diraclab import build_clifford, weyl
-from diraclab.dirac_ops import _PREFACTOR, d0_star
+from diraclab.dirac_ops import d0_star
 from diraclab.fields import PolyField
 from diraclab.tensoridx import inverse
 from diraclab.symbols import (
@@ -108,7 +108,7 @@ def test_pullback_matches_transposed_terms(k, lam):
     m = weyl.PARTITIONS[lam][1]
     basis = weyl.weyl_space(k, lam).basis.reshape((k,) * m + (-1,))
     transpose = {inverse(p): c for p, c in weyl.projector_terms(lam).items()}
-    want = _PREFACTOR[lam] * apply_terms(transpose, basis)
+    want = weyl.PREFACTOR[lam] * apply_terms(transpose, basis)
     got = _pullback(k, lam)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)

@@ -384,6 +384,36 @@ def test_membership_of_projected_tensors(lam, rng):
     assert check_membership(lam, (raw - proj)[..., None]) > 1e-6
 
 
+@pytest.mark.parametrize("lam,c", [("22", 6.0), ("311", 10.0 / 3.0)])
+def test_membership_residual_is_the_operators_prefactor_times_the_gap(lam, c, rng):
+    # on a tensor perturbed off the module, the residual is c ||C_lam h - h||,
+    # c the prefactor of the operator whose outputs lie in the module:
+    # D2' = 6 C22(grad) and D2'' = 10/3 C311(...)
+    k = 3
+    m = weyl.PARTITIONS[lam][1]
+    h = apply_projector(lam, rng.standard_normal((k,) * m))
+    h += 1e-3 * rng.standard_normal(h.shape)
+    gap = np.linalg.norm(apply_projector(lam, h) - h)
+    assert gap > 1e-6
+    assert check_membership(lam, h[..., None])[0] == pytest.approx(c * gap, rel=1e-14)
+
+
+def test_one_prefactor_table_scales_every_projector_form(monkeypatch, rng):
+    # check_membership, the operators' projector forms and the symbols'
+    # pullbacks all read weyl.PREFACTOR: doubling one entry doubles all three
+    from diraclab import dirac_ops, symbols
+
+    k, lam = 3, "22"
+    h = rng.standard_normal((k,) * 4 + (1,))
+    before = (check_membership(lam, h), dirac_ops._apply_projector(np.moveaxis(h, -1, 0), lam),
+              symbols._pullback(k, lam))
+    monkeypatch.setitem(weyl.PREFACTOR, lam, 2 * weyl.PREFACTOR[lam])
+    after = (check_membership(lam, h), dirac_ops._apply_projector(np.moveaxis(h, -1, 0), lam),
+             symbols._pullback(k, lam))
+    for old, new in zip(before, after):
+        assert np.abs(old).max() > 0 and (new == 2 * old).all()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_membership_projection_property(seed):
