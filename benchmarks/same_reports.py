@@ -16,7 +16,8 @@ drops the `timings` block).  The list:
   and `verify --scope complex --samples 70` at (2,3), (3,3), (4,3), (3,1),
   (2,4), both at seeds 0 and 7;
 * `verify --scope ellipticity` at (k, n) = (4,3), seed 0, and (2,4), seed 1,
-  where s = 2 and 4, so symbol products mix spinor components;
+  where s = 2 and 4, so symbol products mix spinor components, and at (5,2)
+  and (4,4), 60 samples at seed 2, the largest ranks;
 * `solve --N 16 --sweep 8,12,16` and `solve --N 32 --sweep 16,24,32` at
   k = n = 2, where s = 1, `solve --k 2 --n 3 --N 8` (s = 2) and
   `solve --k 3 --n 1 --N 12` (three blocks), and `solve --k 2 --n 2 --N 32
@@ -75,6 +76,10 @@ def commands():
                  for k, n in ((2, 3), (3, 3), (4, 3), (3, 1), (2, 4))]
     cmds += [["verify", "--scope", "ellipticity", "--k", "4", "--n", "3", "--seed", "0"],
              ["verify", "--scope", "ellipticity", "--k", "2", "--n", "4", "--seed", "1"],
+             ["verify", "--scope", "ellipticity", "--k", "5", "--n", "2", "--samples", "60",
+              "--seed", "2"],
+             ["verify", "--scope", "ellipticity", "--k", "4", "--n", "4", "--samples", "60",
+              "--seed", "2"],
              ["solve", "--N", "16", "--sweep", "8,12,16"],
              ["solve", "--k", "2", "--n", "3", "--N", "8"],
              ["solve", "--k", "3", "--n", "1", "--N", "12"],

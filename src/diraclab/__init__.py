@@ -10,7 +10,7 @@ theory, and a periodic spectral solver for the non-homogeneous system
 D0 u = f under the compatibility condition D1 f = 0.
 """
 
-from .clifford import CliffordRep, build_clifford, dirac_symbol, delta_symbol
+from .clifford import CliffordRep, build_clifford, dirac_symbol
 from .weyl import (
     WeylSpace,
     weyl_space,

@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from . import __version__, boundary, dirac_ops, solver, symbols, weyl
-from .clifford import build_clifford, delta_symbol, dirac_symbol
+from .clifford import build_clifford, dirac_symbol
 from .fields import (draw_width, keyed_norms, keyed_residuals, member_norms, random_keyed,
                      stack)
 
@@ -121,12 +121,13 @@ def checks_clifford(n_max, seed):
         out.append(_check(f"symbol_linearity n={n}", "symbol linear in xi", lin, 1e-12))
         comp = np.abs(m1 @ p1 - (xi @ xi) * eye).max()
         out.append(_check(f"symbol_square n={n}", "xi- xi+ = |xi|^2 Id", comp, 1e-12))
-        polar = np.abs(m1 @ p2 + m2 @ p1 - 2.0 * (xi @ xi2) * eye).max()
+        anti = m1 @ p2 + m2 @ p1
+        polar = np.abs(anti - 2.0 * (xi @ xi2) * eye).max()
         out.append(_check(f"symbol_polarized n={n}",
                           "xi xi' + xi' xi = 2 <xi, xi'> Id", polar, 1e-12))
-        ds = delta_symbol(rep, xi, xi2)
         out.append(_check(f"delta_symbol n={n}", "anticommutator scalar = 2 <xi_B, xi_C>",
-                          abs(ds - 2.0 * float(xi @ xi2)), 1e-12))
+                          abs(float(np.trace(anti).real / s) - 2.0 * float(xi @ xi2)),
+                          1e-12))
     return out
 
 
@@ -191,28 +192,28 @@ COMPLEX_ROLES = {"f": ("V0", 4, 6), "F": ("V1", 4, 6), "h2": ("V2", 2, 5),
                  "g": ("V0", 3, 4)}
 
 
-def _complex_draws(rng, k, n, samples):
+def _draws(rng, k, n, samples, roles):
     """The random fields of `samples` samples, from one ``rng.random`` call.
 
-    Row i of the (samples, width) uniforms is sample i: the columns of f, F,
-    h2 (k >= 3 only: for k = 2 the order-5 branch does not exist) and g
-    (:func:`~diraclab.fields.draw_width` each).  Each role's columns become
-    one sample-keyed field.
+    `roles` maps each role to its (value space, degree, terms), in the order
+    a sample draws them.  Row i of the (samples, width) uniforms is sample
+    i: each role's columns (:func:`~diraclab.fields.draw_width` of them) side
+    by side, and each role's columns become one sample-keyed field.
     """
-    roles = [role for role in COMPLEX_ROLES if k >= 3 or role != "h2"]
-    widths = [draw_width(k, n, *COMPLEX_ROLES[role]) for role in roles]
+    widths = [draw_width(k, n, *spec) for spec in roles.values()]
     u = rng.random((samples, sum(widths)))
-    inputs = {}
-    for role, cols in zip(roles, np.split(u, np.cumsum(widths)[:-1], axis=1)):
-        space, degree, nterms = COMPLEX_ROLES[role]
-        inputs[role] = random_keyed(k, n, space, cols, degree, nterms)
-    return inputs
+    return {role: random_keyed(k, n, space, cols, degree, nterms)
+            for (role, (space, degree, nterms)), cols
+            in zip(roles.items(), np.split(u, np.cumsum(widths)[:-1], axis=1))}
 
 
 def _complex_block(rng, k, n, rep, samples):
     """The next `samples` samples' residuals by check key, one operator pass
-    per check."""
-    inputs = _complex_draws(rng, k, n, samples)
+    per check.  For k = 2 the order-5 branch does not exist, and no h2 is
+    drawn."""
+    inputs = _draws(rng, k, n, samples,
+                    {role: spec for role, spec in COMPLEX_ROLES.items()
+                     if k >= 3 or role != "h2"})
 
     def norms(f):
         return keyed_norms(f, samples)
@@ -261,8 +262,6 @@ def complex_values(k, n, samples, seed):
 def checks_complex(k, n, samples, seed):
     """The complex identities on random fields; each record's witness is the
     sample of its worst value."""
-    if samples < 1:
-        raise ValueError("the complex suite needs at least one sample")
     values = complex_values(k, n, samples, seed)
 
     def worst(key, name, certifies, tol):
@@ -303,8 +302,6 @@ def _max_abs(*stacks):
 
 
 def checks_ellipticity(k, n, samples, seed):
-    if samples < 1:
-        raise ValueError("the ellipticity suite needs at least one sample")
     rep = build_clifford(n)
     xi = _unit_xi(np.random.default_rng(seed), k, n, samples)
     b = symbols.build_bundle(rep, k, xi)
@@ -313,16 +310,10 @@ def checks_ellipticity(k, n, samples, seed):
     def at(i):
         return {"sample": i, "xi": xi[i].tolist()}
 
-    rpt = symbols.verify_exactness(b)
-    ranks = {"rank_sigma0": rpt.rank_sigma0, "dim_ker_sigma1": rpt.dim_ker_sigma1,
-             "rank_sigma1": rpt.rank_sigma1, "dim_ker_order5": rpt.dim_ker_order5}
-    # generic ranks are the same at every xi: a sample whose ranks differ
-    # from those of sample 0 fails like an inexact one
-    bad = ~rpt.ok
-    for r in ranks.values():
-        if r is not None:
-            bad |= r != r[0]
-    w = int(np.argmax(bad))
+    # exactness fixes every rank by the dimensions, to (s, s, (k-1)s, (k-1)s),
+    # so a sample's own verdict decides, with no comparison across samples
+    ranks, exact = symbols.verify_exactness(b)
+    w = int(np.argmin(exact))
     comp = [b.sigma1 @ b.sigma0]
     if b.has_order5:
         comp += [b.sigma2p @ b.sigma1, b.sigma2pp @ b.sigma1]
@@ -331,8 +322,8 @@ def checks_ellipticity(k, n, samples, seed):
     out.append(_worst(
         f"symbol_exactness k={k} n={n}",
         "ker sigma0 = 0; ker sigma1 = im sigma0; joint ker at slot 2 = im sigma1",
-        bad, 0.0, at,
-        ranks={"dims": rpt.dims,
+        ~exact, 0.0, at,
+        ranks={"dims": b.dims,
                **{key: None if r is None else int(r[w]) for key, r in ranks.items()}}))
     if k >= 3:
         out.append(_worst(f"kernel_identity k={k} n={n}",
@@ -373,8 +364,6 @@ def _boundary_charts(k, n):
 
 
 def checks_boundary(k, n, samples, seed):
-    if samples < 1:
-        raise ValueError("the boundary suite needs at least one sample")
     rng = np.random.default_rng(seed)
     rep = build_clifford(n)
     out = []
@@ -392,11 +381,7 @@ def checks_boundary(k, n, samples, seed):
                           "restrictions of monogenic fields satisfy Z f = 0, Z T f = 0",
                           tm, 1e-10, lambda i: {"member": i},
                           basis_size=mono.vals.shape[1]))
-        # row i of one draw is sample i: the uniforms of F, then those of F'
-        width = draw_width(k, n, "V0", 3, 5)
-        u = rng.random((samples, 2 * width))
-        F, Fp = (random_keyed(k, n, "V0", u[:, :width], 3, 5),
-                 random_keyed(k, n, "V0", u[:, width:], 3, 5))
+        F, Fp = _draws(rng, k, n, samples, {"F": ("V0", 3, 5), "Fp": ("V0", 3, 5)}).values()
         scale = keyed_norms(F, samples) + keyed_norms(Fp, samples)
         pk = (boundary.pi1_kernel_check(chart, rep, stack(F, samples), stack(Fp, samples))
               / np.maximum(scale, 1e-300))
@@ -557,6 +542,9 @@ def _validate(parser, args):
             parser.error("k must be at least 2")
         if args.n is not None and args.n < 1:
             parser.error("n must be at least 1")
+        if args.samples < 1:
+            # a suite over random samples certifies nothing without one
+            parser.error("--samples must be at least 1")
     else:
         if args.k < 2 or args.n < 1 or args.N < 4:
             parser.error("need k >= 2, n >= 1, N >= 4")

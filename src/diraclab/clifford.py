@@ -137,15 +137,3 @@ def dirac_symbol(rep, xi):
     return (-1j * np.einsum("...j,jst->...st", xi, rep.gamma_plus),
             -1j * np.einsum("...j,jst->...st", xi, rep.gamma_minus))
 
-
-def delta_symbol(rep, xi_b, xi_c):
-    """Scalar multiplier of the anticommutator symbol at two frequencies.
-
-    Forms ``xi_b xi_c + xi_c xi_b`` from :func:`dirac_symbol` output, which
-    is a multiple of the identity, and returns that multiple (equal to
-    ``2 <xi_b, xi_c>``).
-    """
-    bp, bm = dirac_symbol(rep, xi_b)
-    cp, cm = dirac_symbol(rep, xi_c)
-    anti = bm @ cp + cm @ bp
-    return float(np.trace(anti).real / rep.s_dim)

@@ -78,9 +78,7 @@ def _stack(slotted, lead):
     concatenation.  The stack is refused over the memory cap, counted as
     :data:`STACK_COPIES` copies of it.
     """
-    order, rows, group = _group(np.concatenate([e for _, e, _ in slotted]))
-    out_row = np.empty_like(group)
-    out_row[order] = group
+    rows, out_row = _group(np.concatenate([e for _, e, _ in slotted]))
     acc_shape = (len(rows),) + lead + slotted[0][2].shape[1:]
     _require_bytes(STACK_COPIES * 16 * int(np.prod(acc_shape)),
                    f"derivative stack of shape {acc_shape}")

@@ -10,7 +10,11 @@ prepends that column.  Coefficient arrays carry the tensor axes of the value
 space first and the spinor axis last, so the ``vals`` of a V2 field has shape
 (T, k, k, k, s).  The rows of ``expo`` are unique and sorted
 lexicographically, and no row of ``vals`` is zero; the constructor restores
-this canonical form after every operation.  The zero field has T = 0 and its
+this canonical form after every operation.  One grouping routine gives the
+distinct rows and, for each input row, the row it sums into; the
+constructor, :func:`stack` and the operators' derivative stacks all read it,
+and the constructor's ``bincount`` adds the unsorted values in input order,
+so no sorted copy of them is made.  The zero field has T = 0 and its
 space's value axes, so every operator takes it through the same code path as
 any other field.
 
@@ -147,13 +151,15 @@ class PolyField:
 
 
 def _group(expo):
-    """Group equal exponent rows: the sort order, the distinct sorted rows,
-    and the group of each sorted row."""
-    order = np.lexsort(expo.T[::-1])  # stable; the first column most significant
+    """Group equal exponent rows: the distinct rows, sorted, and for each
+    input row the distinct row it sums into."""
+    order = np.lexsort(expo.T[::-1])  # the first column most significant
     expo = expo[order]
     first = np.ones(len(expo), dtype=bool)
     first[1:] = (expo[1:] != expo[:-1]).any(axis=1)
-    return order, expo[first], np.cumsum(first) - 1
+    out_row = np.empty(len(expo), dtype=np.int64)
+    out_row[order] = np.cumsum(first) - 1
+    return expo[first], out_row
 
 
 def _increasing(expo):
@@ -172,13 +178,13 @@ def _canonical(expo, vals):
         # zero-initialized sum below does, so both routes agree bitwise
         keep = vals.reshape(len(vals), -1).any(axis=1)
         return expo[keep], vals[keep] + 0.0
-    order, rows, group = _group(expo)
+    rows, out_row = _group(expo)
     # bincount adds a group's rows one at a time in input order, into zeros;
     # a reduceat may regroup them, and terms that cancel exactly then leave
     # roundoff.  Real and imaginary parts add separately, as complex sums do.
     size = vals[0].size
-    bins = (group[:, None] * size + np.arange(size)).reshape(-1)
-    flat = vals[order].reshape(-1)
+    bins = (out_row[:, None] * size + np.arange(size)).reshape(-1)
+    flat = vals.reshape(-1)
     acc = np.empty(len(rows) * size, dtype=complex)
     acc.real = np.bincount(bins, flat.real, len(acc))
     acc.imag = np.bincount(bins, flat.imag, len(acc))
@@ -199,9 +205,9 @@ def stack(f, count):
     if f.order:
         raise ValueError("a stack is built from scalar members")
     key = _key(f, count)
-    order, rows, group = _group(f.expo[:, 1:])
+    rows, out_row = _group(f.expo[:, 1:])
     vals = np.zeros((len(rows), count) + f.vals.shape[1:], dtype=complex)
-    vals[group, key[order]] = f.vals[order]
+    vals[out_row, key] = f.vals
     return PolyField(f.k, f.n, f.space, rows, vals)
 
 

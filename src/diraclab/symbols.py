@@ -39,11 +39,13 @@ sigma1 sigma1* (recorded by ``has_order5 = False``).
 
 The checks below act on stacked bundles and return one value per frequency,
 an array over the batch axes (0-d for a single frequency).
+:func:`verify_exactness` returns the measured ranks and one exactness verdict
+per frequency, the only place the verdict is decided: exactness fixes every
+rank by the dimensions, so no caller compares ranks across frequencies.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -242,51 +244,27 @@ def numeric_rank(mat):
     return weyl.sv_rank(np.linalg.svd(mat, compute_uv=False))
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    """Measured ranks and exactness flags, one per frequency: integer and
-    boolean arrays over the batch axes, 0-d for a single frequency.  The
-    order-5 entries are None for k = 2."""
-
-    dims: dict
-    rank_sigma0: np.ndarray
-    dim_ker_sigma1: np.ndarray
-    rank_sigma1: np.ndarray
-    dim_ker_order5: Optional[np.ndarray]
-    injective: np.ndarray
-    exact_slot1: np.ndarray
-    exact_slot2: Optional[np.ndarray]
-
-    @property
-    def ok(self):
-        slot2 = True if self.exact_slot2 is None else self.exact_slot2
-        return np.logical_and(self.injective & self.exact_slot1, slot2)
-
-
 def verify_exactness(bundle):
-    """Measure ranks and certify exactness of the symbol sequence at xi != 0."""
+    """Measure ranks and certify exactness of the symbol sequence at xi != 0.
+
+    Returns ``(ranks, exact)``: ``ranks`` maps rank_sigma0, dim_ker_sigma1,
+    rank_sigma1 and dim_ker_order5 (None for k = 2) to integer arrays over
+    the batch axes, and ``exact`` is the boolean array of the frequencies
+    where sigma0 is injective and each kernel equals the previous image,
+    0-d for a single frequency."""
     if np.any(np.linalg.norm(bundle.xi, axis=-1) == 0.0):
         raise ValueError("exactness is only defined at nonzero frequencies")
     dims = bundle.dims
     rank0 = numeric_rank(bundle.sigma0)
     rank1 = numeric_rank(bundle.sigma1)
     ker1 = dims["V1"] - rank1
+    exact = (rank0 == dims["V0"]) & (ker1 == rank0)
+    ker2 = None
     if bundle.has_order5:
         ker2 = dims["V2"] - weyl.sv_rank(bundle.order5_svd[0])
-        exact2 = ker2 == rank1
-    else:
-        ker2 = None
-        exact2 = None
-    return ExactnessReport(
-        dims=dict(dims),
-        rank_sigma0=rank0,
-        dim_ker_sigma1=ker1,
-        rank_sigma1=rank1,
-        dim_ker_order5=ker2,
-        injective=rank0 == dims["V0"],
-        exact_slot1=ker1 == rank0,
-        exact_slot2=exact2,
-    )
+        exact &= ker2 == rank1
+    return {"rank_sigma0": rank0, "dim_ker_sigma1": ker1, "rank_sigma1": rank1,
+            "dim_ker_order5": ker2}, exact
 
 
 def kernel_identity_check(bundle):

@@ -80,7 +80,10 @@ def test_same_reports_names_every_differing_command(monkeypatch, capsys):
     # fresh process runs per checkout
     same = load_same_reports()
     cmds = same.commands()
-    assert len(cmds) == len(set(map(tuple, cmds))) == 72
+    assert len(cmds) == len(set(map(tuple, cmds))) == 74
+    for k, n in (("5", "2"), ("4", "4")):
+        assert ["verify", "--scope", "ellipticity", "--k", k, "--n", n, "--samples", "60",
+                "--seed", "2"] in cmds
     assert ["solve", "--k", "2", "--n", "2", "--N", "32", "--break-compat"] in cmds
     assert ["solve", "--N", "16", "--sweep", "8,12,16"] in cmds
     assert ["verify", "--scope", "weyl", "--k", "6"] in cmds

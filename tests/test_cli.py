@@ -122,14 +122,26 @@ def test_verify_complex_small(capsys):
     assert not {"d2p_after_d1", "d2pp_after_d1"} & set(names)
 
 
-def test_verify_rejects_bad_ranges(capsys):
+def test_verify_rejects_bad_ranges(capsys, monkeypatch):
+    from diraclab import cli
+
     with pytest.raises(SystemExit) as err:
         main(["verify", "--k", "1"])
     assert err.value.code == 2
-    # a suite over random samples certifies nothing without one
-    for scope in ("complex", "ellipticity", "boundary"):
-        code, report = run_cli(capsys, "verify", "--scope", scope, "--samples", "0")
-        assert code == 2 and report["error"] == "usage", scope
+    # a suite over random samples certifies nothing without one: the flag is
+    # refused at every scope, before any suite runs
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    for name in ("checks_clifford", "checks_weyl", "checks_complex",
+                 "checks_ellipticity", "checks_boundary"):
+        monkeypatch.setattr(cli, name, no_suite)
+    for scope in ("complex", "ellipticity", "boundary", "all", "clifford", "weyl"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--scope", scope, "--samples", "0"])
+        assert err.value.code == 2, scope
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err and not captured.out, scope
 
 
 def test_reports_deterministic(capsys):
@@ -220,6 +232,33 @@ def test_ellipticity_witnesses_replay(capsys):
     comp = max(np.abs(b.sigma1 @ b.sigma0).max(), np.abs(b.sigma2p @ b.sigma1).max(),
                np.abs(b.sigma2pp @ b.sigma1).max())
     assert abs(comp - checks["symbol_complex"]["value"]) <= 1e-12
+
+
+@pytest.mark.parametrize("inexact", [(), (0,), (0, 4), (3,), (3, 6)])
+def test_exactness_record_names_the_first_inexact_sample(inexact, monkeypatch):
+    # an inexact sample fails the record, which names the first one and its
+    # ranks (here one more kernel dimension at slot 1); with every sample
+    # exact the record passes on sample 0 and its ranks
+    from diraclab import cli, symbols
+
+    measured = symbols.verify_exactness
+
+    def spoiled(bundle):
+        ranks, exact = measured(bundle)
+        ranks["dim_ker_sigma1"][list(inexact)] += 1
+        exact[list(inexact)] = False
+        return ranks, exact
+
+    monkeypatch.setattr(symbols, "verify_exactness", spoiled)
+    record = next(c for c in cli.checks_ellipticity(3, 2, 8, 1)
+                  if c["name"].startswith("symbol_exactness"))
+    w = inexact[0] if inexact else 0
+    assert record["pass"] is not bool(inexact)
+    assert record["value"] == float(bool(inexact))
+    assert record["witness"]["sample"] == w
+    assert record["ranks"] == {"dims": {"V0": 1, "V1": 3, "V2": 8, "V3p": 6, "V3pp": 6},
+                               "rank_sigma0": 1, "dim_ker_sigma1": 1 + bool(inexact),
+                               "rank_sigma1": 2, "dim_ker_order5": 2}
 
 
 def assert_worst(check, replayed, witness):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab import build_clifford, delta_symbol, dirac_symbol
+from diraclab import build_clifford, dirac_symbol
 from diraclab.clifford import spinor_dim
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -165,9 +165,16 @@ def test_symbol_polarization(rng, reps):
 
 
 def test_delta_symbol_values(reps):
+    # the anticommutator scalar trace(xi_- xi'_+ + xi'_- xi_+) / s, as the
+    # clifford suite's delta_symbol record reads it
     rep = reps[3]
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([0.0, 1.0, 0.0])
-    assert delta_symbol(rep, e1, e1) == pytest.approx(2.0, abs=1e-14)
-    assert delta_symbol(rep, e1, e2) == pytest.approx(0.0, abs=1e-14)
-    assert delta_symbol(rep, 2 * e1, 3 * e1) == pytest.approx(12.0, abs=1e-13)
+
+    def delta(xi, xi2):
+        (p1, p2), (m1, m2) = dirac_symbol(rep, np.stack([xi, xi2]))
+        return float(np.trace(m1 @ p2 + m2 @ p1).real / rep.s_dim)
+
+    assert delta(e1, e1) == pytest.approx(2.0, abs=1e-14)
+    assert delta(e1, e2) == pytest.approx(0.0, abs=1e-14)
+    assert delta(2 * e1, 3 * e1) == pytest.approx(12.0, abs=1e-13)

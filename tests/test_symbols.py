@@ -91,9 +91,9 @@ def test_stacked_build_matches_single_frequency(k, n, rng):
         atol = mats.shape[-1] * 1e-13 * np.maximum(np.abs(mats).max(axis=(-2, -1)), 1.0)
         for got, want in ((lo, single[:, 0]), (hi, single[:, 1])):
             assert (np.abs(got - want) <= atol + 1e-12 * np.abs(want)).all()
-    rpt = verify_exactness(flat)
-    assert rpt.ok.all()
-    assert (rpt.dim_ker_sigma1 == verify_exactness(per_row[0]).dim_ker_sigma1).all()
+    ranks, exact = verify_exactness(flat)
+    assert exact.all()
+    assert (ranks["dim_ker_sigma1"] == verify_exactness(per_row[0])[0]["dim_ker_sigma1"]).all()
     with pytest.raises(ValueError):
         verify_exactness(stacked)
 
@@ -139,44 +139,68 @@ def test_exactness_example_dims(rng, reps):
     # three variables in the plane: value-space dimensions (1, 3, 8, 6, 6),
     # measured ranks (1, 1, 2, 2)
     rep = reps[2]
-    rpt = verify_exactness(build_bundle(rep, 3, unit_xi(rng, 3, 2)))
-    assert rpt.dims == {"V0": 1, "V1": 3, "V2": 8, "V3p": 6, "V3pp": 6}
-    assert rpt.rank_sigma0 == 1
-    assert rpt.dim_ker_sigma1 == 1
-    assert rpt.rank_sigma1 == 2
-    assert rpt.dim_ker_order5 == 2
-    assert rpt.ok
+    b = build_bundle(rep, 3, unit_xi(rng, 3, 2))
+    ranks, exact = verify_exactness(b)
+    assert b.dims == {"V0": 1, "V1": 3, "V2": 8, "V3p": 6, "V3pp": 6}
+    assert ranks["rank_sigma0"] == 1
+    assert ranks["dim_ker_sigma1"] == 1
+    assert ranks["rank_sigma1"] == 2
+    assert ranks["dim_ker_order5"] == 2
+    assert exact
 
 
 @pytest.mark.parametrize("k,n", CONFIGS)
 def test_exactness_sweep(k, n, rng):
     rep = build_clifford(n)
+    s = rep.s_dim
     for _ in range(25):
-        rpt = verify_exactness(build_bundle(rep, k, unit_xi(rng, k, n)))
-        assert rpt.injective and rpt.exact_slot1
+        ranks, exact = verify_exactness(build_bundle(rep, k, unit_xi(rng, k, n)))
+        assert exact
+        # injective at slot 0, ker sigma1 = im sigma0, and at slot 2 the
+        # joint kernel = im sigma1, or no slot 2 for k = 2
+        assert ranks["rank_sigma0"] == s
+        assert ranks["dim_ker_sigma1"] == ranks["rank_sigma0"]
         if k >= 3:
-            assert rpt.exact_slot2
+            assert ranks["dim_ker_order5"] == ranks["rank_sigma1"]
         else:
-            assert rpt.exact_slot2 is None
+            assert ranks["dim_ker_order5"] is None
+
+
+def test_exact_frequencies_share_their_ranks():
+    # exactness fixes every rank by the dimensions: rank sigma0 = s,
+    # dim ker sigma1 = s, rank sigma1 = (k-1)s and dim ker order-5 = (k-1)s,
+    # so the ellipticity suite needs no rank comparison across samples
+    rng = np.random.default_rng(34)
+    for k, n in itertools.product(range(2, 6), range(1, 5)):
+        rep = build_clifford(n)
+        s = rep.s_dim
+        xi = rng.standard_normal((50, k * n))
+        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+        ranks, exact = verify_exactness(build_bundle(rep, k, xi))
+        assert exact.shape == (50,) and exact.any(), (k, n)
+        want = {"rank_sigma0": s, "dim_ker_sigma1": s, "rank_sigma1": (k - 1) * s,
+                "dim_ker_order5": (k - 1) * s if k >= 3 else None}
+        for key, r in ranks.items():
+            if want[key] is None:
+                assert r is None
+            else:
+                assert (r[exact] == want[key]).all(), (k, n, key)
 
 
 def test_two_variable_slot0_ranks(rng, reps):
     rep = reps[3]
-    rpt = verify_exactness(build_bundle(rep, 2, unit_xi(rng, 2, 3)))
-    assert rpt.rank_sigma0 == rep.s_dim == 2
-    assert rpt.dim_ker_sigma1 == 2
+    ranks, _ = verify_exactness(build_bundle(rep, 2, unit_xi(rng, 2, 3)))
+    assert ranks["rank_sigma0"] == rep.s_dim == 2
+    assert ranks["dim_ker_sigma1"] == 2
 
 
 def test_rank_scale_invariance(rng, reps):
     rep = reps[2]
     xi = unit_xi(rng, 3, 2)
-    a = verify_exactness(build_bundle(rep, 3, xi))
-    b = verify_exactness(build_bundle(rep, 3, 10.0 * xi))
-    assert (a.rank_sigma0, a.dim_ker_sigma1, a.dim_ker_order5) == (
-        b.rank_sigma0,
-        b.dim_ker_sigma1,
-        b.dim_ker_order5,
-    )
+    a = verify_exactness(build_bundle(rep, 3, xi))[0]
+    b = verify_exactness(build_bundle(rep, 3, 10.0 * xi))[0]
+    keys = ("rank_sigma0", "dim_ker_sigma1", "dim_ker_order5")
+    assert [a[key] for key in keys] == [b[key] for key in keys]
     # the one rank rule, relative to the largest singular value: a zero
     # matrix and an empty spectrum have rank 0, and a stack gets one rank each
     assert weyl.sv_rank(np.zeros(3)) == 0 and weyl.sv_rank(np.zeros(0)) == 0
